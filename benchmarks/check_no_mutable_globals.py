@@ -37,9 +37,6 @@ ALLOWLIST = {
     # register_* calls), read-only afterwards.  A registry is process-wide
     # by design — contexts scope *execution state*, not code registration.
     ("backend/engine.py", "_REGISTRY"),
-    # The one sanctioned `global`: rebinds the default-engine *registration*
-    # (code-level configuration, not execution state).
-    ("backend/engine.py", "set_default_engine"),
     ("experiments/profiles.py", "PROFILES"),
     ("experiments/registry.py", "EXPERIMENTS"),
     ("experiments/report.py", "_SECTIONS"),

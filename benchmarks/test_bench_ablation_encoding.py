@@ -44,6 +44,7 @@ def test_ablation_encoding_scheme(benchmark, bundle, encoding_result, capsys, re
     result = encoding_result
 
     from repro.core.schedule import PulseSchedule
+    from repro.sim import SimConfig
     from repro.training.evaluate import noisy_accuracy
 
     layers = bundle.model.num_encoded_layers()
@@ -51,8 +52,11 @@ def test_ablation_encoding_scheme(benchmark, bundle, encoding_result, capsys, re
         lambda: noisy_accuracy(
             bundle.model,
             bundle.test_loader,
-            sigma=profile.sigmas[1],
-            schedule=PulseSchedule.uniform(layers, profile.base_pulses),
+            SimConfig(
+                mode="noisy",
+                noise_sigma=profile.sigmas[1],
+                pulses=PulseSchedule.uniform(layers, profile.base_pulses),
+            ),
         ),
         rounds=2,
         iterations=1,

@@ -42,6 +42,7 @@ def test_table1_baseline_pla_gbo(benchmark, bundle, table1_result, capsys, resul
 
     # Benchmark the repeated kernel: one noisy evaluation pass at the baseline.
     from repro.core.schedule import PulseSchedule
+    from repro.sim import SimConfig
     from repro.training.evaluate import noisy_accuracy
 
     layers = bundle.model.num_encoded_layers()
@@ -49,8 +50,11 @@ def test_table1_baseline_pla_gbo(benchmark, bundle, table1_result, capsys, resul
         lambda: noisy_accuracy(
             bundle.model,
             bundle.test_loader,
-            sigma=profile.sigmas[0],
-            schedule=PulseSchedule.uniform(layers, profile.base_pulses),
+            SimConfig(
+                mode="noisy",
+                noise_sigma=profile.sigmas[0],
+                pulses=PulseSchedule.uniform(layers, profile.base_pulses),
+            ),
         ),
         rounds=2,
         iterations=1,

@@ -68,7 +68,8 @@ def main() -> None:
     print(f"noisy accuracy and estimated crossbar cost (sigma={sigma}):")
     print(f"{'schedule':<12} {'pulses':<22} {'avg':>5} {'acc %':>7} {'latency (ns)':>13} {'energy (nJ)':>12}")
     for name, schedule in schedules.items():
-        accuracy = noisy_accuracy(model, test_loader, sigma=sigma, schedule=schedule, num_repeats=3)
+        noisy = SimConfig(mode="noisy", noise_sigma=sigma, pulses=schedule)
+        accuracy = noisy_accuracy(model, test_loader, noisy, num_repeats=3)
         report = cost_model.schedule_cost(model, schedule)
         print(
             f"{name:<12} {str(schedule.as_list()):<22} {schedule.average_pulses:>5.1f} "

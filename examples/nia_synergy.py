@@ -49,16 +49,19 @@ def main() -> None:
     baseline_schedule = PulseSchedule.uniform(layers, 8)
     rows = []
 
+    def accuracy(schedule):
+        noisy = SimConfig(mode="noisy", noise_sigma=sigma, pulses=schedule)
+        return noisy_accuracy(model, test_loader, noisy, num_repeats=3)
+
     # Baseline: pre-trained weights, 8 pulses.
     rows.append(
-        ("Baseline", 8.0, noisy_accuracy(model, test_loader, sigma=sigma, schedule=baseline_schedule, num_repeats=3))
+        ("Baseline", 8.0, accuracy(baseline_schedule))
     )
 
     # GBO on the pre-trained weights.
     gbo_schedule = run_gbo(model, train_loader, sigma)
     rows.append(
-        ("GBO", gbo_schedule.average_pulses,
-         noisy_accuracy(model, test_loader, sigma=sigma, schedule=gbo_schedule, num_repeats=3))
+        ("GBO", gbo_schedule.average_pulses, accuracy(gbo_schedule))
     )
 
     # NIA: fine-tune the weights under injected noise.
@@ -67,21 +70,20 @@ def main() -> None:
     NIATrainer(model, NIAConfig(sigma=sigma, epochs=8, learning_rate=2e-3, pulses=8)).train(train_loader)
     nia_state = model.state_dict()
     rows.append(
-        ("NIA", 8.0, noisy_accuracy(model, test_loader, sigma=sigma, schedule=baseline_schedule, num_repeats=3))
+        ("NIA", 8.0, accuracy(baseline_schedule))
     )
 
     # NIA + GBO: learn the schedule on top of the adapted weights.
     nia_gbo_schedule = run_gbo(model, train_loader, sigma)
     rows.append(
-        ("NIA+GBO", nia_gbo_schedule.average_pulses,
-         noisy_accuracy(model, test_loader, sigma=sigma, schedule=nia_gbo_schedule, num_repeats=3))
+        ("NIA+GBO", nia_gbo_schedule.average_pulses, accuracy(nia_gbo_schedule))
     )
     model.load_state_dict(nia_state, strict=False)
 
     print(f"\nclean accuracy: {clean:.2f}%   |   crossbar noise sigma = {sigma}")
     print(f"{'method':<10} {'avg pulses':>11} {'accuracy %':>11}")
-    for method, pulses, accuracy in rows:
-        print(f"{method:<10} {pulses:>11.2f} {accuracy:>11.2f}")
+    for method, pulses, acc in rows:
+        print(f"{method:<10} {pulses:>11.2f} {acc:>11.2f}")
     print(
         "\nExpected shape (paper Table II): NIA recovers most of the noise-induced\n"
         "loss at fixed latency; GBO alone helps by spending a few extra pulses;\n"

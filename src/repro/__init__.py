@@ -45,11 +45,12 @@ Quick start::
 See ``examples/quickstart.py`` for a complete runnable walk-through.
 """
 
-from repro.sim import SimConfig, Session, apply_config, configure, resolve_engine_name
 from repro.version import __version__
 
-#: Facade names resolved lazily from :mod:`repro.api` (PEP 562), so that
-#: ``import repro`` stays lightweight for consumers of the low-level layers.
+#: Names resolved lazily (PEP 562) from :mod:`repro.sim` and :mod:`repro.api`,
+#: so ``import repro`` loads no numpy: worker entry points run it before they
+#: pin BLAS threads (:mod:`repro.worker_env`).
+_SIM_EXPORTS = ("SimConfig", "Session", "apply_config", "configure", "resolve_engine_name")
 _API_EXPORTS = (
     "PipelineState",
     "EvaluationResult",
@@ -63,18 +64,14 @@ _API_EXPORTS = (
     "evaluate",
 )
 
-__all__ = [
-    "__version__",
-    "SimConfig",
-    "Session",
-    "apply_config",
-    "configure",
-    "resolve_engine_name",
-    *_API_EXPORTS,
-]
+__all__ = ["__version__", *_SIM_EXPORTS, *_API_EXPORTS]
 
 
 def __getattr__(name):
+    if name in _SIM_EXPORTS:
+        from repro import sim
+
+        return getattr(sim, name)
     if name in _API_EXPORTS:
         from repro import api
 

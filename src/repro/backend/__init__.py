@@ -22,19 +22,15 @@ encoding space Omega either as one literal crossbar read per candidate
 Engine selection: pin an engine in a :class:`repro.sim.SimConfig` (or pass
 one explicitly to :func:`repro.crossbar.mvm.pulsed_mvm`).  Resolution
 follows the one precedence rule of :func:`repro.sim.resolve_engine_name`:
-explicit pin, then the deprecated ``REPRO_BACKEND`` environment variable,
-then a profile's ``backend`` field, then the process-wide default installed
-with :func:`set_default_engine` (ultimately ``"vectorized"``).
+explicit pin, then a profile's ``backend`` field, then ``"vectorized"``.
 """
 
 from repro.backend.engine import (
     SimulationEngine,
     available_engines,
-    default_engine,
     get_engine,
     register_engine,
     resolve_engine,
-    set_default_engine,
 )
 from repro.backend.reference import ReferenceEngine
 from repro.backend.vectorized import VectorizedEngine
@@ -44,9 +40,7 @@ __all__ = [
     "ReferenceEngine",
     "VectorizedEngine",
     "available_engines",
-    "default_engine",
     "get_engine",
     "register_engine",
     "resolve_engine",
-    "set_default_engine",
 ]

@@ -19,19 +19,16 @@ calls (and hence the draw layout) may differ.  The equivalence is enforced by
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.sim.config import resolve_engine_name
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 
 if TYPE_CHECKING:  # avoid a circular import: crossbar -> core -> backend
     from repro.crossbar.encoding import PulseTrain
-
-#: Environment variable consulted by :func:`default_engine`.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 EngineLike = Union["SimulationEngine", str, None]
 
@@ -253,7 +250,6 @@ class SimulationEngine:
 
 
 _REGISTRY: Dict[str, SimulationEngine] = {}
-_DEFAULT: Optional[SimulationEngine] = None
 
 
 def register_engine(engine: SimulationEngine) -> SimulationEngine:
@@ -277,27 +273,14 @@ def get_engine(name: str) -> SimulationEngine:
         ) from error
 
 
-def default_engine() -> SimulationEngine:
-    """The process-wide default engine.
-
-    Resolution order: an engine installed via :func:`set_default_engine`,
-    then the ``REPRO_BACKEND`` environment variable, then ``"vectorized"``.
-    """
-    if _DEFAULT is not None:
-        return _DEFAULT
-    return get_engine(os.environ.get(BACKEND_ENV_VAR, "vectorized"))
-
-
-def set_default_engine(engine: EngineLike) -> None:
-    """Install (or, with ``None``, clear) the process-wide default engine."""
-    global _DEFAULT
-    _DEFAULT = None if engine is None else resolve_engine(engine)
-
-
 def resolve_engine(engine: EngineLike) -> SimulationEngine:
-    """Coerce an engine instance / name / ``None`` into an engine."""
+    """Coerce an engine instance / name / ``None`` into an engine.
+
+    ``None`` takes the unpinned, profile-less answer of
+    :func:`repro.sim.resolve_engine_name`.
+    """
     if engine is None:
-        return default_engine()
+        engine = resolve_engine_name()
     if isinstance(engine, str):
         return get_engine(engine)
     return engine

@@ -48,7 +48,6 @@ from repro.tensor import functional as F
 from repro.tensor.dtype import resolve_dtype
 from repro.tensor.functional import softmax
 from repro.tensor.random import RandomState, default_rng
-from repro.utils.deprecation import warn_deprecated
 
 ForwardMode = Literal["clean", "noisy", "gbo"]
 
@@ -103,9 +102,8 @@ class EncodedLayerMixin:
             return self.noise_sigma * float(np.sqrt(max(self.fan_in, 1)))
         return self.noise_sigma
 
-    # -- internal appliers: the only code that mutates simulation state.
-    # ``repro.sim`` (Session / apply_config) and the trainers go through
-    # these; the public ``set_*`` methods below are deprecated shims.
+    # -- internal appliers: the only code that mutates simulation state;
+    # ``repro.sim`` (Session / apply_config) and the trainers go through them.
     def _apply_mode(self, mode: ForwardMode) -> None:
         if mode not in ("clean", "noisy", "gbo"):
             raise ValueError(f"unknown forward mode {mode!r}")
@@ -133,50 +131,14 @@ class EncodedLayerMixin:
     def _apply_engine(self, engine: EngineLike) -> None:
         self._engine = None if engine is None else resolve_engine(engine)
 
-    def set_mode(self, mode: ForwardMode) -> None:
-        """Deprecated: use ``repro.sim.configure(layer, SimConfig(mode=...))``."""
-        warn_deprecated(
-            "layer.set_mode() is deprecated; apply an immutable "
-            "repro.sim.SimConfig via repro.sim.configure()/apply_config()"
-        )
-        self._apply_mode(mode)
-
-    def set_pulses(self, num_pulses: int) -> None:
-        """Deprecated: use ``repro.sim.configure(layer, SimConfig(pulses=...))``."""
-        warn_deprecated(
-            "layer.set_pulses() is deprecated; apply an immutable "
-            "repro.sim.SimConfig via repro.sim.configure()/apply_config()"
-        )
-        self._apply_pulses(num_pulses)
-
-    def set_noise(self, sigma: float, relative_to_fan_in: Optional[bool] = None) -> None:
-        """Deprecated: use ``repro.sim.configure(layer, SimConfig(noise_sigma=...))``."""
-        warn_deprecated(
-            "layer.set_noise() is deprecated; apply an immutable "
-            "repro.sim.SimConfig via repro.sim.configure()/apply_config()"
-        )
-        self._apply_noise(sigma, relative_to_fan_in)
-
     @property
     def engine(self) -> SimulationEngine:
         """Simulation engine executing this layer's noisy reads.
 
-        Falls back to the process-wide default (``REPRO_BACKEND`` /
-        :func:`repro.backend.default_engine`) until :meth:`set_engine` pins
-        one explicitly.
+        The engine a config pinned, else the unpinned answer of
+        :func:`repro.sim.resolve_engine_name`.
         """
         return self._engine if self._engine is not None else resolve_engine(None)
-
-    def set_engine(self, engine: EngineLike) -> None:
-        """Deprecated: pin the engine via ``SimConfig(engine=...)`` instead.
-
-        Pass ``None`` to track the process-wide default again.
-        """
-        warn_deprecated(
-            "layer.set_engine() is deprecated; pin an engine via "
-            "repro.sim.SimConfig(engine=...) and configure()/apply_config()"
-        )
-        self._apply_engine(engine)
 
     # ------------------------------------------------------------------
     # GBO support (Eq. 5)

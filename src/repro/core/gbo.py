@@ -32,7 +32,6 @@ from repro.sim import SimConfig
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.tensor.random import PlannedNormalStream
-from repro.utils.deprecation import warn_deprecated
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("repro.gbo")
@@ -231,44 +230,27 @@ class GBOTrainer:
         layers in forward order (e.g. :class:`repro.models.VGG9`).
     config:
         GBO hyper-parameters.
-    engine:
-        Deprecated: pass ``sim=SimConfig(engine=...)`` instead.
     sim:
         Simulation config whose ``engine`` is pinned on every encoded layer
         for the duration of training; each GBO forward evaluates the Eq. 5
         candidate mixture through
         :meth:`~repro.backend.engine.SimulationEngine.gbo_mixture_read` of
         that engine.  ``sim=None`` (or ``sim.engine is None``) keeps
-        whatever engine each layer already uses (ultimately the process-wide
-        default).  Noise/pulse state is taken from the model's current
-        configuration — apply a config via :func:`repro.sim.apply_config`
-        (or use the :mod:`repro.api` facade) beforehand.
+        whatever engine each layer already uses.  Noise/pulse state is taken
+        from the model's current configuration — apply a config via
+        :func:`repro.sim.apply_config` (or use the :mod:`repro.api` facade)
+        beforehand.
     """
 
     def __init__(
         self,
         model,
         config: Optional[GBOConfig] = None,
-        engine=None,
         sim: Optional[SimConfig] = None,
     ):
         self.model = model
         self.config = config or GBOConfig()
-        if engine is not None:
-            warn_deprecated(
-                "GBOTrainer(engine=...) is deprecated; pass "
-                "sim=SimConfig(engine=...) instead"
-            )
-            if sim is not None and sim.engine is not None:
-                raise ValueError("pass either engine= or sim=, not both")
-            # Keep the pin as passed: an engine *instance* need not be in
-            # the registry (tests pin ad-hoc engines), so it must not be
-            # round-tripped through a name lookup.
-            self.engine = engine
-            self.sim = sim
-        else:
-            self.sim = sim
-            self.engine = sim.engine if sim is not None else None
+        self.sim = sim
         self._layers: List[EncodedLayerMixin] = list(model.encoded_layers())
         if not self._layers:
             raise ValueError("model has no encoded layers to optimise")
@@ -293,13 +275,13 @@ class GBOTrainer:
             layer._apply_mode("gbo")
 
         # Pin the requested engine for the duration of training only; the
-        # layers' previous pins (possibly "track the process default") are
-        # restored afterwards so later evaluations keep their own backend.
-        previous_engines = None
-        if self.engine is not None:
-            previous_engines = [layer._engine for layer in self._layers]
+        # layers' previous pins (possibly none) are restored afterwards so
+        # later evaluations keep their own backend.
+        engine = self.sim.engine if self.sim is not None else None
+        previous_engines = [layer._engine for layer in self._layers]
+        if engine is not None:
             for layer in self._layers:
-                layer._apply_engine(self.engine)
+                layer._apply_engine(engine)
 
         optimizer = Adam(logits, lr=config.learning_rate)
         planner = _NoisePlanner(self._layers) if config.plan_noise else None
@@ -333,11 +315,8 @@ class GBOTrainer:
                             record["expected_latency"],
                         )
         finally:
-            if previous_engines is not None:
-                for layer, previous in zip(self._layers, previous_engines):
-                    # previous is either a pinned engine instance or None
-                    # (track the process default) — _apply_engine handles both.
-                    layer._apply_engine(previous)
+            for layer, previous in zip(self._layers, previous_engines):
+                layer._apply_engine(previous)
         result = self._finalise(history)
         self._apply_schedule(result.schedule)
         return result

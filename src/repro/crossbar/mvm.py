@@ -61,7 +61,7 @@ def pulsed_mvm(
         Disable to obtain the ideal accumulated result.
     engine:
         Simulation engine (instance or registry name) executing the reads;
-        defaults to :func:`repro.backend.default_engine`.
+        ``None`` resolves through :func:`repro.sim.resolve_engine_name`.
     rng:
         Random state for the noise draws; defaults to the crossbar's own.
     """

@@ -26,29 +26,9 @@ Entry points: ``python -m repro.distributed`` runs one worker;
 experiment suites, ``... merge`` unions stores, and ``... report
 --follow`` streams an incrementally re-rendered markdown report while
 workers drain.
+
+Import from the submodules (:mod:`~repro.distributed.lease`,
+:mod:`~repro.distributed.worker`, :mod:`~repro.distributed.merge`).  The
+package itself imports nothing: ``python -m repro.distributed`` runs this
+file before its ``__main__`` pins BLAS threads, and the worker loads numpy.
 """
-
-from repro.distributed.lease import DEFAULT_TTL_S, Heartbeat, LeaseManager, default_owner
-from repro.distributed.merge import MergeConflictError, MergeReport, merge_stores
-from repro.distributed.worker import (
-    DistributedExecutionError,
-    GridWorker,
-    WorkReport,
-    shard_of,
-    worker_order,
-)
-
-__all__ = [
-    "DEFAULT_TTL_S",
-    "DistributedExecutionError",
-    "GridWorker",
-    "Heartbeat",
-    "LeaseManager",
-    "MergeConflictError",
-    "MergeReport",
-    "WorkReport",
-    "default_owner",
-    "merge_stores",
-    "shard_of",
-    "worker_order",
-]

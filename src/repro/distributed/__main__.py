@@ -22,6 +22,8 @@ import os
 import sys
 from typing import List, Optional
 
+from repro.worker_env import pin_worker_threads
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -159,4 +161,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # Before main() imports the worker, and with it numpy.
+    pin_worker_threads()
     sys.exit(main())

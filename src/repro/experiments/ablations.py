@@ -30,7 +30,7 @@ from repro.crossbar.analysis import bit_slicing_noise_variance, thermometer_nois
 from repro.experiments.common import ExperimentBundle, get_pretrained_bundle
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.runner.spec import stable_seed
-from repro.experiments.table1 import resolve_driver_engines, run_gbo_stage
+from repro.experiments.table1 import _require_engine_only, run_gbo_stage
 from repro.sim import SimConfig
 from repro.tensor.random import RandomState
 from repro.training.evaluate import noisy_accuracy
@@ -164,19 +164,17 @@ def run_encoding_ablation(
     profile: Optional[ExperimentProfile] = None,
     bundle: Optional[ExperimentBundle] = None,
     sigmas: Optional[Sequence[float]] = None,
-    engine=None,
     workers: int = 0,
     store=None,
     sim: Optional[SimConfig] = None,
 ) -> EncodingAblationResult:
     """A1: compare thermometer coding and bit slicing end to end.
 
-    ``sim`` carries the scenario-wide engine pin; ``engine=`` is the
-    deprecated spelling of the same thing.
+    ``sim`` carries the scenario-wide engine pin.
     """
     from repro.experiments.runner.executor import run_grid
 
-    engine, _ = resolve_driver_engines(engine, None, sim, None)
+    engine = _require_engine_only(sim, "sim=")
     bundle = bundle or get_pretrained_bundle(profile)
     profile = profile or bundle.profile
     grid = encoding_ablation_grid(profile, sigmas=sigmas, engine=engine)
@@ -287,7 +285,6 @@ def run_pla_error_ablation(
     num_samples: int = 4096,
     saturation: float = 0.6,
     seed: int = 0,
-    engine=None,
     workers: int = 0,
     store=None,
     sim: Optional[SimConfig] = None,
@@ -298,9 +295,8 @@ def run_pla_error_ablation(
     fraction ``saturation`` of the mass at exactly +-1, the rest uniform over
     the quantisation grid), mimicking the BN + Tanh statistics the paper's
     PLA relies on, and the mean absolute re-encoding error is reported for
-    both rounding modes.  ``sim`` / ``engine`` are accepted for
-    driver-interface uniformity (PLA re-encoding involves no crossbar
-    reads).
+    both rounding modes.  ``sim`` is accepted for driver-interface
+    uniformity (PLA re-encoding involves no crossbar reads).
     """
     from repro.experiments.runner.executor import run_grid
 
@@ -414,8 +410,6 @@ def run_gamma_tradeoff(
     sigma: Optional[float] = None,
     profile: Optional[ExperimentProfile] = None,
     bundle: Optional[ExperimentBundle] = None,
-    gbo_engine=None,
-    engine=None,
     workers: int = 0,
     store=None,
     sim: Optional[SimConfig] = None,
@@ -428,12 +422,12 @@ def run_gamma_tradeoff(
     two GBO rows per noise level sample at two points.  ``gbo_sim``
     optionally pins a simulation engine for the GBO trainings and ``sim``
     for everything each scenario runs (``None`` follows the one
-    engine-resolution rule); ``gbo_engine`` / ``engine`` are the deprecated
-    spellings.
+    engine-resolution rule).
     """
     from repro.experiments.runner.executor import run_grid
 
-    engine, gbo_engine = resolve_driver_engines(engine, gbo_engine, sim, gbo_sim)
+    engine = _require_engine_only(sim, "sim=")
+    gbo_engine = _require_engine_only(gbo_sim, "gbo_sim=")
     bundle = bundle or get_pretrained_bundle(profile)
     profile = profile or bundle.profile
     grid = gamma_tradeoff_grid(

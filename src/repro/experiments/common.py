@@ -162,8 +162,8 @@ def build_model(profile: ExperimentProfile):
     """Instantiate the profile's network with the profile's quantisation setup.
 
     The encoded layers' simulation engine follows the one precedence rule of
-    :func:`repro.sim.resolve_engine_name` (no explicit pin here, so:
-    deprecated ``REPRO_BACKEND`` override, else the profile's ``backend``).
+    :func:`repro.sim.resolve_engine_name` (no explicit pin here, so the
+    profile's ``backend``).
     """
     rng = RandomState(profile.seed + 2)
     model = _build_model_architecture(profile, rng)

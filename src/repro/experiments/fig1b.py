@@ -152,7 +152,6 @@ def run_fig1b(
     sigma: float = 1.0,
     num_trials: int = 200,
     seed: int = 0,
-    engine=None,
     workers: int = 0,
     store=None,
     sim=None,
@@ -175,23 +174,20 @@ def run_fig1b(
         Simulation config for the Monte-Carlo validation's crossbar reads;
         ``None`` follows the one engine-resolution rule.  The analytic
         series is engine-independent.
-    engine:
-        Deprecated: pass ``sim=SimConfig(engine=...)`` instead.
     workers / store:
         Scenario-runner execution controls (see
         :func:`repro.experiments.runner.run_grid`).
     """
     from repro.experiments.runner.executor import run_grid
-    from repro.experiments.table1 import resolve_driver_engines
+    from repro.experiments.table1 import _require_engine_only
 
-    engine, _ = resolve_driver_engines(engine, None, sim, None)
     grid = fig1b_grid(
         bit_range=bit_range,
         monte_carlo_bits=monte_carlo_bits,
         sigma=sigma,
         num_trials=num_trials,
         seed=seed,
-        engine=engine,
+        engine=_require_engine_only(sim, "sim="),
     )
     outcome = run_grid(grid, workers=workers, store=store)
     return assemble_fig1b(grid, outcome.results)

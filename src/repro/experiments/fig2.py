@@ -157,7 +157,6 @@ def run_fig2(
     profile: Optional[ExperimentProfile] = None,
     bundle: Optional[ExperimentBundle] = None,
     sigma: Optional[float] = None,
-    engine=None,
     workers: int = 0,
     store=None,
     sim: Optional[SimConfig] = None,
@@ -178,16 +177,14 @@ def run_fig2(
     sim:
         Simulation config for the evaluations; ``None`` follows the one
         engine-resolution rule.
-    engine:
-        Deprecated: pass ``sim=SimConfig(engine=...)`` instead.
     workers / store:
         Scenario-runner execution controls (see
         :func:`repro.experiments.runner.run_grid`).
     """
     from repro.experiments.runner.executor import run_grid
-    from repro.experiments.table1 import resolve_driver_engines
+    from repro.experiments.table1 import _require_engine_only
 
-    engine, _ = resolve_driver_engines(engine, None, sim, None)
+    engine = _require_engine_only(sim, "sim=")
     bundle = bundle or get_pretrained_bundle(profile)
     profile = profile or bundle.profile
     grid = fig2_grid(

@@ -44,12 +44,9 @@ from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import MemoryStore, ResultStore, jsonify_result
 from repro.sim import SimConfig, apply_config
 from repro.utils.logging import get_logger
+from repro.worker_env import worker_threads_pinned
 
 LOGGER = get_logger("repro.runner")
-
-#: BLAS/thread environment pinned in worker processes so N workers do not
-#: fight over the machine with N x num_threads BLAS pools.
-_WORKER_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class GridExecutionError(RuntimeError):
@@ -215,8 +212,8 @@ def spawn_worker_pool(
     ``repro.serve``'s parallel request dispatch: ``workers`` spawned
     processes, each bootstrapped through :func:`_worker_init` (own
     :class:`~repro.context.ExecutionContext`, own stage store, shared
-    on-disk caches) with BLAS pools pinned to one thread so N workers do
-    not fight over the machine with N x num_threads BLAS pools.
+    on-disk caches) with BLAS pools pinned to one thread
+    (:func:`repro.worker_env.worker_threads_pinned`).
 
     With ``warm=True`` (default) the pool spawns all its processes before
     returning, by submitting one ping per worker: ``ProcessPoolExecutor``
@@ -225,14 +222,10 @@ def spawn_worker_pool(
     process creation.  Callers own the returned executor and must
     ``shutdown()`` it.
     """
-    saved_env = {name: os.environ.get(name) for name in _WORKER_THREAD_ENV}
-    for name in _WORKER_THREAD_ENV:
-        os.environ[name] = "1"
-    try:
-        context = multiprocessing.get_context("spawn")
+    with worker_threads_pinned():
         pool = ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=context,
+            mp_context=multiprocessing.get_context("spawn"),
             initializer=_worker_init,
             initargs=(cache_dir, store_root),
         )
@@ -242,12 +235,6 @@ def spawn_worker_pool(
             # while the BLAS pinning above is still in the environment.
             for future in [pool.submit(_worker_ping) for _ in range(workers)]:
                 future.result()
-    finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
     return pool
 
 

@@ -185,9 +185,8 @@ class ScenarioContext:
     def engine_name(self) -> str:
         """The scenario's engine under the one precedence rule.
 
-        Spec pin first, then the deprecated ``REPRO_BACKEND`` override, the
-        profile's backend, and finally the process default — see
-        :func:`repro.sim.resolve_engine_name`.
+        Spec pin first, then the profile's backend, then ``"vectorized"`` —
+        see :func:`repro.sim.resolve_engine_name`.
         """
         return resolve_engine_name(self.spec.engine, self.profile)
 

@@ -59,8 +59,8 @@ def profile_axes(profile, engine: Any = None) -> Dict[str, Any]:
       registered base (a worker rebuilds it exactly, and an overridden
       profile hashes differently from the base one);
     * the engine pin is resolved *now*, through the one precedence rule of
-      :func:`repro.sim.resolve_engine_name` (explicit argument, deprecated
-      ``REPRO_BACKEND``, the profile's backend, the process default) — so
+      :func:`repro.sim.resolve_engine_name` (explicit argument, the
+      profile's backend, ``"vectorized"``) — so
       results produced under different backends can never answer each
       other's store lookups (the engines agree only statistically on noisy
       reads, not sample-for-sample).
@@ -111,7 +111,7 @@ class ScenarioSpec:
         The scenario's noise level and GBO latency weight, when applicable.
     engine:
         Simulation-engine pin (registry name) for everything the scenario
-        runs; ``None`` tracks the profile's backend / ``REPRO_BACKEND``.
+        runs; ``None`` tracks the profile's backend.
     seed:
         Base seed mixed into the derived per-scenario seed; ``None`` uses
         the profile's seed (or 0 for profile-less experiments).

@@ -31,7 +31,6 @@ from repro.experiments.common import ExperimentBundle, get_pretrained_bundle
 from repro.experiments.profiles import ExperimentProfile
 from repro.sim import SimConfig, apply_config
 from repro.training.evaluate import noisy_accuracy
-from repro.utils.deprecation import warn_deprecated
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("repro.table1")
@@ -306,8 +305,8 @@ def assemble_table1(
     return result
 
 
-def _require_engine_only(config: Optional[SimConfig], name: str) -> None:
-    """Reject driver sim configs carrying anything beyond an engine pin.
+def _require_engine_only(config: Optional[SimConfig], name: str) -> Optional[str]:
+    """A driver sim config's engine pin; reject anything beyond it.
 
     A driver's scenarios derive mode/pulses/noise from the experiment's own
     grid definition (that is what makes their hashes the experiment's
@@ -316,7 +315,7 @@ def _require_engine_only(config: Optional[SimConfig], name: str) -> None:
     configuration and caching it under the default keys.
     """
     if config is None:
-        return
+        return None
     ignored = config.with_changes(engine=None)
     if ignored != SimConfig():
         raise ValueError(
@@ -325,42 +324,7 @@ def _require_engine_only(config: Optional[SimConfig], name: str) -> None:
             f"drivers' sigma arguments, profile overrides, or attach full "
             f"configs per spec via ScenarioSpec.create(sim=...)"
         )
-
-
-def resolve_driver_engines(engine, gbo_engine, sim, gbo_sim):
-    """Fold a driver's deprecated engine kwargs into its sim-config pins.
-
-    Shared by every driver that accepts the legacy ``engine=`` /
-    ``gbo_engine=`` keywords: each emits a :class:`DeprecationWarning` and is
-    mapped onto the equivalent :class:`SimConfig` pin, so the two paths stay
-    bit-identical by construction.  Returns ``(engine_pin, gbo_engine_pin)``
-    as registry names (or ``None``).  The configs may carry nothing beyond
-    their engine pin (see :func:`_require_engine_only`).
-    """
-    _require_engine_only(sim, "sim=")
-    _require_engine_only(gbo_sim, "gbo_sim=")
-    if engine is not None:
-        warn_deprecated(
-            "the engine= driver keyword is deprecated; pass "
-            "sim=SimConfig(engine=...) instead",
-            stacklevel=4,
-        )
-        if sim is not None and sim.engine is not None:
-            raise ValueError("pass either engine= or sim=, not both")
-        sim = (sim or SimConfig()).with_changes(engine=engine)
-    if gbo_engine is not None:
-        warn_deprecated(
-            "the gbo_engine= driver keyword is deprecated; pass "
-            "gbo_sim=SimConfig(engine=...) instead",
-            stacklevel=4,
-        )
-        if gbo_sim is not None and gbo_sim.engine is not None:
-            raise ValueError("pass either gbo_engine= or gbo_sim=, not both")
-        gbo_sim = (gbo_sim or SimConfig()).with_changes(engine=gbo_engine)
-    return (
-        sim.engine if sim is not None else None,
-        gbo_sim.engine if gbo_sim is not None else None,
-    )
+    return config.engine
 
 
 def run_table1(
@@ -369,8 +333,6 @@ def run_table1(
     sigmas: Optional[Sequence[float]] = None,
     pla_pulse_counts: Sequence[int] = (10, 12, 14, 16),
     include_gbo: bool = True,
-    gbo_engine=None,
-    engine=None,
     workers: int = 0,
     store=None,
     sim: Optional[SimConfig] = None,
@@ -395,22 +357,20 @@ def run_table1(
         Engine pin for everything each scenario runs; the pin enters every
         spec's identity.  The config may carry nothing beyond its engine —
         scenario mode/pulses/noise come from the grid.  ``None`` follows
-        the one resolution rule (``REPRO_BACKEND`` > profile backend >
-        process default).
+        the one resolution rule (profile backend, else ``"vectorized"``).
     gbo_sim:
         Engine pin for the GBO training stage only; ``None`` keeps the
         scenario's engine.  The GBO stage dominates the driver's runtime,
         so pinning ``"vectorized"`` here folds every candidate mixture into
         one batched read.
-    gbo_engine / engine:
-        Deprecated: pass ``gbo_sim=`` / ``sim=`` instead (bit-identical).
     workers / store:
         Scenario-runner execution controls (see
         :func:`repro.experiments.runner.run_grid`).
     """
     from repro.experiments.runner.executor import run_grid
 
-    engine, gbo_engine = resolve_driver_engines(engine, gbo_engine, sim, gbo_sim)
+    engine = _require_engine_only(sim, "sim=")
+    gbo_engine = _require_engine_only(gbo_sim, "gbo_sim=")
     bundle = bundle or get_pretrained_bundle(profile)
     # Grids are built from the *requested* profile: the bundle cache aliases
     # profiles differing only in eval-only fields, so bundle.profile may

@@ -36,8 +36,8 @@ from repro.experiments.common import (
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.table1 import (
     _paper_sigma_for,
+    _require_engine_only,
     grid_sigma_rank,
-    resolve_driver_engines,
     run_gbo_stage,
 )
 from repro.sim import SimConfig, apply_config
@@ -302,8 +302,6 @@ def run_table2(
     sigmas: Optional[Sequence[float]] = None,
     nia_pla_pulses: int = 10,
     gbo_gamma: Optional[float] = None,
-    gbo_engine=None,
-    engine=None,
     workers: int = 0,
     store=None,
     sim: Optional[SimConfig] = None,
@@ -326,15 +324,14 @@ def run_table2(
     gbo_sim:
         Engine pin for the GBO training stage of the GBO and NIA+GBO rows;
         ``None`` keeps the scenario's engine.
-    gbo_engine / engine:
-        Deprecated: pass ``gbo_sim=`` / ``sim=`` instead (bit-identical).
     workers / store:
         Scenario-runner execution controls (see
         :func:`repro.experiments.runner.run_grid`).
     """
     from repro.experiments.runner.executor import run_grid
 
-    engine, gbo_engine = resolve_driver_engines(engine, gbo_engine, sim, gbo_sim)
+    engine = _require_engine_only(sim, "sim=")
+    gbo_engine = _require_engine_only(gbo_sim, "gbo_sim=")
     bundle = bundle or get_pretrained_bundle(profile)
     profile = profile or bundle.profile
     grid = table2_grid(

@@ -8,18 +8,17 @@ setting (binary weights, quantised activations, per-layer pulse counts).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.encoder_layer import EncodedConv2d, EncodedLayerMixin, EncodedLinear
-from repro.core.schedule import PulseSchedule
+from repro.core.encoder_layer import EncodedConv2d, EncodedLinear
+from repro.models.base import EncodedModelMixin
 from repro.nn import BatchNorm1d, BatchNorm2d, Flatten, Linear, MaxPool2d, Module, Tanh
 from repro.quant.qat import QuantConv2d
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
-from repro.utils.deprecation import warn_deprecated
 
 
-class CrossbarLeNet(Module):
+class CrossbarLeNet(EncodedModelMixin, Module):
     """Small CNN: stem conv + 2 encoded convs + 1 encoded FC + classifier."""
 
     def __init__(
@@ -76,61 +75,6 @@ class CrossbarLeNet(Module):
         out = self.flatten(out)
         out = self.act_fc1(self.bn_fc1(self.fc1(out)))
         return self.classifier(out)
-
-    def encoded_layers(self) -> List[EncodedLayerMixin]:
-        """The encoded layers in forward order."""
-        return [getattr(self, name) for name in self._encoded_names]
-
-    def encoded_layer_names(self) -> List[str]:
-        """Names of the encoded layers."""
-        return list(self._encoded_names)
-
-    def num_encoded_layers(self) -> int:
-        """Number of encoded layers."""
-        return len(self._encoded_names)
-
-    def set_mode(self, mode: str) -> None:
-        """Deprecated: apply a ``repro.sim.SimConfig`` via ``configure()`` instead."""
-        warn_deprecated(
-            "model.set_mode() is deprecated; apply an immutable "
-            "repro.sim.SimConfig via repro.sim.configure()/apply_config()"
-        )
-        for layer in self.encoded_layers():
-            layer._apply_mode(mode)
-
-    def set_noise(self, sigma: float, relative_to_fan_in: Optional[bool] = None) -> None:
-        """Deprecated: apply a ``repro.sim.SimConfig`` via ``configure()`` instead."""
-        warn_deprecated(
-            "model.set_noise() is deprecated; apply an immutable "
-            "repro.sim.SimConfig via repro.sim.configure()/apply_config()"
-        )
-        for layer in self.encoded_layers():
-            layer._apply_noise(sigma, relative_to_fan_in=relative_to_fan_in)
-
-    def set_engine(self, engine) -> None:
-        """Deprecated: pin the engine via ``SimConfig(engine=...)`` instead."""
-        warn_deprecated(
-            "model.set_engine() is deprecated; pin an engine via "
-            "repro.sim.SimConfig(engine=...) and configure()/apply_config()"
-        )
-        for layer in self.encoded_layers():
-            layer._apply_engine(engine)
-
-    def set_schedule(self, schedule: PulseSchedule) -> None:
-        """Deprecated: apply a ``repro.sim.SimConfig`` via ``configure()`` instead."""
-        warn_deprecated(
-            "model.set_schedule() is deprecated; apply an immutable "
-            "repro.sim.SimConfig(pulses=...) via repro.sim.configure()/apply_config()"
-        )
-        layers = self.encoded_layers()
-        if len(schedule) != len(layers):
-            raise ValueError(f"schedule has {len(schedule)} entries, expected {len(layers)}")
-        for layer, pulses in zip(layers, schedule):
-            layer._apply_pulses(pulses)
-
-    def current_schedule(self) -> PulseSchedule:
-        """The pulse counts currently configured on the encoded layers."""
-        return PulseSchedule([layer.num_pulses for layer in self.encoded_layers()])
 
     def __repr__(self) -> str:
         return f"CrossbarLeNet(num_classes={self.num_classes}, params={self.num_parameters()})"

@@ -26,10 +26,10 @@ the usual binary-network convention the paper inherits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional
 
 from repro.core.encoder_layer import EncodedConv2d, EncodedLayerMixin, EncodedLinear
-from repro.core.schedule import PulseSchedule
+from repro.models.base import EncodedModelMixin
 from repro.nn import (
     BatchNorm1d,
     BatchNorm2d,
@@ -42,7 +42,6 @@ from repro.nn import (
 from repro.quant.qat import QuantConv2d
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
-from repro.utils.deprecation import warn_deprecated
 
 
 @dataclass
@@ -65,8 +64,8 @@ class VGGConfig:
         Number of activation quantisation levels (9 in the paper, i.e. an
         8-pulse thermometer baseline).
     noise_sigma:
-        Initial per-pulse crossbar noise of the encoded layers (can be
-        changed later via :meth:`VGG9.set_noise`).
+        Initial per-pulse crossbar noise of the encoded layers (a
+        :class:`~repro.sim.SimConfig` applied later replaces it).
     sigma_relative_to_fan_in:
         Interpretation of ``noise_sigma`` (see the crossbar noise model).
     """
@@ -90,7 +89,7 @@ class VGGConfig:
         return max(minimum, int(round(base * self.width_multiplier)))
 
 
-class VGG9(Module):
+class VGG9(EncodedModelMixin, Module):
     """The paper's VGG9 binary-weight network with crossbar-encoded layers."""
 
     #: Base (full-width) channel and feature sizes.
@@ -178,69 +177,9 @@ class VGG9(Module):
         out = self.act_fc2(self.bn_fc2(self.fc2(out)))
         return self.classifier(out)
 
-    # ------------------------------------------------------------------
-    # Crossbar-mapping helpers
-    # ------------------------------------------------------------------
-    def encoded_layers(self) -> List[EncodedLayerMixin]:
-        """The seven crossbar-mapped layers, in forward order."""
-        return [getattr(self, name) for name in self._encoded_names]
-
-    def encoded_layer_names(self) -> List[str]:
-        """Names of the encoded layers (matches :meth:`encoded_layers` order)."""
-        return list(self._encoded_names)
-
-    def num_encoded_layers(self) -> int:
-        """Number of encoded layers (7 for VGG9)."""
-        return len(self._encoded_names)
-
     def iter_encoded(self) -> Iterator[EncodedLayerMixin]:
         """Iterate over encoded layers."""
         return iter(self.encoded_layers())
-
-    def set_mode(self, mode: str) -> None:
-        """Deprecated: apply a ``repro.sim.SimConfig`` via ``configure()`` instead."""
-        warn_deprecated(
-            "model.set_mode() is deprecated; apply an immutable "
-            "repro.sim.SimConfig via repro.sim.configure()/apply_config()"
-        )
-        for layer in self.encoded_layers():
-            layer._apply_mode(mode)
-
-    def set_noise(self, sigma: float, relative_to_fan_in: Optional[bool] = None) -> None:
-        """Deprecated: apply a ``repro.sim.SimConfig`` via ``configure()`` instead."""
-        warn_deprecated(
-            "model.set_noise() is deprecated; apply an immutable "
-            "repro.sim.SimConfig via repro.sim.configure()/apply_config()"
-        )
-        for layer in self.encoded_layers():
-            layer._apply_noise(sigma, relative_to_fan_in=relative_to_fan_in)
-
-    def set_engine(self, engine) -> None:
-        """Deprecated: pin the engine via ``SimConfig(engine=...)`` instead."""
-        warn_deprecated(
-            "model.set_engine() is deprecated; pin an engine via "
-            "repro.sim.SimConfig(engine=...) and configure()/apply_config()"
-        )
-        for layer in self.encoded_layers():
-            layer._apply_engine(engine)
-
-    def set_schedule(self, schedule: PulseSchedule) -> None:
-        """Deprecated: apply a ``repro.sim.SimConfig(pulses=...)`` via ``configure()``."""
-        warn_deprecated(
-            "model.set_schedule() is deprecated; apply an immutable "
-            "repro.sim.SimConfig(pulses=...) via repro.sim.configure()/apply_config()"
-        )
-        layers = self.encoded_layers()
-        if len(schedule) != len(layers):
-            raise ValueError(
-                f"schedule has {len(schedule)} entries, expected {len(layers)}"
-            )
-        for layer, pulses in zip(layers, schedule):
-            layer._apply_pulses(pulses)
-
-    def current_schedule(self) -> PulseSchedule:
-        """The pulse counts currently configured on the encoded layers."""
-        return PulseSchedule([layer.num_pulses for layer in self.encoded_layers()])
 
     def __repr__(self) -> str:
         cfg = self.config

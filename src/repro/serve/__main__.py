@@ -8,7 +8,8 @@ Example::
 ``--port 0`` binds an ephemeral port; the actual address is announced on
 stdout as ``serving on HOST:PORT`` (and flushed immediately) so wrapping
 harnesses — the serve benchmark, shell scripts — can parse it.  The server
-runs until interrupted.
+runs until interrupted (Ctrl-C) or terminated (SIGTERM); either way it stops
+the service and shuts its worker pool down before exiting.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
+import signal
 import sys
 from typing import Optional, Sequence
 
@@ -72,6 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
 async def _run(config: ServeConfig) -> None:
     server = EvalServer(EvalService(config))
     await server.start()
+    # SIGTERM cancels serving the way Ctrl-C does, so the finally below
+    # still stops the service and joins its worker pool.
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel
+    )
     for sock in server.sockets:
         host, port = sock.getsockname()[:2]
         print(f"serving on {host}:{port}", flush=True)
@@ -97,7 +104,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         asyncio.run(_run(config))
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("interrupted, shutting down", file=sys.stderr)
     return 0
 

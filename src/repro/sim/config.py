@@ -1,44 +1,34 @@
 """:class:`SimConfig` — simulation state as an immutable, hashable value.
 
-Everything that used to be smeared across live layer attributes (forward
-mode, pulse counts, noise level, PLA rounding) and four competing engine
-selectors is captured here as one frozen dataclass.  A config can be hashed
-(:attr:`SimConfig.hash`, stable across processes), serialised to JSON and
-back bit-identically, and applied to a model atomically through
-:class:`repro.sim.Session`.
+Everything that decides how a model simulates the crossbar (engine, forward
+mode, pulse counts, noise level, PLA rounding) is captured here as one
+frozen dataclass.  A config can be hashed (:attr:`SimConfig.hash`, stable
+across processes), serialised to JSON and back bit-identically, and applied
+to a model atomically through :class:`repro.sim.Session`.
 
 Engine resolution — the one precedence rule
 -------------------------------------------
-Before this module, an engine could be chosen in four places that silently
-overrode each other: the ``REPRO_BACKEND`` environment variable, a profile's
-``backend`` field, ``layer.set_engine`` pins, and per-call ``engine=`` /
-``gbo_engine=`` keyword arguments.  :func:`resolve_engine_name` replaces all
-four with a single documented rule, highest priority first:
+:func:`resolve_engine_name` is the only place an engine is chosen, highest
+priority first:
 
 1. an explicit pin (``SimConfig.engine`` / a scenario spec's ``engine``);
-2. the ``REPRO_BACKEND`` environment variable (deprecated — emits a
-   :class:`DeprecationWarning` when consulted);
-3. the profile's ``backend`` field, when a profile is in play;
-4. the process default (:func:`repro.backend.set_default_engine`, else
-   ``"vectorized"``).
+2. the profile's ``backend`` field, when a profile is in play;
+3. ``"vectorized"``.
 
 ``SimConfig.engine is None`` additionally means *engine-agnostic* at apply
 time: :func:`repro.sim.session.apply_config` leaves the layers' engines
-untouched, which is what keeps the deprecated pin-then-evaluate paths
-bit-identical.  Wherever a concrete engine must be chosen (building scenario
+untouched.  Wherever a concrete engine must be chosen (building scenario
 specs, constructing a model), callers resolve through the rule above.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.tensor.dtype import canonical_dtype_name
-from repro.utils.deprecation import warn_deprecated
 from repro.utils.hashing import stable_hash
 
 #: Bump when the config semantics change incompatibly; part of the hash.
@@ -49,9 +39,6 @@ FORWARD_MODES = ("clean", "noisy", "gbo")
 
 #: PLA rounding modes (see :mod:`repro.core.pla`).
 PLA_MODES = ("toward_extremes", "nearest")
-
-#: Environment variable of the deprecated process-wide engine override.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 PulsesLike = Union[int, Tuple[int, ...], None]
 
@@ -78,26 +65,16 @@ def engine_name(engine: Any) -> Optional[str]:
 def resolve_engine_name(engine: Any = None, profile: Any = None) -> str:
     """Resolve an engine pin to a concrete registry name — the one rule.
 
-    Precedence (highest first): explicit ``engine`` pin, the deprecated
-    ``REPRO_BACKEND`` environment variable, ``profile.backend``, the process
-    default engine.  See the module docstring for the full rationale.
+    Precedence (highest first): explicit ``engine`` pin, ``profile.backend``,
+    ``"vectorized"``.
     """
     pinned = engine_name(engine)
     if pinned is not None:
         return pinned
-    env = os.environ.get(BACKEND_ENV_VAR)
-    if env:
-        warn_deprecated(
-            "the REPRO_BACKEND environment variable is deprecated; pin an "
-            "engine explicitly via SimConfig(engine=...)"
-        )
-        return env
     backend = getattr(profile, "backend", None)
     if backend:
         return str(backend)
-    from repro.backend import default_engine
-
-    return default_engine().name
+    return "vectorized"
 
 
 def _canonical_pulses(pulses: Any) -> PulsesLike:

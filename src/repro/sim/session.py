@@ -1,8 +1,7 @@
 """:class:`Session` — apply a :class:`~repro.sim.config.SimConfig` atomically.
 
-The pre-``repro.sim`` drivers configured models by mutating live layers
-(``set_mode`` / ``set_noise`` / ``set_pulses``) and hand-restoring whatever
-they remembered to undo.  A :class:`Session` replaces that dance:
+A :class:`Session` applies a config to a model's encoded layers for the
+duration of a block:
 
 * **validate-then-mutate** — :func:`apply_config` checks the entire config
   against the target (mode known, GBO enabled where required, schedule
@@ -71,7 +70,7 @@ class _LayerSimState:
     noise_sigma: float
     sigma_relative_to_fan_in: bool
     pla_mode: str
-    engine: Any  # pinned engine instance, or None (track the process default)
+    engine: Any  # pinned engine instance, or None (unpinned)
 
 
 def capture_sim_state(target: Any) -> List[_LayerSimState]:
@@ -123,8 +122,8 @@ def apply_config(target: Any, config: SimConfig, profile: Any = None) -> None:
     """Apply ``config`` to every encoded layer of ``target`` — atomically.
 
     The whole config is validated against the target first; only then are
-    the layers mutated (through their internal appliers, so no deprecation
-    warnings fire).  ``config.engine is None`` leaves the layers' engine
+    the layers mutated (through their internal appliers).
+    ``config.engine is None`` leaves the layers' engine
     pins untouched (see the engine-resolution rule in
     :mod:`repro.sim.config`); a set engine is resolved through the registry
     and pinned on every layer.  ``profile`` only informs engine resolution

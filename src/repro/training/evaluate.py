@@ -6,12 +6,10 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.schedule import PulseSchedule
-from repro.sim import MultiSession, SimConfig, Session, engine_name
+from repro.sim import MultiSession, SimConfig, Session
 from repro.tensor import Tensor, no_grad
 from repro.tensor import functional as F
 from repro.training.metrics import AverageMeter, accuracy_from_logits
-from repro.utils.deprecation import warn_deprecated
 
 
 def evaluate_accuracy(model, loader) -> float:
@@ -97,79 +95,27 @@ def evaluate_loss(model, loader) -> float:
     return meter.average
 
 
-def noisy_accuracy(
-    model,
-    loader,
-    sigma: Optional[float] = None,
-    schedule: Optional[PulseSchedule] = None,
-    sigma_relative_to_fan_in: Optional[bool] = None,
-    num_repeats: int = 1,
-    engine=None,
-    sim: Optional[SimConfig] = None,
-) -> float:
+def noisy_accuracy(model, loader, sim: SimConfig, num_repeats: int = 1) -> float:
     """Accuracy under crossbar noise, configured by a :class:`SimConfig`.
 
     The configuration is applied through a :class:`repro.sim.Session`: the
     model is evaluated under the config and restored to its previous state
-    afterwards (the legacy behaviour of leaving the model in noisy mode is
-    gone — callers that want persistent state apply the config themselves).
+    afterwards.
 
     Parameters
     ----------
     model:
         Model exposing ``encoded_layers()``.
     sim:
-        The noisy-inference configuration (mode is forced to ``"noisy"``).
-        When given, the legacy ``sigma`` / ``schedule`` / ``engine``
-        arguments must be omitted.
-    sigma / schedule / sigma_relative_to_fan_in:
-        Legacy configuration arguments, folded into a :class:`SimConfig`
-        (``schedule=None`` keeps the pulse counts currently configured on
-        the model).  Bit-identical to the ``sim=`` path.
+        The noisy-inference configuration (mode is forced to ``"noisy"``;
+        ``pulses=None`` keeps the pulse counts currently configured on the
+        model, ``engine=None`` the layers' engines).
     num_repeats:
         Number of independent noisy evaluations to average (noise is random,
         so repeated evaluation reduces the variance of the estimate).
-    engine:
-        Deprecated: pass ``sim=SimConfig(engine=...)`` instead.  ``None``
-        keeps whatever engine the layers already use.
     """
     if num_repeats < 1:
         raise ValueError(f"num_repeats must be positive, got {num_repeats}")
-    engine_instance = None
-    if sim is None:
-        if sigma is None:
-            raise ValueError("noisy_accuracy needs either sim= or sigma=")
-        if engine is not None:
-            warn_deprecated(
-                "noisy_accuracy(engine=...) is deprecated; pass "
-                "sim=SimConfig(engine=...) instead"
-            )
-        if engine is not None and not isinstance(engine, str):
-            # An engine *instance* need not be in the registry (ad-hoc
-            # wrappers, spies); the old set_engine path pinned it directly,
-            # so it must not round-trip through a name lookup.  Pin it by
-            # hand inside the session scope; the session's snapshot (taken
-            # at enter) restores the previous pins on exit.
-            engine_instance = engine
-            engine = None
-        sim = SimConfig(
-            engine=engine_name(engine),
-            mode="noisy",
-            pulses=schedule,
-            noise_sigma=float(sigma),
-            sigma_relative_to_fan_in=sigma_relative_to_fan_in,
-        )
-    else:
-        if sigma is not None or schedule is not None or engine is not None:
-            raise ValueError(
-                "pass either sim= or the legacy sigma/schedule/engine "
-                "arguments, not both"
-            )
-        if sim.mode != "noisy":
-            sim = sim.with_changes(mode="noisy")
-    with Session(model, sim):
-        if engine_instance is not None:
-            for layer in model.encoded_layers():
-                layer._apply_engine(engine_instance)
+    with Session(model, sim.with_changes(mode="noisy")):
         accuracies = [evaluate_accuracy(model, loader) for _ in range(num_repeats)]
     return float(np.mean(accuracies))

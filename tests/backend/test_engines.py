@@ -16,10 +16,8 @@ from repro.backend import (
     ReferenceEngine,
     VectorizedEngine,
     available_engines,
-    default_engine,
     get_engine,
     resolve_engine,
-    set_default_engine,
 )
 from repro.core import EncodedLinear
 from repro.crossbar import (
@@ -34,6 +32,7 @@ from repro.crossbar import (
     pulsed_mvm,
 )
 from repro.models import CrossbarMLP
+from repro.sim import SimConfig, apply_config, configure, resolve_engine_name
 from repro.tensor import Tensor
 from repro.tensor.functional import softmax
 from repro.tensor.random import RandomState
@@ -68,26 +67,11 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_engine("quantum")
 
-    def test_default_engine_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert default_engine().name == "vectorized"
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        assert default_engine().name == "reference"
-
-    def test_set_default_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        try:
-            set_default_engine("reference")
-            assert default_engine().name == "reference"
-            assert resolve_engine(None).name == "reference"
-        finally:
-            set_default_engine(None)
-        assert default_engine().name == "vectorized"
-
     def test_resolve_engine_passthrough(self):
         engine = ReferenceEngine()
         assert resolve_engine(engine) is engine
         assert resolve_engine("vectorized").name == "vectorized"
+        assert resolve_engine(None).name == resolve_engine_name() == "vectorized"
 
 
 class TestEmptyTrainGuard:
@@ -271,11 +255,10 @@ class TestLayerNoisePaths:
 
     def test_layer_engine_selection(self):
         layer = EncodedLinear(8, 4, rng=RandomState(0), weight_rng=RandomState(1))
-        assert layer.engine.name == default_engine().name
-        layer.set_engine("reference")
-        assert isinstance(layer.engine, ReferenceEngine)
-        layer.set_engine(None)
-        assert layer.engine.name == default_engine().name
+        assert layer.engine.name == resolve_engine_name()
+        with configure(layer, SimConfig(engine="reference")):
+            assert isinstance(layer.engine, ReferenceEngine)
+        assert layer.engine.name == resolve_engine_name()
 
     def test_layer_constructor_engine(self):
         layer = EncodedLinear(
@@ -283,17 +266,15 @@ class TestLayerNoisePaths:
         )
         assert layer.engine.name == "reference"
 
-    def test_model_set_engine_broadcast(self):
+    def test_model_engine_pin_broadcast(self):
         model = CrossbarMLP(in_features=12, hidden_sizes=(8,), num_classes=3, rng=RandomState(2))
-        model.set_engine("reference")
+        apply_config(model, SimConfig(engine="reference"))
         assert all(layer.engine.name == "reference" for layer in model.encoded_layers())
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_noisy_layer_forward_std_matches_eq4(self, engine):
         layer = EncodedLinear(16, 8, rng=RandomState(5), weight_rng=RandomState(6))
-        layer.set_engine(engine)
-        layer.set_mode("noisy")
-        layer.set_noise(4.0)
+        apply_config(layer, SimConfig(engine=engine, mode="noisy", noise_sigma=4.0))
         x = Tensor(np.zeros((3000, 16)))
         std = np.std(layer(x).data)
         assert std == pytest.approx(4.0 / np.sqrt(8), rel=0.05)
@@ -302,8 +283,7 @@ class TestLayerNoisePaths:
     def test_simulate_pulsed_forward_matches_folded_per_engine(self, engine):
         sigma = 1.0
         layer = EncodedLinear(16, 8, rng=RandomState(7), weight_rng=RandomState(8))
-        layer.set_mode("noisy")
-        layer.set_noise(sigma)
+        apply_config(layer, SimConfig(mode="noisy", noise_sigma=sigma))
         rng = RandomState(9)
         x = rng.uniform(-1, 1, size=(400, 16))
         folded = layer(Tensor(x)).data

@@ -13,11 +13,13 @@ schedules on both engines (up to floating-point summation order).
 import numpy as np
 import pytest
 
+import repro.backend.engine as engine_registry
 from repro.backend import ReferenceEngine, VectorizedEngine, get_engine
 from repro.core import GBOConfig, GBOTrainer
 from repro.core.encoder_layer import EncodedLinear
 from repro.data import DataLoader, TensorDataset
 from repro.models import CrossbarMLP
+from repro.sim import SimConfig, apply_config
 from repro.tensor import Tensor
 from repro.tensor.functional import softmax
 from repro.tensor.random import RandomState
@@ -41,13 +43,15 @@ def _run_gbo(engine_name, sigma=3.0, epochs=2):
     seed_everything(SEED)
     loader = _toy_loader(RandomState(7))
     model = CrossbarMLP(in_features=24, hidden_sizes=(32, 32), num_classes=4, rng=RandomState(5))
-    model.set_noise(sigma)
+    apply_config(model, SimConfig(noise_sigma=sigma))
     # Pin the layers' noise generators so both engines consume an identical,
     # layer-private stream (the global default rng is shared state).
     for index, layer in enumerate(model.encoded_layers()):
         layer.noise_rng = RandomState(SEED + index)
     trainer = GBOTrainer(
-        model, GBOConfig(epochs=epochs, learning_rate=0.05, gamma=1e-3), engine=engine_name
+        model,
+        GBOConfig(epochs=epochs, learning_rate=0.05, gamma=1e-3),
+        sim=SimConfig(engine=engine_name),
     )
     result = trainer.train(loader)
     return model, result
@@ -68,9 +72,9 @@ class TestGBOEngineEquivalence:
         for ref_record, vec_record in zip(reference.history, vectorized.history):
             assert ref_record["loss"] == pytest.approx(vec_record["loss"], rel=1e-7)
 
-    def test_trainer_engine_pin_is_scoped_to_training(self):
-        """GBOTrainer(engine=...) pins the engine during training and
-        restores each layer's previous engine afterwards."""
+    def test_trainer_engine_pin_is_scoped_to_training(self, monkeypatch):
+        """GBOTrainer(sim=SimConfig(engine=...)) pins the engine during
+        training and restores each layer's previous engine afterwards."""
 
         class CountingEngine(VectorizedEngine):
             name = "counting"
@@ -85,10 +89,13 @@ class TestGBOEngineEquivalence:
         seed_everything(SEED)
         loader = _toy_loader(RandomState(7))
         model = CrossbarMLP(in_features=24, hidden_sizes=(32,), num_classes=4, rng=RandomState(5))
-        model.set_noise(2.0)
+        apply_config(model, SimConfig(noise_sigma=2.0))
         before = [layer.engine.name for layer in model.encoded_layers()]
         engine = CountingEngine()
-        GBOTrainer(model, GBOConfig(epochs=1, learning_rate=0.05), engine=engine).train(loader)
+        monkeypatch.setitem(engine_registry._REGISTRY, engine.name, engine)
+        GBOTrainer(
+            model, GBOConfig(epochs=1, learning_rate=0.05), sim=SimConfig(engine=engine.name)
+        ).train(loader)
         # Every layer's GBO forward went through the pinned engine...
         assert engine.mixture_reads == len(loader) * len(model.encoded_layers())
         # ...and the pin did not leak into post-training evaluation.
@@ -140,7 +147,7 @@ class TestGBOEngineEquivalence:
         )
         assert len(calls) == 1
 
-    def test_gbo_forward_uses_layer_engine(self):
+    def test_gbo_forward_uses_layer_engine(self, monkeypatch):
         """An EncodedLinear in gbo mode routes through gbo_mixture_read."""
 
         class CountingEngine(VectorizedEngine):
@@ -154,12 +161,11 @@ class TestGBOEngineEquivalence:
                 return super().gbo_mixture_read(read_op, alphas, scales, rng)
 
         engine = CountingEngine()
+        monkeypatch.setitem(engine_registry._REGISTRY, engine.name, engine)
         layer = EncodedLinear(8, 4, rng=RandomState(0), weight_rng=RandomState(1))
-        layer.set_engine(engine)
-        layer.set_noise(2.0)
         from repro.core.search_space import PulseScalingSpace
 
         layer.enable_gbo(PulseScalingSpace())
-        layer.set_mode("gbo")
+        apply_config(layer, SimConfig(engine=engine.name, mode="gbo", noise_sigma=2.0))
         layer(Tensor(np.zeros((3, 8))))
         assert engine.mixture_reads == 1

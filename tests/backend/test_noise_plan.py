@@ -19,6 +19,7 @@ from repro.core import GBOConfig, GBOTrainer
 from repro.core.search_space import PulseScalingSpace
 from repro.data import DataLoader, TensorDataset
 from repro.models import CrossbarMLP
+from repro.sim import SimConfig, apply_config
 from repro.tensor.random import PlannedNormalStream, RandomState
 from repro.utils.seed import seed_everything
 
@@ -87,7 +88,7 @@ def _golden_setup():
     model = CrossbarMLP(
         in_features=24, hidden_sizes=(16, 16), num_classes=4, rng=RandomState(5)
     )
-    model.set_noise(3.0)
+    apply_config(model, SimConfig(noise_sigma=3.0))
     for index, layer in enumerate(model.encoded_layers()):
         layer.noise_rng = RandomState(1000 + index)
     return model, loader
@@ -95,7 +96,7 @@ def _golden_setup():
 
 def _train(engine_name, plan_noise, shared_rng=False, sigma=3.0):
     model, loader = _golden_setup()
-    model.set_noise(sigma)
+    apply_config(model, SimConfig(noise_sigma=sigma))
     if shared_rng:
         shared = RandomState(77)
         for layer in model.encoded_layers():
@@ -109,7 +110,7 @@ def _train(engine_name, plan_noise, shared_rng=False, sigma=3.0):
             gamma=2e-3,
             plan_noise=plan_noise,
         ),
-        engine=engine_name,
+        sim=SimConfig(engine=engine_name),
     )
     return trainer.train(loader)
 
@@ -145,6 +146,6 @@ class TestTrainerEquivalence:
         GBOTrainer(
             model,
             GBOConfig(space=PulseScalingSpace(), epochs=1, learning_rate=0.1),
-            engine="vectorized",
+            sim=SimConfig(engine="vectorized"),
         ).train(loader)
         assert [layer.noise_rng for layer in model.encoded_layers()] == rngs

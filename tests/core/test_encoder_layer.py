@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import EncodedConv2d, EncodedLinear, PulseScalingSpace
 from repro.crossbar import CrossbarConfig, GaussianReadNoise
+from repro.sim import SimConfig, apply_config
 from repro.tensor import Tensor, no_grad
 from repro.tensor.random import RandomState
 
@@ -34,20 +35,20 @@ class TestConfiguration:
     def test_conv_fan_in(self, conv_layer):
         assert conv_layer.fan_in == 2 * 9
 
-    def test_set_mode_validation(self, linear_layer):
+    def test_mode_validation(self, linear_layer):
         with pytest.raises(ValueError):
-            linear_layer.set_mode("weird")
+            apply_config(linear_layer, SimConfig(mode="weird"))
         with pytest.raises(ValueError):
-            linear_layer.set_mode("gbo")  # gbo not enabled yet
+            apply_config(linear_layer, SimConfig(mode="gbo"))  # gbo not enabled yet
 
-    def test_set_pulses_and_noise_validation(self, linear_layer):
+    def test_pulses_and_noise_validation(self, linear_layer):
         with pytest.raises(ValueError):
-            linear_layer.set_pulses(0)
+            apply_config(linear_layer, SimConfig(pulses=0))
         with pytest.raises(ValueError):
-            linear_layer.set_noise(-1.0)
+            apply_config(linear_layer, SimConfig(noise_sigma=-1.0))
 
     def test_effective_sigma_relative_mode(self, linear_layer):
-        linear_layer.set_noise(0.5, relative_to_fan_in=True)
+        apply_config(linear_layer, SimConfig(noise_sigma=0.5, sigma_relative_to_fan_in=True))
         assert linear_layer.effective_sigma() == pytest.approx(0.5 * np.sqrt(16))
 
     def test_repr_mentions_state(self, linear_layer, conv_layer):
@@ -75,20 +76,17 @@ class TestCleanForward:
 
 class TestNoisyForward:
     def test_noise_added_in_noisy_mode(self, linear_layer, rng):
-        linear_layer.set_mode("noisy")
-        linear_layer.set_noise(2.0)
+        apply_config(linear_layer, SimConfig(mode="noisy", noise_sigma=2.0))
         x = Tensor(rng.uniform(-1, 1, size=(4, 16)))
         a = linear_layer(x).data
         b = linear_layer(x).data
         assert not np.allclose(a, b)
 
     def test_noise_std_scales_with_pulse_count(self, linear_layer):
-        linear_layer.set_mode("noisy")
-        linear_layer.set_noise(4.0)
         x = Tensor(np.zeros((3000, 16)))
 
         def measured_std(pulses):
-            linear_layer.set_pulses(pulses)
+            apply_config(linear_layer, SimConfig(mode="noisy", noise_sigma=4.0, pulses=pulses))
             return np.std(linear_layer(x).data)
 
         std_8 = measured_std(8)
@@ -96,9 +94,8 @@ class TestNoisyForward:
         assert std_8 / std_16 == pytest.approx(np.sqrt(2.0), rel=0.1)
 
     def test_pla_reencoding_used_for_non_base_pulses(self, linear_layer):
-        linear_layer.set_mode("noisy")
-        linear_layer.set_noise(0.0)  # isolate the PLA effect
-        linear_layer.set_pulses(10)
+        # Zero noise isolates the PLA effect.
+        apply_config(linear_layer, SimConfig(mode="noisy", noise_sigma=0.0, pulses=10))
         value = 0.75  # not representable with 10 pulses; pushed to 0.8
         x = Tensor(np.full((1, 16), value))
         out = linear_layer(x).data
@@ -108,16 +105,14 @@ class TestNoisyForward:
     def test_zero_sigma_noisy_equals_clean_at_base_pulses(self, linear_layer, rng):
         x = Tensor(rng.uniform(-1, 1, size=(4, 16)))
         clean = linear_layer(x).data
-        linear_layer.set_mode("noisy")
-        linear_layer.set_noise(0.0)
+        apply_config(linear_layer, SimConfig(mode="noisy"))
         assert np.allclose(linear_layer(x).data, clean)
 
     def test_simulated_pulsed_forward_statistics_match_folded(self, linear_layer, rng):
         """The explicit per-pulse crossbar simulation must agree with the fast
         folded path in mean and noise spread."""
         sigma = 1.0
-        linear_layer.set_mode("noisy")
-        linear_layer.set_noise(sigma)
+        apply_config(linear_layer, SimConfig(mode="noisy", noise_sigma=sigma))
         x = rng.uniform(-1, 1, size=(400, 16))
 
         folded = linear_layer(Tensor(x)).data
@@ -164,8 +159,7 @@ class TestGBOForward:
 
     def test_gbo_noise_flows_gradients_to_logits(self, linear_layer, rng):
         linear_layer.enable_gbo(PulseScalingSpace())
-        linear_layer.set_noise(5.0)
-        linear_layer.set_mode("gbo")
+        apply_config(linear_layer, SimConfig(mode="gbo", noise_sigma=5.0))
         x = Tensor(rng.uniform(-1, 1, size=(4, 16)))
         loss = (linear_layer(x) ** 2).mean()
         loss.backward()
@@ -180,8 +174,7 @@ class TestGBOForward:
 
     def test_gbo_mode_with_zero_sigma_adds_no_noise(self, linear_layer, rng):
         linear_layer.enable_gbo(PulseScalingSpace())
-        linear_layer.set_noise(0.0)
         x = Tensor(rng.uniform(-1, 1, size=(2, 16)))
         clean = linear_layer(x).data
-        linear_layer.set_mode("gbo")
+        apply_config(linear_layer, SimConfig(mode="gbo"))
         assert np.allclose(linear_layer(x).data, clean)

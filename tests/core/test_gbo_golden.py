@@ -20,6 +20,7 @@ from repro.core import GBOConfig, GBOTrainer
 from repro.core.search_space import PulseScalingSpace
 from repro.data import DataLoader, TensorDataset
 from repro.models import CrossbarMLP
+from repro.sim import SimConfig, apply_config
 from repro.tensor.random import RandomState
 from repro.utils.seed import seed_everything
 
@@ -46,13 +47,13 @@ def _run_golden_gbo(engine_name):
     model = CrossbarMLP(
         in_features=24, hidden_sizes=(32, 32), num_classes=classes, rng=RandomState(5)
     )
-    model.set_noise(3.0)
+    apply_config(model, SimConfig(noise_sigma=3.0))
     for index, layer in enumerate(model.encoded_layers()):
         layer.noise_rng = RandomState(SEED + index)
     trainer = GBOTrainer(
         model,
         GBOConfig(space=PulseScalingSpace(), epochs=3, learning_rate=0.1, gamma=2e-3),
-        engine=engine_name,
+        sim=SimConfig(engine=engine_name),
     )
     return trainer.train(loader)
 

@@ -15,6 +15,7 @@ from repro.core import (
 from repro.core.gbo import apply_schedule
 from repro.data import DataLoader, TensorDataset
 from repro.models import CrossbarMLP
+from repro.sim import SimConfig, apply_config
 from repro.tensor.random import RandomState
 from repro.training import evaluate_accuracy
 
@@ -72,7 +73,7 @@ class TestGBOTrainer:
 
     def test_training_returns_valid_schedule_and_freezes_weights(self, toy_problem):
         model, loader, _ = toy_problem
-        model.set_noise(3.0)
+        apply_config(model, SimConfig(noise_sigma=3.0))
         config = GBOConfig(epochs=1, learning_rate=0.05, gamma=1e-3)
         trainer = GBOTrainer(model, config)
         weights_before = model.enc0.weight.data.copy()
@@ -86,7 +87,7 @@ class TestGBOTrainer:
 
     def test_history_records_both_loss_terms(self, toy_problem):
         model, loader, _ = toy_problem
-        model.set_noise(2.0)
+        apply_config(model, SimConfig(noise_sigma=2.0))
         result = GBOTrainer(model, GBOConfig(epochs=1, learning_rate=0.05)).train(loader)
         record = result.history[0]
         assert {"loss", "cross_entropy", "expected_latency"} <= set(record)
@@ -96,20 +97,20 @@ class TestGBOTrainer:
         """With a huge latency weight the latency term dominates and every
         layer should pick (close to) the shortest pulse option."""
         model, loader, _ = toy_problem
-        model.set_noise(1.0)
+        apply_config(model, SimConfig(noise_sigma=1.0))
         result = GBOTrainer(model, GBOConfig(epochs=3, learning_rate=0.3, gamma=10.0)).train(loader)
         assert result.schedule.average_pulses <= 6.0
 
     def test_model_left_in_noisy_mode_with_schedule(self, toy_problem):
         model, loader, _ = toy_problem
-        model.set_noise(2.0)
+        apply_config(model, SimConfig(noise_sigma=2.0))
         result = GBOTrainer(model, GBOConfig(epochs=1, learning_rate=0.05)).train(loader)
         assert model.current_schedule().as_list() == result.schedule.as_list()
         assert all(layer.mode == "noisy" for layer in model.encoded_layers())
 
     def test_alphas_and_logits_exported_per_layer(self, toy_problem):
         model, loader, _ = toy_problem
-        model.set_noise(2.0)
+        apply_config(model, SimConfig(noise_sigma=2.0))
         result = GBOTrainer(model, GBOConfig(epochs=1, learning_rate=0.05)).train(loader)
         assert len(result.logits) == model.num_encoded_layers()
         for alphas in result.alphas:
@@ -149,8 +150,7 @@ class TestNIA:
     def test_nia_improves_noisy_accuracy_over_untrained(self, toy_problem):
         model, loader, eval_loader = toy_problem
         sigma = 3.0
-        model.set_mode("noisy")
-        model.set_noise(sigma)
+        apply_config(model, SimConfig(mode="noisy", noise_sigma=sigma))
         before = evaluate_accuracy(model, eval_loader)
         NIATrainer(model, NIAConfig(sigma=sigma, epochs=5, learning_rate=1e-2)).train(loader)
         after = evaluate_accuracy(model, eval_loader)
@@ -183,7 +183,7 @@ class TestNoiseSensitivity:
         model, loader, eval_loader = toy_problem
         # quick supervised fit so there is accuracy to lose
         NIATrainer(model, NIAConfig(sigma=0.0, epochs=5, learning_rate=1e-2)).train(loader)
-        model.set_mode("clean")
+        apply_config(model, SimConfig())
         clean = evaluate_accuracy(model, eval_loader)
         results = layer_noise_sensitivity(model, eval_loader, sigma=50.0, include_clean=False)
         assert min(r.accuracy for r in results) < clean

@@ -6,6 +6,7 @@ import pytest
 from repro.core import PulseSchedule
 from repro.crossbar import CostModelConfig, CrossbarCostModel
 from repro.models import CrossbarMLP
+from repro.sim import SimConfig, apply_config
 from repro.tensor.random import RandomState
 
 
@@ -57,7 +58,7 @@ class TestScheduleCost:
         assert "total" in report.format_table()
 
     def test_defaults_to_current_model_schedule(self, model, cost_model):
-        model.set_schedule(PulseSchedule([4, 10]))
+        apply_config(model, SimConfig(pulses=(4, 10)))
         report = cost_model.schedule_cost(model)
         assert [layer.num_pulses for layer in report.layers] == [4, 10]
 

@@ -207,6 +207,51 @@ class TestDrain:
         assert not os.path.isdir(lease_dir) or not os.listdir(lease_dir)
 
 
+#: Runs ``python -m repro.distributed`` in-process after installing an import
+#: hook that records the BLAS thread variables the moment numpy is imported.
+_NUMPY_IMPORT_PROBE = """
+import importlib.abc, json, os, runpy, sys
+
+VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+seen = {}
+
+
+class NumpyImportProbe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((variable, os.environ.get(variable)) for variable in VARIABLES)
+        return None
+
+
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, NumpyImportProbe())
+try:
+    runpy.run_module("repro.distributed", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert not stop.code, stop.code
+print(json.dumps(seen))
+"""
+
+
+class TestWorkerProcess:
+    def test_cli_pins_blas_threads_before_numpy_loads(self, tmp_path):
+        """Two CLI workers on two cores must not each run a multi-thread BLAS
+        pool; BLAS sizes its pool when numpy loads, so the pin must come first."""
+        specs_file = tmp_path / "suite.json"
+        specs_file.write_text(json.dumps([spec.as_dict() for spec in _selftest_grid(1)]))
+        variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = _worker_env()
+        env.update(dict.fromkeys(variables, "4"))
+        result = subprocess.run(
+            [sys.executable, "-c", _NUMPY_IMPORT_PROBE,
+             "--specs", str(specs_file), "--store", str(tmp_path / "store")],
+            env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.strip().splitlines()[-1])
+        assert seen == dict.fromkeys(variables, "1")
+
+
 class TestConcurrentWorkers:
     """Real worker subprocesses sharing one store directory."""
 

@@ -1,18 +1,21 @@
 """CI smoke tests: the CLI and the benchmark-gate checker must run clean.
 
 Fast (< seconds) subprocess checks wired into the ``-m "not slow"`` loop,
-so a broken import chain, a CLI regression, or a failing committed
-benchmark artifact is caught before the slow suites run.
+so a broken import chain, a CLI regression, or a broken gate checker is
+caught before the slow suites run.  The checker runs on fixture artifacts
+here; ``benchmarks/test_bench_gates.py`` checks the committed numbers.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO_ROOT, "src")
+GATE_CHECKER = os.path.join(REPO_ROOT, "benchmarks", "check_bench_gates.py")
 
 
 def _run(args, **env_extra):
@@ -40,10 +43,32 @@ def test_experiments_gc_dry_run_runs_clean(tmp_path):
     assert "live spec hash" in result.stdout
 
 
-def test_check_bench_gates_runs_clean():
-    result = _run([sys.executable, os.path.join("benchmarks", "check_bench_gates.py")])
+def _gate_artifacts(directory, below_gate=None):
+    """One artifact per required name, each clearing a 3x gate except ``below_gate``."""
+    from benchmarks.check_bench_gates import REQUIRED_ARTIFACTS
+
+    for name in REQUIRED_ARTIFACTS:
+        record = {
+            "speedup": 2.0 if name == below_gate else 4.0,
+            "min_required_speedup": 3.0,
+            "workload": {"compute_dtype": "float64"},
+        }
+        (directory / name).write_text(json.dumps(record), encoding="utf-8")
+    return str(directory)
+
+
+def test_check_bench_gates_runs_clean(tmp_path):
+    result = _run([sys.executable, GATE_CHECKER, _gate_artifacts(tmp_path)])
     assert result.returncode == 0, result.stdout + result.stderr
-    assert "OK" in result.stdout or "ok" in result.stdout.lower()
+    assert "all benchmark gates passed" in result.stdout
+
+
+def test_check_bench_gates_fails_an_artifact_under_its_gate(tmp_path):
+    result = _run(
+        [sys.executable, GATE_CHECKER, _gate_artifacts(tmp_path, below_gate="BENCH_batch.json")]
+    )
+    assert result.returncode != 0
+    assert "BENCH_batch.json: recorded speedup 2.00x below gate 3.00x" in result.stdout
 
 
 def test_distributed_worker_help_runs_clean():
@@ -60,8 +85,6 @@ def test_experiments_work_requires_a_suite():
 
 
 def test_experiments_merge_runs_clean(tmp_path):
-    import json
-
     source = tmp_path / "src" / "results" / "selftest"
     source.mkdir(parents=True)
     payload = {"format": 1, "spec": {"experiment": "selftest"}, "result": {"v": 1}, "created": 0.0}

@@ -160,11 +160,12 @@ class TestRegistryCompleteness:
             path = os.path.join(repo_root, spec.benchmark)
             assert os.path.exists(path), f"{spec.identifier}: missing benchmark {spec.benchmark}"
 
-    def test_every_runner_accepts_engine_pin(self):
-        """Satellite: every registered runner accepts the PR 1-2 engine pin."""
+    def test_every_runner_accepts_sim_pin(self):
+        """Every registered runner takes its engine pin as ``sim=SimConfig(...)``."""
         for spec in EXPERIMENTS.values():
             parameters = inspect.signature(spec.runner).parameters
-            assert "engine" in parameters, f"{spec.identifier}: runner lacks engine="
+            assert "sim" in parameters, f"{spec.identifier}: runner lacks sim="
+            assert "engine" not in parameters, f"{spec.identifier}: runner takes engine="
             assert "workers" in parameters, f"{spec.identifier}: runner lacks workers="
             assert "store" in parameters, f"{spec.identifier}: runner lacks store="
 
@@ -269,16 +270,14 @@ class TestRunnerEndToEnd:
         with pytest.raises(TypeError):
             table1_grid(profile, engine=object())
 
-    def test_store_keys_carry_the_resolved_backend(self, monkeypatch):
-        """Results produced under one REPRO_BACKEND can't answer the other's lookups."""
+    def test_store_keys_carry_the_resolved_backend(self):
+        """Results produced under one backend can't answer the other's lookups."""
         from repro.experiments.table1 import table1_grid
 
         profile = get_profile("smoke")
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         default_grid = table1_grid(profile)
         assert all(s.engine == profile.backend for s in default_grid)
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        pinned_grid = table1_grid(profile)
+        pinned_grid = table1_grid(profile.with_overrides(backend="reference"))
         assert all(s.engine == "reference" for s in pinned_grid)
         assert {s.hash for s in default_grid}.isdisjoint(s.hash for s in pinned_grid)
 

@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.data import DataLoader, SyntheticImageConfig, SyntheticImageDataset
 from repro.models import CrossbarLeNet
+from repro.sim import SimConfig, apply_config
 from repro.tensor.random import RandomState
 from repro.training import (
     PretrainConfig,
@@ -34,6 +35,11 @@ from repro.training import (
     pretrain_model,
 )
 from repro.utils.seed import seed_everything
+
+
+def _noisy(sigma, schedule):
+    """Noisy inference at ``sigma`` with a per-layer pulse ``schedule``."""
+    return SimConfig(mode="noisy", noise_sigma=sigma, pulses=schedule)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +76,7 @@ class TestNoiseRobustness:
     def test_noise_degrades_accuracy(self, pipeline):
         model, _, test_loader, clean_accuracy = pipeline
         schedule = PulseSchedule.uniform(model.num_encoded_layers(), 8)
-        noisy = noisy_accuracy(model, test_loader, sigma=self.SIGMA, schedule=schedule, num_repeats=3)
+        noisy = noisy_accuracy(model, test_loader, _noisy(self.SIGMA, schedule), num_repeats=3)
         assert noisy < clean_accuracy
 
     def test_more_pulses_recover_accuracy(self, pipeline):
@@ -78,19 +84,16 @@ class TestNoiseRobustness:
         model, _, test_loader, _ = pipeline
         layers = model.num_encoded_layers()
         acc_short = noisy_accuracy(
-            model, test_loader, sigma=self.SIGMA,
-            schedule=PulseSchedule.uniform(layers, 4), num_repeats=3,
+            model, test_loader, _noisy(self.SIGMA, PulseSchedule.uniform(layers, 4)), num_repeats=3
         )
         acc_long = noisy_accuracy(
-            model, test_loader, sigma=self.SIGMA,
-            schedule=PulseSchedule.uniform(layers, 16), num_repeats=3,
+            model, test_loader, _noisy(self.SIGMA, PulseSchedule.uniform(layers, 16)), num_repeats=3
         )
         assert acc_long > acc_short
 
     def test_clean_mode_unaffected_by_noise_setting(self, pipeline):
         model, _, test_loader, clean_accuracy = pipeline
-        model.set_noise(self.SIGMA)
-        model.set_mode("clean")
+        apply_config(model, SimConfig(noise_sigma=self.SIGMA))
         assert evaluate_accuracy(model, test_loader) == pytest.approx(clean_accuracy)
 
 
@@ -99,7 +102,7 @@ class TestGBOIntegration:
         model, train_loader, test_loader, _ = pipeline
         sigma = 8.0
         weights_before = {name: p.data.copy() for name, p in model.named_parameters()}
-        model.set_noise(sigma)
+        apply_config(model, SimConfig(noise_sigma=sigma))
         trainer = GBOTrainer(
             model,
             GBOConfig(space=PulseScalingSpace(), gamma=1e-3, learning_rate=5e-2, epochs=2),
@@ -118,10 +121,10 @@ class TestGBOIntegration:
         assert model.current_schedule().as_list() == result.schedule.as_list()
 
         # Noisy accuracy with the GBO schedule beats the worst-case 4-pulse schedule.
-        gbo_acc = noisy_accuracy(model, test_loader, sigma=sigma, schedule=result.schedule, num_repeats=3)
+        gbo_acc = noisy_accuracy(model, test_loader, _noisy(sigma, result.schedule), num_repeats=3)
         short_acc = noisy_accuracy(
-            model, test_loader, sigma=sigma,
-            schedule=PulseSchedule.uniform(model.num_encoded_layers(), 4), num_repeats=3,
+            model, test_loader,
+            _noisy(sigma, PulseSchedule.uniform(model.num_encoded_layers(), 4)), num_repeats=3,
         )
         assert gbo_acc >= short_acc
 
@@ -132,11 +135,11 @@ class TestNIAIntegration:
         sigma = 10.0
         state_before = model.state_dict()
         schedule = PulseSchedule.uniform(model.num_encoded_layers(), 8)
-        baseline = noisy_accuracy(model, test_loader, sigma=sigma, schedule=schedule, num_repeats=3)
+        baseline = noisy_accuracy(model, test_loader, _noisy(sigma, schedule), num_repeats=3)
         NIATrainer(
             model, NIAConfig(sigma=sigma, epochs=3, learning_rate=5e-3, pulses=8)
         ).train(train_loader)
-        adapted = noisy_accuracy(model, test_loader, sigma=sigma, schedule=schedule, num_repeats=3)
+        adapted = noisy_accuracy(model, test_loader, _noisy(sigma, schedule), num_repeats=3)
         assert adapted > baseline
         # Restore so other tests see the pre-trained weights.
         model.load_state_dict(state_before)
@@ -147,7 +150,7 @@ class TestCheckpointIntegration:
         from repro.training import load_checkpoint, save_checkpoint
 
         model, _, test_loader, clean_accuracy = pipeline
-        model.set_mode("clean")
+        apply_config(model, SimConfig())
         path = str(tmp_path / "lenet.npz")
         save_checkpoint(path, model)
         clone = CrossbarLeNet(image_size=8, base_channels=8, rng=RandomState(99))

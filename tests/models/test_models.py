@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import EncodedConv2d, EncodedLinear, PulseSchedule
 from repro.models import VGG9, CrossbarLeNet, CrossbarMLP, VGGConfig
+from repro.sim import SimConfig, apply_config
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 
@@ -49,26 +50,24 @@ class TestVGG9:
         with pytest.raises(ValueError):
             VGGConfig(image_size=30)
 
-    def test_set_schedule_and_current_schedule(self, small_vgg):
+    def test_schedule_config_and_current_schedule(self, small_vgg):
         schedule = PulseSchedule([10, 10, 8, 10, 10, 4, 6])
-        small_vgg.set_schedule(schedule)
+        apply_config(small_vgg, SimConfig(pulses=schedule))
         assert small_vgg.current_schedule().as_list() == schedule.as_list()
 
-    def test_set_schedule_length_mismatch(self, small_vgg):
+    def test_schedule_length_mismatch(self, small_vgg):
         with pytest.raises(ValueError):
-            small_vgg.set_schedule(PulseSchedule([8, 8]))
+            apply_config(small_vgg, SimConfig(pulses=(8, 8)))
 
-    def test_set_mode_and_noise_propagate(self, small_vgg):
-        small_vgg.set_mode("noisy")
-        small_vgg.set_noise(3.0)
+    def test_mode_and_noise_propagate(self, small_vgg):
+        apply_config(small_vgg, SimConfig(mode="noisy", noise_sigma=3.0))
         assert all(l.mode == "noisy" and l.noise_sigma == 3.0 for l in small_vgg.encoded_layers())
 
     def test_noisy_forward_differs_from_clean(self, small_vgg, rng):
         x = Tensor(rng.uniform(0, 1, size=(2, 3, 16, 16)))
         small_vgg.eval()
         clean = small_vgg(x).data
-        small_vgg.set_mode("noisy")
-        small_vgg.set_noise(5.0)
+        apply_config(small_vgg, SimConfig(mode="noisy", noise_sigma=5.0))
         noisy = small_vgg(x).data
         assert not np.allclose(clean, noisy)
 
@@ -100,13 +99,13 @@ class TestCrossbarMLP:
 
     def test_schedule_roundtrip(self):
         model = CrossbarMLP(10, hidden_sizes=(8, 8), rng=RandomState(1))
-        model.set_schedule(PulseSchedule([10, 16]))
+        apply_config(model, SimConfig(pulses=(10, 16)))
         assert model.current_schedule().as_list() == [10, 16]
 
     def test_schedule_length_mismatch(self):
         model = CrossbarMLP(10, hidden_sizes=(8, 8), rng=RandomState(1))
         with pytest.raises(ValueError):
-            model.set_schedule(PulseSchedule([8]))
+            apply_config(model, SimConfig(pulses=(8,)))
 
 
 class TestCrossbarLeNet:
@@ -126,10 +125,10 @@ class TestCrossbarLeNet:
 
     def test_noise_propagation(self):
         model = CrossbarLeNet(image_size=8, base_channels=4, rng=RandomState(1))
-        model.set_noise(2.5, relative_to_fan_in=True)
+        apply_config(model, SimConfig(noise_sigma=2.5, sigma_relative_to_fan_in=True))
         assert all(l.noise_sigma == 2.5 and l.sigma_relative_to_fan_in for l in model.encoded_layers())
 
     def test_schedule_mismatch(self):
         model = CrossbarLeNet(image_size=8, base_channels=4, rng=RandomState(1))
         with pytest.raises(ValueError):
-            model.set_schedule(PulseSchedule([8] * 5))
+            apply_config(model, SimConfig(pulses=(8,) * 5))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -243,17 +244,47 @@ class TestParallelDispatch:
             assert sum(workers["executed_per_worker"].values()) == 3
 
 
+def _cli_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH")])
+    )
+    return env
+
+
+def _child_pids(pid):
+    """PIDs whose parent is ``pid``, read from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _running(pid):
+    """Whether ``pid`` exists and has not exited (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
 @pytest.mark.slow
 class TestCLI:
     def test_module_cli_serves_on_ephemeral_port(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH")])
-        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.serve", "--port", "0",
              "--cache-dir", str(tmp_path / "cache"), "--queue-size", "4"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(),
         )
         try:
             announce = proc.stdout.readline().strip()
@@ -275,14 +306,47 @@ class TestCLI:
             proc.terminate()
             proc.wait(timeout=15.0)
 
-    def test_cli_help_mentions_knobs(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH")])
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the process table")
+    def test_sigterm_shuts_the_worker_pool_down(self, tmp_path):
+        """terminate() takes the Ctrl-C shutdown path, so no worker process
+        of a ``--workers 2`` server outlives it."""
+        import time
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0", "--workers", "2",
+             "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=_cli_env(),
         )
+        children = []
+        try:
+            host, port = proc.stdout.readline().split()[-1].rsplit(":", 1)
+            sock = socket.create_connection((host, int(port)), timeout=60.0)
+            stream = sock.makefile("rw", encoding="utf-8")
+            try:
+                # The pool spawns with the first dispatched request.
+                assert call(stream, {"op": "submit", "spec": selftest_spec(value=4)})["ok"]
+            finally:
+                sock.close()
+            children = _child_pids(proc.pid)
+            assert children, "the --workers 2 server started no worker process"
+            proc.terminate()
+            assert proc.wait(timeout=60.0) == 0
+            deadline = time.monotonic() + 30.0
+            while any(_running(pid) for pid in children) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in children if _running(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in children:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_cli_help_mentions_knobs(self):
         output = subprocess.run(
             [sys.executable, "-m", "repro.serve", "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=_cli_env(), timeout=60,
         )
         assert output.returncode == 0
         for flag in ("--workers", "--max-models", "--queue-size", "--cache-dir"):

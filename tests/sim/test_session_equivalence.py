@@ -1,26 +1,24 @@
-"""Acceptance tests for the Session path vs the deprecated mutation paths.
+"""Acceptance tests for configuring a model through ``SimConfig`` + ``Session``.
 
-The contract: the deprecated configuration surfaces — ``REPRO_BACKEND``,
-per-call ``engine=`` / ``gbo_engine=`` keywords, and direct ``set_mode`` /
-``set_noise`` / ``set_pulses`` mutation — keep working **bit-identically**
-to the new ``SimConfig`` + ``Session`` path, and every one of them emits a
-:class:`DeprecationWarning`.
+The contract: a :class:`Session` applies a config atomically and restores
+every layer's previous state on exit, an engine pinned through a config is
+the engine that actually runs (and only within the pin's scope), and a
+scenario spec's identity incorporates its sim config without moving the
+hashes of default specs.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
-from repro.core.gbo import GBOConfig, GBOTrainer
+import repro.backend.engine as engine_registry
+from repro.backend import VectorizedEngine
 from repro.models import CrossbarMLP
 from repro.sim import SimConfig, Session, apply_config, configure
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 from repro.training.evaluate import noisy_accuracy
-from repro.utils.seed import seed_everything
 
 
 def _model():
@@ -38,13 +36,6 @@ def _loader():
     inputs = np.tanh(rng.normal(size=(48, 24)))
     labels = rng.randint(0, 4, size=48)
     return DataLoader(TensorDataset(inputs, labels), batch_size=16, shuffle=False)
-
-
-def _legacy(call, *args, **kwargs):
-    """Run a deprecated call with its warning silenced (we test it elsewhere)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return call(*args, **kwargs)
 
 
 class TestSessionMechanics:
@@ -67,7 +58,7 @@ class TestSessionMechanics:
         assert layer.noise_sigma == 0.0
         assert layer.sigma_relative_to_fan_in is False
         assert layer.pla_mode == "toward_extremes"
-        assert layer._engine is None  # back to tracking the process default
+        assert layer._engine is None  # unpinned again
 
     def test_restores_on_exception(self):
         model = _model()
@@ -114,70 +105,10 @@ class TestSessionMechanics:
         np.testing.assert_array_equal(first, second)
 
 
-class TestBitIdentity:
-    """Deprecated paths and the Session path must agree sample-for-sample."""
+class TestEnginePins:
+    """A config's engine pin is the engine that runs, within the pin's scope."""
 
-    def test_forward_logits_match_direct_setters(self):
-        config = SimConfig(mode="noisy", pulses=(12, 10), noise_sigma=2.5,
-                           sigma_relative_to_fan_in=False)
-
-        old_model = _model()
-        from repro.core.schedule import PulseSchedule
-
-        _legacy(old_model.set_mode, "noisy")
-        _legacy(old_model.set_noise, 2.5, relative_to_fan_in=False)
-        _legacy(old_model.set_schedule, PulseSchedule([12, 10]))
-        seed_everything(123)
-        old_logits = old_model(Tensor(_batch())).data.copy()
-
-        new_model = _model()
-        with Session(new_model, config.with_changes(seed=123)):
-            new_logits = new_model(Tensor(_batch())).data.copy()
-
-        np.testing.assert_array_equal(old_logits, new_logits)
-
-    def test_noisy_accuracy_legacy_kwargs_match_sim(self):
-        from repro.core.schedule import PulseSchedule
-
-        loader = _loader()
-        seed_everything(7)
-        legacy = _legacy(
-            noisy_accuracy,
-            _model(), loader, sigma=2.0, schedule=PulseSchedule([10, 8]),
-            num_repeats=2, engine="reference",
-        )
-        seed_everything(7)
-        modern = noisy_accuracy(
-            _model(), loader, num_repeats=2,
-            sim=SimConfig(engine="reference", mode="noisy", pulses=(10, 8), noise_sigma=2.0),
-        )
-        assert legacy == modern
-
-    def test_gbo_engine_kwarg_matches_sim_config(self):
-        def run(**trainer_kwargs):
-            seed_everything(42)
-            model = _model()
-            apply_config(model, SimConfig(mode="clean", noise_sigma=3.0))
-            for index, layer in enumerate(model.encoded_layers()):
-                layer.noise_rng = RandomState(1000 + index)
-            trainer = _legacy(
-                GBOTrainer, model, GBOConfig(epochs=1, learning_rate=0.05), **trainer_kwargs
-            )
-            return trainer.train(_loader())
-
-        legacy = run(engine="reference")
-        modern = run(sim=SimConfig(engine="reference"))
-        assert legacy.schedule.as_list() == modern.schedule.as_list()
-        for a, b in zip(legacy.alphas, modern.alphas):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(legacy.logits, modern.logits):
-            np.testing.assert_array_equal(a, b)
-
-    def test_noisy_accuracy_accepts_unregistered_engine_instance(self):
-        """The legacy engine= kwarg pinned instances directly; ad-hoc
-        (unregistered) engines must keep working and must actually be used."""
-        from repro.backend import VectorizedEngine
-
+    def test_noisy_accuracy_runs_the_pinned_engine(self, monkeypatch):
         class CountingEngine(VectorizedEngine):
             name = "counting-eval"
 
@@ -188,96 +119,38 @@ class TestBitIdentity:
                 self.folded_reads += 1
                 return super().folded_read_noise(shape, sigma, num_pulses, rng)
 
-        model = _model()
         engine = CountingEngine()
-        accuracy = _legacy(
-            noisy_accuracy, model, _loader(), sigma=2.0, num_repeats=1, engine=engine
+        monkeypatch.setitem(engine_registry._REGISTRY, engine.name, engine)
+        model = _model()
+        accuracy = noisy_accuracy(
+            model, _loader(), SimConfig(engine=engine.name, mode="noisy", noise_sigma=2.0)
         )
         assert 0.0 <= accuracy <= 100.0
         assert engine.folded_reads > 0
-        # The pin was session-scoped: layers track the default again.
+        # The pin was session-scoped: the layers are unpinned again.
         assert all(l._engine is None for l in model.encoded_layers())
 
     def test_driver_sim_with_non_engine_fields_is_rejected(self):
         """A driver cannot honour a custom noise/pulse config — it must
         refuse loudly instead of silently running (and caching) defaults."""
-        from repro.experiments.table1 import resolve_driver_engines
+        from repro.experiments.table1 import _require_engine_only
 
         with pytest.raises(ValueError, match="beyond an engine pin"):
-            resolve_driver_engines(None, None, SimConfig(noise_sigma=9.0), None)
+            _require_engine_only(SimConfig(noise_sigma=9.0), "sim=")
         with pytest.raises(ValueError, match="beyond an engine pin"):
-            resolve_driver_engines(None, None, None, SimConfig(pulses=4))
-        # An engine-only config passes.
-        assert resolve_driver_engines(None, None, SimConfig(engine="reference"), None) == (
-            "reference",
-            None,
-        )
+            _require_engine_only(SimConfig(pulses=4), "gbo_sim=")
+        # An engine-only config passes and yields its pin.
+        assert _require_engine_only(SimConfig(engine="reference"), "sim=") == "reference"
+        assert _require_engine_only(None, "sim=") is None
 
-    def test_repro_backend_env_matches_engine_pin(self, monkeypatch):
+    def test_profile_backend_pins_the_model_engine(self):
         from repro.experiments.common import build_model
         from repro.experiments.profiles import get_profile
 
-        profile = get_profile("smoke")
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_env = build_model(profile)
-        monkeypatch.delenv("REPRO_BACKEND")
-        via_config = build_model(profile.with_overrides(backend="reference"))
-        assert [l.engine.name for l in via_env.encoded_layers()] == [
-            l.engine.name for l in via_config.encoded_layers()
-        ] == ["reference"] * via_env.num_encoded_layers()
-
-
-class TestDeprecationWarnings:
-    """Every old path must announce itself."""
-
-    def test_layer_setters_warn(self):
-        layer = _model().encoded_layers()[0]
-        with pytest.warns(DeprecationWarning, match="set_mode"):
-            layer.set_mode("noisy")
-        with pytest.warns(DeprecationWarning, match="set_pulses"):
-            layer.set_pulses(10)
-        with pytest.warns(DeprecationWarning, match="set_noise"):
-            layer.set_noise(1.0)
-        with pytest.warns(DeprecationWarning, match="set_engine"):
-            layer.set_engine("reference")
-
-    def test_model_setters_warn(self):
-        from repro.core.schedule import PulseSchedule
-
-        model = _model()
-        with pytest.warns(DeprecationWarning, match="set_mode"):
-            model.set_mode("noisy")
-        with pytest.warns(DeprecationWarning, match="set_noise"):
-            model.set_noise(1.0)
-        with pytest.warns(DeprecationWarning, match="set_engine"):
-            model.set_engine("reference")
-        with pytest.warns(DeprecationWarning, match="set_schedule"):
-            model.set_schedule(PulseSchedule([8, 8]))
-
-    def test_noisy_accuracy_engine_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            noisy_accuracy(_model(), _loader(), sigma=1.0, engine="reference")
-
-    def test_gbo_trainer_engine_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="engine"):
-            GBOTrainer(_model(), GBOConfig(epochs=1), engine="reference")
-
-    def test_driver_engine_kwargs_warn(self):
-        from repro.experiments.table1 import resolve_driver_engines
-
-        with pytest.warns(DeprecationWarning, match="engine="):
-            assert resolve_driver_engines("reference", None, None, None) == ("reference", None)
-        with pytest.warns(DeprecationWarning, match="gbo_engine="):
-            assert resolve_driver_engines(None, "vectorized", None, None) == (None, "vectorized")
-
-    def test_repro_backend_env_warns(self, monkeypatch):
-        from repro.sim import resolve_engine_name
-
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        with pytest.warns(DeprecationWarning, match="REPRO_BACKEND"):
-            resolve_engine_name(None, None)
+        model = build_model(get_profile("smoke").with_overrides(backend="reference"))
+        assert [l.engine.name for l in model.encoded_layers()] == (
+            ["reference"] * model.num_encoded_layers()
+        )
 
 
 class TestScenarioSpecSimIdentity:

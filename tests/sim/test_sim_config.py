@@ -117,34 +117,26 @@ class TestCanonicalisation:
 
 
 class TestEngineResolutionRule:
-    """One documented precedence rule replacing the former four selectors."""
+    """One documented rule: pin > profile backend > "vectorized"."""
 
-    def test_explicit_pin_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "vectorized")
-        assert resolve_engine_name("reference") == "reference"
-
-    def test_env_var_beats_profile_and_warns(self, monkeypatch):
+    def test_explicit_pin_wins(self):
         from repro.experiments.profiles import get_profile
 
-        monkeypatch.setenv("REPRO_BACKEND", "reference")
-        with pytest.warns(DeprecationWarning, match="REPRO_BACKEND"):
-            assert resolve_engine_name(None, get_profile("fast")) == "reference"
+        profile = get_profile("fast").with_overrides(backend="vectorized")
+        assert resolve_engine_name("reference", profile) == "reference"
 
-    def test_profile_backend_when_no_env(self, monkeypatch):
+    def test_profile_backend_beats_the_default(self):
         from repro.experiments.profiles import get_profile
 
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         profile = get_profile("fast").with_overrides(backend="reference")
         assert resolve_engine_name(None, profile) == "reference"
 
-    def test_process_default_is_last(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_vectorized_is_last(self):
         assert resolve_engine_name(None, None) == "vectorized"
 
-    def test_for_profile_resolves_concretely(self, monkeypatch):
+    def test_for_profile_resolves_concretely(self):
         from repro.experiments.profiles import get_profile
 
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         config = SimConfig.for_profile(get_profile("fast"), mode="noisy", noise_sigma=5.0)
         assert config.engine == "vectorized"
         assert config.mode == "noisy"

@@ -24,7 +24,7 @@ from repro.core import GBOConfig, GBOTrainer
 from repro.core.search_space import PulseScalingSpace
 from repro.data import DataLoader, TensorDataset
 from repro.models import CrossbarMLP
-from repro.sim import SimConfig, Session
+from repro.sim import SimConfig, Session, apply_config
 from repro.tensor import Tensor, compute_dtype_scope, no_grad
 from repro.tensor.random import RandomState
 from repro.training.evaluate import evaluate_accuracy, noisy_accuracy
@@ -125,13 +125,13 @@ def _gbo_smoke(engine_name):
         model = CrossbarMLP(
             in_features=24, hidden_sizes=(16, 16), num_classes=4, rng=RandomState(5)
         )
-        model.set_noise(3.0)
+        apply_config(model, SimConfig(noise_sigma=3.0))
         for index, layer in enumerate(model.encoded_layers()):
             layer.noise_rng = RandomState(1000 + index)
         trainer = GBOTrainer(
             model,
             GBOConfig(space=PulseScalingSpace(), epochs=2, learning_rate=0.1, gamma=2e-3),
-            engine=engine_name,
+            sim=SimConfig(engine=engine_name),
         )
         return trainer.train(loader)
 
@@ -166,13 +166,13 @@ class TestGBOSmoke:
             model = CrossbarMLP(
                 in_features=24, hidden_sizes=(16, 16), num_classes=4, rng=RandomState(5)
             )
-            model.set_noise(3.0)
+            apply_config(model, SimConfig(noise_sigma=3.0))
             for index, layer in enumerate(model.encoded_layers()):
                 layer.noise_rng = RandomState(1000 + index)
             trainer = GBOTrainer(
                 model,
                 GBOConfig(space=PulseScalingSpace(), epochs=2, learning_rate=0.1, gamma=2e-3),
-                engine="vectorized",
+                sim=SimConfig(engine="vectorized"),
             )
             return trainer.train(loader)
 

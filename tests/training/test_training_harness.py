@@ -7,6 +7,7 @@ from repro.core import PulseSchedule
 from repro.data import DataLoader, TensorDataset
 from repro.models import CrossbarMLP
 from repro.nn import Linear, Sequential, Tanh
+from repro.sim import SimConfig
 from repro.optim import SGD, StepLR
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
@@ -154,7 +155,9 @@ class TestEvaluation:
         model = CrossbarMLP(3 * 8 * 8, hidden_sizes=(16, 16), rng=RandomState(1))
         before = model.current_schedule().as_list()
         schedule = PulseSchedule([12, 16])
-        accuracy = noisy_accuracy(model, test_loader, sigma=2.0, schedule=schedule, num_repeats=2)
+        accuracy = noisy_accuracy(
+            model, test_loader, SimConfig(mode="noisy", noise_sigma=2.0, pulses=schedule), num_repeats=2
+        )
         assert 0.0 <= accuracy <= 100.0
         assert model.current_schedule().as_list() == before
         assert all(layer.mode == "clean" for layer in model.encoded_layers())
@@ -164,7 +167,7 @@ class TestEvaluation:
         _, test_loader = tiny_loaders
         model = CrossbarMLP(3 * 8 * 8, hidden_sizes=(16,), rng=RandomState(1))
         with pytest.raises(ValueError):
-            noisy_accuracy(model, test_loader, sigma=1.0, num_repeats=0)
+            noisy_accuracy(model, test_loader, SimConfig(noise_sigma=1.0), num_repeats=0)
 
 
 class TestPretrainRecipe:
