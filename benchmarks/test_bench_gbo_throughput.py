@@ -5,25 +5,25 @@ mixture, backward to the logits, Adam update) on a VGG9 network for both
 simulation engines.  The reference engine executes one ideal crossbar read
 per candidate encoding in Omega (|Omega| = 7) per encoded layer per step;
 the vectorized engine folds the whole candidate space into a single read
-plus one stacked noise draw, so the GBO stage — the most expensive part of
-the Table I / Table II drivers — runs several times faster.
+plus one Gaussian draw (the mixture of |Omega| independent normals is itself
+one normal), so the GBO stage — the most expensive part of the Table I /
+Table II drivers — runs several times faster.
 
 The workload is the fast profile widened towards the paper's network: the
 paper's 32x32 image size at quarter width.  The fast profile's own 16x16 /
 0.125-width network has 3x3 kernels over only 2-8 channels, so its candidate
 reads are a few hundred FLOPs per output element — there the step time is
-dominated by costs both engines share (the stacked noise draw consumes the
-same generator stream as the reference's per-candidate draws, plus
-batch-norm/activation/backward passes), which understates what the fold buys
-on any realistically-sized network.  At 32x32 / 0.25 width the per-candidate
+dominated by costs both engines share (batch-norm/activation/backward
+passes), which understates what the fold buys on any realistically-sized
+network.  At 32x32 / 0.25 width the per-candidate
 read is the dominant term, as it is on the paper's full-width VGG9, while a
 reference run still completes in seconds.
 
 The vectorized engine is additionally timed under the float32 compute
 policy (``repro.tensor.dtype``) — the raw-speed configuration this whole
-fold exists for: the candidate fold plus the cross-layer batched noise
-plan plus single-precision arithmetic.  The reference engine stays at
-float64 so the denominator remains the literal paper-faithful oracle; the
+fold exists for: the candidate fold plus single-precision arithmetic.
+The reference engine stays at float64 so the denominator remains the
+literal paper-faithful oracle; the
 float64 vectorized time is also recorded so the artifact separates what
 single precision buys from what the fold buys.
 

@@ -16,8 +16,9 @@ subpackage isolates it behind the :class:`SimulationEngine` interface:
 The same split covers the GBO training stage (Eq. 5): the engines'
 ``gbo_mixture_read`` evaluates the softmax mixture over the candidate
 encoding space Omega either as one literal crossbar read per candidate
-(reference) or as a single batched read plus one stacked noise draw
-(vectorized).
+(reference) or as a single batched read plus one Gaussian draw whose
+deviation folds the candidates' weighted scales in quadrature (vectorized;
+equal in distribution, not sample for sample).
 
 Engine selection: pin an engine in a :class:`repro.sim.SimConfig` (or pass
 one explicitly to :func:`repro.crossbar.mvm.pulsed_mvm`).  Resolution

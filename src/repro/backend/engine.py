@@ -145,10 +145,8 @@ class SimulationEngine:
         would draw from ``rngs[k]`` (zero-sigma scenarios draw nothing), so
         a stacked forward that adds slice ``k`` to scenario ``k``'s block is
         bit-identical to the sequential per-scenario forward.  The buffer is
-        assembled here — in the same single-materialisation style as
-        :meth:`plan_gbo_noise` — because the per-scenario streams are
-        independent by construction and can never legally merge into one
-        draw.
+        assembled here because the per-scenario streams are independent by
+        construction and can never legally merge into one draw.
         """
         if not len(sigmas) == len(pulse_counts) == len(rngs):
             raise ValueError(
@@ -175,7 +173,11 @@ class SimulationEngine:
 
         ``alphas`` are the softmax importance weights (a differentiable
         :class:`Tensor`); gradients must flow from the returned noise back to
-        the logits.
+        the logits.  With i.i.d. standard-normal ``eps_k`` the mixture is
+        exactly ``N(0, sum_k (alpha_k * scale_k)^2)``, so an engine may draw
+        one sample per candidate (reference) or one draw scaled by that
+        deviation (vectorized).  The two are equal in distribution and in
+        expected gradient, not sample for sample.
         """
         raise NotImplementedError
 
@@ -193,9 +195,10 @@ class SimulationEngine:
         layer and ``scale_k`` is the accumulated noise deviation of candidate
         encoding ``k``.  Because ``read_op`` is deterministic and the noises
         are i.i.d. Gaussian, an engine may execute one read per candidate
-        (reference) or a single read plus one stacked noise draw
-        (vectorized); both consume identical samples from ``rng`` and
-        gradients reach the logits through ``alphas`` either way.
+        (reference) or a single read plus one folded noise draw
+        (vectorized, see :meth:`gbo_mixture_noise`).  The two draw different
+        samples from ``rng`` but the same mixture distribution, and gradients
+        reach the logits through ``alphas`` either way.
 
         Parameters
         ----------
@@ -212,38 +215,6 @@ class SimulationEngine:
             Random state for the candidate noise draws.
         """
         raise NotImplementedError
-
-    def plan_gbo_noise(
-        self,
-        counts: Sequence[int],
-        rng: RandomState,
-    ) -> list:
-        """Materialise several layers' GBO mixture draws in one RNG call.
-
-        ``counts[i]`` is the number of standard-normal samples layer ``i``
-        will consume from ``rng`` during one optimisation step (its Eq. 5
-        mixture is ``|Omega| * prod(output_shape)`` samples; zero when the
-        layer's sigma is 0).  Returns one flat array per count.
-
-        Because numpy's ``Generator`` yields identical values whether ``n``
-        normals come from one call or from several consecutive calls, the
-        single batched draw is *sample-exact* with respect to the per-layer
-        draws it replaces — golden schedules and cross-engine equivalence
-        are preserved bit for bit at float64.  Engines may override this to
-        realise the plan differently (the reference engine draws literally
-        per layer); all realisations must consume ``rng`` identically.
-        """
-        counts = [int(count) for count in counts]
-        total = sum(counts)
-        if total == 0:
-            return [np.empty(0) for _ in counts]
-        flat = np.asarray(rng.normal(0.0, 1.0, size=total)).reshape(-1)
-        buffers = []
-        cursor = 0
-        for count in counts:
-            buffers.append(flat[cursor : cursor + count])
-            cursor += count
-        return buffers
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

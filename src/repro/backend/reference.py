@@ -105,16 +105,5 @@ class ReferenceEngine(SimulationEngine):
             total = term if total is None else total + term
         return total
 
-    def plan_gbo_noise(self, counts, rng: RandomState) -> list:
-        # The plan executed literally: one draw per layer, in forward order —
-        # exactly the samples the un-planned per-layer mixture would consume.
-        # numpy's Generator splits a draw bit-identically across calls, so
-        # this oracle realisation equals the vectorized engine's single
-        # batched draw sample for sample.
-        return [
-            np.asarray(rng.normal(0.0, 1.0, size=int(count))).reshape(-1)
-            for count in counts
-        ]
-
 
 REFERENCE_ENGINE = register_engine(ReferenceEngine())

@@ -23,6 +23,15 @@ Both strategies are statistically identical to
 :class:`~repro.backend.reference.ReferenceEngine` because the read noise is
 i.i.d. across pulses and tiles; ``tests/backend/test_engines.py`` verifies
 the equivalence on multi-tile crossbars.
+
+The GBO candidate mixture of Eq. 5 folds the same way: ``sum_k alpha_k
+s_k eps_k`` over i.i.d. standard normals is exactly ``N(0, sum_k (alpha_k
+s_k)^2)``, so :meth:`VectorizedEngine.gbo_mixture_noise` draws one Gaussian
+of the output shape instead of ``|Omega|`` of them.  The draw layout differs
+from the reference's per-candidate loop, so the two engines agree in
+distribution (and in expected gradient), not sample for sample;
+``tests/backend/test_gbo_engine_equivalence.py`` states that contract as
+moment, KS, gradient-expectation and training-level tests.
 """
 
 from __future__ import annotations
@@ -188,19 +197,16 @@ class VectorizedEngine(SimulationEngine):
         shape: Tuple[int, ...],
         rng: RandomState,
     ) -> Tensor:
-        # Derive the dtype from the softmax weights (which follow the
-        # compute-dtype policy) — a hard-coded float64 here would silently
-        # upcast the whole (k, N) mixture on the float32 path.
+        # sum_k alpha_k scale_k eps_k with i.i.d. eps_k ~ N(0, 1) is exactly
+        # N(0, sum_k (alpha_k scale_k)^2), so one standard-normal draw scaled
+        # by that differentiable deviation replaces the |Omega| draws; the
+        # expected gradient w.r.t. alpha is unchanged (reparameterisation).
+        # The sqrt needs a positive sum: the layers route sigma = 0 around
+        # the mixture, so every scale reaching here is > 0.  The scales take
+        # the softmax weights' dtype, which follows the compute-dtype policy.
         scales_arr = np.asarray(scales, dtype=alphas.data.dtype)
-        num_options = scales_arr.size
-        eps = rng.normal(0.0, 1.0, size=(num_options,) + tuple(shape))
-        # Fold the per-candidate scale into the mixture weight (k scalars)
-        # instead of scaling the whole (k, N) standard-normal stack: the
-        # mixture sum_k alpha_k (scale_k eps_k) associates identically as
-        # sum_k (alpha_k scale_k) eps_k, saving one full-size elementwise pass.
-        weighted = alphas * Tensor(scales_arr)
-        mixed = weighted.reshape(1, num_options).matmul(Tensor(eps.reshape(num_options, -1)))
-        return mixed.reshape(*shape)
+        std = ((alphas * Tensor(scales_arr)) ** 2).sum().sqrt()
+        return std * Tensor(rng.normal(0.0, 1.0, size=tuple(shape)))
 
     def gbo_mixture_read(
         self,
@@ -211,7 +217,7 @@ class VectorizedEngine(SimulationEngine):
     ) -> Tensor:
         # The candidate reads only differ in their noise, so the |Omega|
         # per-candidate reads of the reference loop collapse to one read plus
-        # one stacked mixture draw: sum_k alpha_k (read + n_k) =
+        # one folded mixture draw: sum_k alpha_k (read + n_k) =
         # sum(alphas) * read + sum_k alpha_k n_k.  The explicit sum(alphas)
         # factor (= 1 for softmax weights) keeps the gradient graph of the
         # reference loop, where the read reaches the logits through every

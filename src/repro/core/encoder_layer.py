@@ -23,7 +23,9 @@ crossbar.  They support three forward modes:
     The whole candidate mixture is one engine primitive
     (:meth:`~repro.backend.engine.SimulationEngine.gbo_mixture_read`): the
     reference engine performs one crossbar read per candidate, the vectorized
-    engine folds Omega into a single read plus one stacked noise draw.
+    engine folds Omega into a single read plus one Gaussian draw of deviation
+    ``sqrt(sum_k (alpha_k s_k)^2)`` — the exact distribution of the mixture,
+    though not the reference's samples.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ class EncodedLayerMixin:
         ``read_op`` performs this layer's ideal crossbar read.  The engine
         decides whether all candidates in Omega are evaluated by literal
         per-candidate reads (reference oracle) or folded into a single read
-        plus one stacked noise draw (vectorized); gradients reach the logits
+        plus one folded noise draw (vectorized); gradients reach the logits
         through the softmax weights either way.
         """
         return self.engine.gbo_mixture_read(

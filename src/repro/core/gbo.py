@@ -8,9 +8,13 @@ noise of all candidate encodings with the softmax weights ``alpha_k``
 noise is in that layer; the latency regulariser ``gamma * sum alpha_k n_k p``
 pushes towards short encodings (Eq. 6).  The candidate mixture is executed
 by the layers' :class:`~repro.backend.engine.SimulationEngine` — one crossbar
-read per candidate on the reference engine, a single batched read plus one
-stacked noise draw on the vectorized engine (statistically identical; see
-``tests/backend/test_gbo_engine_equivalence.py``).  After training, each layer selects
+read and one noise draw per candidate on the reference engine; on the
+vectorized engine a single read plus one Gaussian draw, because the mixture
+``sum_k alpha_k s_k eps_k`` of independent normals is exactly
+``N(0, sum_k (alpha_k s_k)^2)`` (the reparameterisation trick).  The two
+engines therefore agree in distribution and in expected gradient, not
+sample for sample; ``tests/backend/test_gbo_engine_equivalence.py`` states
+that contract statistically.  After training, each layer selects
 the candidate with the maximum logit (Eq. 7's argmax rule) and the resulting
 heterogeneous :class:`~repro.core.schedule.PulseSchedule` is used for noisy
 inference.
@@ -19,7 +23,7 @@ inference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -31,7 +35,6 @@ from repro.optim import Adam
 from repro.sim import SimConfig
 from repro.tensor import Tensor
 from repro.tensor import functional as F
-from repro.tensor.random import PlannedNormalStream
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("repro.gbo")
@@ -56,14 +59,6 @@ class GBOConfig:
     log_every:
         Emit a progress log line every this many optimisation steps
         (0 disables logging).
-    plan_noise:
-        Pre-plan each step's Eq. 5 mixture noise as one batched RNG
-        materialisation across all encoded layers
-        (:meth:`~repro.backend.engine.SimulationEngine.plan_gbo_noise`)
-        instead of one draw per layer per forward.  Sample-exact: the layers
-        observe the very samples they would have drawn live, so schedules
-        and golden streams are unchanged.  On by default; disable to force
-        the historical per-layer draws.
     """
 
     space: PulseScalingSpace = field(default_factory=PulseScalingSpace)
@@ -71,7 +66,6 @@ class GBOConfig:
     learning_rate: float = 1e-4
     epochs: int = 10
     log_every: int = 0
-    plan_noise: bool = True
 
     def __post_init__(self) -> None:
         if self.gamma < 0:
@@ -117,107 +111,6 @@ class GBOResult:
     def average_pulses(self) -> float:
         """Average pulse count of the selected schedule (latency proxy)."""
         return self.schedule.average_pulses
-
-
-class _RecordingRng:
-    """Forwards to the wrapped RNG while counting ``normal()`` samples drawn.
-
-    Used by :class:`_NoisePlanner` on the first step of each input shape:
-    the step runs bit-identically through the wrapped generator, and the
-    observed per-layer sample counts become the plan for every later step
-    with that shape.
-    """
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.drawn = 0
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        out = self._inner.normal(loc=loc, scale=scale, size=size)
-        self.drawn += int(np.asarray(out).size)
-        return out
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-class _NoisePlanner:
-    """Batches the per-layer Eq. 5 noise draws of one GBO step into one.
-
-    Without planning, every encoded layer's forward performs its own RNG
-    materialisation (``|Omega| * prod(output_shape)`` standard normals).
-    The planner instead measures each layer's consumption once per input
-    shape (recording pass, bit-identical) and thereafter materialises the
-    whole network's draw up front — one
-    :meth:`~repro.backend.engine.SimulationEngine.plan_gbo_noise` call per
-    distinct ``noise_rng``, layers in forward order — serving each layer its
-    slice through a :class:`~repro.tensor.random.PlannedNormalStream` swapped
-    in as ``layer.noise_rng`` for the duration of the step.  numpy's
-    ``Generator`` splits draws bit-identically across calls, so the samples
-    (and therefore schedules, losses and golden streams) are exactly those
-    of the un-planned run.
-    """
-
-    def __init__(self, layers: Sequence[EncodedLayerMixin]):
-        self._layers = list(layers)
-        self._counts: Dict[tuple, List[int]] = {}
-        self._active = None
-
-    def begin_step(self, input_shape) -> None:
-        key = tuple(input_shape)
-        originals = [layer.noise_rng for layer in self._layers]
-        counts = self._counts.get(key)
-        if counts is None:
-            wrappers = [_RecordingRng(rng) for rng in originals]
-            for layer, wrapper in zip(self._layers, wrappers):
-                layer.noise_rng = wrapper
-            self._active = ("record", key, originals, wrappers)
-            return
-        # Group layers by their (possibly shared) noise generator, keeping
-        # forward order within each group: a generator's single flat draw is
-        # bit-equal to the consecutive per-layer draws it replaces, and
-        # distinct generators are independent, so interleaving is irrelevant.
-        order: List[int] = []
-        groups: Dict[int, List[int]] = {}
-        for index, rng in enumerate(originals):
-            if id(rng) not in groups:
-                groups[id(rng)] = []
-                order.append(index)
-            groups[id(rng)].append(index)
-        streams: List[Optional[PlannedNormalStream]] = [None] * len(self._layers)
-        for first_index in order:
-            indices = groups[id(originals[first_index])]
-            engine = self._layers[first_index].engine
-            buffers = engine.plan_gbo_noise(
-                [counts[i] for i in indices], originals[first_index]
-            )
-            for layer_index, buffer in zip(indices, buffers):
-                streams[layer_index] = PlannedNormalStream(buffer)
-        for layer, stream in zip(self._layers, streams):
-            layer.noise_rng = stream
-        self._active = ("planned", key, originals, streams)
-
-    def end_step(self) -> None:
-        mode, key, originals, aux = self._active
-        self._restore(originals)
-        if mode == "record":
-            self._counts[key] = [wrapper.drawn for wrapper in aux]
-            return
-        leftover = sum(stream.remaining for stream in aux)
-        if leftover:
-            raise RuntimeError(
-                f"GBO noise plan mismatch: {leftover} planned samples were "
-                "never consumed — a layer's draw count changed mid-training"
-            )
-
-    def abort_step(self) -> None:
-        if self._active is not None:
-            self._restore(self._active[2])
-
-    def _restore(self, originals) -> None:
-        for layer, rng in zip(self._layers, originals):
-            layer.noise_rng = rng
-        self._active = None
 
 
 class GBOTrainer:
@@ -284,14 +177,13 @@ class GBOTrainer:
                 layer._apply_engine(engine)
 
         optimizer = Adam(logits, lr=config.learning_rate)
-        planner = _NoisePlanner(self._layers) if config.plan_noise else None
         history: List[Dict[str, float]] = []
         step = 0
         try:
             for epoch in range(config.epochs):
                 for inputs, targets in loader:
                     optimizer.zero_grad()
-                    outputs = self._planned_forward(planner, inputs)
+                    outputs = self.model(Tensor(inputs))
                     ce_loss = F.cross_entropy(outputs, targets)
                     latency = self._latency_term()
                     loss = ce_loss + latency * config.gamma
@@ -320,19 +212,6 @@ class GBOTrainer:
         result = self._finalise(history)
         self._apply_schedule(result.schedule)
         return result
-
-    def _planned_forward(self, planner: Optional["_NoisePlanner"], inputs) -> Tensor:
-        """One model forward, with the step's noise pre-planned when enabled."""
-        if planner is None:
-            return self.model(Tensor(inputs))
-        planner.begin_step(np.shape(inputs))
-        try:
-            outputs = self.model(Tensor(inputs))
-        except BaseException:
-            planner.abort_step()
-            raise
-        planner.end_step()
-        return outputs
 
     def _latency_term(self) -> Tensor:
         """Differentiable total expected latency ``sum_l sum_k alpha_k n_k p``."""

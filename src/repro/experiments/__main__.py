@@ -20,13 +20,14 @@ processes, bit-identically to the serial run.  ``work`` joins (or starts)
 a *distributed* drain of the same suite as one lease-based work-stealing
 worker — run it N times, on one host or many sharing a synced store
 directory, and the workers cooperatively finish the suite (see
-:mod:`repro.distributed`; ``python -m repro.distributed`` is the
-standalone entrypoint with ``--specs`` support).  ``merge`` unions
-content-addressed stores produced on different hosts (same key with a
-differing payload is a hard error).  ``gc`` prunes store entries whose
-spec hashes no registered grid produces any more (changed grids and
-retired spec schemas hash elsewhere, so their old entries are dead
-weight); entries under a live worker lease are never pruned.  ``report``
+:mod:`repro.distributed`).  It replaces its own process with
+``python -m repro.distributed``, the one worker entry point (which also
+takes ``--specs``), so BLAS threads are pinned before numpy loads.
+``merge`` unions content-addressed stores produced on different hosts
+(same key with a differing payload is a hard error).  ``gc`` prunes store
+entries whose spec hashes no registered grid produces any more (changed
+grids and retired spec schemas hash elsewhere, so their old entries are
+dead weight); entries under a live worker lease are never pruned.  ``report``
 renders a markdown report purely from the store, recomputing nothing;
 ``report --follow`` keeps re-rendering it with a done/claimed/pending
 banner while a suite runs, stopping when the suite completes.
@@ -302,10 +303,9 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_work(args: argparse.Namespace) -> int:
-    import repro.distributed.__main__ as worker_cli
+    from repro.worker_env import pin_worker_threads
 
-    argv = list(args.experiments)
-    argv = ["--experiments", *argv]
+    argv = ["--experiments", *args.experiments]
     for flag, value in (
         ("--profile", args.profile),
         ("--engine", args.engine),
@@ -319,7 +319,14 @@ def _command_work(args: argparse.Namespace) -> int:
     ):
         if value is not None:
             argv.extend([flag, str(value)])
-    return worker_cli.main(argv)
+    # Importing this package has loaded numpy, and with it BLAS at its
+    # default thread count, so the worker cannot run in this process.
+    # Replace it with the worker entry point, pinned before the new
+    # interpreter starts (and so before anything in it loads numpy).
+    pin_worker_threads()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os.execv(sys.executable, [sys.executable, "-m", "repro.distributed", *argv])
 
 
 def _command_merge(args: argparse.Namespace) -> int:

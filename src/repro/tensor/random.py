@@ -94,56 +94,6 @@ class RandomState:
         return RandomState(child_seed)
 
 
-class PlannedNormalStream:
-    """Serves pre-materialised standard-normal samples through ``normal()``.
-
-    The GBO noise planner batches every encoded layer's Eq. 5 mixture draw
-    for one optimisation step into a single flat RNG materialisation
-    (:meth:`repro.backend.engine.SimulationEngine.plan_gbo_noise`) and
-    temporarily replaces each layer's ``noise_rng`` with one of these
-    streams over its slice of the buffer.  Serving slices is *sample-exact*:
-    numpy's ``Generator`` produces the same values whether ``n`` normals are
-    drawn in one call or split across several, so the layers observe exactly
-    the samples they would have drawn live, in the same order.
-
-    Only ``normal`` is provided — any other use of the stand-in RNG during a
-    planned step would be a planning bug and fails loudly.  Draws beyond the
-    planned budget raise as well.
-    """
-
-    def __init__(self, buffer: np.ndarray):
-        self._buffer = np.asarray(buffer).reshape(-1)
-        self._cursor = 0
-
-    @property
-    def remaining(self) -> int:
-        """Number of planned samples not yet served."""
-        return int(self._buffer.size - self._cursor)
-
-    def normal(
-        self, loc: float = 0.0, scale: float = 1.0, size: Optional[ShapeLike] = None
-    ) -> np.ndarray:
-        if size is None:
-            shape: Tuple[int, ...] = ()
-        elif isinstance(size, (int, np.integer)):
-            shape = (int(size),)
-        else:
-            shape = tuple(int(dim) for dim in size)
-        count = int(np.prod(shape)) if shape else 1
-        end = self._cursor + count
-        if end > self._buffer.size:
-            raise RuntimeError(
-                f"planned noise stream exhausted: requested {count} samples "
-                f"with only {self.remaining} of {self._buffer.size} left"
-            )
-        flat = self._buffer[self._cursor : end]
-        self._cursor = end
-        out = flat.reshape(shape) if shape else flat[0]
-        if not (np.isscalar(scale) and scale == 1.0 and np.isscalar(loc) and loc == 0.0):
-            out = out * scale + loc
-        return out
-
-
 def default_rng() -> RandomState:
     """The current execution context's default random state.
 

@@ -9,6 +9,8 @@ total is ``N(0, read_std^2 * sum_i w_i^2)`` regardless of whether the reads
 are simulated one by one (reference) or folded into one draw (vectorized).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,35 @@ from repro.tensor.functional import softmax
 from repro.tensor.random import RandomState
 
 SEED = 1337
+
+#: Kolmogorov-Smirnov critical coefficient at significance 0.001,
+#: ``sqrt(-ln(0.001 / 2) / 2)``.
+KS_COEFFICIENT = 1.949
+
+
+def _ks_against_normal(samples, std):
+    """One-sample KS statistic against ``N(0, std^2)`` and its critical value."""
+    ordered = np.sort(np.ravel(samples))
+    n = ordered.size
+    cdf = 0.5 * (1.0 + np.vectorize(math.erf)(ordered / (std * math.sqrt(2.0))))
+    statistic = max(
+        np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)
+    )
+    return statistic, KS_COEFFICIENT / math.sqrt(n)
+
+
+def _ks_two_sample(first, second):
+    """Two-sample KS statistic and its critical value."""
+    first, second = np.sort(np.ravel(first)), np.sort(np.ravel(second))
+    grid = np.concatenate([first, second])
+    statistic = np.max(
+        np.abs(
+            np.searchsorted(first, grid, side="right") / first.size
+            - np.searchsorted(second, grid, side="right") / second.size
+        )
+    )
+    critical = KS_COEFFICIENT * math.sqrt((first.size + second.size) / (first.size * second.size))
+    return statistic, critical
 
 
 @pytest.fixture
@@ -232,18 +263,30 @@ class TestLayerNoisePaths:
         assert np.std(noise) == pytest.approx(2.0 / np.sqrt(10.5), rel=0.05)
 
     def test_gbo_mixture_noise_engines_agree_under_shared_seed(self):
+        """Both engines draw ``N(0, sum_k (alpha_k s_k)^2)`` from one seed.
+
+        The reference mixes one draw per candidate and the vectorized engine
+        scales a single draw by the folded deviation, so the samples differ;
+        each must pass moment and KS tests against the closed form, and the
+        two must pass a two-sample KS test against each other.
+        """
         logits = Tensor(np.array([0.5, -0.2, 0.1]), requires_grad=True)
         scales = [1.0, 0.5, 0.25]
-        shape = (6, 4)
+        shape = (200, 100)
+        alphas = softmax(logits, axis=0)
+        expected_std = float(np.sqrt(np.sum((alphas.data * np.asarray(scales)) ** 2)))
         outputs = {}
         for engine in (ReferenceEngine(), VectorizedEngine()):
-            alphas = softmax(logits, axis=0)
             noise = engine.gbo_mixture_noise(alphas, scales, shape, RandomState(3))
             assert noise.shape == shape
-            outputs[engine.name] = noise.data
-        # A single (k, *shape) draw is the concatenation of k sequential
-        # draws, so the two layouts mix identical samples.
-        assert np.allclose(outputs["reference"], outputs["vectorized"])
+            samples = noise.data.ravel()
+            assert abs(samples.mean()) < 4.0 * expected_std / np.sqrt(samples.size)
+            assert samples.std() == pytest.approx(expected_std, rel=0.02), engine.name
+            statistic, critical = _ks_against_normal(samples, expected_std)
+            assert statistic < critical, engine.name
+            outputs[engine.name] = samples
+        statistic, critical = _ks_two_sample(outputs["reference"], outputs["vectorized"])
+        assert statistic < critical
 
     def test_gbo_mixture_noise_vectorized_backprops_to_logits(self):
         logits = Tensor(np.zeros(3), requires_grad=True)

@@ -3,11 +3,18 @@ Eq. 5 candidate-mixture primitive.
 
 The reference engine evaluates the GBO mixture literally — one ideal crossbar
 read per candidate encoding, each with its own accumulated noise draw — while
-the vectorized engine folds all of Omega into a single read plus one stacked
-noise draw.  Because a stacked ``(k, *shape)`` Gaussian sample consumes the
-generator stream exactly like ``k`` sequential draws, two GBO trainings
-started from the same seed must produce matching logits, alphas and selected
-schedules on both engines (up to floating-point summation order).
+the vectorized engine folds all of Omega into a single read plus one
+Gaussian draw: ``sum_k alpha_k s_k eps_k`` over independent standard normals
+is exactly ``N(0, sum_k (alpha_k s_k)^2)``.  The two engines therefore draw
+different samples from the same seed, and the contract between them is
+statistical:
+
+* the mixture has the closed-form distribution on both engines (moments
+  here; moments and KS in ``test_engines.py``);
+* the expected logit gradient over many seeds is the same — the folded
+  gradient is the reference gradient's conditional expectation given the
+  realised noise, so it keeps the mean and lowers the variance;
+* whole GBO trainings over several noise seeds end with agreeing alphas.
 """
 
 import numpy as np
@@ -17,6 +24,7 @@ import repro.backend.engine as engine_registry
 from repro.backend import ReferenceEngine, VectorizedEngine, get_engine
 from repro.core import GBOConfig, GBOTrainer
 from repro.core.encoder_layer import EncodedLinear
+from repro.core.search_space import PulseScalingSpace
 from repro.data import DataLoader, TensorDataset
 from repro.models import CrossbarMLP
 from repro.sim import SimConfig, apply_config
@@ -38,16 +46,32 @@ def _toy_loader(rng):
     return DataLoader(dataset, batch_size=32, shuffle=True, rng=RandomState(11))
 
 
-def _run_gbo(engine_name, sigma=3.0, epochs=2):
+#: Noise seeds of the training-level check; each run seeds its two layers
+#: with ``seed`` and ``seed + 1``, so the seeds step by 2.
+TRAINING_NOISE_SEEDS = range(SEED, SEED + 8, 2)
+#: Seed-mean final alphas of the two engines agree to this absolute
+#: tolerance (alphas start at 1/7 ~ 0.143; the measured gap was 0.08-0.10
+#: over five seed sets).  It is loose because Adam scales each logit's step
+#: by its gradient's RMS: the folded gradient has the same mean but a lower
+#: variance, so the vectorized run takes steadier steps the same way.
+TRAINING_ALPHA_ATOL = 0.12
+#: ... and the alphas drift from uniform in the same direction (measured
+#: correlation 0.75-0.77 across those seed sets).
+TRAINING_DRIFT_MIN_CORRELATION = 0.5
+#: Mean training loss of the two engines agrees to this relative tolerance.
+TRAINING_MEAN_LOSS_RTOL = 0.02
+
+
+def _run_gbo(engine_name, sigma=3.0, epochs=2, noise_seed=SEED):
     """One full GBO run from a fixed seed with every stochastic source pinned."""
     seed_everything(SEED)
     loader = _toy_loader(RandomState(7))
     model = CrossbarMLP(in_features=24, hidden_sizes=(32, 32), num_classes=4, rng=RandomState(5))
     apply_config(model, SimConfig(noise_sigma=sigma))
-    # Pin the layers' noise generators so both engines consume an identical,
-    # layer-private stream (the global default rng is shared state).
+    # Pin the layers' noise generators to layer-private streams (the global
+    # default rng is shared state).
     for index, layer in enumerate(model.encoded_layers()):
-        layer.noise_rng = RandomState(SEED + index)
+        layer.noise_rng = RandomState(noise_seed + index)
     trainer = GBOTrainer(
         model,
         GBOConfig(epochs=epochs, learning_rate=0.05, gamma=1e-3),
@@ -58,19 +82,37 @@ def _run_gbo(engine_name, sigma=3.0, epochs=2):
 
 
 class TestGBOEngineEquivalence:
-    def test_engines_produce_identical_training_outcome(self):
-        _, reference = _run_gbo("reference")
-        _, vectorized = _run_gbo("vectorized")
+    def test_engines_agree_on_training_outcome_across_seeds(self):
+        results = {
+            name: [_run_gbo(name, epochs=4, noise_seed=seed)[1] for seed in TRAINING_NOISE_SEEDS]
+            for name in ("reference", "vectorized")
+        }
+        mean_alphas = {
+            name: np.mean([run.alphas for run in runs], axis=0) for name, runs in results.items()
+        }
+        np.testing.assert_allclose(
+            mean_alphas["reference"], mean_alphas["vectorized"], atol=TRAINING_ALPHA_ATOL
+        )
+        uniform = 1.0 / PulseScalingSpace().num_options
+        drift_ref = (mean_alphas["reference"] - uniform).ravel()
+        drift_vec = (mean_alphas["vectorized"] - uniform).ravel()
+        assert np.corrcoef(drift_ref, drift_vec)[0, 1] > TRAINING_DRIFT_MIN_CORRELATION
+        mean_losses = {
+            name: np.mean([[record["loss"] for record in run.history] for run in runs])
+            for name, runs in results.items()
+        }
+        assert mean_losses["vectorized"] == pytest.approx(
+            mean_losses["reference"], rel=TRAINING_MEAN_LOSS_RTOL
+        )
 
-        assert reference.schedule.as_list() == vectorized.schedule.as_list()
-        for ref_logits, vec_logits in zip(reference.logits, vectorized.logits):
-            np.testing.assert_allclose(ref_logits, vec_logits, rtol=1e-7, atol=1e-9)
-        for ref_alphas, vec_alphas in zip(reference.alphas, vectorized.alphas):
-            np.testing.assert_allclose(ref_alphas, vec_alphas, rtol=1e-7, atol=1e-9)
-        # The loss trajectories must match step by step, not just the endpoint.
-        assert len(reference.history) == len(vectorized.history)
-        for ref_record, vec_record in zip(reference.history, vectorized.history):
-            assert ref_record["loss"] == pytest.approx(vec_record["loss"], rel=1e-7)
+    def test_zero_sigma_training_skips_the_mixture(self):
+        """sigma == 0 routes around the mixture (and the folded sqrt(0)):
+        training draws no noise and its logit gradients stay finite."""
+        model, result = _run_gbo("vectorized", sigma=0.0)
+        for index, layer in enumerate(model.encoded_layers()):
+            untouched = RandomState(SEED + index).normal(size=4)
+            np.testing.assert_array_equal(layer.noise_rng.normal(size=4), untouched)
+        assert all(np.all(np.isfinite(logits)) for logits in result.logits)
 
     def test_trainer_engine_pin_is_scoped_to_training(self, monkeypatch):
         """GBOTrainer(sim=SimConfig(engine=...)) pins the engine during
@@ -102,19 +144,53 @@ class TestGBOEngineEquivalence:
         assert [layer.engine.name for layer in model.encoded_layers()] == before
 
     def test_gbo_mixture_read_engines_agree_under_shared_seed(self):
-        """Single-primitive check: same rng stream => near-identical mixtures."""
+        """Both engines return ``read + N(0, sum_k (alpha_k s_k)^2)``."""
         logits = Tensor(np.array([0.4, -0.3, 0.2, 0.0]), requires_grad=True)
         scales = [2.0, 1.0, 0.5, 0.25]
-        read_value = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-        outputs = {}
+        read_value = np.linspace(-1.0, 1.0, 20_000).reshape(200, 100)
+        alphas = softmax(logits, axis=0)
+        expected_std = float(np.sqrt(np.sum((alphas.data * np.asarray(scales)) ** 2)))
         for engine in (ReferenceEngine(), VectorizedEngine()):
-            alphas = softmax(logits, axis=0)
             mixed = engine.gbo_mixture_read(
                 lambda: Tensor(read_value.copy()), alphas, scales, RandomState(17)
             )
             assert mixed.shape == read_value.shape
-            outputs[engine.name] = mixed.data
-        np.testing.assert_allclose(outputs["reference"], outputs["vectorized"], rtol=1e-12, atol=1e-12)
+            residual = mixed.data - read_value
+            assert abs(residual.mean()) < 4.0 * expected_std / np.sqrt(residual.size)
+            assert residual.std() == pytest.approx(expected_std, rel=0.02), engine.name
+
+    def test_gbo_mixture_noise_expected_gradient_matches_reference(self):
+        """Per-seed logit gradients differ between engines; their means agree.
+
+        With ``L = mean(noise^2)``, ``E[L] = sum_k (alpha_k s_k)^2`` on both
+        engines, so over many seeds each engine's mean gradient must match
+        the closed form, and the two means each other, within five standard
+        errors.
+        """
+        lam = np.array([0.4, -0.3, 0.2, 0.0, 0.1, -0.5, 0.3])
+        scales = 3.0 / np.sqrt(np.asarray(PulseScalingSpace().pulse_counts, dtype=float))
+        num_seeds = 256
+        means, errors = {}, {}
+        for engine in (ReferenceEngine(), VectorizedEngine()):
+            grads = []
+            for seed in range(num_seeds):
+                logits = Tensor(lam, requires_grad=True)
+                noise = engine.gbo_mixture_noise(
+                    softmax(logits, axis=0), scales, (256,), RandomState(seed)
+                )
+                (noise**2).mean().backward()
+                grads.append(logits.grad)
+            grads = np.array(grads)
+            means[engine.name] = grads.mean(axis=0)
+            errors[engine.name] = grads.std(axis=0) / np.sqrt(num_seeds)
+
+        alphas = np.exp(lam) / np.exp(lam).sum()
+        weighted = 2.0 * alphas**2 * scales**2
+        expected = weighted - alphas * weighted.sum()  # softmax chain rule
+        for name in means:
+            assert np.all(np.abs(means[name] - expected) <= 5.0 * errors[name]), name
+        combined = np.sqrt(errors["reference"] ** 2 + errors["vectorized"] ** 2)
+        assert np.all(np.abs(means["reference"] - means["vectorized"]) <= 5.0 * combined)
 
     def test_gbo_mixture_read_backprops_to_logits(self):
         for engine_name in ("reference", "vectorized"):

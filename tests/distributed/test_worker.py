@@ -232,6 +232,33 @@ except SystemExit as stop:
 print(json.dumps(seen))
 """
 
+#: A ``sitecustomize`` that, in every interpreter started with it on the
+#: path, appends the BLAS thread variables seen when numpy is imported,
+#: with that interpreter's command line, to ``$NUMPY_PROBE_LOG``.
+_SITE_NUMPY_IMPORT_PROBE = """
+import importlib.abc, json, os, sys
+
+VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class NumpyImportProbe(importlib.abc.MetaPathFinder):
+    recorded = False
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.recorded:
+            self.recorded = True
+            record = {
+                "argv": sys.orig_argv,
+                "env": {variable: os.environ.get(variable) for variable in VARIABLES},
+            }
+            with open(os.environ["NUMPY_PROBE_LOG"], "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(record) + "\\n")
+        return None
+
+
+sys.meta_path.insert(0, NumpyImportProbe())
+"""
+
 
 class TestWorkerProcess:
     def test_cli_pins_blas_threads_before_numpy_loads(self, tmp_path):
@@ -250,6 +277,31 @@ class TestWorkerProcess:
         assert result.returncode == 0, result.stderr
         seen = json.loads(result.stdout.strip().splitlines()[-1])
         assert seen == dict.fromkeys(variables, "1")
+
+    def test_experiments_work_pins_blas_threads_before_numpy_loads(self, tmp_path):
+        """``python -m repro.experiments work`` has loaded numpy before it can
+        pin, so it must hand over to the pinned ``repro.distributed`` entry
+        point; the worker's interpreter must see the pin when numpy loads."""
+        probe_dir = tmp_path / "probe"
+        probe_dir.mkdir()
+        (probe_dir / "sitecustomize.py").write_text(_SITE_NUMPY_IMPORT_PROBE)
+        log = tmp_path / "numpy_imports.jsonl"
+        variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        env = _worker_env()
+        env["PYTHONPATH"] = str(probe_dir) + os.pathsep + env["PYTHONPATH"]
+        env["NUMPY_PROBE_LOG"] = str(log)
+        env.update(dict.fromkeys(variables, "4"))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "--cache-dir", str(tmp_path / "cache"),
+             "work", "fig1b", "--profile", "smoke", "--max-scenarios", "0"],
+            env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "draining" in result.stdout
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        workers = [record for record in records if "repro.distributed" in record["argv"]]
+        assert len(workers) == 1, records
+        assert workers[0]["env"] == dict.fromkeys(variables, "1")
 
 
 class TestConcurrentWorkers:
