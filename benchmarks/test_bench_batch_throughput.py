@@ -97,7 +97,7 @@ def _time_phase(engine, crossbar, values, encoders):
 
 
 def _model_level_phase(bundle):
-    """One stacked ``evaluate_multi`` sweep vs K sequential sessions."""
+    """One ``evaluate_multi`` sweep vs K sequential sessions."""
     model = bundle.model
     loader = bundle.test_loader
     sims = [
@@ -154,7 +154,7 @@ def test_batched_multi_scenario_speedup(capsys, results_dir, bundle):
         get_engine("reference"), crossbar, values, shared
     )
 
-    # Ungated phase: model-level stacked evaluation on the shared bundle.
+    # Ungated phase: model-level evaluate_multi on the shared bundle.
     model_sequential_s, model_batched_s = _model_level_phase(bundle)
 
     record = {

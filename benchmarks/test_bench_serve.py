@@ -219,7 +219,7 @@ def test_serve_latency_cold_parallel_coalesced_cached(
     # ---- batched-distinct: second server with micro-batching on ---------
     # One worker so the serial and concurrent legs run the same execution
     # width; the only variable is whether the K distinct compatible configs
-    # reach the worker as one stacked forward or as K separate ones.
+    # reach the worker as one batched evaluation or as K separate ones.
     batch_proc = subprocess.Popen(
         [sys.executable, "-m", "repro.serve", "--port", "0",
          "--cache-dir", str(cache_dir), "--max-models", "2",

@@ -403,7 +403,7 @@ def execute_api_eval_scenario(ctx) -> Dict[str, Any]:
 def api_eval_batch_key(spec) -> Optional[tuple]:
     """Stacking-group key of an ``api_eval`` spec, or ``None`` (unbatchable).
 
-    Two specs may share one stacked forward when they agree on the model
+    Two specs may share one batched evaluation when they agree on the model
     weights and input pipeline (profile name + overrides), the repeat count,
     and their configs' :meth:`~repro.sim.SimConfig.compat_key`.  The free
     axes — sigma, pulses/schedule, relative flag, seed — stay per-scenario.
@@ -423,12 +423,14 @@ def api_eval_batch_key(spec) -> Optional[tuple]:
 
 
 def execute_api_eval_batch(specs, bundle, stage_store=None) -> List[Dict[str, Any]]:
-    """Execute K compatible ``api_eval`` specs in one stacked forward.
+    """Execute K compatible ``api_eval`` specs in one batched evaluation.
 
     Returns one result dict per spec, in order, each bit-identical to what
     :func:`execute_api_eval_scenario` produces for that spec alone: the
-    stacked pass shares only the deterministic work (data pipeline, ideal
-    crossbar matmuls per scenario block at the sequential batch size), and
+    specs share only the deterministic work (data pipeline, the model stem,
+    and the first encoded layer's quantisation and ideal read per distinct
+    encoding — see :func:`repro.training.evaluate.evaluate_multi`), every
+    scenario runs the rest of the model at the sequential batch size, and
     scenario ``k`` draws its noise from ``RandomState(derived_seed_k)`` —
     the very stream ``ctx.reseed()`` would install for its sequential run.
     Results are still keyed and persisted individually by the caller.

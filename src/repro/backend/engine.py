@@ -132,36 +132,6 @@ class SimulationEngine:
         """
         raise NotImplementedError
 
-    def folded_read_noise_multi(
-        self,
-        shape: Tuple[int, ...],
-        sigmas: Sequence[float],
-        pulse_counts: Sequence[float],
-        rngs: Sequence[RandomState],
-    ) -> np.ndarray:
-        """K scenarios' folded read noise as one ``(K, *shape)`` buffer.
-
-        Scenario ``k`` consumes exactly the samples :meth:`folded_read_noise`
-        would draw from ``rngs[k]`` (zero-sigma scenarios draw nothing), so
-        a stacked forward that adds slice ``k`` to scenario ``k``'s block is
-        bit-identical to the sequential per-scenario forward.  The buffer is
-        assembled here because the per-scenario streams are independent by
-        construction and can never legally merge into one draw.
-        """
-        if not len(sigmas) == len(pulse_counts) == len(rngs):
-            raise ValueError(
-                f"folded_read_noise_multi got mismatched scenario packs: "
-                f"{len(sigmas)} sigmas, {len(pulse_counts)} pulse counts, "
-                f"{len(rngs)} rngs"
-            )
-        from repro.tensor.dtype import resolve_dtype
-
-        buffer = np.zeros((len(sigmas),) + tuple(shape), dtype=resolve_dtype())
-        for index, (sigma, pulses, rng) in enumerate(zip(sigmas, pulse_counts, rngs)):
-            if sigma > 0.0:
-                buffer[index] = self.folded_read_noise(shape, sigma, pulses, rng)
-        return buffer
-
     def gbo_mixture_noise(
         self,
         alphas: Tensor,

@@ -54,6 +54,23 @@ from repro.tensor.random import RandomState, default_rng
 ForwardMode = Literal["clean", "noisy", "gbo"]
 
 
+class ReadMemo:
+    """One input batch's shared encoded-layer work across scenarios.
+
+    Keyed by the input object: ``quantised`` is its activation quantisation
+    and ``reads`` maps each encoding key (see
+    :meth:`EncodedLayerMixin._encoding_key`) to its ideal crossbar read.
+    A new input object resets both.
+    """
+
+    __slots__ = ("inputs", "quantised", "reads")
+
+    def __init__(self) -> None:
+        self.inputs: Optional[Tensor] = None
+        self.quantised: Optional[Tensor] = None
+        self.reads: dict = {}
+
+
 class EncodedLayerMixin:
     """Shared configuration and noise machinery of the encoded layers.
 
@@ -86,9 +103,9 @@ class EncodedLayerMixin:
         self._engine: Optional[SimulationEngine] = (
             None if engine is None else resolve_engine(engine)
         )
-        # Multi-scenario stacking state, attached by repro.sim.MultiSession
-        # for the duration of a batched evaluation; None in normal operation.
-        self._multi_state = None
+        # Shared-input memo, attached by repro.sim.MultiSession to a model's
+        # first encoded layer for a multi-scenario evaluation; else None.
+        self._read_memo: Optional[ReadMemo] = None
 
     # ------------------------------------------------------------------
     # Configuration
@@ -202,11 +219,38 @@ class EncodedLayerMixin:
         the PLA approximation error whenever the pulse count cannot represent
         the original levels exactly.
         """
-        quantised = self.act_quantizer(x)
-        if self.mode != "noisy" or self.num_pulses == self.base_pulses:
+        return self._pla_encode(self.act_quantizer(x))
+
+    def _encoding_key(self) -> Optional[tuple]:
+        """PLA re-encoding of the current configuration, ``None`` for the base."""
+        if self.mode == "noisy" and self.num_pulses != self.base_pulses:
+            return (self.num_pulses, self.pla_mode)
+        return None
+
+    def _pla_encode(self, quantised: Tensor) -> Tensor:
+        """Re-encode a quantised activation for the current pulse count."""
+        key = self._encoding_key()
+        if key is None:
             return quantised
-        approximated = pla_approximate(quantised.data, self.num_pulses, mode=self.pla_mode)
-        return quantised.with_data(approximated)
+        return quantised.with_data(pla_approximate(quantised.data, key[0], mode=key[1]))
+
+    def _encoded_forward(self, x: Tensor) -> Tensor:
+        """The layer forward in the current configuration.
+
+        With a :class:`ReadMemo` attached, an input seen before (the same
+        object) reuses its quantisation and the ideal read of each distinct
+        encoding; only the read noise is drawn anew.  The reused read is the
+        very array the plain path would compute, so the output is the same.
+        """
+        memo = self._read_memo
+        if memo is None:
+            return self._crossbar_forward(self._encode_input(x))
+        if memo.inputs is not x:
+            memo.inputs, memo.quantised, memo.reads = x, self.act_quantizer(x), {}
+        key = self._encoding_key()
+        if key not in memo.reads:
+            memo.reads[key] = self._ideal_read(self._pla_encode(memo.quantised))
+        return self._apply_output_noise(memo.reads[key])
 
     def _crossbar_forward(self, encoded: Tensor) -> Tensor:
         """Dispatch one encoded-activation forward to the current mode.
@@ -239,98 +283,6 @@ class EncodedLayerMixin:
                 )
                 output = output + Tensor(noise)
         return output
-
-    # ------------------------------------------------------------------
-    # Multi-scenario stacked forward (repro.sim.MultiSession)
-    # ------------------------------------------------------------------
-    def _multi_forward(self, x: Tensor) -> Tensor:
-        """One layer forward evaluating K scenarios at once.
-
-        Bit-identity per scenario with the sequential forward rests on three
-        rules (see :mod:`repro.sim.multi` for the full argument): the batch
-        stays at the shared size ``N`` until the first genuinely divergent
-        layer (lazy expansion); after expansion every ideal read runs per
-        scenario block at exactly batch ``N`` (matmul shapes must match the
-        sequential call bit for bit); and each scenario's noise comes from
-        its own stream via the engine's ``folded_read_noise_multi``.
-        """
-        multi = self._multi_state
-        quantised = self.act_quantizer(x)
-        if multi.pass_state.expanded:
-            return self._multi_expanded_forward(quantised, multi)
-        return self._multi_shared_forward(quantised, multi)
-
-    def _pack_encoding_key(self, pack):
-        """PLA re-encoding identity of one scenario at this layer (None = base)."""
-        if pack.noisy and pack.num_pulses != self.base_pulses:
-            return (pack.num_pulses, pack.pla_mode)
-        return None
-
-    def _pack_sigma(self, pack) -> float:
-        """Effective noise sigma of one scenario at this layer (0 when clean)."""
-        if not pack.noisy:
-            return 0.0
-        if pack.relative:
-            return pack.sigma * float(np.sqrt(max(self.fan_in, 1)))
-        return pack.sigma
-
-    def _multi_shared_forward(self, quantised: Tensor, multi) -> Tensor:
-        packs = multi.packs
-        reads = {}
-        keys = []
-        for pack in packs:
-            key = self._pack_encoding_key(pack)
-            keys.append(key)
-            if key not in reads:
-                if key is None:
-                    encoded = quantised
-                else:
-                    encoded = quantised.with_data(
-                        pla_approximate(quantised.data, key[0], mode=key[1])
-                    )
-                reads[key] = self._ideal_read(encoded)
-        sigmas = [self._pack_sigma(pack) for pack in packs]
-        if len(reads) == 1 and not any(sigma > 0 for sigma in sigmas):
-            # All scenarios still agree on this batch: stay at batch N.
-            return reads[keys[0]]
-        # First divergent layer: expand to a stacked (K*N, ...) batch.
-        multi.pass_state.expanded = True
-        blocks = [reads[key].data for key in keys]
-        stacked = np.concatenate(blocks, axis=0)
-        return Tensor(self._multi_add_noise(stacked, blocks[0].shape, sigmas, packs))
-
-    def _multi_expanded_forward(self, quantised: Tensor, multi) -> Tensor:
-        packs = multi.packs
-        data = quantised.data
-        if data.shape[0] % len(packs):
-            raise RuntimeError(
-                f"stacked batch of {data.shape[0]} rows is not divisible by "
-                f"{len(packs)} scenarios"
-            )
-        block_size = data.shape[0] // len(packs)
-        reads = []
-        for index, pack in enumerate(packs):
-            block = data[index * block_size : (index + 1) * block_size]
-            key = self._pack_encoding_key(pack)
-            if key is not None:
-                block = pla_approximate(block, key[0], mode=key[1])
-            # Per-scenario-block read at exactly batch N — the same matmul
-            # shape as the sequential forward, hence bit-identical.
-            reads.append(self._ideal_read(Tensor(block)).data)
-        stacked = np.concatenate(reads, axis=0)
-        sigmas = [self._pack_sigma(pack) for pack in packs]
-        return Tensor(self._multi_add_noise(stacked, reads[0].shape, sigmas, packs))
-
-    def _multi_add_noise(self, stacked, block_shape, sigmas, packs):
-        if not any(sigma > 0 for sigma in sigmas):
-            return stacked
-        noise = self.engine.folded_read_noise_multi(
-            block_shape,
-            sigmas,
-            [pack.num_pulses for pack in packs],
-            [pack.rng for pack in packs],
-        )
-        return stacked + noise.reshape(stacked.shape)
 
     # ------------------------------------------------------------------
     # Hardware mapping inspection
@@ -401,9 +353,7 @@ class EncodedConv2d(QuantConv2d, EncodedLayerMixin):
         return out.reshape(self.out_channels, out_h, out_w, batch).transpose(3, 0, 1, 2)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self._multi_state is not None:
-            return self._multi_forward(x)
-        return self._crossbar_forward(self._encode_input(x))
+        return self._encoded_forward(x)
 
     def __repr__(self) -> str:
         return (
@@ -451,9 +401,7 @@ class EncodedLinear(QuantLinear, EncodedLayerMixin):
         return encoded.matmul(self.binary_weight().transpose())
 
     def forward(self, x: Tensor) -> Tensor:
-        if self._multi_state is not None:
-            return self._multi_forward(x)
-        return self._crossbar_forward(self._encode_input(x))
+        return self._encoded_forward(x)
 
     def simulate_pulsed_forward(
         self,

@@ -173,10 +173,10 @@ def _worker_run(payload: Dict[str, Any]) -> Tuple[str, Dict[str, Any], float]:
 def _worker_run_batch(
     payloads: Sequence[Dict[str, Any]],
 ) -> Tuple[List[str], List[Dict[str, Any]], float]:
-    """Execute one stacked ``api_eval`` batch inside a worker process.
+    """Execute one compatible ``api_eval`` group inside a worker process.
 
     Used by ``repro.serve``'s parallel dispatch: the whole compatible group
-    ships to ONE worker, which runs it as a single stacked forward via
+    ships to ONE worker, which evaluates it in one batched evaluation via
     :func:`repro.api.execute_api_eval_batch` (per-spec results bit-identical
     to individual execution, see there).
     """
@@ -302,7 +302,8 @@ def _stack_groups(pending: Sequence[ScenarioSpec]) -> Dict[str, List[ScenarioSpe
     Groups compatible ``api_eval`` scenarios (same profile+overrides, repeat
     count and :meth:`SimConfig.compat_key`; see
     :func:`repro.api.api_eval_batch_key`) so the serial path can evaluate
-    each group in one stacked forward.  Results stay keyed per spec and
+    each group in one batched evaluation, sharing each batch's stem and
+    first-layer reads (:func:`repro.api.execute_api_eval_batch`).  Results stay keyed per spec and
     bit-identical to sequential execution, so resume/caching is unaffected.
     """
     from repro.api import api_eval_batch_key

@@ -6,6 +6,7 @@ from typing import List
 
 from repro.core.encoder_layer import EncodedLayerMixin
 from repro.core.schedule import PulseSchedule
+from repro.tensor import Tensor
 
 
 class EncodedModelMixin:
@@ -15,9 +16,27 @@ class EncodedModelMixin:
     order, in ``_encoded_names``.  Everything that configures or inspects
     those layers — :mod:`repro.sim`, the trainers, the cost model — goes
     through these methods.
+
+    A model's forward is split in two: :meth:`forward_stem`, the
+    deterministic layers before the first encoded layer, and
+    :meth:`forward_body`, the first encoded layer onwards.  A
+    :class:`repro.sim.MultiSession` runs the stem once per batch and the
+    body once per scenario.
     """
 
     _encoded_names: List[str]
+
+    def forward(self, x: Tensor) -> Tensor:
+        """Class logits of an input batch."""
+        return self.forward_body(self.forward_stem(x))
+
+    def forward_stem(self, x: Tensor) -> Tensor:
+        """The layers before the first encoded layer (no simulation state)."""
+        raise NotImplementedError
+
+    def forward_body(self, x: Tensor) -> Tensor:
+        """Class logits from the stem's output: the first encoded layer onwards."""
+        raise NotImplementedError
 
     def encoded_layers(self) -> List[EncodedLayerMixin]:
         """The encoded layers, in forward order."""

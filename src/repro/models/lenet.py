@@ -67,9 +67,11 @@ class CrossbarLeNet(EncodedModelMixin, Module):
 
         self._encoded_names = ["conv2", "conv3", "fc1"]
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Compute class logits for a ``(batch, C, H, W)`` image tensor."""
-        out = self.pool1(self.act1(self.bn1(self.conv1(x))))
+    def forward_stem(self, x: Tensor) -> Tensor:
+        """The stem convolution block of a ``(batch, C, H, W)`` image tensor."""
+        return self.pool1(self.act1(self.bn1(self.conv1(x))))
+
+    def forward_body(self, out: Tensor) -> Tensor:
         out = self.pool2(self.act2(self.bn2(self.conv2(out))))
         out = self.act3(self.bn3(self.conv3(out)))
         out = self.flatten(out)

@@ -77,11 +77,13 @@ class CrossbarMLP(EncodedModelMixin, Module):
 
         self.classifier = Linear(previous, num_classes, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Compute class logits for a ``(batch, in_features)`` tensor (or images)."""
+    def forward_stem(self, x: Tensor) -> Tensor:
+        """The full-precision projection of a ``(batch, in_features)`` tensor (or images)."""
         if x.ndim > 2:
             x = x.flatten(start_dim=1)
-        out = self.stem_act(self.stem_bn(self.stem(x)))
+        return self.stem_act(self.stem_bn(self.stem(x)))
+
+    def forward_body(self, out: Tensor) -> Tensor:
         for name in self._encoded_names:
             layer = self._modules[name]
             bn = self._modules[f"{name}_bn"]

@@ -162,10 +162,11 @@ class VGG9(EncodedModelMixin, Module):
     # ------------------------------------------------------------------
     # Forward
     # ------------------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:
-        """Compute class logits for a ``(batch, C, H, W)`` image tensor."""
-        out = self.act1(self.bn1(self.conv1(x)))
+    def forward_stem(self, x: Tensor) -> Tensor:
+        """The analog-input convolution of a ``(batch, C, H, W)`` image tensor."""
+        return self.act1(self.bn1(self.conv1(x)))
 
+    def forward_body(self, out: Tensor) -> Tensor:
         out = self.pool2(self.act2(self.bn2(self.conv2(out))))
         out = self.act3(self.bn3(self.conv3(out)))
         out = self.pool4(self.act4(self.bn4(self.conv4(out))))

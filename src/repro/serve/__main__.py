@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-batch", type=int, default=defaults.max_batch, metavar="K",
-        help="most requests one stacked forward may carry",
+        help="most requests one batched evaluation may carry",
     )
     parser.add_argument(
         "--cache-dir", default=None,

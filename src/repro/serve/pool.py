@@ -217,7 +217,7 @@ class ExecutionEngine:
         return result
 
     def execute_batch(self, specs) -> list:
-        """Run compatible ``api_eval`` specs as one stacked forward.
+        """Run compatible ``api_eval`` specs as one batched evaluation.
 
         Returns one result dict per spec, in order, each bit-identical to
         what :meth:`execute` would produce for that spec alone (see
@@ -225,7 +225,7 @@ class ExecutionEngine:
         against the same profile bundle by construction (the stacking key
         includes profile and overrides), so parallel dispatch ships the
         whole group to **one** worker process — the win is the folded
-        shared work inside the stacked forward, not cross-worker fan-out.
+        shared work inside the batched evaluation, not cross-worker fan-out.
         """
         if self.parallel:
             ensure_checkpoint_on_disk(self.pool.bundle_for(specs[0]))

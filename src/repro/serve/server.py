@@ -79,11 +79,11 @@ class ServeConfig:
     #: worker that dequeues a batchable ``api_eval`` request wait up to
     #: this long for *compatible distinct* requests (same profile, repeat
     #: count and :meth:`SimConfig.compat_key`) and run the group as one
-    #: stacked multi-scenario forward.  Results are bit-identical to
+    #: batched multi-scenario evaluation.  Results are bit-identical to
     #: unbatched execution and still stored per request, so coalescing and
     #: cache hits are unaffected.
     batch_window_s: float = 0.0
-    #: Most requests one stacked forward may carry.
+    #: Most requests one batched evaluation may carry.
     max_batch: int = 8
 
 
@@ -115,8 +115,8 @@ class EvalService:
             "failed": 0,
             "rejected": 0,
             # Micro-batching (only moves when ``batch_window_s > 0``):
-            # ``batched`` counts requests that went through a stacked
-            # forward, ``batches`` the stacked forwards themselves.
+            # ``batched`` counts requests that went through a batched
+            # evaluation, ``batches`` the batched evaluations themselves.
             "batched": 0,
             "batches": 0,
         }
@@ -222,8 +222,8 @@ class EvalService:
 
         Collects queued records sharing ``first``'s stacking key (they are
         guaranteed *distinct* specs — identical ones coalesced onto one
-        record at submit) up to ``max_batch``, runs them as one stacked
-        forward, and executes any incompatible record pulled along the way
+        record at submit) up to ``max_batch``, runs them as one batched
+        evaluation, and executes any incompatible record pulled along the way
         individually afterwards.  Every pulled record is accounted with its
         own ``task_done``.
         """
@@ -260,10 +260,10 @@ class EvalService:
                 self._queue.task_done()
 
     def _execute_batch(self, records) -> None:
-        """Run compatible records as one stacked multi-scenario forward.
+        """Run compatible records as one batched multi-scenario evaluation.
 
         Per-record persistence and resolution are identical to
-        :meth:`_execute_record`; a failing stacked execution falls back to
+        :meth:`_execute_record`; a failing batched execution falls back to
         per-record execution so batching can never lose a request.
         """
         for record in records:
@@ -273,7 +273,7 @@ class EvalService:
             results = self.engine.execute_batch(specs)
         except Exception as error:  # noqa: BLE001 — server must not die
             LOGGER.warning(
-                "stacked execution of %d requests failed (%s: %s); "
+                "batched execution of %d requests failed (%s: %s); "
                 "falling back to per-request execution",
                 len(records),
                 type(error).__name__,

@@ -247,7 +247,7 @@ class SimConfig:
     def compat_key(self, profile: Any = None) -> Tuple[Any, ...]:
         """Grouping key for the batched multi-scenario forward.
 
-        Two configs may share one stacked forward pass only when they agree
+        Two configs may share one batched evaluation only when they agree
         on everything that changes *how* the shared input batch is computed
         rather than *which* noise realisation lands on it: the resolved
         engine, the PLA rounding mode and the compute dtype.  The axes that

@@ -1,45 +1,52 @@
-""":class:`MultiSession` — K compatible :class:`SimConfig`\\ s, one stacked pass.
+""":class:`MultiSession` — K compatible :class:`SimConfig`\\ s over one batch.
 
 Every scenario sweep in this repro (fig1b sigma sweeps, table cells, distinct
 serve requests) pushes the *same* clean input batch through the *same*
 weights; only the noise realisation, pulse schedule and PLA re-encoding
-differ per scenario.  A :class:`MultiSession` exploits that: it configures a
-model so that one forward pass evaluates K scenarios at once, sharing the
-deterministic work (quantisation, im2col, the ideal crossbar matmuls) and
-keeping only the per-scenario noise draws O(K).
+differ per scenario.  A :class:`MultiSession` exploits that in two phases
+per batch:
+
+1. **Shared stem.**  The model's :meth:`forward_stem` — the deterministic
+   layers before the first encoded layer — runs once.
+2. **Per-scenario body.**  For each scenario in turn, the session selects
+   that scenario's state on every encoded layer and runs
+   :meth:`forward_body` on the stem output at batch ``N``.  The first
+   encoded layer carries a :class:`~repro.core.encoder_layer.ReadMemo`: it
+   quantises the stem output once and computes the PLA re-encoding and
+   ideal crossbar read once per distinct encoding; each scenario then only
+   draws its own read noise there.
+
+Every op thus works on a cache-sized batch of ``N`` rows, never on a
+``K*N``-row stack.
 
 Bit-identity per scenario — the contract and why it holds
 ---------------------------------------------------------
-The stacked forward is **bit-identical per scenario** to K sequential
-:class:`~repro.sim.Session` evaluations, by construction:
+Each scenario's logits are **bit-identical** to a sequential
+:class:`~repro.sim.Session` evaluation of that config:
 
-* **Lazy expansion.**  A pass starts at the shared batch size ``N`` and only
-  expands to a stacked ``K*N`` batch at the first layer where scenarios
-  diverge (different PLA re-encoding, or any scenario adding noise).  While
-  shared, every op is literally the sequential op.
-* **Per-scenario-block matmuls.**  After expansion, each encoded layer runs
-  its ideal read *per scenario block at exactly batch N* — never as one
-  fused ``K*N`` matmul — because BLAS kernels dispatch by shape and a fused
-  matmul is not bit-identical to the sequential one.  All non-matmul ops
-  (quantisation, BN in eval mode, activations, pooling, im2col gathers) are
-  per-sample, so running them stacked is exact.  This requires every
-  matmul-bearing layer of the model to be an encoded layer, which holds for
-  all models in this repro.
-* **Per-scenario streams.**  Scenario ``k`` draws all its noise from its own
-  ``rngs[k]`` in forward-layer order — exactly the samples the sequential
-  run consumes from the context stream after ``seed_everything(seed_k)``,
-  because ``RandomState(seed)`` and a reseeded context stream are the same
-  ``numpy.random.default_rng(seed)`` stream.  Zero-sigma layers and clean
-  scenarios draw nothing in either path.  The streams are never merged into
-  one draw (see
-  :meth:`~repro.backend.engine.SimulationEngine.folded_read_noise_multi`).
+* **Same ops, same shapes.**  The stem and every layer of the body are the
+  ordinary layer forwards at the sequential batch size ``N``, so every
+  matmul has the sequential operand shapes (BLAS kernels dispatch by shape;
+  a fused ``K*N``-row matmul would not be bit-identical).  This holds for
+  the digital classifier too.
+* **Memoised reads are the sequential reads.**  The first encoded layer's
+  memo is keyed by its input object and by the encoding (pulse count and
+  PLA mode, or the base encoding for clean and 8-pulse scenarios).  A
+  scenario reuses a read only when the sequential run would compute the
+  very same read of the very same input.
+* **Per-scenario streams.**  While scenario ``k`` runs, every encoded layer
+  draws from ``rngs[k]``, in forward-layer order — exactly the samples the
+  sequential run consumes from the context stream after
+  ``seed_everything(seed_k)``, because ``RandomState(seed)`` and a reseeded
+  context stream are the same ``numpy.random.default_rng(seed)`` stream.
+  Zero-sigma layers and clean scenarios draw nothing in either path.
+  Interleaving scenarios per batch does not reorder any one stream.
 
 Compatibility is decided by :meth:`SimConfig.compat_key` (same resolved
 engine, mode, PLA rounding mode and dtype; sigma / pulses / relative flag /
 seed are free per scenario); :func:`repro.sim.config.stack_configs` groups a
-list of configs accordingly.  The multi-scenario forward is inference-only:
-it stitches per-scenario blocks as raw arrays, so no gradient graph crosses
-a stacked layer.
+list of configs accordingly.  Multi-scenario evaluation is inference-only:
+train-mode BatchNorm would update its statistics once per scenario.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 from repro.sim.config import SimConfig, stack_configs
-from repro.sim.session import Session, _schedule_for, capture_sim_state, encoded_layers_of
+from repro.sim.session import Session, _schedule_for, encoded_layers_of
 from repro.tensor.random import RandomState, default_rng
 
 
@@ -56,31 +63,12 @@ from repro.tensor.random import RandomState, default_rng
 class _ScenarioPack:
     """One scenario's parameters at one layer, fully resolved."""
 
-    noisy: bool
+    mode: str
     num_pulses: int
     sigma: float
     relative: bool
     pla_mode: str
     rng: RandomState
-
-
-class _PassState:
-    """Shared per-forward-pass flag: has the batch expanded to ``K*N`` yet?"""
-
-    __slots__ = ("expanded",)
-
-    def __init__(self) -> None:
-        self.expanded = False
-
-
-class _LayerMultiState:
-    """Attached to each encoded layer for the session's duration."""
-
-    __slots__ = ("packs", "pass_state")
-
-    def __init__(self, packs: List[_ScenarioPack], pass_state: _PassState) -> None:
-        self.packs = packs
-        self.pass_state = pass_state
 
 
 def _default_rngs(configs: Sequence[SimConfig]) -> List[RandomState]:
@@ -100,25 +88,22 @@ def _default_rngs(configs: Sequence[SimConfig]) -> List[RandomState]:
 
 
 class MultiSession:
-    """Configure a model to evaluate K compatible configs in one pass.
+    """Configure a model to evaluate K compatible configs on each batch.
 
     Usage mirrors :class:`~repro.sim.Session`::
 
         with MultiSession(model, configs, rngs=rngs) as session:
             for inputs, targets in loader:
-                session.begin_pass()
-                logits = model(Tensor(inputs))          # (N,) or (K*N, ...)
-                blocks = session.split_logits(logits, len(targets))
+                logits = session.forward(Tensor(inputs))  # K tensors of N rows
 
-    Entering validates compatibility (:meth:`SimConfig.compat_key` — raises
-    ``ValueError`` on a mixed group), snapshots and pins the model through an
-    inner :class:`Session` (engine pin, dtype claim, state restore on exit),
-    and attaches per-layer scenario packs; exiting detaches them and
-    restores the model, even when the body raises.
-
-    ``begin_pass()`` must be called before each forward: it resets the
-    lazy-expansion flag so a batch starts shared and expands at the first
-    genuinely divergent layer.
+    The target must be a model with ``forward_stem``/``forward_body`` (see
+    :class:`repro.models.base.EncodedModelMixin`).  Entering validates
+    compatibility (:meth:`SimConfig.compat_key` — raises ``ValueError`` on a
+    mixed group), snapshots and pins the model through an inner
+    :class:`Session` (engine pin, dtype claim, state restore on exit) and
+    attaches the read memo to the first encoded layer.  Exiting restores
+    every layer's simulation state and noise stream, even when the body
+    raises.
     """
 
     def __init__(
@@ -151,49 +136,33 @@ class MultiSession:
                 raise ValueError(
                     f"MultiSession got {len(configs)} configs but {len(rngs)} rngs"
                 )
+        if not hasattr(target, "forward_body"):
+            raise TypeError(
+                f"MultiSession needs a model with forward_stem/forward_body, "
+                f"got {type(target).__name__}"
+            )
         self.configs = configs
         self.rngs = rngs
         self.profile = profile
         self.target = target
         self._session: Optional[Session] = None
         self._layers: List[Any] = []
-        self._pass_state = _PassState()
+        self._saved_rngs: List[RandomState] = []
+        self._scenarios: List[List[_ScenarioPack]] = []
 
-    # ------------------------------------------------------------------
-    @property
-    def num_scenarios(self) -> int:
-        return len(self.configs)
-
-    @property
-    def expanded(self) -> bool:
-        """Did the current pass expand to a stacked ``K*N`` batch?"""
-        return self._pass_state.expanded
-
-    def begin_pass(self) -> None:
-        """Reset lazy expansion; call before every forward pass."""
-        self._pass_state.expanded = False
-
-    def split_logits(self, logits, batch_size: int) -> List[Any]:
-        """Per-scenario logit blocks of one forward's output.
-
-        When the pass never expanded (all scenarios were identical on this
-        batch — e.g. all clean, zero sigma) every scenario shares the one
-        block; otherwise block ``k`` is rows ``[k*N, (k+1)*N)``.
-        """
-        if not self.expanded:
-            return [logits] * self.num_scenarios
-        data = logits.data if hasattr(logits, "data") else logits
-        if data.shape[0] != self.num_scenarios * batch_size:
-            raise ValueError(
-                f"expanded logits have {data.shape[0]} rows; expected "
-                f"{self.num_scenarios} x {batch_size}"
-            )
-        from repro.tensor import Tensor
-
-        return [
-            Tensor(data[k * batch_size : (k + 1) * batch_size])
-            for k in range(self.num_scenarios)
-        ]
+    def forward(self, inputs) -> List[Any]:
+        """Every scenario's logits for one input batch, in config order."""
+        stem = self.target.forward_stem(inputs)
+        logits = []
+        for packs in self._scenarios:
+            for layer, pack in zip(self._layers, packs):
+                layer._apply_noise(pack.sigma, pack.relative)
+                layer._apply_pulses(pack.num_pulses)
+                layer._apply_pla_mode(pack.pla_mode)
+                layer._apply_mode(pack.mode)
+                layer.noise_rng = pack.rng
+            logits.append(self.target.forward_body(stem))
+        return logits
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "MultiSession":
@@ -207,19 +176,15 @@ class MultiSession:
         session.__enter__()
         try:
             layers = encoded_layers_of(self.target)
-            self._layers = layers
             captured = session._saved  # pre-apply snapshot: "keep current" base
             rngs = self.rngs if self.rngs is not None else _default_rngs(self.configs)
-            schedules = [
-                _schedule_for(config, len(layers)) for config in self.configs
-            ]
-            self._pass_state.expanded = False
-            for index, (layer, state) in enumerate(zip(layers, captured)):
-                packs = []
-                for config, schedule, rng in zip(self.configs, schedules, rngs):
-                    packs.append(
+            self._scenarios = []
+            for config, rng in zip(self.configs, rngs):
+                schedule = _schedule_for(config, len(layers))
+                self._scenarios.append(
+                    [
                         _ScenarioPack(
-                            noisy=config.mode == "noisy",
+                            mode=config.mode,
                             num_pulses=(
                                 schedule[index] if schedule is not None else state.num_pulses
                             ),
@@ -236,23 +201,27 @@ class MultiSession:
                             ),
                             rng=rng,
                         )
-                    )
-                layer._multi_state = _LayerMultiState(packs, self._pass_state)
+                        for index, state in enumerate(captured)
+                    ]
+                )
         except BaseException:
-            self._detach()
             session.__exit__(None, None, None)
             raise
+        from repro.core.encoder_layer import ReadMemo
+
+        self._layers = layers
+        self._saved_rngs = [layer.noise_rng for layer in layers]
+        layers[0]._read_memo = ReadMemo()
         self._session = session
         return self
 
-    def _detach(self) -> None:
-        for layer in getattr(self, "_layers", []):
-            layer._multi_state = None
-        self._layers = []
-
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
         try:
-            self._detach()
+            for layer, rng in zip(self._layers, self._saved_rngs):
+                layer.noise_rng = rng
+                layer._read_memo = None
+            self._layers = []
+            self._saved_rngs = []
         finally:
             if self._session is not None:
                 self._session.__exit__(exc_type, exc_value, traceback)

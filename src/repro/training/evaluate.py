@@ -39,7 +39,7 @@ def evaluate_multi(
     profile: Any = None,
     num_repeats: int = 1,
 ) -> List[List[float]]:
-    """Top-1 accuracy of K compatible configs in one stacked pass per batch.
+    """Top-1 accuracy of K compatible configs, sharing the work per batch.
 
     Returns ``accuracies[k][r]`` — scenario ``k``'s accuracy on repeat
     ``r`` — exactly the numbers K sequential
@@ -50,11 +50,12 @@ def evaluate_multi(
     seeded configs get their own seed's stream and unseeded configs get
     fresh spawned streams — independent but not sequential-matching.
 
-    The shared work (data loading, quantisation, im2col, ideal crossbar
-    matmuls, and every layer before the first scenario divergence) is done
-    once per batch instead of K times; see :class:`repro.sim.MultiSession`
-    for the bit-identity argument.  Repeats continue each scenario's stream
-    inside one session, matching the sequential ``num_repeats`` loop.
+    Each batch is loaded and run through the model's stem once, and the
+    first encoded layer quantises it once and reads it once per distinct
+    encoding; the rest of the model runs once per scenario at the batch
+    size.  See :class:`repro.sim.MultiSession` for the bit-identity
+    argument.  Repeats continue each scenario's stream inside one session,
+    matching the sequential ``num_repeats`` loop.
     """
     if num_repeats < 1:
         raise ValueError(f"num_repeats must be positive, got {num_repeats}")
@@ -66,12 +67,9 @@ def evaluate_multi(
         for _ in range(num_repeats):
             meters = [AverageMeter("accuracy") for _ in range(num_scenarios)]
             for inputs, targets in loader:
-                session.begin_pass()
-                logits = model(Tensor(inputs))
-                blocks = session.split_logits(logits, len(targets))
-                for meter, block in zip(meters, blocks):
+                for meter, logits in zip(meters, session.forward(Tensor(inputs))):
                     meter.update(
-                        accuracy_from_logits(block, targets), weight=len(targets)
+                        accuracy_from_logits(logits, targets), weight=len(targets)
                     )
             for scenario, meter in zip(accuracies, meters):
                 scenario.append(meter.average)

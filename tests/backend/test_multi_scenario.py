@@ -1,18 +1,19 @@
-"""Batched multi-scenario forward: bit-identity and compatibility rules.
+"""Multi-scenario evaluation: bit-identity and compatibility rules.
 
-The contract under test: evaluating K compatible scenarios in one stacked
-pass produces — per scenario, bit for bit — the numbers K sequential runs
+The contract under test: evaluating K compatible scenarios together
+produces — per scenario, bit for bit — the numbers K sequential runs
 produce, because
 
-* every ideal read is executed per scenario *block* at exactly the
-  sequential batch size (BLAS results depend on operand shapes, so a
-  K*N-row matmul would NOT be bit-identical to a N-row one), and
+* every matmul runs at exactly the sequential batch size (BLAS results
+  depend on operand shapes, so a K*N-row matmul would NOT be bit-identical
+  to an N-row one) — model-level, every layer past the shared stem runs
+  once per scenario at batch N, and
 * every scenario draws its noise from its own RNG stream; streams are
   never merged or interleaved.
 
-Layers: engine primitives (``read_multi`` / ``folded_read_noise_multi``),
-config stacking (``compat_key`` / ``stack_configs``), the model-level
-``MultiSession`` / ``evaluate_multi``, and the runner's scenario stacking.
+Layers: the engine primitive (``read_multi``), config stacking
+(``compat_key`` / ``stack_configs``), the model-level ``MultiSession`` /
+``evaluate_multi``, and the runner's scenario stacking.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.crossbar import (
     TiledCrossbar,
     pulsed_mvm_multi,
 )
-from repro.models import CrossbarLeNet
+from repro.models import VGG9, CrossbarLeNet, CrossbarMLP, VGGConfig
 from repro.sim import MultiSession, Session, SimConfig, stack_configs
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
@@ -175,38 +176,6 @@ class TestReadMulti:
         np.testing.assert_array_equal(facade, direct)
 
 
-class TestFoldedReadNoiseMulti:
-    def test_matches_per_scenario_folded_read_noise(self, engine):
-        shape = (4, 6)
-        sigmas = [0.5, 0.0, 1.25]
-        pulse_counts = [8, 8, 4]
-        seeds = [SEED + k for k in range(3)]
-        batched = engine.folded_read_noise_multi(
-            shape, sigmas, pulse_counts, [RandomState(s) for s in seeds]
-        )
-        assert batched.shape == (3,) + shape
-        for k, (sigma, pulses, seed) in enumerate(
-            zip(sigmas, pulse_counts, seeds)
-        ):
-            if sigma <= 0.0:
-                np.testing.assert_array_equal(batched[k], np.zeros(shape))
-            else:
-                expected = engine.folded_read_noise(
-                    shape, sigma, pulses, RandomState(seed)
-                )
-                np.testing.assert_array_equal(batched[k], expected)
-
-    def test_zero_sigma_draws_nothing_from_the_stream(self, engine):
-        # A zero-sigma member must not advance its RNG: the sequential run
-        # never draws for it either (bit-identity includes stream position).
-        rng = RandomState(SEED)
-        engine.folded_read_noise_multi((3, 3), [0.0], [8], [rng])
-        untouched = RandomState(SEED)
-        np.testing.assert_array_equal(
-            rng.normal(size=(2, 2)), untouched.normal(size=(2, 2))
-        )
-
-
 class TestConfigStacking:
     def test_compat_key_ignores_per_scenario_axes(self):
         base = SimConfig(engine="vectorized", mode="noisy", noise_sigma=2.0)
@@ -274,10 +243,27 @@ def _lenet(sigma=0.0):
         noise_sigma=sigma,
         rng=RandomState(SEED),
     )
-    # Stacked evaluation is inference-only; train-mode BatchNorm would use
-    # (and mutate) batch statistics, which depend on the stacked batch.
+    # Multi-scenario evaluation is inference-only; train-mode BatchNorm
+    # would use (and mutate) batch statistics once per scenario.
     model.eval()
     return model
+
+
+def _vgg9():
+    config = VGGConfig(
+        num_classes=4, in_channels=1, image_size=16, width_multiplier=1 / 16
+    )
+    return VGG9(config, rng=RandomState(SEED)).eval()
+
+
+def _mlp():
+    return CrossbarMLP(
+        in_features=256, hidden_sizes=(16, 16), num_classes=4, rng=RandomState(SEED)
+    ).eval()
+
+
+#: Every model takes the same (N, 1, 16, 16) batches from ``_batch``.
+MODELS = {"vgg9": _vgg9, "lenet": _lenet, "mlp": _mlp}
 
 
 def _batch(batch=6, seed=SEED + 2):
@@ -289,6 +275,30 @@ def _batch(batch=6, seed=SEED + 2):
     return inputs, targets
 
 
+def _pin_stream(model, seed):
+    """One stream per scenario, shared by every layer — exactly what the
+    sequential scenario runner does (it reseeds the context stream once per
+    scenario)."""
+    stream = RandomState(seed)
+    for layer in model.encoded_layers():
+        layer.noise_rng = stream
+
+
+def _sim_state(model):
+    return [
+        (
+            layer.mode,
+            layer.num_pulses,
+            layer.noise_sigma,
+            layer.sigma_relative_to_fan_in,
+            layer.pla_mode,
+            layer._engine,
+            layer.noise_rng,
+        )
+        for layer in model.encoded_layers()
+    ]
+
+
 MIXED_CONFIGS = [
     SimConfig(mode="noisy", noise_sigma=2.0),
     SimConfig(mode="noisy", noise_sigma=0.0),
@@ -297,50 +307,100 @@ MIXED_CONFIGS = [
     SimConfig(mode="noisy", noise_sigma=0.5, sigma_relative_to_fan_in=True),
 ]
 
+#: Distinct first-layer encodings among MIXED_CONFIGS: the base 8-pulse
+#: encoding (clean, sigma 0, sigma 2, fan-in-relative) and PLA at 4 pulses.
+MIXED_ENCODINGS = 2
+
 
 class TestMultiSession:
     @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
     def test_bit_identical_to_sequential_sessions(self, engine_name):
-        model = _lenet()
-        inputs, _ = _batch()
         configs = [
             config.with_changes(engine=engine_name) for config in MIXED_CONFIGS
         ]
         seeds = [SEED + 20 + k for k in range(len(configs))]
+        batches = [_batch(seed=SEED + 50), _batch(seed=SEED + 51)]
+        num_repeats = 2
+        for model_name, make_model in sorted(MODELS.items()):
+            model = make_model()
+            sequential_logits, sequential_acc = [], []
+            for config, seed in zip(configs, seeds):
+                with Session(model, config):
+                    _pin_stream(model, seed)
+                    sequential_logits.append(
+                        [
+                            model(Tensor(inputs)).data.copy()
+                            for _ in range(num_repeats)
+                            for inputs, _ in batches
+                        ]
+                    )
+                    _pin_stream(model, seed)
+                    sequential_acc.append(
+                        [evaluate_accuracy(model, batches) for _ in range(num_repeats)]
+                    )
 
-        sequential = []
-        for config, seed in zip(configs, seeds):
-            with Session(model, config):
-                # One stream per scenario, shared by every layer — exactly
-                # what the sequential scenario runner does (it reseeds the
-                # context stream once per scenario).
-                stream = RandomState(seed)
-                for layer in model.encoded_layers():
-                    layer.noise_rng = stream
-                sequential.append(model(Tensor(inputs)).data.copy())
+            first = model.encoded_layers()[0]
+            reads = []
 
-        with MultiSession(
-            model, configs, rngs=[RandomState(s) for s in seeds]
-        ) as session:
-            session.begin_pass()
-            logits = model(Tensor(inputs))
-            blocks = session.split_logits(logits, len(inputs))
+            def counting_read(encoded, _read=first._ideal_read):
+                reads.append(encoded.shape[0])
+                return _read(encoded)
 
-        assert session.expanded
-        for block, expected in zip(blocks, sequential):
-            np.testing.assert_array_equal(block.data, expected)
+            first._ideal_read = counting_read
+            multi_logits = [[] for _ in configs]
+            with MultiSession(
+                model, configs, rngs=[RandomState(s) for s in seeds]
+            ) as session:
+                for _ in range(num_repeats):
+                    for inputs, _ in batches:
+                        for scenario, block in zip(
+                            multi_logits, session.forward(Tensor(inputs))
+                        ):
+                            scenario.append(block.data)
+            del first._ideal_read
+            # One ideal read per distinct encoding per batch, at batch N.
+            assert reads == [len(batches[0][0])] * (
+                MIXED_ENCODINGS * len(batches) * num_repeats
+            ), model_name
 
-    def test_all_clean_scenarios_never_expand(self):
-        model = _lenet()
-        inputs, _ = _batch()
-        configs = [SimConfig(mode="clean", engine="vectorized")] * 3
-        with MultiSession(model, configs) as session:
-            session.begin_pass()
-            logits = model(Tensor(inputs))
-            blocks = session.split_logits(logits, len(inputs))
-        assert not session.expanded
-        for block in blocks:
-            np.testing.assert_array_equal(block.data, blocks[0].data)
+            for got, expected in zip(multi_logits, sequential_logits):
+                for block, want in zip(got, expected):
+                    np.testing.assert_array_equal(block, want, err_msg=model_name)
+            batched_acc = evaluate_multi(
+                model,
+                batches,
+                configs,
+                rngs=[RandomState(s) for s in seeds],
+                num_repeats=num_repeats,
+            )
+            assert batched_acc == sequential_acc, model_name
+
+    @pytest.mark.parametrize("model_name", sorted(MODELS))
+    def test_every_layer_past_the_stem_runs_at_batch_n(self, model_name):
+        # The documented batch-N matmul rule holds for every layer,
+        # encoded or digital: no op ever sees a K*N-row stack.
+        model = MODELS[model_name]()
+        batches = [_batch(), _batch(seed=SEED + 3)]
+        configs = [
+            SimConfig(mode="noisy", noise_sigma=sigma, engine="vectorized")
+            for sigma in (1.0, 2.0, 3.0)
+        ]
+        rows = {}
+        for name, layer in [
+            *zip(model.encoded_layer_names(), model.encoded_layers()),
+            ("classifier", model.classifier),
+        ]:
+            def recording_forward(x, _name=name, _forward=layer.forward):
+                rows.setdefault(_name, []).append(x.shape[0])
+                return _forward(x)
+
+            layer.forward = recording_forward
+
+        evaluate_multi(model, batches, configs)
+        assert set(rows) == {*model.encoded_layer_names(), "classifier"}
+        expected = [len(batches[0][0])] * (len(configs) * len(batches))
+        for name, seen in rows.items():
+            assert seen == expected, name
 
     def test_incompatible_configs_raise(self):
         model = _lenet()
@@ -356,26 +416,39 @@ class TestMultiSession:
         with pytest.raises(ValueError, match="mode"):
             MultiSession(model, [SimConfig(mode="gbo")])
 
+    _RESTORE_CONFIGS = [
+        SimConfig(
+            mode="noisy",
+            noise_sigma=1.0,
+            engine="reference",
+            pulses=4,
+            pla_mode="nearest",
+            sigma_relative_to_fan_in=True,
+        ),
+        SimConfig(mode="clean", engine="reference", pla_mode="nearest"),
+    ]
+
     def test_state_restored_after_exit(self):
         model = _lenet(sigma=3.0)
-        before = [
-            (layer.noise_sigma, layer.mode, layer.num_pulses)
-            for layer in model.encoded_layers()
-        ]
-        configs = [
-            SimConfig(mode="noisy", noise_sigma=1.0, engine="vectorized", pulses=4),
-            SimConfig(mode="clean", engine="vectorized"),
-        ]
-        with MultiSession(model, configs):
-            pass
-        after = [
-            (layer.noise_sigma, layer.mode, layer.num_pulses)
-            for layer in model.encoded_layers()
-        ]
-        assert after == before
-        assert all(
-            layer._multi_state is None for layer in model.encoded_layers()
-        )
+        before = _sim_state(model)
+        inputs, _ = _batch()
+        with MultiSession(model, self._RESTORE_CONFIGS) as session:
+            session.forward(Tensor(inputs))
+        assert _sim_state(model) == before
+        assert all(layer._read_memo is None for layer in model.encoded_layers())
+
+    def test_state_restored_when_body_raises(self):
+        # A leaked per-scenario stream would survive into later runs and
+        # break their reseeding through the context stream.
+        model = _lenet(sigma=3.0)
+        before = _sim_state(model)
+        inputs, _ = _batch()
+        with pytest.raises(RuntimeError, match="boom"):
+            with MultiSession(model, self._RESTORE_CONFIGS) as session:
+                session.forward(Tensor(inputs))
+                raise RuntimeError("boom")
+        assert _sim_state(model) == before
+        assert all(layer._read_memo is None for layer in model.encoded_layers())
 
 
 class TestEvaluateMulti:
@@ -390,14 +463,11 @@ class TestEvaluateMulti:
 
         sequential = []
         for config, seed in zip(configs, seeds):
-            per_repeat = []
             with Session(model, config):
-                stream = RandomState(seed)
-                for layer in model.encoded_layers():
-                    layer.noise_rng = stream
-                for _ in range(num_repeats):
-                    per_repeat.append(evaluate_accuracy(model, batches))
-            sequential.append(per_repeat)
+                _pin_stream(model, seed)
+                sequential.append(
+                    [evaluate_accuracy(model, batches) for _ in range(num_repeats)]
+                )
 
         batched = evaluate_multi(
             model,

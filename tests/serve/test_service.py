@@ -383,9 +383,9 @@ class TestServeBatchingEndToEnd:
     """Micro-batching with a real (smoke-profile) model.
 
     Distinct compatible requests submitted within the window execute as one
-    stacked forward; results must be bit-identical to an unbatched server's
-    (the stacked forward runs each scenario's ideal reads at the sequential
-    batch size and draws from per-scenario streams — see
+    batched evaluation; results must be bit-identical to an unbatched
+    server's (the batched evaluation runs every scenario's layers at the
+    sequential batch size and draws from per-scenario streams — see
     ``tests/backend/test_multi_scenario.py`` for the layer-by-layer
     argument).
     """
