@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.backend.engine import SimulationEngine, register_engine
 from repro.tensor import Tensor
+from repro.tensor.dtype import resolve_dtype
 from repro.tensor.random import RandomState
 
 if TYPE_CHECKING:  # avoid a circular import: crossbar -> core -> backend
@@ -122,34 +123,45 @@ class VectorizedEngine(SimulationEngine):
             raise ValueError(
                 f"read_multi got {len(encoders)} encoders but {len(rngs)} rngs"
             )
-        foldable = self._can_fold(crossbar, add_noise) and all(
-            getattr(encoder, "accumulation_weights", None) is not None
-            and encoder.accumulation_weights.size > 0
+        # Encoders build accumulation_weights on every access: read each once.
+        pulse_weights = [getattr(encoder, "accumulation_weights", None) for encoder in encoders]
+        # With no encoders, defer to the oracle loop, whose np.stack raises.
+        foldable = bool(encoders) and self._can_fold(crossbar, add_noise) and all(
+            weights is not None
+            and weights.size > 0
             and hasattr(encoder, "represented_values")
-            for encoder in encoders
+            for encoder, weights in zip(encoders, pulse_weights)
         )
         if not foldable:
             return super().read_multi(crossbar, values, encoders, add_noise=add_noise, rngs=rngs)
 
         weights_t = crossbar.assembled_effective_weights.T
         read_std = crossbar.read_noise_std() if add_noise else 0.0
-        ideal_by_encoding = {}
-        outputs = []
-        for encoder, rng in zip(encoders, rngs):
-            key = (
-                type(encoder),
-                tuple(np.asarray(encoder.accumulation_weights).ravel().tolist()),
-            )
-            if key not in ideal_by_encoding:
-                ideal_by_encoding[key] = encoder.represented_values(values) @ weights_t
-            output = ideal_by_encoding[key]
+        # encoding key -> (ideal read, accumulated noise std), both computed
+        # by the same expressions as _fold_decoded so every scenario stays
+        # bit-identical to its sequential encoded_read.
+        shared_by_encoding = {}
+        output = None
+        for index, (encoder, weights, rng) in enumerate(zip(encoders, pulse_weights, rngs)):
+            key = (type(encoder), tuple(np.asarray(weights).ravel().tolist()))
+            if key not in shared_by_encoding:
+                shared_by_encoding[key] = (
+                    encoder.represented_values(values) @ weights_t,
+                    read_std * float(np.sqrt(np.sum(weights**2))),
+                )
+            ideal, accumulated_std = shared_by_encoding[key]
+            if output is None:
+                output = np.empty(
+                    (len(encoders),) + ideal.shape,
+                    dtype=np.result_type(ideal.dtype, resolve_dtype()),
+                )
             if read_std > 0.0:
-                pulse_weights = encoder.accumulation_weights
-                accumulated_std = read_std * float(np.sqrt(np.sum(pulse_weights**2)))
                 scenario_rng = rng or crossbar.rng
-                output = output + scenario_rng.normal(0.0, accumulated_std, size=output.shape)
-            outputs.append(output)
-        return np.stack(outputs, axis=0)
+                noise = scenario_rng.normal(0.0, accumulated_std, size=ideal.shape)
+                np.add(ideal, noise, out=output[index])
+            else:
+                output[index] = ideal
+        return output
 
     @staticmethod
     def _can_fold(crossbar, add_noise: bool) -> bool:

@@ -131,29 +131,40 @@ def _generate(
     size = config.image_size
     images = np.zeros((num_samples, 3, size, size), dtype=np.float64)
     labels = rng.randint(0, config.num_classes, size=num_samples).astype(np.int64)
+    grid = _PixelGrid(size)
     for index in range(num_samples):
-        images[index] = _render_image(int(labels[index]), config, rng)
+        images[index] = _render_image(int(labels[index]), config, rng, grid)
     return images, labels
 
 
-def _render_image(label: int, config: SyntheticImageConfig, rng: RandomState) -> np.ndarray:
+class _PixelGrid:
+    """Per-size constants shared by every image rendered at that size."""
+
+    def __init__(self, size: int):
+        self.yy, self.xx = np.mgrid[0:size, 0:size].astype(np.float64)
+        # np.roll(a, 1) / np.roll(a, -1) along one axis, as gather indices.
+        positions = np.arange(size)
+        self.previous = positions - 1
+        self.following = (positions + 1) % size
+
+
+def _render_image(
+    label: int, config: SyntheticImageConfig, rng: RandomState, grid: _PixelGrid
+) -> np.ndarray:
     size = config.image_size
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     centre = size / 2.0
     jitter_y = rng.randint(-config.jitter, config.jitter + 1)
     jitter_x = rng.randint(-config.jitter, config.jitter + 1)
     cy, cx = centre + jitter_y, centre + jitter_x
 
-    mask = _shape_mask(label, yy, xx, cy, cx, size, rng)
+    mask = _shape_mask(label, grid.yy, grid.xx, cy, cx, size, rng)
 
     base_colour = _CLASS_PALETTE[label]
     background = 0.5 + 0.1 * rng.normal(size=3)
-    image = np.empty((3, size, size), dtype=np.float64)
-    for channel in range(3):
-        image[channel] = background[channel] * (1.0 - mask) + base_colour[channel] * mask
+    image = background[:, None, None] * (1.0 - mask) + base_colour[:, None, None] * mask
 
     # Multiplicative low-frequency texture makes intra-class variation.
-    texture = 1.0 + config.texture_strength * _low_frequency_noise(size, rng)
+    texture = 1.0 + config.texture_strength * _low_frequency_noise(size, rng, grid)
     image *= texture[None, :, :]
     # Additive pixel noise.
     image += config.noise_level * rng.normal(size=image.shape)
@@ -208,19 +219,22 @@ def _shape_mask(
     return mask
 
 
-def _low_frequency_noise(size: int, rng: RandomState) -> np.ndarray:
+def _low_frequency_noise(size: int, rng: RandomState, grid: _PixelGrid) -> np.ndarray:
     """Smooth spatial noise obtained by upsampling a coarse Gaussian grid."""
     coarse = rng.normal(size=(4, 4))
     # Bilinear-ish upsampling by repeating then box-smoothing twice.
-    upsampled = np.kron(coarse, np.ones((size // 4 + 1, size // 4 + 1)))[:size, :size]
+    block = size // 4 + 1
+    upsampled = np.repeat(np.repeat(coarse, block, axis=0), block, axis=1)[:size, :size]
+    previous, following = grid.previous, grid.following
     kernel_passes = 2
     for _ in range(kernel_passes):
+        # Each neighbour wraps around the border (a periodic box filter).
         upsampled = (
             upsampled
-            + np.roll(upsampled, 1, axis=0)
-            + np.roll(upsampled, -1, axis=0)
-            + np.roll(upsampled, 1, axis=1)
-            + np.roll(upsampled, -1, axis=1)
+            + upsampled[previous]
+            + upsampled[following]
+            + upsampled[:, previous]
+            + upsampled[:, following]
         ) / 5.0
     upsampled -= upsampled.mean()
     denom = np.abs(upsampled).max()

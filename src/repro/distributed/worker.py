@@ -213,6 +213,13 @@ class GridWorker:
                     if not self.leases.acquire(spec.hash, label=spec.label()):
                         report.lease_lost += 1
                         continue
+                    if self.store.get(spec) is not None:
+                        # Another worker stored it and released its lease
+                        # between our store check and our claim (owners store
+                        # before they release), so the race is lost.
+                        self.leases.release(spec.hash)
+                        report.lease_lost += 1
+                        continue
                     if was_expired:
                         report.reclaimed.append(spec.hash)
                         LOGGER.info(

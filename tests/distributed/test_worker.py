@@ -113,6 +113,34 @@ class TestDrain:
         assert len(report.executed) == 3
         assert not os.listdir(os.path.join(store.root, LEASE_DIRNAME))  # all released
 
+    def test_result_stored_between_check_and_claim_is_not_rerun(self, tmp_path):
+        """Another worker may store a scenario and release its lease after
+        this worker saw no result but before it claimed: the claim then
+        succeeds, and the worker must notice the result instead of
+        executing the scenario a second time."""
+        grid = _selftest_grid(4)
+        raced = min(grid, key=lambda spec: spec.hash)  # first in visit order
+        oracle = run_grid(grid, store=ResultStore(str(tmp_path / "oracle")))
+
+        class RacingStore(ResultStore):
+            misses = 0
+
+            def get(self, spec):
+                value = super().get(spec)
+                if spec == raced and value is None:
+                    self.misses += 1
+                    if self.misses == 2:  # the check right before the claim
+                        self.put(spec, oracle.results[spec.hash])
+                return value
+
+        store = RacingStore(str(tmp_path / "store"))
+        report = GridWorker(grid, store).drain()
+        assert raced.hash not in report.executed
+        assert len(report.executed) == len(grid) - 1
+        assert report.lease_lost == 1
+        assert not os.listdir(os.path.join(store.root, LEASE_DIRNAME))
+        _assert_store_matches_serial(store, grid, tmp_path)
+
     def test_max_scenarios_bounds_this_workers_budget(self, tmp_path):
         grid = _selftest_grid()
         store = ResultStore(str(tmp_path / "store"))
