@@ -17,13 +17,7 @@ exists for:
   counter proves it), the other K-1 share its result;
 * **cache-hit** — an identical request re-submitted after completion:
   answered from the content-addressed result store without rebuilding or
-  touching any model (the pool's load counter proves it);
-* **batched-distinct** — on a SECOND short-lived server started with
-  ``--batch-window``: K concurrent *distinct* compatible configs are
-  stacked into one multi-scenario forward (the server's batch counters
-  prove it), measured against the same K submitted serially to the same
-  server.  Recorded ungated; the serial leg honestly includes the batch
-  window each lone request waits out, and the artifact says so.
+  touching any model (the pool's load counter proves it).
 
 Gating is honest about the host: with >= 2 usable CPUs the gate rides the
 parallel-distinct speedup (the tentpole claim of the context refactor);
@@ -56,11 +50,6 @@ SIGMA_COALESCE = 10.0
 SIGMAS_WARM = (24.0, 25.0)
 SIGMAS_SERIAL = (20.0, 21.0)
 SIGMAS_PARALLEL = (22.0, 23.0)
-BATCH_WINDOW_MS = 100.0
-MAX_BATCH = 8
-SIGMA_BATCH_WARM = 39.0
-SIGMAS_BATCH_SERIAL = (40.0, 41.0, 42.0, 43.0)
-SIGMAS_BATCH_CONCURRENT = (44.0, 45.0, 46.0, 47.0)
 
 
 def _usable_cpus() -> int:
@@ -216,70 +205,6 @@ def test_serve_latency_cold_parallel_coalesced_cached(
             proc.kill()
             proc.wait(timeout=15.0)
 
-    # ---- batched-distinct: second server with micro-batching on ---------
-    # One worker so the serial and concurrent legs run the same execution
-    # width; the only variable is whether the K distinct compatible configs
-    # reach the worker as one batched evaluation or as K separate ones.
-    batch_proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--port", "0",
-         "--cache-dir", str(cache_dir), "--max-models", "2",
-         "--workers", "1",
-         "--batch-window", str(BATCH_WINDOW_MS), "--max-batch", str(MAX_BATCH)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-    )
-    try:
-        announce = batch_proc.stdout.readline().strip()
-        assert announce.startswith("serving on "), f"bad announce line: {announce!r}"
-        host, port = announce.split()[-1].rsplit(":", 1)
-        batch_address = (host, int(port))
-
-        # Unmeasured warm-up: cold-load the model copy once.
-        warm = _rpc(batch_address, _eval_payload(profile.name, SIGMA_BATCH_WARM))
-        assert warm["ok"] and warm["state"] == "done", warm
-
-        # Serial leg: K distinct fresh configs back to back.  Each lone
-        # request waits out the batch window before executing — that is the
-        # real cost serial traffic pays on a batching server, and the
-        # artifact records the window so the comparison stays honest.
-        start = time.perf_counter()
-        for sigma in SIGMAS_BATCH_SERIAL:
-            response = _rpc(batch_address, _eval_payload(profile.name, sigma))
-            assert response["ok"] and response["origin"] == "executed", response
-        batch_serial_s = time.perf_counter() - start
-        before_batch = _rpc(batch_address, {"op": "stats"})["stats"]
-
-        # Concurrent leg: K distinct fresh configs submitted at once get
-        # stacked into one multi-scenario forward.
-        batched_responses, batch_concurrent_s = _submit_concurrently(
-            batch_address,
-            [_eval_payload(profile.name, s) for s in SIGMAS_BATCH_CONCURRENT],
-        )
-        assert len(batched_responses) == len(SIGMAS_BATCH_CONCURRENT)
-        assert all(
-            r["ok"] and r["origin"] == "executed" for r in batched_responses
-        ), batched_responses
-        batch_accuracies = {r["result"]["accuracy"] for r in batched_responses}
-        assert len(batch_accuracies) > 1, "distinct sigmas must yield distinct results"
-
-        after_batch = _rpc(batch_address, {"op": "stats"})["stats"]
-        batching_block = after_batch["batching"]
-        assert batching_block["enabled"]
-        batches_delta = (
-            after_batch["counters"]["batches"] - before_batch["counters"]["batches"]
-        )
-        batched_delta = (
-            after_batch["counters"]["batched"] - before_batch["counters"]["batched"]
-        )
-        assert batches_delta >= 1, "concurrent distinct requests never batched"
-        assert batched_delta >= 2, after_batch["counters"]
-    finally:
-        batch_proc.terminate()
-        try:
-            batch_proc.wait(timeout=15.0)
-        except subprocess.TimeoutExpired:
-            batch_proc.kill()
-            batch_proc.wait(timeout=15.0)
-
     cache_speedup = cold_s / hit_s
     parallel_speedup = serial_pair_s / parallel_pair_s
     coalesced_per_client_s = coalesced_s / COALESCE_CLIENTS
@@ -323,18 +248,6 @@ def test_serve_latency_cold_parallel_coalesced_cached(
         "coalesced_executions": executed_delta,
         "coalesced_joined": coalesced_delta,
         "executed_per_worker": executed_per_worker,
-        "batched_distinct": {
-            "server": "--workers 1 --batch-window "
-            f"{BATCH_WINDOW_MS:.0f} --max-batch {MAX_BATCH}",
-            "clients": len(SIGMAS_BATCH_CONCURRENT),
-            "serial_s": batch_serial_s,
-            "concurrent_s": batch_concurrent_s,
-            "speedup": batch_serial_s / batch_concurrent_s,
-            "batches": batches_delta,
-            "batched_requests": batched_delta,
-            "batch_window_s": BATCH_WINDOW_MS / 1000.0,
-            "note": "serial leg includes one batch-window wait per request",
-        },
         "usable_cpus": cpus,
         "gated_on": gated_on,
         "speedup": gated_speedup,
@@ -355,10 +268,6 @@ def test_serve_latency_cold_parallel_coalesced_cached(
             f"  {COALESCE_CLIENTS} coalesced clients      : {coalesced_s:8.3f} s total "
             f"({coalesced_per_client_s:.3f} s/client, {executed_delta} simulation)",
             f"  cache-hit resubmit       : {hit_s:8.3f} s ({cache_speedup:.1f}x)",
-            f"  {len(SIGMAS_BATCH_CONCURRENT)} batched distinct (1 wkr): "
-            f"{batch_concurrent_s:8.3f} s vs {batch_serial_s:.3f} s serial "
-            f"({batch_serial_s / batch_concurrent_s:.2f}x, "
-            f"{batches_delta} batch of {batched_delta}, ungated)",
             f"  gate                     : {gated_on} >= {min_required:.1f}x "
             f"-> {gated_speedup:.1f}x (cpus={cpus})",
             f"  compute dtype            : {compute_dtype}",

@@ -406,8 +406,10 @@ def api_eval_batch_key(spec) -> Optional[tuple]:
     Two specs may share one batched evaluation when they agree on the model
     weights and input pipeline (profile name + overrides), the repeat count,
     and their configs' :meth:`~repro.sim.SimConfig.compat_key`.  The free
-    axes — sigma, pulses/schedule, relative flag, seed — stay per-scenario.
-    Used by the grid runner and ``repro.serve`` to group pending work.
+    axes — sigma, pulses/schedule, relative flag, seed — stay per-scenario;
+    ``gbo``-mode specs never stack.  Used by the serial grid runner
+    (:func:`repro.experiments.runner.executor.run_grid` with ``batch=True``)
+    to group pending work.
     """
     if spec.experiment != "api_eval" or not spec.sim:
         return None

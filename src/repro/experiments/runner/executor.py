@@ -170,31 +170,6 @@ def _worker_run(payload: Dict[str, Any]) -> Tuple[str, Dict[str, Any], float]:
     return spec.hash, result, elapsed
 
 
-def _worker_run_batch(
-    payloads: Sequence[Dict[str, Any]],
-) -> Tuple[List[str], List[Dict[str, Any]], float]:
-    """Execute one compatible ``api_eval`` group inside a worker process.
-
-    Used by ``repro.serve``'s parallel dispatch: the whole compatible group
-    ships to ONE worker, which evaluates it in one batched evaluation via
-    :func:`repro.api.execute_api_eval_batch` (per-spec results bit-identical
-    to individual execution, see there).
-    """
-    from repro.api import execute_api_eval_batch
-    from repro.context import current_context
-
-    specs = [ScenarioSpec.from_dict(payload) for payload in payloads]
-    stage_store = current_context().stage_store
-    if stage_store is None:
-        stage_store = MemoryStore()
-    profile = get_profile(specs[0].profile).with_overrides(**specs[0].override_dict())
-    bundle = get_pretrained_bundle(profile)
-    start = time.perf_counter()
-    results = execute_api_eval_batch(specs, bundle=bundle, stage_store=stage_store)
-    elapsed = time.perf_counter() - start
-    return [spec.hash for spec in specs], results, elapsed
-
-
 def _worker_ping() -> int:
     """No-op task used to force eager worker spawn (see spawn_worker_pool)."""
     return os.getpid()
@@ -204,7 +179,6 @@ def spawn_worker_pool(
     workers: int,
     store_root: Optional[str] = None,
     cache_dir: Optional[str] = None,
-    warm: bool = True,
 ) -> ProcessPoolExecutor:
     """A long-lived spawn pool whose workers each own an execution context.
 
@@ -215,12 +189,11 @@ def spawn_worker_pool(
     on-disk caches) with BLAS pools pinned to one thread
     (:func:`repro.worker_env.worker_threads_pinned`).
 
-    With ``warm=True`` (default) the pool spawns all its processes before
-    returning, by submitting one ping per worker: ``ProcessPoolExecutor``
-    otherwise spawns lazily at submit time, after this function restored
-    the parent's BLAS environment — the pinning must be inherited at
-    process creation.  Callers own the returned executor and must
-    ``shutdown()`` it.
+    The pool spawns all its processes before returning, by submitting one
+    ping per worker: ``ProcessPoolExecutor`` otherwise spawns lazily at
+    submit time, after this function restored the parent's BLAS
+    environment — the pinning must be inherited at process creation.
+    Callers own the returned executor and must ``shutdown()`` it.
     """
     with worker_threads_pinned():
         pool = ProcessPoolExecutor(
@@ -229,12 +202,11 @@ def spawn_worker_pool(
             initializer=_worker_init,
             initargs=(cache_dir, store_root),
         )
-        if warm:
-            # Each submit spawns a new process while the pool is below
-            # max_workers, so N pings guarantee N workers exist — created
-            # while the BLAS pinning above is still in the environment.
-            for future in [pool.submit(_worker_ping) for _ in range(workers)]:
-                future.result()
+        # Each submit spawns a new process while the pool is below
+        # max_workers, so N pings guarantee N workers exist — created while
+        # the BLAS pinning above is still in the environment.
+        for future in [pool.submit(_worker_ping) for _ in range(workers)]:
+            future.result()
     return pool
 
 

@@ -52,18 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default blocking-wait bound in seconds",
     )
     parser.add_argument(
-        "--batch-window", type=float, default=defaults.batch_window_s * 1000.0,
-        metavar="MS",
-        help="micro-batching window in milliseconds: a worker waits up to "
-        "this long to stack compatible distinct eval requests into one "
-        "batched forward (0 disables batching, the default; results are "
-        "bit-identical either way)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=defaults.max_batch, metavar="K",
-        help="most requests one batched evaluation may carry",
-    )
-    parser.add_argument(
         "--cache-dir", default=None,
         help="cache directory (sets REPRO_CACHE_DIR: pre-trained checkpoints "
         "and the content-addressed result store live here)",
@@ -99,8 +87,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_models=args.max_models,
         queue_size=args.queue_size,
         default_timeout_s=args.timeout,
-        batch_window_s=args.batch_window / 1000.0,
-        max_batch=args.max_batch,
     )
     try:
         asyncio.run(_run(config))

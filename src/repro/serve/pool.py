@@ -45,11 +45,7 @@ from repro.experiments.common import (
     profile_token,
 )
 from repro.experiments.profiles import get_profile
-from repro.experiments.runner.executor import (
-    _worker_run,
-    _worker_run_batch,
-    spawn_worker_pool,
-)
+from repro.experiments.runner.executor import _worker_run, spawn_worker_pool
 from repro.experiments.runner.scenarios import execute_scenario
 from repro.experiments.runner.spec import ScenarioSpec
 from repro.experiments.runner.store import ResultStore
@@ -215,42 +211,6 @@ class ExecutionEngine:
             executor.shutdown(wait=False, cancel_futures=True)
             raise
         return result
-
-    def execute_batch(self, specs) -> list:
-        """Run compatible ``api_eval`` specs as one batched evaluation.
-
-        Returns one result dict per spec, in order, each bit-identical to
-        what :meth:`execute` would produce for that spec alone (see
-        :func:`repro.api.execute_api_eval_batch`).  All members resolve
-        against the same profile bundle by construction (the stacking key
-        includes profile and overrides), so parallel dispatch ships the
-        whole group to **one** worker process — the win is the folded
-        shared work inside the batched evaluation, not cross-worker fan-out.
-        """
-        if self.parallel:
-            ensure_checkpoint_on_disk(self.pool.bundle_for(specs[0]))
-            executor = self._pool_executor()
-            payloads = [spec.as_dict() for spec in specs]
-            try:
-                _, results, _ = executor.submit(_worker_run_batch, payloads).result()
-            except BrokenProcessPool:
-                with self._executor_lock:
-                    if self._executor is executor:
-                        self._executor = None
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-            return results
-        from repro.api import execute_api_eval_batch
-
-        with self.lock:
-            saved_dtype = compute_dtype_name()
-            try:
-                bundle = self.pool.bundle_for(specs[0])
-                return execute_api_eval_batch(
-                    specs, bundle=bundle, stage_store=self.stage_store
-                )
-            finally:
-                set_compute_dtype(saved_dtype)
 
     def _execute_inline(self, spec: ScenarioSpec, needs_model: bool) -> Dict[str, Any]:
         # The current context's dtype policy is snapshotted and restored

@@ -32,7 +32,6 @@ import asyncio
 import json
 import queue
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
@@ -74,17 +73,6 @@ class ServeConfig:
     default_timeout_s: float = 300.0
     #: Finished-record history kept for status/result lookups.
     max_history: int = 1024
-    #: Micro-batching window.  ``0`` (default) disables batching: every
-    #: request executes on its own, exactly as before.  ``> 0`` lets a
-    #: worker that dequeues a batchable ``api_eval`` request wait up to
-    #: this long for *compatible distinct* requests (same profile, repeat
-    #: count and :meth:`SimConfig.compat_key`) and run the group as one
-    #: batched multi-scenario evaluation.  Results are bit-identical to
-    #: unbatched execution and still stored per request, so coalescing and
-    #: cache hits are unaffected.
-    batch_window_s: float = 0.0
-    #: Most requests one batched evaluation may carry.
-    max_batch: int = 8
 
 
 class EvalService:
@@ -114,11 +102,6 @@ class EvalService:
             "executed": 0,
             "failed": 0,
             "rejected": 0,
-            # Micro-batching (only moves when ``batch_window_s > 0``):
-            # ``batched`` counts requests that went through a batched
-            # evaluation, ``batches`` the batched evaluations themselves.
-            "batched": 0,
-            "batches": 0,
         }
         self.latency: Dict[str, LatencyStat] = {
             ORIGIN_CACHE: LatencyStat(),
@@ -197,103 +180,9 @@ class EvalService:
             except queue.Empty:
                 continue
             try:
-                if self.batching_enabled and self._batch_key(record) is not None:
-                    self._drain_batch(record)
-                else:
-                    self._execute_record(record)
+                self._execute_record(record)
             finally:
                 self._queue.task_done()
-
-    @property
-    def batching_enabled(self) -> bool:
-        return self.config.batch_window_s > 0.0 and self.config.max_batch >= 2
-
-    @staticmethod
-    def _batch_key(record: RequestRecord):
-        """The record's stacking-group key, or ``None`` (unbatchable)."""
-        from repro.api import api_eval_batch_key
-
-        if not record.request.needs_model:
-            return None
-        return api_eval_batch_key(record.request.spec)
-
-    def _drain_batch(self, first: RequestRecord) -> None:
-        """Micro-batch: wait up to the window for compatible requests.
-
-        Collects queued records sharing ``first``'s stacking key (they are
-        guaranteed *distinct* specs — identical ones coalesced onto one
-        record at submit) up to ``max_batch``, runs them as one batched
-        evaluation, and executes any incompatible record pulled along the way
-        individually afterwards.  Every pulled record is accounted with its
-        own ``task_done``.
-        """
-        from repro.api import api_eval_batch_key
-
-        key = api_eval_batch_key(first.request.spec)
-        batch = [first]
-        leftovers = []
-        deadline = time.monotonic() + self.config.batch_window_s
-        while len(batch) < self.config.max_batch:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0:
-                break
-            try:
-                record = self._queue.get(timeout=remaining)
-            except queue.Empty:
-                break
-            if self._batch_key(record) == key:
-                batch.append(record)
-            else:
-                # Incompatible work must not sit out the window behind us —
-                # stop collecting and run it right after the batch.
-                leftovers.append(record)
-                break
-        try:
-            if len(batch) > 1:
-                self._execute_batch(batch)
-            else:
-                self._execute_record(first)
-            for record in leftovers:
-                self._execute_record(record)
-        finally:
-            for _ in range(len(batch) - 1 + len(leftovers)):
-                self._queue.task_done()
-
-    def _execute_batch(self, records) -> None:
-        """Run compatible records as one batched multi-scenario evaluation.
-
-        Per-record persistence and resolution are identical to
-        :meth:`_execute_record`; a failing batched execution falls back to
-        per-record execution so batching can never lose a request.
-        """
-        for record in records:
-            record.mark_running()
-        specs = [record.request.spec for record in records]
-        try:
-            results = self.engine.execute_batch(specs)
-        except Exception as error:  # noqa: BLE001 — server must not die
-            LOGGER.warning(
-                "batched execution of %d requests failed (%s: %s); "
-                "falling back to per-request execution",
-                len(records),
-                type(error).__name__,
-                error,
-            )
-            for record in records:
-                self._execute_record(record)
-            return
-        worker_name = threading.current_thread().name
-        for record, result in zip(records, results):
-            clean = self.store.put(record.request.spec, result)
-            record.resolve(clean, origin=ORIGIN_EXECUTED)
-            with self._counter_lock:
-                self.counters["executed"] += 1
-                self.counters["batched"] += 1
-                self._executed_per_worker[worker_name] = (
-                    self._executed_per_worker.get(worker_name, 0) + 1
-                )
-            self._record_latency(record)
-        self._bump("batches")
 
     def _execute_record(self, record: RequestRecord) -> None:
         record.mark_running()
@@ -342,18 +231,6 @@ class EvalService:
                 "configured": self.config.workers,
                 "dispatch": "spawn-pool" if self.engine.parallel else "inline",
                 "executed_per_worker": executed_per_worker,
-            },
-            "batching": {
-                "enabled": self.batching_enabled,
-                "window_s": self.config.batch_window_s,
-                "max_batch": self.config.max_batch,
-                "batches": counters["batches"],
-                "batched_requests": counters["batched"],
-                "avg_width": (
-                    counters["batched"] / counters["batches"]
-                    if counters["batches"]
-                    else 0.0
-                ),
             },
             "latency": {
                 origin: stat.as_dict() for origin, stat in self.latency.items()

@@ -28,7 +28,6 @@ from repro.sim.config import (
     SimConfig,
     engine_name,
     resolve_engine_name,
-    stack_configs,
 )
 from repro.sim.multi import MultiSession
 from repro.sim.session import (
@@ -54,5 +53,4 @@ __all__ = [
     "engine_name",
     "resolve_engine_name",
     "restore_sim_state",
-    "stack_configs",
 ]

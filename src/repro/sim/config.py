@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.tensor.dtype import canonical_dtype_name
 from repro.utils.hashing import stable_hash
@@ -264,24 +264,3 @@ class SimConfig:
             self.dtype,
         )
 
-
-def stack_configs(configs: Sequence["SimConfig"], profile: Any = None) -> list:
-    """Partition configs into stackable groups (lists of indices).
-
-    Groups are keyed by :meth:`SimConfig.compat_key` and preserve first-seen
-    order, both across groups and within one; a singleton group means the
-    scenario runs sequentially.  Only ``"clean"``/``"noisy"`` scenarios are
-    stackable — ``"gbo"`` forwards train logits in place and never batch.
-    """
-    groups: Dict[Tuple[Any, ...], list] = {}
-    order = []
-    for index, config in enumerate(configs):
-        if config.mode not in ("clean", "noisy"):
-            key = ("__unstackable__", index)
-        else:
-            key = config.compat_key(profile)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(index)
-    return [groups[key] for key in order]

@@ -1,9 +1,9 @@
 """:class:`MultiSession` — K compatible :class:`SimConfig`\\ s over one batch.
 
-Every scenario sweep in this repro (fig1b sigma sweeps, table cells, distinct
-serve requests) pushes the *same* clean input batch through the *same*
-weights; only the noise realisation, pulse schedule and PLA re-encoding
-differ per scenario.  A :class:`MultiSession` exploits that in two phases
+Every scenario sweep in this repro (fig1b sigma sweeps, table cells, the
+runner's stacked ``api_eval`` grids) pushes the *same* clean input batch
+through the *same* weights; only the noise realisation, pulse schedule and
+PLA re-encoding differ per scenario.  A :class:`MultiSession` exploits that in two phases
 per batch:
 
 1. **Shared stem.**  The model's :meth:`forward_stem` — the deterministic
@@ -43,10 +43,11 @@ Each scenario's logits are **bit-identical** to a sequential
   Interleaving scenarios per batch does not reorder any one stream.
 
 Compatibility is decided by :meth:`SimConfig.compat_key` (same resolved
-engine, mode, PLA rounding mode and dtype; sigma / pulses / relative flag /
-seed are free per scenario); :func:`repro.sim.config.stack_configs` groups a
-list of configs accordingly.  Multi-scenario evaluation is inference-only:
-train-mode BatchNorm would update its statistics once per scenario.
+engine, PLA rounding mode and dtype; clean/noisy mode, sigma, pulses,
+relative flag and seed are free per scenario); a :class:`MultiSession`
+accepts only configs sharing one key.  Multi-scenario evaluation is
+inference-only: train-mode BatchNorm would update its statistics once per
+scenario.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
-from repro.sim.config import SimConfig, stack_configs
+from repro.sim.config import SimConfig
 from repro.sim.session import Session, _schedule_for, encoded_layers_of
 from repro.tensor.random import RandomState, default_rng
 
@@ -122,13 +123,12 @@ class MultiSession:
                     f"MultiSession only stacks clean/noisy scenarios, got mode "
                     f"{config.mode!r}"
                 )
-        groups = stack_configs(configs, profile)
-        if len(groups) != 1:
-            keys = sorted({str(c.compat_key(profile)) for c in configs})
+        keys = {config.compat_key(profile) for config in configs}
+        if len(keys) != 1:
             raise ValueError(
-                f"configs are not stackable: {len(groups)} compatibility "
-                f"groups (keys: {keys}); group them with "
-                f"repro.sim.stack_configs() first"
+                f"configs are not stackable: {len(keys)} compatibility "
+                f"groups (keys: {sorted(map(str, keys))}); group them by "
+                f"SimConfig.compat_key() first"
             )
         if rngs is not None:
             rngs = list(rngs)

@@ -11,8 +11,8 @@ produce, because
 * every scenario draws its noise from its own RNG stream; streams are
   never merged or interleaved.
 
-Layers: the engine primitive (``read_multi``), config stacking
-(``compat_key`` / ``stack_configs``), the model-level ``MultiSession`` /
+Layers: the engine primitive (``read_multi``), config compatibility
+(``compat_key``), the model-level ``MultiSession`` /
 ``evaluate_multi``, and the runner's scenario stacking.
 """
 
@@ -31,7 +31,7 @@ from repro.crossbar import (
     pulsed_mvm_multi,
 )
 from repro.models import VGG9, CrossbarLeNet, CrossbarMLP, VGGConfig
-from repro.sim import MultiSession, Session, SimConfig, stack_configs
+from repro.sim import MultiSession, Session, SimConfig
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 from repro.training.evaluate import evaluate_accuracy, evaluate_multi
@@ -205,28 +205,6 @@ class TestConfigStacking:
     def test_compat_key_separates_incompatible_axes(self, changes):
         base = SimConfig(engine="vectorized", mode="noisy", noise_sigma=2.0)
         assert base.with_changes(**changes).compat_key() != base.compat_key()
-
-    def test_stack_configs_groups_order_preserving(self):
-        configs = [
-            SimConfig(engine="vectorized", mode="noisy", noise_sigma=2.0),
-            SimConfig(engine="reference", mode="noisy", noise_sigma=2.0),
-            SimConfig(engine="vectorized", mode="clean"),
-            SimConfig(engine="reference", mode="noisy", noise_sigma=4.0),
-        ]
-        groups = stack_configs(configs)
-        assert sorted(sum(groups, [])) == [0, 1, 2, 3]
-        assert [0, 2] in groups
-        assert [1, 3] in groups
-
-    def test_gbo_mode_never_stacks(self):
-        configs = [
-            SimConfig(engine="vectorized", mode="gbo"),
-            SimConfig(engine="vectorized", mode="gbo"),
-            SimConfig(engine="vectorized", mode="noisy", noise_sigma=2.0),
-        ]
-        groups = stack_configs(configs)
-        assert len(groups) == 3
-        assert [2] in groups
 
     def test_hashed_identity_unchanged_by_compat_key(self):
         # compat_key must not leak into the hashed wire form.
@@ -499,12 +477,15 @@ class TestRunnerStacking:
             ),
             # non-api_eval experiments are never batchable
             ScenarioSpec.create("selftest", method="probe", params={"value": 1}),
+            # gbo mode forwards train logits in place and never stacks
+            eval_scenario_spec("smoke", SimConfig(mode="gbo")),
         ]
         keys = [api_eval_batch_key(spec) for spec in specs]
         assert keys[0] == keys[1] == keys[2]
         assert keys[3] not in (None, keys[0])
         assert keys[4] not in (None, keys[0])
         assert keys[5] is None
+        assert keys[6] is None
 
         groups = _stack_groups(specs)
         assert set(groups) == {specs[0].hash, specs[1].hash, specs[2].hash}

@@ -16,9 +16,11 @@ from repro.experiments.runner.spec import ScenarioSpec
 from repro.experiments.runner.store import ResultStore
 from repro.serve import (
     DONE,
+    FAILED,
     ORIGIN_CACHE,
     ORIGIN_EXECUTED,
     REJECTED,
+    RUNNING,
     EvalRequest,
     EvalService,
     ModelPool,
@@ -349,92 +351,55 @@ class TestApiEvalEndToEnd:
             clear_bundle_cache()
 
 
-class TestBatchingConfig:
-    def test_batching_disabled_by_default(self, tmp_path):
-        service = EvalService(
-            ServeConfig(workers=1), store=ResultStore(str(tmp_path / "s"))
-        )
-        assert not service.batching_enabled
-        assert service.stats()["batching"]["enabled"] is False
+class TestWorkerCrashRecovery:
+    """A worker process dying mid-request fails that request, not the server.
 
-    def test_non_batchable_specs_run_normally_under_batching(self, tmp_path):
-        # selftest specs are never batchable (not api_eval): with the
-        # window on they must still execute one by one, counters untouched.
-        service = EvalService(
-            ServeConfig(workers=1, batch_window_s=0.05, max_batch=4),
-            store=ResultStore(str(tmp_path / "s")),
-        )
-        service.start()
-        try:
-            records = [
-                service.submit(selftest_payload(value=v)) for v in (1, 2, 3)
-            ]
-            assert all(record.wait(10.0) for record in records)
-            assert {record.state for record in records} == {DONE}
-            assert service.counters["executed"] == 3
-            assert service.counters["batched"] == 0
-            assert service.counters["batches"] == 0
-        finally:
-            service.stop()
-
-
-@pytest.mark.slow
-class TestServeBatchingEndToEnd:
-    """Micro-batching with a real (smoke-profile) model.
-
-    Distinct compatible requests submitted within the window execute as one
-    batched evaluation; results must be bit-identical to an unbatched
-    server's (the batched evaluation runs every scenario's layers at the
-    sequential batch size and draws from per-scenario streams — see
-    ``tests/backend/test_multi_scenario.py`` for the layer-by-layer
-    argument).
+    The engine drops the broken spawn pool, so the next request runs on a
+    freshly spawned one instead of failing forever.
     """
 
-    SIGMAS = (2.0, 3.0, 4.0, 5.0)
+    @staticmethod
+    def _wait_for_state(record, state, timeout_s=30.0):
+        deadline = time.monotonic() + timeout_s
+        while record.state != state and time.monotonic() < deadline:
+            time.sleep(0.02)
+        return record.state == state
 
-    def _payloads(self):
-        return [
-            {"profile": "smoke", "sim": {"mode": "noisy", "noise_sigma": sigma}}
-            for sigma in self.SIGMAS
-        ]
+    def test_killed_worker_fails_its_request_and_pool_respawns(self, tmp_path):
+        import os
+        import signal
 
-    def _run(self, config, tmp_path, name):
         service = EvalService(
-            config, store=ResultStore(str(tmp_path / name / "runner"))
+            ServeConfig(workers=2), store=ResultStore(str(tmp_path / "s"))
         )
         service.start()
         try:
-            records = [service.submit(payload) for payload in self._payloads()]
-            assert all(record.wait(300.0) for record in records)
-            assert {record.state for record in records} == {DONE}, [
-                record.error for record in records
-            ]
-            return [record.result for record in records], service.stats()
+            # Spawn the pool before the request that gets its worker killed.
+            warm = service.submit(selftest_payload(value=0))
+            assert warm.wait(60.0) and warm.state == DONE
+            broken_pool = service.engine._executor
+            old_pids = set(broken_pool._processes)
+            assert len(old_pids) == 2
+
+            victim = service.submit(selftest_payload(value=1, sleep_s=30.0))
+            assert self._wait_for_state(victim, RUNNING)
+            time.sleep(0.5)  # let the worker pick the task up
+            os.kill(next(iter(old_pids)), signal.SIGKILL)
+
+            assert victim.wait(30.0)
+            assert victim.state == FAILED
+            assert "BrokenProcessPool" in victim.error
+            assert service.counters["failed"] == 1
+
+            after = service.submit(selftest_payload(value=2))
+            assert after.wait(60.0)
+            assert after.state == DONE, after.error
+            assert after.result["value"] == 2
+            fresh_pool = service.engine._executor
+            assert fresh_pool is not None and fresh_pool is not broken_pool
+            assert not old_pids & set(fresh_pool._processes)
         finally:
             service.stop()
-
-    def test_batched_distinct_requests_match_unbatched(self, tmp_path, monkeypatch):
-        from repro.experiments.common import clear_bundle_cache
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        clear_bundle_cache()
-        try:
-            batched, stats = self._run(
-                ServeConfig(workers=1, batch_window_s=0.5, max_batch=8),
-                tmp_path,
-                "batched",
-            )
-            unbatched, _ = self._run(
-                ServeConfig(workers=1), tmp_path, "unbatched"
-            )
-            assert batched == unbatched
-            assert stats["counters"]["executed"] == len(self.SIGMAS)
-            assert stats["counters"]["batched"] >= 2
-            assert stats["counters"]["batches"] >= 1
-            assert stats["batching"]["enabled"] is True
-            assert stats["batching"]["avg_width"] > 1.0
-        finally:
-            clear_bundle_cache()
 
 
 class TestRequestTable:
