@@ -9,19 +9,28 @@ benchmark files.
 Every benchmark prints the reproduced rows next to the paper's reported
 values (straight to the terminal, bypassing capture) and also writes them to
 ``benchmarks/results/`` so EXPERIMENTS.md can reference stable artifacts.
+The gated throughput benchmarks write their ``BENCH_*.json`` artifact with
+:func:`write_bench_artifact`, which also appends the headline numbers to
+``benchmarks/results/history.jsonl`` so the perf history survives
+re-records.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import time
 
 import pytest
 
 from repro.experiments import get_profile, get_pretrained_bundle
 from repro.utils.seed import seed_everything
+from repro.worker_env import WORKER_THREAD_ENV
 
 BENCHMARKS_DIR = os.path.dirname(os.path.abspath(__file__))
 RESULTS_DIR = os.path.join(BENCHMARKS_DIR, "results")
+HISTORY_FILE = "history.jsonl"
 
 
 def pytest_collection_modifyitems(config, items):
@@ -61,3 +70,47 @@ def emit_report(capsys, results_dir: str, name: str, text: str) -> None:
         print(banner)
     with open(os.path.join(results_dir, f"{name}.txt"), "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux
+        return os.cpu_count() or 1
+
+
+def _commit() -> str:
+    """The checked-out commit, or ``"unknown"`` outside a git checkout."""
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=BENCHMARKS_DIR, capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return head.stdout.strip() or "unknown"
+
+
+def write_bench_artifact(results_dir: str, name: str, record: dict) -> None:
+    """Write ``record`` to ``BENCH_<name>.json`` and append it to the history.
+
+    ``record`` must carry the gated ``speedup`` and its
+    ``min_required_speedup``.  The history line adds the commit, usable CPU
+    count and BLAS thread variables of the run.
+    """
+    artifact = f"BENCH_{name}.json"
+    with open(os.path.join(results_dir, artifact), "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=2)
+        handle.write("\n")
+    entry = {
+        "artifact": artifact,
+        "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "commit": _commit(),
+        "cpus": usable_cpus(),
+        "blas_threads": {var: os.environ.get(var) for var in WORKER_THREAD_ENV},
+        "speedup": record["speedup"],
+        "gate": record["min_required_speedup"],
+    }
+    with open(os.path.join(results_dir, HISTORY_FILE), "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(entry) + "\n")

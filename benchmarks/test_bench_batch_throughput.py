@@ -19,13 +19,11 @@ model-level ``evaluate_multi`` phase are recorded ungated for trajectory
 tracking.  Results land in ``benchmarks/results/BENCH_batch.json``.
 """
 
-import json
-import os
 import time
 
 import numpy as np
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_report, write_bench_artifact
 from repro.backend import get_engine
 from repro.crossbar import (
     CrossbarConfig,
@@ -192,9 +190,7 @@ def test_batched_multi_scenario_speedup(capsys, results_dir, bundle):
         },
         "timing": f"best of {REPEATS} (model level: single run)",
     }
-    with open(os.path.join(results_dir, "BENCH_batch.json"), "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    write_bench_artifact(results_dir, "batch", record)
 
     report = "\n".join(
         [

@@ -26,8 +26,8 @@ import subprocess
 import sys
 import time
 
-from benchmarks.conftest import emit_report
-from benchmarks.test_bench_runner import _eval_suite, _usable_cpus
+from benchmarks.conftest import emit_report, usable_cpus, write_bench_artifact
+from benchmarks.test_bench_runner import _eval_suite
 from repro.distributed.lease import LeaseManager
 from repro.distributed.worker import GridWorker
 from repro.experiments.runner import ResultStore, run_grid
@@ -115,7 +115,7 @@ def test_distributed_drain_and_reclaim(bundle, capsys, results_dir, tmp_path):
     # ---- the honest gate ------------------------------------------------
     dist_speedup = serial_s / dist_s
     reclaim_speedup = serial_s / reclaim_s
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     # Two CPU-bound worker processes need two cores to beat one serial
     # process; on fewer the theoretical ceiling is < 1x once interpreter
     # startup is paid, so the gate falls to the reclaim path: recovering a
@@ -151,9 +151,7 @@ def test_distributed_drain_and_reclaim(bundle, capsys, results_dir, tmp_path):
         "speedup": gated_speedup,
         "min_required_speedup": MIN_SPEEDUP,
     }
-    with open(os.path.join(results_dir, "BENCH_dist.json"), "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    write_bench_artifact(results_dir, "dist", record)
 
     report = "\n".join(
         [

@@ -11,14 +11,12 @@ measured numbers are persisted to ``benchmarks/results/BENCH_engine.json``
 so future PRs can track the performance trajectory.
 """
 
-import json
-import os
 import time
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_report, write_bench_artifact
 from repro.backend import get_engine
 from repro.crossbar import (
     CrossbarConfig,
@@ -87,9 +85,7 @@ def test_engine_throughput_speedup(capsys, results_dir):
         "min_required_speedup": MIN_SPEEDUP,
         "timing": f"best of {REPEATS}",
     }
-    with open(os.path.join(results_dir, "BENCH_engine.json"), "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    write_bench_artifact(results_dir, "engine", record)
 
     report = "\n".join(
         [

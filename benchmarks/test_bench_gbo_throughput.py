@@ -37,13 +37,11 @@ gate or ship a misleading artifact.
 """
 
 import contextlib
-import json
-import os
 import time
 
 import pytest
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_report, write_bench_artifact
 from repro.core.gbo import GBOConfig, GBOTrainer
 from repro.core.search_space import PulseScalingSpace
 from repro.data import DataLoader, SyntheticImageConfig, SyntheticImageDataset
@@ -154,9 +152,7 @@ def test_gbo_step_throughput_speedup(capsys, results_dir):
         "min_required_speedup": MIN_SPEEDUP,
         "timing": f"best of {REPEATS}",
     }
-    with open(os.path.join(results_dir, "BENCH_gbo.json"), "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    write_bench_artifact(results_dir, "gbo", record)
 
     report = "\n".join(
         [

@@ -16,11 +16,9 @@ measured numbers for *both* paths, the core count and which path was gated
 are all recorded in ``benchmarks/results/BENCH_runner.json``.
 """
 
-import json
-import os
 import time
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_report, usable_cpus, write_bench_artifact
 from repro.experiments.fig2 import fig2_grid
 from repro.experiments.ablations import encoding_ablation_grid
 from repro.experiments.runner import ResultStore, ScenarioGrid, run_grid
@@ -40,13 +38,6 @@ def _eval_suite(profile) -> ScenarioGrid:
             encoding_ablation_grid(profile),
         ],
     )
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def test_runner_throughput_and_bit_identity(bundle, capsys, results_dir, tmp_path):
@@ -79,7 +70,7 @@ def test_runner_throughput_and_bit_identity(bundle, capsys, results_dir, tmp_pat
 
     parallel_speedup = serial_s / parallel_s
     resume_speedup = serial_s / resume_s
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     # A 2x speedup from a CPU-bound pool needs real parallel headroom: on
     # fewer cores than workers the theoretical ceiling is the core count
     # itself (exactly 2.0x on 2 cores — unreachable once spawn/import
@@ -119,9 +110,7 @@ def test_runner_throughput_and_bit_identity(bundle, capsys, results_dir, tmp_pat
         "speedup": gated_speedup,
         "min_required_speedup": MIN_SPEEDUP,
     }
-    with open(os.path.join(results_dir, "BENCH_runner.json"), "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    write_bench_artifact(results_dir, "runner", record)
 
     report = "\n".join(
         [

@@ -37,7 +37,7 @@ import sys
 import threading
 import time
 
-from benchmarks.conftest import emit_report
+from benchmarks.conftest import emit_report, usable_cpus, write_bench_artifact
 from repro.experiments.common import ensure_checkpoint_on_disk
 from repro.serve import EvalRequest
 
@@ -50,13 +50,6 @@ SIGMA_COALESCE = 10.0
 SIGMAS_WARM = (24.0, 25.0)
 SIGMAS_SERIAL = (20.0, 21.0)
 SIGMAS_PARALLEL = (22.0, 23.0)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def _rpc(address, message, timeout=600.0):
@@ -208,7 +201,7 @@ def test_serve_latency_cold_parallel_coalesced_cached(
     cache_speedup = cold_s / hit_s
     parallel_speedup = serial_pair_s / parallel_pair_s
     coalesced_per_client_s = coalesced_s / COALESCE_CLIENTS
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
 
     # Honest gating: true parallel speedup needs real cores.  On >= 2 CPUs
     # the concurrent-distinct pair must beat the serial pair; on one core
@@ -253,9 +246,7 @@ def test_serve_latency_cold_parallel_coalesced_cached(
         "speedup": gated_speedup,
         "min_required_speedup": min_required,
     }
-    with open(os.path.join(results_dir, "BENCH_serve.json"), "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
+    write_bench_artifact(results_dir, "serve", record)
 
     report = "\n".join(
         [

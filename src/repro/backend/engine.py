@@ -128,7 +128,8 @@ class SimulationEngine:
 
         Averaging ``p`` independent ``N(0, sigma^2)`` reads yields
         ``N(0, sigma^2 / p)`` (paper Eq. 4); engines may realise the sum
-        pulse-by-pulse or as one folded draw.
+        pulse-by-pulse or as one folded draw.  The result is a freshly
+        allocated array owned by the caller, which may write into it.
         """
         raise NotImplementedError
 

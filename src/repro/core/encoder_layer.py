@@ -30,7 +30,7 @@ crossbar.  They support three forward modes:
 
 from __future__ import annotations
 
-from typing import List, Literal, Optional
+from typing import List, Literal, Optional, Tuple
 
 import numpy as np
 
@@ -40,12 +40,12 @@ from repro.crossbar.array import CrossbarConfig
 from repro.crossbar.encoding import ThermometerEncoder
 from repro.crossbar.mvm import pulsed_mvm
 from repro.crossbar.tiling import TiledCrossbar
-from repro.core.pla import RoundingMode, pla_approximate
+from repro.core.pla import RoundingMode, pla_table
 from repro.core.search_space import PulseScalingSpace
 from repro.nn.module import Parameter
-from repro.quant.activation import ActivationQuantizer
+from repro.quant.activation import ActivationQuantizer, level_grid, level_index, take_levels
 from repro.quant.qat import QuantConv2d, QuantLinear
-from repro.tensor import Tensor
+from repro.tensor import Tensor, is_grad_enabled
 from repro.tensor import functional as F
 from repro.tensor.dtype import resolve_dtype
 from repro.tensor.functional import softmax
@@ -57,17 +57,20 @@ ForwardMode = Literal["clean", "noisy", "gbo"]
 class ReadMemo:
     """One input batch's shared encoded-layer work across scenarios.
 
-    Keyed by the input object: ``quantised`` is its activation quantisation
-    and ``reads`` maps each encoding key (see
-    :meth:`EncodedLayerMixin._encoding_key`) to its ideal crossbar read.
-    A new input object resets both.
+    Keyed by the input object: ``clipped`` and ``index`` are its clipped
+    activation and level index (see
+    :func:`~repro.quant.activation.level_index`), and ``reads`` maps each
+    encoding key (see :meth:`EncodedLayerMixin._encoding_key`) to its ideal
+    crossbar read.  A new input object resets all three.  The reads are
+    shared by every scenario, so nothing may write into them.
     """
 
-    __slots__ = ("inputs", "quantised", "reads")
+    __slots__ = ("inputs", "clipped", "index", "reads")
 
     def __init__(self) -> None:
         self.inputs: Optional[Tensor] = None
-        self.quantised: Optional[Tensor] = None
+        self.clipped: Optional[Tensor] = None
+        self.index: Optional[np.ndarray] = None
         self.reads: dict = {}
 
 
@@ -77,8 +80,9 @@ class EncodedLayerMixin:
     The mixin holds everything that is *about the crossbar mapping* rather
     than about the linear algebra: activation quantiser, pulse count, noise
     level, forward mode and the GBO logits.  Sub-classes implement
-    ``_linear_op`` (the ideal binary-weight computation) and
-    ``_noise_shape`` (shape of the additive noise for one input batch).
+    ``_ideal_read`` (the noise-free binary-weight read of an encoded
+    activation), ``_weight_matrix`` and ``fan_in``; the read noise takes the
+    shape of the ideal read.
     """
 
     def _init_encoding(
@@ -219,26 +223,35 @@ class EncodedLayerMixin:
         the PLA approximation error whenever the pulse count cannot represent
         the original levels exactly.
         """
-        return self._pla_encode(self.act_quantizer(x))
+        clipped, index = level_index(x, self.act_quantizer.levels)
+        return self._encode_levels(clipped, index, self._encoding_key())
 
-    def _encoding_key(self) -> Optional[tuple]:
+    def _encoding_key(self) -> Optional[Tuple[int, RoundingMode]]:
         """PLA re-encoding of the current configuration, ``None`` for the base."""
         if self.mode == "noisy" and self.num_pulses != self.base_pulses:
             return (self.num_pulses, self.pla_mode)
         return None
 
-    def _pla_encode(self, quantised: Tensor) -> Tensor:
-        """Re-encode a quantised activation for the current pulse count."""
-        key = self._encoding_key()
+    def _encode_levels(
+        self, clipped: Tensor, index: np.ndarray, key: Optional[Tuple[int, RoundingMode]]
+    ) -> Tensor:
+        """The encoded activation of each level index, with ``clipped``'s STE.
+
+        ``key`` ``None`` keeps the quantised value; ``(pulses, mode)`` takes
+        its PLA re-encoding.  Both are one lookup in a cached per-level table.
+        """
+        levels, dtype = self.act_quantizer.levels, clipped.data.dtype
         if key is None:
-            return quantised
-        return quantised.with_data(pla_approximate(quantised.data, key[0], mode=key[1]))
+            table, pulses = level_grid(levels, dtype), self.base_pulses
+        else:
+            table, pulses = pla_table(levels, key[0], key[1], dtype), key[0]
+        return clipped.with_data(take_levels(table, index, levels, pulses))
 
     def _encoded_forward(self, x: Tensor) -> Tensor:
         """The layer forward in the current configuration.
 
         With a :class:`ReadMemo` attached, an input seen before (the same
-        object) reuses its quantisation and the ideal read of each distinct
+        object) reuses its level index and the ideal read of each distinct
         encoding; only the read noise is drawn anew.  The reused read is the
         very array the plain path would compute, so the output is the same.
         """
@@ -246,10 +259,12 @@ class EncodedLayerMixin:
         if memo is None:
             return self._crossbar_forward(self._encode_input(x))
         if memo.inputs is not x:
-            memo.inputs, memo.quantised, memo.reads = x, self.act_quantizer(x), {}
+            memo.clipped, memo.index = level_index(x, self.act_quantizer.levels)
+            memo.inputs, memo.reads = x, {}
         key = self._encoding_key()
         if key not in memo.reads:
-            memo.reads[key] = self._ideal_read(self._pla_encode(memo.quantised))
+            encoded = self._encode_levels(memo.clipped, memo.index, key)
+            memo.reads[key] = self._ideal_read(encoded)
         return self._apply_output_noise(memo.reads[key])
 
     def _crossbar_forward(self, encoded: Tensor) -> Tensor:
@@ -274,6 +289,10 @@ class EncodedLayerMixin:
         reads are all identical and the mixture degenerates to the ideal
         read; ``_crossbar_forward`` routes the sigma > 0 mixture through the
         engine's ``gbo_mixture_read``.
+
+        When the sum records no graph, the read is added into the freshly
+        drawn noise array: one C-contiguous result, no extra temporary, and
+        ``output`` (possibly a memoised read) is never written.
         """
         if self.mode == "noisy":
             sigma = self.effective_sigma()
@@ -281,7 +300,9 @@ class EncodedLayerMixin:
                 noise = self.engine.folded_read_noise(
                     output.shape, sigma, self.num_pulses, self.noise_rng
                 )
-                output = output + Tensor(noise)
+                if is_grad_enabled() and output.requires_grad:
+                    return output + Tensor(noise)
+                return Tensor(np.add(output.data, noise, out=noise))
         return output
 
     # ------------------------------------------------------------------
@@ -411,18 +432,18 @@ class EncodedLinear(QuantLinear, EncodedLayerMixin):
     ) -> np.ndarray:
         """Pulse-train crossbar simulation of this layer (validation path).
 
-        Quantises ``x``, encodes it with a thermometer encoder of the layer's
-        current pulse count and drives the train through a tiled crossbar
-        built from the layer's binary weights, using ``engine`` (defaulting
-        to the layer's engine).  Used by the tests to confirm that the fast
-        folded path has the same statistics.
+        Quantises ``x``, applies PLA for the layer's current pulse count
+        (whatever its forward mode), encodes it with a thermometer encoder of
+        that count and drives the train through a tiled crossbar built from
+        the layer's binary weights, using ``engine`` (defaulting to the
+        layer's engine).  Used by the tests to confirm that the fast folded
+        path has the same statistics.
         """
-        quantised_levels = self.act_quantizer.levels
-        values = np.clip(np.asarray(x, dtype=resolve_dtype()), -1.0, 1.0)
-        steps = quantised_levels - 1
-        values = np.round((values + 1.0) * 0.5 * steps) / steps * 2.0 - 1.0
+        key = None
         if self.num_pulses != self.base_pulses:
-            values = pla_approximate(values, self.num_pulses, mode=self.pla_mode)
+            key = (self.num_pulses, self.pla_mode)
+        clipped, index = level_index(Tensor(x), self.act_quantizer.levels)
+        values = self._encode_levels(clipped, index, key).data
         crossbar = self.as_crossbar(crossbar_config)
         encoder = ThermometerEncoder(self.num_pulses)
         engine = self.engine if engine is None else resolve_engine(engine)

@@ -9,16 +9,23 @@ extreme** (towards +1 for non-negative activations, towards -1 for negative
 ones).  The paper justifies this with the observation that deep-layer
 activations saturate to +-1 after BatchNorm + Tanh, so pushing values
 outward introduces a negligible error (Table I's PLA rows).
+
+Both the quantised value and its PLA re-encoding depend on the activation
+level alone, so the encoded layers do not evaluate PLA per element: they
+look each level index up in :func:`pla_table`, which applies
+:func:`pla_approximate` once to the quantiser's own grid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from repro.tensor.dtype import resolve_dtype
+from repro.quant.activation import level_grid
+from repro.tensor.dtype import compute_dtype_scope, resolve_dtype
 
 RoundingMode = Literal["toward_extremes", "nearest"]
 
@@ -73,17 +80,33 @@ def pla_approximation_error(
     return float(np.mean(np.abs(np.asarray(values, dtype=resolve_dtype()) - approx)))
 
 
+@functools.lru_cache(maxsize=None)
+def pla_table(
+    levels: int, num_pulses: int, mode: RoundingMode, dtype: np.dtype
+) -> np.ndarray:
+    """PLA re-encoding of each level of a ``levels``-level activation (read-only).
+
+    Entry ``r`` is :func:`pla_approximate` of the quantiser's level ``r``
+    (:func:`~repro.quant.activation.level_grid`), computed under the compute
+    dtype ``dtype``, so ``pla_table(...).take(index)`` equals
+    ``pla_approximate(quantize_uniform(x))`` bit for bit.
+    """
+    with compute_dtype_scope(dtype):
+        table = pla_approximate(level_grid(levels, dtype), num_pulses, mode=mode)
+    table.flags.writeable = False
+    return table
+
+
 def activation_grid(levels: int) -> np.ndarray:
     """The exact values an ``levels``-level activation quantiser can emit.
 
     The single definition of "the layer's activation grid" shared by GBO's
     selection-time PLA-error report and the facade's PLA calibration, so
     the two can never disagree about what the representation error is
-    measured over.
+    measured over.  It is the quantiser's own (read-only) grid in the
+    compute dtype, the base of every :func:`pla_table`.
     """
-    if levels < 2:
-        raise ValueError(f"activation grid needs at least 2 levels, got {levels}")
-    return np.linspace(-1.0, 1.0, levels)
+    return level_grid(levels, resolve_dtype())
 
 
 def activation_grid_error(

@@ -91,6 +91,10 @@ class SyntheticImageDataset(TensorDataset):
         different seeds are disjoint in content but identically distributed.
     transform:
         Optional per-sample transform applied at access time.
+
+    The images are rendered on first access to ``inputs``, ``labels`` or an
+    item, so a split that is never read (the training set of a worker that
+    only evaluates) costs nothing.
     """
 
     def __init__(
@@ -102,9 +106,25 @@ class SyntheticImageDataset(TensorDataset):
     ):
         self.config = config or SyntheticImageConfig()
         self.seed = seed
-        rng = RandomState(seed)
-        images, labels = _generate(num_samples, self.config, rng)
-        super().__init__(images, labels, transform=transform)
+        self.num_samples = num_samples
+        self.transform = transform
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def _rendered(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            self._arrays = _generate(self.num_samples, self.config, RandomState(self.seed))
+        return self._arrays
+
+    @property
+    def inputs(self) -> np.ndarray:
+        return self._rendered()[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._rendered()[1]
+
+    def __len__(self) -> int:
+        return self.num_samples
 
 
 def make_synthetic_cifar(

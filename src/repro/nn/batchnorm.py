@@ -12,7 +12,8 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor
+from repro.tensor import Tensor, is_grad_enabled
+from repro.tensor.dtype import resolve_dtype
 
 
 class _BatchNormBase(Module):
@@ -52,10 +53,25 @@ class _BatchNormBase(Module):
         else:
             mean = Tensor(self.running_mean.reshape(shape))
             var = Tensor(self.running_var.reshape(shape))
+            records_graph = is_grad_enabled() and (
+                x.requires_grad or self.weight.requires_grad or self.bias.requires_grad
+            )
+            if not records_graph:
+                return self._eval_no_graph(x, mean, var, shape)
         normalised = (x - mean) / ((var + self.eps).sqrt())
         scale = self.weight.reshape(*shape)
         shift = self.bias.reshape(*shape)
         return normalised * scale + shift
+
+    def _eval_no_graph(self, x: Tensor, mean: Tensor, var: Tensor, shape) -> Tensor:
+        """The eval expression of :meth:`forward`, its four full-size
+        operations run in the same order into one output buffer."""
+        denominator = (var + self.eps).sqrt().data
+        out = np.subtract(x.data, mean.data, out=np.empty(x.shape, dtype=resolve_dtype()))
+        np.divide(out, denominator, out=out)
+        np.multiply(out, self.weight.reshape(*shape).data, out=out)
+        np.add(out, self.bias.reshape(*shape).data, out=out)
+        return Tensor(out)
 
     def __repr__(self) -> str:
         return (

@@ -12,9 +12,11 @@ per batch:
    that scenario's state on every encoded layer and runs
    :meth:`forward_body` on the stem output at batch ``N``.  The first
    encoded layer carries a :class:`~repro.core.encoder_layer.ReadMemo`: it
-   quantises the stem output once and computes the PLA re-encoding and
-   ideal crossbar read once per distinct encoding; each scenario then only
-   draws its own read noise there.
+   rounds the stem output to its level index once and looks up the
+   encoding and computes the ideal crossbar read once per distinct
+   encoding; each scenario then only draws its own read noise there, and
+   adds the shared read into that fresh noise array, never the other way
+   round.
 
 Every op thus works on a cache-sized batch of ``N`` rows, never on a
 ``K*N``-row stack.
@@ -33,7 +35,7 @@ Each scenario's logits are **bit-identical** to a sequential
   memo is keyed by its input object and by the encoding (pulse count and
   PLA mode, or the base encoding for clean and 8-pulse scenarios).  A
   scenario reuses a read only when the sequential run would compute the
-  very same read of the very same input.
+  very same read of the very same input, and no scenario writes into it.
 * **Per-scenario streams.**  While scenario ``k`` runs, every encoded layer
   draws from ``rngs[k]``, in forward-layer order — exactly the samples the
   sequential run consumes from the context stream after

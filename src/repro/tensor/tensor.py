@@ -491,13 +491,14 @@ class Tensor:
 
     def clip(self, low: Number, high: Number) -> "Tensor":
         """Clamp values into ``[low, high]``; gradient is zero outside."""
-        mask = (self.data >= low) & (self.data <= high)
         out = self._make_output(np.clip(self.data, low, high), (self,))
+        if out.requires_grad:
+            mask = (self.data >= low) & (self.data <= high)
 
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            def _backward(grad: np.ndarray) -> None:
+                self._accumulate(grad * mask)
 
-        out._backward_fn = _backward
+            out._backward_fn = _backward
         return out
 
     # ------------------------------------------------------------------

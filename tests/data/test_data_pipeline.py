@@ -90,6 +90,21 @@ class TestSyntheticDataset:
         assert 0.0 <= image.min() and image.max() <= 1.0
         assert 0 <= label < 10
 
+    def test_images_render_on_first_access(self, monkeypatch):
+        import repro.data.synthetic as synthetic
+
+        calls = []
+        generate = synthetic._generate
+        monkeypatch.setattr(
+            synthetic, "_generate", lambda *args: calls.append(args) or generate(*args)
+        )
+        dataset = SyntheticImageDataset(8, seed=5)
+        assert len(dataset) == 8 and calls == []
+        image, label = dataset[3]
+        assert len(calls) == 1
+        np.testing.assert_array_equal(image, dataset.inputs[3])
+        assert label == dataset.labels[3] and len(calls) == 1
+
     def test_deterministic_given_seed(self):
         a = SyntheticImageDataset(16, seed=5)
         b = SyntheticImageDataset(16, seed=5)

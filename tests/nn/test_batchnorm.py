@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import BatchNorm1d, BatchNorm2d
-from repro.tensor import Tensor, check_gradients
+from repro.tensor import Tensor, check_gradients, no_grad
 from repro.tensor.random import RandomState
 
 
@@ -87,3 +87,51 @@ class TestBatchNorm2d:
         x = rng.normal(loc=0.0, scale=0.01, size=(16, 1, 4, 4))
         out = np.tanh(layer(Tensor(x)).data)
         assert np.abs(out).max() > 0.5
+
+
+def _trained_eval_layer(cls, shape, rng):
+    """An eval-mode layer with non-trivial running statistics and affine."""
+    layer = cls(shape[1], momentum=0.7)
+    layer(Tensor(rng.normal(loc=0.5, scale=2.0, size=shape)))
+    layer.weight.data[:] = rng.normal(size=shape[1])
+    layer.bias.data[:] = rng.normal(size=shape[1])
+    return layer.eval()
+
+
+@pytest.mark.parametrize("cls, shape", [(BatchNorm1d, (16, 5)), (BatchNorm2d, (4, 3, 5, 5))])
+class TestEvalWithoutGraph:
+    """Eval BN without a graph fills one buffer with the graph's four ops."""
+
+    def test_equals_the_graph_expression_bit_for_bit(self, cls, shape, rng):
+        layer = _trained_eval_layer(cls, shape, rng)
+        x = rng.normal(size=shape)
+        with no_grad():
+            fused = layer(Tensor(x))
+        graph = layer(Tensor(x, requires_grad=True))
+        assert not fused.requires_grad and graph.requires_grad
+        np.testing.assert_array_equal(fused.data, graph.data)
+        view = (1, shape[1]) + (1,) * (len(shape) - 2)
+        denominator = np.sqrt(layer.running_var.reshape(view) + layer.eps)
+        expected = (x - layer.running_mean.reshape(view)) / denominator
+        expected = expected * layer.weight.data.reshape(view) + layer.bias.data.reshape(view)
+        np.testing.assert_array_equal(fused.data, expected)
+
+    def test_leaves_its_input_unchanged(self, cls, shape, rng):
+        layer = _trained_eval_layer(cls, shape, rng)
+        x = rng.normal(size=shape)
+        before = x.copy()
+        with no_grad():
+            out = layer(Tensor(x))
+        np.testing.assert_array_equal(x, before)
+        assert not np.shares_memory(out.data, x)
+
+    def test_input_requiring_grad_still_records_the_graph(self, cls, shape, rng):
+        layer = _trained_eval_layer(cls, shape, rng)
+        layer.weight.requires_grad = layer.bias.requires_grad = False
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        out = layer(x)
+        assert out.requires_grad
+        out.sum().backward()
+        view = (1, shape[1]) + (1,) * (len(shape) - 2)
+        scale = layer.weight.data / np.sqrt(layer.running_var + layer.eps)
+        np.testing.assert_allclose(x.grad, np.broadcast_to(scale.reshape(view), shape))
