@@ -53,25 +53,40 @@ class _BatchNormBase(Module):
         else:
             mean = Tensor(self.running_mean.reshape(shape))
             var = Tensor(self.running_var.reshape(shape))
-            records_graph = is_grad_enabled() and (
-                x.requires_grad or self.weight.requires_grad or self.bias.requires_grad
+            learns_affine = is_grad_enabled() and (
+                self.weight.requires_grad or self.bias.requires_grad
             )
-            if not records_graph:
-                return self._eval_no_graph(x, mean, var, shape)
+            if not learns_affine:
+                return self._eval_frozen(x, mean, var, shape)
         normalised = (x - mean) / ((var + self.eps).sqrt())
         scale = self.weight.reshape(*shape)
         shift = self.bias.reshape(*shape)
         return normalised * scale + shift
 
-    def _eval_no_graph(self, x: Tensor, mean: Tensor, var: Tensor, shape) -> Tensor:
-        """The eval expression of :meth:`forward`, its four full-size
-        operations run in the same order into one output buffer."""
+    def _eval_frozen(self, x: Tensor, mean: Tensor, var: Tensor, shape) -> Tensor:
+        """The eval expression of :meth:`forward` when no affine parameter
+        learns (inference, or GBO's frozen network).
+
+        Its four full-size operations run in the same order into one output
+        buffer.  When ``x`` requires grad, the backward is the graph's chain
+        for ``x`` alone, ``grad * weight`` then ``/ denominator``, with no
+        gradient built for the statistics or the frozen parameters.
+        """
         denominator = (var + self.eps).sqrt().data
+        weight = self.weight.reshape(*shape).data
         out = np.subtract(x.data, mean.data, out=np.empty(x.shape, dtype=resolve_dtype()))
         np.divide(out, denominator, out=out)
-        np.multiply(out, self.weight.reshape(*shape).data, out=out)
+        np.multiply(out, weight, out=out)
         np.add(out, self.bias.reshape(*shape).data, out=out)
-        return Tensor(out)
+        result = x._make_output(out, (x,))
+
+        def _backward(grad: np.ndarray) -> None:
+            x_grad = np.multiply(grad, weight)
+            np.divide(x_grad, denominator, out=x_grad)
+            x._accumulate(x_grad)
+
+        result._backward_fn = _backward
+        return result
 
     def __repr__(self) -> str:
         return (

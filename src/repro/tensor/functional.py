@@ -90,8 +90,9 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     output reshape is free.  That replaces the old 6-D
     ``transpose(...).reshape`` of a sliding-window view, whose scattered
     gather dominated the conv forward (2-3x slower on VGG-block shapes).
-    Strided windows (pooling) keep the sliding-window gather, which wins
-    there.  Both paths copy the same elements, so they are bit-identical.
+    Strided windows (average pooling, and max pooling over windows that do
+    not tile the image) keep the sliding-window gather, which wins there.
+    Both paths copy the same elements, so they are bit-identical.
     """
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, kernel, stride, padding)
@@ -180,10 +181,22 @@ def im2col_tensor(x: Tensor, kernel: int, stride: int, padding: int) -> Tensor:
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """2-D max pooling over an NCHW tensor.
 
-    Implemented with :func:`im2col_tensor` followed by a differentiable max
-    over the window axis, so the gradient routes to the argmax location.
+    Non-overlapping windows that tile the image (``stride == kernel``
+    dividing H and W: every pool in the model zoo) take
+    :func:`_tiled_max_pool2d`; any other window takes
+    :func:`_im2col_max_pool2d`.  Both route the gradient to the argmax
+    location, split evenly between tied maxima, with the same bits.
     """
     stride = kernel if stride is None else stride
+    height, width = x.shape[2:]
+    if stride == kernel and height % kernel == 0 and width % kernel == 0:
+        return _tiled_max_pool2d(x, kernel)
+    return _im2col_max_pool2d(x, kernel, stride)
+
+
+def _im2col_max_pool2d(x: Tensor, kernel: int, stride: int) -> Tensor:
+    """Max pooling as :func:`im2col_tensor` followed by a differentiable max
+    over the window axis (any window and stride)."""
     batch, channels, height, width = x.shape
     out_h = conv_output_size(height, kernel, stride, 0)
     out_w = conv_output_size(width, kernel, stride, 0)
@@ -193,6 +206,46 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     pooled = cols.max(axis=0)
     # Columns are spatial-major: index = (oh*out_w + ow) * (N*C) + nc.
     out = pooled.reshape(out_h, out_w, batch, channels).transpose(2, 3, 0, 1)
+    return out
+
+
+def _tiled_max_pool2d(x: Tensor, kernel: int) -> Tensor:
+    """Max pooling over ``kernel x kernel`` windows that tile the image.
+
+    The output is the elementwise ``np.maximum`` of the ``K*K`` strided
+    slices ``x[..., ki::K, kj::K]`` folded in ``ki*K + kj`` order, the
+    order in which the im2col path reduces its window rows; no window
+    matrix is built.  The backward repeats that path's arithmetic: each
+    slice's mask of positions equal to the max is divided by the window's
+    tie count and multiplied by the incoming gradient, then added into a
+    zeroed image as ``col2im`` does, so tied maxima (saturated tanh gives
+    exact +-1) split the gradient evenly and every bit matches.
+    """
+    data = x.data
+    slices = [
+        data[:, :, ki::kernel, kj::kernel] for ki in range(kernel) for kj in range(kernel)
+    ]
+    # C order whatever the layout of ``x``: the backward's per-slice
+    # arithmetic then runs in the memory order of the incoming gradient.
+    value = np.array(slices[0], order="C")
+    for piece in slices[1:]:
+        np.maximum(value, piece, out=value)
+    out = x._make_output(value, (x,))
+
+    def _backward(grad: np.ndarray) -> None:
+        masks = [piece == value for piece in slices]
+        count = np.sum(masks, axis=0, dtype=data.dtype)
+        # C-contiguous like col2im's image, whatever the layout of ``x``:
+        # later reductions of this gradient sum in memory order.
+        grad_in = np.zeros(data.shape, dtype=data.dtype)
+        for index, mask in enumerate(masks):
+            ki, kj = divmod(index, kernel)
+            share = np.divide(mask, count)
+            share *= grad
+            grad_in[:, :, ki::kernel, kj::kernel] += share
+        x._accumulate(grad_in)
+
+    out._backward_fn = _backward
     return out
 
 

@@ -41,14 +41,28 @@ class RandomState:
     def normal(self, loc: float = 0.0, scale: float = 1.0, size: Optional[ShapeLike] = None) -> np.ndarray:
         """Gaussian samples in the process compute dtype.
 
-        At float64 (the default policy) this is numpy's ``Generator.normal``
-        verbatim — bit-identical to the historical stream.  At float32 the
+        At float64 (the default policy) the values are those of numpy's
+        ``Generator.normal`` on the historical stream.  numpy computes each
+        sample as ``loc + scale * z`` from one standard-normal ``z``, so with
+        a scalar ``loc == 0`` and a scalar ``scale > 0`` this draws
+        ``standard_normal(size)`` and scales it in place, skipping the
+        multiply when ``scale == 1``: the same bits without the add pass.
+        The one difference is the sign of a zero product, which numpy's
+        ``0.0 + (-0.0)`` turns positive: ``scale * z`` is ``-0.0`` only for a
+        drawn ``z == -0.0`` (probability 2**-53) or an underflowing product.
+        An array ``scale``, a nonzero ``loc`` or a ``scale`` that is not
+        positive calls ``Generator.normal`` itself.  At float32 the
         single-precision ziggurat sampler is used instead; it consumes the
         underlying bit stream differently, so float32 draws are statistically
         equivalent to (never bit-identical with) the float64 ones.
         """
         dtype = resolve_dtype()
         if dtype == _FLOAT64:
+            if np.ndim(loc) == 0 and np.ndim(scale) == 0 and loc == 0 and scale > 0:
+                samples = self._rng.standard_normal(size)
+                if scale != 1:
+                    samples *= float(scale)
+                return samples
             return self._rng.normal(loc=loc, scale=scale, size=size)
         samples = self._rng.standard_normal(size=size, dtype=dtype)
         scale = np.asarray(scale, dtype=dtype)

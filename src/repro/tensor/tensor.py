@@ -298,13 +298,19 @@ class Tensor:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
+    # The binary ops (like ``matmul``) compute a parent's gradient only when
+    # that parent requires it: a frozen operand (a drawn noise tensor, a
+    # read of frozen weights, BatchNorm statistics) would only have its
+    # full-size gradient built and then dropped by ``_accumulate``.
     def __add__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out = self._make_output(self.data + other_t.data, (self, other_t))
 
         def _backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other_t._accumulate(_unbroadcast(grad, other_t.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(_unbroadcast(grad, other_t.shape))
 
         out._backward_fn = _backward
         return out
@@ -326,8 +332,10 @@ class Tensor:
         out = self._make_output(self.data - other_t.data, (self, other_t))
 
         def _backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.shape))
-            other_t._accumulate(_unbroadcast(-grad, other_t.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(_unbroadcast(-grad, other_t.shape))
 
         out._backward_fn = _backward
         return out
@@ -340,8 +348,10 @@ class Tensor:
         out = self._make_output(self.data * other_t.data, (self, other_t))
 
         def _backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other_t.data, self.shape))
-            other_t._accumulate(_unbroadcast(grad * self.data, other_t.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad * other_t.data, self.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(_unbroadcast(grad * self.data, other_t.shape))
 
         out._backward_fn = _backward
         return out
@@ -354,10 +364,12 @@ class Tensor:
         out = self._make_output(self.data / other_t.data, (self, other_t))
 
         def _backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other_t.data, self.shape))
-            other_t._accumulate(
-                _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape)
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad / other_t.data, self.shape))
+            if other_t.requires_grad:
+                other_t._accumulate(
+                    _unbroadcast(-grad * self.data / (other_t.data ** 2), other_t.shape)
+                )
 
         out._backward_fn = _backward
         return out

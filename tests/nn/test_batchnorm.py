@@ -100,7 +100,8 @@ def _trained_eval_layer(cls, shape, rng):
 
 @pytest.mark.parametrize("cls, shape", [(BatchNorm1d, (16, 5)), (BatchNorm2d, (4, 3, 5, 5))])
 class TestEvalWithoutGraph:
-    """Eval BN without a graph fills one buffer with the graph's four ops."""
+    """Eval BN with frozen affine parameters fills one buffer with the
+    graph's four ops, and under a graph carries only the input's chain."""
 
     def test_equals_the_graph_expression_bit_for_bit(self, cls, shape, rng):
         layer = _trained_eval_layer(cls, shape, rng)
@@ -135,3 +136,24 @@ class TestEvalWithoutGraph:
         view = (1, shape[1]) + (1,) * (len(shape) - 2)
         scale = layer.weight.data / np.sqrt(layer.running_var + layer.eps)
         np.testing.assert_allclose(x.grad, np.broadcast_to(scale.reshape(view), shape))
+
+    def test_frozen_backward_equals_the_graph_bit_for_bit(self, cls, shape, rng):
+        # With frozen affine parameters (GBO) the fused op carries only x's
+        # chain, grad * weight / denominator, in the graph's order.
+        layer = _trained_eval_layer(cls, shape, rng)
+        x = rng.normal(size=shape)
+        upstream = rng.normal(size=shape)
+        runs = []
+        for learns_affine in (False, True):
+            layer.weight.requires_grad = layer.bias.requires_grad = learns_affine
+            layer.weight.zero_grad()
+            leaf = Tensor(x, requires_grad=True)
+            out = layer(leaf)
+            if not learns_affine:
+                assert out._parents == (leaf,)
+            out.backward(upstream)
+            runs.append((out.data, leaf.grad, layer.weight.grad))
+        (frozen_out, frozen_grad, frozen_weight_grad), (graph_out, graph_grad, weight_grad) = runs
+        assert frozen_out.tobytes() == graph_out.tobytes()
+        assert frozen_grad.tobytes() == graph_grad.tobytes()
+        assert frozen_weight_grad is None and weight_grad is not None

@@ -182,3 +182,69 @@ class TestGraphMechanics:
         out.sum().backward()
         assert a.grad is not None
         assert np.isfinite(a.grad).all()
+
+
+class TestFrozenOperands:
+    """add/sub/mul/div build no gradient for an operand that does not
+    require one, and give the operand that does the same bits as before."""
+
+    # The gradient each op gave its requiring operand before frozen operands
+    # were skipped, as (left requires, right requires) -> expression.
+    EXPECTED = {
+        "add": (lambda g, a, b: g, lambda g, a, b: g),
+        "sub": (lambda g, a, b: g, lambda g, a, b: -g),
+        "mul": (lambda g, a, b: g * b, lambda g, a, b: g * a),
+        "div": (lambda g, a, b: g / b, lambda g, a, b: -g * a / (b ** 2)),
+    }
+    OPS = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+    }
+
+    @staticmethod
+    def _reduce(grad, shape):
+        extra = grad.ndim - len(shape)
+        if extra > 0:
+            grad = grad.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
+        return (grad.sum(axis=axes, keepdims=True) if axes else grad).reshape(shape)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("requiring", [0, 1])
+    @pytest.mark.parametrize("shapes", [((3, 4), (3, 4)), ((2, 3, 4), (1, 3, 1)), ((3, 4), ())])
+    def test_only_the_requiring_operand_gets_a_gradient(self, op, requiring, shapes):
+        rng = np.random.default_rng(0)
+        data = [rng.uniform(0.5, 2.0, size=shape) for shape in shapes]
+        if requiring == 1:
+            data.reverse()
+        left = Tensor(data[0], requires_grad=requiring == 0)
+        right = Tensor(data[1], requires_grad=requiring == 1)
+        out = self.OPS[op](left, right)
+        upstream = rng.normal(size=out.shape)
+        out.backward(upstream)
+        learner, frozen = (left, right) if requiring == 0 else (right, left)
+        assert frozen.grad is None
+        expected = self.EXPECTED[op][requiring](upstream, left.data, right.data)
+        expected = self._reduce(expected, learner.shape)
+        assert learner.grad.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_no_gradient_is_computed_for_a_frozen_operand(self, op, monkeypatch):
+        import repro.tensor.tensor as tensor_module
+
+        reduced = []
+        original = tensor_module._unbroadcast
+
+        def counting(grad, shape):
+            reduced.append(shape)
+            return original(grad, shape)
+
+        monkeypatch.setattr(tensor_module, "_unbroadcast", counting)
+        learner = Tensor(np.full((2, 3), 1.5), requires_grad=True)
+        frozen = Tensor(np.full((1, 3), 2.0))
+        self.OPS[op](learner, frozen).sum().backward()
+        self.OPS[op](frozen, learner).sum().backward()
+        assert reduced == [(2, 3), (2, 3)]
+        assert frozen.grad is None
