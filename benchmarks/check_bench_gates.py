@@ -8,7 +8,8 @@ any recorded ``speedup`` is below its recorded ``min_required_speedup``:
 * ``BENCH_gbo.json``    — vectorized vs reference GBO step    (gate >= 5x),
 * ``BENCH_runner.json`` — scenario-runner suite wall-clock    (gate >= 2x),
 * ``BENCH_serve.json``  — serve cache-hit vs cold latency     (gate >= 50x),
-* ``BENCH_batch.json``  — batched K=8 multi-scenario read     (gate >= 3x),
+* ``BENCH_batch.json``  — stacked K=8 ``evaluate_multi`` vs
+  sequential sessions, median of 3 pairs                     (gate >= 1.1x),
 * ``BENCH_dist.json``   — distributed drain / lease reclaim   (gate >= 1.5x).
 
 The gates travel inside the artifacts themselves (each benchmark records
@@ -53,7 +54,8 @@ VALID_COMPUTE_DTYPES = ("float32", "float64")
 #: oracle, so an artifact that does not say which dtype it measured is not
 #: comparable across commits; the serve artifact records latencies of a
 #: dtype-dependent simulation, so the same rule applies; the batch artifact
-#: times the same pulsed-MVM fold at whatever the process dtype policy is.
+#: times model-level stacked evaluation (``evaluate_multi``) against
+#: sequential sessions at whatever the process dtype policy is.
 DTYPE_REQUIRED_ARTIFACTS = ("BENCH_gbo.json", "BENCH_serve.json", "BENCH_batch.json")
 
 DEFAULT_RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "results")

@@ -1,210 +1,169 @@
-"""Benchmark E9 — batched multi-scenario read on a VGG9-block pulsed MVM.
+"""Benchmark E9 — stacked multi-scenario evaluation vs sequential sessions.
 
-Times K = 8 compatible scenarios (a sigma-sweep shape: same weights, same
-thermometer encoder, per-scenario noise streams) evaluated sequentially —
-one ``encoded_read`` per scenario — against one ``read_multi`` call on the
-same workload as ``BENCH_engine.json``: a 256 x 1152 binary matrix over 18
-physical 128x128 tiles and a batch of 64 im2col columns.
+Times a sigma sweep of the paper's fig1b shape — K = 8 noisy configs on the
+shared fast-profile bundle — two ways:
 
-The fold: all K scenarios share one ideal-matmul (the dominant cost) and
-differ only in their analytic noise draw, so the stacked pass does 1 matmul
-+ K draws instead of K matmuls + K draws.  Because the shared matmul is the
-*same call at the same operand shapes* as the sequential one, the batched
-results are bit-identical per scenario (asserted below), not just
-statistically equivalent.
+* sequential: one :class:`~repro.sim.Session` and one
+  :func:`~repro.training.evaluate.evaluate_accuracy` pass per config, each
+  drawing from its own stream ``RandomState(seed_k)``;
+* stacked: one :func:`~repro.training.evaluate.evaluate_multi` call with
+  the same streams.  It runs the model stem once per batch and the first
+  encoded layer's quantisation and ideal read once per distinct encoding,
+  and every later layer once per scenario at the sequential batch size.
 
-Gate: >= 3x for the vectorized engine.  A mixed-pulse-count variant (3
-distinct encodings among K = 8, so only partial folding is possible) and a
-model-level ``evaluate_multi`` phase are recorded ungated for trajectory
-tracking.  Results land in ``benchmarks/results/BENCH_batch.json``.
+This is the path ``run_grid(batch=True)`` takes for stacked ``api_eval``
+groups.  Every scenario's accuracy is asserted equal to its sequential run
+in every sample (the bit-identity contract of :mod:`repro.sim.multi`).
+
+Gate: the median of ``SAMPLES`` alternating (sequential, stacked) pairs
+must reach ``MIN_SPEEDUP``.  Even pairs time the sequential leg first, odd
+pairs the stacked leg, so a drift of the host's speed hits both legs
+alike.  Both legs run in-process with BLAS threads as the environment sets
+them, and the artifact records those variables.  ``benchmarks/results/BENCH_batch.json`` records every sample, the
+ratios' IQR and the runs the bar was set from.
 """
 
+import os
 import time
 
 import numpy as np
 
-from benchmarks.conftest import emit_report, write_bench_artifact
-from repro.backend import get_engine
-from repro.crossbar import (
-    CrossbarConfig,
-    GaussianReadNoise,
-    ThermometerEncoder,
-    TiledCrossbar,
-)
+from benchmarks.conftest import emit_report, usable_cpus, write_bench_artifact
 from repro.sim import Session, SimConfig
 from repro.tensor.dtype import compute_dtype_name
 from repro.tensor.random import RandomState
 from repro.training.evaluate import evaluate_accuracy, evaluate_multi
+from repro.worker_env import WORKER_THREAD_ENV
 
-#: Same VGG9 conv block as BENCH_engine: 128 -> 256 channels, 3x3 kernel.
-OUT_FEATURES = 256
-IN_FEATURES = 1152
-BATCH = 64
-NUM_PULSES = 8
-SIGMA = 1.0
-NUM_SCENARIOS = 8
-REPEATS = 7
-MIN_SPEEDUP = 3.0
-
-#: Model-level phase: a sigma sweep of the paper's fig1b shape.
-MODEL_SIGMAS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
-
-
-def _build_workload():
-    rng = RandomState(0)
-    weights = np.where(rng.uniform(size=(OUT_FEATURES, IN_FEATURES)) < 0.5, -1.0, 1.0)
-    crossbar = TiledCrossbar(
-        weights,
-        config=CrossbarConfig(noise=GaussianReadNoise(SIGMA), max_rows=128, max_cols=128),
-        rng=RandomState(1),
-    )
-    values = rng.choice(np.linspace(-1, 1, 9), size=(BATCH, IN_FEATURES))
-    return crossbar, values
+#: A sigma sweep of the paper's fig1b shape, K = 8 scenarios.
+SIGMAS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+SEEDS = tuple(1000 + index for index in range(len(SIGMAS)))
+#: Alternating (sequential, stacked) pairs; the gate takes their median.
+SAMPLES = 3
+MIN_SPEEDUP = 1.1
+#: Median-of-3 ratios of the standalone runs on the 2-CPU host that the bar
+#: was set from (the same runs are in ``history.jsonl``).  The lowest, 1.11,
+#: ran beside other work on the host.
+BAR_EVIDENCE = {
+    "host": "2 CPUs, one pytest process per run",
+    "median_speedups_blas_unpinned": [
+        1.37, 1.11, 1.26, 1.36, 1.32, 1.25, 1.32, 1.25, 1.31, 1.25,
+    ],
+    "median_speedups_blas_1_thread": [1.34, 1.17],
+}
 
 
-def _time_phase(engine, crossbar, values, encoders):
-    """Best-of-``REPEATS`` (sequential_s, batched_s), plus bit-identity."""
-    seeds = list(range(100, 100 + len(encoders)))
-
-    def run_sequential():
-        return np.stack(
-            [
-                engine.encoded_read(crossbar, values, encoder, rng=RandomState(seed))
-                for encoder, seed in zip(encoders, seeds)
-            ]
-        )
-
-    def run_batched():
-        return engine.read_multi(
-            crossbar, values, encoders, rngs=[RandomState(seed) for seed in seeds]
-        )
-
-    np.testing.assert_array_equal(run_batched(), run_sequential())  # + warm-up
-
-    sequential_s = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        run_sequential()
-        sequential_s = min(sequential_s, time.perf_counter() - start)
-    batched_s = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        run_batched()
-        batched_s = min(batched_s, time.perf_counter() - start)
-    return sequential_s, batched_s
-
-
-def _model_level_phase(bundle):
-    """One ``evaluate_multi`` sweep vs K sequential sessions."""
-    model = bundle.model
-    loader = bundle.test_loader
-    sims = [
+def _configs():
+    return [
         SimConfig(mode="noisy", noise_sigma=sigma, engine="vectorized")
-        for sigma in MODEL_SIGMAS
+        for sigma in SIGMAS
     ]
-    seeds = [1000 + index for index in range(len(sims))]
 
-    # The sequential arm pins per-scenario streams onto the layers; the
-    # bundle (and its layer -> context-default-rng references) is shared
-    # session-wide, so restore them or later benchmarks lose per-scenario
-    # reseeding through manual_seed.
+
+def _run_sequential(model, loader, sims):
+    """K sequential sessions, scenario ``k`` on stream ``RandomState(seed_k)``."""
+    # The shared bundle's layers keep a reference to the context stream;
+    # restore it so later benchmarks keep reseeding through manual_seed.
     saved_rngs = [layer.noise_rng for layer in model.encoded_layers()]
-    start = time.perf_counter()
-    sequential = []
+    accuracies = []
     try:
-        for sim, seed in zip(sims, seeds):
+        for sim, seed in zip(sims, SEEDS):
             with Session(model, sim):
                 stream = RandomState(seed)
                 for layer in model.encoded_layers():
                     layer.noise_rng = stream
-                sequential.append(evaluate_accuracy(model, loader))
+                accuracies.append(evaluate_accuracy(model, loader))
     finally:
         for layer, rng in zip(model.encoded_layers(), saved_rngs):
             layer.noise_rng = rng
-    sequential_s = time.perf_counter() - start
+    return accuracies
 
-    start = time.perf_counter()
-    batched = evaluate_multi(
-        model, loader, sims, rngs=[RandomState(seed) for seed in seeds]
+
+def _run_stacked(model, loader, sims):
+    stacked = evaluate_multi(
+        model, loader, sims, rngs=[RandomState(seed) for seed in SEEDS]
     )
-    batched_s = time.perf_counter() - start
+    return [scenario[0] for scenario in stacked]
 
-    assert [scenario[0] for scenario in batched] == sequential
-    return sequential_s, batched_s
+
+def _timed(run, model, loader, sims):
+    start = time.perf_counter()
+    accuracies = run(model, loader, sims)
+    return time.perf_counter() - start, accuracies
 
 
 def test_batched_multi_scenario_speedup(capsys, results_dir, bundle):
-    crossbar, values = _build_workload()
-    assert crossbar.num_tiles == 18
-    engine = get_engine("vectorized")
+    model = bundle.model
+    loader = bundle.test_loader
+    sims = _configs()
 
-    # Gated phase: K scenarios sharing one encoding (sigma-sweep shape).
-    shared = [ThermometerEncoder(NUM_PULSES) for _ in range(NUM_SCENARIOS)]
-    sequential_s, batched_s = _time_phase(engine, crossbar, values, shared)
-    speedup = sequential_s / batched_s
-
-    # Ungated phase: 3 distinct pulse counts among K = 8 (partial folding).
-    mixed = [ThermometerEncoder(p) for p in (8, 4, 16, 8, 4, 16, 8, 4)]
-    mixed_sequential_s, mixed_batched_s = _time_phase(engine, crossbar, values, mixed)
-
-    # Ungated phase: the reference oracle loops scenarios by contract.
-    ref_sequential_s, ref_batched_s = _time_phase(
-        get_engine("reference"), crossbar, values, shared
+    # Warm both paths (lazy level tables, first-touch allocations) on one
+    # batch, so the first timed leg pays no one-time cost the other skips.
+    first_batch = [next(iter(loader))]
+    assert _run_stacked(model, first_batch, sims) == _run_sequential(
+        model, first_batch, sims
     )
 
-    # Ungated phase: model-level evaluate_multi on the shared bundle.
-    model_sequential_s, model_batched_s = _model_level_phase(bundle)
+    sequential_samples, stacked_samples = [], []
+    legs = [
+        ("sequential", _run_sequential, sequential_samples),
+        ("stacked", _run_stacked, stacked_samples),
+    ]
+    for pair in range(SAMPLES):
+        accuracies = {}
+        for name, run, samples in legs if pair % 2 == 0 else legs[::-1]:
+            elapsed, accuracies[name] = _timed(run, model, loader, sims)
+            samples.append(elapsed)
+        assert accuracies["stacked"] == accuracies["sequential"], (
+            "stacked evaluation must be bit-identical to sequential sessions"
+        )
+
+    ratios = [seq / stacked for seq, stacked in zip(sequential_samples, stacked_samples)]
+    speedup = float(np.median(ratios))
+    low, high = np.percentile(ratios, [25, 75])
+    speedup_iqr = float(high - low)
+    sequential_s = float(np.median(sequential_samples))
+    stacked_s = float(np.median(stacked_samples))
 
     record = {
         "workload": {
-            "out_features": OUT_FEATURES,
-            "in_features": IN_FEATURES,
-            "batch": BATCH,
-            "num_pulses": NUM_PULSES,
-            "sigma": SIGMA,
-            "num_tiles": crossbar.num_tiles,
-            "num_scenarios": NUM_SCENARIOS,
-            "encoder": "thermometer",
+            "path": "evaluate_multi vs K sequential Session + evaluate_accuracy",
+            "profile": bundle.profile.name,
+            "sigmas": list(SIGMAS),
+            "num_scenarios": len(SIGMAS),
+            "engine": "vectorized",
+            "test_batches": len(loader),
             "compute_dtype": compute_dtype_name(),
+            "samples": SAMPLES,
+            "blas_threads": {var: os.environ.get(var) for var in WORKER_THREAD_ENV},
         },
-        "sequential_ms": sequential_s * 1e3,
-        "batched_ms": batched_s * 1e3,
+        "sequential_s": sequential_s,
+        "stacked_s": stacked_s,
+        "sequential_s_samples": sequential_samples,
+        "stacked_s_samples": stacked_samples,
+        "speedup_samples": ratios,
+        "speedup_iqr": speedup_iqr,
+        "bit_identical": True,
+        "usable_cpus": usable_cpus(),
+        "gated_on": "evaluate_multi",
+        "bar_evidence": BAR_EVIDENCE,
         "speedup": speedup,
         "min_required_speedup": MIN_SPEEDUP,
-        "mixed_pulse_counts": {
-            "pulse_counts": [8, 4, 16, 8, 4, 16, 8, 4],
-            "sequential_ms": mixed_sequential_s * 1e3,
-            "batched_ms": mixed_batched_s * 1e3,
-            "speedup": mixed_sequential_s / mixed_batched_s,
-        },
-        "reference_engine": {
-            "sequential_ms": ref_sequential_s * 1e3,
-            "batched_ms": ref_batched_s * 1e3,
-            "speedup": ref_sequential_s / ref_batched_s,
-        },
-        "model_level": {
-            "sigmas": list(MODEL_SIGMAS),
-            "sequential_s": model_sequential_s,
-            "batched_s": model_batched_s,
-            "speedup": model_sequential_s / model_batched_s,
-        },
-        "timing": f"best of {REPEATS} (model level: single run)",
     }
     write_bench_artifact(results_dir, "batch", record)
 
     report = "\n".join(
         [
-            "Batched multi-scenario read, VGG9-block pulsed MVM",
-            f"  workload: {BATCH} x {IN_FEATURES} inputs, {OUT_FEATURES} outputs, "
-            f"{NUM_PULSES} pulses, {crossbar.num_tiles} tiles, "
-            f"K={NUM_SCENARIOS} scenarios [{compute_dtype_name()}]",
-            f"  sequential (K reads): {sequential_s * 1e3:8.2f} ms",
-            f"  batched (read_multi): {batched_s * 1e3:8.2f} ms",
-            f"  speedup             : {speedup:8.1f}x  (required >= {MIN_SPEEDUP:.0f}x)",
-            f"  mixed pulse counts  : {mixed_sequential_s / mixed_batched_s:8.1f}x (ungated)",
-            f"  reference oracle    : {ref_sequential_s / ref_batched_s:8.1f}x (ungated)",
-            f"  model evaluate_multi: {model_sequential_s / model_batched_s:8.1f}x (ungated)",
-            "  artifact            : benchmarks/results/BENCH_batch.json",
+            "Stacked multi-scenario evaluation vs sequential sessions",
+            f"  workload  : {bundle.profile.name} profile, K={len(SIGMAS)} sigmas "
+            f"{SIGMAS[0]:g}..{SIGMAS[-1]:g}, {len(loader)} test batches "
+            f"[{compute_dtype_name()}]",
+            f"  sequential: {sequential_s:8.2f} s  (median of {SAMPLES})",
+            f"  stacked   : {stacked_s:8.2f} s  (median of {SAMPLES}, evaluate_multi)",
+            f"  speedup   : {speedup:8.2f}x  (median, IQR {speedup_iqr:.2f}; "
+            f"required >= {MIN_SPEEDUP:g}x)",
+            "  bit-identical accuracies: True",
+            "  artifact  : benchmarks/results/BENCH_batch.json",
         ]
     )
     emit_report(capsys, results_dir, "batch_throughput", report)

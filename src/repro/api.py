@@ -384,17 +384,20 @@ def execute_api_eval_scenario(ctx) -> Dict[str, Any]:
     bundle.restore_pretrained()
     model.requires_grad_(True)
     with Session(model, sim, ctx.profile):
-        per_repeat = [
-            float(evaluate_accuracy(model, ctx.test_loader))
-            for _ in range(num_repeats)
-        ]
+        per_repeat = [evaluate_accuracy(model, ctx.test_loader) for _ in range(num_repeats)]
     apply_config(model, SimConfig(mode="clean"))
+    return _api_eval_result(spec, sim, per_repeat, bundle)
+
+
+def _api_eval_result(spec, sim: SimConfig, per_repeat, bundle) -> Dict[str, Any]:
+    """The stored ``api_eval`` result of one spec's per-repeat accuracies."""
+    per_repeat = [float(value) for value in per_repeat]
     return {
         "experiment": "api_eval",
         "method": spec.method,
         "accuracy": float(np.mean(per_repeat)),
         "per_repeat": per_repeat,
-        "num_repeats": num_repeats,
+        "num_repeats": len(per_repeat),
         "clean_accuracy": float(bundle.clean_accuracy),
         "sim": sim.as_dict(),
     }
@@ -474,21 +477,10 @@ def execute_api_eval_batch(specs, bundle, stage_store=None) -> List[Dict[str, An
         num_repeats=num_repeats,
     )
     apply_config(model, SimConfig(mode="clean"))
-    results = []
-    for spec, sim, per_repeat in zip(specs, sims, per_scenario):
-        per_repeat = [float(value) for value in per_repeat]
-        results.append(
-            {
-                "experiment": "api_eval",
-                "method": spec.method,
-                "accuracy": float(np.mean(per_repeat)),
-                "per_repeat": per_repeat,
-                "num_repeats": num_repeats,
-                "clean_accuracy": float(bundle.clean_accuracy),
-                "sim": sim.as_dict(),
-            }
-        )
-    return results
+    return [
+        _api_eval_result(spec, sim, per_repeat, bundle)
+        for spec, sim, per_repeat in zip(specs, sims, per_scenario)
+    ]
 
 
 def run_nia(

@@ -84,39 +84,6 @@ class SimulationEngine:
         """
         raise NotImplementedError
 
-    def read_multi(
-        self,
-        crossbar,
-        values: np.ndarray,
-        encoders: Sequence,
-        add_noise: bool = True,
-        rngs: Optional[Sequence[Optional[RandomState]]] = None,
-    ) -> np.ndarray:
-        """One input batch, one weight set, K scenario reads — ``(K, ...)``.
-
-        Scenario ``k`` is defined by ``encoders[k]`` (pulse count / schedule /
-        PLA re-encoding are baked into the encoder) and draws its noise from
-        ``rngs[k]`` — its *own* hash-derived stream, which is what makes the
-        batched result bit-identical per scenario to K sequential
-        :meth:`encoded_read` calls: per-scenario streams are never merged,
-        only the deterministic shared work (encoding round-trip, ideal
-        matmul) is deduplicated by engines that can prove it safe.
-
-        The default implementation *is* the sequential loop — the bit-exact
-        oracle every override must match sample for sample.
-        """
-        if rngs is None:
-            rngs = [None] * len(encoders)
-        if len(rngs) != len(encoders):
-            raise ValueError(
-                f"read_multi got {len(encoders)} encoders but {len(rngs)} rngs"
-            )
-        outputs = [
-            self.encoded_read(crossbar, values, encoder, add_noise=add_noise, rng=rng)
-            for encoder, rng in zip(encoders, rngs)
-        ]
-        return np.stack(outputs, axis=0)
-
     def folded_read_noise(
         self,
         shape: Tuple[int, ...],

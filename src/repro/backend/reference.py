@@ -42,19 +42,6 @@ class ReferenceEngine(SimulationEngine):
             output = weighted if output is None else output + weighted
         return output
 
-    def read_multi(
-        self,
-        crossbar,
-        values: np.ndarray,
-        encoders: Sequence,
-        add_noise: bool = True,
-        rngs: Optional[Sequence[Optional[RandomState]]] = None,
-    ) -> np.ndarray:
-        # The scenario axis executed literally: K full sequential reads, one
-        # per scenario, each from its own stream — the oracle the vectorized
-        # engine's shared-matmul fold is bit-compared against.
-        return super().read_multi(crossbar, values, encoders, add_noise=add_noise, rngs=rngs)
-
     def folded_read_noise(
         self,
         shape: Tuple[int, ...],
@@ -82,7 +69,7 @@ class ReferenceEngine(SimulationEngine):
     ) -> Tensor:
         total: Optional[Tensor] = None
         for option_index, scale in enumerate(scales):
-            eps = Tensor(rng.normal(0.0, 1.0, size=shape) * float(scale))
+            eps = Tensor(rng.normal(0.0, float(scale), size=shape))
             term = alphas[option_index] * eps
             total = term if total is None else total + term
         return total
@@ -100,7 +87,7 @@ class ReferenceEngine(SimulationEngine):
         total: Optional[Tensor] = None
         for option_index, scale in enumerate(scales):
             read = read_op()
-            eps = Tensor(rng.normal(0.0, 1.0, size=read.shape) * float(scale))
+            eps = Tensor(rng.normal(0.0, float(scale), size=read.shape))
             term = alphas[option_index] * (read + eps)
             total = term if total is None else total + term
         return total

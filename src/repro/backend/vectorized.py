@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.backend.engine import SimulationEngine, register_engine
 from repro.tensor import Tensor
-from repro.tensor.dtype import resolve_dtype
 from repro.tensor.random import RandomState
 
 if TYPE_CHECKING:  # avoid a circular import: crossbar -> core -> backend
@@ -98,70 +97,6 @@ class VectorizedEngine(SimulationEngine):
         if self._can_fold(crossbar, add_noise):
             return self._fold_decoded(crossbar, train.decode(), train.weights, add_noise, rng)
         return self._batched_tile_read(crossbar, train, add_noise, rng)
-
-    def read_multi(
-        self,
-        crossbar,
-        values: np.ndarray,
-        encoders: Sequence,
-        add_noise: bool = True,
-        rngs: Optional[Sequence[Optional[RandomState]]] = None,
-    ) -> np.ndarray:
-        """K scenario reads of one input batch with the shared work folded.
-
-        On the folded Gaussian path the ideal part of every scenario's read
-        is ``represented_values(values) @ W^T`` — a function of the encoder's
-        quantisation grid only.  Scenarios sharing an encoding therefore
-        share ONE matmul (computed by the exact same call the sequential
-        path makes, so each scenario's ideal part is bit-identical), and
-        only the per-scenario noise draws remain O(K).  Encoders that cannot
-        fold fall back to the sequential oracle loop.
-        """
-        if rngs is None:
-            rngs = [None] * len(encoders)
-        if len(rngs) != len(encoders):
-            raise ValueError(
-                f"read_multi got {len(encoders)} encoders but {len(rngs)} rngs"
-            )
-        # Encoders build accumulation_weights on every access: read each once.
-        pulse_weights = [getattr(encoder, "accumulation_weights", None) for encoder in encoders]
-        # With no encoders, defer to the oracle loop, whose np.stack raises.
-        foldable = bool(encoders) and self._can_fold(crossbar, add_noise) and all(
-            weights is not None
-            and weights.size > 0
-            and hasattr(encoder, "represented_values")
-            for encoder, weights in zip(encoders, pulse_weights)
-        )
-        if not foldable:
-            return super().read_multi(crossbar, values, encoders, add_noise=add_noise, rngs=rngs)
-
-        weights_t = crossbar.assembled_effective_weights.T
-        read_std = crossbar.read_noise_std() if add_noise else 0.0
-        # encoding key -> (ideal read, accumulated noise std), both computed
-        # by the same expressions as _fold_decoded so every scenario stays
-        # bit-identical to its sequential encoded_read.
-        shared_by_encoding = {}
-        output = None
-        for index, (encoder, weights, rng) in enumerate(zip(encoders, pulse_weights, rngs)):
-            key = (type(encoder), tuple(np.asarray(weights).ravel().tolist()))
-            if key not in shared_by_encoding:
-                shared_by_encoding[key] = (
-                    encoder.represented_values(values) @ weights_t,
-                    read_std * float(np.sqrt(np.sum(weights**2))),
-                )
-            ideal, accumulated_std = shared_by_encoding[key]
-            if output is None:
-                output = np.empty(
-                    (len(encoders),) + ideal.shape,
-                    dtype=np.result_type(ideal.dtype, resolve_dtype()),
-                )
-            if read_std > 0.0:
-                scenario_rng = rng or crossbar.rng
-                noise = scenario_rng.normal(0.0, accumulated_std, size=ideal.shape)
-                np.add(ideal, noise, out=output[index])
-            else:
-                output[index] = ideal
-        return output
 
     @staticmethod
     def _can_fold(crossbar, add_noise: bool) -> bool:

@@ -39,7 +39,6 @@ from repro.crossbar.array import CrossbarArray, CrossbarConfig
 from repro.crossbar.tiling import TiledCrossbar
 from repro.crossbar.mvm import (
     pulsed_mvm,
-    pulsed_mvm_multi,
     bit_sliced_mvm,
     thermometer_mvm,
     folded_noisy_mvm,
@@ -77,7 +76,6 @@ __all__ = [
     "CrossbarConfig",
     "TiledCrossbar",
     "pulsed_mvm",
-    "pulsed_mvm_multi",
     "bit_sliced_mvm",
     "thermometer_mvm",
     "folded_noisy_mvm",

@@ -143,22 +143,6 @@ class CrossbarArray:
         """One analog read (alias of :meth:`read_batch` for 1-D/2-D inputs)."""
         return self.read_batch(inputs, add_noise=add_noise)
 
-    def read_multi(
-        self, values: np.ndarray, encoders, add_noise: bool = True, engine=None, rngs=None
-    ) -> np.ndarray:
-        """K scenario reads of one encoded input batch — ``(K, ..., out)``.
-
-        Convenience front for
-        :meth:`repro.backend.engine.SimulationEngine.read_multi`; scenario
-        ``k`` is bit-identical to a sequential ``encoded_read`` with
-        ``encoders[k]`` / ``rngs[k]``.
-        """
-        from repro.backend import resolve_engine
-
-        return resolve_engine(engine).read_multi(
-            self, values, encoders, add_noise=add_noise, rngs=rngs
-        )
-
     def read_noise_std(self) -> float:
         """Additive noise standard deviation of a single read on this tile."""
         return self.config.noise.std_for(self.in_features)

@@ -72,29 +72,6 @@ def pulsed_mvm(
     )
 
 
-def pulsed_mvm_multi(
-    crossbar: Crossbar,
-    values: np.ndarray,
-    encoders,
-    add_noise: bool = True,
-    engine=None,
-    rngs=None,
-) -> np.ndarray:
-    """K compatible scenario reads of one input batch — ``(K, ..., out)``.
-
-    Scenario ``k`` is one (encoder, rng) pack; the result's slice ``k`` is
-    bit-identical to ``pulsed_mvm(crossbar, values, encoders[k],
-    rng=rngs[k])`` because each scenario keeps its own noise stream and the
-    engine only deduplicates the deterministic shared work (see
-    :meth:`repro.backend.engine.SimulationEngine.read_multi`).
-    """
-    from repro.backend import resolve_engine
-
-    return resolve_engine(engine).read_multi(
-        crossbar, values, encoders, add_noise=add_noise, rngs=rngs
-    )
-
-
 def bit_sliced_mvm(
     crossbar: Crossbar, values: np.ndarray, bits: int, add_noise: bool = True, engine=None
 ) -> np.ndarray:

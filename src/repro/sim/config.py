@@ -253,8 +253,8 @@ class SimConfig:
         engine, the PLA rounding mode and the compute dtype.  The axes that
         remain free per scenario — the ``clean``/``noisy`` mode,
         ``noise_sigma``, ``pulses``/schedule, ``sigma_relative_to_fan_in``
-        and ``seed`` — are exactly the per-scenario parameter packs of
-        :meth:`repro.backend.engine.SimulationEngine.read_multi`.  Weights
+        and ``seed`` — are what :class:`repro.sim.MultiSession` resolves
+        into one parameter pack per scenario and encoded layer.  Weights
         and the input pipeline are not part of a config; callers enforce
         those by only grouping scenarios of one profile/bundle.
         """

@@ -44,6 +44,13 @@ Each scenario's logits are **bit-identical** to a sequential
   Zero-sigma layers and clean scenarios draw nothing in either path.
   Interleaving scenarios per batch does not reorder any one stream.
 
+The streams are therefore part of the contract, and ``rngs`` is required:
+one :class:`~repro.tensor.random.RandomState` per config, in config order.
+The caller chooses the stream each sequential run would use — the scenario
+runner derives ``RandomState(seed)`` from the config's seed or the spec
+hash (see :func:`repro.api.execute_api_eval_batch`).  There is no default,
+because a stream not derived that way would not match any sequential run.
+
 Compatibility is decided by :meth:`SimConfig.compat_key` (same resolved
 engine, PLA rounding mode and dtype; clean/noisy mode, sigma, pulses,
 relative flag and seed are free per scenario); a :class:`MultiSession`
@@ -59,7 +66,7 @@ from typing import Any, List, Optional, Sequence
 
 from repro.sim.config import SimConfig
 from repro.sim.session import Session, _schedule_for, encoded_layers_of
-from repro.tensor.random import RandomState, default_rng
+from repro.tensor.random import RandomState
 
 
 @dataclass
@@ -72,22 +79,6 @@ class _ScenarioPack:
     relative: bool
     pla_mode: str
     rng: RandomState
-
-
-def _default_rngs(configs: Sequence[SimConfig]) -> List[RandomState]:
-    """One independent stream per scenario.
-
-    A seeded config gets the stream a sequential seeded run would use
-    (``RandomState(seed)`` equals the context stream after
-    ``seed_everything(seed)``); an unseeded config gets a fresh spawned
-    stream — independent and reproducible only relative to the current
-    context state, so callers wanting sequential bit-identity must pass
-    explicit per-scenario rngs (the runner does, derived from spec hashes).
-    """
-    return [
-        RandomState(config.seed) if config.seed is not None else default_rng().spawn()
-        for config in configs
-    ]
 
 
 class MultiSession:
@@ -113,7 +104,7 @@ class MultiSession:
         self,
         target: Any,
         configs: Sequence[SimConfig],
-        rngs: Optional[Sequence[RandomState]] = None,
+        rngs: Sequence[RandomState],
         profile: Any = None,
     ):
         configs = list(configs)
@@ -132,12 +123,11 @@ class MultiSession:
                 f"groups (keys: {sorted(map(str, keys))}); group them by "
                 f"SimConfig.compat_key() first"
             )
-        if rngs is not None:
-            rngs = list(rngs)
-            if len(rngs) != len(configs):
-                raise ValueError(
-                    f"MultiSession got {len(configs)} configs but {len(rngs)} rngs"
-                )
+        rngs = list(rngs)
+        if len(rngs) != len(configs):
+            raise ValueError(
+                f"MultiSession got {len(configs)} configs but {len(rngs)} rngs"
+            )
         if not hasattr(target, "forward_body"):
             raise TypeError(
                 f"MultiSession needs a model with forward_stem/forward_body, "
@@ -179,9 +169,8 @@ class MultiSession:
         try:
             layers = encoded_layers_of(self.target)
             captured = session._saved  # pre-apply snapshot: "keep current" base
-            rngs = self.rngs if self.rngs is not None else _default_rngs(self.configs)
             self._scenarios = []
-            for config, rng in zip(self.configs, rngs):
+            for config, rng in zip(self.configs, self.rngs):
                 schedule = _schedule_for(config, len(layers))
                 self._scenarios.append(
                     [

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ def evaluate_multi(
     model,
     loader,
     sims: Sequence[SimConfig],
-    rngs: Optional[Sequence[Any]] = None,
+    rngs: Sequence[Any],
     profile: Any = None,
     num_repeats: int = 1,
 ) -> List[List[float]]:
@@ -44,11 +44,9 @@ def evaluate_multi(
     Returns ``accuracies[k][r]`` — scenario ``k``'s accuracy on repeat
     ``r`` — exactly the numbers K sequential
     ``Session``/:func:`evaluate_accuracy` runs would produce, bit for bit,
-    *when* each scenario is given the stream its sequential run would use
+    when each scenario is given the stream its sequential run would use
     (``rngs[k] = RandomState(seed_k)`` for a run seeded with ``seed_k``; the
-    scenario runner derives these from spec hashes).  With ``rngs=None``,
-    seeded configs get their own seed's stream and unseeded configs get
-    fresh spawned streams — independent but not sequential-matching.
+    scenario runner derives these from spec hashes).
 
     Each batch is loaded and run through the model's stem once, and the
     first encoded layer quantises it once and reads it once per distinct

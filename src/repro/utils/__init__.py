@@ -1,15 +1,12 @@
-"""Shared utilities: seeding, logging, timing and serialization."""
+"""Shared utilities: seeding, logging and serialization."""
 
 from repro.utils.seed import seed_everything
 from repro.utils.logging import get_logger
-from repro.utils.timing import Timer, timed
 from repro.utils.serialization import save_state, load_state
 
 __all__ = [
     "seed_everything",
     "get_logger",
-    "Timer",
-    "timed",
     "save_state",
     "load_state",
 ]

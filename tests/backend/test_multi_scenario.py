@@ -11,9 +11,8 @@ produce, because
 * every scenario draws its noise from its own RNG stream; streams are
   never merged or interleaved.
 
-Layers: the engine primitive (``read_multi``), config compatibility
-(``compat_key``), the model-level ``MultiSession`` /
-``evaluate_multi``, and the runner's scenario stacking.
+Layers: config compatibility (``compat_key``), the model-level
+``MultiSession`` / ``evaluate_multi``, and the runner's scenario stacking.
 """
 
 from __future__ import annotations
@@ -21,15 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import ReferenceEngine, VectorizedEngine, get_engine
-from repro.crossbar import (
-    CrossbarConfig,
-    DeviceVariationNoise,
-    GaussianReadNoise,
-    ThermometerEncoder,
-    TiledCrossbar,
-    pulsed_mvm_multi,
-)
 from repro.models import VGG9, CrossbarLeNet, CrossbarMLP, VGGConfig
 from repro.sim import MultiSession, Session, SimConfig
 from repro.tensor import Tensor
@@ -37,143 +27,6 @@ from repro.tensor.random import RandomState
 from repro.training.evaluate import evaluate_accuracy, evaluate_multi
 
 SEED = 20220
-
-
-@pytest.fixture(params=["reference", "vectorized"])
-def engine(request):
-    return get_engine(request.param)
-
-
-def _tiled(sigma=0.05, seed=SEED, out_features=12, in_features=24):
-    rng = RandomState(seed)
-    weights = np.where(
-        rng.uniform(size=(out_features, in_features)) < 0.5, -1.0, 1.0
-    )
-    config = CrossbarConfig(
-        noise=GaussianReadNoise(sigma), max_rows=8, max_cols=8
-    )
-    return TiledCrossbar(weights, config=config, rng=RandomState(seed))
-
-
-def _values(batch=5, in_features=24, seed=SEED + 1):
-    rng = RandomState(seed)
-    return np.clip(rng.normal(0.0, 0.5, size=(batch, in_features)), -1.0, 1.0)
-
-
-class TestReadMulti:
-    """Engine primitive: K encoded reads in one call, per-scenario streams."""
-
-    def test_matches_sequential_reads_mixed_pulse_counts(self, engine):
-        crossbar = _tiled()
-        values = _values()
-        encoders = [ThermometerEncoder(p) for p in (8, 4, 8, 16)]
-        seeds = [SEED + 10 + k for k in range(len(encoders))]
-
-        sequential = np.stack(
-            [
-                engine.encoded_read(
-                    crossbar, values, encoder, rng=RandomState(seed)
-                )
-                for encoder, seed in zip(encoders, seeds)
-            ]
-        )
-        batched = engine.read_multi(
-            crossbar,
-            values,
-            encoders,
-            rngs=[RandomState(seed) for seed in seeds],
-        )
-        assert batched.shape == (len(encoders),) + sequential.shape[1:]
-        np.testing.assert_array_equal(batched, sequential)
-
-    def test_k_equals_one(self, engine):
-        crossbar = _tiled()
-        values = _values()
-        encoder = ThermometerEncoder(8)
-        single = engine.encoded_read(
-            crossbar, values, encoder, rng=RandomState(SEED)
-        )
-        batched = engine.read_multi(
-            crossbar, values, [encoder], rngs=[RandomState(SEED)]
-        )
-        np.testing.assert_array_equal(batched[0], single)
-
-    def test_noiseless_reads_share_one_matmul(self, engine):
-        crossbar = _tiled(sigma=0.0)
-        values = _values()
-        encoders = [ThermometerEncoder(8)] * 3
-        batched = engine.read_multi(crossbar, values, encoders, add_noise=False)
-        expected = engine.encoded_read(
-            crossbar, values, encoders[0], add_noise=False
-        )
-        for k in range(3):
-            np.testing.assert_array_equal(batched[k], expected)
-
-    def test_engines_agree_bitwise_on_clean_reads(self):
-        crossbar = _tiled(sigma=0.0)
-        values = _values()
-        encoders = [ThermometerEncoder(p) for p in (8, 4)]
-        reference = get_engine("reference").read_multi(
-            crossbar, values, encoders, add_noise=False
-        )
-        vectorized = get_engine("vectorized").read_multi(
-            crossbar, values, encoders, add_noise=False
-        )
-        np.testing.assert_array_equal(reference, vectorized)
-
-    def test_vectorized_falls_back_for_non_foldable_noise(self):
-        # Multiplicative device variation cannot be folded into one
-        # analytic draw; the vectorized override must defer to the oracle
-        # loop and still honour per-scenario streams.
-        rng = RandomState(SEED)
-        weights = np.where(rng.uniform(size=(12, 24)) < 0.5, -1.0, 1.0)
-        config = CrossbarConfig(
-            noise=DeviceVariationNoise(0.05), max_rows=8, max_cols=8
-        )
-        crossbar = TiledCrossbar(weights, config=config, rng=RandomState(SEED))
-        values = _values()
-        encoders = [ThermometerEncoder(p) for p in (8, 4)]
-        seeds = [SEED + 1, SEED + 2]
-        engine = get_engine("vectorized")
-        sequential = np.stack(
-            [
-                engine.encoded_read(
-                    crossbar, values, encoder, rng=RandomState(seed)
-                )
-                for encoder, seed in zip(encoders, seeds)
-            ]
-        )
-        batched = engine.read_multi(
-            crossbar, values, encoders, rngs=[RandomState(s) for s in seeds]
-        )
-        np.testing.assert_array_equal(batched, sequential)
-
-    def test_rng_length_mismatch_raises(self, engine):
-        crossbar = _tiled()
-        with pytest.raises(ValueError, match="rngs"):
-            engine.read_multi(
-                crossbar,
-                _values(),
-                [ThermometerEncoder(8)] * 2,
-                rngs=[RandomState(SEED)],
-            )
-
-    def test_pulsed_mvm_multi_facade(self, engine):
-        crossbar = _tiled()
-        values = _values()
-        encoders = [ThermometerEncoder(8), ThermometerEncoder(4)]
-        seeds = [SEED + 5, SEED + 6]
-        facade = pulsed_mvm_multi(
-            crossbar,
-            values,
-            encoders,
-            engine=engine,
-            rngs=[RandomState(s) for s in seeds],
-        )
-        direct = engine.read_multi(
-            crossbar, values, encoders, rngs=[RandomState(s) for s in seeds]
-        )
-        np.testing.assert_array_equal(facade, direct)
 
 
 class TestConfigStacking:
@@ -260,6 +113,11 @@ def _pin_stream(model, seed):
     stream = RandomState(seed)
     for layer in model.encoded_layers():
         layer.noise_rng = stream
+
+
+def _streams(count, seed=SEED + 60):
+    """One explicit stream per scenario, as every MultiSession requires."""
+    return [RandomState(seed + k) for k in range(count)]
 
 
 def _sim_state(model):
@@ -374,7 +232,7 @@ class TestMultiSession:
 
             layer.forward = recording_forward
 
-        evaluate_multi(model, batches, configs)
+        evaluate_multi(model, batches, configs, rngs=_streams(len(configs)))
         assert set(rows) == {*model.encoded_layer_names(), "classifier"}
         expected = [len(batches[0][0])] * (len(configs) * len(batches))
         for name, seen in rows.items():
@@ -387,12 +245,12 @@ class TestMultiSession:
             SimConfig(mode="noisy", noise_sigma=2.0, engine="reference"),
         ]
         with pytest.raises(ValueError, match="not stackable"):
-            MultiSession(model, configs)
+            MultiSession(model, configs, rngs=_streams(len(configs)))
 
     def test_gbo_mode_rejected(self):
         model = _lenet()
         with pytest.raises(ValueError, match="mode"):
-            MultiSession(model, [SimConfig(mode="gbo")])
+            MultiSession(model, [SimConfig(mode="gbo")], rngs=_streams(1))
 
     _RESTORE_CONFIGS = [
         SimConfig(
@@ -410,7 +268,9 @@ class TestMultiSession:
         model = _lenet(sigma=3.0)
         before = _sim_state(model)
         inputs, _ = _batch()
-        with MultiSession(model, self._RESTORE_CONFIGS) as session:
+        with MultiSession(
+            model, self._RESTORE_CONFIGS, rngs=_streams(len(self._RESTORE_CONFIGS))
+        ) as session:
             session.forward(Tensor(inputs))
         assert _sim_state(model) == before
         assert all(layer._read_memo is None for layer in model.encoded_layers())
@@ -422,7 +282,9 @@ class TestMultiSession:
         before = _sim_state(model)
         inputs, _ = _batch()
         with pytest.raises(RuntimeError, match="boom"):
-            with MultiSession(model, self._RESTORE_CONFIGS) as session:
+            with MultiSession(
+                model, self._RESTORE_CONFIGS, rngs=_streams(len(self._RESTORE_CONFIGS))
+            ) as session:
                 session.forward(Tensor(inputs))
                 raise RuntimeError("boom")
         assert _sim_state(model) == before
@@ -495,7 +357,7 @@ class TestRunnerStacking:
     def test_run_grid_batched_matches_sequential_and_resume(
         self, tmp_path, monkeypatch
     ):
-        from repro.api import eval_scenario_spec
+        from repro.api import eval_scenario_spec, execute_api_eval_batch
         from repro.experiments.common import clear_bundle_cache
         from repro.experiments.runner.executor import run_grid
         from repro.experiments.runner.spec import ScenarioGrid
@@ -503,23 +365,50 @@ class TestRunnerStacking:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_bundle_cache()
+        sigma_sweep = tuple(
+            eval_scenario_spec("smoke", SimConfig(mode="noisy", noise_sigma=s))
+            for s in (2.0, 4.0, 6.0)
+        ) + (eval_scenario_spec("smoke", SimConfig(mode="clean")),)
+        # Base, reduced and PLA pulse counts: one first-layer memo read per
+        # encoding, and each scenario's stream continued across repeats.
+        pulse_sweep = tuple(
+            eval_scenario_spec(
+                "smoke",
+                SimConfig(mode="noisy", noise_sigma=4.0, pulses=pulses),
+                num_repeats=2,
+            )
+            for pulses in (8, 4, 12)
+        )
         try:
-            specs = tuple(
-                eval_scenario_spec("smoke", SimConfig(mode="noisy", noise_sigma=s))
-                for s in (2.0, 4.0, 6.0)
-            ) + (eval_scenario_spec("smoke", SimConfig(mode="clean")),)
-            grid = ScenarioGrid(name="api_sweep", specs=specs)
+            for name, specs in (("api_sweep", sigma_sweep), ("api_pulses", pulse_sweep)):
+                grid = ScenarioGrid(name=name, specs=specs)
+                stacks = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        "repro.api.execute_api_eval_batch",
+                        _recording(stacks, execute_api_eval_batch),
+                    )
+                    sequential = run_grid(grid, batch=False)
+                    batched = run_grid(grid, batch=True)
+                assert stacks == [len(grid)], name
+                assert batched.results == sequential.results, name
+                assert batched.executed == len(grid)
 
-            sequential = run_grid(grid, batch=False)
-            batched = run_grid(grid, batch=True)
-            assert batched.results == sequential.results
-            assert batched.executed == len(grid)
-
-            store = ResultStore(str(tmp_path / "runner"))
-            populated = run_grid(grid, store=store, batch=True)
-            resumed = run_grid(grid, store=store, batch=True)
-            assert populated.results == sequential.results
-            assert resumed.cached == len(grid) and resumed.executed == 0
-            assert resumed.results == sequential.results
+                store = ResultStore(str(tmp_path / "runner" / name))
+                populated = run_grid(grid, store=store, batch=True)
+                resumed = run_grid(grid, store=store, batch=True)
+                assert populated.results == sequential.results, name
+                assert resumed.cached == len(grid) and resumed.executed == 0
+                assert resumed.results == sequential.results, name
         finally:
             clear_bundle_cache()
+
+
+def _recording(widths, execute):
+    """``execute`` wrapped to append each stacked group's width to ``widths``."""
+
+    def recording(specs, *args, **kwargs):
+        widths.append(len(specs))
+        return execute(specs, *args, **kwargs)
+
+    return recording

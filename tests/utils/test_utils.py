@@ -1,4 +1,4 @@
-"""Tests for utility helpers: seeding, logging, timing and serialization."""
+"""Tests for utility helpers: seeding, logging and serialization."""
 
 import logging
 import os
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.tensor.random import default_rng
-from repro.utils import Timer, get_logger, load_state, save_state, seed_everything, timed
+from repro.utils import get_logger, load_state, save_state, seed_everything
 
 
 class TestSeeding:
@@ -35,21 +35,6 @@ class TestLogging:
     def test_level_configurable(self):
         logger = get_logger("repro.test.level", level=logging.WARNING)
         assert logger.level == logging.WARNING
-
-
-class TestTiming:
-    def test_timer_measures_elapsed(self):
-        with Timer() as timer:
-            sum(range(10000))
-        assert timer.elapsed >= 0.0
-
-    def test_timed_decorator_records_duration(self):
-        @timed
-        def work():
-            return sum(range(1000))
-
-        assert work() == sum(range(1000))
-        assert work.last_elapsed >= 0.0
 
 
 class TestSerialization:
