@@ -17,6 +17,8 @@ Layers: config compatibility (``compat_key``), the model-level
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,23 @@ def _streams(count, seed=SEED + 60):
     return [RandomState(seed + k) for k in range(count)]
 
 
+@contextlib.contextmanager
+def _counting_reads(model):
+    """Record the batch size of every ideal read of the first encoded layer."""
+    first = model.encoded_layers()[0]
+    reads = []
+
+    def counting_read(encoded, _read=first._ideal_read):
+        reads.append(encoded.shape[0])
+        return _read(encoded)
+
+    first._ideal_read = counting_read
+    try:
+        yield reads
+    finally:
+        del first._ideal_read
+
+
 def _sim_state(model):
     return [
         (
@@ -175,16 +194,8 @@ class TestMultiSession:
                         [evaluate_accuracy(model, batches) for _ in range(num_repeats)]
                     )
 
-            first = model.encoded_layers()[0]
-            reads = []
-
-            def counting_read(encoded, _read=first._ideal_read):
-                reads.append(encoded.shape[0])
-                return _read(encoded)
-
-            first._ideal_read = counting_read
             multi_logits = [[] for _ in configs]
-            with MultiSession(
+            with _counting_reads(model) as reads, MultiSession(
                 model, configs, rngs=[RandomState(s) for s in seeds]
             ) as session:
                 for _ in range(num_repeats):
@@ -193,7 +204,6 @@ class TestMultiSession:
                             multi_logits, session.forward(Tensor(inputs))
                         ):
                             scenario.append(block.data)
-            del first._ideal_read
             # One ideal read per distinct encoding per batch, at batch N.
             assert reads == [len(batches[0][0])] * (
                 MIXED_ENCODINGS * len(batches) * num_repeats
@@ -237,6 +247,133 @@ class TestMultiSession:
         expected = [len(batches[0][0])] * (len(configs) * len(batches))
         for name, seen in rows.items():
             assert seen == expected, name
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_single_scenario_matches_session(self, engine_name):
+        config = SimConfig(mode="noisy", noise_sigma=2.0, engine=engine_name)
+        inputs, _ = _batch()
+        for model_name, make_model in sorted(MODELS.items()):
+            model = make_model()
+            with Session(model, config):
+                _pin_stream(model, SEED + 70)
+                expected = model(Tensor(inputs)).data.copy()
+            with MultiSession(model, [config], rngs=[RandomState(SEED + 70)]) as session:
+                (got,) = session.forward(Tensor(inputs))
+            np.testing.assert_array_equal(got.data, expected, err_msg=model_name)
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_base_encoding_scenarios_share_one_read(self, engine_name):
+        # Clean, zero-sigma and explicit 8-pulse scenarios all use the base
+        # encoding: one ideal read per batch, and identical noiseless logits.
+        configs = [
+            SimConfig(mode="clean", engine=engine_name),
+            SimConfig(mode="noisy", noise_sigma=0.0, engine=engine_name),
+            SimConfig(mode="clean", pulses=8, engine=engine_name),
+        ]
+        model = _lenet()
+        inputs, _ = _batch()
+        with Session(model, configs[0]):
+            expected = model(Tensor(inputs)).data.copy()
+        with _counting_reads(model) as reads:
+            with MultiSession(model, configs, rngs=_streams(len(configs))) as session:
+                logits = session.forward(Tensor(inputs))
+        assert reads == [len(inputs)]
+        for block in logits:
+            np.testing.assert_array_equal(block.data, expected)
+
+    @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
+    def test_mixed_pulse_counts_match_sequential(self, engine_name):
+        # Base, reduced and PLA pulse counts, with one encoding repeated at a
+        # second sigma: one read per distinct encoding, each scenario equal
+        # to its own sequential run.
+        configs = [
+            SimConfig(mode="noisy", noise_sigma=sigma, pulses=pulses, engine=engine_name)
+            for pulses, sigma in ((8, 2.0), (4, 2.0), (12, 2.0), (4, 5.0))
+        ]
+        seeds = [SEED + 80 + k for k in range(len(configs))]
+        model = _lenet()
+        inputs, _ = _batch()
+        sequential = []
+        for config, seed in zip(configs, seeds):
+            with Session(model, config):
+                _pin_stream(model, seed)
+                sequential.append(model(Tensor(inputs)).data.copy())
+        with _counting_reads(model) as reads:
+            with MultiSession(
+                model, configs, rngs=[RandomState(s) for s in seeds]
+            ) as session:
+                logits = session.forward(Tensor(inputs))
+        assert reads == [len(inputs)] * 3
+        for block, want in zip(logits, sequential):
+            np.testing.assert_array_equal(block.data, want)
+
+    def test_engines_agree_bitwise_on_clean_scenarios(self):
+        inputs, _ = _batch()
+        for model_name, make_model in sorted(MODELS.items()):
+            logits = {}
+            for engine_name in ("reference", "vectorized"):
+                configs = [
+                    SimConfig(mode="clean", engine=engine_name),
+                    SimConfig(mode="clean", pulses=4, engine=engine_name),
+                ]
+                with MultiSession(
+                    make_model(), configs, rngs=_streams(len(configs))
+                ) as session:
+                    logits[engine_name] = [
+                        block.data for block in session.forward(Tensor(inputs))
+                    ]
+            for reference, vectorized in zip(logits["reference"], logits["vectorized"]):
+                np.testing.assert_array_equal(reference, vectorized, err_msg=model_name)
+
+    def test_scenario_order_permutes_results(self):
+        # Each scenario owns its stream: reordering configs with their
+        # streams reorders the logits and changes nothing else.
+        configs = [
+            SimConfig(mode="noisy", noise_sigma=sigma, engine="vectorized")
+            for sigma in (1.0, 3.0, 5.0)
+        ]
+        seeds = [SEED + 90 + k for k in range(len(configs))]
+        model = _lenet()
+        inputs, _ = _batch()
+        with MultiSession(
+            model, configs, rngs=[RandomState(s) for s in seeds]
+        ) as session:
+            forward = [block.data for block in session.forward(Tensor(inputs))]
+        with MultiSession(
+            model, configs[::-1], rngs=[RandomState(s) for s in seeds[::-1]]
+        ) as session:
+            backward = [block.data for block in session.forward(Tensor(inputs))]
+        for got, want in zip(backward[::-1], forward):
+            np.testing.assert_array_equal(got, want)
+
+    def test_clean_scenario_draws_nothing_from_its_stream(self):
+        configs = [
+            SimConfig(mode="clean", engine="vectorized"),
+            SimConfig(mode="noisy", noise_sigma=2.0, engine="vectorized"),
+        ]
+        rngs = _streams(len(configs))
+        fresh = _streams(len(configs))
+        with MultiSession(_lenet(), configs, rngs=rngs) as session:
+            session.forward(Tensor(_batch()[0]))
+        assert rngs[0].normal(size=4).tolist() == fresh[0].normal(size=4).tolist()
+        assert rngs[1].normal(size=4).tolist() != fresh[1].normal(size=4).tolist()
+
+    def test_rngs_are_required(self):
+        with pytest.raises(TypeError, match="rngs"):
+            MultiSession(_lenet(), [SimConfig(mode="clean")])
+
+    def test_rng_length_mismatch_raises(self):
+        configs = [SimConfig(mode="clean"), SimConfig(mode="noisy", noise_sigma=1.0)]
+        with pytest.raises(ValueError, match="rngs"):
+            MultiSession(_lenet(), configs, rngs=_streams(1))
+
+    def test_empty_config_list_raises(self):
+        with pytest.raises(ValueError, match="at least one"):
+            MultiSession(_lenet(), [], rngs=[])
+
+    def test_target_without_stem_raises(self):
+        with pytest.raises(TypeError, match="forward_stem"):
+            MultiSession(object(), [SimConfig(mode="clean")], rngs=_streams(1))
 
     def test_incompatible_configs_raise(self):
         model = _lenet()
@@ -317,6 +454,26 @@ class TestEvaluateMulti:
             num_repeats=num_repeats,
         )
         assert batched == sequential
+
+    def test_rngs_are_required(self):
+        with pytest.raises(TypeError, match="rngs"):
+            evaluate_multi(_lenet(), [_batch()], [SimConfig(mode="clean")])
+
+    def test_nonpositive_repeats_raise(self):
+        with pytest.raises(ValueError, match="num_repeats"):
+            evaluate_multi(
+                _lenet(),
+                [_batch()],
+                [SimConfig(mode="clean")],
+                rngs=_streams(1),
+                num_repeats=0,
+            )
+
+    def test_training_mode_restored(self):
+        model = _lenet()
+        model.train()
+        evaluate_multi(model, [_batch()], [SimConfig(mode="clean")], rngs=_streams(1))
+        assert model.training
 
 
 class TestRunnerStacking:
