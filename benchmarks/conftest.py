@@ -30,7 +30,10 @@ from repro.worker_env import WORKER_THREAD_ENV
 
 BENCHMARKS_DIR = os.path.dirname(os.path.abspath(__file__))
 RESULTS_DIR = os.path.join(BENCHMARKS_DIR, "results")
+REPO_ROOT = os.path.dirname(BENCHMARKS_DIR)
 HISTORY_FILE = "history.jsonl"
+#: What :func:`_dirty` compares against the commit, relative to the repo root.
+DIRTY_PATHSPECS = ("src", "tests", "benchmarks", ":(exclude)benchmarks/results")
 
 
 def pytest_collection_modifyitems(config, items):
@@ -80,24 +83,44 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _commit() -> str:
+def _commit(root: str = REPO_ROOT) -> str:
     """The checked-out commit, or ``"unknown"`` outside a git checkout."""
     try:
         head = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=BENCHMARKS_DIR, capture_output=True, text=True, timeout=10, check=True,
+            cwd=root, capture_output=True, text=True, timeout=10, check=True,
         )
     except (OSError, subprocess.SubprocessError):
         return "unknown"
     return head.stdout.strip() or "unknown"
 
 
+def _dirty(root: str = REPO_ROOT) -> bool:
+    """Whether the code a run measures differs from :func:`_commit`.
+
+    ``git status --porcelain`` over ``src/``, ``tests/`` and
+    ``benchmarks/``, leaving out ``benchmarks/results/`` (which the runs
+    themselves rewrite): any modified, staged or untracked file makes the
+    run dirty.  Outside a git checkout no commit vouches for the code, so
+    the run counts as dirty too.
+    """
+    try:
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--", *DIRTY_PATHSPECS],
+            cwd=root, capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return True
+    return bool(status.stdout.strip())
+
+
 def write_bench_artifact(results_dir: str, name: str, record: dict) -> None:
     """Write ``record`` to ``BENCH_<name>.json`` and append it to the history.
 
     ``record`` must carry the gated ``speedup`` and its
-    ``min_required_speedup``.  The history line adds the commit, usable CPU
-    count and BLAS thread variables of the run.
+    ``min_required_speedup``.  The history line adds the commit, whether the
+    measured code differs from it (``dirty``), and the usable CPU count and
+    BLAS thread variables of the run.
     """
     artifact = f"BENCH_{name}.json"
     with open(os.path.join(results_dir, artifact), "w", encoding="utf-8") as handle:
@@ -107,6 +130,7 @@ def write_bench_artifact(results_dir: str, name: str, record: dict) -> None:
         "artifact": artifact,
         "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "commit": _commit(),
+        "dirty": _dirty(),
         "cpus": usable_cpus(),
         "blas_threads": {var: os.environ.get(var) for var in WORKER_THREAD_ENV},
         "speedup": record["speedup"],

@@ -9,7 +9,12 @@ An engine answers four questions for the rest of the library:
    (:meth:`gbo_mixture_noise`), and
 4. how to evaluate the full GBO candidate mixture — the ideal crossbar read
    of every candidate encoding plus its reparameterised noise — in one
-   differentiable forward (:meth:`gbo_mixture_read`).
+   differentiable forward (:meth:`gbo_mixture_read`).  It is two halves:
+   :meth:`gbo_mixture_draws` makes the random draws, which depend only on
+   the output shape and the candidate scales, and
+   :meth:`gbo_mixture_combine` mixes them with the reads under the softmax
+   weights.  GBO training makes the draws one step ahead on a helper thread
+   (see :mod:`repro.core.gbo`).
 
 Implementations must be *statistically* interchangeable: for every method the
 returned distribution is fixed by the paper's model, only the number of numpy
@@ -19,7 +24,7 @@ calls (and hence the draw layout) may differ.  The equivalence is enforced by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,6 +124,38 @@ class SimulationEngine:
         """
         raise NotImplementedError
 
+    def gbo_mixture_draws(
+        self,
+        shape: Tuple[int, ...],
+        scales: Sequence[float],
+        rng: RandomState,
+    ) -> List[np.ndarray]:
+        """The draw half of :meth:`gbo_mixture_read`: its ``rng`` calls.
+
+        Returns the arrays :meth:`gbo_mixture_combine` mixes, drawn from
+        ``rng`` with the very calls, in the very order, that
+        :meth:`gbo_mixture_read` makes for an output of ``shape``.  Nothing
+        here depends on the logits or on the read, so the draws can be made
+        ahead of the forward.
+        """
+        raise NotImplementedError
+
+    def gbo_mixture_combine(
+        self,
+        read: Tensor,
+        read_op: Callable[[], Tensor],
+        alphas: Tensor,
+        scales: Sequence[float],
+        draws: Sequence[np.ndarray],
+    ) -> Tensor:
+        """The combine half of :meth:`gbo_mixture_read`.
+
+        ``read`` is the first ideal read; an engine that reads once per
+        candidate calls ``read_op`` for each further one.  ``draws`` are
+        :meth:`gbo_mixture_draws` of ``read.shape``; they are not written.
+        """
+        raise NotImplementedError
+
     def gbo_mixture_read(
         self,
         read_op: Callable[[], Tensor],
@@ -138,6 +175,11 @@ class SimulationEngine:
         samples from ``rng`` but the same mixture distribution, and gradients
         reach the logits through ``alphas`` either way.
 
+        The first read fixes the output shape; then come the draws
+        (:meth:`gbo_mixture_draws`) and the mixture
+        (:meth:`gbo_mixture_combine`).  Reads touch no random stream, so
+        this order draws exactly what a read-draw-read-draw loop would.
+
         Parameters
         ----------
         read_op:
@@ -152,7 +194,9 @@ class SimulationEngine:
         rng:
             Random state for the candidate noise draws.
         """
-        raise NotImplementedError
+        read = read_op()
+        draws = self.gbo_mixture_draws(read.shape, scales, rng)
+        return self.gbo_mixture_combine(read, read_op, alphas, scales, draws)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,15 @@ class ReferenceEngine(SimulationEngine):
             total += rng.normal(0.0, sigma, size=shape)
         return total / float(pulses)
 
+    def gbo_mixture_draws(
+        self,
+        shape: Tuple[int, ...],
+        scales: Sequence[float],
+        rng: RandomState,
+    ) -> List[np.ndarray]:
+        # One accumulated-noise draw per candidate encoding, in Omega's order.
+        return [rng.normal(0.0, float(scale), size=shape) for scale in scales]
+
     def gbo_mixture_noise(
         self,
         alphas: Tensor,
@@ -68,27 +77,27 @@ class ReferenceEngine(SimulationEngine):
         rng: RandomState,
     ) -> Tensor:
         total: Optional[Tensor] = None
-        for option_index, scale in enumerate(scales):
-            eps = Tensor(rng.normal(0.0, float(scale), size=shape))
-            term = alphas[option_index] * eps
+        for option_index, eps in enumerate(self.gbo_mixture_draws(shape, scales, rng)):
+            term = alphas[option_index] * Tensor(eps)
             total = term if total is None else total + term
         return total
 
-    def gbo_mixture_read(
+    def gbo_mixture_combine(
         self,
+        read: Tensor,
         read_op: Callable[[], Tensor],
         alphas: Tensor,
         scales: Sequence[float],
-        rng: RandomState,
+        draws: Sequence[np.ndarray],
     ) -> Tensor:
         # Eq. 5 executed literally: one crossbar read per candidate encoding,
         # each with its own accumulated noise draw, mixed by the softmax
         # weights.  O(|Omega|) reads per layer per step.
         total: Optional[Tensor] = None
-        for option_index, scale in enumerate(scales):
-            read = read_op()
-            eps = Tensor(rng.normal(0.0, float(scale), size=read.shape))
-            term = alphas[option_index] * (read + eps)
+        for option_index, eps in enumerate(draws):
+            if option_index:
+                read = read_op()
+            term = alphas[option_index] * (read + Tensor(eps))
             total = term if total is None else total + term
         return total
 

@@ -36,7 +36,7 @@ moment, KS, gradient-expectation and training-level tests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,6 +137,15 @@ class VectorizedEngine(SimulationEngine):
     ) -> np.ndarray:
         return rng.normal(0.0, sigma / np.sqrt(float(num_pulses)), size=shape)
 
+    def gbo_mixture_draws(
+        self,
+        shape: Tuple[int, ...],
+        scales: Sequence[float],
+        rng: RandomState,
+    ) -> List[np.ndarray]:
+        # One standard normal of the output shape for the whole mixture.
+        return [rng.normal(0.0, 1.0, size=tuple(shape))]
+
     def gbo_mixture_noise(
         self,
         alphas: Tensor,
@@ -144,6 +153,11 @@ class VectorizedEngine(SimulationEngine):
         shape: Tuple[int, ...],
         rng: RandomState,
     ) -> Tensor:
+        (eps,) = self.gbo_mixture_draws(shape, scales, rng)
+        return self._scaled_noise(alphas, scales, eps)
+
+    @staticmethod
+    def _scaled_noise(alphas: Tensor, scales: Sequence[float], eps: np.ndarray) -> Tensor:
         # sum_k alpha_k scale_k eps_k with i.i.d. eps_k ~ N(0, 1) is exactly
         # N(0, sum_k (alpha_k scale_k)^2), so one standard-normal draw scaled
         # by that differentiable deviation replaces the |Omega| draws; the
@@ -153,14 +167,15 @@ class VectorizedEngine(SimulationEngine):
         # the softmax weights' dtype, which follows the compute-dtype policy.
         scales_arr = np.asarray(scales, dtype=alphas.data.dtype)
         std = ((alphas * Tensor(scales_arr)) ** 2).sum().sqrt()
-        return std * Tensor(rng.normal(0.0, 1.0, size=tuple(shape)))
+        return std * Tensor(eps)
 
-    def gbo_mixture_read(
+    def gbo_mixture_combine(
         self,
+        read: Tensor,
         read_op: Callable[[], Tensor],
         alphas: Tensor,
         scales: Sequence[float],
-        rng: RandomState,
+        draws: Sequence[np.ndarray],
     ) -> Tensor:
         # The candidate reads only differ in their noise, so the |Omega|
         # per-candidate reads of the reference loop collapse to one read plus
@@ -169,9 +184,8 @@ class VectorizedEngine(SimulationEngine):
         # factor (= 1 for softmax weights) keeps the gradient graph of the
         # reference loop, where the read reaches the logits through every
         # alpha_k.
-        read = read_op()
-        noise = self.gbo_mixture_noise(alphas, scales, read.shape, rng)
-        return alphas.sum() * read + noise
+        (eps,) = draws
+        return alphas.sum() * read + self._scaled_noise(alphas, scales, eps)
 
 
 VECTORIZED_ENGINE = register_engine(VectorizedEngine())

@@ -32,6 +32,15 @@ Resolution rule (what keeps the default behaviour bit-for-bit identical):
 ``contextvars`` semantics make the isolation free: a value set in one
 thread is invisible to every other thread, and asyncio tasks inherit the
 context of wherever they were scheduled from.
+
+A context object itself is shared by every thread that resolves it (all
+unbound threads share the process default; a helper thread started under
+:func:`contextvars.copy_context` shares its parent's), so nothing scoped to
+one thread may be written onto it.  The grad flag is the example:
+``grad_enabled`` is the context's *default*, and
+:func:`repro.tensor.tensor.no_grad` overrides it for the calling
+thread/task only, through its own ``ContextVar``, so one thread inside
+``no_grad()`` never stops another from recording its graph.
 """
 
 from __future__ import annotations
@@ -123,7 +132,9 @@ class ExecutionContext:
         components fall back to (was ``repro.tensor.random._DEFAULT``).
         Created lazily so constructing a context is import-cycle free.
     ``grad_enabled``
-        The autograd recording flag (was ``repro.tensor.tensor._GRAD_ENABLED``).
+        The autograd recording flag's default (was
+        ``repro.tensor.tensor._GRAD_ENABLED``); ``no_grad()`` overrides it
+        per thread/task and never writes it.
     ``bundles``
         The pre-trained bundle cache, keyed by profile token (was
         ``repro.experiments.common._BUNDLE_CACHE``).  Keyed access goes

@@ -55,14 +55,17 @@ ForwardMode = Literal["clean", "noisy", "gbo"]
 
 
 class ReadMemo:
-    """One input batch's shared encoded-layer work across scenarios.
+    """One input batch's encoded-layer work, made once and reused.
 
     Keyed by the input object: ``clipped`` and ``index`` are its clipped
     activation and level index (see
     :func:`~repro.quant.activation.level_index`), and ``reads`` maps each
     encoding key (see :meth:`EncodedLayerMixin._encoding_key`) to its ideal
     crossbar read.  A new input object resets all three.  The reads are
-    shared by every scenario, so nothing may write into them.
+    shared by every user, so nothing may write into them.  A
+    :class:`repro.sim.MultiSession` shares one across scenarios; GBO
+    training fills one per step ahead of the forward (see
+    :mod:`repro.core.gbo`).
     """
 
     __slots__ = ("inputs", "clipped", "index", "reads")
@@ -72,6 +75,17 @@ class ReadMemo:
         self.clipped: Optional[Tensor] = None
         self.index: Optional[np.ndarray] = None
         self.reads: dict = {}
+
+    def read(self, layer: "EncodedLayerMixin", x: Tensor) -> Tensor:
+        """``layer``'s ideal read of ``x`` in its current encoding, memoised."""
+        if self.inputs is not x:
+            self.clipped, self.index = level_index(x, layer.act_quantizer.levels)
+            self.inputs, self.reads = x, {}
+        key = layer._encoding_key()
+        if key not in self.reads:
+            encoded = layer._encode_levels(self.clipped, self.index, key)
+            self.reads[key] = layer._ideal_read(encoded)
+        return self.reads[key]
 
 
 class EncodedLayerMixin:
@@ -107,8 +121,9 @@ class EncodedLayerMixin:
         self._engine: Optional[SimulationEngine] = (
             None if engine is None else resolve_engine(engine)
         )
-        # Shared-input memo, attached by repro.sim.MultiSession to a model's
-        # first encoded layer for a multi-scenario evaluation; else None.
+        # Shared-input memo, attached to a model's first encoded layer by
+        # repro.sim.MultiSession for a multi-scenario evaluation and by
+        # GBOTrainer for each training step; else None.
         self._read_memo: Optional[ReadMemo] = None
 
     # ------------------------------------------------------------------
@@ -257,26 +272,21 @@ class EncodedLayerMixin:
         """
         memo = self._read_memo
         if memo is None:
-            return self._crossbar_forward(self._encode_input(x))
-        if memo.inputs is not x:
-            memo.clipped, memo.index = level_index(x, self.act_quantizer.levels)
-            memo.inputs, memo.reads = x, {}
-        key = self._encoding_key()
-        if key not in memo.reads:
-            encoded = self._encode_levels(memo.clipped, memo.index, key)
-            memo.reads[key] = self._ideal_read(encoded)
-        return self._apply_output_noise(memo.reads[key])
+            encoded = self._encode_input(x)
+            return self._crossbar_forward(lambda: self._ideal_read(encoded))
+        read = memo.read(self, x)
+        return self._crossbar_forward(lambda: read)
 
-    def _crossbar_forward(self, encoded: Tensor) -> Tensor:
-        """Dispatch one encoded-activation forward to the current mode.
+    def _crossbar_forward(self, read_op) -> Tensor:
+        """Dispatch one forward, given its ideal read, to the current mode.
 
-        ``gbo`` mode hands the whole candidate mixture (ideal read included)
+        ``gbo`` mode hands the whole candidate mixture (``read_op`` included)
         to the engine so all of Omega is evaluated in one primitive; the
         other modes perform a single ideal read and add the mode's noise.
         """
         if self.mode == "gbo" and self.effective_sigma() > 0:
-            return self._gbo_mixture_forward(lambda: self._ideal_read(encoded))
-        return self._apply_output_noise(self._ideal_read(encoded))
+            return self._gbo_mixture_forward(read_op)
+        return self._apply_output_noise(read_op())
 
     def _ideal_read(self, encoded: Tensor) -> Tensor:
         """One ideal (noise-free) crossbar read of the encoded activation."""

@@ -18,24 +18,57 @@ that contract statistically.  After training, each layer selects
 the candidate with the maximum logit (Eq. 7's argmax rule) and the resulting
 heterogeneous :class:`~repro.core.schedule.PulseSchedule` is used for noisy
 inference.
+
+**One step ahead.**  With the weights frozen, part of every step never
+touches the logits: the batch, the stem (:meth:`forward_stem`, the layers
+before the first encoded one), the first encoded layer's level index and
+ideal read of the base encoding, and every noise draw of the step (each
+engine's :meth:`~repro.backend.engine.SimulationEngine.gbo_mixture_draws`:
+one standard normal per layer on the vectorized engine, one per candidate
+on the reference engine).  :meth:`GBOTrainer.train` makes that part on one
+helper thread while the training thread runs the previous step's
+:meth:`forward_body` (from the first layer's mixture onwards), backward and
+Adam step; at most two steps are in flight.  The per-sample shape of each
+layer's draws comes from a one-sample probe forward that draws nothing.
+
+The stream contract: every noise stream and the loader see exactly the
+calls a step-by-step run makes, in its order — the helper is the only
+thread that draws during training — and nothing after the last step.  Only
+when a step raises may the helper already have drawn the next step.  The
+training thread's forward replays the prepared draws through a stand-in
+for each layer's stream that refuses any draw the helper did not make, so
+a divergence raises instead of shifting a stream.  The goldens of
+``tests/core/test_gbo_golden.py`` and ``tests/core/test_gbo_pipeline.py``
+hold bit for bit.  At train start :func:`repro.worker_env.keep_heap_resident`
+fixes glibc's heap thresholds, without which the second thread makes glibc
+trim and re-fault the main heap every step.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
+import queue
+import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.encoder_layer import EncodedLayerMixin
+from repro.backend.engine import SimulationEngine
+from repro.core.encoder_layer import EncodedLayerMixin, ReadMemo
 from repro.core.pla import activation_grid_error
 from repro.core.schedule import PulseSchedule
 from repro.core.search_space import PulseScalingSpace
 from repro.optim import Adam
 from repro.sim import SimConfig
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 from repro.tensor import functional as F
+from repro.tensor.dtype import resolve_dtype
+from repro.tensor.random import RandomState
 from repro.utils.logging import get_logger
+from repro.worker_env import keep_heap_resident
 
 LOGGER = get_logger("repro.gbo")
 
@@ -120,7 +153,10 @@ class GBOTrainer:
     ----------
     model:
         A model exposing ``encoded_layers()`` returning the crossbar-mapped
-        layers in forward order (e.g. :class:`repro.models.VGG9`).
+        layers in forward order, and its forward split into
+        ``forward_stem``/``forward_body`` (see
+        :class:`repro.models.base.EncodedModelMixin`; e.g.
+        :class:`repro.models.VGG9`).
     config:
         GBO hyper-parameters.
     sim:
@@ -159,6 +195,15 @@ class GBOTrainer:
         statistics are also frozen by switching the model to eval mode, while
         every encoded layer runs in ``gbo`` forward mode so the mixture noise
         of Eq. 5 is injected.
+
+        One helper thread walks ``loader`` in order, one step ahead of the
+        optimisation, and prepares what no logit touches (see the module
+        docstring): the stem, the first encoded layer's ideal read, and every
+        noise draw of the step.  The calling thread runs the rest, from the first
+        layer's mixture onwards, then backward and Adam.  Each noise stream
+        sees the calls a step-by-step run makes, in its order, and none after
+        the last step; only when a step raises may the helper have drawn the
+        next one.  The helper is joined before ``train`` returns or raises.
         """
         config = self.config
         self.model.eval()
@@ -176,42 +221,117 @@ class GBOTrainer:
             for layer in self._layers:
                 layer._apply_engine(engine)
 
+        keep_heap_resident()
         optimizer = Adam(logits, lr=config.learning_rate)
-        history: List[Dict[str, float]] = []
-        step = 0
+        streams = [layer.noise_rng for layer in self._layers]
         try:
-            for epoch in range(config.epochs):
-                for inputs, targets in loader:
-                    optimizer.zero_grad()
-                    outputs = self.model(Tensor(inputs))
-                    ce_loss = F.cross_entropy(outputs, targets)
-                    latency = self._latency_term()
-                    loss = ce_loss + latency * config.gamma
-                    loss.backward()
-                    optimizer.step()
-                    step += 1
-                    record = {
-                        "epoch": float(epoch),
-                        "step": float(step),
-                        "loss": float(loss.data),
-                        "cross_entropy": float(ce_loss.data),
-                        "expected_latency": float(latency.data),
-                    }
-                    history.append(record)
-                    if config.log_every and step % config.log_every == 0:
-                        LOGGER.info(
-                            "gbo step %d: loss=%.4f ce=%.4f latency=%.2f",
-                            step,
-                            record["loss"],
-                            record["cross_entropy"],
-                            record["expected_latency"],
-                        )
+            history = self._run_steps(loader, optimizer, streams)
         finally:
-            for layer, previous in zip(self._layers, previous_engines):
+            for layer, previous, stream in zip(self._layers, previous_engines, streams):
                 layer._apply_engine(previous)
+                layer.noise_rng = stream
+                layer._read_memo = None
         result = self._finalise(history)
         self._apply_schedule(result.schedule)
         return result
+
+    def _run_steps(self, loader, optimizer: Adam, streams) -> List[Dict[str, float]]:
+        """Every optimisation step, fed by the helper thread; the history."""
+        batches = (
+            (epoch, inputs, targets)
+            for epoch in range(self.config.epochs)
+            for inputs, targets in loader
+        )
+        first = next(batches, None)
+        if first is None:
+            return []
+        plan = self._draw_plan(first[1], streams)
+        replays = [_DrawReplay() for _ in self._layers]
+        for layer, replay in zip(self._layers, replays):
+            layer.noise_rng = replay
+        history: List[Dict[str, float]] = []
+        ahead = _OneStepAhead(
+            self._prepare(plan, *batch) for batch in itertools.chain([first], batches)
+        )
+        try:
+            for step in ahead:
+                history.append(self._step(step, optimizer, replays, len(history) + 1))
+        finally:
+            ahead.close()
+        return history
+
+    def _draw_plan(self, inputs: np.ndarray, streams) -> List[Optional["_LayerDraws"]]:
+        """What the helper draws per layer, from a one-sample probe forward.
+
+        The probe runs the model on ``inputs[:1]`` with every noise stream
+        replaced by a :class:`_ShapeProbe`, so it draws nothing; each layer's
+        first requested size gives its per-sample output shape.  A layer
+        that requests nothing (sigma == 0) gets ``None``.
+        """
+        probes = [_ShapeProbe() for _ in self._layers]
+        for layer, probe in zip(self._layers, probes):
+            layer.noise_rng = probe
+        try:
+            with no_grad():
+                self.model(Tensor(inputs[:1]))
+        finally:
+            for layer, stream in zip(self._layers, streams):
+                layer.noise_rng = stream
+        plan: List[Optional[_LayerDraws]] = []
+        for layer, probe, stream in zip(self._layers, probes, streams):
+            if not probe.sizes:
+                plan.append(None)
+                continue
+            size = probe.sizes[0]
+            if size[0] != 1:
+                raise ValueError(
+                    f"GBO needs batch-leading layer outputs; a one-sample probe drew {size}"
+                )
+            plan.append(_LayerDraws(layer.engine, layer._gbo_noise_scales(), size[1:], stream))
+        return plan
+
+    def _prepare(self, plan, epoch: int, inputs: np.ndarray, targets: np.ndarray) -> "_Step":
+        """The logits-independent part of one step (runs on the helper thread)."""
+        with no_grad():
+            stem = self.model.forward_stem(Tensor(inputs))
+            memo = ReadMemo()
+            memo.read(self._layers[0], stem)
+        draws = [
+            [] if layer is None else layer.draw(stem.shape[0]) for layer in plan
+        ]
+        return _Step(epoch, stem, memo, targets, draws)
+
+    def _step(self, step: "_Step", optimizer: Adam, replays, number: int) -> Dict[str, float]:
+        """One optimisation step on a prepared batch; its history record."""
+        config = self.config
+        for replay, draws in zip(replays, step.draws):
+            replay.load(draws)
+        self._layers[0]._read_memo = step.memo
+        optimizer.zero_grad()
+        outputs = self.model.forward_body(step.stem)
+        for replay in replays:
+            replay.check_drained()
+        ce_loss = F.cross_entropy(outputs, step.targets)
+        latency = self._latency_term()
+        loss = ce_loss + latency * config.gamma
+        loss.backward()
+        optimizer.step()
+        record = {
+            "epoch": float(step.epoch),
+            "step": float(number),
+            "loss": float(loss.data),
+            "cross_entropy": float(ce_loss.data),
+            "expected_latency": float(latency.data),
+        }
+        if config.log_every and number % config.log_every == 0:
+            LOGGER.info(
+                "gbo step %d: loss=%.4f ce=%.4f latency=%.2f",
+                number,
+                record["loss"],
+                record["cross_entropy"],
+                record["expected_latency"],
+            )
+        return record
 
     def _latency_term(self) -> Tensor:
         """Differentiable total expected latency ``sum_l sum_k alpha_k n_k p``."""
@@ -265,6 +385,133 @@ class GBOTrainer:
         for layer, pulses in zip(self._layers, schedule):
             layer._apply_mode("noisy")
             layer._apply_pulses(pulses)
+
+
+@dataclass
+class _LayerDraws:
+    """One encoded layer's noise draws for a batch: its engine's draw half."""
+
+    engine: SimulationEngine
+    scales: List[float]
+    sample_shape: Tuple[int, ...]
+    stream: RandomState
+
+    def draw(self, batch: int) -> List[np.ndarray]:
+        shape = (batch,) + self.sample_shape
+        return self.engine.gbo_mixture_draws(shape, self.scales, self.stream)
+
+
+@dataclass
+class _Step:
+    """One prepared optimisation step, handed from the helper thread."""
+
+    epoch: int
+    stem: Tensor
+    memo: ReadMemo
+    targets: np.ndarray
+    draws: List[List[np.ndarray]]
+
+
+class _ShapeProbe:
+    """Stands in for a noise stream in the probe forward: records, draws nothing."""
+
+    def __init__(self) -> None:
+        self.sizes: List[Tuple[int, ...]] = []
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray:
+        self.sizes.append(tuple(size))
+        return np.zeros(size, dtype=resolve_dtype())
+
+
+class _DrawReplay:
+    """A layer's noise stream as the training thread sees it.
+
+    :meth:`load` takes the arrays the helper drew on the real stream for one
+    step, and each ``normal`` call of the forward gets the next one back.  A
+    call that finds none or another shape, and a step that leaves one
+    unused, raise: the forward and the helper disagree about the draws.
+    """
+
+    def __init__(self) -> None:
+        self._draws: Deque[np.ndarray] = deque()
+
+    def load(self, draws: List[np.ndarray]) -> None:
+        self._draws.extend(draws)
+
+    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray:
+        # loc and scale went into the helper's identical call; only the
+        # shape, which the probe inferred, can disagree.
+        if not self._draws:
+            raise RuntimeError("GBO forward drew noise the helper thread did not prepare")
+        draw = self._draws.popleft()
+        if draw.shape != tuple(size):
+            raise RuntimeError(
+                f"GBO forward drew shape {tuple(size)}; the helper prepared {draw.shape}"
+            )
+        return draw
+
+    def check_drained(self) -> None:
+        if self._draws:
+            raise RuntimeError(
+                f"GBO forward left {len(self._draws)} prepared noise draw(s) unused"
+            )
+
+
+#: Marks the end of :class:`_OneStepAhead`'s items.
+_DONE = object()
+
+
+class _OneStepAhead:
+    """Iterates ``items`` on one helper thread, at most one item ahead.
+
+    The helper takes the next item only after the consumer has taken the
+    previous one, so at most two are in flight: the one being consumed and
+    the one being made.  An exception raised making an item is re-raised to
+    the consumer in its place.  The helper runs in a copy of the creating
+    thread's :mod:`contextvars` context, so it resolves the same execution
+    context (dtype policy, default random state).  :meth:`close` stops and
+    joins it.
+    """
+
+    def __init__(self, items: Iterator) -> None:
+        self._ready: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._turn = threading.Semaphore(1)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=contextvars.copy_context().run,
+            args=(self._run, items),
+            name="gbo-prepare",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def _run(self, items: Iterator) -> None:
+        try:
+            while True:
+                self._turn.acquire()
+                if self._stop.is_set():
+                    return
+                item = next(items, _DONE)
+                self._ready.put(item)
+                if item is _DONE:
+                    return
+        except BaseException as error:  # handed to the consumer, re-raised there
+            self._ready.put(error)
+
+    def __iter__(self) -> Iterator:
+        while True:
+            item = self._ready.get()
+            if item is _DONE:
+                return
+            if isinstance(item, BaseException):
+                raise item
+            self._turn.release()
+            yield item
+
+    def close(self) -> None:
+        self._stop.set()
+        self._turn.release()
+        self._thread.join()
 
 
 def apply_schedule(model, schedule: PulseSchedule) -> None:

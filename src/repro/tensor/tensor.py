@@ -14,6 +14,7 @@ the GBO objective of the paper.
 from __future__ import annotations
 
 import contextlib
+from contextvars import ContextVar
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,14 +26,21 @@ Number = Union[int, float]
 ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
 
 
+#: The calling thread/task's :func:`no_grad` override of its context's grad
+#: flag; ``None`` (no ``no_grad`` block open) defers to the context.
+_GRAD_OVERRIDE: "ContextVar[Optional[bool]]" = ContextVar("repro_grad_override", default=None)
+
+
 def is_grad_enabled() -> bool:
     """Return ``True`` if gradient recording is currently enabled.
 
-    The flag lives on the current :class:`repro.context.ExecutionContext`
-    (formerly a module-level global), so disabling gradients in one
-    worker's context never affects another's.
+    Inside a :func:`no_grad` block of the calling thread/task it is
+    ``False``; otherwise it is the current
+    :class:`repro.context.ExecutionContext`'s ``grad_enabled`` default, so
+    disabling gradients in one worker's context never affects another's.
     """
-    return current_context().grad_enabled
+    override = _GRAD_OVERRIDE.get()
+    return current_context().grad_enabled if override is None else override
 
 
 @contextlib.contextmanager
@@ -42,15 +50,15 @@ def no_grad():
     Inside a ``with no_grad():`` block all operations behave as pure numpy
     computations; the results have ``requires_grad=False`` and no backward
     functions are recorded.  Used throughout evaluation and inference paths.
-    Scoped to the current execution context.
+    Scoped to the calling thread/task: the override is a
+    :class:`~contextvars.ContextVar`, so another thread on the same
+    execution context keeps recording its graph.
     """
-    context = current_context()
-    previous = context.grad_enabled
-    context.grad_enabled = False
+    token = _GRAD_OVERRIDE.set(False)
     try:
         yield
     finally:
-        context.grad_enabled = previous
+        _GRAD_OVERRIDE.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

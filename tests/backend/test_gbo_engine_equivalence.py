@@ -138,8 +138,9 @@ class TestGBOEngineEquivalence:
         GBOTrainer(
             model, GBOConfig(epochs=1, learning_rate=0.05), sim=SimConfig(engine=engine.name)
         ).train(loader)
-        # Every layer's GBO forward went through the pinned engine...
-        assert engine.mixture_reads == len(loader) * len(model.encoded_layers())
+        # Every layer's GBO forward went through the pinned engine: one per
+        # step, plus the one-sample probe that sizes the prepared draws...
+        assert engine.mixture_reads == (len(loader) + 1) * len(model.encoded_layers())
         # ...and the pin did not leak into post-training evaluation.
         assert [layer.engine.name for layer in model.encoded_layers()] == before
 

@@ -173,6 +173,78 @@ class TestWorkerContextCannotLeak:
         assert compute_dtype_name() == "float64"
 
 
+class TestGradFlagIsThreadScoped:
+    """``no_grad()`` in one thread never stops another from recording.
+
+    Both threads resolve one shared :class:`ExecutionContext` — the process
+    default, or an explicit context a helper inherits through
+    :func:`contextvars.copy_context` — so a flag written onto the context
+    object would switch recording off for both.
+    """
+
+    @staticmethod
+    def _record_while_other_thread_in_no_grad(start):
+        """Thread A holds ``no_grad()`` open while thread B builds a graph."""
+        import numpy as np
+
+        from repro.tensor import Tensor, is_grad_enabled, no_grad
+
+        inside, recorded = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_no_grad():
+            with no_grad():
+                inside.set()
+                seen["a_enabled"] = is_grad_enabled()
+                assert recorded.wait(10.0)
+                seen["a_still_disabled"] = not is_grad_enabled()
+
+        def record():
+            assert inside.wait(10.0)
+            leaf = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            out = (leaf * leaf).sum()
+            seen["b_enabled"] = is_grad_enabled()
+            seen["b_requires_grad"] = out.requires_grad
+            out.backward()
+            seen["b_grad"] = leaf.grad.tolist()
+            recorded.set()
+
+        threads = [start(hold_no_grad), start(record)]
+        for thread in threads:
+            thread.join(10.0)
+            assert not thread.is_alive()
+        return seen
+
+    def _check(self, seen):
+        assert seen["a_enabled"] is False and seen["a_still_disabled"] is True
+        assert seen["b_enabled"] is True and seen["b_requires_grad"] is True
+        assert seen["b_grad"] == [2.0, 4.0]
+
+    def test_unbound_threads_on_the_process_default(self):
+        def start(target):
+            thread = threading.Thread(target=target)
+            thread.start()
+            return thread
+
+        self._check(self._record_while_other_thread_in_no_grad(start))
+        assert default_context().grad_enabled is True
+
+    def test_helper_started_under_copy_context(self):
+        import contextvars
+
+        shared = ExecutionContext(name="shared")
+
+        def start(target):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(target,))
+            thread.start()
+            return thread
+
+        with use_context(shared):
+            seen = self._record_while_other_thread_in_no_grad(start)
+        self._check(seen)
+        assert shared.grad_enabled is True
+
+
 class TestConcurrentSessionsAcrossContexts:
     def test_two_threads_hold_different_dtypes_concurrently(self):
         """The overlap ConcurrentDtypeError used to forbid now succeeds.
