@@ -1,23 +1,30 @@
 #!/usr/bin/env python
-"""Profile the two hot paths: one GBO training step and one pulsed MVM.
+"""Profile the hot paths: one GBO training step, one stacked noisy
+evaluation and one pulsed MVM.
 
 Runs each workload under :mod:`cProfile` and prints the top-N functions by
 cumulative time, so a perf regression (or the next optimisation target) can
-be located in one command instead of by bisecting benchmarks.  The
-workloads mirror the gated benchmarks at a reduced size:
+be located in one command instead of by bisecting benchmarks.  Every thread
+the workload starts is profiled too, and printed under its own name: GBO
+training draws on its ``gbo-prepare`` helper and stacked evaluation on its
+``eval-draws`` helper, and the calling thread's profile shows only its wait
+for them.  The workloads mirror the gated benchmarks at a reduced size:
 
 * **GBO step** — one optimisation step (candidate-folded forward, backward
   to the logits, Adam update) of the fast-profile VGG9 on a 32-sample
   batch, vectorized engine;
+* **stacked evaluation** — one ``evaluate_multi`` over a K = 8 sigma sweep
+  on the fast-profile bundle's test set, vectorized engine (the
+  ``BENCH_batch.json`` workload);
 * **pulsed MVM** — one thermometer-encoded MVM on a VGG9-conv-block-shaped
   256 x 1152 tiled crossbar with a 64-sample batch.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/profile_hotpath.py [--top N]
-        [--dtype {float64,float32}] [--workload {gbo,mvm,all}]
+        [--dtype {float64,float32}] [--workload {gbo,eval,mvm,all}]
 
-The ``--dtype`` flag scopes the process compute-dtype policy around both
+The ``--dtype`` flag scopes the process compute-dtype policy around the
 workloads — comparing ``float64`` and ``float32`` profiles shows where
 single precision actually buys its time.
 """
@@ -29,6 +36,8 @@ import contextlib
 import cProfile
 import pstats
 import sys
+import threading
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -36,15 +45,47 @@ TOP_DEFAULT = 25
 
 GBO_BATCH = 32
 
+#: The stacked-evaluation leg's sigma sweep (K = 8), as ``BENCH_batch.json``.
+EVAL_SIGMAS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+
+
+@contextlib.contextmanager
+def _profiling_new_threads() -> Iterator[List[Tuple[str, cProfile.Profile]]]:
+    """Profile every thread started in the block; yields ``(name, profile)``s.
+
+    A thread's profile covers its whole ``run``; read the list after the
+    threads have ended (the workloads join theirs before returning).
+    """
+    profiles: List[Tuple[str, cProfile.Profile]] = []
+    run = threading.Thread.run
+
+    def profiled_run(thread: threading.Thread) -> None:
+        profiler = cProfile.Profile()
+        profiles.append((thread.name, profiler))
+        profiler.enable()
+        try:
+            run(thread)
+        finally:
+            profiler.disable()
+
+    threading.Thread.run = profiled_run
+    try:
+        yield profiles
+    finally:
+        threading.Thread.run = run
+
 
 def _profile(label: str, func, top: int) -> None:
     print(f"\n{'=' * 72}\n{label}\n{'=' * 72}")
     profiler = cProfile.Profile()
-    profiler.enable()
-    func()
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats("cumulative").print_stats(top)
+    with _profiling_new_threads() as started:
+        profiler.enable()
+        func()
+        profiler.disable()
+    for name, thread_profile in [("calling thread", profiler), *started]:
+        print(f"\n--- thread: {name} ---")
+        stats = pstats.Stats(thread_profile, stream=sys.stdout)
+        stats.strip_dirs().sort_stats("cumulative").print_stats(top)
 
 
 def _gbo_step():
@@ -94,6 +135,35 @@ def _gbo_step():
     return run
 
 
+def _stacked_eval():
+    """One ``evaluate_multi`` over a K = 8 sigma sweep on the fast bundle."""
+    from repro.experiments.common import get_pretrained_bundle
+    from repro.experiments.profiles import get_profile
+    from repro.sim import SimConfig
+    from repro.tensor.random import RandomState
+    from repro.training.evaluate import evaluate_multi
+    from repro.utils.seed import seed_everything
+
+    profile = get_profile("fast")
+    seed_everything(profile.seed)
+    bundle = get_pretrained_bundle(profile)
+    sims = [
+        SimConfig(mode="noisy", noise_sigma=sigma, engine="vectorized")
+        for sigma in EVAL_SIGMAS
+    ]
+
+    def evaluate(loader):
+        rngs = [RandomState(1000 + index) for index in range(len(sims))]
+        return evaluate_multi(bundle.model, loader, sims, rngs=rngs)
+
+    evaluate([next(iter(bundle.test_loader))])  # warm-up outside the profile
+
+    def run():
+        evaluate(bundle.test_loader)
+
+    return run
+
+
 def _pulsed_mvm():
     """One pulsed MVM on a VGG9-conv-block-shaped tiled crossbar."""
     from repro.backend import get_engine
@@ -134,7 +204,10 @@ def main(argv=None) -> int:
         help="compute-dtype policy scoped around the workloads",
     )
     parser.add_argument(
-        "--workload", choices=("gbo", "mvm", "all"), default="all", help="what to profile"
+        "--workload",
+        choices=("gbo", "eval", "mvm", "all"),
+        default="all",
+        help="what to profile",
     )
     options = parser.parse_args(argv)
 
@@ -151,6 +224,13 @@ def main(argv=None) -> int:
                 f"one GBO step (fast-profile VGG9, batch {GBO_BATCH}, "
                 f"vectorized, {options.dtype})",
                 _gbo_step(),
+                options.top,
+            )
+        if options.workload in ("eval", "all"):
+            _profile(
+                f"one stacked noisy evaluation (fast-profile bundle, K = "
+                f"{len(EVAL_SIGMAS)} sigmas, vectorized, {options.dtype})",
+                _stacked_eval(),
                 options.top,
             )
         if options.workload in ("mvm", "all"):

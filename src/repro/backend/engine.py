@@ -1,15 +1,14 @@
 """The :class:`SimulationEngine` interface and engine registry.
 
-An engine answers four questions for the rest of the library:
+An engine answers three questions for the rest of the library:
 
 1. how to execute a full pulse-train crossbar read (:meth:`pulsed_read`),
 2. how to sample the accumulated read noise of a folded layer forward
-   (:meth:`folded_read_noise`),
-3. how to sample the GBO mixture noise of Eq. 5
-   (:meth:`gbo_mixture_noise`), and
-4. how to evaluate the full GBO candidate mixture — the ideal crossbar read
-   of every candidate encoding plus its reparameterised noise — in one
-   differentiable forward (:meth:`gbo_mixture_read`).  It is two halves:
+   (:meth:`folded_read_noise`), and
+3. how to evaluate the full GBO candidate mixture of Eq. 5 — the ideal
+   crossbar read of every candidate encoding plus its reparameterised
+   noise — in one differentiable forward (:meth:`gbo_mixture_read`).  It is
+   two halves:
    :meth:`gbo_mixture_draws` makes the random draws, which depend only on
    the output shape and the candidate scales, and
    :meth:`gbo_mixture_combine` mixes them with the reads under the softmax
@@ -105,25 +104,6 @@ class SimulationEngine:
         """
         raise NotImplementedError
 
-    def gbo_mixture_noise(
-        self,
-        alphas: Tensor,
-        scales: Sequence[float],
-        shape: Tuple[int, ...],
-        rng: RandomState,
-    ) -> Tensor:
-        """Reparameterised GBO mixture ``sum_k alpha_k * scale_k * eps_k``.
-
-        ``alphas`` are the softmax importance weights (a differentiable
-        :class:`Tensor`); gradients must flow from the returned noise back to
-        the logits.  With i.i.d. standard-normal ``eps_k`` the mixture is
-        exactly ``N(0, sum_k (alpha_k * scale_k)^2)``, so an engine may draw
-        one sample per candidate (reference) or one draw scaled by that
-        deviation (vectorized).  The two are equal in distribution and in
-        expected gradient, not sample for sample.
-        """
-        raise NotImplementedError
-
     def gbo_mixture_draws(
         self,
         shape: Tuple[int, ...],
@@ -170,10 +150,12 @@ class SimulationEngine:
         layer and ``scale_k`` is the accumulated noise deviation of candidate
         encoding ``k``.  Because ``read_op`` is deterministic and the noises
         are i.i.d. Gaussian, an engine may execute one read per candidate
-        (reference) or a single read plus one folded noise draw
-        (vectorized, see :meth:`gbo_mixture_noise`).  The two draw different
-        samples from ``rng`` but the same mixture distribution, and gradients
-        reach the logits through ``alphas`` either way.
+        (reference) or a single read plus one folded noise draw: with
+        i.i.d. standard-normal ``eps_k`` the noise ``sum_k alpha_k scale_k
+        eps_k`` is exactly ``N(0, sum_k (alpha_k * scale_k)^2)``
+        (vectorized).  The two draw different samples from ``rng`` but the
+        same mixture distribution, and in expectation the same gradient,
+        which reaches the logits through ``alphas`` either way.
 
         The first read fixes the output shape; then come the draws
         (:meth:`gbo_mixture_draws`) and the mixture

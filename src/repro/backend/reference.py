@@ -69,19 +69,6 @@ class ReferenceEngine(SimulationEngine):
         # One accumulated-noise draw per candidate encoding, in Omega's order.
         return [rng.normal(0.0, float(scale), size=shape) for scale in scales]
 
-    def gbo_mixture_noise(
-        self,
-        alphas: Tensor,
-        scales: Sequence[float],
-        shape: Tuple[int, ...],
-        rng: RandomState,
-    ) -> Tensor:
-        total: Optional[Tensor] = None
-        for option_index, eps in enumerate(self.gbo_mixture_draws(shape, scales, rng)):
-            term = alphas[option_index] * Tensor(eps)
-            total = term if total is None else total + term
-        return total
-
     def gbo_mixture_combine(
         self,
         read: Tensor,

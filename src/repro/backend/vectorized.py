@@ -26,12 +26,13 @@ the equivalence on multi-tile crossbars.
 
 The GBO candidate mixture of Eq. 5 folds the same way: ``sum_k alpha_k
 s_k eps_k`` over i.i.d. standard normals is exactly ``N(0, sum_k (alpha_k
-s_k)^2)``, so :meth:`VectorizedEngine.gbo_mixture_noise` draws one Gaussian
-of the output shape instead of ``|Omega|`` of them.  The draw layout differs
-from the reference's per-candidate loop, so the two engines agree in
-distribution (and in expected gradient), not sample for sample;
-``tests/backend/test_gbo_engine_equivalence.py`` states that contract as
-moment, KS, gradient-expectation and training-level tests.
+s_k)^2)``, so :meth:`VectorizedEngine.gbo_mixture_draws` draws one Gaussian
+of the output shape instead of ``|Omega|`` of them, and
+:meth:`VectorizedEngine.gbo_mixture_combine` scales it by that deviation.
+The draw layout differs from the reference's per-candidate loop, so the two
+engines agree in distribution (and in expected gradient), not sample for
+sample; ``tests/backend/test_gbo_engine_equivalence.py`` states that
+contract as moment, KS, gradient-expectation and training-level tests.
 """
 
 from __future__ import annotations
@@ -145,16 +146,6 @@ class VectorizedEngine(SimulationEngine):
     ) -> List[np.ndarray]:
         # One standard normal of the output shape for the whole mixture.
         return [rng.normal(0.0, 1.0, size=tuple(shape))]
-
-    def gbo_mixture_noise(
-        self,
-        alphas: Tensor,
-        scales: Sequence[float],
-        shape: Tuple[int, ...],
-        rng: RandomState,
-    ) -> Tensor:
-        (eps,) = self.gbo_mixture_draws(shape, scales, rng)
-        return self._scaled_noise(alphas, scales, eps)
 
     @staticmethod
     def _scaled_noise(alphas: Tensor, scales: Sequence[float], eps: np.ndarray) -> Tensor:

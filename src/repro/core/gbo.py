@@ -37,7 +37,9 @@ thread that draws during training — and nothing after the last step.  Only
 when a step raises may the helper already have drawn the next step.  The
 training thread's forward replays the prepared draws through a stand-in
 for each layer's stream that refuses any draw the helper did not make, so
-a divergence raises instead of shifting a stream.  The goldens of
+a divergence raises instead of shifting a stream (the helper and the
+stand-in are :mod:`repro.utils.step_ahead`'s, which stacked noisy
+evaluation shares).  The goldens of
 ``tests/core/test_gbo_golden.py`` and ``tests/core/test_gbo_pipeline.py``
 hold bit for bit.  At train start :func:`repro.worker_env.keep_heap_resident`
 fixes glibc's heap thresholds, without which the second thread makes glibc
@@ -46,13 +48,9 @@ trim and re-fault the main heap every step.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
-import queue
-import threading
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +66,7 @@ from repro.tensor import functional as F
 from repro.tensor.dtype import resolve_dtype
 from repro.tensor.random import RandomState
 from repro.utils.logging import get_logger
+from repro.utils.step_ahead import DrawReplay, StepAhead
 from repro.worker_env import keep_heap_resident
 
 LOGGER = get_logger("repro.gbo")
@@ -246,12 +245,14 @@ class GBOTrainer:
         if first is None:
             return []
         plan = self._draw_plan(first[1], streams)
-        replays = [_DrawReplay() for _ in self._layers]
+        replays = [DrawReplay() for _ in self._layers]
         for layer, replay in zip(self._layers, replays):
             layer.noise_rng = replay
         history: List[Dict[str, float]] = []
-        ahead = _OneStepAhead(
-            self._prepare(plan, *batch) for batch in itertools.chain([first], batches)
+        ahead = StepAhead(
+            (self._prepare(plan, *batch) for batch in itertools.chain([first], batches)),
+            window=1,
+            name="gbo-prepare",
         )
         try:
             for step in ahead:
@@ -421,97 +422,6 @@ class _ShapeProbe:
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray:
         self.sizes.append(tuple(size))
         return np.zeros(size, dtype=resolve_dtype())
-
-
-class _DrawReplay:
-    """A layer's noise stream as the training thread sees it.
-
-    :meth:`load` takes the arrays the helper drew on the real stream for one
-    step, and each ``normal`` call of the forward gets the next one back.  A
-    call that finds none or another shape, and a step that leaves one
-    unused, raise: the forward and the helper disagree about the draws.
-    """
-
-    def __init__(self) -> None:
-        self._draws: Deque[np.ndarray] = deque()
-
-    def load(self, draws: List[np.ndarray]) -> None:
-        self._draws.extend(draws)
-
-    def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray:
-        # loc and scale went into the helper's identical call; only the
-        # shape, which the probe inferred, can disagree.
-        if not self._draws:
-            raise RuntimeError("GBO forward drew noise the helper thread did not prepare")
-        draw = self._draws.popleft()
-        if draw.shape != tuple(size):
-            raise RuntimeError(
-                f"GBO forward drew shape {tuple(size)}; the helper prepared {draw.shape}"
-            )
-        return draw
-
-    def check_drained(self) -> None:
-        if self._draws:
-            raise RuntimeError(
-                f"GBO forward left {len(self._draws)} prepared noise draw(s) unused"
-            )
-
-
-#: Marks the end of :class:`_OneStepAhead`'s items.
-_DONE = object()
-
-
-class _OneStepAhead:
-    """Iterates ``items`` on one helper thread, at most one item ahead.
-
-    The helper takes the next item only after the consumer has taken the
-    previous one, so at most two are in flight: the one being consumed and
-    the one being made.  An exception raised making an item is re-raised to
-    the consumer in its place.  The helper runs in a copy of the creating
-    thread's :mod:`contextvars` context, so it resolves the same execution
-    context (dtype policy, default random state).  :meth:`close` stops and
-    joins it.
-    """
-
-    def __init__(self, items: Iterator) -> None:
-        self._ready: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._turn = threading.Semaphore(1)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=contextvars.copy_context().run,
-            args=(self._run, items),
-            name="gbo-prepare",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _run(self, items: Iterator) -> None:
-        try:
-            while True:
-                self._turn.acquire()
-                if self._stop.is_set():
-                    return
-                item = next(items, _DONE)
-                self._ready.put(item)
-                if item is _DONE:
-                    return
-        except BaseException as error:  # handed to the consumer, re-raised there
-            self._ready.put(error)
-
-    def __iter__(self) -> Iterator:
-        while True:
-            item = self._ready.get()
-            if item is _DONE:
-                return
-            if isinstance(item, BaseException):
-                raise item
-            self._turn.release()
-            yield item
-
-    def close(self) -> None:
-        self._stop.set()
-        self._turn.release()
-        self._thread.join()
 
 
 def apply_schedule(model, schedule: PulseSchedule) -> None:

@@ -51,6 +51,17 @@ runner derives ``RandomState(seed)`` from the config's seed or the spec
 hash (see :func:`repro.api.execute_api_eval_batch`).  There is no default,
 because a stream not derived that way would not match any sequential run.
 
+**Noise drawn ahead.**  :func:`repro.training.evaluate.evaluate_multi`
+does not let the forward draw on ``rngs[k]`` itself.  It passes
+:meth:`MultiSession.forward` one stand-in stream per scenario: on the
+first batch a recorder that draws on ``rngs[k]`` and notes each call, from
+the second batch on a replay of draws that one helper thread made on
+``rngs[k]`` with those very calls, in order, a few draws ahead.  Each
+stream therefore still sees exactly the calls of this step-by-step loop,
+none after the last batch, and a forward that asks for any other draw
+raises rather than shifting a stream.  The calling thread keeps the stem,
+the memoised reads, every body and the bookkeeping.
+
 Compatibility is decided by :meth:`SimConfig.compat_key` (same resolved
 engine, PLA rounding mode and dtype; clean/noisy mode, sigma, pulses,
 relative flag and seed are free per scenario); a :class:`MultiSession`
@@ -78,7 +89,6 @@ class _ScenarioPack:
     sigma: float
     relative: bool
     pla_mode: str
-    rng: RandomState
 
 
 class MultiSession:
@@ -142,17 +152,28 @@ class MultiSession:
         self._saved_rngs: List[RandomState] = []
         self._scenarios: List[List[_ScenarioPack]] = []
 
-    def forward(self, inputs) -> List[Any]:
-        """Every scenario's logits for one input batch, in config order."""
+    def forward(self, inputs, streams: Optional[Sequence[Any]] = None) -> List[Any]:
+        """Every scenario's logits for one input batch, in config order.
+
+        Scenario ``k`` draws its noise from ``rngs[k]``, or from
+        ``streams[k]`` when given: a stand-in that makes or replays the
+        draws ``rngs[k]`` would give (see
+        :func:`repro.training.evaluate.evaluate_multi`).
+        """
+        streams = self.rngs if streams is None else streams
+        if len(streams) != len(self.rngs):
+            raise ValueError(
+                f"MultiSession has {len(self.rngs)} scenarios but got {len(streams)} streams"
+            )
         stem = self.target.forward_stem(inputs)
         logits = []
-        for packs in self._scenarios:
+        for packs, stream in zip(self._scenarios, streams):
             for layer, pack in zip(self._layers, packs):
                 layer._apply_noise(pack.sigma, pack.relative)
                 layer._apply_pulses(pack.num_pulses)
                 layer._apply_pla_mode(pack.pla_mode)
                 layer._apply_mode(pack.mode)
-                layer.noise_rng = pack.rng
+                layer.noise_rng = stream
             logits.append(self.target.forward_body(stem))
         return logits
 
@@ -170,7 +191,7 @@ class MultiSession:
             layers = encoded_layers_of(self.target)
             captured = session._saved  # pre-apply snapshot: "keep current" base
             self._scenarios = []
-            for config, rng in zip(self.configs, self.rngs):
+            for config in self.configs:
                 schedule = _schedule_for(config, len(layers))
                 self._scenarios.append(
                     [
@@ -190,7 +211,6 @@ class MultiSession:
                                 if config.pla_mode is not None
                                 else state.pla_mode
                             ),
-                            rng=rng,
                         )
                         for index, state in enumerate(captured)
                     ]

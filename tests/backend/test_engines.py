@@ -265,7 +265,8 @@ class TestLayerNoisePaths:
     def test_gbo_mixture_noise_engines_agree_under_shared_seed(self):
         """Both engines draw ``N(0, sum_k (alpha_k s_k)^2)`` from one seed.
 
-        The reference mixes one draw per candidate and the vectorized engine
+        The mixture reads an all-zeros crossbar output, so it is the noise
+        alone.  The reference mixes one draw per candidate and the vectorized engine
         scales a single draw by the folded deviation, so the samples differ;
         each must pass moment and KS tests against the closed form, and the
         two must pass a two-sample KS test against each other.
@@ -277,7 +278,9 @@ class TestLayerNoisePaths:
         expected_std = float(np.sqrt(np.sum((alphas.data * np.asarray(scales)) ** 2)))
         outputs = {}
         for engine in (ReferenceEngine(), VectorizedEngine()):
-            noise = engine.gbo_mixture_noise(alphas, scales, shape, RandomState(3))
+            noise = engine.gbo_mixture_read(
+                lambda: Tensor(np.zeros(shape)), alphas, scales, RandomState(3)
+            )
             assert noise.shape == shape
             samples = noise.data.ravel()
             assert abs(samples.mean()) < 4.0 * expected_std / np.sqrt(samples.size)
@@ -291,7 +294,9 @@ class TestLayerNoisePaths:
     def test_gbo_mixture_noise_vectorized_backprops_to_logits(self):
         logits = Tensor(np.zeros(3), requires_grad=True)
         alphas = softmax(logits, axis=0)
-        noise = VectorizedEngine().gbo_mixture_noise(alphas, [1.0, 0.5, 0.25], (4, 2), RandomState(1))
+        noise = VectorizedEngine().gbo_mixture_read(
+            lambda: Tensor(np.zeros((4, 2))), alphas, [1.0, 0.5, 0.25], RandomState(1)
+        )
         (noise**2).sum().backward()
         assert logits.grad is not None
         assert np.any(logits.grad != 0)

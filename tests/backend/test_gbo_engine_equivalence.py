@@ -176,8 +176,9 @@ class TestGBOEngineEquivalence:
             grads = []
             for seed in range(num_seeds):
                 logits = Tensor(lam, requires_grad=True)
-                noise = engine.gbo_mixture_noise(
-                    softmax(logits, axis=0), scales, (256,), RandomState(seed)
+                noise = engine.gbo_mixture_read(
+                    lambda: Tensor(np.zeros(256)), softmax(logits, axis=0), scales,
+                    RandomState(seed),
                 )
                 (noise**2).mean().backward()
                 grads.append(logits.grad)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.data import DataLoader, SyntheticImageConfig, SyntheticImageDataset
 from repro.models import CrossbarLeNet, CrossbarMLP
 from repro.tensor.random import RandomState
 from repro.utils.seed import seed_everything
+from repro.utils.step_ahead import StepAheadThread
 
 
 @pytest.fixture(autouse=True)
@@ -16,6 +19,19 @@ def _seed_everything():
     """Make every test deterministic regardless of execution order."""
     seed_everything(1234)
     yield
+
+
+@pytest.fixture(autouse=True)
+def _no_step_ahead_helper_left():
+    """Fail a test that leaves a step-ahead helper thread running.
+
+    GBO training (``gbo-prepare``) and stacked noisy evaluation
+    (``eval-draws``) each join their helper before returning or raising; a
+    helper still alive after a test is a leak in one of those pipelines.
+    """
+    yield
+    alive = [t.name for t in threading.enumerate() if isinstance(t, StepAheadThread)]
+    assert not alive, f"step-ahead helper thread(s) left running: {alive}"
 
 
 @pytest.fixture
