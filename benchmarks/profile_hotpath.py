@@ -6,16 +6,19 @@ Runs each workload under :mod:`cProfile` and prints the top-N functions by
 cumulative time, so a perf regression (or the next optimisation target) can
 be located in one command instead of by bisecting benchmarks.  Every thread
 the workload starts is profiled too, and printed under its own name: GBO
-training draws on its ``gbo-prepare`` helper and stacked evaluation on its
-``eval-draws`` helper, and the calling thread's profile shows only its wait
-for them.  The workloads mirror the gated benchmarks at a reduced size:
+training prepares each step on its ``gbo-prepare`` helper, and stacked
+evaluation runs the second half of its scenarios on its ``eval-lane``
+helper, and the calling thread's profile shows only its wait for them.
+The workloads mirror the gated benchmarks at a reduced size:
 
 * **GBO step** — one optimisation step (candidate-folded forward, backward
   to the logits, Adam update) of the fast-profile VGG9 on a 32-sample
   batch, vectorized engine;
 * **stacked evaluation** — one ``evaluate_multi`` over a K = 8 sigma sweep
   on the fast-profile bundle's test set, vectorized engine (the
-  ``BENCH_batch.json`` workload);
+  ``BENCH_batch.json`` workload): the calling thread runs the stem, the
+  first layer's reads and scenarios 0–3, the ``eval-lane`` thread
+  scenarios 4–7;
 * **pulsed MVM** — one thermometer-encoded MVM on a VGG9-conv-block-shaped
   256 x 1152 tiled crossbar with a 64-sample batch.
 
@@ -26,7 +29,9 @@ Usage::
 
 The ``--dtype`` flag scopes the process compute-dtype policy around the
 workloads — comparing ``float64`` and ``float32`` profiles shows where
-single precision actually buys its time.
+single precision actually buys its time.  BLAS is pinned to one thread
+before numpy loads, as in the worker processes and the end-to-end
+benchmark: stacked evaluation runs its ``eval-lane`` only then.
 """
 
 from __future__ import annotations
@@ -39,7 +44,11 @@ import sys
 import threading
 from typing import Iterator, List, Tuple
 
-import numpy as np
+from repro.worker_env import pin_worker_threads
+
+pin_worker_threads()  # before numpy loads BLAS
+
+import numpy as np  # noqa: E402
 
 TOP_DEFAULT = 25
 

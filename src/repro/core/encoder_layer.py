@@ -63,25 +63,31 @@ class ReadMemo:
     encoding key (see :meth:`EncodedLayerMixin._encoding_key`) to its ideal
     crossbar read.  A new input object resets all three.  The reads are
     shared by every user, so nothing may write into them.  A
-    :class:`repro.sim.MultiSession` shares one across scenarios; GBO
-    training fills one per step ahead of the forward (see
-    :mod:`repro.core.gbo`).
+    :class:`repro.sim.MultiSession` fills one per batch and shares it,
+    ``sealed``, across scenarios and both its lanes; GBO training fills one
+    per step ahead of the forward (see :mod:`repro.core.gbo`).  A sealed
+    memo is read-only: a read it does not hold raises.
     """
 
-    __slots__ = ("inputs", "clipped", "index", "reads")
+    __slots__ = ("inputs", "clipped", "index", "reads", "sealed")
 
     def __init__(self) -> None:
         self.inputs: Optional[Tensor] = None
         self.clipped: Optional[Tensor] = None
         self.index: Optional[np.ndarray] = None
         self.reads: dict = {}
+        self.sealed = False
 
     def read(self, layer: "EncodedLayerMixin", x: Tensor) -> Tensor:
         """``layer``'s ideal read of ``x`` in its current encoding, memoised."""
+        key = layer._encoding_key()
+        if self.sealed and (self.inputs is not x or key not in self.reads):
+            raise RuntimeError(
+                f"a sealed read memo holds no read of this input in encoding {key}"
+            )
         if self.inputs is not x:
             self.clipped, self.index = level_index(x, layer.act_quantizer.levels)
             self.inputs, self.reads = x, {}
-        key = layer._encoding_key()
         if key not in self.reads:
             encoded = layer._encode_levels(self.clipped, self.index, key)
             self.reads[key] = layer._ideal_read(encoded)
@@ -122,8 +128,8 @@ class EncodedLayerMixin:
             None if engine is None else resolve_engine(engine)
         )
         # Shared-input memo, attached to a model's first encoded layer by
-        # repro.sim.MultiSession for a multi-scenario evaluation and by
-        # GBOTrainer for each training step; else None.
+        # repro.sim.MultiSession for a multi-scenario evaluation (to both
+        # lanes' models) and by GBOTrainer for each training step; else None.
         self._read_memo: Optional[ReadMemo] = None
 
     # ------------------------------------------------------------------

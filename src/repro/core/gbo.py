@@ -38,8 +38,8 @@ when a step raises may the helper already have drawn the next step.  The
 training thread's forward replays the prepared draws through a stand-in
 for each layer's stream that refuses any draw the helper did not make, so
 a divergence raises instead of shifting a stream (the helper and the
-stand-in are :mod:`repro.utils.step_ahead`'s, which stacked noisy
-evaluation shares).  The goldens of
+stand-in are :mod:`repro.utils.step_ahead`'s; stacked noisy evaluation
+runs its second lane on the same helper).  The goldens of
 ``tests/core/test_gbo_golden.py`` and ``tests/core/test_gbo_pipeline.py``
 hold bit for bit.  At train start :func:`repro.worker_env.keep_heap_resident`
 fixes glibc's heap thresholds, without which the second thread makes glibc

@@ -7,19 +7,39 @@ PLA re-encoding differ per scenario.  A :class:`MultiSession` exploits that in t
 per batch:
 
 1. **Shared stem.**  The model's :meth:`forward_stem` — the deterministic
-   layers before the first encoded layer — runs once.
+   layers before the first encoded layer — runs once, and the first
+   encoded layer's :class:`~repro.core.encoder_layer.ReadMemo` is filled
+   from it: the stem output rounded to its level index once, and the
+   ideal crossbar read computed once per distinct encoding.  The memo is
+   then sealed: a read it does not hold raises.
 2. **Per-scenario body.**  For each scenario in turn, the session selects
    that scenario's state on every encoded layer and runs
    :meth:`forward_body` on the stem output at batch ``N``.  The first
-   encoded layer carries a :class:`~repro.core.encoder_layer.ReadMemo`: it
-   rounds the stem output to its level index once and looks up the
-   encoding and computes the ideal crossbar read once per distinct
-   encoding; each scenario then only draws its own read noise there, and
-   adds the shared read into that fresh noise array, never the other way
-   round.
+   encoded layer takes its read from the memo and only draws its own read
+   noise, adding the shared read into that fresh noise array, never the
+   other way round.
 
 Every op thus works on a cache-sized batch of ``N`` rows, never on a
 ``K*N``-row stack.
+
+**Two lanes.**  With two or more configs, and BLAS pinned to one thread
+(:func:`repro.worker_env.blas_pinned`, as in every worker process), the
+bodies run in two lanes at once.  The calling thread runs the first
+``ceil(K/2)`` scenarios on the model itself; one helper thread (a
+:class:`~repro.utils.step_ahead.StepAheadThread` named ``eval-lane``) runs
+the rest on a replica: a :func:`copy.deepcopy` of the model made on
+entering, pinned to the model's own engine instances, sharing the first
+layer's memo, and dropped on exit.  Each batch, the calling thread runs the
+stem and fills the memo before it hands the batch to the helper, and
+:meth:`MultiSession.forward` returns only once both lanes are done, so the
+memo is never filled while a lane reads it.  The helper runs each batch in
+a copy of the calling thread's :mod:`contextvars` context, so it resolves
+the same grad state and execution context (dtype policy).  Both lanes
+together hold one layer-0 read per encoding: the memo is shared, not
+duplicated.  With one config no thread starts and no replica is made, and
+neither does with a multi-threaded BLAS pool: the two lanes' BLAS calls
+then contend for that pool, and on a 2-CPU host K = 8 scenarios over the
+fast-profile bundle took 2.75 s in two lanes against 2.18 s in one.
 
 Bit-identity per scenario — the contract and why it holds
 ---------------------------------------------------------
@@ -30,17 +50,19 @@ Each scenario's logits are **bit-identical** to a sequential
   ordinary layer forwards at the sequential batch size ``N``, so every
   matmul has the sequential operand shapes (BLAS kernels dispatch by shape;
   a fused ``K*N``-row matmul would not be bit-identical).  This holds for
-  the digital classifier too.
+  the digital classifier too, and in either lane: the replica holds the
+  model's very weights, copied.
 * **Memoised reads are the sequential reads.**  The first encoded layer's
   memo is keyed by its input object and by the encoding (pulse count and
   PLA mode, or the base encoding for clean and 8-pulse scenarios).  A
   scenario reuses a read only when the sequential run would compute the
   very same read of the very same input, and no scenario writes into it.
 * **Per-scenario streams.**  While scenario ``k`` runs, every encoded layer
-  draws from ``rngs[k]``, in forward-layer order — exactly the samples the
-  sequential run consumes from the context stream after
+  of its lane draws from ``rngs[k]``, in forward-layer order — exactly the
+  samples the sequential run consumes from the context stream after
   ``seed_everything(seed_k)``, because ``RandomState(seed)`` and a reseeded
   context stream are the same ``numpy.random.default_rng(seed)`` stream.
+  Each stream belongs to one lane and is drawn on that lane's thread only.
   Zero-sigma layers and clean scenarios draw nothing in either path.
   Interleaving scenarios per batch does not reorder any one stream.
 
@@ -51,33 +73,28 @@ runner derives ``RandomState(seed)`` from the config's seed or the spec
 hash (see :func:`repro.api.execute_api_eval_batch`).  There is no default,
 because a stream not derived that way would not match any sequential run.
 
-**Noise drawn ahead.**  :func:`repro.training.evaluate.evaluate_multi`
-does not let the forward draw on ``rngs[k]`` itself.  It passes
-:meth:`MultiSession.forward` one stand-in stream per scenario: on the
-first batch a recorder that draws on ``rngs[k]`` and notes each call, from
-the second batch on a replay of draws that one helper thread made on
-``rngs[k]`` with those very calls, in order, a few draws ahead.  Each
-stream therefore still sees exactly the calls of this step-by-step loop,
-none after the last batch, and a forward that asks for any other draw
-raises rather than shifting a stream.  The calling thread keeps the stem,
-the memoised reads, every body and the bookkeeping.
-
 Compatibility is decided by :meth:`SimConfig.compat_key` (same resolved
 engine, PLA rounding mode and dtype; clean/noisy mode, sigma, pulses,
 relative flag and seed are free per scenario); a :class:`MultiSession`
 accepts only configs sharing one key.  Multi-scenario evaluation is
 inference-only: train-mode BatchNorm would update its statistics once per
-scenario.
+scenario, and the replica is a snapshot of the model as it was on
+entering.
 """
 
 from __future__ import annotations
 
+import contextvars
+import copy
+import queue
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 from repro.sim.config import SimConfig
 from repro.sim.session import Session, _schedule_for, encoded_layers_of
 from repro.tensor.random import RandomState
+from repro.utils.step_ahead import StepAhead
+from repro.worker_env import blas_pinned
 
 
 @dataclass
@@ -89,6 +106,13 @@ class _ScenarioPack:
     sigma: float
     relative: bool
     pla_mode: str
+
+    def select(self, layer: Any) -> None:
+        """Put ``layer`` in this state."""
+        layer._apply_noise(self.sigma, self.relative)
+        layer._apply_pulses(self.num_pulses)
+        layer._apply_pla_mode(self.pla_mode)
+        layer._apply_mode(self.mode)
 
 
 class MultiSession:
@@ -104,10 +128,11 @@ class MultiSession:
     :class:`repro.models.base.EncodedModelMixin`).  Entering validates
     compatibility (:meth:`SimConfig.compat_key` — raises ``ValueError`` on a
     mixed group), snapshots and pins the model through an inner
-    :class:`Session` (engine pin, dtype claim, state restore on exit) and
-    attaches the read memo to the first encoded layer.  Exiting restores
-    every layer's simulation state and noise stream, even when the body
-    raises.
+    :class:`Session` (engine pin, dtype claim, state restore on exit),
+    attaches the read memo to the first encoded layer and, for two or more
+    configs under pinned BLAS, starts the helper lane.  Exiting joins the
+    helper, drops the replica and restores every layer's simulation state,
+    noise stream and memo, even when the body raises.
     """
 
     def __init__(
@@ -151,30 +176,45 @@ class MultiSession:
         self._layers: List[Any] = []
         self._saved_rngs: List[RandomState] = []
         self._scenarios: List[List[_ScenarioPack]] = []
+        self._memo: Any = None
+        self._lane: Optional[_HelperLane] = None
 
-    def forward(self, inputs, streams: Optional[Sequence[Any]] = None) -> List[Any]:
+    def forward(self, inputs) -> List[Any]:
         """Every scenario's logits for one input batch, in config order.
 
-        Scenario ``k`` draws its noise from ``rngs[k]``, or from
-        ``streams[k]`` when given: a stand-in that makes or replays the
-        draws ``rngs[k]`` would give (see
-        :func:`repro.training.evaluate.evaluate_multi`).
+        Scenario ``k`` draws its noise from ``rngs[k]``.  Returns, or
+        raises, only once both lanes are done with the batch; an error on
+        the helper lane is raised here.
         """
-        streams = self.rngs if streams is None else streams
-        if len(streams) != len(self.rngs):
-            raise ValueError(
-                f"MultiSession has {len(self.rngs)} scenarios but got {len(streams)} streams"
-            )
         stem = self.target.forward_stem(inputs)
+        self._fill_memo(stem)
+        lane = self._lane
+        if lane is None:
+            return self._run_lane(self.target, self._layers, range(len(self.configs)), stem)
+        lane.start(stem)
+        try:
+            logits = self._run_lane(self.target, self._layers, range(lane.first), stem)
+        finally:
+            rest = lane.result()
+        return logits + rest
+
+    def _fill_memo(self, stem) -> None:
+        """The first layer's read of ``stem`` in every scenario's encoding."""
+        first, memo = self._layers[0], self._memo
+        memo.sealed = False
+        for packs in self._scenarios:
+            packs[0].select(first)
+            memo.read(first, stem)
+        memo.sealed = True
+
+    def _run_lane(self, model, layers, scenarios, stem) -> List[Any]:
+        """The logits of ``scenarios``, one after the other, on ``model``."""
         logits = []
-        for packs, stream in zip(self._scenarios, streams):
-            for layer, pack in zip(self._layers, packs):
-                layer._apply_noise(pack.sigma, pack.relative)
-                layer._apply_pulses(pack.num_pulses)
-                layer._apply_pla_mode(pack.pla_mode)
-                layer._apply_mode(pack.mode)
-                layer.noise_rng = stream
-            logits.append(self.target.forward_body(stem))
+        for k in scenarios:
+            for layer, pack in zip(layers, self._scenarios[k]):
+                pack.select(layer)
+                layer.noise_rng = self.rngs[k]
+            logits.append(model.forward_body(stem))
         return logits
 
     # ------------------------------------------------------------------
@@ -222,19 +262,75 @@ class MultiSession:
 
         self._layers = layers
         self._saved_rngs = [layer.noise_rng for layer in layers]
-        layers[0]._read_memo = ReadMemo()
+        self._memo = layers[0]._read_memo = ReadMemo()
         self._session = session
+        if len(self.configs) > 1 and blas_pinned():
+            try:
+                self._lane = _HelperLane(self, first=(len(self.configs) + 1) // 2)
+            except BaseException:
+                self.__exit__(None, None, None)
+                raise
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
         try:
+            if self._lane is not None:
+                self._lane.close()
+                self._lane = None
             for layer, rng in zip(self._layers, self._saved_rngs):
                 layer.noise_rng = rng
                 layer._read_memo = None
             self._layers = []
             self._saved_rngs = []
+            self._memo = None
         finally:
             if self._session is not None:
                 self._session.__exit__(exc_type, exc_value, traceback)
                 self._session = None
         return False
+
+
+class _HelperLane:
+    """The scenarios from ``first`` on, run on a replica by one helper thread.
+
+    :meth:`start` hands the helper a batch's stem, with a copy of the
+    calling thread's :mod:`contextvars` context to run it in, and
+    :meth:`result` waits for that batch's logits or raises the helper's
+    error.  Each :meth:`start` must be followed by one :meth:`result`.
+    """
+
+    def __init__(self, session: MultiSession, first: int) -> None:
+        self.first = first
+        self._session = session
+        # Shared, not copied: the engine instances the model is pinned to,
+        # the read memo and the streams (each lane installs its own).
+        shared = [session._memo]
+        for layer in session._layers:
+            shared += [layer._engine, layer.noise_rng]
+        self._replica = copy.deepcopy(session.target, {id(item): item for item in shared})
+        self._layers = encoded_layers_of(self._replica)
+        self._stems: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._ahead = StepAhead(self._batches(), window=1, name="eval-lane")
+        self._results = iter(self._ahead)
+
+    def _batches(self):
+        """The helper's items: each batch's logits, once the caller sends it."""
+        scenarios = range(self.first, len(self._session.configs))
+        for stem, context in iter(self._stems.get, None):
+            yield context.run(
+                self._session._run_lane, self._replica, self._layers, scenarios, stem
+            )
+
+    def start(self, stem) -> None:
+        self._stems.put((stem, contextvars.copy_context()))
+
+    def result(self) -> List[Any]:
+        logits = next(self._results, None)
+        if logits is None:
+            raise RuntimeError("the helper lane stopped at an earlier error")
+        return logits
+
+    def close(self) -> None:
+        """Join the helper; it is idle between batches."""
+        self._stems.put(None)
+        self._ahead.close()

@@ -1,20 +1,21 @@
-"""Make a loop's random draws on a helper thread, a bounded distance ahead.
+"""Run a loop's side work on a helper thread, a bounded distance ahead.
 
-Two hot loops have work that nothing the loop computes feeds back into:
-GBO training (:mod:`repro.core.gbo`) prepares each step's stem, first-layer
-read and noise draws one step ahead, and stacked noisy evaluation
-(:func:`repro.training.evaluate.evaluate_multi`) draws every scenario's read
-noise a few draws ahead of the forward.  Both use the two pieces here:
+Two hot loops hand work to one helper thread.  GBO training
+(:mod:`repro.core.gbo`) prepares each step's stem, first-layer read and
+noise draws one step ahead, since nothing the step computes feeds back
+into them.  Stacked noisy evaluation (:class:`repro.sim.MultiSession`)
+runs half of each batch's scenarios on a model replica, a lane beside the
+calling thread's.  They use the two pieces here:
 
 * :class:`StepAhead` iterates the items on one helper thread
   (a :class:`StepAheadThread`), at most ``window`` items ahead of the
   consuming thread, in a copy of the creating thread's :mod:`contextvars`
   context;
-* :class:`DrawReplay` stands in for a noise stream on the consuming thread:
-  each ``normal`` call gets back the next draw the helper made on the real
-  stream, and a call that finds none, or another shape, raises — so a
-  forward that diverges from the helper's draws fails instead of shifting a
-  stream.
+* :class:`DrawReplay` stands in for a noise stream on GBO's training
+  thread: each ``normal`` call gets back the next draw the helper made on
+  the real stream, and a call that finds none, or another shape, raises —
+  so a forward that diverges from the helper's draws fails instead of
+  shifting a stream.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import contextvars
 import queue
 import threading
 from collections import deque
-from typing import Callable, Deque, Iterator, List, Optional
+from typing import Deque, Iterator, List
 
 import numpy as np
 
@@ -45,8 +46,8 @@ class StepAhead:
     creating thread's :mod:`contextvars` context, so it resolves the same
     execution context (dtype policy, default random state).  :meth:`close`
     stops and joins it; if ``items`` itself waits on the consumer, the
-    consumer must first let it end (as stacked evaluation does by sending
-    its end-of-batches mark).
+    consumer must first let it end (as stacked evaluation's lane does by
+    sending its end-of-batches mark).
     """
 
     def __init__(self, items: Iterator, window: int, name: str) -> None:
@@ -93,16 +94,14 @@ class StepAhead:
 class DrawReplay:
     """A noise stream as the consuming thread sees it.
 
-    Each ``normal`` call gets back the next prepared draw: first those
-    :meth:`load` queued, then, given a ``source``, the next one ``source()``
-    returns.  A call that finds none or another shape, and a
-    :meth:`check_drained` that finds a loaded draw unused, raise: the forward
-    and the helper disagree about the draws.
+    Each ``normal`` call gets back the next draw :meth:`load` queued.  A
+    call that finds none or another shape, and a :meth:`check_drained` that
+    finds a loaded draw unused, raise: the forward and the helper disagree
+    about the draws.
     """
 
-    def __init__(self, source: Optional[Callable[[], np.ndarray]] = None) -> None:
+    def __init__(self) -> None:
         self._draws: Deque[np.ndarray] = deque()
-        self._source = source
 
     def load(self, draws: List[np.ndarray]) -> None:
         self._draws.extend(draws)
@@ -110,12 +109,9 @@ class DrawReplay:
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None) -> np.ndarray:
         # loc and scale went into the helper's identical call; only the
         # shape, which the helper inferred, can disagree.
-        if self._draws:
-            draw = self._draws.popleft()
-        elif self._source is not None:
-            draw = self._source()
-        else:
+        if not self._draws:
             raise RuntimeError("a forward drew noise the helper thread did not prepare")
+        draw = self._draws.popleft()
         if draw.shape != tuple(size):
             raise RuntimeError(
                 f"a forward drew shape {tuple(size)}; the helper prepared {draw.shape}"

@@ -45,6 +45,16 @@ def pin_worker_threads() -> Dict[str, Optional[str]]:
     return previous
 
 
+def blas_pinned() -> bool:
+    """Whether the BLAS thread variables pin BLAS to one thread, as
+    :func:`pin_worker_threads` does.
+
+    BLAS reads them when numpy loads it, so the answer describes its pool
+    as long as they have not changed since.
+    """
+    return all(os.environ.get(name) == "1" for name in WORKER_THREAD_ENV)
+
+
 @contextmanager
 def worker_threads_pinned() -> Iterator[None]:
     """Pin the BLAS thread variables for the block, then restore them.

@@ -25,9 +25,9 @@ def _seed_everything():
 def _no_step_ahead_helper_left():
     """Fail a test that leaves a step-ahead helper thread running.
 
-    GBO training (``gbo-prepare``) and stacked noisy evaluation
-    (``eval-draws``) each join their helper before returning or raising; a
-    helper still alive after a test is a leak in one of those pipelines.
+    GBO training (``gbo-prepare``) and stacked noisy evaluation's second
+    lane (``eval-lane``) each join their helper before returning or raising;
+    a helper still alive after a test is a leak in one of those pipelines.
     """
     yield
     alive = [t.name for t in threading.enumerate() if isinstance(t, StepAheadThread)]

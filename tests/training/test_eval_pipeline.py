@@ -1,17 +1,26 @@
-"""The stacked noisy evaluation pipeline's contract (:func:`evaluate_multi`).
+"""Stacked noisy evaluation in two lanes (:func:`evaluate_multi`).
 
-``evaluate_multi`` draws every scenario's read noise on one helper thread, a
-few draws ahead of the forward.  That must change nothing the step-by-step
-``MultiSession.forward`` loop produces:
+With two or more configs under pinned BLAS, :class:`repro.sim.MultiSession`
+runs the first half of each batch's scenarios on the calling thread and the
+rest on one helper thread, on a replica of the model.  (Every test here pins
+the BLAS thread variables; the pool numpy already loaded keeps its size,
+which changes no result.)  That must change nothing the
+step-by-step loop produces — one ``MultiSession.forward`` loop per
+scenario, which starts no thread:
 
-* per scenario, the logits of every batch, and the next two draws of every
-  stream afterwards — so a stream drawn one batch too far, or in another
-  order, shows;
-* with a last batch shorter than the others, over two repeats, and with
-  clean and sigma-0 scenarios beside noisy ones (their streams untouched);
-* an error on either thread reaches the caller with the helper joined and
-  the layers' own streams back; a forward that diverges from the recorded
-  draws raises; no thread outlives the call.
+* per scenario, the logits of every batch, the accuracies, and the next
+  two draws of every stream afterwards — so a stream drawn one batch too
+  far, or in another order, shows;
+* with full batches, a last batch shorter than the others, two repeats, an
+  odd K, clean and sigma-0 scenarios beside noisy ones (their streams
+  untouched), on the VGG9, the MLP and the LeNet;
+* each stream is drawn on its lane's thread only; the first layer reads
+  once per distinct encoding per batch, on the calling thread, and every
+  layer past the stem runs at batch N in both lanes; the helper lane
+  records no graph and resolves the caller's execution context; one
+  config, or unpinned BLAS, starts no thread and builds no replica;
+* an error on either lane reaches the caller with the helper joined and
+  the layers' streams and memo restored; no thread outlives the call.
 """
 
 from __future__ import annotations
@@ -24,14 +33,15 @@ import pytest
 
 from repro.context import ExecutionContext, use_context
 from repro.data import DataLoader, TensorDataset
-from repro.models import VGG9, CrossbarMLP, VGGConfig
+from repro.models import VGG9, CrossbarLeNet, CrossbarMLP, VGGConfig
 from repro.sim import MultiSession, SimConfig
 from repro.tensor import Tensor, no_grad
 from repro.tensor.random import RandomState
 from repro.training import evaluate
-from repro.training.evaluate import DRAWS_AHEAD, evaluate_multi
+from repro.training.evaluate import evaluate_multi
 from repro.training.metrics import AverageMeter, accuracy_from_logits
 from repro.utils.step_ahead import StepAheadThread
+from repro.worker_env import WORKER_THREAD_ENV
 
 SEED = 4410
 
@@ -52,18 +62,30 @@ MIXED = [
 
 #: Per case: configs, samples (batches of 6), repeats and model.
 CASES = {
-    "noisy": (NOISY, 12, 1, "vgg9"),
+    "full_batches": (NOISY, 12, 1, "vgg9"),
     "short_last_batch": (NOISY, 15, 1, "vgg9"),  # 6, 6 and 3
     "two_repeats": (NOISY, 15, 2, "vgg9"),
     "mixed": (MIXED, 15, 2, "vgg9"),
+    "odd_mixed": (MIXED + [SimConfig(mode="noisy", noise_sigma=1.5, pulses=6)], 15, 1, "vgg9"),
     "mlp": (MIXED, 15, 2, "mlp"),
+    "lenet": (MIXED, 15, 2, "lenet"),
 }
+
+
+@pytest.fixture(autouse=True)
+def _blas_pinned(monkeypatch):
+    for name in WORKER_THREAD_ENV:
+        monkeypatch.setenv(name, "1")
 
 
 def _model(name):
     if name == "mlp":
         model = CrossbarMLP(
             in_features=256, hidden_sizes=(16, 16), num_classes=4, rng=RandomState(SEED)
+        )
+    elif name == "lenet":
+        model = CrossbarLeNet(
+            num_classes=4, in_channels=1, image_size=16, base_channels=4, rng=RandomState(SEED)
         )
     else:
         config = VGGConfig(num_classes=4, in_channels=1, image_size=16, width_multiplier=1 / 16)
@@ -91,22 +113,26 @@ def _next_draws(rngs):
 
 
 def _step_by_step(model, loader, configs, num_repeats=1):
-    """Logits per batch, accuracies and next draws of a plain forward loop."""
+    """Logits per batch, accuracies and next draws of one loop per scenario."""
     rngs = _streams(len(configs))
-    logits, meters = [], []
-    with MultiSession(model, configs, rngs=rngs) as session, no_grad():
-        for _ in range(num_repeats):
-            meters.append([AverageMeter("accuracy") for _ in configs])
-            for inputs, targets in loader:
-                blocks = session.forward(Tensor(inputs))
-                logits.append([block.data.copy() for block in blocks])
-                for meter, block in zip(meters[-1], blocks):
+    per_scenario, accuracies = [], []
+    for config, rng in zip(configs, rngs):
+        blocks, repeats = [], []
+        with MultiSession(model, [config], rngs=[rng]) as session, no_grad():
+            for _ in range(num_repeats):
+                meter = AverageMeter("accuracy")
+                for inputs, targets in loader:
+                    (block,) = session.forward(Tensor(inputs))
+                    blocks.append(block.data.copy())
                     meter.update(accuracy_from_logits(block, targets), weight=len(targets))
-    accuracies = [[repeat[k].average for repeat in meters] for k in range(len(configs))]
+                repeats.append(meter.average)
+        per_scenario.append(blocks)
+        accuracies.append(repeats)
+    logits = [list(batch) for batch in zip(*per_scenario)]
     return logits, accuracies, _next_draws(rngs)
 
 
-def _pipelined(monkeypatch, model, loader, configs, num_repeats=1):
+def _in_lanes(monkeypatch, model, loader, configs, num_repeats=1):
     """The same three, from ``evaluate_multi``."""
     seen = []
 
@@ -127,6 +153,7 @@ def _assert_same(got, want):
     want_logits, want_accuracies, want_draws = want
     assert len(got_logits) == len(want_logits)
     for got_batch, want_batch in zip(got_logits, want_logits):
+        assert len(got_batch) == len(want_batch)
         for got_block, want_block in zip(got_batch, want_batch):
             np.testing.assert_array_equal(got_block, want_block)
     assert got_accuracies == want_accuracies
@@ -138,18 +165,43 @@ def _helpers_alive():
 
 
 def _layer_state(model):
-    return [(layer.noise_rng, layer._read_memo) for layer in model.encoded_layers()]
+    return [
+        (layer.noise_rng, layer._read_memo, layer.mode, layer.noise_sigma, layer.num_pulses)
+        for layer in model.encoded_layers()
+    ]
+
+
+def _recording_bodies(monkeypatch, model, fail=None):
+    """Record each ``forward_body`` call as ``(thread, model, graph?)``.
+
+    Patched on the class, so the replica's calls are seen too.  ``fail``
+    is ``(thread name, call)``: that call on that thread raises.
+    """
+    calls, counts = [], {}
+    body = type(model).forward_body
+
+    def recording(self, x):
+        thread = threading.current_thread().name
+        counts[thread] = counts.get(thread, 0) + 1
+        if fail == (thread, counts[thread]):
+            raise RuntimeError(f"body failed on {thread}")
+        out = body(self, x)
+        calls.append((thread, self, out.requires_grad or bool(out._parents)))
+        return out
+
+    monkeypatch.setattr(type(model), "forward_body", recording)
+    return calls
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("engine", ENGINES)
-def test_pipelined_matches_step_by_step(monkeypatch, engine, case):
+def test_lanes_match_step_by_step(monkeypatch, engine, case):
     configs, num_samples, num_repeats, model_name = CASES[case]
     configs = _configs(configs, engine)
     model, loader = _model(model_name), _loader(num_samples)
     want = _step_by_step(model, loader, configs, num_repeats)
     threads = threading.active_count()
-    got = _pipelined(monkeypatch, model, loader, configs, num_repeats)
+    got = _in_lanes(monkeypatch, model, loader, configs, num_repeats)
     _assert_same(got, want)
     assert len(got[0]) == len(loader) * num_repeats
     assert threading.active_count() == threads
@@ -167,8 +219,112 @@ def test_clean_and_zero_sigma_streams_stay_untouched(engine):
     assert draws[0] != fresh[0] and draws[3] != fresh[3]
 
 
+class _ThreadLoggingStream(RandomState):
+    """A stream noting the thread of each ``normal`` call, or failing at one."""
+
+    def __init__(self, seed, fail_at=None):
+        super().__init__(seed)
+        self.threads = []
+        self.fail_at = fail_at
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        self.threads.append(threading.current_thread().name)
+        if len(self.threads) == self.fail_at:
+            raise RuntimeError(f"draw failed on {self.threads[-1]}")
+        return super().normal(loc, scale, size)
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_each_stream_is_drawn_on_its_lanes_thread_only(count):
+    configs = [
+        SimConfig(mode="noisy", noise_sigma=1.0 + k, engine="vectorized") for k in range(count)
+    ]
+    rngs = [_ThreadLoggingStream(SEED + k) for k in range(count)]
+    evaluate_multi(_model("vgg9"), _loader(15), configs, rngs=rngs)
+    caller = threading.current_thread().name
+    first = (count + 1) // 2
+    for k, rng in enumerate(rngs):
+        assert rng.threads, k
+        assert set(rng.threads) == {caller if k < first else "eval-lane"}, k
+
+
+def test_helper_lane_runs_on_a_replica_and_records_no_graph(monkeypatch):
+    model = _model("vgg9")
+    model.requires_grad_(True)
+    calls = _recording_bodies(monkeypatch, model)
+    evaluate_multi(model, _loader(15), _configs(NOISY, "vectorized"), rngs=_streams(3))
+    caller = threading.current_thread().name
+    # Per batch: scenarios 0 and 1 on the caller's model, 2 on the replica.
+    assert [thread for thread, _, _ in calls].count("eval-lane") == 3
+    for thread, body_of, graph in calls:
+        assert (body_of is model) == (thread == caller)
+        assert not graph, thread
+    # Unguarded, the same forward would record one.
+    with MultiSession(model, _configs(NOISY[:1], "vectorized"), rngs=_streams(1)) as session:
+        session.forward(Tensor(_loader(6).dataset.inputs))
+    assert calls[-1][2]
+
+
+@pytest.mark.parametrize("case", ["one_config", "blas_unpinned"])
+def test_one_lane_starts_no_thread_and_builds_no_replica(monkeypatch, case):
+    from repro.sim import multi
+
+    configs = NOISY
+    if case == "one_config":
+        configs = NOISY[:1]
+    else:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    model = _model("vgg9")
+    calls = _recording_bodies(monkeypatch, model)
+    lanes = []
+    monkeypatch.setattr(multi, "_HelperLane", lambda *args, **kwargs: lanes.append(args))
+    threads = threading.active_count()
+    configs = _configs(configs, "vectorized")
+    evaluate_multi(model, _loader(15), configs, rngs=_streams(len(configs)))
+    caller = threading.current_thread().name
+    assert [(thread, body_of) for thread, body_of, _ in calls] == [(caller, model)] * (
+        3 * len(configs)
+    )
+    assert not lanes
+    assert threading.active_count() == threads
+
+
+def test_one_read_per_encoding_and_batch_n_everywhere_in_lanes(monkeypatch):
+    """`tests/backend/test_multi_scenario.py`'s two shape checks, in lanes.
+
+    Patched on the classes, so the replica's layers are seen too.
+    """
+    from repro.core.encoder_layer import EncodedConv2d, EncodedLinear
+    from repro.nn import Linear
+
+    model, loader = _model("vgg9"), _loader(12)
+    reads, rows = [], []
+    for cls in (EncodedConv2d, EncodedLinear, Linear):
+        def forward(self, x, _forward=cls.forward):
+            rows.append(x.shape[0])
+            return _forward(self, x)
+
+        monkeypatch.setattr(cls, "forward", forward)
+    read = EncodedConv2d._ideal_read
+
+    def ideal_read(self, encoded):
+        if self._read_memo is not None:  # the first layer
+            reads.append((threading.current_thread().name, encoded.shape[0]))
+        return read(self, encoded)
+
+    monkeypatch.setattr(EncodedConv2d, "_ideal_read", ideal_read)
+    calls = _recording_bodies(monkeypatch, model)
+    evaluate_multi(model, loader, _configs(NOISY, "vectorized"), rngs=_streams(3))
+    caller = threading.current_thread().name
+    assert {thread for thread, _, _ in calls} == {caller, "eval-lane"}
+    # NOISY has three encodings (8, 4 and 12 pulses), each read once per batch.
+    assert reads == [(caller, 6)] * (len(NOISY) * len(loader))
+    layers = len(model.encoded_layers()) + 1  # and the classifier
+    assert rows == [6] * (len(NOISY) * len(loader) * layers)
+
+
 @pytest.mark.parametrize("engine", ENGINES)
-def test_nan_input_raises_with_the_helper_joined_and_streams_restored(engine):
+def test_nan_input_raises_with_the_helper_joined_and_state_restored(engine):
     model, loader = _model("vgg9"), _loader(18)
     loader.dataset.inputs[14, 0, 3, 3] = np.nan  # the third batch
     before = _layer_state(model)
@@ -180,124 +336,51 @@ def test_nan_input_raises_with_the_helper_joined_and_streams_restored(engine):
     assert _layer_state(model) == before
 
 
-def _failing_body(monkeypatch, model, fail_at, change=None):
-    """Wrap ``forward_body``: its call ``fail_at`` raises, or first runs ``change(model)``."""
-    body = model.forward_body
-    calls = []
-
-    def wrapped(x):
-        calls.append(1)
-        if len(calls) == fail_at:
-            if change is None:
-                raise RuntimeError("body failed")
-            change(model)
-        return body(x)
-
-    monkeypatch.setattr(model, "forward_body", wrapped)
-
-
+@pytest.mark.parametrize("lane", ["caller", "helper"])
 @pytest.mark.parametrize("engine", ENGINES)
-def test_error_in_the_body_raises_with_the_helper_joined_and_streams_restored(
-    monkeypatch, engine
+def test_error_in_a_body_raises_with_the_helper_joined_and_state_restored(
+    monkeypatch, engine, lane
 ):
     model, loader = _model("vgg9"), _loader(18)
-    _failing_body(monkeypatch, model, fail_at=len(NOISY) + 2)  # second batch
+    # The second batch: the caller runs two bodies per batch, the helper one.
+    if lane == "caller":
+        thread, call = threading.current_thread().name, 3
+    else:
+        thread, call = "eval-lane", 2
+    _recording_bodies(monkeypatch, model, fail=(thread, call))
     before = _layer_state(model)
     threads = threading.active_count()
-    with pytest.raises(RuntimeError, match="body failed"):
+    with pytest.raises(RuntimeError, match=f"body failed on {thread}"):
         evaluate_multi(model, loader, _configs(NOISY, engine), rngs=_streams(len(NOISY)))
     assert threading.active_count() == threads
     assert not _helpers_alive()
     assert _layer_state(model) == before
 
 
-class _FailingStream(RandomState):
-    """A stream whose ``normal`` raises from its ``fail_at``-th call on."""
-
-    def __init__(self, seed, fail_at):
-        super().__init__(seed)
-        self.calls = 0
-        self.fail_at = fail_at
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        self.calls += 1
-        if self.calls >= self.fail_at:
-            raise RuntimeError("draw failed")
-        return super().normal(loc, scale, size)
-
-
-def test_error_on_the_helper_reaches_the_caller():
+@pytest.mark.parametrize("scenario", [0, 2])
+def test_error_in_a_draw_reaches_the_caller_from_either_lane(scenario):
     model, loader = _model("vgg9"), _loader(18)
     rngs = _streams(len(NOISY))
-    rngs[1] = _FailingStream(SEED, fail_at=12)  # 7 layers: a second-batch draw
+    rngs[scenario] = _ThreadLoggingStream(SEED, fail_at=9)  # 7 layers: a second-batch draw
+    thread = threading.current_thread().name if scenario == 0 else "eval-lane"
     before = _layer_state(model)
-    with pytest.raises(RuntimeError, match="draw failed"):
+    with pytest.raises(RuntimeError, match=f"draw failed on {thread}"):
         evaluate_multi(model, loader, _configs(NOISY, "vectorized"), rngs=rngs)
     assert not _helpers_alive()
     assert _layer_state(model) == before
 
 
-def test_a_forward_drawing_another_shape_raises(monkeypatch):
-    model, loader = _model("vgg9"), _loader(18)
-
-    def extra_draw(model):
-        model.encoded_layers()[0].noise_rng.normal(0.0, 1.0, (6, 3))
-
-    _failing_body(monkeypatch, model, len(NOISY) + 1, extra_draw)  # second batch's first
-    with pytest.raises(RuntimeError, match="drew shape"):
-        evaluate_multi(model, loader, _configs(NOISY, "vectorized"), rngs=_streams(3))
+def test_forward_after_a_helper_error_raises_instead_of_hanging():
+    model, loader = _model("vgg9"), _loader(12)
+    rngs = _streams(len(NOISY))
+    rngs[2] = _ThreadLoggingStream(SEED, fail_at=1)
+    batches = [Tensor(inputs) for inputs, _ in loader]
+    with MultiSession(model, _configs(NOISY, "vectorized"), rngs=rngs) as session, no_grad():
+        with pytest.raises(RuntimeError, match="draw failed on eval-lane"):
+            session.forward(batches[0])
+        with pytest.raises(RuntimeError, match="helper lane stopped"):
+            session.forward(batches[1])
     assert not _helpers_alive()
-
-
-def _go_clean(model):
-    for layer in model.encoded_layers():
-        layer._apply_mode("clean")
-
-
-def test_a_forward_leaving_draws_unused_raises(monkeypatch):
-    model, loader = _model("vgg9"), _loader(18)
-    _failing_body(monkeypatch, model, 2 * len(NOISY), _go_clean)  # second batch's last
-    with pytest.raises(RuntimeError, match="unused"):
-        evaluate_multi(model, loader, _configs(NOISY, "vectorized"), rngs=_streams(3))
-    assert not _helpers_alive()
-
-
-def test_a_scenario_taking_another_scenarios_draw_raises(monkeypatch):
-    # Scenario 0 draws nothing on the second batch, so scenario 1's first
-    # draw would be scenario 0's: same shape, wrong stream.
-    model, loader = _model("vgg9"), _loader(18)
-    _failing_body(monkeypatch, model, len(NOISY) + 1, _go_clean)
-    with pytest.raises(RuntimeError, match="scenario 1 drew noise"):
-        evaluate_multi(model, loader, _configs(NOISY, "vectorized"), rngs=_streams(3))
-    assert not _helpers_alive()
-
-
-def test_helper_stays_within_its_window_and_never_passes_the_last_batch(monkeypatch):
-    from repro.utils import step_ahead
-
-    made, leads = [], []
-
-    class CountingStream(RandomState):
-        def normal(self, loc=0.0, scale=1.0, size=None):
-            if isinstance(threading.current_thread(), StepAheadThread):
-                made.append(1)
-            return super().normal(loc, scale, size)
-
-    replay_normal = step_ahead.DrawReplay.normal
-
-    def taking(self, loc=0.0, scale=1.0, size=None):
-        leads.append(len(made) - len(leads))
-        return replay_normal(self, loc, scale, size)
-
-    monkeypatch.setattr(step_ahead.DrawReplay, "normal", taking)
-    model, loader = _model("vgg9"), _loader(15)
-    configs = _configs(NOISY, "vectorized")
-    rngs = [CountingStream(SEED + k) for k in range(len(configs))]
-    evaluate_multi(model, loader, configs, rngs=rngs, num_repeats=2)
-    per_batch = len(configs) * len(model.encoded_layers())
-    assert len(made) == len(leads) == per_batch * (2 * len(loader) - 1)
-    assert max(leads) <= DRAWS_AHEAD
-    assert max(leads) > 1  # the helper did run ahead
 
 
 def test_empty_loader_evaluates_nothing():
@@ -310,16 +393,16 @@ def test_empty_loader_evaluates_nothing():
     assert not _helpers_alive()
 
 
-def test_helper_draws_in_the_callers_execution_context(monkeypatch):
-    """In an activated float32 context the helper draws float32 noise, as
-    the step-by-step loop does there: it resolves the caller's context."""
+def test_helper_lane_resolves_the_callers_execution_context(monkeypatch):
+    """In an activated float32 context the helper lane computes in float32,
+    as the step-by-step loop does there: it resolves the caller's context."""
     configs = _configs(NOISY, "vectorized")
     loader = _loader(15)
     with use_context(ExecutionContext(dtype="float32")):
         want = _step_by_step(_model("vgg9"), loader, configs)
-        got = _pipelined(monkeypatch, _model("vgg9"), loader, configs)
+        got = _in_lanes(monkeypatch, _model("vgg9"), loader, configs)
     _assert_same(got, want)
-    assert want[0][-1][0].dtype == np.float32
+    assert all(block.dtype == np.float32 for batch in got[0] for block in batch)
 
 
 def test_concurrent_evaluations_with_fast_thread_switching_match_step_by_step():

@@ -27,6 +27,7 @@ from repro.training import (
     pretrain_model,
     save_checkpoint,
 )
+from repro.training.evaluate import evaluate_multi
 
 
 @pytest.fixture
@@ -146,6 +147,32 @@ class TestEvaluation:
         model = Sequential(Linear(features, classes, rng=RandomState(1)))
         model.train()
         evaluate_accuracy(model, eval_loader)
+        assert model.training
+
+    @pytest.mark.parametrize("function", ["evaluate_accuracy", "evaluate_loss", "evaluate_multi"])
+    def test_evaluation_restores_training_mode_when_the_loop_raises(
+        self, tiny_loaders, function
+    ):
+        _, test_loader = tiny_loaders
+        model = CrossbarMLP(3 * 8 * 8, hidden_sizes=(16, 16), rng=RandomState(1))
+        model.train()
+
+        def failing_loader():
+            yield next(iter(test_loader))
+            raise RuntimeError("loader failed")
+
+        evaluate = {
+            "evaluate_accuracy": evaluate_accuracy,
+            "evaluate_loss": evaluate_loss,
+            "evaluate_multi": lambda model, loader: evaluate_multi(
+                model,
+                loader,
+                [SimConfig(mode="noisy", noise_sigma=s) for s in (1.0, 2.0)],
+                rngs=[RandomState(10), RandomState(11)],
+            ),
+        }[function]
+        with pytest.raises(RuntimeError, match="loader failed"):
+            evaluate(model, failing_loader())
         assert model.training
 
     def test_noisy_accuracy_restores_model_state(self, tiny_loaders):

@@ -1,4 +1,4 @@
-"""The allocator policy of :mod:`repro.worker_env`."""
+"""The allocator and BLAS-thread policies of :mod:`repro.worker_env`."""
 
 from __future__ import annotations
 
@@ -44,3 +44,14 @@ def test_keep_heap_resident_is_a_no_op_without_a_c_library(monkeypatch):
 
     monkeypatch.setattr(worker_env.ctypes, "CDLL", no_library)
     assert worker_env.keep_heap_resident() is False
+
+
+def test_blas_pinned_reads_every_thread_variable(monkeypatch):
+    for name in worker_env.WORKER_THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    assert not worker_env.blas_pinned()
+    with worker_env.worker_threads_pinned():
+        assert worker_env.blas_pinned()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert not worker_env.blas_pinned()
+    assert not worker_env.blas_pinned()
