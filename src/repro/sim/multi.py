@@ -176,7 +176,6 @@ class MultiSession:
         self._layers: List[Any] = []
         self._saved_rngs: List[RandomState] = []
         self._scenarios: List[List[_ScenarioPack]] = []
-        self._memo: Any = None
         self._lane: Optional[_HelperLane] = None
 
     def forward(self, inputs) -> List[Any]:
@@ -200,7 +199,8 @@ class MultiSession:
 
     def _fill_memo(self, stem) -> None:
         """The first layer's read of ``stem`` in every scenario's encoding."""
-        first, memo = self._layers[0], self._memo
+        first = self._layers[0]
+        memo = first._read_memo
         memo.sealed = False
         for packs in self._scenarios:
             packs[0].select(first)
@@ -262,7 +262,7 @@ class MultiSession:
 
         self._layers = layers
         self._saved_rngs = [layer.noise_rng for layer in layers]
-        self._memo = layers[0]._read_memo = ReadMemo()
+        layers[0]._read_memo = ReadMemo()
         self._session = session
         if len(self.configs) > 1 and blas_pinned():
             try:
@@ -282,7 +282,6 @@ class MultiSession:
                 layer._read_memo = None
             self._layers = []
             self._saved_rngs = []
-            self._memo = None
         finally:
             if self._session is not None:
                 self._session.__exit__(exc_type, exc_value, traceback)
@@ -304,9 +303,11 @@ class _HelperLane:
         self._session = session
         # Shared, not copied: the engine instances the model is pinned to,
         # the read memo and the streams (each lane installs its own).
-        shared = [session._memo]
-        for layer in session._layers:
-            shared += [layer._engine, layer.noise_rng]
+        shared = [
+            item
+            for layer in session._layers
+            for item in (layer._engine, layer.noise_rng, layer._read_memo)
+        ]
         self._replica = copy.deepcopy(session.target, {id(item): item for item in shared})
         self._layers = encoded_layers_of(self._replica)
         self._stems: "queue.SimpleQueue" = queue.SimpleQueue()
