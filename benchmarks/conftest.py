@@ -1,14 +1,14 @@
 """Shared fixtures for the benchmark harness.
 
 The benchmarks reproduce every table and figure of the paper at the ``fast``
-profile scale (reduced-width VGG9 on the synthetic CIFAR-like task, see
-DESIGN.md).  Pre-training is done once per profile and cached both in-process
+profile scale (reduced-width VGG9 on the synthetic CIFAR-like task of
+:mod:`repro.data`).  Pre-training is done once per profile and cached both in-process
 and on disk (``.repro_cache/``), so the expensive stage is shared by all
 benchmark files.
 
 Every benchmark prints the reproduced rows next to the paper's reported
 values (straight to the terminal, bypassing capture) and also writes them to
-``benchmarks/results/`` so EXPERIMENTS.md can reference stable artifacts.
+``benchmarks/results/`` so reports can cite stable artifacts.
 The gated throughput benchmarks write their ``BENCH_*.json`` artifact with
 :func:`write_bench_artifact`, which also appends the headline numbers to
 ``benchmarks/results/history.jsonl`` so the perf history survives

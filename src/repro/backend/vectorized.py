@@ -1,28 +1,17 @@
 """Batched engine: pulses x tiles x batch collapsed into a few numpy calls.
 
-Two execution strategies, picked per crossbar:
-
-* **Folded Gaussian path** — with ideal converters and (at most) additive
-  Gaussian read noise (including :class:`~repro.crossbar.noise.CompositeNoise`
-  stacks whose members are all additive Gaussian, which collapse to one
-  equivalent variance), the accumulated read ``sum_p w_p (pulse_p @ W^T +
-  eps_p)`` equals ``decode(train) @ W^T + N(0, std^2 * ||w||^2)`` where
-  ``std`` is the noise of one full logical read (tile partial sums add in
-  quadrature).  One matmul over the assembled tile conductances plus one
-  batched noise draw replaces ``num_pulses x num_tiles`` reads; when entered
-  through :meth:`VectorizedEngine.encoded_read` the pulse train is never even
-  materialised — the encoder's closed-form round-trip value stands in for
-  ``decode(train)``.
-* **Batched tile path** — for non-Gaussian noise models or non-ideal
-  converters the per-read semantics matter, so the whole pulse stack
-  ``(num_pulses, batch, in_features)`` is driven through every tile in a
-  single :meth:`read_batch` call (noise drawn once per tile for the whole
-  stack) and accumulated with one ``tensordot`` over the pulse weights.
-
-Both strategies are statistically identical to
-:class:`~repro.backend.reference.ReferenceEngine` because the read noise is
-i.i.d. across pulses and tiles; ``tests/backend/test_engines.py`` verifies
-the equivalence on multi-tile crossbars.
+Every crossbar read folds.  The read noise is additive Gaussian and i.i.d.
+across pulses and tiles, so the accumulated read ``sum_p w_p (pulse_p @ W^T
++ eps_p)`` equals ``decode(train) @ W^T + N(0, std^2 * ||w||^2)``, where
+``std`` is the noise of one full logical read (tile partial sums add in
+quadrature).  One matmul over the assembled tile weights plus one batched
+noise draw replaces ``num_pulses x num_tiles`` reads; when entered through
+:meth:`VectorizedEngine.encoded_read` the pulse train is never even
+materialised — the encoder's closed-form round-trip value stands in for
+``decode(train)``.  The result is statistically identical to
+:class:`~repro.backend.reference.ReferenceEngine`;
+``tests/backend/test_engines.py`` verifies the equivalence on multi-tile
+crossbars.
 
 The GBO candidate mixture of Eq. 5 folds the same way: ``sum_k alpha_k
 s_k eps_k`` over i.i.d. standard normals is exactly ``N(0, sum_k (alpha_k
@@ -49,18 +38,6 @@ if TYPE_CHECKING:  # avoid a circular import: crossbar -> core -> backend
     from repro.crossbar.encoding import PulseTrain
 
 
-def _converters_ideal(config) -> bool:
-    """True when ADC/DAC are pass-through for ``{-1, +1}`` pulse inputs."""
-    from repro.crossbar.adc import IdealADC
-    from repro.crossbar.dac import IdealDAC
-
-    adc_ok = config.adc is None or type(config.adc) is IdealADC
-    dac_ok = config.dac is None or (
-        type(config.dac) is IdealDAC and config.dac.v_ref >= 1.0
-    )
-    return adc_ok and dac_ok
-
-
 class VectorizedEngine(SimulationEngine):
     """Default engine: one batched noise draw, a handful of matmuls."""
 
@@ -74,19 +51,15 @@ class VectorizedEngine(SimulationEngine):
         add_noise: bool = True,
         rng: Optional[RandomState] = None,
     ) -> np.ndarray:
-        # When the accumulated read folds, skip materialising the pulse train
-        # entirely: the ideal part is the encoder's round-trip (quantised)
-        # value and the noise scale is ||accumulation_weights||_2.
+        # Skip materialising the pulse train entirely: the ideal part is the
+        # encoder's round-trip (quantised) value and the noise scale is
+        # ||accumulation_weights||_2.  An empty train cannot be read; the base
+        # class encodes it and raises.
         weights = getattr(encoder, "accumulation_weights", None)
-        if (
-            weights is not None
-            and weights.size > 0
-            and hasattr(encoder, "represented_values")
-            and self._can_fold(crossbar, add_noise)
-        ):
-            decoded = encoder.represented_values(values)
-            return self._fold_decoded(crossbar, decoded, weights, add_noise, rng)
-        return super().encoded_read(crossbar, values, encoder, add_noise=add_noise, rng=rng)
+        if weights is None or weights.size == 0:
+            return super().encoded_read(crossbar, values, encoder, add_noise=add_noise, rng=rng)
+        decoded = encoder.represented_values(values)
+        return self._fold_decoded(crossbar, decoded, weights, add_noise, rng)
 
     def pulsed_read(
         self,
@@ -95,20 +68,7 @@ class VectorizedEngine(SimulationEngine):
         add_noise: bool = True,
         rng: Optional[RandomState] = None,
     ) -> np.ndarray:
-        if self._can_fold(crossbar, add_noise):
-            return self._fold_decoded(crossbar, train.decode(), train.weights, add_noise, rng)
-        return self._batched_tile_read(crossbar, train, add_noise, rng)
-
-    @staticmethod
-    def _can_fold(crossbar, add_noise: bool) -> bool:
-        if not _converters_ideal(crossbar.config):
-            return False
-        if not add_noise:
-            return True
-        # Covers NoNoise, GaussianReadNoise and CompositeNoise stacks whose
-        # members are all additive Gaussian (their variances fold in
-        # quadrature through read_noise_std / std_for).
-        return crossbar.config.noise.is_additive_gaussian
+        return self._fold_decoded(crossbar, train.decode(), train.weights, add_noise, rng)
 
     @staticmethod
     def _fold_decoded(
@@ -123,11 +83,6 @@ class VectorizedEngine(SimulationEngine):
                 rng = rng or crossbar.rng
                 output = output + rng.normal(0.0, accumulated_std, size=output.shape)
         return output
-
-    @staticmethod
-    def _batched_tile_read(crossbar, train: "PulseTrain", add_noise: bool, rng) -> np.ndarray:
-        stack = crossbar.read_batch(train.pulses, add_noise=add_noise, rng=rng)
-        return np.tensordot(train.weights, stack, axes=(0, 0))
 
     def folded_read_noise(
         self,

@@ -1,13 +1,11 @@
 """Binary memristive crossbar simulator.
 
-This subpackage is the behavioural hardware substrate of the reproduction:
+This subpackage is the behavioural hardware substrate of the reproduction.
+It models what the paper models: ideal binary cells read under additive
+Gaussian noise (Eq. 1), averaged over the pulses of an input encoding
+(Eq. 4).
 
-* :mod:`repro.crossbar.device` — binary conductance mapping with device
-  variation and finite on/off ratio;
-* :mod:`repro.crossbar.noise` — composable analog noise sources (the paper's
-  additive Gaussian read noise of Eq. 1, plus device-variation and stuck-at
-  fault models for ablations);
-* :mod:`repro.crossbar.adc` / :mod:`repro.crossbar.dac` — converter models;
+* :mod:`repro.crossbar.noise` — the Gaussian read noise of Eq. 1;
 * :mod:`repro.crossbar.encoding` — input bit encodings (bit slicing and
   thermometer coding, Section II-B);
 * :mod:`repro.crossbar.array` / :mod:`repro.crossbar.tiling` — single-tile
@@ -16,20 +14,11 @@ This subpackage is the behavioural hardware substrate of the reproduction:
   crossbar (Eqs. 2-4), executed by a pluggable simulation engine (see
   :mod:`repro.backend`);
 * :mod:`repro.crossbar.analysis` — the closed-form noise-variance formulas
-  behind Fig. 1(b) and Monte-Carlo validation helpers.
+  behind Fig. 1(b) and Monte-Carlo validation helpers;
+* :mod:`repro.crossbar.cost` — latency and energy of a pulse schedule.
 """
 
-from repro.crossbar.device import DeviceConfig, ConductanceMapper
-from repro.crossbar.noise import (
-    NoiseModel,
-    GaussianReadNoise,
-    DeviceVariationNoise,
-    StuckAtFaultNoise,
-    CompositeNoise,
-    NoNoise,
-)
-from repro.crossbar.adc import ADC, IdealADC
-from repro.crossbar.dac import DAC, IdealDAC
+from repro.crossbar.noise import GaussianReadNoise
 from repro.crossbar.encoding import (
     PulseTrain,
     ThermometerEncoder,
@@ -37,12 +26,7 @@ from repro.crossbar.encoding import (
 )
 from repro.crossbar.array import CrossbarArray, CrossbarConfig
 from repro.crossbar.tiling import TiledCrossbar
-from repro.crossbar.mvm import (
-    pulsed_mvm,
-    bit_sliced_mvm,
-    thermometer_mvm,
-    folded_noisy_mvm,
-)
+from repro.crossbar.mvm import pulsed_mvm, folded_noisy_mvm
 from repro.crossbar.analysis import (
     bit_slicing_noise_variance,
     thermometer_noise_variance,
@@ -57,18 +41,7 @@ from repro.crossbar.cost import (
 )
 
 __all__ = [
-    "DeviceConfig",
-    "ConductanceMapper",
-    "NoiseModel",
     "GaussianReadNoise",
-    "DeviceVariationNoise",
-    "StuckAtFaultNoise",
-    "CompositeNoise",
-    "NoNoise",
-    "ADC",
-    "IdealADC",
-    "DAC",
-    "IdealDAC",
     "PulseTrain",
     "ThermometerEncoder",
     "BitSlicingEncoder",
@@ -76,8 +49,6 @@ __all__ = [
     "CrossbarConfig",
     "TiledCrossbar",
     "pulsed_mvm",
-    "bit_sliced_mvm",
-    "thermometer_mvm",
     "folded_noisy_mvm",
     "bit_slicing_noise_variance",
     "thermometer_noise_variance",

@@ -9,10 +9,7 @@ import numpy as np
 
 from repro.tensor.dtype import resolve_dtype
 
-from repro.crossbar.adc import ADC, IdealADC
-from repro.crossbar.dac import DAC, IdealDAC
-from repro.crossbar.device import ConductanceMapper, DeviceConfig
-from repro.crossbar.noise import GaussianReadNoise, NoiseModel, NoNoise
+from repro.crossbar.noise import GaussianReadNoise
 from repro.tensor.random import RandomState, default_rng
 
 
@@ -23,30 +20,15 @@ class CrossbarConfig:
     Attributes
     ----------
     noise:
-        Output noise model applied per analog read (per pulse).
-    device:
-        Binary NVM device parameters.
-    adc / dac:
-        Converter models; ideal (pass-through) converters by default, which
-        matches the paper's simplified model of Eq. 1.
+        Read noise added per analog read (per pulse); noiseless by default.
     max_rows / max_cols:
         Physical tile size used by :class:`~repro.crossbar.tiling.TiledCrossbar`
         when splitting large weight matrices.
     """
 
-    noise: NoiseModel = field(default_factory=NoNoise)
-    device: DeviceConfig = field(default_factory=DeviceConfig)
-    adc: Optional[ADC] = None
-    dac: Optional[DAC] = None
+    noise: GaussianReadNoise = field(default_factory=lambda: GaussianReadNoise(0.0))
     max_rows: int = 128
     max_cols: int = 128
-
-    @staticmethod
-    def with_gaussian_noise(sigma: float, relative_to_fan_in: bool = False, **kwargs) -> "CrossbarConfig":
-        """Convenience constructor for the paper's additive-Gaussian setting."""
-        return CrossbarConfig(
-            noise=GaussianReadNoise(sigma, relative_to_fan_in=relative_to_fan_in), **kwargs
-        )
 
 
 class CrossbarArray:
@@ -54,9 +36,9 @@ class CrossbarArray:
 
     The weight matrix has shape ``(out_features, in_features)``; inputs are
     applied to the rows (one voltage per input feature) and outputs are read
-    from the columns, one per output feature.  Every call to :meth:`matvec`
-    models one analog read: DAC on the inputs, ideal dot product through the
-    programmed conductances, additive/multiplicative noise, then ADC.
+    from the columns, one per output feature.  The cells are ideal binary
+    devices, so the stored matrix is exactly the analog weight of a read; each
+    read adds the configured Gaussian read noise.
     """
 
     def __init__(
@@ -67,14 +49,13 @@ class CrossbarArray:
     ):
         self.config = config or CrossbarConfig()
         self._rng = rng or default_rng()
-        weights = np.asarray(binary_weights, dtype=resolve_dtype())
+        weights = np.array(binary_weights, dtype=resolve_dtype())
         if weights.ndim != 2:
             raise ValueError(f"crossbar weights must be 2-D, got shape {weights.shape}")
+        if not np.all(np.isin(weights, (-1.0, 1.0))):
+            raise ValueError("binary crossbar can only store weights in {-1, +1}")
         self.out_features, self.in_features = weights.shape
-        mapper = ConductanceMapper(self.config.device, rng=self._rng)
-        self._g_pos, self._g_neg = mapper.program(weights)
-        self._effective = mapper.effective_weights(self._g_pos, self._g_neg)
-        self._ideal_weights = weights
+        self._weights = weights
 
     @property
     def shape(self):
@@ -83,18 +64,13 @@ class CrossbarArray:
 
     @property
     def effective_weights(self) -> np.ndarray:
-        """Analog weights actually realised by the programmed conductances."""
-        return self._effective
+        """Analog weights of a read: the stored binary matrix."""
+        return self._weights
 
     @property
     def assembled_effective_weights(self) -> np.ndarray:
         """Full effective matrix (alias; mirrors the tiled-crossbar API)."""
-        return self._effective
-
-    @property
-    def ideal_weights(self) -> np.ndarray:
-        """The binary weights the crossbar was asked to store."""
-        return self._ideal_weights
+        return self._weights
 
     @property
     def rng(self) -> RandomState:
@@ -107,7 +83,7 @@ class CrossbarArray:
         add_noise: bool = True,
         rng: Optional[RandomState] = None,
     ) -> np.ndarray:
-        """Batched analog read: ``inputs @ W^T`` with converter/noise effects.
+        """Batched analog read: ``inputs @ W^T`` plus read noise.
 
         Accepts any number of leading batch dimensions — in particular a
         whole pulse train ``(num_pulses, batch, in_features)`` — and models
@@ -130,18 +106,10 @@ class CrossbarArray:
                 f"input feature dimension {inputs.shape[-1]} does not match "
                 f"crossbar rows {self.in_features}"
             )
-        if self.config.dac is not None:
-            inputs = self.config.dac.convert(inputs)
-        output = inputs @ self._effective.T
+        output = inputs @ self._weights.T
         if add_noise:
             output = self.config.noise.apply(output, rng or self._rng, fan_in=self.in_features)
-        if self.config.adc is not None:
-            output = self.config.adc.convert(output)
         return output
-
-    def matvec(self, inputs: np.ndarray, add_noise: bool = True) -> np.ndarray:
-        """One analog read (alias of :meth:`read_batch` for 1-D/2-D inputs)."""
-        return self.read_batch(inputs, add_noise=add_noise)
 
     def read_noise_std(self) -> float:
         """Additive noise standard deviation of a single read on this tile."""

@@ -6,21 +6,16 @@ whole train to a simulation engine (see :mod:`repro.backend`):
 * the :class:`~repro.backend.reference.ReferenceEngine` drives every pulse
   through the crossbar as an independent noisy analog read — the faithful
   ``O(num_pulses x num_tiles)`` simulation used for validation;
-* the :class:`~repro.backend.vectorized.VectorizedEngine` (default) batches
-  pulses x tiles x batch into a few matmul calls with one batched noise
-  draw — statistically identical because the Gaussian read noise is i.i.d.
-  across pulses and tiles.  This fast path also covers
-  :class:`~repro.crossbar.noise.CompositeNoise` stacks whose members are all
-  additive Gaussian (gated by ``NoiseModel.is_additive_gaussian``): the
-  stack's variance already folds in quadrature through ``std_for`` /
-  ``read_noise_std``, so only genuinely non-Gaussian models (multiplicative
-  variation, stuck-at faults) or non-ideal converters fall back to the
-  batched per-tile path.  :meth:`CompositeNoise.fold` exposes the same
-  collapse as an explicit equivalent model.
+* the :class:`~repro.backend.vectorized.VectorizedEngine` (default) folds
+  pulses x tiles x batch into one matmul with one batched noise draw —
+  statistically identical because the Gaussian read noise is i.i.d. across
+  pulses and tiles, so the accumulated noise is one Gaussian whose variance
+  is the sum of the per-read variances.
 
 :func:`folded_noisy_mvm` is the closed-form single-shot equivalent for
-equal-weight (thermometer) trains, used by the network-level experiments;
-the test-suite verifies all paths agree.
+equal-weight (thermometer) trains (Eq. 4).  The encoded layers draw the same
+noise through the engine's ``folded_read_noise``; the tests compare every
+path against this closed form.
 """
 
 from __future__ import annotations
@@ -69,28 +64,6 @@ def pulsed_mvm(
 
     return resolve_engine(engine).encoded_read(
         crossbar, values, encoder, add_noise=add_noise, rng=rng
-    )
-
-
-def bit_sliced_mvm(
-    crossbar: Crossbar, values: np.ndarray, bits: int, add_noise: bool = True, engine=None
-) -> np.ndarray:
-    """Convenience wrapper: :func:`pulsed_mvm` with a bit-slicing encoder."""
-    return pulsed_mvm(
-        crossbar, values, BitSlicingEncoder(bits), add_noise=add_noise, engine=engine
-    )
-
-
-def thermometer_mvm(
-    crossbar: Crossbar,
-    values: np.ndarray,
-    num_pulses: int,
-    add_noise: bool = True,
-    engine=None,
-) -> np.ndarray:
-    """Convenience wrapper: :func:`pulsed_mvm` with a thermometer encoder."""
-    return pulsed_mvm(
-        crossbar, values, ThermometerEncoder(num_pulses), add_noise=add_noise, engine=engine
     )
 
 

@@ -1,76 +1,13 @@
-"""Analog noise models for the crossbar simulator.
-
-The paper's evaluation uses a single simplified model — additive Gaussian
-noise on the MVM output (Eq. 1) — which :class:`GaussianReadNoise`
-implements.  Richer sources (multiplicative device variation and stuck-at
-faults) are provided for the ablation benchmarks and to stress-test the
-robustness conclusions beyond the paper's model.
-"""
+"""The paper's read-noise model: additive Gaussian noise on each MVM (Eq. 1)."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from repro.tensor.random import RandomState, default_rng
+from repro.tensor.random import RandomState
 
 
-class NoiseModel:
-    """Interface: perturb an ideal MVM output given the context of the call."""
-
-    def apply(
-        self,
-        output: np.ndarray,
-        rng: RandomState,
-        fan_in: int = 1,
-    ) -> np.ndarray:
-        """Return a noisy version of ``output``.
-
-        Parameters
-        ----------
-        output:
-            Ideal MVM result (any shape).
-        rng:
-            Random state used for sampling.
-        fan_in:
-            Number of crossbar rows contributing to each output, available to
-            models that scale with array size.
-        """
-        raise NotImplementedError
-
-    def std_for(self, fan_in: int = 1) -> float:
-        """Effective additive-noise standard deviation (0 if not applicable)."""
-        return 0.0
-
-    @property
-    def is_additive_gaussian(self) -> bool:
-        """True when :meth:`apply` adds zero-mean Gaussian noise of exactly
-        the deviation reported by :meth:`std_for` (and nothing else).
-
-        Such models can be folded by the vectorized engine: sums of
-        independent Gaussians are Gaussian, so any accumulation of reads
-        collapses to a single equivalent draw.  Multiplicative or structured
-        models (device variation, stuck-at faults) must return ``False``.
-        """
-        return False
-
-
-class NoNoise(NoiseModel):
-    """Ideal, noiseless crossbar."""
-
-    def apply(self, output: np.ndarray, rng: RandomState, fan_in: int = 1) -> np.ndarray:
-        return output
-
-    @property
-    def is_additive_gaussian(self) -> bool:
-        return True  # the degenerate N(0, 0) case
-
-    def __repr__(self) -> str:
-        return "NoNoise()"
-
-
-class GaussianReadNoise(NoiseModel):
+class GaussianReadNoise:
     """Additive Gaussian output noise ``N(0, sigma^2)`` (paper's Eq. 1).
 
     Parameters
@@ -79,10 +16,14 @@ class GaussianReadNoise(NoiseModel):
         Noise standard deviation.  When ``relative_to_fan_in`` is ``True``
         the applied deviation is ``sigma * sqrt(fan_in)``, which keeps the
         noise-to-signal ratio comparable across layers and across networks of
-        different widths (see DESIGN.md, design decision 2).
+        different widths: the ideal output of a fan-in-``n`` row sum grows
+        like ``sqrt(n)`` for random binary weights.
     relative_to_fan_in:
         Interpret ``sigma`` as a per-row contribution instead of an absolute
         output deviation.
+
+    ``GaussianReadNoise(0.0)`` is the ideal, noiseless crossbar: :meth:`apply`
+    returns its input unchanged and draws nothing.
     """
 
     def __init__(self, sigma: float, relative_to_fan_in: bool = False):
@@ -92,104 +33,17 @@ class GaussianReadNoise(NoiseModel):
         self.relative_to_fan_in = relative_to_fan_in
 
     def std_for(self, fan_in: int = 1) -> float:
+        """Standard deviation of one read on a tile with ``fan_in`` rows."""
         if self.relative_to_fan_in:
             return self.sigma * float(np.sqrt(max(fan_in, 1)))
         return self.sigma
 
     def apply(self, output: np.ndarray, rng: RandomState, fan_in: int = 1) -> np.ndarray:
+        """Return ``output`` plus one noise draw of its shape."""
         std = self.std_for(fan_in)
         if std == 0.0:
             return output
         return output + rng.normal(0.0, std, size=output.shape)
 
-    @property
-    def is_additive_gaussian(self) -> bool:
-        return True
-
     def __repr__(self) -> str:
         return f"GaussianReadNoise(sigma={self.sigma}, relative_to_fan_in={self.relative_to_fan_in})"
-
-
-class DeviceVariationNoise(NoiseModel):
-    """Multiplicative Gaussian variation on the MVM output.
-
-    Models cycle-to-cycle conductance drift as ``y * (1 + N(0, sigma^2))``.
-    """
-
-    def __init__(self, sigma: float):
-        if sigma < 0:
-            raise ValueError(f"sigma must be non-negative, got {sigma}")
-        self.sigma = float(sigma)
-
-    def apply(self, output: np.ndarray, rng: RandomState, fan_in: int = 1) -> np.ndarray:
-        if self.sigma == 0.0:
-            return output
-        return output * (1.0 + rng.normal(0.0, self.sigma, size=output.shape))
-
-    def __repr__(self) -> str:
-        return f"DeviceVariationNoise(sigma={self.sigma})"
-
-
-class StuckAtFaultNoise(NoiseModel):
-    """Randomly zero a fraction of outputs, modelling stuck-at-off columns."""
-
-    def __init__(self, fault_rate: float):
-        if not 0.0 <= fault_rate <= 1.0:
-            raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
-        self.fault_rate = float(fault_rate)
-
-    def apply(self, output: np.ndarray, rng: RandomState, fan_in: int = 1) -> np.ndarray:
-        if self.fault_rate == 0.0:
-            return output
-        mask = rng.bernoulli(1.0 - self.fault_rate, output.shape)
-        return output * mask
-
-    def __repr__(self) -> str:
-        return f"StuckAtFaultNoise(fault_rate={self.fault_rate})"
-
-
-class CompositeNoise(NoiseModel):
-    """Apply several noise models in sequence."""
-
-    def __init__(self, models: Sequence[NoiseModel]):
-        self.models = list(models)
-
-    def std_for(self, fan_in: int = 1) -> float:
-        # Additive standard deviations combine in quadrature; multiplicative
-        # models contribute zero here (they have no fixed additive std).
-        variance = sum(model.std_for(fan_in) ** 2 for model in self.models)
-        return float(np.sqrt(variance))
-
-    def apply(self, output: np.ndarray, rng: RandomState, fan_in: int = 1) -> np.ndarray:
-        for model in self.models:
-            output = model.apply(output, rng, fan_in=fan_in)
-        return output
-
-    @property
-    def is_additive_gaussian(self) -> bool:
-        return all(model.is_additive_gaussian for model in self.models)
-
-    def fold(self, fan_in: int = 1) -> Optional[GaussianReadNoise]:
-        """Collapse an all-Gaussian stack to one equivalent noise model.
-
-        A sequence of independent additive Gaussian perturbations is itself
-        Gaussian with the member variances summed, so the whole stack is
-        equivalent to a single :class:`GaussianReadNoise` whose variance is
-        ``sum_i std_i(fan_in)^2``.  Returns ``None`` when any member is not
-        additive Gaussian (multiplicative or structured noise does not
-        commute into a single draw); callers must then fall back to applying
-        the stack member by member.
-
-        Parameters
-        ----------
-        fan_in:
-            Array fan-in at which fan-in-relative members are evaluated; the
-            returned model carries the resulting absolute deviation.
-        """
-        if not self.is_additive_gaussian:
-            return None
-        return GaussianReadNoise(self.std_for(fan_in))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(repr(model) for model in self.models)
-        return f"CompositeNoise([{inner}])"

@@ -4,8 +4,8 @@ Realistic crossbar tiles are bounded (e.g. 128x128).  A large weight matrix
 is partitioned along both dimensions; partial sums from row-tiles are
 accumulated digitally.  Each tile performs its own noisy analog read, so the
 accumulated output of a matrix split across ``T`` row-tiles carries ``T``
-independent noise contributions — an effect the single-tile model of the
-paper ignores and which the ablation benchmarks can explore.
+independent Gaussian noise contributions, which :meth:`TiledCrossbar.read_noise_std`
+adds in quadrature.  The paper's single-tile model is the ``T = 1`` case.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class TiledCrossbar:
 
     @property
     def assembled_effective_weights(self) -> np.ndarray:
-        """Effective analog weights of all tiles assembled into one matrix.
+        """Weights of all tiles assembled into one matrix.
 
         Lets an engine compute the ideal part of a full logical read as a
         single matmul; computed lazily and cached (tiles are immutable).
@@ -113,10 +113,6 @@ class TiledCrossbar:
                 )
             output[..., col_start:col_end] = accumulator
         return output
-
-    def matvec(self, inputs: np.ndarray, add_noise: bool = True) -> np.ndarray:
-        """One logical read (alias of :meth:`read_batch` for 1-D/2-D inputs)."""
-        return self.read_batch(inputs, add_noise=add_noise)
 
     def read_noise_std(self) -> float:
         """Effective additive noise std of one full logical read.

@@ -1,21 +1,14 @@
-"""Data pipeline: datasets, loaders, transforms and the synthetic image task.
+"""Data pipeline: datasets, loaders, splits and the synthetic image task.
 
-CIFAR-10 cannot be downloaded in this offline environment, so the
-reproduction ships :mod:`repro.data.synthetic` — a deterministic procedural
-generator of 32x32x3 ten-class images with the same tensor shapes and a
-comparable learnability profile (see DESIGN.md, substitution table).
+The reproduction runs offline, where CIFAR-10 cannot be downloaded, so it
+ships :mod:`repro.data.synthetic` — a deterministic procedural generator of
+32x32x3 ten-class images with CIFAR-10's tensor shapes and a comparable
+learnability profile.
 """
 
 from repro.data.dataset import Dataset, TensorDataset, Subset
 from repro.data.dataloader import DataLoader
 from repro.data.synthetic import SyntheticImageDataset, SyntheticImageConfig, make_synthetic_cifar
-from repro.data.transforms import (
-    Compose,
-    Normalize,
-    RandomHorizontalFlip,
-    RandomCrop,
-    ToFloat,
-)
 from repro.data.splits import train_val_split
 
 __all__ = [
@@ -26,10 +19,5 @@ __all__ = [
     "SyntheticImageDataset",
     "SyntheticImageConfig",
     "make_synthetic_cifar",
-    "Compose",
-    "Normalize",
-    "RandomHorizontalFlip",
-    "RandomCrop",
-    "ToFloat",
     "train_val_split",
 ]

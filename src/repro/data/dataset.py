@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -24,12 +24,7 @@ class Dataset:
 class TensorDataset(Dataset):
     """Dataset backed by pre-materialised arrays of inputs and labels."""
 
-    def __init__(
-        self,
-        inputs: np.ndarray,
-        labels: np.ndarray,
-        transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ):
+    def __init__(self, inputs: np.ndarray, labels: np.ndarray):
         inputs = np.asarray(inputs, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if len(inputs) != len(labels):
@@ -38,16 +33,12 @@ class TensorDataset(Dataset):
             )
         self.inputs = inputs
         self.labels = labels
-        self.transform = transform
 
     def __len__(self) -> int:
         return len(self.inputs)
 
     def __getitem__(self, index: int) -> Tuple[np.ndarray, int]:
-        image = self.inputs[index]
-        if self.transform is not None:
-            image = self.transform(image)
-        return image, int(self.labels[index])
+        return self.inputs[index], int(self.labels[index])
 
     @property
     def num_classes(self) -> int:

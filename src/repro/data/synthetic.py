@@ -89,8 +89,6 @@ class SyntheticImageDataset(TensorDataset):
     seed:
         Seed controlling every random choice, so train/test splits built from
         different seeds are disjoint in content but identically distributed.
-    transform:
-        Optional per-sample transform applied at access time.
 
     The images are rendered on first access to ``inputs``, ``labels`` or an
     item, so a split that is never read (the training set of a worker that
@@ -102,12 +100,10 @@ class SyntheticImageDataset(TensorDataset):
         num_samples: int,
         config: Optional[SyntheticImageConfig] = None,
         seed: int = 0,
-        transform=None,
     ):
         self.config = config or SyntheticImageConfig()
         self.seed = seed
         self.num_samples = num_samples
-        self.transform = transform
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def _rendered(self) -> Tuple[np.ndarray, np.ndarray]:

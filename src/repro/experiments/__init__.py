@@ -2,7 +2,8 @@
 
 Every driver returns a plain dataclass (rows of numbers plus the matching
 paper values where applicable) so the benchmark harness, the examples and
-EXPERIMENTS.md can all render the same results.
+the markdown reports of :mod:`repro.experiments.report` can all render the
+same results.
 
 All drivers are grids on the *scenario runner*
 (:mod:`repro.experiments.runner`): one spec per (method, noise level,

@@ -1,7 +1,7 @@
 """Registry mapping experiment identifiers to their grids and drivers.
 
-Provides a single place where the per-table/figure index of DESIGN.md is
-expressed in code; the benchmark harness, the examples and the
+Provides a single place where the paper's tables and figures are indexed
+in code; the benchmark harness, the examples and the
 ``python -m repro.experiments`` CLI iterate over this registry so nothing
 falls out of sync.
 

@@ -1,7 +1,7 @@
 """Markdown report generation for experiment results.
 
-Turns the result dataclasses of the experiment drivers into the markdown
-tables used by ``EXPERIMENTS.md``, so the documented numbers can be
+Turns the result dataclasses of the experiment drivers into markdown
+tables, so the documented numbers can be
 regenerated mechanically from a benchmark run instead of being copied by
 hand.
 

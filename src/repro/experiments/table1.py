@@ -9,7 +9,8 @@ For each noise level the driver evaluates
   PLA-14's).
 
 Absolute accuracies differ from the paper because the substrate is a
-reduced-scale synthetic task (see DESIGN.md); the reproduction targets the
+reduced-width VGG9 on a synthetic CIFAR-like task (:mod:`repro.data`,
+which says why); the reproduction targets the
 qualitative shape: accuracy increases with pulse count, and GBO's
 heterogeneous schedule beats the uniform schedule of similar average pulse
 count.

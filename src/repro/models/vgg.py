@@ -59,7 +59,8 @@ class VGGConfig:
     width_multiplier:
         Scales every channel/feature count; 1.0 reproduces the paper-scale
         network, smaller values produce CPU-friendly variants with the same
-        structure (see DESIGN.md).
+        structure (the experiment profiles in :mod:`repro.experiments.profiles`
+        pick the width).
     activation_levels:
         Number of activation quantisation levels (9 in the paper, i.e. an
         8-pulse thermometer baseline).

@@ -1,7 +1,7 @@
 """Compute-dtype policy facade (float64 default, float32 opt-in).
 
 Every float array the library materialises — tensor storage, gradients,
-weight initialisation, RNG draws, crossbar conductances, im2col buffers —
+weight initialisation, RNG draws, crossbar weights, im2col buffers —
 resolves its dtype through this module instead of hard-coding ``float64``.
 The policy itself lives on the current :class:`repro.context.ExecutionContext`
 (it used to be a module-level global here); these functions are thin

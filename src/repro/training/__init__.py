@@ -4,7 +4,6 @@ from repro.training.trainer import Trainer, TrainingConfig
 from repro.training.pretrain import PretrainConfig, pretrain_model
 from repro.training.evaluate import evaluate_accuracy, evaluate_loss, noisy_accuracy
 from repro.training.metrics import accuracy_from_logits, AverageMeter, confusion_matrix
-from repro.training.callbacks import Callback, HistoryRecorder, EarlyStopping
 from repro.training.checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
@@ -18,9 +17,6 @@ __all__ = [
     "accuracy_from_logits",
     "AverageMeter",
     "confusion_matrix",
-    "Callback",
-    "HistoryRecorder",
-    "EarlyStopping",
     "save_checkpoint",
     "load_checkpoint",
 ]

@@ -22,8 +22,8 @@ class PretrainConfig:
     """Hyper-parameters of the pre-training stage.
 
     Defaults follow Section IV-A of the paper; the benchmark profiles shrink
-    ``epochs`` because a pure-numpy backend is orders of magnitude slower
-    than the authors' GPU setup (see DESIGN.md).
+    ``epochs`` because a pure-numpy backend on a CPU is orders of magnitude
+    slower than the authors' GPU setup.
     """
 
     epochs: int = 60

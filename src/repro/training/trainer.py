@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.nn.loss import CrossEntropyLoss
 from repro.optim.lr_scheduler import LRScheduler
 from repro.optim.optimizer import Optimizer
 from repro.tensor import Tensor
-from repro.training.callbacks import Callback
 from repro.training.evaluate import evaluate_accuracy
 from repro.training.metrics import AverageMeter, accuracy_from_logits
 from repro.utils.logging import get_logger
@@ -50,14 +49,12 @@ class Trainer:
         loss_fn=None,
         scheduler: Optional[LRScheduler] = None,
         config: Optional[TrainingConfig] = None,
-        callbacks: Sequence[Callback] = (),
     ):
         self.model = model
         self.optimizer = optimizer
         self.loss_fn = loss_fn or CrossEntropyLoss()
         self.scheduler = scheduler
         self.config = config or TrainingConfig()
-        self.callbacks = list(callbacks)
         self.history: List[Dict[str, float]] = []
 
     def fit(self, train_loader, val_loader=None) -> List[Dict[str, float]]:
@@ -65,8 +62,6 @@ class Trainer:
         config = self.config
         step = 0
         for epoch in range(config.epochs):
-            for callback in self.callbacks:
-                callback.on_epoch_start(epoch, self)
             self.model.train()
             loss_meter = AverageMeter("loss")
             accuracy_meter = AverageMeter("accuracy")
@@ -80,9 +75,6 @@ class Trainer:
                 batch_size = len(targets)
                 loss_meter.update(float(loss.data), weight=batch_size)
                 accuracy_meter.update(accuracy_from_logits(logits, targets), weight=batch_size)
-                step_logs = {"loss": float(loss.data)}
-                for callback in self.callbacks:
-                    callback.on_step_end(step, step_logs, self)
                 if config.log_every and step % config.log_every == 0:
                     LOGGER.info("epoch %d step %d: loss=%.4f", epoch, step, float(loss.data))
             if self.scheduler is not None:
@@ -96,9 +88,4 @@ class Trainer:
             if val_loader is not None and config.evaluate_every and (epoch + 1) % config.evaluate_every == 0:
                 logs["val_accuracy"] = evaluate_accuracy(self.model, val_loader)
             self.history.append({"epoch": float(epoch), **logs})
-            for callback in self.callbacks:
-                callback.on_epoch_end(epoch, logs, self)
-            if any(callback.should_stop for callback in self.callbacks):
-                LOGGER.info("early stopping requested at epoch %d", epoch)
-                break
         return self.history

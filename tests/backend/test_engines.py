@@ -23,9 +23,7 @@ from repro.backend import (
 )
 from repro.core import EncodedLinear
 from repro.crossbar import (
-    ADC,
     CrossbarConfig,
-    DeviceVariationNoise,
     GaussianReadNoise,
     ThermometerEncoder,
     BitSlicingEncoder,
@@ -142,16 +140,6 @@ class TestNoiseFreeExactness:
             out = pulsed_mvm(crossbar, values, ThermometerEncoder(8), add_noise=False, engine=engine)
             assert np.allclose(out, expected), engine
 
-    def test_engines_bitwise_equal_with_adc_and_no_noise(self, rng):
-        # With an ADC the vectorized engine takes the batched tile path,
-        # which without noise is the same deterministic computation.
-        weights = _binary_weights(rng)
-        crossbar = _tiled(weights, GaussianReadNoise(1.0), adc=ADC(bits=6, full_scale=64.0))
-        values = rng.choice(np.linspace(-1, 1, 9), size=(5, 48))
-        reference = pulsed_mvm(crossbar, values, ThermometerEncoder(8), add_noise=False, engine="reference")
-        vectorized = pulsed_mvm(crossbar, values, ThermometerEncoder(8), add_noise=False, engine="vectorized")
-        assert np.allclose(reference, vectorized)
-
 
 class TestTiledStatisticalEquivalence:
     """Pulsed-vs-folded equivalence on multi-tile crossbars, both engines."""
@@ -210,42 +198,6 @@ class TestTiledStatisticalEquivalence:
         ideal = encoder.represented_values(values) @ weights.T
         expected_std = crossbar.read_noise_std() * np.sqrt(np.sum(encoder.pulse_weights**2))
         assert np.std(out - ideal) == pytest.approx(expected_std, rel=0.05)
-
-    def test_composite_gaussian_stack_folds_and_matches_reference(self, rng):
-        """An all-Gaussian CompositeNoise stack takes the folded fast path
-        with the member variances summed in quadrature."""
-        from repro.backend import VectorizedEngine
-        from repro.crossbar import CompositeNoise
-
-        weights = _binary_weights(rng)
-        members = [GaussianReadNoise(1.0), GaussianReadNoise(1.5)]
-        values = rng.choice(np.linspace(-1, 1, 9), size=(3000, 48))
-        ideal = values @ weights.T
-        stds = {}
-        for engine in ("reference", "vectorized"):
-            crossbar = _tiled(weights, CompositeNoise(list(members)), seed=SEED)
-            if engine == "vectorized":
-                assert VectorizedEngine._can_fold(crossbar, add_noise=True)
-            out = pulsed_mvm(crossbar, values, ThermometerEncoder(8), engine=engine)
-            stds[engine] = np.std((out - ideal).reshape(-1))
-        # 3 row-tiles of folded per-read variance (1^2 + 1.5^2), averaged
-        # over 8 equal-weight pulses.
-        expected = np.sqrt((1.0**2 + 1.5**2) * 3 / 8)
-        assert stds["vectorized"] == pytest.approx(stds["reference"], rel=0.05)
-        assert stds["vectorized"] == pytest.approx(expected, rel=0.05)
-
-    def test_multiplicative_noise_falls_back_and_matches_reference(self, rng):
-        """Non-Gaussian noise routes through the batched tile path; the
-        distribution still matches the reference loop."""
-        weights = _binary_weights(rng)
-        values = rng.choice(np.linspace(-1, 1, 9), size=(3000, 48))
-        stds = {}
-        for engine in ("reference", "vectorized"):
-            crossbar = _tiled(weights, DeviceVariationNoise(0.3), seed=SEED)
-            out = pulsed_mvm(crossbar, values, ThermometerEncoder(8), engine=engine)
-            ideal = values @ weights.T
-            stds[engine] = np.std((out - ideal).reshape(-1))
-        assert stds["vectorized"] == pytest.approx(stds["reference"], rel=0.1)
 
 
 class TestLayerNoisePaths:

@@ -13,11 +13,18 @@ produce, because
 
 Layers: config compatibility (``compat_key``), the model-level
 ``MultiSession`` / ``evaluate_multi``, and the runner's scenario stacking.
+
+Every test runs twice: with BLAS unpinned, where ``MultiSession`` runs one
+lane, and with the three BLAS thread variables at 1, where two or more
+configs run in two lanes (the second on a model replica in a helper
+thread).  Probes patch classes, not instances, so they see the replica's
+layers too.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -27,8 +34,23 @@ from repro.sim import MultiSession, Session, SimConfig
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 from repro.training.evaluate import evaluate_accuracy, evaluate_multi
+from repro.worker_env import WORKER_THREAD_ENV, blas_pinned
 
 SEED = 20220
+
+
+@pytest.fixture(autouse=True, params=["one_lane", "two_lanes"])
+def lane_mode(request, monkeypatch):
+    """Set the BLAS thread variables that pick the lane count.
+
+    ``blas_pinned()`` reads only the variables; the BLAS pool numpy already
+    loaded keeps its size, so results are the same in both modes.
+    """
+    for name in WORKER_THREAD_ENV:
+        if request.param == "two_lanes":
+            monkeypatch.setenv(name, "1")
+        else:
+            monkeypatch.delenv(name, raising=False)
 
 
 class TestConfigStacking:
@@ -124,19 +146,22 @@ def _streams(count, seed=SEED + 60):
 
 @contextlib.contextmanager
 def _counting_reads(model):
-    """Record the batch size of every ideal read of the first encoded layer."""
+    """Record the batch size of every ideal read of the first encoded layer,
+    in either lane: the probe patches the layer's class and reads a marker
+    that a replica copies."""
     first = model.encoded_layers()[0]
+    cls = type(first)
     reads = []
 
-    def counting_read(encoded, _read=first._ideal_read):
-        reads.append(encoded.shape[0])
-        return _read(encoded)
+    def counting_read(self, encoded, _read=cls._ideal_read):
+        if getattr(self, "_probe_first", False):
+            reads.append(encoded.shape[0])
+        return _read(self, encoded)
 
-    first._ideal_read = counting_read
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(first, "_probe_first", True, raising=False)
+        patch.setattr(cls, "_ideal_read", counting_read)
         yield reads
-    finally:
-        del first._ideal_read
 
 
 def _sim_state(model):
@@ -222,31 +247,41 @@ class TestMultiSession:
             assert batched_acc == sequential_acc, model_name
 
     @pytest.mark.parametrize("model_name", sorted(MODELS))
-    def test_every_layer_past_the_stem_runs_at_batch_n(self, model_name):
+    def test_every_layer_past_the_stem_runs_at_batch_n(self, model_name, monkeypatch):
         # The documented batch-N matmul rule holds for every layer,
-        # encoded or digital: no op ever sees a K*N-row stack.
+        # encoded or digital, in either lane: no op ever sees a K*N-row
+        # stack.  Each layer carries its name as a marker the replica
+        # copies; the probe sits on the classes.
         model = MODELS[model_name]()
         batches = [_batch(), _batch(seed=SEED + 3)]
         configs = [
             SimConfig(mode="noisy", noise_sigma=sigma, engine="vectorized")
             for sigma in (1.0, 2.0, 3.0)
         ]
-        rows = {}
-        for name, layer in [
+        rows, threads = {}, set()
+        named = [
             *zip(model.encoded_layer_names(), model.encoded_layers()),
             ("classifier", model.classifier),
-        ]:
-            def recording_forward(x, _name=name, _forward=layer.forward):
-                rows.setdefault(_name, []).append(x.shape[0])
-                return _forward(x)
+        ]
+        for name, layer in named:
+            monkeypatch.setattr(layer, "_probe_name", name, raising=False)
+        for cls in {type(layer) for _, layer in named}:
+            def recording_forward(self, x, _forward=cls.forward):
+                name = getattr(self, "_probe_name", None)
+                if name is not None:  # not a stem layer
+                    rows.setdefault(name, []).append(x.shape[0])
+                    threads.add(threading.current_thread().name)
+                return _forward(self, x)
 
-            layer.forward = recording_forward
+            monkeypatch.setattr(cls, "forward", recording_forward)
 
         evaluate_multi(model, batches, configs, rngs=_streams(len(configs)))
         assert set(rows) == {*model.encoded_layer_names(), "classifier"}
         expected = [len(batches[0][0])] * (len(configs) * len(batches))
         for name, seen in rows.items():
             assert seen == expected, name
+        caller = threading.current_thread().name
+        assert threads == ({caller, "eval-lane"} if blas_pinned() else {caller})
 
     @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
     def test_single_scenario_matches_session(self, engine_name):

@@ -1,25 +1,14 @@
-"""Tests for the crossbar simulator: devices, noise, converters, arrays and tiling."""
+"""Tests for the crossbar simulator: read noise, arrays and tiling."""
 
 import numpy as np
 import pytest
 
 from repro.crossbar import (
-    ADC,
-    CompositeNoise,
-    ConductanceMapper,
     CrossbarArray,
     CrossbarConfig,
-    DAC,
-    DeviceConfig,
-    DeviceVariationNoise,
     GaussianReadNoise,
-    IdealADC,
-    IdealDAC,
-    NoNoise,
-    StuckAtFaultNoise,
     TiledCrossbar,
 )
-from repro.crossbar.dac import BinaryPulseDAC
 from repro.tensor.random import RandomState
 
 
@@ -35,41 +24,25 @@ def _random_binary_weights(rng, out_features=6, in_features=10):
 class TestDeviceModel:
     def test_ideal_mapping_roundtrip(self, rng):
         weights = _random_binary_weights(rng)
-        mapper = ConductanceMapper(DeviceConfig(), rng=rng)
-        g_pos, g_neg = mapper.program(weights)
-        assert np.allclose(mapper.effective_weights(g_pos, g_neg), weights)
+        crossbar = CrossbarArray(weights, rng=rng)
+        assert np.array_equal(crossbar.effective_weights, weights)
 
     def test_rejects_non_binary_weights(self, rng):
-        mapper = ConductanceMapper(rng=rng)
         with pytest.raises(ValueError):
-            mapper.program(np.array([[0.5, -1.0]]))
-
-    def test_finite_on_off_ratio_shrinks_weights(self, rng):
-        weights = _random_binary_weights(rng)
-        config = DeviceConfig(g_on=1.0, g_off=0.1)
-        mapper = ConductanceMapper(config, rng=rng)
-        effective = mapper.effective_weights(*mapper.program(weights))
-        assert np.allclose(np.abs(effective), 1.0)  # differential pair cancels g_off
-        assert config.on_off_ratio == pytest.approx(10.0)
-
-    def test_programming_variation_perturbs(self, rng):
-        weights = _random_binary_weights(rng)
-        mapper = ConductanceMapper(DeviceConfig(programming_variation=0.2), rng=rng)
-        effective = mapper.effective_weights(*mapper.program(weights))
-        assert not np.allclose(effective, weights)
-        assert np.all(np.sign(effective) == np.sign(weights))
-
-    def test_invalid_device_config(self):
+            CrossbarArray(np.array([[0.5, -1.0]]), rng=rng)
         with pytest.raises(ValueError):
-            DeviceConfig(g_on=0.1, g_off=0.5)
-        with pytest.raises(ValueError):
-            DeviceConfig(programming_variation=-1.0)
+            TiledCrossbar(np.array([[1.0, 0.0, -1.0]]), rng=rng)
 
 
 class TestNoiseModels:
     def test_no_noise_identity(self, rng):
+        # Sigma 0 is the noiseless default: the input comes back unchanged
+        # and the stream is left where it was.
         output = rng.normal(size=(4, 4))
-        assert np.allclose(NoNoise().apply(output, rng), output)
+        used, untouched = RandomState(5), RandomState(5)
+        assert GaussianReadNoise(0.0).apply(output, used) is output
+        assert CrossbarConfig().noise.std_for(fan_in=64) == 0.0
+        assert np.array_equal(used.normal(size=3), untouched.normal(size=3))
 
     def test_gaussian_noise_statistics(self, rng):
         noise = GaussianReadNoise(sigma=2.0)
@@ -82,69 +55,9 @@ class TestNoiseModels:
         noise = GaussianReadNoise(sigma=0.5, relative_to_fan_in=True)
         assert noise.std_for(fan_in=100) == pytest.approx(5.0)
 
-    def test_device_variation_is_multiplicative(self, rng):
-        noise = DeviceVariationNoise(sigma=0.1)
-        assert np.allclose(noise.apply(np.zeros(100), rng), 0.0)
-        noisy = noise.apply(np.full(100_000, 2.0), rng)
-        assert np.std(noisy) == pytest.approx(0.2, rel=0.05)
-
-    def test_stuck_at_faults_zero_fraction(self, rng):
-        noise = StuckAtFaultNoise(fault_rate=0.3)
-        noisy = noise.apply(np.ones(100_000), rng)
-        assert np.mean(noisy == 0.0) == pytest.approx(0.3, abs=0.02)
-
-    def test_composite_combines_in_quadrature(self, rng):
-        composite = CompositeNoise([GaussianReadNoise(3.0), GaussianReadNoise(4.0)])
-        assert composite.std_for() == pytest.approx(5.0)
-        noisy = composite.apply(np.zeros(100_000), rng)
-        assert np.std(noisy) == pytest.approx(5.0, rel=0.02)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             GaussianReadNoise(-1.0)
-        with pytest.raises(ValueError):
-            StuckAtFaultNoise(1.5)
-        with pytest.raises(ValueError):
-            DeviceVariationNoise(-0.1)
-
-
-class TestConverters:
-    def test_adc_quantises_to_grid(self):
-        adc = ADC(bits=3, full_scale=4.0)
-        assert adc.num_levels == 8
-        values = np.linspace(-4, 4, 100)
-        converted = adc.convert(values)
-        assert len(np.unique(converted)) <= 8
-
-    def test_adc_saturates(self):
-        adc = ADC(bits=4, full_scale=1.0)
-        assert adc.convert(np.array([10.0]))[0] == pytest.approx(1.0)
-        assert adc.convert(np.array([-10.0]))[0] == pytest.approx(-1.0)
-
-    def test_ideal_adc_passthrough(self):
-        values = np.array([-100.0, 0.5, 100.0])
-        assert np.allclose(IdealADC().convert(values), values)
-
-    def test_dac_quantises(self):
-        dac = DAC(bits=2, v_ref=1.0)
-        converted = dac.convert(np.linspace(-1, 1, 50))
-        assert len(np.unique(converted)) <= 4
-
-    def test_binary_pulse_dac(self):
-        dac = BinaryPulseDAC(v_ref=0.5)
-        assert np.allclose(dac.convert(np.array([-0.3, 0.0, 0.8])), [-0.5, 0.5, 0.5])
-
-    def test_ideal_dac_clips_only(self):
-        dac = IdealDAC(v_ref=1.0)
-        assert np.allclose(dac.convert(np.array([-2.0, 0.3])), [-1.0, 0.3])
-
-    def test_invalid_converter_config(self):
-        with pytest.raises(ValueError):
-            ADC(bits=0, full_scale=1.0)
-        with pytest.raises(ValueError):
-            ADC(bits=4, full_scale=-1.0)
-        with pytest.raises(ValueError):
-            DAC(bits=0)
 
 
 class TestCrossbarArray:
@@ -152,39 +65,32 @@ class TestCrossbarArray:
         weights = _random_binary_weights(rng)
         crossbar = CrossbarArray(weights, rng=rng)
         x = rng.uniform(-1, 1, size=(5, 10))
-        assert np.allclose(crossbar.matvec(x), x @ weights.T)
+        assert np.allclose(crossbar.read_batch(x), x @ weights.T)
 
     def test_noise_is_applied(self, rng):
         weights = _random_binary_weights(rng)
-        config = CrossbarConfig.with_gaussian_noise(sigma=1.0)
+        config = CrossbarConfig(noise=GaussianReadNoise(1.0))
         crossbar = CrossbarArray(weights, config=config, rng=rng)
         x = rng.uniform(-1, 1, size=(3, 10))
-        noisy = crossbar.matvec(x)
-        clean = crossbar.matvec(x, add_noise=False)
+        noisy = crossbar.read_batch(x)
+        clean = crossbar.read_batch(x, add_noise=False)
         assert not np.allclose(noisy, clean)
         assert np.allclose(clean, x @ weights.T)
 
     def test_noise_statistics(self, rng):
         weights = _random_binary_weights(rng, out_features=4, in_features=8)
-        config = CrossbarConfig.with_gaussian_noise(sigma=0.5)
+        config = CrossbarConfig(noise=GaussianReadNoise(0.5))
         crossbar = CrossbarArray(weights, config=config, rng=rng)
         x = np.zeros((20_000, 8))
-        deviations = crossbar.matvec(x)
+        deviations = crossbar.read_batch(x)
         assert np.std(deviations) == pytest.approx(0.5, rel=0.05)
         assert crossbar.read_noise_std() == pytest.approx(0.5)
-
-    def test_adc_applied(self, rng):
-        weights = _random_binary_weights(rng, 2, 4)
-        config = CrossbarConfig(adc=ADC(bits=2, full_scale=4.0))
-        crossbar = CrossbarArray(weights, config=config, rng=rng)
-        out = crossbar.matvec(rng.uniform(-1, 1, size=(10, 4)))
-        assert len(np.unique(out)) <= 4
 
     def test_rejects_bad_inputs(self, rng):
         weights = _random_binary_weights(rng)
         crossbar = CrossbarArray(weights, rng=rng)
         with pytest.raises(ValueError):
-            crossbar.matvec(np.zeros(7))
+            crossbar.read_batch(np.zeros(7))
         with pytest.raises(ValueError):
             CrossbarArray(np.zeros((2, 2, 2)), rng=rng)
 
@@ -199,7 +105,7 @@ class TestTiledCrossbar:
         tiled = TiledCrossbar(weights, config=CrossbarConfig(max_rows=32, max_cols=32), rng=rng)
         assert tiled.num_tiles == 1
         x = rng.uniform(-1, 1, size=(4, 10))
-        assert np.allclose(tiled.matvec(x, add_noise=False), x @ weights.T)
+        assert np.allclose(tiled.read_batch(x, add_noise=False), x @ weights.T)
 
     def test_splits_large_matrices(self, rng):
         weights = _random_binary_weights(rng, 20, 50)
@@ -207,22 +113,22 @@ class TestTiledCrossbar:
         assert tiled.tile_grid == (3, 4)
         assert tiled.num_tiles == 12
         x = rng.uniform(-1, 1, size=(3, 50))
-        assert np.allclose(tiled.matvec(x, add_noise=False), x @ weights.T)
+        assert np.allclose(tiled.read_batch(x, add_noise=False), x @ weights.T)
 
     def test_noise_accumulates_across_row_tiles(self, rng):
         weights = _random_binary_weights(rng, 4, 64)
-        config = CrossbarConfig.with_gaussian_noise(sigma=1.0, max_rows=16)
+        config = CrossbarConfig(noise=GaussianReadNoise(1.0), max_rows=16)
         tiled = TiledCrossbar(weights, config=config, rng=rng)
         # 4 row tiles -> accumulated std should be sqrt(4) = 2.
         assert tiled.read_noise_std() == pytest.approx(2.0)
-        deviations = tiled.matvec(np.zeros((20_000, 64)))
+        deviations = tiled.read_batch(np.zeros((20_000, 64)))
         assert np.std(deviations) == pytest.approx(2.0, rel=0.05)
 
     def test_rejects_bad_inputs(self, rng):
         weights = _random_binary_weights(rng, 4, 8)
         tiled = TiledCrossbar(weights, rng=rng)
         with pytest.raises(ValueError):
-            tiled.matvec(np.zeros(9))
+            tiled.read_batch(np.zeros(9))
         with pytest.raises(ValueError):
             TiledCrossbar(np.zeros((2,)), rng=rng)
         with pytest.raises(ValueError):

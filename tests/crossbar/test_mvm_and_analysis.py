@@ -9,7 +9,6 @@ from repro.crossbar import (
     CrossbarConfig,
     GaussianReadNoise,
     ThermometerEncoder,
-    bit_sliced_mvm,
     bit_slicing_noise_variance,
     folded_noisy_mvm,
     monte_carlo_noise_variance,
@@ -17,7 +16,6 @@ from repro.crossbar import (
     pulsed_mvm,
     thermometer_noise_variance,
 )
-from repro.crossbar.mvm import thermometer_mvm
 from repro.tensor.random import RandomState
 
 
@@ -44,14 +42,14 @@ class TestPulsedMVM:
         crossbar = CrossbarArray(weights, rng=rng)
         levels = np.linspace(-1, 1, 16)
         values = rng.choice(levels, size=(5, 12))
-        result = bit_sliced_mvm(crossbar, values, bits=4, add_noise=False)
+        result = pulsed_mvm(crossbar, values, BitSlicingEncoder(4), add_noise=False)
         assert np.allclose(result, values @ weights.T)
 
     def test_thermometer_wrapper(self, rng):
         weights = _binary_weights(rng)
         crossbar = CrossbarArray(weights, rng=rng)
         values = rng.choice(np.linspace(-1, 1, 9), size=(3, 12))
-        direct = thermometer_mvm(crossbar, values, num_pulses=8, add_noise=False)
+        direct = pulsed_mvm(crossbar, values, ThermometerEncoder(8), add_noise=False)
         assert np.allclose(direct, values @ weights.T)
 
     def test_noisy_mvm_variance_scales_inversely_with_pulses(self, rng):

@@ -1,4 +1,4 @@
-"""Tests for datasets, loaders, transforms, splits and the synthetic task."""
+"""Tests for datasets, loaders, splits and the synthetic task."""
 
 import hashlib
 
@@ -6,16 +6,11 @@ import numpy as np
 import pytest
 
 from repro.data import (
-    Compose,
     DataLoader,
-    Normalize,
-    RandomCrop,
-    RandomHorizontalFlip,
     Subset,
     SyntheticImageConfig,
     SyntheticImageDataset,
     TensorDataset,
-    ToFloat,
     make_synthetic_cifar,
     train_val_split,
 )
@@ -36,11 +31,6 @@ class TestTensorDataset:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             TensorDataset(np.zeros((3, 2)), np.zeros(4))
-
-    def test_transform_applied(self):
-        dataset = TensorDataset(np.ones((2, 3)), np.zeros(2), transform=lambda x: x * 2)
-        image, _ = dataset[0]
-        assert np.allclose(image, 2.0)
 
     def test_subset(self):
         dataset = TensorDataset(np.arange(10.0).reshape(10, 1), np.arange(10))
@@ -195,42 +185,6 @@ class TestSyntheticDataset:
         means = np.stack(means)
         pair_distances = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
         assert pair_distances[np.triu_indices(10, k=1)].max() > 0.1
-
-
-class TestTransforms:
-    def test_normalize(self):
-        transform = Normalize(mean=[0.5, 0.5, 0.5], std=[0.5, 0.5, 0.5])
-        image = np.full((3, 4, 4), 1.0)
-        assert np.allclose(transform(image), 1.0)
-
-    def test_normalize_rejects_zero_std(self):
-        with pytest.raises(ValueError):
-            Normalize(mean=[0.0], std=[0.0])
-
-    def test_to_float_scaling(self):
-        image = np.full((3, 2, 2), 255, dtype=np.uint8)
-        assert np.allclose(ToFloat(scale=True)(image), 1.0)
-
-    def test_horizontal_flip(self):
-        transform = RandomHorizontalFlip(p=1.0, rng=RandomState(0))
-        image = np.arange(12.0).reshape(1, 3, 4)
-        flipped = transform(image)
-        assert np.allclose(flipped[0, 0], [3, 2, 1, 0])
-
-    def test_horizontal_flip_never(self):
-        transform = RandomHorizontalFlip(p=0.0, rng=RandomState(0))
-        image = np.arange(12.0).reshape(1, 3, 4)
-        assert np.allclose(transform(image), image)
-
-    def test_random_crop_preserves_shape(self):
-        transform = RandomCrop(padding=2, rng=RandomState(0))
-        image = np.ones((3, 8, 8))
-        assert transform(image).shape == (3, 8, 8)
-
-    def test_compose(self):
-        transform = Compose([ToFloat(), Normalize([0.0] * 3, [2.0] * 3)])
-        image = np.full((3, 2, 2), 4.0)
-        assert np.allclose(transform(image), 2.0)
 
 
 class TestSplits:

@@ -1,4 +1,4 @@
-"""Tests for the trainer, evaluation helpers, metrics, callbacks and checkpoints."""
+"""Tests for the trainer, evaluation helpers, metrics and checkpoints."""
 
 import numpy as np
 import pytest
@@ -13,8 +13,6 @@ from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 from repro.training import (
     AverageMeter,
-    EarlyStopping,
-    HistoryRecorder,
     PretrainConfig,
     Trainer,
     TrainingConfig,
@@ -96,41 +94,9 @@ class TestTrainer:
         trainer.fit(train_loader)
         assert optimizer.lr == pytest.approx(0.01)
 
-    def test_callbacks_invoked(self, linearly_separable):
-        train_loader, eval_loader, features, classes = linearly_separable
-        model = Sequential(Linear(features, classes, rng=RandomState(1)))
-        recorder = HistoryRecorder()
-        trainer = Trainer(
-            model,
-            SGD(model.parameters(), lr=0.1),
-            config=TrainingConfig(epochs=3),
-            callbacks=[recorder],
-        )
-        trainer.fit(train_loader, val_loader=eval_loader)
-        assert len(recorder.history) == 3
-        assert "val_accuracy" in recorder.history[0]
-
-    def test_early_stopping_halts_training(self, linearly_separable):
-        train_loader, eval_loader, features, classes = linearly_separable
-        model = Sequential(Linear(features, classes, rng=RandomState(1)))
-        stopper = EarlyStopping(monitor="val_accuracy", patience=1)
-        # Learning rate zero: no improvement ever, so it must stop early.
-        trainer = Trainer(
-            model,
-            SGD(model.parameters(), lr=1e-12),
-            config=TrainingConfig(epochs=50),
-            callbacks=[stopper],
-        )
-        history = trainer.fit(train_loader, val_loader=eval_loader)
-        assert len(history) < 50
-
     def test_invalid_epochs(self):
         with pytest.raises(ValueError):
             TrainingConfig(epochs=0)
-
-    def test_early_stopping_validation(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(mode="sideways")
 
 
 class TestEvaluation:
