@@ -1,8 +1,9 @@
 """Distributed grid execution: lease-based work-stealing over a shared store.
 
-The third execution backend of the scenario runner (after the serial
-oracle and the spawn pool): any number of independent worker *processes* —
-started by hand, by a scheduler, or on several hosts sharing a synced
+The out-of-process execution path of the scenario runner (the other is
+the serial in-process oracle): any number of independent worker
+*processes* — the spawn pool behind ``run_grid(workers=N)``, workers
+started by hand or by a scheduler, or several hosts sharing a synced
 store directory — cooperatively drain one
 :class:`~repro.experiments.runner.spec.ScenarioGrid` with no coordinator.
 All shared state is files under the store root:

@@ -132,7 +132,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_CACHE_DIR"] = os.path.abspath(args.cache_dir)
 
     from repro.distributed.lease import DEFAULT_TTL_S
-    from repro.distributed.worker import DistributedExecutionError, GridWorker
+    from repro.distributed.worker import GridWorker
+    from repro.experiments.runner.executor import GridExecutionError
     from repro.experiments.runner.store import ResultStore
 
     grid = _build_grid(args)
@@ -153,7 +154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     try:
         report = worker.drain(max_scenarios=args.max_scenarios)
-    except DistributedExecutionError as error:
+    except GridExecutionError as error:
         print(f"worker {worker.owner}: {error}", file=sys.stderr, flush=True)
         return 1
     print(report.summary(), flush=True)

@@ -1,7 +1,7 @@
 """Coordinator-less grid workers: lease-claimed, shard-affine, work-stealing.
 
-Any number of :class:`GridWorker` processes — on one host or on many hosts
-sharing a synced store directory — can be pointed at the same
+Any number of :class:`GridWorker` processes — ``run_grid(workers=N)``'s
+pool, or hosts sharing a synced store directory — can be pointed at the same
 :class:`~repro.experiments.runner.spec.ScenarioGrid` and the same
 :class:`~repro.experiments.runner.store.ResultStore`, with no coordinator:
 
@@ -27,34 +27,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.distributed.lease import DEFAULT_TTL_S, Heartbeat, LeaseManager
-from repro.experiments.runner.executor import execute_pending
+from repro.experiments.runner.executor import GridExecutionError, execute_pending, restore_bundles
 from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import ResultStore
-from repro.sim import SimConfig, apply_config
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("repro.distributed")
 
-
-class DistributedExecutionError(RuntimeError):
-    """Scenarios failed and no worker can finish them.
-
-    Raised by :meth:`GridWorker.drain` when every remaining pending
-    scenario has failed in this worker and carries no other worker's live
-    lease — waiting longer cannot help.  Completed siblings' results are
-    already in the store, so a resumed drain re-attempts only the failures.
-    """
-
-    def __init__(self, failures: Dict[ScenarioSpec, BaseException]):
-        self.failures = failures
-        detail = "; ".join(
-            f"{spec.label()}: {type(error).__name__}: {error}"
-            for spec, error in failures.items()
-        )
-        super().__init__(f"{len(failures)} scenario(s) failed with no live claimant ({detail})")
+#: Lease TTL and poll interval of the drains behind ``run_grid(workers > 1)``:
+#: a resumed run steals a killed run's claims after 5 s, not the 60 s default.
+LOCAL_LEASE_TTL_S = 5.0
+LOCAL_POLL_S = 0.05
 
 
 def shard_of(spec_hash: str, num_shards: int) -> int:
@@ -100,13 +86,18 @@ class WorkReport:
     """What one :meth:`GridWorker.drain` call did."""
 
     owner: str
-    executed: List[str] = field(default_factory=list)  # spec hashes this worker ran
+    seconds: Dict[str, float] = field(default_factory=dict)  # hash run here -> seconds
     stolen: List[str] = field(default_factory=list)  # executed hashes outside our shard
     reclaimed: List[str] = field(default_factory=list)  # claims taken from expired leases
     cached: int = 0  # already in the store when first visited
     lease_lost: int = 0  # claim races lost to other workers
     polls: int = 0  # waits on other workers' live leases
     duration_s: float = 0.0
+
+    @property
+    def executed(self) -> List[str]:
+        """Spec hashes this worker ran, in the order it ran them."""
+        return list(self.seconds)
 
     def summary(self) -> str:
         return (
@@ -133,14 +124,13 @@ class GridWorker:
         process-unique id.
     ttl:
         Lease time-to-live.  A worker silent for longer than this is
-        presumed dead and its in-flight scenarios become stealable.
+        presumed dead and its in-flight scenarios become stealable; a
+        live one heartbeats every ``ttl / 4``.
     poll_s:
         Sleep between passes while other workers' live leases block the
         remaining scenarios.
     shard_index / num_shards:
         Optional deterministic shard affinity (see :func:`worker_order`).
-    heartbeat_s:
-        Heartbeat interval while executing; defaults to ``ttl / 4``.
     """
 
     def __init__(
@@ -152,7 +142,6 @@ class GridWorker:
         poll_s: float = 0.5,
         shard_index: Optional[int] = None,
         num_shards: Optional[int] = None,
-        heartbeat_s: Optional[float] = None,
     ):
         self.grid = grid
         self.store = store
@@ -160,7 +149,6 @@ class GridWorker:
         self.poll_s = float(poll_s)
         self.shard_index = shard_index
         self.num_shards = num_shards
-        self.heartbeat_s = heartbeat_s
         self._order = worker_order(list(grid), shard_index, num_shards)
 
     @property
@@ -178,14 +166,13 @@ class GridWorker:
         Returns once every scenario of the grid has a store result —
         whoever produced it — or, with ``max_scenarios``, once this worker
         has executed that many.  Raises
-        :class:`DistributedExecutionError` when the remaining scenarios
-        have all failed here and no other worker holds a live claim on
-        them.
+        :class:`~repro.experiments.runner.executor.GridExecutionError` when
+        the remaining scenarios have all failed here and no other worker
+        holds a live claim on them.
         """
         report = WorkReport(owner=self.owner)
-        failures: Dict[ScenarioSpec, BaseException] = {}
+        failures: Dict[ScenarioSpec, str] = {}
         bundles: Dict[str, Any] = {}
-        touched: Dict[int, Any] = {}
         first_pass = True
         start = time.perf_counter()
         try:
@@ -226,22 +213,20 @@ class GridWorker:
                             "%s reclaimed expired lease for %s", self.owner, spec.label()
                         )
                     try:
-                        with Heartbeat(self.leases, spec.hash, interval=self.heartbeat_s):
-                            result, elapsed, bundle = execute_pending(
+                        with Heartbeat(self.leases, spec.hash):
+                            result, elapsed, _ = execute_pending(
                                 spec, self.store, bundles=bundles
                             )
-                            if bundle is not None:
-                                touched[id(bundle)] = bundle
                             self.store.put(spec, result)
                     except Exception as error:
-                        failures[spec] = error
+                        failures[spec] = f"{type(error).__name__}: {error}"
                         LOGGER.warning(
                             "%s: scenario %s failed: %s", self.owner, spec.label(), error
                         )
                         continue
                     finally:
                         self.leases.release(spec.hash)
-                    report.executed.append(spec.hash)
+                    report.seconds[spec.hash] = elapsed
                     if not self._is_mine(spec):
                         report.stolen.append(spec.hash)
                     progress = True
@@ -263,15 +248,28 @@ class GridWorker:
                     if spec in failures and not self.leases.is_live(spec.hash)
                 ]
                 if len(stuck) == len(remaining):
-                    raise DistributedExecutionError({spec: failures[spec] for spec in stuck})
+                    raise GridExecutionError(
+                        {spec: failures[spec] for spec in stuck}, completed=report.seconds
+                    )
                 report.polls += 1
                 time.sleep(self.poll_s)
         finally:
-            # Leave shared models as every execution path does: pre-trained
-            # snapshot, trainable, clean baseline config.
-            for bundle in touched.values():
-                bundle.restore_pretrained()
-                bundle.model.requires_grad_(True)
-                apply_config(bundle.model, SimConfig(mode="clean"))
+            restore_bundles(bundles.values())
             report.duration_s = time.perf_counter() - start
         return report
+
+
+def drain_shard(
+    grid: ScenarioGrid, store_root: str, shard_index: int, num_shards: int
+) -> Tuple[Dict[str, float], Dict[str, str]]:
+    """One local drain, run in a ``run_grid(workers > 1)`` pool process:
+    (hash -> seconds run here, hash -> failure message).  Plain data,
+    because a raised :class:`GridExecutionError` does not unpickle."""
+    worker = GridWorker(
+        grid, ResultStore(store_root), ttl=LOCAL_LEASE_TTL_S, poll_s=LOCAL_POLL_S,
+        shard_index=shard_index, num_shards=num_shards,
+    )
+    try:
+        return worker.drain().seconds, {}
+    except GridExecutionError as error:
+        return error.completed, {spec.hash: message for spec, message in error.failures.items()}

@@ -7,8 +7,9 @@ same results.
 
 All drivers are grids on the *scenario runner*
 (:mod:`repro.experiments.runner`): one spec per (method, noise level,
-gamma, ...) cell, executed serially (the bit-exact oracle), across a worker
-pool, or resumed from the content-addressed result store.  The registry
+gamma, ...) cell, executed serially (the bit-exact oracle), by local
+lease-based worker processes, or resumed from the content-addressed result
+store.  The registry
 (:mod:`repro.experiments.registry`) indexes every experiment and the
 ``python -m repro.experiments`` CLI drives it.
 

@@ -15,8 +15,9 @@ Usage (module form, with ``src`` on ``PYTHONPATH``)::
 ``run`` executes each experiment's scenario grid through the runner:
 completed scenarios resume from the content-addressed result store under
 ``<cache-dir>/runner`` (so an interrupted suite continues where it stopped)
-and ``--workers N`` shards the remaining scenarios across N worker
-processes, bit-identically to the serial run.  ``work`` joins (or starts)
+and ``--workers N`` drains the remaining scenarios with N local
+lease-based worker processes over that store (the protocol of ``work``,
+below), bit-identically to the serial run.  ``work`` joins (or starts)
 a *distributed* drain of the same suite as one lease-based work-stealing
 worker — run it N times, on one host or many sharing a synced store
 directory, and the workers cooperatively finish the suite (see
@@ -69,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "-w",
         type=int,
         default=0,
-        help="worker processes for independent scenarios (<=1: serial oracle)",
+        help="local lease-based worker processes draining the pending scenarios "
+        "through the result store (<=1: serial oracle)",
     )
     run_parser.add_argument(
         "--engine",

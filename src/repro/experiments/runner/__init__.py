@@ -14,12 +14,10 @@ scenarios.  This subsystem turns that grid into data:
   that already holds the pre-train cache), so interrupted suites resume
   instead of recomputing.
 * :func:`~repro.experiments.runner.executor.run_grid` executes a grid either
-  serially in-process (the bit-exact oracle) or sharded across a
-  ``multiprocessing`` worker pool; both paths produce identical results.
-  A third backend lives in :mod:`repro.distributed`: independent
-  lease-based worker *processes* (any count, any host sharing the store
-  directory) cooperatively drain a grid, again bit-identically — all
-  three schedulers call the same
+  serially in-process (the bit-exact oracle) or with N local lease-based
+  worker processes from :mod:`repro.distributed` — the same workers that
+  any count of processes on hosts sharing the store directory can run —
+  bit-identically; both paths call the same
   :func:`~repro.experiments.runner.executor.execute_pending` core.
 
 The five experiment drivers (``fig1b``, ``fig2``, ``table1``, ``table2``,

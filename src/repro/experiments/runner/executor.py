@@ -1,4 +1,4 @@
-"""Grid execution: serial oracle, worker pool, and cached resume.
+"""Grid execution: serial oracle, local lease-based workers, and cached resume.
 
 :func:`run_grid` is the single entry point every experiment driver, the
 benchmark harness and the ``python -m repro.experiments`` CLI go through.
@@ -11,12 +11,16 @@ Execution modes
     snapshot, so the serial order is irrelevant to the results.
 
 ``workers > 1``
-    Independent scenarios are sharded across a ``multiprocessing`` spawn
-    pool.  Workers rebuild their bundles from the on-disk pre-train cache
-    (the parent prepares it first) and execute scenarios with exactly the
-    same per-scenario derived seeds, so the results are bit-identical to the
-    serial oracle.  BLAS threading is pinned to one thread per worker to
-    avoid oversubscription.
+    Each process of a spawn pool (:func:`spawn_worker_pool`, BLAS pinned to
+    one thread) runs one :class:`~repro.distributed.worker.GridWorker`
+    drain over the pending scenarios, shard ``i`` first: the lease protocol
+    of ``python -m repro.distributed``, so workers store each result as it
+    finishes and a resumed run steals what a killed run left claimed
+    (after :data:`repro.distributed.worker.LOCAL_LEASE_TTL_S`).  The
+    parent reads the results back from the store.  Workers load their
+    bundles from the on-disk pre-train cache (the parent prepares it first)
+    and reseed every scenario from its spec, so results are bit-identical
+    to the serial oracle.
 
 With a persistent :class:`~repro.experiments.runner.store.ResultStore`,
 completed scenarios are skipped on re-run (resume); without one, a
@@ -28,10 +32,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import shutil
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import (
     ensure_checkpoint_on_disk,
@@ -50,24 +56,22 @@ LOGGER = get_logger("repro.runner")
 
 
 class GridExecutionError(RuntimeError):
-    """One or more scenarios of a parallel grid run failed.
+    """Scenarios failed, and no worker is left to finish them.
 
-    Raised *after* every completed sibling's result has been persisted to
-    the store, so a failing scenario can never throw away work other
-    workers finished — a resumed run re-executes only the failures.
-    ``failures`` maps each failed spec to the exception it raised.
+    Raised by :func:`run_grid` and :meth:`~repro.distributed.worker.GridWorker.drain`
+    *after* every completed sibling's result is in the store, so a resumed
+    run re-executes only the failures.  ``failures`` maps each failed spec
+    to its error message; ``completed`` maps each completed spec hash to
+    its execution seconds.
     """
 
-    def __init__(self, failures: Dict[ScenarioSpec, BaseException], completed: int):
+    def __init__(self, failures: Dict[ScenarioSpec, str], completed: Dict[str, float]):
         self.failures = failures
         self.completed = completed
-        detail = "; ".join(
-            f"{spec.label()}: {type(error).__name__}: {error}"
-            for spec, error in failures.items()
-        )
+        detail = "; ".join(f"{spec.label()}: {message}" for spec, message in failures.items())
         super().__init__(
-            f"{len(failures)} scenario(s) failed ({detail}); "
-            f"{completed} completed sibling result(s) were persisted"
+            f"{len(failures)} scenario(s) failed with no live claimant ({detail}); "
+            f"{len(completed)} completed sibling result(s) were persisted"
         )
 
 
@@ -81,15 +85,7 @@ class GridRunResult:
     cached: int = 0
     workers: int = 0
     duration_s: float = 0.0
-    per_scenario_s: Dict[str, float] = field(default_factory=dict)
-
-    def result_for(self, spec: ScenarioSpec) -> Dict[str, Any]:
-        """The result of one member scenario (raises on a missing hash)."""
-        return self.results[spec.hash]
-
-    def in_grid_order(self) -> List[Tuple[ScenarioSpec, Dict[str, Any]]]:
-        """(spec, result) pairs in the grid's declaration order."""
-        return [(spec, self.results[spec.hash]) for spec in self.grid]
+    per_scenario_s: Dict[str, float] = field(default_factory=dict)  # spec hash -> seconds
 
 
 def _bundle_for(spec: ScenarioSpec, bundles: Dict[str, Any], explicit_bundle=None):
@@ -120,17 +116,26 @@ def execute_pending(
     the determinism contract: per-spec derived seed, snapshot restore,
     fresh loaders) and returns ``(result, elapsed_s, bundle)``.
 
-    Callers: the serial loop of :func:`run_grid`, the spawn-pool's
-    :func:`_worker_run`, and :class:`repro.distributed.worker.GridWorker` —
-    three schedulers, one execution semantics, which is what keeps
+    Callers: the serial loop of :func:`run_grid`,
+    :class:`repro.distributed.worker.GridWorker` (behind both
+    ``run_grid(workers > 1)`` and ``python -m repro.distributed``) and
+    serve's :func:`_worker_run` — one execution semantics, which keeps
     serial == parallel == distributed bit-identical.  The returned bundle
-    (``None`` for bundle-free experiments) lets schedulers restore shared
-    model state when their drain finishes.
+    (``None`` for bundle-free experiments) is for :func:`restore_bundles`.
     """
     bundle = _bundle_for(spec, bundles if bundles is not None else {}, explicit_bundle)
     start = time.perf_counter()
     result = execute_scenario(spec, bundle=bundle, stage_store=stage_store)
     return result, time.perf_counter() - start, bundle
+
+
+def restore_bundles(bundles: Iterable[Any]) -> None:
+    """Leave shared models as the drivers always have: at the pre-trained
+    snapshot, trainable, in the clean baseline config."""
+    for bundle in bundles:
+        bundle.restore_pretrained()
+        bundle.model.requires_grad_(True)
+        apply_config(bundle.model, SimConfig(mode="clean"))
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +145,10 @@ def _worker_init(cache_dir: Optional[str], store_root: Optional[str]) -> None:
     """Bootstrap one spawned worker: activate the worker's own context.
 
     Every worker process owns a fresh :class:`repro.context.ExecutionContext`
-    — its own dtype policy, default RNG, grad flag and bundle cache — so
-    nothing a scenario mutates can leak into the parent or a sibling.  The
-    worker's stage store rides on the context: with a persistent store,
-    stages are shared across all workers via disk; without one, a
-    process-local MemoryStore at least shares stages between the scenarios
-    this worker executes (instead of recomputing them per scenario).
+    (dtype policy, default RNG, grad flag, bundle cache), so nothing a
+    scenario mutates can leak into the parent or a sibling.  Its stage
+    store, for :func:`_worker_run`, is the store at ``store_root`` if given,
+    else a process-local MemoryStore.
     """
     from repro.context import ExecutionContext, activate_context
 
@@ -182,11 +185,9 @@ def spawn_worker_pool(
 ) -> ProcessPoolExecutor:
     """A long-lived spawn pool whose workers each own an execution context.
 
-    The building block behind both :func:`run_grid`'s parallel mode and
-    ``repro.serve``'s parallel request dispatch: ``workers`` spawned
-    processes, each bootstrapped through :func:`_worker_init` (own
-    :class:`~repro.context.ExecutionContext`, own stage store, shared
-    on-disk caches) with BLAS pools pinned to one thread
+    The processes behind :func:`run_grid`'s local drains and
+    ``repro.serve``'s request dispatch, each bootstrapped through
+    :func:`_worker_init` with BLAS pools pinned to one thread
     (:func:`repro.worker_env.worker_threads_pinned`).
 
     The pool spawns all its processes before returning, by submitting one
@@ -210,62 +211,52 @@ def spawn_worker_pool(
     return pool
 
 
-def _run_parallel(
-    pending: Sequence[ScenarioSpec],
-    workers: int,
-    store: Optional[ResultStore],
-    outcome: GridRunResult,
+def _run_workers(
+    pending: Sequence[ScenarioSpec], workers: int, store, resume: bool, outcome: GridRunResult
 ) -> None:
-    """Execute ``pending`` on a spawn pool, collecting into ``outcome``."""
-    # Make sure every needed pre-trained checkpoint is on disk before any
-    # worker starts, so workers never pre-train redundantly.
+    """Drain ``pending`` with one local GridWorker per pool process."""
+    from repro.distributed.worker import drain_shard
+
+    # Every needed checkpoint goes to disk first, so no worker pre-trains.
     bundles: Dict[str, Any] = {}
     for spec in pending:
         bundle = _bundle_for(spec, bundles)
         if bundle is not None:
             ensure_checkpoint_on_disk(bundle)
 
-    store_root = store.root if isinstance(store, ResultStore) else None
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-
-    by_hash = {spec.hash: spec for spec in pending}
-    # spawn_worker_pool pins worker BLAS pools to one thread each and gives
-    # every worker process its own ExecutionContext.  ProcessPoolExecutor
-    # (rather than multiprocessing.Pool) so a worker dying at bootstrap
-    # surfaces as BrokenProcessPool instead of the pool silently respawning
-    # workers forever.
-    with spawn_worker_pool(workers, store_root=store_root, cache_dir=cache_dir) as pool:
-        futures = {
-            pool.submit(_worker_run, spec.as_dict()): spec for spec in pending
-        }
-        # Drain EVERY future before raising anything: a scenario failing
-        # in one worker must not discard results siblings already
-        # finished — those are persisted below, so only the failures
-        # need re-executing on resume.
-        failures: Dict[ScenarioSpec, BaseException] = {}
-        for future in as_completed(futures):
-            try:
-                spec_hash, result, elapsed = future.result()
-            except Exception as error:
-                failures[futures[future]] = error
+    # Workers write into the caller's store when its results may be reused,
+    # else into a temporary one, copied over and removed afterwards.
+    reuse = resume and isinstance(store, ResultStore)
+    target = store if reuse else ResultStore(tempfile.mkdtemp(prefix="repro-grid-"))
+    grid = ScenarioGrid(name=outcome.grid.name, specs=tuple(pending))
+    failures: Dict[str, str] = {}
+    try:
+        with spawn_worker_pool(workers, cache_dir=os.environ.get("REPRO_CACHE_DIR")) as pool:
+            futures = [
+                pool.submit(drain_shard, grid, target.root, index, workers)
+                for index in range(workers)
+            ]
+            for future in futures:
+                seconds, failed = future.result()
+                outcome.per_scenario_s.update(seconds)
+                failures.update(failed)
+    finally:
+        # Runs on a broken pool too, so finished work reaches the caller.
+        for spec in pending:
+            result = target.get(spec)
+            if result is None:
                 continue
-            spec = by_hash[spec_hash]
-            if store is not None:
-                result = store.put(spec, result)
-            else:
-                result = jsonify_result(result)
-            outcome.results[spec_hash] = result
-            outcome.per_scenario_s[spec_hash] = elapsed
-            outcome.executed += 1
-            LOGGER.info(
-                "scenario %s done in %.2fs (%d/%d)",
-                spec.label(),
-                elapsed,
-                outcome.executed + outcome.cached,
-                len(outcome.grid),
-            )
-        if failures:
-            raise GridExecutionError(failures, completed=outcome.executed)
+            if target is not store and store is not None:
+                store.put(spec, result)
+            outcome.results[spec.hash] = result
+        if target is not store:
+            shutil.rmtree(target.root, ignore_errors=True)
+    outcome.executed = len(outcome.per_scenario_s)
+    if failures:
+        raise GridExecutionError(
+            {spec: failures[spec.hash] for spec in pending if spec.hash in failures},
+            completed=outcome.per_scenario_s,
+        )
 
 
 def _stack_groups(pending: Sequence[ScenarioSpec]) -> Dict[str, List[ScenarioSpec]]:
@@ -306,12 +297,15 @@ def run_grid(
     Parameters
     ----------
     workers:
-        ``<= 1`` runs the serial in-process oracle; ``> 1`` shards pending
-        scenarios across that many spawned worker processes.
+        ``<= 1`` runs the serial in-process oracle; ``> 1`` drains pending
+        scenarios with that many local lease-based workers, one per spawned
+        process (see the module docstring).  A scenario failing there
+        raises :class:`GridExecutionError` once the rest are stored.
     store:
         Persistent result store.  With ``resume=True`` (default), scenarios
         already present in the store are returned from cache instead of
-        recomputed — an interrupted suite picks up where it left off.
+        recomputed — an interrupted suite picks up where it left off — and
+        ``workers > 1`` write their results straight into it.
         ``None`` keeps results in memory for this call only (derived stages
         are still shared within the call).
     bundle:
@@ -319,13 +313,14 @@ def run_grid(
         benchmark harness shares one across experiments); only used for
         specs whose profile matches it.
     resume:
-        Set to ``False`` to recompute every scenario even on store hits.
+        Set to ``False`` to recompute every scenario even on store hits
+        (``workers > 1`` then drain into a temporary store and copy the
+        results over).
     batch:
         Stack compatible sibling ``api_eval`` scenarios into one batched
         multi-scenario forward on the serial path (default on; results are
-        bit-identical per scenario and still persisted individually —
-        serial == batched == parallel == resume).  Parallel mode already
-        overlaps scenarios across workers and ignores this flag.
+        bit-identical per scenario and still persisted individually).
+        ``workers > 1`` ignores this flag.
     """
     start = time.perf_counter()
     outcome = GridRunResult(grid=grid, results={}, workers=max(workers, 0))
@@ -341,12 +336,11 @@ def run_grid(
             pending.append(spec)
 
     if pending and workers > 1:
-        _run_parallel(pending, workers, store, outcome)
+        _run_workers(pending, workers, store, resume, outcome)
     else:
         groups = _stack_groups(pending) if batch else {}
         bundles: Dict[str, Any] = {}
         touched: Dict[int, Any] = {}
-        done_hashes = set()
 
         def _record(spec, result, elapsed):
             if store is not None:
@@ -356,11 +350,10 @@ def run_grid(
             outcome.results[spec.hash] = result
             outcome.per_scenario_s[spec.hash] = elapsed
             outcome.executed += 1
-            done_hashes.add(spec.hash)
 
         for spec in pending:
-            if spec.hash in done_hashes:
-                continue
+            if spec.hash in outcome.results:
+                continue  # run as a member of an earlier stacked group
             members = groups.get(spec.hash)
             if members is not None:
                 from repro.api import execute_api_eval_batch
@@ -396,12 +389,7 @@ def run_grid(
                 outcome.executed + outcome.cached,
                 len(grid),
             )
-        # Leave shared models as the drivers always have: at the pre-trained
-        # snapshot, trainable, in the clean baseline config.
-        for spec_bundle in touched.values():
-            spec_bundle.restore_pretrained()
-            spec_bundle.model.requires_grad_(True)
-            apply_config(spec_bundle.model, SimConfig(mode="clean"))
+        restore_bundles(touched.values())
 
     outcome.duration_s = time.perf_counter() - start
     return outcome

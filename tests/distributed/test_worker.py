@@ -21,13 +21,14 @@ import time
 import pytest
 
 from repro.distributed.lease import LEASE_DIRNAME, LeaseManager
-from repro.distributed.worker import (
-    DistributedExecutionError,
-    GridWorker,
-    shard_of,
-    worker_order,
+from repro.distributed.worker import GridWorker, shard_of, worker_order
+from repro.experiments.runner import (
+    GridExecutionError,
+    ResultStore,
+    ScenarioGrid,
+    ScenarioSpec,
+    run_grid,
 )
-from repro.experiments.runner import ResultStore, ScenarioGrid, ScenarioSpec, run_grid
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -216,7 +217,7 @@ class TestDrain:
             ]),
         )
         store = ResultStore(str(tmp_path / "store"))
-        with pytest.raises(DistributedExecutionError) as excinfo:
+        with pytest.raises(GridExecutionError) as excinfo:
             GridWorker(grid, store).drain()
         assert "no live claimant" in str(excinfo.value)
         # The healthy scenarios all completed before the raise.
@@ -229,7 +230,7 @@ class TestDrain:
             specs=(ScenarioSpec.create("selftest", method="boom", fail=True),),
         )
         store = ResultStore(str(tmp_path / "store"))
-        with pytest.raises(DistributedExecutionError):
+        with pytest.raises(GridExecutionError):
             GridWorker(grid, store).drain()
         lease_dir = os.path.join(store.root, LEASE_DIRNAME)
         assert not os.path.isdir(lease_dir) or not os.listdir(lease_dir)

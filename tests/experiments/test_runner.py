@@ -9,11 +9,20 @@ serial oracle exactly, and (3) execution order within a grid is irrelevant.
 from __future__ import annotations
 
 import inspect
+import json
+import multiprocessing
 import os
+import signal
+import tempfile
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.distributed.lease import DEFAULT_TTL_S, LeaseManager
 from repro.experiments.common import clear_bundle_cache, get_cache_dir
 from repro.experiments.profiles import get_profile
 from repro.experiments.runner import (
@@ -239,6 +248,89 @@ class TestRunnerEndToEnd:
         parallel = run_grid(grid, workers=2, store=isolated_cache)
         assert parallel.executed == len(grid)
         assert parallel.results == serial.results
+
+    def test_parallel_without_store_drains_a_temporary_store(self, tmp_path, monkeypatch):
+        """``store=None`` drains into a temporary store: the results equal
+        the serial oracle, and the temporary directory is removed."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        grid = self._grid()
+        serial = run_grid(grid)
+        parallel = run_grid(grid, workers=2)
+        assert parallel.executed == len(grid)
+        assert parallel.results == serial.results
+        assert set(parallel.per_scenario_s) == {spec.hash for spec in grid}
+        assert os.listdir(scratch) == []
+
+    def test_parallel_without_resume_recomputes_a_populated_store(self, isolated_cache):
+        """``resume=False`` re-executes every scenario and writes the new
+        results back into the caller's store."""
+        grid = self._grid()
+        serial = run_grid(grid, store=isolated_cache)
+
+        def created():
+            return {
+                spec.hash: json.loads(Path(isolated_cache.result_path(spec)).read_text())["created"]
+                for spec in grid
+            }
+
+        before = created()
+        rerun = run_grid(grid, workers=2, store=isolated_cache, resume=False)
+        assert rerun.executed == len(grid) and rerun.cached == 0
+        assert rerun.results == serial.results
+        assert set(rerun.per_scenario_s) == {spec.hash for spec in grid}
+        after = created()
+        assert all(after[key] > before[key] for key in before)
+        assert all(isolated_cache.get(spec) == serial.results[spec.hash] for spec in grid)
+
+    def test_killed_worker_keeps_finished_results_and_resumes(self, isolated_cache):
+        """SIGKILL one pool worker mid-scenario: the results finished so far
+        stay in the store, and a resumed run steals the orphaned claim
+        after the local lease TTL, well before the distributed one."""
+        fast = tuple(
+            ScenarioSpec.create("selftest", method=f"fast{i}", value=i, sleep_s=0.1)
+            for i in range(4)
+        )
+        sleeper = ScenarioSpec.create("selftest", method="sleeper", value=99, sleep_s=2.5)
+        grid = ScenarioGrid(name="crash_grid", specs=(*fast, sleeper))
+        leases = LeaseManager(isolated_cache.root, owner="observer")
+        errors = []
+
+        def drain():
+            try:
+                run_grid(grid, workers=2, store=isolated_cache)
+            except Exception as error:  # the broken pool, checked below
+                errors.append(error)
+
+        thread = threading.Thread(target=drain)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 60
+            while leases.owner_of(sleeper.hash) is None or not all(
+                isolated_cache.get(spec) is not None for spec in fast
+            ):
+                assert time.monotonic() < deadline, "the drain never reached the sleeper"
+                assert thread.is_alive(), errors
+                time.sleep(0.02)
+            # Lease owners are "<host>-<pid>-<tail>": kill the sleeper's owner.
+            pid = int(leases.owner_of(sleeper.hash).rsplit("-", 2)[1])
+            assert pid in {child.pid for child in multiprocessing.active_children()}
+            os.kill(pid, signal.SIGKILL)
+        finally:
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and isinstance(errors[0], BrokenProcessPool), errors
+        assert isolated_cache.get(sleeper) is None
+        assert all(isolated_cache.get(spec) is not None for spec in fast)
+
+        start = time.monotonic()
+        resumed = run_grid(grid, workers=2, store=isolated_cache)
+        assert time.monotonic() - start < DEFAULT_TTL_S
+        assert resumed.cached == len(fast) and resumed.executed == 1
+        assert list(resumed.per_scenario_s) == [sleeper.hash]
+        assert resumed.results == run_grid(grid).results
 
     def test_parallel_matches_serial_with_engine_pin(self, isolated_cache):
         """Bit-identity must also hold when scenarios pin an engine.
