@@ -9,13 +9,15 @@ to each encoding's closed-form variance for the same carried information.
 import pytest
 
 from benchmarks.conftest import emit_report
-from repro.experiments.ablations import run_encoding_ablation
+from repro.experiments.ablations import assemble_encoding_ablation, encoding_ablation_grid
+from repro.experiments.runner import run_grid
 
 
 @pytest.fixture(scope="module")
 def encoding_result(bundle):
     # The middle and severe noise levels are where the encodings separate.
-    return run_encoding_ablation(bundle=bundle, sigmas=bundle.profile.sigmas[1:])
+    grid = encoding_ablation_grid(bundle.profile, sigmas=bundle.profile.sigmas[1:])
+    return assemble_encoding_ablation(grid, run_grid(grid, bundle=bundle).results, bundle)
 
 
 def _format_report(result, profile) -> str:

@@ -9,14 +9,13 @@ verifying that gamma actually controls the trade-off.
 import pytest
 
 from benchmarks.conftest import emit_report
-from repro.experiments.ablations import run_gamma_tradeoff
+from repro.experiments import run_experiment
 
 
 @pytest.fixture(scope="module")
 def gamma_rows(bundle):
-    profile = bundle.profile
-    gammas = [profile.gamma_long, profile.gamma_short, 10 * profile.gamma_short]
-    return run_gamma_tradeoff(gammas=gammas, bundle=bundle)
+    # The registered grid sweeps gamma_long, gamma_short and 10 * gamma_short.
+    return run_experiment("ablation_gamma", bundle=bundle)[0]
 
 
 def _format_report(rows, profile) -> str:

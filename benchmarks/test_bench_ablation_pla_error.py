@@ -13,14 +13,16 @@ import pytest
 
 from benchmarks.conftest import emit_report
 from repro.core.pla import pla_approximation_error
-from repro.experiments.ablations import run_pla_error_ablation
+from repro.experiments.ablations import assemble_pla_error, pla_error_grid
+from repro.experiments.runner import run_grid
 from repro.tensor import Tensor, no_grad
 from repro.sim import SimConfig, apply_config
 
 
 @pytest.fixture(scope="module")
 def pla_rows():
-    return run_pla_error_ablation(pulse_counts=(4, 6, 8, 10, 12, 14, 16), saturation=0.6)
+    grid = pla_error_grid(pulse_counts=(4, 6, 8, 10, 12, 14, 16), saturation=0.6)
+    return assemble_pla_error(grid, run_grid(grid).results)
 
 
 def _collect_real_activations(bundle, max_batches: int = 2) -> np.ndarray:

@@ -11,13 +11,19 @@ import pytest
 
 from benchmarks.conftest import emit_report
 from repro.crossbar import CrossbarArray, CrossbarConfig, GaussianReadNoise, ThermometerEncoder, pulsed_mvm
-from repro.experiments import run_fig1b
+from repro.experiments.fig1b import assemble_fig1b, fig1b_grid
+from repro.experiments.runner import run_grid
 from repro.tensor.random import RandomState
+
+
+def _fig1b(**grid_kwargs):
+    grid = fig1b_grid(**grid_kwargs)
+    return assemble_fig1b(grid, run_grid(grid).results)
 
 
 @pytest.fixture(scope="module")
 def fig1b_result():
-    return run_fig1b(bit_range=range(1, 9), monte_carlo_bits=(2, 3), num_trials=200, seed=0)
+    return _fig1b(bit_range=range(1, 9), monte_carlo_bits=(2, 3), num_trials=200, seed=0)
 
 
 def _format_report(result) -> str:
@@ -43,7 +49,7 @@ def _format_report(result) -> str:
 
 def test_fig1b_noise_variance(benchmark, fig1b_result, capsys, results_dir):
     # Benchmark the analytic series generation (the cheap, repeatable kernel).
-    benchmark(lambda: run_fig1b(bit_range=range(1, 9), monte_carlo_bits=(), seed=0))
+    benchmark(lambda: _fig1b(bit_range=range(1, 9), monte_carlo_bits=(), seed=0))
 
     result = fig1b_result
     # Shape assertions mirroring the paper's claims.

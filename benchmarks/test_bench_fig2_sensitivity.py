@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import emit_report
-from repro.experiments import run_fig2
+from repro.experiments import run_experiment
 from repro.training import evaluate_accuracy
 from repro.sim import SimConfig, apply_config
 
 
 @pytest.fixture(scope="module")
 def fig2_result(bundle):
-    return run_fig2(bundle=bundle)
+    return run_experiment("fig2", bundle=bundle)[0]
 
 
 def _format_report(result, profile) -> str:

@@ -7,7 +7,7 @@ per candidate encoding in Omega (|Omega| = 7) per encoded layer per step;
 the vectorized engine folds the whole candidate space into a single read
 plus one Gaussian draw (the mixture of |Omega| independent normals is itself
 one normal), so the GBO stage — the most expensive part of the Table I /
-Table II drivers — runs several times faster.
+Table II experiments — runs several times faster.
 
 The workload is the fast profile widened towards the paper's network: the
 paper's 32x32 image size at quarter width.  The fast profile's own 16x16 /

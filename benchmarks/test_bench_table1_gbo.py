@@ -10,14 +10,14 @@ qualitative claims and prints reproduced-vs-paper rows.
 import pytest
 
 from benchmarks.conftest import emit_report
-from repro.experiments import run_table1
+from repro.experiments import run_experiment
 from repro.experiments.table1 import PAPER_CLEAN_ACCURACY
 from repro.training import evaluate_accuracy
 
 
 @pytest.fixture(scope="module")
 def table1_result(bundle):
-    return run_table1(bundle=bundle)
+    return run_experiment("table1", bundle=bundle)[0]
 
 
 def _format_report(result, profile) -> str:

@@ -9,12 +9,12 @@ or tied-best configuration).
 import pytest
 
 from benchmarks.conftest import emit_report
-from repro.experiments import run_table2
+from repro.experiments import run_experiment
 
 
 @pytest.fixture(scope="module")
 def table2_result(bundle):
-    return run_table2(bundle=bundle)
+    return run_experiment("table2", bundle=bundle)[0]
 
 
 def _format_report(result, profile) -> str:

@@ -4,7 +4,7 @@ Reproduces every registered experiment — Fig. 1(b), Fig. 2, Table I,
 Table II and the three ablations — on the ``fast`` profile (reduced-width
 VGG9 on the synthetic CIFAR-like task) by iterating the registry index and
 executing each experiment's scenario grid on the scenario runner.  Nothing
-here names an individual driver, so the example can never drift from the
+here names an individual experiment, so the example can never drift from the
 experiment index.
 
 Pre-training is cached under ``.repro_cache/`` and every completed scenario

@@ -22,7 +22,7 @@ The package is organised bottom-up:
   layers, GBO and the NIA baseline;
 * :mod:`repro.models`, :mod:`repro.training`, :mod:`repro.experiments` —
   the VGG9 evaluation network, training recipes and the per-table/figure
-  experiment drivers on the scenario runner;
+  experiment grids on the scenario runner;
 * :mod:`repro.api` — the pipeline as a composable facade: ``pretrain``,
   ``calibrate_pla``, ``run_gbo``, ``run_nia``, ``evaluate``, each taking
   ``(state, SimConfig)`` and returning artifacts.

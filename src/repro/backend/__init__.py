@@ -11,7 +11,7 @@ subpackage isolates it behind the :class:`SimulationEngine` interface:
 * :class:`VectorizedEngine` — batches pulses x tiles x batch into a handful
   of matmul/tensordot calls with one batched noise draw, exploiting that the
   paper's Gaussian read noise is i.i.d. across pulses and tiles.  The default
-  engine for all drivers and benchmarks.
+  engine for every experiment and benchmark.
 
 The same split covers the GBO training stage (Eq. 5): the engines'
 ``gbo_mixture_read`` evaluates the softmax mixture over the candidate

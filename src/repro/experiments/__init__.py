@@ -1,16 +1,18 @@
-"""Experiment drivers: one module per table/figure of the paper.
+"""The paper's experiments: one module per table/figure.
 
-Every driver returns a plain dataclass (rows of numbers plus the matching
-paper values where applicable) so the benchmark harness, the examples and
-the markdown reports of :mod:`repro.experiments.report` can all render the
-same results.
+Each module defines a grid factory (``table1_grid`` etc.) on the *scenario
+runner* (:mod:`repro.experiments.runner`) — one spec per (method, noise
+level, gamma, ...) cell — and an assembler (``assemble_table1`` etc.) that
+folds the grid's results into a plain dataclass (rows of numbers plus the
+matching paper values where applicable), so the benchmark harness, the
+examples and the markdown reports of :mod:`repro.experiments.report` all
+render the same results.
 
-All drivers are grids on the *scenario runner*
-(:mod:`repro.experiments.runner`): one spec per (method, noise level,
-gamma, ...) cell, executed serially (the bit-exact oracle), by local
-lease-based worker processes, or resumed from the content-addressed result
-store.  The registry
-(:mod:`repro.experiments.registry`) indexes every experiment and the
+An experiment runs one way: grid → :func:`~repro.experiments.runner.run_grid`
+(serially as the bit-exact oracle, on local lease-based worker processes, or
+resumed from the content-addressed result store) → assembler.  The registry
+(:mod:`repro.experiments.registry`) indexes every experiment,
+:func:`run_experiment` runs a registered one, and the
 ``python -m repro.experiments`` CLI drives it.
 
 Profiles (``smoke`` / ``fast`` / ``paper``) control the scale of the
@@ -25,10 +27,10 @@ from repro.experiments.common import (
     build_model,
     build_loaders,
 )
-from repro.experiments.fig1b import run_fig1b, Fig1bResult
-from repro.experiments.fig2 import run_fig2, Fig2Result
-from repro.experiments.table1 import run_table1, Table1Result, Table1Row
-from repro.experiments.table2 import run_table2, Table2Result, Table2Row
+from repro.experiments.fig1b import Fig1bResult
+from repro.experiments.fig2 import Fig2Result
+from repro.experiments.table1 import Table1Result, Table1Row
+from repro.experiments.table2 import Table2Result, Table2Row
 from repro.experiments.registry import (
     EXPERIMENTS,
     ExperimentSpec,
@@ -45,14 +47,10 @@ __all__ = [
     "get_cache_dir",
     "build_model",
     "build_loaders",
-    "run_fig1b",
     "Fig1bResult",
-    "run_fig2",
     "Fig2Result",
-    "run_table1",
     "Table1Result",
     "Table1Row",
-    "run_table2",
     "Table2Result",
     "Table2Row",
     "EXPERIMENTS",

@@ -191,8 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="prune result-store entries whose spec hashes no registered grid produces",
         description=(
             "Prune result-store entries outside the registered grids "
-            "(profile x engine).  NOTE: results of ad-hoc sweeps run through "
-            "driver keyword arguments (custom sigmas, profile overrides) are "
+            "(profile x engine).  NOTE: results of grids built with "
+            "non-default arguments (custom sigmas, profile overrides) are "
             "not part of any registered grid and count as stale — use "
             "--dry-run first if you keep such results."
         ),

@@ -27,11 +27,10 @@ import numpy as np
 from repro.core.pla import pla_approximation_error
 from repro.core.schedule import PulseSchedule
 from repro.crossbar.analysis import bit_slicing_noise_variance, thermometer_noise_variance
-from repro.experiments.common import ExperimentBundle, get_pretrained_bundle
+from repro.experiments.common import ExperimentBundle
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.runner.spec import stable_seed
-from repro.experiments.table1 import _require_engine_only, run_gbo_stage
-from repro.sim import SimConfig
+from repro.experiments.table1 import run_gbo_stage
 from repro.tensor.random import RandomState
 from repro.training.evaluate import noisy_accuracy
 from repro.utils.logging import get_logger
@@ -160,28 +159,6 @@ def assemble_encoding_ablation(
     return result
 
 
-def run_encoding_ablation(
-    profile: Optional[ExperimentProfile] = None,
-    bundle: Optional[ExperimentBundle] = None,
-    sigmas: Optional[Sequence[float]] = None,
-    workers: int = 0,
-    store=None,
-    sim: Optional[SimConfig] = None,
-) -> EncodingAblationResult:
-    """A1: compare thermometer coding and bit slicing end to end.
-
-    ``sim`` carries the scenario-wide engine pin.
-    """
-    from repro.experiments.runner.executor import run_grid
-
-    engine = _require_engine_only(sim, "sim=")
-    bundle = bundle or get_pretrained_bundle(profile)
-    profile = profile or bundle.profile
-    grid = encoding_ablation_grid(profile, sigmas=sigmas, engine=engine)
-    outcome = run_grid(grid, workers=workers, store=store, bundle=bundle)
-    return assemble_encoding_ablation(grid, outcome.results, bundle)
-
-
 # ---------------------------------------------------------------------------
 # A2 — PLA approximation error
 # ---------------------------------------------------------------------------
@@ -279,38 +256,6 @@ def assemble_pla_error(grid, results: Mapping[str, Mapping[str, Any]]) -> List[P
     return rows
 
 
-def run_pla_error_ablation(
-    pulse_counts: Sequence[int] = (4, 6, 8, 10, 12, 14, 16),
-    levels: int = 9,
-    num_samples: int = 4096,
-    saturation: float = 0.6,
-    seed: int = 0,
-    workers: int = 0,
-    store=None,
-    sim: Optional[SimConfig] = None,
-) -> List[PLAErrorRow]:
-    """A2: representation error of PLA re-encoding.
-
-    Synthetic activations are drawn from a saturating distribution (a
-    fraction ``saturation`` of the mass at exactly +-1, the rest uniform over
-    the quantisation grid), mimicking the BN + Tanh statistics the paper's
-    PLA relies on, and the mean absolute re-encoding error is reported for
-    both rounding modes.  ``sim`` is accepted for driver-interface
-    uniformity (PLA re-encoding involves no crossbar reads).
-    """
-    from repro.experiments.runner.executor import run_grid
-
-    grid = pla_error_grid(
-        pulse_counts=pulse_counts,
-        levels=levels,
-        num_samples=num_samples,
-        saturation=saturation,
-        seed=seed,
-    )
-    outcome = run_grid(grid, workers=workers, store=store)
-    return assemble_pla_error(grid, outcome.results)
-
-
 # ---------------------------------------------------------------------------
 # A3 — gamma trade-off
 # ---------------------------------------------------------------------------
@@ -403,35 +348,3 @@ def assemble_gamma_tradeoff(
             )
         )
     return rows
-
-
-def run_gamma_tradeoff(
-    gammas: Sequence[float],
-    sigma: Optional[float] = None,
-    profile: Optional[ExperimentProfile] = None,
-    bundle: Optional[ExperimentBundle] = None,
-    workers: int = 0,
-    store=None,
-    sim: Optional[SimConfig] = None,
-    gbo_sim: Optional[SimConfig] = None,
-) -> List[GammaTradeoffRow]:
-    """A3: sweep the latency weight gamma of the GBO objective (Eq. 6).
-
-    Larger gamma should push the selected schedules towards fewer pulses
-    (lower latency, more noise, lower accuracy) — the trade-off the paper's
-    two GBO rows per noise level sample at two points.  ``gbo_sim``
-    optionally pins a simulation engine for the GBO trainings and ``sim``
-    for everything each scenario runs (``None`` follows the one
-    engine-resolution rule).
-    """
-    from repro.experiments.runner.executor import run_grid
-
-    engine = _require_engine_only(sim, "sim=")
-    gbo_engine = _require_engine_only(gbo_sim, "gbo_sim=")
-    bundle = bundle or get_pretrained_bundle(profile)
-    profile = profile or bundle.profile
-    grid = gamma_tradeoff_grid(
-        profile, gammas=gammas, sigma=sigma, engine=engine, gbo_engine=gbo_engine
-    )
-    outcome = run_grid(grid, workers=workers, store=store, bundle=bundle)
-    return assemble_gamma_tradeoff(grid, outcome.results)

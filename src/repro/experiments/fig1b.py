@@ -144,50 +144,3 @@ def assemble_fig1b(grid, results: Mapping[str, Mapping[str, Any]]) -> Fig1bResul
         thermometer=[row["thermometer"] for row in ordered],
         monte_carlo=monte_carlo,
     )
-
-
-def run_fig1b(
-    bit_range: Sequence[int] = range(1, 9),
-    monte_carlo_bits: Sequence[int] = (2, 3),
-    sigma: float = 1.0,
-    num_trials: int = 200,
-    seed: int = 0,
-    workers: int = 0,
-    store=None,
-    sim=None,
-) -> Fig1bResult:
-    """Compute the Fig. 1(b) series and Monte-Carlo validation points.
-
-    Parameters
-    ----------
-    bit_range:
-        Information bit widths to evaluate (the paper plots 1..8).
-    monte_carlo_bits:
-        Bit widths at which to empirically validate the formulas with the
-        full crossbar + encoder simulation (kept small: thermometer coding
-        at ``b`` bits needs ``2^b - 1`` simulated pulses per MVM).
-    sigma:
-        Per-pulse noise standard deviation.
-    num_trials:
-        Monte-Carlo trials per validation point.
-    sim:
-        Simulation config for the Monte-Carlo validation's crossbar reads;
-        ``None`` follows the one engine-resolution rule.  The analytic
-        series is engine-independent.
-    workers / store:
-        Scenario-runner execution controls (see
-        :func:`repro.experiments.runner.run_grid`).
-    """
-    from repro.experiments.runner.executor import run_grid
-    from repro.experiments.table1 import _require_engine_only
-
-    grid = fig1b_grid(
-        bit_range=bit_range,
-        monte_carlo_bits=monte_carlo_bits,
-        sigma=sigma,
-        num_trials=num_trials,
-        seed=seed,
-        engine=_require_engine_only(sim, "sim="),
-    )
-    outcome = run_grid(grid, workers=workers, store=store)
-    return assemble_fig1b(grid, outcome.results)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.noise_sensitivity import LayerSensitivity
-from repro.experiments.common import ExperimentBundle, get_pretrained_bundle
+from repro.experiments.common import ExperimentBundle
 from repro.experiments.profiles import ExperimentProfile
-from repro.sim import SimConfig, configure
+from repro.sim import configure
 from repro.training.evaluate import evaluate_accuracy
 
 
@@ -151,47 +151,3 @@ def assemble_fig2(
             for row in rows
         ],
     )
-
-
-def run_fig2(
-    profile: Optional[ExperimentProfile] = None,
-    bundle: Optional[ExperimentBundle] = None,
-    sigma: Optional[float] = None,
-    workers: int = 0,
-    store=None,
-    sim: Optional[SimConfig] = None,
-) -> Fig2Result:
-    """Run the layer-wise sensitivity analysis on the pre-trained model.
-
-    Parameters
-    ----------
-    profile:
-        Experiment profile (ignored when an explicit ``bundle`` is passed).
-    bundle:
-        Reuse an already pre-trained bundle (the benchmark harness shares one
-        bundle across all experiments).
-    sigma:
-        Noise level for the injected layer; defaults to the middle entry of
-        the profile's sigma sweep, matching the "moderate noise" setting of
-        the paper's Fig. 2.
-    sim:
-        Simulation config for the evaluations; ``None`` follows the one
-        engine-resolution rule.
-    workers / store:
-        Scenario-runner execution controls (see
-        :func:`repro.experiments.runner.run_grid`).
-    """
-    from repro.experiments.runner.executor import run_grid
-    from repro.experiments.table1 import _require_engine_only
-
-    engine = _require_engine_only(sim, "sim=")
-    bundle = bundle or get_pretrained_bundle(profile)
-    profile = profile or bundle.profile
-    grid = fig2_grid(
-        profile,
-        sigma=sigma,
-        num_layers=bundle.model.num_encoded_layers(),
-        engine=engine,
-    )
-    outcome = run_grid(grid, workers=workers, store=store, bundle=bundle)
-    return assemble_fig2(grid, outcome.results, bundle)

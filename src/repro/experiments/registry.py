@@ -1,18 +1,19 @@
-"""Registry mapping experiment identifiers to their grids and drivers.
+"""Registry mapping experiment identifiers to their grids and assemblers.
 
 Provides a single place where the paper's tables and figures are indexed
 in code; the benchmark harness, the examples and the
 ``python -m repro.experiments`` CLI iterate over this registry so nothing
 falls out of sync.
 
-Every entry exposes three faces of the same experiment:
-
-* ``runner`` — the classic driver (``run_table1`` etc.), which itself builds
-  a grid and executes it on the scenario runner;
-* ``grid`` — the grid factory, for callers that drive the runner directly
-  (the CLI, the runner benchmark, the resume/parallel tests);
-* ``assemble`` — folds a grid's raw scenario results back into the driver's
-  result dataclass, so a report can be rebuilt from the result store alone.
+An experiment is run one way: its ``grid`` factory builds the scenarios,
+:func:`~repro.experiments.runner.executor.run_grid` executes them (serially,
+on local workers, or from the result store) and its ``assemble`` folds the
+raw scenario results back into the experiment's result dataclass.
+:func:`run_experiment` does the three steps for the registered grid; a
+caller that wants other arguments (custom sigmas, a shorter sweep) builds
+the grid with them and runs the same three steps.  Because assembly reads
+only the grid and the results, a report can be rebuilt from the result
+store alone.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Set
 from repro.experiments import ablations
 from repro.experiments.common import ExperimentBundle, get_pretrained_bundle
 from repro.experiments.runner.scenarios import needs_bundle as _runner_needs_bundle
-from repro.experiments.fig1b import assemble_fig1b, fig1b_grid, run_fig1b
-from repro.experiments.fig2 import assemble_fig2, fig2_grid, run_fig2
+from repro.experiments.fig1b import assemble_fig1b, fig1b_grid
+from repro.experiments.fig2 import assemble_fig2, fig2_grid
 from repro.experiments.profiles import ExperimentProfile
-from repro.experiments.table1 import assemble_table1, run_table1, table1_grid
-from repro.experiments.table2 import assemble_table2, run_table2, table2_grid
+from repro.experiments.table1 import assemble_table1, table1_grid
+from repro.experiments.table2 import assemble_table2, table2_grid
 
 
 @dataclass(frozen=True)
@@ -37,14 +38,13 @@ class ExperimentSpec:
     identifier: str
     paper_reference: str
     description: str
-    runner: Callable
     benchmark: str
     #: Grid factory: ``grid(profile)`` -> the experiment's default grid.
     #: Profile-less experiments (fig1b, A2) ignore the argument.
-    grid: Optional[Callable[[Optional[ExperimentProfile]], Any]] = None
-    #: ``assemble(grid, results, bundle)`` -> the driver's result object;
+    grid: Callable[[Optional[ExperimentProfile]], Any]
+    #: ``assemble(grid, results, bundle)`` -> the experiment's result object;
     #: ``bundle`` may be None for profile-less experiments.
-    assemble: Optional[Callable[[Any, Mapping[str, Any], Any], Any]] = None
+    assemble: Callable[[Any, Mapping[str, Any], Any], Any]
     #: Whether scenarios need a pre-trained model bundle.
     needs_bundle: bool = True
     #: Renders the assembled result for terminals (falls back to
@@ -58,22 +58,6 @@ def _fig1b_grid(profile=None):
 
 def _fig1b_assemble(grid, results, bundle=None):
     return assemble_fig1b(grid, results)
-
-
-def _fig2_grid(profile=None):
-    return fig2_grid(profile)
-
-
-def _table1_grid(profile=None):
-    return table1_grid(profile)
-
-
-def _table2_grid(profile=None):
-    return table2_grid(profile)
-
-
-def _encoding_grid(profile=None):
-    return ablations.encoding_ablation_grid(profile)
 
 
 def _pla_error_grid(profile=None):
@@ -125,7 +109,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         identifier="fig1b",
         paper_reference="Figure 1(b)",
         description="Noise variance of bit slicing vs thermometer coding versus bit width",
-        runner=run_fig1b,
         benchmark="benchmarks/test_bench_fig1b_noise_variance.py",
         grid=_fig1b_grid,
         assemble=_fig1b_assemble,
@@ -136,9 +119,8 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         needs_bundle=_runner_needs_bundle("fig2"),
         paper_reference="Figure 2",
         description="Layer-wise noise sensitivity of the pre-trained VGG9",
-        runner=run_fig2,
         benchmark="benchmarks/test_bench_fig2_sensitivity.py",
-        grid=_fig2_grid,
+        grid=fig2_grid,
         assemble=assemble_fig2,
     ),
     "table1": ExperimentSpec(
@@ -146,9 +128,8 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         needs_bundle=_runner_needs_bundle("table1"),
         paper_reference="Table I",
         description="Baseline / PLA-n / GBO accuracy under three noise levels",
-        runner=run_table1,
         benchmark="benchmarks/test_bench_table1_gbo.py",
-        grid=_table1_grid,
+        grid=table1_grid,
         assemble=assemble_table1,
     ),
     "table2": ExperimentSpec(
@@ -156,9 +137,8 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         needs_bundle=_runner_needs_bundle("table2"),
         paper_reference="Table II",
         description="Synergy of GBO with noise-injection adaptation (NIA)",
-        runner=run_table2,
         benchmark="benchmarks/test_bench_table2_nia_synergy.py",
-        grid=_table2_grid,
+        grid=table2_grid,
         assemble=assemble_table2,
     ),
     "ablation_encoding": ExperimentSpec(
@@ -166,9 +146,8 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         needs_bundle=_runner_needs_bundle("ablation_encoding"),
         paper_reference="Section II-B (ablation A1)",
         description="End-to-end accuracy of thermometer vs bit-slicing encodings",
-        runner=ablations.run_encoding_ablation,
         benchmark="benchmarks/test_bench_ablation_encoding.py",
-        grid=_encoding_grid,
+        grid=ablations.encoding_ablation_grid,
         assemble=ablations.assemble_encoding_ablation,
         formatter=_format_encoding_result,
     ),
@@ -176,7 +155,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         identifier="ablation_pla_error",
         paper_reference="Section III-B (ablation A2)",
         description="PLA approximation error versus pulse count and rounding mode",
-        runner=ablations.run_pla_error_ablation,
         benchmark="benchmarks/test_bench_ablation_pla_error.py",
         grid=_pla_error_grid,
         assemble=_pla_error_assemble,
@@ -188,7 +166,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         needs_bundle=_runner_needs_bundle("ablation_gamma"),
         paper_reference="Eq. 6 (ablation A3)",
         description="Latency/accuracy trade-off as the GBO gamma is swept",
-        runner=ablations.run_gamma_tradeoff,
         benchmark="benchmarks/test_bench_ablation_gamma.py",
         grid=_gamma_grid,
         assemble=_gamma_assemble,
@@ -277,8 +254,8 @@ def run_experiment(
 ):
     """Run one registered experiment through the scenario runner.
 
-    Returns ``(assembled result, GridRunResult)``.  This is the CLI's and
-    the examples' entry point: grid construction, execution (serial,
+    Returns ``(assembled result, GridRunResult)``.  This is the entry point
+    of the CLI, the examples and the reproduction benchmarks: grid construction, execution (serial,
     parallel or resumed) and assembly all flow through the registry so every
     consumer sees the same scenarios.  ``batch`` (default on) lets the
     serial path stack compatible sibling ``api_eval`` scenarios into one
@@ -315,10 +292,10 @@ def registered_spec_hashes(
     (default: the unpinned grid plus one pin per registered engine) of every
     experiment's default grid.  This is the result-store GC's notion of
     "live": entries outside it — stale spec schemas, retuned grids, but
-    also ad-hoc sweeps run through driver kwargs (custom ``sigmas=``,
-    profile overrides, ...) that no registered grid reproduces — are
-    treated as prunable.  Callers keeping ad-hoc results should gc with
-    ``--dry-run`` first, or not at all.
+    also results of grids built with non-default arguments (custom
+    ``sigmas=``, profile overrides, ...) that no registered grid
+    reproduces — are treated as prunable.  Callers keeping such results
+    should gc with ``--dry-run`` first, or not at all.
     """
     from repro.backend import available_engines
     from repro.experiments.profiles import PROFILES

@@ -1,6 +1,6 @@
 """Markdown report generation for experiment results.
 
-Turns the result dataclasses of the experiment drivers into markdown
+Turns the assembled result dataclasses of the experiments into markdown
 tables, so the documented numbers can be
 regenerated mechanically from a benchmark run instead of being copied by
 hand.

@@ -20,8 +20,8 @@ scenarios.  This subsystem turns that grid into data:
   bit-identically; both paths call the same
   :func:`~repro.experiments.runner.executor.execute_pending` core.
 
-The five experiment drivers (``fig1b``, ``fig2``, ``table1``, ``table2``,
-``ablations``) are expressed as grids on this runner; see
+Every experiment (``fig1b``, ``fig2``, ``table1``, ``table2`` and the three
+``ablations``) is a grid on this runner plus an assembler; see
 :mod:`repro.experiments.registry` for the index and
 ``python -m repro.experiments`` for the CLI.
 """

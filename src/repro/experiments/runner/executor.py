@@ -1,7 +1,8 @@
 """Grid execution: serial oracle, local lease-based workers, and cached resume.
 
-:func:`run_grid` is the single entry point every experiment driver, the
-benchmark harness and the ``python -m repro.experiments`` CLI go through.
+:func:`run_grid` is the single entry point every experiment (through
+:func:`repro.experiments.registry.run_experiment`), the benchmark harness and
+the ``python -m repro.experiments`` CLI go through.
 
 Execution modes
 ---------------
@@ -130,8 +131,8 @@ def execute_pending(
 
 
 def restore_bundles(bundles: Iterable[Any]) -> None:
-    """Leave shared models as the drivers always have: at the pre-trained
-    snapshot, trainable, in the clean baseline config."""
+    """Leave shared models at the pre-trained snapshot, trainable, in the
+    clean baseline config."""
     for bundle in bundles:
         bundle.restore_pretrained()
         bundle.model.requires_grad_(True)

@@ -1,6 +1,6 @@
 """Experiment E3 — Table I: Baseline vs PLA-n vs GBO on the VGG9 network.
 
-For each noise level the driver evaluates
+For each noise level the grid evaluates
 
 * the 8-pulse baseline,
 * uniform PLA schedules with 10/12/14/16 pulses per layer,
@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.core.gbo import GBOConfig, GBOTrainer
 from repro.core.schedule import PulseSchedule
 from repro.core.search_space import PulseScalingSpace
-from repro.experiments.common import ExperimentBundle, get_pretrained_bundle
+from repro.experiments.common import ExperimentBundle
 from repro.experiments.profiles import ExperimentProfile
 from repro.sim import SimConfig, apply_config
 from repro.training.evaluate import noisy_accuracy
@@ -304,86 +304,3 @@ def assemble_table1(
             )
         )
     return result
-
-
-def _require_engine_only(config: Optional[SimConfig], name: str) -> Optional[str]:
-    """A driver sim config's engine pin; reject anything beyond it.
-
-    A driver's scenarios derive mode/pulses/noise from the experiment's own
-    grid definition (that is what makes their hashes the experiment's
-    identity), so a ``sim=`` with, say, a custom ``noise_sigma`` cannot be
-    honoured — failing loudly beats silently running the default
-    configuration and caching it under the default keys.
-    """
-    if config is None:
-        return None
-    ignored = config.with_changes(engine=None)
-    if ignored != SimConfig():
-        raise ValueError(
-            f"{name} carries fields beyond an engine pin ({ignored}); driver "
-            f"scenarios derive mode/pulses/noise from their grid — use the "
-            f"drivers' sigma arguments, profile overrides, or attach full "
-            f"configs per spec via ScenarioSpec.create(sim=...)"
-        )
-    return config.engine
-
-
-def run_table1(
-    profile: Optional[ExperimentProfile] = None,
-    bundle: Optional[ExperimentBundle] = None,
-    sigmas: Optional[Sequence[float]] = None,
-    pla_pulse_counts: Sequence[int] = (10, 12, 14, 16),
-    include_gbo: bool = True,
-    workers: int = 0,
-    store=None,
-    sim: Optional[SimConfig] = None,
-    gbo_sim: Optional[SimConfig] = None,
-) -> Table1Result:
-    """Reproduce Table I on the profile's pre-trained model.
-
-    Parameters
-    ----------
-    profile / bundle:
-        Experiment scale; an explicit ``bundle`` reuses a shared pre-trained
-        model.
-    sigmas:
-        Noise levels to sweep; defaults to the profile's sigma list (each is
-        paired positionally with the paper's sigma of the same rank for the
-        reference columns).
-    pla_pulse_counts:
-        Uniform PLA schedules to evaluate.
-    include_gbo:
-        Allow skipping the (expensive) GBO rows, used by smoke tests.
-    sim:
-        Engine pin for everything each scenario runs; the pin enters every
-        spec's identity.  The config may carry nothing beyond its engine —
-        scenario mode/pulses/noise come from the grid.  ``None`` follows
-        the one resolution rule (profile backend, else ``"vectorized"``).
-    gbo_sim:
-        Engine pin for the GBO training stage only; ``None`` keeps the
-        scenario's engine.  The GBO stage dominates the driver's runtime,
-        so pinning ``"vectorized"`` here folds every candidate mixture into
-        one batched read.
-    workers / store:
-        Scenario-runner execution controls (see
-        :func:`repro.experiments.runner.run_grid`).
-    """
-    from repro.experiments.runner.executor import run_grid
-
-    engine = _require_engine_only(sim, "sim=")
-    gbo_engine = _require_engine_only(gbo_sim, "gbo_sim=")
-    bundle = bundle or get_pretrained_bundle(profile)
-    # Grids are built from the *requested* profile: the bundle cache aliases
-    # profiles differing only in eval-only fields, so bundle.profile may
-    # lack the caller's overrides.
-    profile = profile or bundle.profile
-    grid = table1_grid(
-        profile,
-        sigmas=sigmas,
-        pla_pulse_counts=pla_pulse_counts,
-        include_gbo=include_gbo,
-        engine=engine,
-        gbo_engine=gbo_engine,
-    )
-    outcome = run_grid(grid, workers=workers, store=store, bundle=bundle)
-    return assemble_table1(grid, outcome.results, bundle)

@@ -27,19 +27,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.nia import NIAConfig, NIATrainer
 from repro.core.schedule import PulseSchedule
-from repro.experiments.common import (
-    ExperimentBundle,
-    build_loaders,
-    get_pretrained_bundle,
-    profile_token,
-)
+from repro.experiments.common import ExperimentBundle, build_loaders, profile_token
 from repro.experiments.profiles import ExperimentProfile
-from repro.experiments.table1 import (
-    _paper_sigma_for,
-    _require_engine_only,
-    grid_sigma_rank,
-    run_gbo_stage,
-)
+from repro.experiments.table1 import _paper_sigma_for, grid_sigma_rank, run_gbo_stage
 from repro.sim import SimConfig, apply_config
 from repro.training.evaluate import noisy_accuracy
 from repro.utils.logging import get_logger
@@ -294,53 +284,3 @@ def assemble_table2(
             )
         )
     return result
-
-
-def run_table2(
-    profile: Optional[ExperimentProfile] = None,
-    bundle: Optional[ExperimentBundle] = None,
-    sigmas: Optional[Sequence[float]] = None,
-    nia_pla_pulses: int = 10,
-    gbo_gamma: Optional[float] = None,
-    workers: int = 0,
-    store=None,
-    sim: Optional[SimConfig] = None,
-    gbo_sim: Optional[SimConfig] = None,
-) -> Table2Result:
-    """Reproduce Table II on the profile's pre-trained model.
-
-    Every method starts from the same pre-trained weights (each scenario
-    restores the snapshot), mirroring the paper's protocol.
-
-    Parameters
-    ----------
-    gbo_gamma:
-        Latency weight used for the GBO and NIA+GBO rows.  Defaults to a
-        fifth of the profile's ``gamma_long`` (see :func:`table2_grid`).
-    sim:
-        Engine pin for everything each scenario runs (the config may carry
-        nothing beyond its engine — scenario mode/pulses/noise come from
-        the grid); ``None`` follows the one engine-resolution rule.
-    gbo_sim:
-        Engine pin for the GBO training stage of the GBO and NIA+GBO rows;
-        ``None`` keeps the scenario's engine.
-    workers / store:
-        Scenario-runner execution controls (see
-        :func:`repro.experiments.runner.run_grid`).
-    """
-    from repro.experiments.runner.executor import run_grid
-
-    engine = _require_engine_only(sim, "sim=")
-    gbo_engine = _require_engine_only(gbo_sim, "gbo_sim=")
-    bundle = bundle or get_pretrained_bundle(profile)
-    profile = profile or bundle.profile
-    grid = table2_grid(
-        profile,
-        sigmas=sigmas,
-        nia_pla_pulses=nia_pla_pulses,
-        gbo_gamma=gbo_gamma,
-        engine=engine,
-        gbo_engine=gbo_engine,
-    )
-    outcome = run_grid(grid, workers=workers, store=store, bundle=bundle)
-    return assemble_table2(grid, outcome.results, bundle)

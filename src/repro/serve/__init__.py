@@ -2,7 +2,7 @@
 
 A long-lived concurrent evaluation server for the crossbar simulator: keep
 the pre-trained models warm and answer many evaluation requests instead of
-paying model construction and pre-training per driver invocation.
+paying model construction and pre-training per experiment run.
 
 The whole design rides on one identity: **a request is its scenario spec,
 and the spec's content hash is the request key** (the same hash that keys

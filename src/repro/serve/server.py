@@ -33,7 +33,7 @@ import json
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Set
 
 from repro.experiments.runner.store import ResultStore, default_store
 from repro.serve.coalescer import RequestTable
@@ -282,6 +282,7 @@ class EvalServer:
     def __init__(self, service: EvalService):
         self.service = service
         self._server: Optional[asyncio.AbstractServer] = None
+        self._clients: Set[asyncio.Task] = set()
 
     @property
     def sockets(self):
@@ -291,12 +292,17 @@ class EvalServer:
         self.service.start()
         config = self.service.config
         self._server = await asyncio.start_server(
-            self._handle_client, host=config.host, port=config.port
+            self._accept, host=config.host, port=config.port
         )
 
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            # End open connections here, before the service stops, rather
+            # than leave them to the event loop's teardown.
+            for task in self._clients:
+                task.cancel()
+            await asyncio.gather(*self._clients, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self.service.stop()
@@ -306,6 +312,20 @@ class EvalServer:
             await self.start()
         async with self._server:
             await self._server.serve_forever()
+
+    def _accept(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        # The server owns each connection's task.  Given a coroutine
+        # function instead, asyncio makes the task itself and adds a
+        # done-callback that calls ``task.exception()``, which raises on a
+        # cancelled task and prints a traceback at Ctrl-C (Python 3.11).
+        task = asyncio.get_running_loop().create_task(self._handle_client(reader, writer))
+        self._clients.add(task)
+        task.add_done_callback(self._forget)
+
+    def _forget(self, task: asyncio.Task) -> None:
+        self._clients.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            LOGGER.error("client connection failed", exc_info=task.exception())
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

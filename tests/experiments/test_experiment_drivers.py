@@ -1,8 +1,8 @@
-"""Tests for profiles, the shared bundle machinery and the experiment drivers.
+"""Tests for profiles, the shared bundle machinery and the experiments.
 
-All drivers are exercised on the ``smoke`` profile (tiny MLP) so the full
-suite stays fast; the benchmark harness runs the same drivers at the ``fast``
-profile scale.
+Every experiment runs its grid through ``run_grid`` and its assembler, on
+the ``smoke`` profile (tiny MLP) so the full suite stays fast; the benchmark
+harness runs the same grids at the ``fast`` profile scale.
 """
 
 import numpy as np
@@ -15,20 +15,41 @@ from repro.experiments import (
     describe_experiments,
     get_profile,
     get_pretrained_bundle,
-    run_fig1b,
-    run_fig2,
-    run_table1,
-    run_table2,
+    run_experiment,
 )
 from repro.experiments.ablations import (
-    run_encoding_ablation,
-    run_gamma_tradeoff,
-    run_pla_error_ablation,
+    assemble_encoding_ablation,
+    assemble_gamma_tradeoff,
+    assemble_pla_error,
+    encoding_ablation_grid,
+    gamma_tradeoff_grid,
+    pla_error_grid,
 )
 from repro.experiments.common import build_loaders, build_model, clear_bundle_cache
+from repro.experiments.fig1b import assemble_fig1b, fig1b_grid
 from repro.experiments.profiles import PROFILES, ExperimentProfile
-from repro.experiments.table1 import PAPER_TABLE1
-from repro.experiments.table2 import PAPER_TABLE2
+from repro.experiments.runner import run_grid
+from repro.experiments.table1 import PAPER_TABLE1, assemble_table1, table1_grid
+from repro.experiments.table2 import PAPER_TABLE2, assemble_table2, table2_grid
+
+
+def _results(grid, bundle=None):
+    return run_grid(grid, bundle=bundle).results
+
+
+def _fig1b(**grid_kwargs):
+    grid = fig1b_grid(**grid_kwargs)
+    return assemble_fig1b(grid, _results(grid))
+
+
+def _table1(bundle, **grid_kwargs):
+    grid = table1_grid(bundle.profile, **grid_kwargs)
+    return assemble_table1(grid, _results(grid, bundle), bundle)
+
+
+def _table2(bundle, **grid_kwargs):
+    grid = table2_grid(bundle.profile, **grid_kwargs)
+    return assemble_table2(grid, _results(grid, bundle), bundle)
 
 
 @pytest.fixture(scope="module")
@@ -96,31 +117,31 @@ class TestBuilders:
 
 class TestFig1b:
     def test_series_structure(self):
-        result = run_fig1b(bit_range=range(1, 7), monte_carlo_bits=(2,), num_trials=50)
+        result = _fig1b(bit_range=range(1, 7), monte_carlo_bits=(2,), num_trials=50)
         assert len(result.bits) == 6
         assert result.bit_slicing[0] == pytest.approx(1.0)
         assert result.thermometer[0] == pytest.approx(1.0)
         assert "bit_slicing" in result.monte_carlo
 
     def test_thermometer_more_robust(self):
-        result = run_fig1b(monte_carlo_bits=())
+        result = _fig1b(monte_carlo_bits=())
         for slicing, thermo in zip(result.bit_slicing[1:], result.thermometer[1:]):
             assert thermo < slicing
 
     def test_monte_carlo_close_to_analytic(self):
-        result = run_fig1b(bit_range=range(1, 4), monte_carlo_bits=(2,), num_trials=300)
+        result = _fig1b(bit_range=range(1, 4), monte_carlo_bits=(2,), num_trials=300)
         analytic = result.thermometer[1]
         empirical = result.monte_carlo["thermometer"][2]
         assert empirical == pytest.approx(analytic, rel=0.3)
 
     def test_format_table(self):
-        text = run_fig1b(monte_carlo_bits=()).format_table()
+        text = _fig1b(monte_carlo_bits=()).format_table()
         assert "bit-slicing" in text and "thermometer" in text
 
 
 class TestFig2:
     def test_sensitivity_rows(self, smoke_bundle):
-        result = run_fig2(bundle=smoke_bundle)
+        result = run_experiment("fig2", bundle=smoke_bundle)[0]
         assert len(result.sensitivities) == smoke_bundle.model.num_encoded_layers()
         assert result.sigma in smoke_bundle.profile.sigmas
         assert 0.0 <= result.most_sensitive_layer().accuracy <= 100.0
@@ -130,8 +151,8 @@ class TestFig2:
 
 class TestTable1:
     def test_rows_without_gbo(self, smoke_bundle):
-        result = run_table1(
-            bundle=smoke_bundle,
+        result = _table1(
+            smoke_bundle,
             sigmas=[smoke_bundle.profile.sigmas[0]],
             pla_pulse_counts=[16],
             include_gbo=False,
@@ -144,8 +165,8 @@ class TestTable1:
         assert "Baseline" in result.format_table()
 
     def test_rows_with_gbo(self, smoke_bundle):
-        result = run_table1(
-            bundle=smoke_bundle,
+        result = _table1(
+            smoke_bundle,
             sigmas=[smoke_bundle.profile.sigmas[-1]],
             pla_pulse_counts=[],
             include_gbo=True,
@@ -158,8 +179,8 @@ class TestTable1:
         assert all(p.requires_grad for p in smoke_bundle.model.parameters())
 
     def test_row_lookup_missing(self, smoke_bundle):
-        result = run_table1(
-            bundle=smoke_bundle, sigmas=[smoke_bundle.profile.sigmas[0]],
+        result = _table1(
+            smoke_bundle, sigmas=[smoke_bundle.profile.sigmas[0]],
             pla_pulse_counts=[], include_gbo=False,
         )
         with pytest.raises(KeyError):
@@ -169,7 +190,7 @@ class TestTable1:
 class TestTable2:
     def test_all_methods_present(self, smoke_bundle):
         sigma = smoke_bundle.profile.sigmas[0]
-        result = run_table2(bundle=smoke_bundle, sigmas=[sigma])
+        result = _table2(smoke_bundle, sigmas=[sigma])
         methods = {row.method for row in result.rows_for_sigma(sigma)}
         assert methods == {"Baseline", "NIA", "GBO", "NIA+GBO", "NIA+PLA"}
         nia_row = result.row("NIA", sigma)
@@ -178,7 +199,7 @@ class TestTable2:
 
     def test_model_restored_to_pretrained_after_run(self, smoke_bundle):
         state_before = smoke_bundle.pretrained_state()
-        run_table2(bundle=smoke_bundle, sigmas=[smoke_bundle.profile.sigmas[0]])
+        _table2(smoke_bundle, sigmas=[smoke_bundle.profile.sigmas[0]])
         layer = smoke_bundle.model.encoded_layers()[0]
         assert np.allclose(layer.weight.data, state_before[f"{smoke_bundle.model.encoded_layer_names()[0]}.weight"])
 
@@ -186,29 +207,31 @@ class TestTable2:
 class TestAblations:
     def test_encoding_ablation_thermometer_wins(self, smoke_bundle):
         sigma = smoke_bundle.profile.sigmas[-1]
-        result = run_encoding_ablation(bundle=smoke_bundle, sigmas=[sigma])
+        grid = encoding_ablation_grid(smoke_bundle.profile, sigmas=[sigma])
+        result = assemble_encoding_ablation(grid, _results(grid, smoke_bundle), smoke_bundle)
         assert len(result.rows) == 2
         thermo_row = [r for r in result.rows if r.encoding == "thermometer"][0]
         slicing_row = [r for r in result.rows if r.encoding == "bit_slicing"][0]
         assert thermo_row.effective_noise_std < slicing_row.effective_noise_std
 
     def test_pla_error_ablation_rows(self):
-        rows = run_pla_error_ablation(pulse_counts=(8, 10, 16))
+        grid = pla_error_grid(pulse_counts=(8, 10, 16))
+        rows = assemble_pla_error(grid, _results(grid))
         assert len(rows) == 6
         exact = [r for r in rows if r.num_pulses in (8, 16)]
         assert all(r.mean_abs_error < 1e-12 or r.num_pulses == 10 for r in exact)
 
     def test_gamma_tradeoff_rows(self, smoke_bundle):
-        rows = run_gamma_tradeoff(gammas=[1e-4, 1.0], bundle=smoke_bundle)
+        grid = gamma_tradeoff_grid(smoke_bundle.profile, gammas=[1e-4, 1.0])
+        rows = assemble_gamma_tradeoff(grid, _results(grid, smoke_bundle))
         assert len(rows) == 2
         # The huge-gamma run must not select a longer schedule than the tiny-gamma run.
         assert rows[1].average_pulses <= rows[0].average_pulses + 1e-9
 
 
 class TestRegistry:
-    def test_every_experiment_has_benchmark_and_runner(self):
+    def test_every_experiment_has_benchmark(self):
         for spec in EXPERIMENTS.values():
-            assert callable(spec.runner)
             assert spec.benchmark.startswith("benchmarks/")
 
     def test_describe_lists_all(self):

@@ -8,7 +8,6 @@ serial oracle exactly, and (3) execution order within a grid is irrelevant.
 
 from __future__ import annotations
 
-import inspect
 import json
 import multiprocessing
 import os
@@ -168,15 +167,6 @@ class TestRegistryCompleteness:
         for spec in EXPERIMENTS.values():
             path = os.path.join(repo_root, spec.benchmark)
             assert os.path.exists(path), f"{spec.identifier}: missing benchmark {spec.benchmark}"
-
-    def test_every_runner_accepts_sim_pin(self):
-        """Every registered runner takes its engine pin as ``sim=SimConfig(...)``."""
-        for spec in EXPERIMENTS.values():
-            parameters = inspect.signature(spec.runner).parameters
-            assert "sim" in parameters, f"{spec.identifier}: runner lacks sim="
-            assert "engine" not in parameters, f"{spec.identifier}: runner takes engine="
-            assert "workers" in parameters, f"{spec.identifier}: runner lacks workers="
-            assert "store" in parameters, f"{spec.identifier}: runner lacks store="
 
     def test_every_experiment_has_grid_and_assemble(self):
         for spec in EXPERIMENTS.values():
@@ -447,12 +437,14 @@ class TestRunnerEndToEnd:
         assert resumed.cached == len(ok) and resumed.executed == 0
 
     def test_run_experiment_through_registry(self, isolated_cache):
-        """The registry entry point assembles the same result the driver does."""
+        """The registry entry point assembles the same result as the grid's
+        own three steps (grid -> run_grid -> assembler) run without a store."""
         from repro.experiments import run_experiment
-        from repro.experiments.ablations import run_pla_error_ablation
+        from repro.experiments.ablations import assemble_pla_error, pla_error_grid
 
         assembled, outcome = run_experiment("ablation_pla_error", store=isolated_cache)
-        direct = run_pla_error_ablation()
+        grid = pla_error_grid()
+        direct = assemble_pla_error(grid, run_grid(grid).results)
         assert outcome.executed == len(outcome.grid)
         assert [(r.num_pulses, r.mode, r.mean_abs_error) for r in assembled] == [
             (r.num_pulses, r.mode, r.mean_abs_error) for r in direct

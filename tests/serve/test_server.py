@@ -343,6 +343,35 @@ class TestCLI:
                 if _running(pid):
                     os.kill(pid, signal.SIGKILL)
 
+    @pytest.mark.parametrize("workers", ["1", "2"], ids=["workers1", "workers2"])
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+    def test_signal_with_an_open_connection_exits_without_traceback(
+        self, tmp_path, workers, signum
+    ):
+        """Stopping the server while a client is still connected cancels
+        that client's handler; the shutdown must stay quiet and exit 0."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0", "--workers", workers,
+             "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(),
+        )
+        try:
+            host, port = proc.stdout.readline().split()[-1].rsplit(":", 1)
+            sock = socket.create_connection((host, int(port)), timeout=60.0)
+            try:
+                stream = sock.makefile("rw", encoding="utf-8")
+                assert call(stream, {"op": "stats"})["ok"]
+                proc.send_signal(signum)
+                _, stderr = proc.communicate(timeout=60.0)
+            finally:
+                sock.close()
+            assert proc.returncode == 0
+            assert "Traceback" not in stderr, stderr
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
     def test_cli_help_mentions_knobs(self):
         output = subprocess.run(
             [sys.executable, "-m", "repro.serve", "--help"],

@@ -130,19 +130,6 @@ class TestEnginePins:
         # The pin was session-scoped: the layers are unpinned again.
         assert all(l._engine is None for l in model.encoded_layers())
 
-    def test_driver_sim_with_non_engine_fields_is_rejected(self):
-        """A driver cannot honour a custom noise/pulse config — it must
-        refuse loudly instead of silently running (and caching) defaults."""
-        from repro.experiments.table1 import _require_engine_only
-
-        with pytest.raises(ValueError, match="beyond an engine pin"):
-            _require_engine_only(SimConfig(noise_sigma=9.0), "sim=")
-        with pytest.raises(ValueError, match="beyond an engine pin"):
-            _require_engine_only(SimConfig(pulses=4), "gbo_sim=")
-        # An engine-only config passes and yields its pin.
-        assert _require_engine_only(SimConfig(engine="reference"), "sim=") == "reference"
-        assert _require_engine_only(None, "sim=") is None
-
     def test_profile_backend_pins_the_model_engine(self):
         from repro.experiments.common import build_model
         from repro.experiments.profiles import get_profile

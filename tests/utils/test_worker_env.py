@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import ctypes
+import os
 
 import pytest
 
 from repro import worker_env
+
+#: The thread variables as the session had them when this module was collected.
+_SESSION_THREAD_ENV = {name: os.environ.get(name) for name in worker_env.WORKER_THREAD_ENV}
 
 
 def _has_mallopt() -> bool:
@@ -52,6 +56,15 @@ def test_blas_pinned_reads_every_thread_variable(monkeypatch):
     assert not worker_env.blas_pinned()
     with worker_env.worker_threads_pinned():
         assert worker_env.blas_pinned()
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        # Set directly, not through monkeypatch: monkeypatch would record the
+        # pinned "1" as the value to restore and put it back at teardown, for
+        # the rest of the session.  The context manager restores it on exit.
+        os.environ["OPENBLAS_NUM_THREADS"] = "2"
         assert not worker_env.blas_pinned()
     assert not worker_env.blas_pinned()
+
+
+def test_thread_variables_do_not_leak_out_of_the_tests_above():
+    assert {
+        name: os.environ.get(name) for name in worker_env.WORKER_THREAD_ENV
+    } == _SESSION_THREAD_ENV
