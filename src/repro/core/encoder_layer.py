@@ -46,7 +46,6 @@ from repro.nn.module import Parameter
 from repro.quant.activation import ActivationQuantizer, level_grid, level_index, take_levels
 from repro.quant.qat import QuantConv2d, QuantLinear
 from repro.tensor import Tensor, is_grad_enabled
-from repro.tensor import functional as F
 from repro.tensor.dtype import resolve_dtype
 from repro.tensor.functional import softmax
 from repro.tensor.random import RandomState, default_rng
@@ -380,14 +379,7 @@ class EncodedConv2d(QuantConv2d, EncodedLayerMixin):
         return binary_sign(self.weight.data).reshape(self.out_channels, -1)
 
     def _ideal_read(self, encoded: Tensor) -> Tensor:
-        batch, _, height, width = encoded.shape
-        out_h = F.conv_output_size(height, self.kernel_size, self.stride, self.padding)
-        out_w = F.conv_output_size(width, self.kernel_size, self.stride, self.padding)
-        cols = F.im2col_tensor(encoded, self.kernel_size, self.stride, self.padding)
-        kernel_matrix = self.binary_weight().reshape(self.out_channels, -1)
-        out = kernel_matrix.matmul(cols)
-        # im2col orders columns spatial-major (out_h, out_w, batch); undo that.
-        return out.reshape(self.out_channels, out_h, out_w, batch).transpose(3, 0, 1, 2)
+        return self.convolve(encoded, self.binary_weight())
 
     def forward(self, x: Tensor) -> Tensor:
         return self._encoded_forward(x)

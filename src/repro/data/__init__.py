@@ -1,4 +1,4 @@
-"""Data pipeline: datasets, loaders, splits and the synthetic image task.
+"""Data pipeline: datasets, loaders and the synthetic image task.
 
 The reproduction runs offline, where CIFAR-10 cannot be downloaded, so it
 ships :mod:`repro.data.synthetic` — a deterministic procedural generator of
@@ -9,7 +9,6 @@ learnability profile.
 from repro.data.dataset import Dataset, TensorDataset, Subset
 from repro.data.dataloader import DataLoader
 from repro.data.synthetic import SyntheticImageDataset, SyntheticImageConfig, make_synthetic_cifar
-from repro.data.splits import train_val_split
 
 __all__ = [
     "Dataset",
@@ -19,5 +18,4 @@ __all__ = [
     "SyntheticImageDataset",
     "SyntheticImageConfig",
     "make_synthetic_cifar",
-    "train_val_split",
 ]

@@ -1,10 +1,7 @@
 """Activation function layers.
 
 The paper confines activations to ``[-1, 1]`` with a hyperbolic tangent so
-that the 9-level quantiser and the pulse encodings have a bounded range;
-``Tanh`` and the piecewise-linear ``HardTanh`` are therefore the two
-activations used in the reproduction's networks.  ReLU and friends are kept
-for test networks and ablations.
+that the 9-level quantiser and the pulse encodings have a bounded range.
 """
 
 from __future__ import annotations
@@ -21,54 +18,3 @@ class Tanh(Module):
 
     def __repr__(self) -> str:
         return "Tanh()"
-
-
-class HardTanh(Module):
-    """Piecewise-linear saturation into ``[min_val, max_val]``."""
-
-    def __init__(self, min_val: float = -1.0, max_val: float = 1.0):
-        super().__init__()
-        self.min_val = min_val
-        self.max_val = max_val
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.clip(self.min_val, self.max_val)
-
-    def __repr__(self) -> str:
-        return f"HardTanh(min_val={self.min_val}, max_val={self.max_val})"
-
-
-class ReLU(Module):
-    """Elementwise rectified linear unit."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-    def __repr__(self) -> str:
-        return "ReLU()"
-
-
-class LeakyReLU(Module):
-    """ReLU with a small negative-side slope."""
-
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        positive = x.relu()
-        negative = (-((-x).relu())) * self.negative_slope
-        return positive + negative
-
-    def __repr__(self) -> str:
-        return f"LeakyReLU(negative_slope={self.negative_slope})"
-
-
-class Sigmoid(Module):
-    """Elementwise logistic sigmoid."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def __repr__(self) -> str:
-        return "Sigmoid()"

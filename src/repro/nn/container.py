@@ -1,73 +1,9 @@
-"""Container modules: sequential composition, module lists and small utilities."""
+"""Shape utility modules."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List
-
 from repro.nn.module import Module
 from repro.tensor import Tensor
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module):
-        super().__init__()
-        self._order: List[str] = []
-        for index, module in enumerate(modules):
-            name = str(index)
-            self.add_module(name, module)
-            self._order.append(name)
-
-    def append(self, module: Module) -> "Sequential":
-        """Append a module to the end of the chain."""
-        name = str(len(self._order))
-        self.add_module(name, module)
-        self._order.append(name)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules[name] for name in self._order)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for name in self._order:
-            x = self._modules[name](x)
-        return x
-
-
-class ModuleList(Module):
-    """A list of modules whose parameters are registered with the parent."""
-
-    def __init__(self, modules: Iterable[Module] = ()):
-        super().__init__()
-        self._order: List[str] = []
-        for module in modules:
-            self.append(module)
-
-    def append(self, module: Module) -> "ModuleList":
-        """Append a module to the list."""
-        name = str(len(self._order))
-        self.add_module(name, module)
-        self._order.append(name)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules[name] for name in self._order)
-
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError("ModuleList is a container and cannot be called directly")
 
 
 class Flatten(Module):
@@ -78,28 +14,3 @@ class Flatten(Module):
 
     def __repr__(self) -> str:
         return "Flatten()"
-
-
-class Identity(Module):
-    """Pass-through module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-    def __repr__(self) -> str:
-        return "Identity()"
-
-
-class Lambda(Module):
-    """Wrap an arbitrary tensor function as a module (used in tests/examples)."""
-
-    def __init__(self, fn: Callable[[Tensor], Tensor], name: str = "lambda"):
-        super().__init__()
-        self._fn = fn
-        self._name = name
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self._fn(x)
-
-    def __repr__(self) -> str:
-        return f"Lambda({self._name})"

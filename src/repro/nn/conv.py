@@ -66,18 +66,24 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         """Convolve a ``(batch, in_channels, H, W)`` tensor."""
+        out = self.convolve(x, self.weight)
+        if self.bias is not None:
+            out = out + self.bias.reshape(1, self.out_channels, 1, 1)
+        return out
+
+    def convolve(self, x: Tensor, weight: Tensor) -> Tensor:
+        """``x`` convolved with ``weight`` (no bias): one matmul over im2col
+        columns.  The quantised and encoded subclasses pass their binarised
+        weight through this same lowering."""
         batch, _, height, width = x.shape
         out_h = F.conv_output_size(height, self.kernel_size, self.stride, self.padding)
         out_w = F.conv_output_size(width, self.kernel_size, self.stride, self.padding)
 
         cols = F.im2col_tensor(x, self.kernel_size, self.stride, self.padding)
-        kernel_matrix = self.weight.reshape(self.out_channels, -1)
+        kernel_matrix = weight.reshape(self.out_channels, -1)
         out = kernel_matrix.matmul(cols)  # (out_channels, out_h*out_w*batch)
         # im2col orders columns spatial-major (out_h, out_w, batch); undo that.
-        out = out.reshape(self.out_channels, out_h, out_w, batch).transpose(3, 0, 1, 2)
-        if self.bias is not None:
-            out = out + self.bias.reshape(1, self.out_channels, 1, 1)
-        return out
+        return out.reshape(self.out_channels, out_h, out_w, batch).transpose(3, 0, 1, 2)
 
     def __repr__(self) -> str:
         return (

@@ -1,8 +1,8 @@
 """Weight initialisation schemes.
 
 The pre-training recipe of the paper uses standard Kaiming-style
-initialisation for convolutions and Xavier for fully-connected layers; both
-are provided here along with a few simpler schemes used in tests.
+initialisation for convolutions and Xavier for fully-connected layers;
+zeros and ones initialise biases and the batch-norm affine parameters.
 """
 
 from __future__ import annotations
@@ -39,24 +39,6 @@ def kaiming_normal(
     return rng.normal(0.0, std, size=shape)
 
 
-def kaiming_uniform(
-    shape: Tuple[int, ...], gain: float = math.sqrt(2.0), rng: Optional[RandomState] = None
-) -> np.ndarray:
-    """He-uniform initialisation over ``[-bound, bound]``."""
-    rng = rng or default_rng()
-    fan_in, _ = _fan_in_and_fan_out(shape)
-    bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], gain: float = 1.0, rng: Optional[RandomState] = None) -> np.ndarray:
-    """Glorot-normal initialisation: ``N(0, gain^2 * 2/(fan_in+fan_out))``."""
-    rng = rng or default_rng()
-    fan_in, fan_out = _fan_in_and_fan_out(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def xavier_uniform(shape: Tuple[int, ...], gain: float = 1.0, rng: Optional[RandomState] = None) -> np.ndarray:
     """Glorot-uniform initialisation."""
     rng = rng or default_rng()
@@ -73,17 +55,6 @@ def zeros(shape: Tuple[int, ...]) -> np.ndarray:
 def ones(shape: Tuple[int, ...]) -> np.ndarray:
     """All-one initialisation (used for BN scale)."""
     return np.ones(shape, dtype=resolve_dtype())
-
-
-def constant(shape: Tuple[int, ...], value: float) -> np.ndarray:
-    """Constant initialisation."""
-    return np.full(shape, float(value), dtype=resolve_dtype())
-
-
-def normal(shape: Tuple[int, ...], std: float = 0.01, rng: Optional[RandomState] = None) -> np.ndarray:
-    """Plain Gaussian initialisation with the given standard deviation."""
-    rng = rng or default_rng()
-    return rng.normal(0.0, std, size=shape)
 
 
 def fill_(param: Tensor, values: np.ndarray) -> None:

@@ -17,25 +17,3 @@ class CrossEntropyLoss(Module):
 
     def __repr__(self) -> str:
         return "CrossEntropyLoss()"
-
-
-class NLLLoss(Module):
-    """Negative log-likelihood for inputs that are already log-probabilities."""
-
-    def forward(self, log_probs: Tensor, targets: np.ndarray) -> Tensor:
-        return F.nll_loss(log_probs, targets)
-
-    def __repr__(self) -> str:
-        return "NLLLoss()"
-
-
-class MSELoss(Module):
-    """Mean squared error between a prediction and a target tensor."""
-
-    def forward(self, prediction: Tensor, target: Tensor) -> Tensor:
-        target_t = target if isinstance(target, Tensor) else Tensor(target)
-        diff = prediction - target_t
-        return (diff * diff).mean()
-
-    def __repr__(self) -> str:
-        return "MSELoss()"

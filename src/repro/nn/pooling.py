@@ -22,28 +22,3 @@ class MaxPool2d(Module):
 
     def __repr__(self) -> str:
         return f"MaxPool2d(kernel_size={self.kernel_size}, stride={self.stride})"
-
-
-class AvgPool2d(Module):
-    """Average pooling over spatial windows."""
-
-    def __init__(self, kernel_size: int = 2, stride: Optional[int] = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, kernel=self.kernel_size, stride=self.stride)
-
-    def __repr__(self) -> str:
-        return f"AvgPool2d(kernel_size={self.kernel_size}, stride={self.stride})"
-
-
-class GlobalAvgPool2d(Module):
-    """Average over all spatial positions, producing a ``(N, C)`` tensor."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool2d(x)
-
-    def __repr__(self) -> str:
-        return "GlobalAvgPool2d()"

@@ -35,20 +35,6 @@ class LRScheduler:
         return self.optimizer.lr
 
 
-class StepLR(LRScheduler):
-    """Decay the learning rate by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {step_size}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.last_epoch // self.step_size)
-
-
 class MultiStepLR(LRScheduler):
     """Decay the learning rate by ``gamma`` at each epoch in ``milestones``."""
 

@@ -13,7 +13,6 @@ from repro.nn.conv import Conv2d
 from repro.nn.linear import Linear
 from repro.quant.binary import BinaryWeightQuantizer, ScaleMode
 from repro.tensor import Tensor
-from repro.tensor import functional as F
 from repro.tensor.random import RandomState
 
 
@@ -41,14 +40,7 @@ class QuantConv2d(Conv2d):
         return self.quantizer(self.weight)
 
     def forward(self, x: Tensor) -> Tensor:
-        batch, _, height, width = x.shape
-        out_h = F.conv_output_size(height, self.kernel_size, self.stride, self.padding)
-        out_w = F.conv_output_size(width, self.kernel_size, self.stride, self.padding)
-        cols = F.im2col_tensor(x, self.kernel_size, self.stride, self.padding)
-        kernel_matrix = self.binary_weight().reshape(self.out_channels, -1)
-        out = kernel_matrix.matmul(cols)
-        # im2col orders columns spatial-major (out_h, out_w, batch); undo that.
-        out = out.reshape(self.out_channels, out_h, out_w, batch).transpose(3, 0, 1, 2)
+        out = self.convolve(x, self.binary_weight())
         if self.bias is not None:
             out = out + self.bias.reshape(1, self.out_channels, 1, 1)
         return out

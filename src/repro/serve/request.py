@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from threading import Event, Lock
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.experiments.runner.scenarios import needs_bundle
 from repro.experiments.runner.spec import ScenarioSpec
@@ -120,10 +120,11 @@ class RequestRecord:
     """Mutable tracking state for one request key.
 
     One record is shared by every client whose request coalesced onto the
-    key; completion is broadcast through a :class:`threading.Event` so both
-    worker threads and the asyncio front end (via ``run_in_executor``) can
-    wait on it.  All transitions are lock-protected and monotonic
-    (``queued -> running -> done|failed``; ``rejected`` is terminal).
+    key; completion is broadcast through a :class:`threading.Event`, which
+    threads block on (:meth:`wait`), and through done-callbacks, which the
+    asyncio front end uses to wait without parking a thread.  All
+    transitions are lock-protected and monotonic (``queued -> running ->
+    done|failed``; ``rejected`` is terminal).
     """
 
     def __init__(self, request: EvalRequest):
@@ -136,6 +137,7 @@ class RequestRecord:
         self.finished_s: Optional[float] = None
         self._done = Event()
         self._lock = Lock()
+        self._callbacks: List[Callable[[], None]] = []
 
     @property
     def key(self) -> str:
@@ -168,18 +170,40 @@ class RequestRecord:
             self.origin = origin
             self.state = DONE
             self.finished_s = time.perf_counter()
-        self._done.set()
+        self._finish()
 
     def fail(self, error: str, state: str = FAILED) -> None:
         with self._lock:
             self.error = error
             self.state = state
             self.finished_s = time.perf_counter()
+        self._finish()
+
+    def _finish(self) -> None:
         self._done.set()
+        with self._lock:
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the record finishes; ``False`` on timeout."""
         return self._done.wait(timeout)
+
+    def add_done_callback(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once the record finishes: on the finishing
+        thread, or at once if it already has."""
+        with self._lock:
+            if not self._done.is_set():
+                self._callbacks.append(callback)
+                return
+        callback()
+
+    def remove_done_callback(self, callback: Callable[[], None]) -> None:
+        """Forget a callback that has not run (a waiter gave up)."""
+        with self._lock:
+            if callback in self._callbacks:
+                self._callbacks.remove(callback)
 
     # ------------------------------------------------------------------
     # Wire form

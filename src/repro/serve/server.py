@@ -32,6 +32,7 @@ import asyncio
 import json
 import queue
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Set
 
@@ -127,8 +128,12 @@ class EvalService:
 
     def stop(self) -> None:
         self._stop.set()
+        # An idle worker sees the flag within one 0.2 s queue poll.  A busy
+        # one is a daemon thread mid-scenario; waiting for it would hold
+        # shutdown for the rest of that scenario, so it ends with the process.
+        deadline = time.monotonic() + 1.0
         for worker in self._workers:
-            worker.join(timeout=5.0)
+            worker.join(timeout=max(0.0, deadline - time.monotonic()))
         self._workers.clear()
         self.engine.shutdown()
 
@@ -275,8 +280,9 @@ class EvalServer:
     ``{"op": "gc", "dry_run": true}``
         Run store garbage collection with live-request protection.
 
-    Blocking waits happen in the default thread-pool executor, so one slow
-    simulation never stalls the event loop or other clients' submits.
+    Blocking waits are awaited on the event loop (:meth:`_wait`), so one
+    slow simulation never stalls other clients' submits, and a shutdown
+    never waits for a client's pending result.
     """
 
     def __init__(self, service: EvalService):
@@ -404,10 +410,39 @@ class EvalServer:
         return self.service.get_record(str(key))
 
     async def _wait(self, record: RequestRecord, timeout_s: Any) -> bool:
+        """Wait for ``record`` to finish; ``False`` on timeout.
+
+        No thread is parked: the record's done-callback resolves a future of
+        this call's own from the finishing worker thread.  A timeout or a
+        cancelled connection drops only that future, never the record that
+        coalesced clients share.
+        """
         timeout = (
             self.service.config.default_timeout_s
             if timeout_s is None
             else float(timeout_s)
         )
+        if record.is_finished():
+            return True
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, record.wait, timeout)
+        finished = loop.create_future()
+
+        def wake() -> None:
+            try:
+                loop.call_soon_threadsafe(_settle, finished)
+            except RuntimeError:  # the loop has closed: nobody is waiting
+                pass
+
+        record.add_done_callback(wake)
+        try:
+            await asyncio.wait_for(finished, timeout)
+            return True
+        except asyncio.TimeoutError:
+            return False
+        finally:
+            record.remove_done_callback(wake)
+
+
+def _settle(future: "asyncio.Future[None]") -> None:
+    if not future.done():
+        future.set_result(None)

@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation engine on top of numpy.
 
 This subpackage is the lowest-level substrate of the reproduction: a small
-but complete autograd system providing the :class:`~repro.tensor.Tensor`
-class, a library of differentiable operations, numerical gradient checking,
-and seeded random-number helpers.
+autograd system providing the :class:`~repro.tensor.Tensor` class, the
+differentiable operations the paper's networks and the GBO objective use,
+the compute-dtype policy, and seeded random-number helpers.
 
 The design mirrors the user-facing semantics of mainstream frameworks
 (a ``Tensor`` carries ``data``, ``grad`` and ``requires_grad``; operations
@@ -21,7 +21,6 @@ from repro.tensor.dtype import (
     resolve_dtype,
     set_compute_dtype,
 )
-from repro.tensor.grad_check import numerical_gradient, check_gradients
 from repro.tensor.random import RandomState, default_rng, manual_seed
 
 __all__ = [
@@ -29,8 +28,6 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "functional",
-    "numerical_gradient",
-    "check_gradients",
     "RandomState",
     "default_rng",
     "manual_seed",

@@ -53,14 +53,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     return -(picked.mean())
 
 
-def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Negative log-likelihood from already-log-softmaxed inputs."""
-    targets = np.asarray(targets, dtype=np.int64)
-    batch = log_probs.shape[0]
-    picked = log_probs[np.arange(batch), targets]
-    return -(picked.mean())
-
-
 def one_hot(targets: np.ndarray, num_classes: int) -> np.ndarray:
     """Integer class indices to a one-hot float matrix."""
     targets = np.asarray(targets, dtype=np.int64)
@@ -90,8 +82,8 @@ def im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     output reshape is free.  That replaces the old 6-D
     ``transpose(...).reshape`` of a sliding-window view, whose scattered
     gather dominated the conv forward (2-3x slower on VGG-block shapes).
-    Strided windows (average pooling, and max pooling over windows that do
-    not tile the image) keep the sliding-window gather, which wins there.
+    Strided windows (max pooling over windows that do not tile the image)
+    keep the sliding-window gather, which wins there.
     Both paths copy the same elements, so they are bit-identical.
     """
     batch, channels, height, width = x.shape
@@ -247,21 +239,3 @@ def _tiled_max_pool2d(x: Tensor, kernel: int) -> Tensor:
 
     out._backward_fn = _backward
     return out
-
-
-def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
-    """2-D average pooling over an NCHW tensor."""
-    stride = kernel if stride is None else stride
-    batch, channels, height, width = x.shape
-    out_h = conv_output_size(height, kernel, stride, 0)
-    out_w = conv_output_size(width, kernel, stride, 0)
-    reshaped = x.reshape(batch * channels, 1, height, width)
-    cols = im2col_tensor(reshaped, kernel, stride, 0)
-    pooled = cols.mean(axis=0)
-    # Columns are spatial-major: index = (oh*out_w + ow) * (N*C) + nc.
-    return pooled.reshape(out_h, out_w, batch, channels).transpose(2, 3, 0, 1)
-
-
-def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Average over all spatial positions of an NCHW tensor."""
-    return x.mean(axis=(2, 3))

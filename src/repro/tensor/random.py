@@ -93,15 +93,6 @@ class RandomState:
         """Random choice from ``options``."""
         return self._rng.choice(options, size=size, replace=replace, p=p)
 
-    def bernoulli(self, p: float, size: ShapeLike) -> np.ndarray:
-        """Bernoulli(p) samples as floats in {0, 1}.
-
-        The comparison always happens on a float64 uniform draw so the
-        sampled positions are identical under every compute dtype; only the
-        dtype of the returned {0, 1} floats follows the policy.
-        """
-        return (self._rng.uniform(size=size) < p).astype(resolve_dtype())
-
     def spawn(self) -> "RandomState":
         """Derive an independent child generator (deterministic given parent)."""
         child_seed = int(self._rng.integers(0, 2**31 - 1))

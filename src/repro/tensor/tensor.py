@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,19 +140,6 @@ class Tensor:
         return Tensor(np.ones(shape, dtype=resolve_dtype()), requires_grad=requires_grad)
 
     @staticmethod
-    def full(shape: Sequence[int], fill_value: Number, requires_grad: bool = False) -> "Tensor":
-        """Return a tensor filled with ``fill_value``."""
-        return Tensor(
-            np.full(shape, float(fill_value), dtype=resolve_dtype()),
-            requires_grad=requires_grad,
-        )
-
-    @staticmethod
-    def eye(n: int, requires_grad: bool = False) -> "Tensor":
-        """Return the ``n x n`` identity matrix."""
-        return Tensor(np.eye(n, dtype=resolve_dtype()), requires_grad=requires_grad)
-
-    @staticmethod
     def from_numpy(array: np.ndarray, requires_grad: bool = False) -> "Tensor":
         """Wrap an existing numpy array (coerced to the policy compute dtype)."""
         return Tensor(np.asarray(array, dtype=resolve_dtype()), requires_grad=requires_grad)
@@ -196,16 +183,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but detached from the graph."""
         return Tensor(self.data, requires_grad=False)
-
-    def clone(self) -> "Tensor":
-        """Return a copy of this tensor that participates in the graph."""
-        out = self._make_output(self.data.copy(), (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad)
-
-        out._backward_fn = _backward
-        return out
 
     def copy_(self, other: "Tensor") -> "Tensor":
         """In-place copy of ``other``'s data (no graph recording)."""
@@ -477,38 +454,6 @@ class Tensor:
         out._backward_fn = _backward
         return out
 
-    def sigmoid(self) -> "Tensor":
-        """Elementwise logistic sigmoid."""
-        value = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make_output(value, (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * value * (1.0 - value))
-
-        out._backward_fn = _backward
-        return out
-
-    def relu(self) -> "Tensor":
-        """Elementwise rectified linear unit."""
-        mask = self.data > 0
-        out = self._make_output(self.data * mask, (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        out._backward_fn = _backward
-        return out
-
-    def abs(self) -> "Tensor":
-        """Elementwise absolute value (subgradient 0 at zero)."""
-        out = self._make_output(np.abs(self.data), (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.sign(self.data))
-
-        out._backward_fn = _backward
-        return out
-
     def clip(self, low: Number, high: Number) -> "Tensor":
         """Clamp values into ``[low, high]``; gradient is zero outside."""
         out = self._make_output(np.clip(self.data, low, high), (self,))
@@ -584,14 +529,6 @@ class Tensor:
         out._backward_fn = _backward
         return out
 
-    def min(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        """Minimum over an axis; gradient flows to (the first) argmin."""
-        return -((-self).max(axis=axis, keepdims=keepdims))
-
-    def argmax(self, axis: Optional[int] = None) -> np.ndarray:
-        """Index of the maximum (no gradient)."""
-        return self.data.argmax(axis=axis)
-
     # ------------------------------------------------------------------
     # Shape manipulation
     # ------------------------------------------------------------------
@@ -627,27 +564,6 @@ class Tensor:
         out._backward_fn = _backward
         return out
 
-    def expand_dims(self, axis: int) -> "Tensor":
-        """Insert a new axis of size one."""
-        out = self._make_output(np.expand_dims(self.data, axis), (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(np.squeeze(grad, axis=axis))
-
-        out._backward_fn = _backward
-        return out
-
-    def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        """Remove axes of size one."""
-        original_shape = self.shape
-        out = self._make_output(np.squeeze(self.data, axis=axis), (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original_shape))
-
-        out._backward_fn = _backward
-        return out
-
     def __getitem__(self, index) -> "Tensor":
         out = self._make_output(self.data[index], (self,))
 
@@ -657,64 +573,6 @@ class Tensor:
             self._accumulate(full)
 
         out._backward_fn = _backward
-        return out
-
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions of an NCHW tensor."""
-        if padding == 0:
-            return self
-        pad_width = [(0, 0)] * (self.ndim - 2) + [(padding, padding), (padding, padding)]
-        out = self._make_output(np.pad(self.data, pad_width), (self,))
-
-        def _backward(grad: np.ndarray) -> None:
-            slices = tuple(
-                slice(None) if before == 0 else slice(before, -after if after else None)
-                for before, after in pad_width
-            )
-            self._accumulate(grad[slices])
-
-        out._backward_fn = _backward
-        return out
-
-    # ------------------------------------------------------------------
-    # Combination
-    # ------------------------------------------------------------------
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        """Stack tensors along a new axis."""
-        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        data = np.stack([t.data for t in tensors], axis=axis)
-        requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(tensors)
-
-            def _backward(grad: np.ndarray) -> None:
-                pieces = np.split(grad, len(tensors), axis=axis)
-                for tensor, piece in zip(tensors, pieces):
-                    tensor._accumulate(np.squeeze(piece, axis=axis))
-
-            out._backward_fn = _backward
-        return out
-
-    @staticmethod
-    def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        """Concatenate tensors along an existing axis."""
-        tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-        data = np.concatenate([t.data for t in tensors], axis=axis)
-        requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(tensors)
-            sizes = [t.shape[axis] for t in tensors]
-            boundaries = np.cumsum(sizes)[:-1]
-
-            def _backward(grad: np.ndarray) -> None:
-                pieces = np.split(grad, boundaries, axis=axis)
-                for tensor, piece in zip(tensors, pieces):
-                    tensor._accumulate(piece)
-
-            out._backward_fn = _backward
         return out
 
     # ------------------------------------------------------------------

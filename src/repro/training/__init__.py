@@ -3,7 +3,7 @@
 from repro.training.trainer import Trainer, TrainingConfig
 from repro.training.pretrain import PretrainConfig, pretrain_model
 from repro.training.evaluate import evaluate_accuracy, evaluate_loss, noisy_accuracy
-from repro.training.metrics import accuracy_from_logits, AverageMeter, confusion_matrix
+from repro.training.metrics import accuracy_from_logits, AverageMeter
 from repro.training.checkpoint import save_checkpoint, load_checkpoint
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "noisy_accuracy",
     "accuracy_from_logits",
     "AverageMeter",
-    "confusion_matrix",
     "save_checkpoint",
     "load_checkpoint",
 ]

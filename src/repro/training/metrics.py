@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.tensor import Tensor
@@ -15,19 +13,6 @@ def accuracy_from_logits(logits, targets: np.ndarray) -> float:
     targets = np.asarray(targets)
     predictions = data.argmax(axis=1)
     return float((predictions == targets).mean() * 100.0)
-
-
-def confusion_matrix(predictions: np.ndarray, targets: np.ndarray, num_classes: Optional[int] = None) -> np.ndarray:
-    """Confusion matrix with rows = true class, columns = predicted class."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.int64)
-    if predictions.shape != targets.shape:
-        raise ValueError("predictions and targets must have the same shape")
-    if num_classes is None:
-        num_classes = int(max(predictions.max(initial=0), targets.max(initial=0))) + 1
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (targets, predictions), 1)
-    return matrix
 
 
 class AverageMeter:

@@ -1,4 +1,4 @@
-"""Tests for datasets, loaders, splits and the synthetic task."""
+"""Tests for datasets, loaders and the synthetic task."""
 
 import hashlib
 
@@ -12,7 +12,6 @@ from repro.data import (
     SyntheticImageDataset,
     TensorDataset,
     make_synthetic_cifar,
-    train_val_split,
 )
 from repro.tensor.random import RandomState
 
@@ -185,22 +184,3 @@ class TestSyntheticDataset:
         means = np.stack(means)
         pair_distances = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=-1)
         assert pair_distances[np.triu_indices(10, k=1)].max() > 0.1
-
-
-class TestSplits:
-    def test_train_val_split_sizes(self):
-        dataset = TensorDataset(np.zeros((100, 2)), np.zeros(100))
-        train, val = train_val_split(dataset, val_fraction=0.2, rng=RandomState(0))
-        assert len(train) == 80 and len(val) == 20
-
-    def test_split_disjoint(self):
-        dataset = TensorDataset(np.arange(50.0).reshape(50, 1), np.arange(50))
-        train, val = train_val_split(dataset, val_fraction=0.3, rng=RandomState(0))
-        train_values = {train[i][0][0] for i in range(len(train))}
-        val_values = {val[i][0][0] for i in range(len(val))}
-        assert train_values.isdisjoint(val_values)
-
-    def test_invalid_fraction(self):
-        dataset = TensorDataset(np.zeros((10, 1)), np.zeros(10))
-        with pytest.raises(ValueError):
-            train_val_split(dataset, val_fraction=1.5)

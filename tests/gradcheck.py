@@ -1,7 +1,9 @@
-"""Numerical gradient checking utilities.
+"""Numerical gradient checking for the test-suite.
 
-Used by the test-suite to validate every differentiable operation and layer
-against central finite differences.
+Validates differentiable operations and layers against central finite
+differences.  ``tests/`` is on ``sys.path`` while pytest runs (its
+``conftest.py`` sits in a directory without ``__init__.py``), so tests
+import this module as ``from gradcheck import check_gradients``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
+from repro.tensor import Tensor
 
 
 def numerical_gradient(

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from repro.nn import BatchNorm1d, BatchNorm2d
-from repro.tensor import Tensor, check_gradients, no_grad
+from repro.tensor import Tensor, no_grad
 from repro.tensor.random import RandomState
 
 

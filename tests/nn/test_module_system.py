@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import BatchNorm1d, Linear, Module, Sequential, Tanh
+from repro.nn import BatchNorm1d, Linear, Module
 from repro.nn.module import Parameter
 from repro.tensor import Tensor, no_grad
 

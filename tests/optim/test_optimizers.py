@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear
-from repro.optim import SGD, Adam, MilestoneFractionLR, MultiStepLR, StepLR
+from repro.optim import SGD, Adam, MilestoneFractionLR, MultiStepLR
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 
@@ -112,15 +112,6 @@ class TestSchedulers:
     def _optimizer(self, lr=1.0):
         return SGD([Tensor(np.ones(1), requires_grad=True)], lr=lr)
 
-    def test_step_lr(self):
-        optimizer = self._optimizer()
-        scheduler = StepLR(optimizer, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(6):
-            scheduler.step()
-            lrs.append(optimizer.lr)
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01, 0.01, 0.001])
-
     def test_multi_step_lr(self):
         optimizer = self._optimizer()
         scheduler = MultiStepLR(optimizer, milestones=[2, 4], gamma=0.5)
@@ -140,10 +131,6 @@ class TestSchedulers:
 
     def test_current_lr_property(self):
         optimizer = self._optimizer()
-        scheduler = StepLR(optimizer, step_size=1, gamma=0.1)
+        scheduler = MultiStepLR(optimizer, milestones=[1], gamma=0.1)
         scheduler.step()
-        assert scheduler.current_lr == optimizer.lr
-
-    def test_invalid_step_size(self):
-        with pytest.raises(ValueError):
-            StepLR(self._optimizer(), step_size=0)
+        assert scheduler.current_lr == optimizer.lr == pytest.approx(0.1)

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from repro.tensor import Tensor, check_gradients
+from gradcheck import check_gradients
+from repro.tensor import Tensor
 
 _settings = settings(max_examples=30, deadline=None)
 
@@ -71,7 +72,7 @@ def test_reshape_preserves_sum_and_gradient(values):
 )
 def test_matmul_with_identity_is_identity(matrix):
     tensor = Tensor(matrix)
-    identity = Tensor.eye(matrix.shape[1])
+    identity = Tensor(np.eye(matrix.shape[1]))
     assert np.allclose(tensor.matmul(identity).data, matrix)
 
 
@@ -85,7 +86,7 @@ def test_matmul_with_identity_is_identity(matrix):
 )
 def test_analytic_gradient_matches_numeric_for_composite_function(matrix):
     tensor = Tensor(matrix, requires_grad=True)
-    check_gradients(lambda: (tensor.tanh() * tensor + tensor.sigmoid()).sum(), [tensor], atol=1e-3)
+    check_gradients(lambda: (tensor.tanh() * tensor + tensor.exp()).sum(), [tensor], atol=1e-3)
 
 
 @_settings

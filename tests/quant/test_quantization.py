@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradcheck import check_gradients
 from repro.quant import (
     ActivationQuantizer,
     BinaryWeightQuantizer,
@@ -13,7 +14,7 @@ from repro.quant import (
     pulses_to_levels,
     quantize_uniform,
 )
-from repro.tensor import Tensor, check_gradients
+from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 
 

@@ -372,6 +372,50 @@ class TestCLI:
                 proc.kill()
                 proc.wait()
 
+    def test_sigint_exits_while_a_blocking_submit_waits(self, tmp_path):
+        """Ctrl-C stops a ``--workers 1`` server at once, not when the
+        scenario a client is blocked on finishes (here 30 s later)."""
+        import time
+
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0", "--workers", "1",
+             "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(),
+        )
+        spec = selftest_spec(value=30, sleep_s=30.0)
+        try:
+            host, port = proc.stdout.readline().split()[-1].rsplit(":", 1)
+            blocked = socket.create_connection((host, int(port)), timeout=60.0)
+            probe = socket.create_connection((host, int(port)), timeout=60.0)
+            try:
+                blocked_stream = blocked.makefile("rw", encoding="utf-8")
+                blocked_stream.write(json.dumps({"op": "submit", "spec": spec}) + "\n")
+                blocked_stream.flush()
+                # A non-blocking twin coalesces onto the record: poll it until
+                # the scenario is running.
+                probe_stream = probe.makefile("rw", encoding="utf-8")
+                deadline = time.monotonic() + 30.0
+                while time.monotonic() < deadline:
+                    twin = call(probe_stream, {"op": "submit", "spec": spec, "wait": False})
+                    if twin["state"] == "running":
+                        break
+                    time.sleep(0.05)
+                assert twin["state"] == "running"
+                proc.send_signal(signal.SIGINT)
+                started = time.monotonic()
+                _, stderr = proc.communicate(timeout=60.0)
+                elapsed = time.monotonic() - started
+            finally:
+                blocked.close()
+                probe.close()
+            assert proc.returncode == 0
+            assert elapsed < 5.0, f"exit took {elapsed:.1f} s after SIGINT"
+            assert "Traceback" not in stderr, stderr
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
     def test_cli_help_mentions_knobs(self):
         output = subprocess.run(
             [sys.executable, "-m", "repro.serve", "--help"],

@@ -7,6 +7,7 @@ stays in the fast loop.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -24,6 +25,7 @@ from repro.serve import (
     EvalRequest,
     EvalService,
     ModelPool,
+    RequestRecord,
     RequestTable,
     ServeConfig,
 )
@@ -417,3 +419,45 @@ class TestRequestTable:
         # never evicted even though it is the oldest entry.
         assert table.get(in_flight.key) is in_flight
         assert len(table) == 2
+
+
+class TestRequestRecordCallbacks:
+    def test_each_callback_runs_once_when_added_while_the_record_resolves(self):
+        """A done-callback added concurrently with ``resolve`` runs exactly
+        once: on the resolving thread, or at once on the adding thread."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(200):
+                record = RequestRecord(EvalRequest.from_payload(selftest_payload(value=trial)))
+                calls = []
+                start = threading.Barrier(5)
+
+                def add(tag):
+                    start.wait(timeout=10.0)
+                    for index in range(25):
+                        record.add_done_callback(lambda key=(tag, index): calls.append(key))
+
+                adders = [threading.Thread(target=add, args=(tag,)) for tag in range(4)]
+                for adder in adders:
+                    adder.start()
+                start.wait(timeout=10.0)
+                record.resolve({"value": trial}, origin=ORIGIN_EXECUTED)
+                for adder in adders:
+                    adder.join(timeout=10.0)
+                assert not any(adder.is_alive() for adder in adders)
+                assert sorted(calls) == [(tag, index) for tag in range(4) for index in range(25)]
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_a_removed_callback_never_runs(self):
+        record = RequestRecord(EvalRequest.from_payload(selftest_payload(value=1)))
+        calls = []
+        kept, dropped = (lambda: calls.append("kept")), (lambda: calls.append("dropped"))
+        record.add_done_callback(kept)
+        record.add_done_callback(dropped)
+        record.remove_done_callback(dropped)
+        record.fail("boom")
+        assert calls == ["kept"]
+        record.add_done_callback(dropped)  # already finished: runs at once
+        assert calls == ["kept", "dropped"]

@@ -1,13 +1,14 @@
 """Gradient correctness tests for the autograd engine.
 
 Every differentiable operation is checked against central finite differences
-via :func:`repro.tensor.check_gradients`.
+via :func:`check_gradients` (``tests/gradcheck.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, check_gradients, no_grad, is_grad_enabled
+from gradcheck import check_gradients
+from repro.tensor import Tensor, no_grad, is_grad_enabled
 from repro.tensor.random import RandomState
 
 
@@ -40,14 +41,9 @@ class TestBasicGradients:
         a.data = np.abs(a.data) + 0.5
         check_gradients(lambda: (a.exp() + a.log()).sum(), [a])
 
-    def test_tanh_sigmoid_relu(self, rng):
+    def test_tanh(self, rng):
         a = _leaf(rng, 3, 3)
-        check_gradients(lambda: (a.tanh() + a.sigmoid() + a.relu()).sum(), [a])
-
-    def test_abs_away_from_zero(self, rng):
-        a = _leaf(rng, 5)
-        a.data = a.data + np.sign(a.data) * 0.5
-        check_gradients(lambda: a.abs().sum(), [a])
+        check_gradients(lambda: a.tanh().sum(), [a])
 
     def test_clip_interior(self, rng):
         a = Tensor(np.array([-0.5, 0.2, 0.7]), requires_grad=True)
@@ -94,16 +90,6 @@ class TestShapeGradients:
     def test_getitem(self, rng):
         a = _leaf(rng, 4, 4)
         check_gradients(lambda: (a[1:3, :2] ** 2).sum(), [a])
-
-    def test_pad2d(self, rng):
-        a = _leaf(rng, 1, 2, 3, 3)
-        check_gradients(lambda: (a.pad2d(1) ** 2).sum(), [a])
-
-    def test_stack_concat(self, rng):
-        a, b = _leaf(rng, 2, 3), _leaf(rng, 2, 3)
-        check_gradients(lambda: (Tensor.stack([a, b]) ** 2).sum(), [a, b])
-        check_gradients(lambda: (Tensor.concatenate([a, b], axis=1) ** 2).sum(), [a, b])
-
 
 class TestBroadcastGradients:
     def test_broadcast_add(self, rng):

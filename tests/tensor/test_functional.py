@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, check_gradients
+from gradcheck import check_gradients
+from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.tensor.random import RandomState
 
@@ -64,13 +65,6 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             F.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))
 
-    def test_nll_loss_consistent_with_cross_entropy(self, rng):
-        logits = Tensor(rng.normal(size=(4, 6)))
-        targets = rng.randint(0, 6, size=4)
-        ce = F.cross_entropy(logits, targets).item()
-        nll = F.nll_loss(F.log_softmax(logits, axis=1), targets).item()
-        assert ce == pytest.approx(nll)
-
     def test_one_hot(self):
         encoded = F.one_hot(np.array([0, 2]), num_classes=3)
         assert np.allclose(encoded, [[1, 0, 0], [0, 0, 1]])
@@ -107,33 +101,12 @@ class TestPooling:
         out = F.max_pool2d(Tensor(x), kernel=2).data
         assert np.allclose(out[0, 0], [[5, 7], [13, 15]])
 
-    def test_avg_pool_values(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = F.avg_pool2d(Tensor(x), kernel=2).data
-        assert np.allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
     def test_max_pool_batch_channel_layout(self, rng):
         x = rng.normal(size=(3, 4, 6, 6))
         out = F.max_pool2d(Tensor(x), kernel=2).data
         expected = x.reshape(3, 4, 3, 2, 3, 2).max(axis=(3, 5))
         assert np.allclose(out, expected)
 
-    def test_avg_pool_batch_channel_layout(self, rng):
-        x = rng.normal(size=(2, 3, 4, 4))
-        out = F.avg_pool2d(Tensor(x), kernel=2).data
-        expected = x.reshape(2, 3, 2, 2, 2, 2).mean(axis=(3, 5))
-        assert np.allclose(out, expected)
-
-    def test_global_avg_pool(self, rng):
-        x = rng.normal(size=(2, 5, 4, 4))
-        out = F.global_avg_pool2d(Tensor(x)).data
-        assert out.shape == (2, 5)
-        assert np.allclose(out, x.mean(axis=(2, 3)))
-
     def test_max_pool_gradient(self, rng):
         x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
         check_gradients(lambda: (F.max_pool2d(x, 2) ** 2).sum(), [x])
-
-    def test_avg_pool_gradient(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
-        check_gradients(lambda: (F.avg_pool2d(x, 2) ** 2).sum(), [x])

@@ -37,11 +37,6 @@ class TestRandomState:
         perm = RandomState(0).permutation(20)
         assert sorted(perm.tolist()) == list(range(20))
 
-    def test_bernoulli_probability(self):
-        samples = RandomState(0).bernoulli(0.25, (10000,))
-        assert set(np.unique(samples)).issubset({0.0, 1.0})
-        assert abs(samples.mean() - 0.25) < 0.03
-
     def test_spawn_is_deterministic_and_independent(self):
         parent_a = RandomState(9)
         parent_b = RandomState(9)

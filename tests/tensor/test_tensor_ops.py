@@ -12,10 +12,6 @@ class TestConstruction:
         assert np.all(Tensor.ones(4).data == 1)
         assert Tensor.zeros(2, 3).shape == (2, 3)
 
-    def test_full_and_eye(self):
-        assert np.all(Tensor.full((2, 2), 3.5).data == 3.5)
-        assert np.allclose(Tensor.eye(3).data, np.eye(3))
-
     def test_from_numpy_copies_as_float(self):
         source = np.array([1, 2, 3], dtype=np.int32)
         tensor = Tensor.from_numpy(source)
@@ -80,15 +76,7 @@ class TestElementwiseFunctions:
         values = Tensor(np.linspace(-10, 10, 50)).tanh().data
         assert np.all(np.abs(values) <= 1.0)
 
-    def test_sigmoid_range(self):
-        values = Tensor(np.linspace(-10, 10, 50)).sigmoid().data
-        assert np.all((values > 0) & (values < 1))
-
-    def test_relu(self):
-        assert np.allclose(Tensor([-1.0, 0.0, 2.0]).relu().data, [0, 0, 2])
-
-    def test_abs_and_clip(self):
-        assert np.allclose(Tensor([-2.0, 3.0]).abs().data, [2, 3])
+    def test_clip(self):
         assert np.allclose(Tensor([-2.0, 0.5, 3.0]).clip(-1, 1).data, [-1, 0.5, 1])
 
 
@@ -104,12 +92,10 @@ class TestReductions:
         assert a.mean().item() == pytest.approx(2.5)
         assert np.allclose(a.var(axis=0).data, [0.25, 0.25])
 
-    def test_max_min_argmax(self):
+    def test_max(self):
         a = Tensor(np.array([[1.0, 5.0], [3.0, 2.0]]))
         assert a.max().item() == pytest.approx(5.0)
         assert np.allclose(a.max(axis=1).data, [5, 3])
-        assert np.allclose(a.min(axis=0).data, [1, 2])
-        assert np.array_equal(a.argmax(axis=1), [1, 0])
 
 
 class TestShapeManipulation:
@@ -125,44 +111,18 @@ class TestShapeManipulation:
         b = Tensor(np.arange(24.0).reshape(2, 3, 4))
         assert b.transpose(2, 0, 1).shape == (4, 2, 3)
 
-    def test_expand_and_squeeze(self):
-        a = Tensor(np.ones((3,)))
-        assert a.expand_dims(0).shape == (1, 3)
-        assert a.expand_dims(0).squeeze(0).shape == (3,)
-
     def test_getitem(self):
         a = Tensor(np.arange(12.0).reshape(3, 4))
         assert np.allclose(a[1].data, [4, 5, 6, 7])
         assert a[0:2, 1:3].shape == (2, 2)
 
-    def test_pad2d(self):
-        a = Tensor(np.ones((1, 1, 2, 2)))
-        padded = a.pad2d(1)
-        assert padded.shape == (1, 1, 4, 4)
-        assert padded.data.sum() == pytest.approx(4.0)
-        assert a.pad2d(0) is a
-
 
 class TestCombination:
-    def test_stack(self):
-        parts = [Tensor(np.full((2,), float(i))) for i in range(3)]
-        stacked = Tensor.stack(parts, axis=0)
-        assert stacked.shape == (3, 2)
-        assert np.allclose(stacked.data[2], 2.0)
-
-    def test_concatenate(self):
-        a = Tensor(np.ones((2, 2)))
-        b = Tensor(np.zeros((1, 2)))
-        out = Tensor.concatenate([a, b], axis=0)
-        assert out.shape == (3, 2)
-
-    def test_detach_and_clone(self):
+    def test_detach(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         detached = a.detach()
         assert not detached.requires_grad
-        clone = a.clone()
-        assert clone.requires_grad
-        assert clone.data is not a.data
+        assert detached.data is a.data
 
     def test_with_data_shape_mismatch_raises(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
