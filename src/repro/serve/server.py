@@ -195,18 +195,21 @@ class EvalService:
         try:
             result = self.engine.execute(request.spec, request.needs_model)
             clean = self.store.put(request.spec, result)
-            record.resolve(clean, origin=ORIGIN_EXECUTED)
-            self._bump("executed")
-            worker_name = threading.current_thread().name
-            with self._counter_lock:
-                self._executed_per_worker[worker_name] = (
-                    self._executed_per_worker.get(worker_name, 0) + 1
-                )
         except Exception as error:  # noqa: BLE001 — server must not die
             LOGGER.warning("request %s failed: %s", request.label(), error)
-            record.fail(f"{type(error).__name__}: {error}")
             self._bump("failed")
-        self._record_latency(record)
+            record.fail(f"{type(error).__name__}: {error}")
+            return
+        # Count the execution before the record wakes its waiters, so a
+        # client that holds its answer reads stats that already include it.
+        worker_name = threading.current_thread().name
+        with self._counter_lock:
+            self.counters["executed"] += 1
+            self._executed_per_worker[worker_name] = (
+                self._executed_per_worker.get(worker_name, 0) + 1
+            )
+        self.latency[ORIGIN_EXECUTED].record(time.perf_counter() - record.created_s)
+        record.resolve(clean, origin=ORIGIN_EXECUTED)
 
     # ------------------------------------------------------------------
     # Stats / GC

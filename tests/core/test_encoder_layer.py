@@ -73,6 +73,22 @@ class TestCleanForward:
         out = conv_layer(Tensor(rng.uniform(-1, 1, size=(3, 2, 8, 8))))
         assert out.shape == (3, 4, 8, 8)
 
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 1), (2, 0)])
+    def test_clean_conv_matches_binary_convolution_of_quantised_input(self, rng, stride, padding):
+        layer = EncodedConv2d(
+            2, 3, kernel_size=3, stride=stride, padding=padding,
+            noise_sigma=0.0, rng=RandomState(1), weight_rng=rng,
+        )
+        x = rng.uniform(-1, 1, size=(2, 2, 7, 6))
+        out = layer(Tensor(x)).data
+        quantised = np.round((np.clip(x, -1, 1) + 1) * 0.5 * 8) / 8 * 2 - 1
+        padded = np.pad(quantised, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride]
+        expected = np.einsum("nchwij,fcij->nfhw", windows, np.sign(layer.weight.data))
+        assert out.shape == expected.shape
+        assert np.allclose(out, expected)
+
 
 class TestNoisyForward:
     def test_noise_added_in_noisy_mode(self, linear_layer, rng):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data import (
     DataLoader,
+    Dataset,
     Subset,
     SyntheticImageConfig,
     SyntheticImageDataset,
@@ -26,6 +27,16 @@ class TestTensorDataset:
         assert np.allclose(image, [4.0, 5.0])
         assert label == 2
         assert dataset.num_classes == 3
+
+    def test_base_dataset_is_abstract(self):
+        dataset = Dataset()
+        with pytest.raises(NotImplementedError):
+            len(dataset)
+        with pytest.raises(NotImplementedError):
+            dataset[0]
+
+    def test_num_classes_of_an_empty_dataset(self):
+        assert TensorDataset(np.zeros((0, 2)), np.zeros(0)).num_classes == 0
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -60,6 +71,20 @@ class TestDataLoader:
         _, batch_labels = next(iter(loader))
         assert not np.array_equal(batch_labels, labels)
         assert sorted(batch_labels.tolist()) == labels.tolist()
+
+    def test_equal_seeds_shuffle_alike_and_each_epoch_reshuffles(self):
+        dataset = TensorDataset(np.arange(16.0).reshape(16, 1), np.arange(16))
+        first = DataLoader(dataset, batch_size=16, shuffle=True, rng=RandomState(4))
+        second = DataLoader(dataset, batch_size=16, shuffle=True, rng=RandomState(4))
+        epoch_one = next(iter(first))[1]
+        assert np.array_equal(epoch_one, next(iter(second))[1])
+        assert not np.array_equal(epoch_one, next(iter(first))[1])
+
+    def test_iterates_a_subset_in_its_index_order(self):
+        dataset = TensorDataset(np.arange(10.0).reshape(10, 1), np.arange(10))
+        loader = DataLoader(Subset(dataset, [8, 2, 5]), batch_size=2)
+        batches = [labels.tolist() for _, labels in loader]
+        assert batches == [[8, 2], [5]]
 
     def test_len_without_drop_last(self):
         dataset = TensorDataset(np.zeros((9, 1)), np.zeros(9))

@@ -74,12 +74,38 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
         check_gradients(lambda: (layer(x) ** 2).mean(), [x, layer.weight, layer.bias])
 
+    @pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1), (2, 2)])
+    def test_convolve_uses_the_passed_weight_and_no_bias(self, rng, stride, padding):
+        layer = Conv2d(2, 3, kernel_size=3, stride=stride, padding=padding, rng=rng)
+        layer.bias.data[:] = 1.0
+        weight = rng.normal(size=(3, 2, 3, 3))
+        x = rng.normal(size=(2, 2, 6, 5))
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
+        expected = np.einsum("nchwij,fcij->nfhw", windows[:, :, ::stride, ::stride], weight)
+        assert np.allclose(layer.convolve(Tensor(x), Tensor(weight)).data, expected)
+        forward = layer(Tensor(x)).data - layer.bias.data.reshape(1, 3, 1, 1)
+        assert np.allclose(layer.convolve(Tensor(x), layer.weight).data, forward)
+
+    def test_convolve_gradient_reaches_the_passed_weight(self, rng):
+        layer = Conv2d(2, 2, kernel_size=3, stride=2, padding=1, rng=rng)
+        weight = Tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(1, 2, 5, 5)), requires_grad=True)
+        check_gradients(lambda: (layer.convolve(x, weight) ** 2).mean(), [x, weight])
+        assert layer.weight.grad is None
+
 
 class TestPoolingLayers:
     def test_max_pool_module(self, rng):
         x = rng.normal(size=(2, 3, 6, 6))
         out = MaxPool2d(2)(Tensor(x)).data
         assert np.allclose(out, x.reshape(2, 3, 3, 2, 3, 2).max(axis=(3, 5)))
+
+    def test_max_pool_module_with_overlapping_windows(self, rng):
+        x = rng.normal(size=(2, 3, 5, 5))
+        out = MaxPool2d(3, stride=1)(Tensor(x)).data
+        windows = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(2, 3))
+        assert np.array_equal(out, windows.max(axis=(4, 5)))
 
 
 class TestActivations:
@@ -102,6 +128,11 @@ class TestLosses:
         assert loss.data.size == 1
         assert loss.item() > 0
 
+    def test_cross_entropy_loss_module_gradient(self, rng):
+        logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        targets = rng.randint(0, 3, size=5)
+        check_gradients(lambda: CrossEntropyLoss()(logits, targets), [logits])
+
 
 class TestInit:
     def test_kaiming_std(self):
@@ -113,6 +144,12 @@ class TestInit:
         weights = init.xavier_uniform((64, 32), rng=RandomState(0))
         bound = np.sqrt(6.0 / (64 + 32))
         assert np.abs(weights).max() <= bound
+
+    def test_same_rng_seed_same_weights(self):
+        first = init.kaiming_normal((4, 3, 3, 3), rng=RandomState(5))
+        second = init.kaiming_normal((4, 3, 3, 3), rng=RandomState(5))
+        assert np.array_equal(first, second)
+        assert not np.array_equal(first, init.kaiming_normal((4, 3, 3, 3), rng=RandomState(6)))
 
     def test_conv_fan_computation(self):
         weights = init.kaiming_normal((8, 4, 3, 3), rng=RandomState(0))

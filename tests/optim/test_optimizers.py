@@ -59,6 +59,28 @@ class TestSGD:
         with pytest.raises(ValueError):
             SGD([param], lr=0.1, momentum=-0.5)
 
+    def test_momentum_and_weight_decay_follow_the_heavy_ball_recurrence(self):
+        """``v <- m*v + (g + wd*p)``, ``p <- p - lr*v``, step by step."""
+        param = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        optimizer = SGD([param], lr=0.1, momentum=0.9, weight_decay=0.01)
+        expected, velocity = param.data.copy(), np.zeros(2)
+        for _ in range(4):
+            optimizer.zero_grad()
+            _quadratic_loss(param).backward()
+            grad = 2.0 * (expected - 3.0) + 0.01 * expected
+            velocity = 0.9 * velocity + grad
+            expected = expected - 0.1 * velocity
+            optimizer.step()
+            assert np.allclose(param.data, expected)
+
+    def test_zero_grad_clears_every_parameter(self):
+        params = [Tensor(np.ones(2), requires_grad=True) for _ in range(3)]
+        optimizer = SGD(params, lr=0.1)
+        sum(((p * 2.0).sum() for p in params), Tensor(0.0)).backward()
+        assert all(p.grad is not None for p in params)
+        optimizer.zero_grad()
+        assert all(p.grad is None or not np.any(p.grad) for p in params)
+
     def test_trains_a_linear_layer(self):
         rng = RandomState(0)
         layer = Linear(3, 1, rng=rng)
@@ -102,6 +124,21 @@ class TestAdam:
         optimizer.step()
         assert np.all(param.data < 2.0)
 
+    def test_matches_the_bias_corrected_update_over_several_steps(self):
+        param = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+        optimizer = Adam([param], lr=0.05, betas=(0.8, 0.95), eps=1e-8)
+        expected, m, v = param.data.copy(), np.zeros(3), np.zeros(3)
+        for step in range(1, 6):
+            optimizer.zero_grad()
+            _quadratic_loss(param).backward()
+            grad = 2.0 * (expected - 3.0)
+            m = 0.8 * m + 0.2 * grad
+            v = 0.95 * v + 0.05 * grad * grad
+            m_hat, v_hat = m / (1 - 0.8 ** step), v / (1 - 0.95 ** step)
+            expected = expected - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            optimizer.step()
+            assert np.allclose(param.data, expected)
+
     def test_invalid_betas(self):
         param = Tensor(np.ones(1), requires_grad=True)
         with pytest.raises(ValueError):
@@ -128,6 +165,25 @@ class TestSchedulers:
         for _ in range(60):
             scheduler.step()
         assert optimizer.lr == pytest.approx(1e-6)
+
+    def test_multi_step_lr_sorts_its_milestones(self):
+        optimizer = self._optimizer()
+        scheduler = MultiStepLR(optimizer, milestones=[3, 1], gamma=0.1)
+        assert scheduler.milestones == [1, 3]
+        lrs = []
+        for _ in range(3):
+            scheduler.step()
+            lrs.append(optimizer.lr)
+        assert lrs == pytest.approx([0.1, 0.1, 0.01])
+
+    def test_milestone_fraction_lr_keeps_every_milestone_past_epoch_zero(self):
+        """A budget too short for the fractions still decays, from epoch 1 on,
+        never before the first epoch."""
+        scheduler = MilestoneFractionLR(self._optimizer(), total_epochs=2)
+        assert scheduler.milestones == [1, 1, 2]
+        assert scheduler.fractions == (0.5, 0.7, 0.9)
+        scheduler.step()
+        assert scheduler.current_lr == pytest.approx(1e-2)
 
     def test_current_lr_property(self):
         optimizer = self._optimizer()

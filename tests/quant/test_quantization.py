@@ -127,6 +127,22 @@ class TestQuantLayers:
         expected = np.sum(np.sign(layer.weight.data[0, 0]) * x[0, 0])
         assert layer(Tensor(x)).data[0, 0, 0, 0] == pytest.approx(expected)
 
+    @pytest.mark.parametrize("stride, padding, bias", [(2, 1, True), (1, 0, False)])
+    def test_quant_conv_matches_reference_with_stride_padding_and_bias(
+        self, rng, stride, padding, bias
+    ):
+        layer = QuantConv2d(2, 3, kernel_size=3, stride=stride, padding=padding, bias=bias, rng=rng)
+        if bias:
+            layer.bias.data[:] = rng.normal(size=3)
+        x = rng.normal(size=(2, 2, 6, 5))
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride]
+        expected = np.einsum("nchwij,fcij->nfhw", windows, np.sign(layer.weight.data))
+        if bias:
+            expected = expected + layer.bias.data.reshape(1, 3, 1, 1)
+        assert np.allclose(layer(Tensor(x)).data, expected)
+
     def test_shadow_weights_receive_gradients(self, rng):
         layer = QuantLinear(4, 2, rng=rng)
         x = Tensor(rng.normal(size=(3, 4)))

@@ -233,6 +233,24 @@ class TestStats:
         assert executed["mean_s"] >= 0.05
         assert stats["latency"][ORIGIN_CACHE]["count"] == 0
 
+    @pytest.mark.parametrize("fail", [False, True], ids=["done", "failed"])
+    def test_stats_count_a_request_before_its_waiters_wake(self, service, fail):
+        """A done-callback runs as the record wakes its waiters; the stats it
+        reads must already count the request, as a client that just got its
+        answer would."""
+        record = service.submit(selftest_payload(value=8, sleep_s=0.3, fail=fail))
+        seen = []
+        record.add_done_callback(lambda: seen.append(service.stats()))
+        assert record.wait(10.0)
+        (stats,) = seen
+        counters = stats["counters"]
+        if fail:
+            assert counters["failed"] == 1 and counters["executed"] == 0
+        else:
+            assert counters["executed"] == 1
+            assert sum(stats["workers"]["executed_per_worker"].values()) == 1
+            assert stats["latency"][ORIGIN_EXECUTED]["count"] == 1
+
     def test_gc_protects_live_request_results(self, service):
         record = service.submit(selftest_payload(value=6))
         assert record.wait(10.0)

@@ -53,6 +53,26 @@ class TestBasicGradients:
         a = _leaf(rng, 4)
         check_gradients(lambda: (-a).sum(), [a])
 
+    @pytest.mark.parametrize(
+        "reflected",
+        [
+            lambda a: 2.5 + a,
+            lambda a: 2.5 - a,
+            lambda a: 2.5 * a,
+            lambda a: 2.5 / a,
+        ],
+        ids=["radd", "rsub", "rmul", "rtruediv"],
+    )
+    def test_reflected_operators(self, rng, reflected):
+        a = _leaf(rng, 3, 2)
+        a.data = np.abs(a.data) + 0.5
+        check_gradients(lambda: (reflected(a) * a).sum(), [a])
+
+    def test_clip_passes_no_gradient_outside_the_range(self):
+        a = Tensor(np.array([-2.0, -0.5, 0.3, 1.5]), requires_grad=True)
+        (a.clip(-1.0, 1.0) * 3.0).sum().backward()
+        assert np.array_equal(a.grad, [0.0, 3.0, 3.0, 0.0])
+
 
 class TestMatmulGradients:
     def test_matmul_2d(self, rng):
@@ -81,6 +101,19 @@ class TestReductionGradients:
         a = _leaf(rng, 4, 5)
         check_gradients(lambda: a.max(axis=1).sum(), [a])
 
+    def test_max_keepdims_and_whole_tensor(self, rng):
+        a = _leaf(rng, 3, 4)
+        check_gradients(lambda: (a.max(axis=0, keepdims=True) * a).sum(), [a])
+        check_gradients(lambda: a.max() * 2.0, [a])
+
+    def test_max_splits_the_gradient_between_ties(self):
+        a = Tensor(np.array([[1.0, 3.0, 3.0], [2.0, 0.0, 2.0]]), requires_grad=True)
+        a.max(axis=1).sum().backward()
+        assert np.array_equal(a.grad, [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        a.zero_grad()
+        a.max().backward()
+        assert np.array_equal(a.grad, [[0.0, 0.5, 0.5], [0.0, 0.0, 0.0]])
+
 
 class TestShapeGradients:
     def test_reshape_transpose(self, rng):
@@ -90,6 +123,16 @@ class TestShapeGradients:
     def test_getitem(self, rng):
         a = _leaf(rng, 4, 4)
         check_gradients(lambda: (a[1:3, :2] ** 2).sum(), [a])
+
+    def test_getitem_repeated_index_accumulates(self):
+        a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+        a[np.array([0, 2, 0, 0])].sum().backward()
+        assert np.array_equal(a.grad, [3.0, 0.0, 1.0])
+
+    def test_flatten_from_a_start_dim_and_T(self, rng):
+        a = _leaf(rng, 2, 3, 4)
+        assert a.flatten(1).shape == (2, 12)
+        check_gradients(lambda: (a.flatten(1).T ** 2).sum(), [a])
 
 class TestBroadcastGradients:
     def test_broadcast_add(self, rng):

@@ -37,6 +37,17 @@ class TestSoftmax:
         logits = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         check_gradients(lambda: (F.softmax(logits, axis=1) ** 2).sum(), [logits])
 
+    def test_softmax_over_the_first_axis(self, rng):
+        logits = rng.normal(size=(4, 3))
+        probs = F.softmax(Tensor(logits), axis=0).data
+        expected = np.exp(logits) / np.exp(logits).sum(axis=0, keepdims=True)
+        assert np.allclose(probs, expected)
+
+    def test_log_softmax_gradient(self, rng):
+        logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        weights = rng.normal(size=(3, 5))
+        check_gradients(lambda: (F.log_softmax(logits, axis=1) * weights).sum(), [logits])
+
 
 class TestCrossEntropy:
     def test_matches_manual_computation(self, rng):
@@ -94,6 +105,37 @@ class TestIm2col:
         x = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
         check_gradients(lambda: (F.im2col_tensor(x, 2, 2, 0) ** 2).sum(), [x])
 
+    @pytest.mark.parametrize(
+        "kernel, stride, padding", [(1, 1, 0), (2, 2, 0), (3, 2, 0), (3, 2, 1), (5, 1, 2)]
+    )
+    def test_adjoint_across_geometries(self, rng, kernel, stride, padding):
+        x = rng.normal(size=(2, 3, 7, 6))
+        cols = F.im2col(x, kernel=kernel, stride=stride, padding=padding)
+        out_h = F.conv_output_size(7, kernel, stride, padding)
+        out_w = F.conv_output_size(6, kernel, stride, padding)
+        assert cols.shape == (3 * kernel * kernel, out_h * out_w * 2)
+        g = rng.normal(size=cols.shape)
+        back = F.col2im(g, x.shape, kernel=kernel, stride=stride, padding=padding)
+        assert np.sum(cols * g) == pytest.approx(np.sum(x * back))
+
+    def test_columns_are_channel_major_rows_and_spatial_major_columns(self, rng):
+        """Row ``c*K*K + ki*K + kj`` holds channel ``c`` at window offset
+        ``(ki, kj)``; column ``(oh*out_w + ow)*batch + n`` is window
+        ``(oh, ow)`` of image ``n``."""
+        x = rng.normal(size=(2, 3, 5, 4))
+        kernel, stride, padding = 3, 2, 1
+        cols = F.im2col(x, kernel=kernel, stride=stride, padding=padding)
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        out_h = F.conv_output_size(5, kernel, stride, padding)
+        out_w = F.conv_output_size(4, kernel, stride, padding)
+        for oh in range(out_h):
+            for ow in range(out_w):
+                for n in range(2):
+                    top, left = oh * stride, ow * stride
+                    window = padded[n, :, top : top + kernel, left : left + kernel]
+                    column = cols[:, (oh * out_w + ow) * 2 + n]
+                    assert np.array_equal(column, window.reshape(-1))
+
 
 class TestPooling:
     def test_max_pool_values(self):
@@ -110,3 +152,10 @@ class TestPooling:
     def test_max_pool_gradient(self, rng):
         x = Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
         check_gradients(lambda: (F.max_pool2d(x, 2) ** 2).sum(), [x])
+
+    @pytest.mark.parametrize(
+        "shape, kernel, stride", [((1, 2, 5, 5), 2, 2), ((1, 2, 6, 6), 3, 1), ((2, 1, 7, 6), 3, 2)]
+    )
+    def test_max_pool_gradient_for_windows_that_do_not_tile(self, rng, shape, kernel, stride):
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        check_gradients(lambda: (F.max_pool2d(x, kernel, stride) ** 2).sum(), [x])
