@@ -2,8 +2,7 @@
 
 Everything mutable that used to live in module-level globals — the
 compute-dtype policy, the library-wide default :class:`RandomState`, the
-autograd grad-enabled flag, the pre-trained bundle cache and the scenario
-runner's per-worker stage store — is carried by one
+autograd grad-enabled flag and the pre-trained bundle cache — is carried by one
 :class:`ExecutionContext` object, resolved through a
 :class:`contextvars.ContextVar`.  The module-level entry points the rest of
 the library (and its users) call — :func:`repro.tensor.dtype.set_compute_dtype`,
@@ -18,8 +17,8 @@ dtype policies with ``ConcurrentDtypeError``) because two concurrent
 executions would clobber each other's dtype policy, RNG stream and cached
 models.  With one context per thread/task/worker, concurrent executions
 with *different* policies simply resolve different state — the serve layer
-dispatches distinct requests to a spawn pool whose worker processes each
-activate their own context.
+runs distinct requests in worker processes that each activate their own
+context.
 
 Resolution rule (what keeps the default behaviour bit-for-bit identical):
 
@@ -139,11 +138,8 @@ class ExecutionContext:
         The pre-trained bundle cache, keyed by profile token (was
         ``repro.experiments.common._BUNDLE_CACHE``).  Keyed access goes
         through :func:`repro.experiments.common.get_pretrained_bundle` /
-        ``evict_bundle`` so bounded holders (the serve model pool) can
-        actually release memory.
-    ``stage_store``
-        The scenario runner's per-worker derived-stage store (was
-        ``repro.experiments.runner.executor._WORKER_STAGE_STORE``).
+        ``evict_bundle`` so bounded holders (a worker process's bundle
+        cache) can actually release memory.
 
     A context also carries named :class:`BoundedCache` instances for small
     derived memoisations (:meth:`bounded_cache`) and the bookkeeping for
@@ -157,7 +153,6 @@ class ExecutionContext:
         dtype: Any = DEFAULT_COMPUTE_DTYPE,
         seed: int = 0,
         grad_enabled: bool = True,
-        stage_store: Any = None,
         name: Optional[str] = None,
     ):
         self._dtype = COMPUTE_DTYPES[canonical_dtype_name(dtype)]
@@ -165,7 +160,6 @@ class ExecutionContext:
         self._rng = None
         self.grad_enabled = bool(grad_enabled)
         self.bundles: Dict[str, Any] = {}
-        self.stage_store = stage_store
         self.name = name
         self._caches: Dict[str, BoundedCache] = {}
         # Session dtype-conflict guard, one per context (see repro.sim.session).
@@ -302,7 +296,7 @@ def activate_context(context: ExecutionContext) -> ExecutionContext:
     """Install ``context`` as the current one (no automatic restore).
 
     Meant for process/thread bootstrap — e.g. the scenario runner's worker
-    initialiser activates one fresh context per worker process.  For
+    loop activates one fresh context per worker process.  For
     scoped use, prefer :func:`use_context`.
     """
     _CURRENT.set(context)

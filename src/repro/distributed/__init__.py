@@ -2,7 +2,7 @@
 
 The out-of-process execution path of the scenario runner (the other is
 the serial in-process oracle): any number of independent worker
-*processes* — the spawn pool behind ``run_grid(workers=N)``, workers
+*processes* — the spawned workers behind ``run_grid(workers=N)``, workers
 started by hand or by a scheduler, or several hosts sharing a synced
 store directory — cooperatively drain one
 :class:`~repro.experiments.runner.spec.ScenarioGrid` with no coordinator.

@@ -1,9 +1,10 @@
 """Coordinator-less grid workers: lease-claimed, shard-affine, work-stealing.
 
 Any number of :class:`GridWorker` processes — ``run_grid(workers=N)``'s
-pool, or hosts sharing a synced store directory — can be pointed at the same
-:class:`~repro.experiments.runner.spec.ScenarioGrid` and the same
-:class:`~repro.experiments.runner.store.ResultStore`, with no coordinator:
+worker processes, or hosts sharing a synced store directory — can be
+pointed at the same :class:`~repro.experiments.runner.spec.ScenarioGrid`
+and the same :class:`~repro.experiments.runner.store.ResultStore`, with no
+coordinator:
 
 * a scenario is *done* when its result is in the store, *in flight* when a
   live lease file exists next to it (see :mod:`repro.distributed.lease`),
@@ -27,10 +28,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.distributed.lease import DEFAULT_TTL_S, Heartbeat, LeaseManager
-from repro.experiments.runner.executor import GridExecutionError, execute_pending, restore_bundles
+from repro.experiments.runner.executor import (
+    BundleCache,
+    GridExecutionError,
+    WorkerState,
+    execute_pending,
+    restore_bundles,
+)
 from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import ResultStore
 from repro.utils.logging import get_logger
@@ -172,7 +179,7 @@ class GridWorker:
         """
         report = WorkReport(owner=self.owner)
         failures: Dict[ScenarioSpec, str] = {}
-        bundles: Dict[str, Any] = {}
+        bundles = BundleCache()
         first_pass = True
         start = time.perf_counter()
         try:
@@ -260,13 +267,12 @@ class GridWorker:
 
 
 def drain_shard(
-    grid: ScenarioGrid, store_root: str, shard_index: int, num_shards: int
+    state: WorkerState, grid: ScenarioGrid, shard_index: int, num_shards: int
 ) -> Tuple[Dict[str, float], Dict[str, str]]:
-    """One local drain, run in a ``run_grid(workers > 1)`` pool process:
-    (hash -> seconds run here, hash -> failure message).  Plain data,
-    because a raised :class:`GridExecutionError` does not unpickle."""
+    """One local drain, run in a ``run_grid(workers > 1)`` worker process
+    over its store: (hash -> seconds run here, hash -> failure message)."""
     worker = GridWorker(
-        grid, ResultStore(store_root), ttl=LOCAL_LEASE_TTL_S, poll_s=LOCAL_POLL_S,
+        grid, state.store, ttl=LOCAL_LEASE_TTL_S, poll_s=LOCAL_POLL_S,
         shard_index=shard_index, num_shards=num_shards,
     )
     try:

@@ -23,7 +23,8 @@ worker — run it N times, on one host or many sharing a synced store
 directory, and the workers cooperatively finish the suite (see
 :mod:`repro.distributed`).  It replaces its own process with
 ``python -m repro.distributed``, the one worker entry point (which also
-takes ``--specs``), so BLAS threads are pinned before numpy loads.
+takes ``--specs``), so BLAS threads are pinned before numpy loads, and
+passes every option after the experiment IDs on to it.
 ``merge`` unions content-addressed stores produced on different hosts
 (same key with a differing payload is a hard error).  ``gc`` prunes store
 entries whose spec hashes no registered grid produces any more (changed
@@ -121,7 +122,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "scenarios via atomic lease files, heartbeats while executing, "
             "steals expired claims of crashed workers, and exits when the "
             "whole suite is in the store.  Start any number of these against "
-            "one store directory; results are bit-identical to a serial run."
+            "one store directory; results are bit-identical to a serial run.  "
+            "Every option after the IDs is passed on to `python -m "
+            "repro.distributed` (see its --help: --profile, --engine, --store, "
+            "--owner, --ttl, --poll, --shard-index, --num-shards, --max-scenarios)."
         ),
     )
     work_parser.add_argument(
@@ -129,40 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="ID",
         help="registry identifiers (see `list`), or `all`",
-    )
-    work_parser.add_argument("--profile", "-p", default=None, help="experiment profile (default: fast)")
-    work_parser.add_argument(
-        "--engine",
-        "-e",
-        default=None,
-        help="simulation engine pin for every scenario (reference | vectorized)",
-    )
-    work_parser.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="shared store directory (default: <cache-dir>/runner)",
-    )
-    work_parser.add_argument("--owner", default=None, help="worker identity recorded in lease files")
-    work_parser.add_argument(
-        "--ttl", type=float, default=None, metavar="S",
-        help="lease time-to-live before a silent worker's claims become stealable (default: 60)",
-    )
-    work_parser.add_argument(
-        "--poll", type=float, default=0.5, metavar="S",
-        help="sleep between passes while other workers hold the remaining leases",
-    )
-    work_parser.add_argument(
-        "--shard-index", type=int, default=None,
-        help="this worker's shard (0-based); its affine scenarios are visited first",
-    )
-    work_parser.add_argument(
-        "--num-shards", type=int, default=None,
-        help="total shard count for deterministic affinity (give with --shard-index)",
-    )
-    work_parser.add_argument(
-        "--max-scenarios", type=int, default=None, metavar="K",
-        help="stop after executing K scenarios (budgeting; default: drain fully)",
     )
 
     merge_parser = subparsers.add_parser(
@@ -304,23 +274,9 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_work(args: argparse.Namespace) -> int:
+def _command_work(args: argparse.Namespace, options: List[str]) -> int:
     from repro.worker_env import pin_worker_threads
 
-    argv = ["--experiments", *args.experiments]
-    for flag, value in (
-        ("--profile", args.profile),
-        ("--engine", args.engine),
-        ("--store", args.store),
-        ("--owner", args.owner),
-        ("--ttl", args.ttl),
-        ("--poll", args.poll),
-        ("--shard-index", args.shard_index),
-        ("--num-shards", args.num_shards),
-        ("--max-scenarios", args.max_scenarios),
-    ):
-        if value is not None:
-            argv.extend([flag, str(value)])
     # Importing this package has loaded numpy, and with it BLAS at its
     # default thread count, so the worker cannot run in this process.
     # Replace it with the worker entry point, pinned before the new
@@ -328,7 +284,10 @@ def _command_work(args: argparse.Namespace) -> int:
     pin_worker_threads()
     sys.stdout.flush()
     sys.stderr.flush()
-    os.execv(sys.executable, [sys.executable, "-m", "repro.distributed", *argv])
+    os.execv(
+        sys.executable,
+        [sys.executable, "-m", "repro.distributed", "--experiments", *args.experiments, *options],
+    )
 
 
 def _command_merge(args: argparse.Namespace) -> int:
@@ -416,7 +375,11 @@ def _command_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    # ``work`` passes the options it does not know on to its worker.
+    args, options = parser.parse_known_args(argv)
+    if options and args.command != "work":
+        parser.error(f"unrecognized arguments: {' '.join(options)}")
     if args.cache_dir:
         # get_cache_dir() resolves lazily, so setting the env here is enough
         # for the whole process tree (worker processes inherit it).
@@ -426,7 +389,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "run":
         return _command_run(args)
     if args.command == "work":
-        return _command_work(args)
+        return _command_work(args, options)
     if args.command == "merge":
         return _command_merge(args)
     if args.command == "gc":

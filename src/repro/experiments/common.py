@@ -12,6 +12,7 @@ pre-train exactly once per profile.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -50,8 +51,9 @@ def get_cache_dir() -> str:
 
 # The pre-trained bundle cache lives on the current ExecutionContext
 # (``current_context().bundles``) — each worker process/explicit context
-# owns its own bundles, and bounded holders (the serve model pool) release
-# memory through :func:`evict_bundle` without reaching into module state.
+# owns its own bundles, and bounded holders (a worker process's bundle
+# cache) release memory through :func:`evict_bundle` without reaching into
+# module state.
 #
 # The dataset cache stays module-level on purpose: dataset arrays are an
 # immutable pure function of the profile (explicit seeds throughout), so
@@ -335,39 +337,53 @@ def cached_clean_accuracy(profile: ExperimentProfile) -> Optional[float]:
     return float(metadata["clean_accuracy"])
 
 
-def ensure_checkpoint_on_disk(bundle: ExperimentBundle) -> str:
-    """Make sure a bundle's pre-trained weights are cached on disk.
+#: Serialises :func:`prepare_checkpoint`: serve's queue threads may ask
+#: for the same profile at once.
+_CHECKPOINT_LOCK = threading.Lock()
 
-    Worker processes rebuild their own bundle from the disk cache; when the
-    parent's bundle was created with ``use_disk_cache=False`` the checkpoint
-    may not exist yet.  Returns the checkpoint path.
+
+def prepare_checkpoint(profile: ExperimentProfile) -> str:
+    """Put ``profile``'s pre-trained checkpoint on disk, with its
+    clean-accuracy metadata, and return its path.
+
+    Worker processes load their bundles from it, so none of them pre-trains
+    or measures the clean accuracy, and no two race to write that
+    metadata.  A bundle is built only while :func:`cached_clean_accuracy`
+    is ``None``, and a bundle the current context did not hold before is
+    dropped again, so the caller is left holding no model.
     """
-    checkpoint = _checkpoint_path(bundle.profile)
-    if not os.path.exists(checkpoint):
-        state = dict(bundle.pretrained_snapshot) or bundle.model.state_dict()
-        from repro.utils.serialization import save_state
+    checkpoint = _checkpoint_path(profile)
+    with _CHECKPOINT_LOCK:
+        if cached_clean_accuracy(profile) is not None:
+            return checkpoint
+        token = profile_token(profile)
+        held = token in _bundle_cache()
+        bundle = get_pretrained_bundle(profile)
+        metadata = {
+            "clean_accuracy": bundle.clean_accuracy,
+            "clean_accuracy_num_test": bundle.profile.num_test,
+        }
+        if os.path.exists(checkpoint):
+            update_checkpoint_metadata(checkpoint, metadata)
+        else:
+            from repro.utils.serialization import save_state
 
-        save_state(
-            checkpoint,
-            state,
-            metadata={
-                "profile": bundle.profile.name,
-                "clean_accuracy": bundle.clean_accuracy,
-                "clean_accuracy_num_test": bundle.profile.num_test,
-            },
-        )
+            state = dict(bundle.pretrained_snapshot) or bundle.model.state_dict()
+            save_state(checkpoint, state, metadata={"profile": profile.name, **metadata})
+        if not held:
+            evict_bundle(token)
     return checkpoint
 
 
 def evict_bundle(token: str) -> bool:
     """Drop one cached bundle by its profile token; ``True`` if it was cached.
 
-    Lets bounded holders (``repro.serve``'s model pool) actually free the
-    model/data memory on eviction — popping only their own reference while
-    the context's cache still pins the bundle would make every "eviction" a
-    no-op.  Keyed access goes through the current execution context, so the
-    pool never reaches into module internals.  The on-disk checkpoint is
-    untouched, so a later :func:`get_pretrained_bundle` rebuilds cheaply.
+    Lets bounded holders (a worker process's
+    :class:`~repro.experiments.runner.executor.BundleCache`) actually free
+    the model/data memory on eviction — popping only their own reference
+    while the context's cache still pins the bundle would make every
+    "eviction" a no-op.  The on-disk checkpoint is untouched, so a later
+    :func:`get_pretrained_bundle` rebuilds cheaply.
     """
     return _bundle_cache().pop(token, None) is not None
 

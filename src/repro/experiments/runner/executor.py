@@ -12,16 +12,17 @@ Execution modes
     snapshot, so the serial order is irrelevant to the results.
 
 ``workers > 1``
-    Each process of a spawn pool (:func:`spawn_worker_pool`, BLAS pinned to
-    one thread) runs one :class:`~repro.distributed.worker.GridWorker`
+    Each of N spawned worker processes (:func:`spawn_worker_pool`, BLAS
+    pinned to one thread) runs one :class:`~repro.distributed.worker.GridWorker`
     drain over the pending scenarios, shard ``i`` first: the lease protocol
     of ``python -m repro.distributed``, so workers store each result as it
-    finishes and a resumed run steals what a killed run left claimed
-    (after :data:`repro.distributed.worker.LOCAL_LEASE_TTL_S`).  The
-    parent reads the results back from the store.  Workers load their
-    bundles from the on-disk pre-train cache (the parent prepares it first)
-    and reseed every scenario from its spec, so results are bit-identical
-    to the serial oracle.
+    finishes.  A worker that dies orphans only the scenario it had claimed;
+    the survivors steal it after
+    :data:`repro.distributed.worker.LOCAL_LEASE_TTL_S` and the same call
+    completes.  The parent reads the results back from the store.  Workers
+    load their bundles from the on-disk pre-train cache (the parent puts
+    the checkpoints there first) and reseed every scenario from its spec,
+    so results are bit-identical to the serial oracle.
 
 With a persistent :class:`~repro.experiments.runner.store.ResultStore`,
 completed scenarios are skipped on re-run (resume); without one, a
@@ -32,20 +33,22 @@ derived stages (e.g. NIA weights) between the scenarios of the call.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import shutil
+import signal
 import tempfile
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import (
-    ensure_checkpoint_on_disk,
+    evict_bundle,
     get_pretrained_bundle,
+    prepare_checkpoint,
     profile_token,
 )
-from repro.experiments.profiles import get_profile
 from repro.experiments.runner.scenarios import execute_scenario, needs_bundle
 from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import MemoryStore, ResultStore, jsonify_result
@@ -89,30 +92,59 @@ class GridRunResult:
     per_scenario_s: Dict[str, float] = field(default_factory=dict)  # spec hash -> seconds
 
 
-def _bundle_for(spec: ScenarioSpec, bundles: Dict[str, Any], explicit_bundle=None):
-    """The pre-trained bundle a spec runs against (memoised per profile)."""
-    if not needs_bundle(spec.experiment):
-        return None
-    profile = get_profile(spec.profile).with_overrides(**spec.override_dict())
-    token = profile_token(profile)
-    if explicit_bundle is not None and profile_token(explicit_bundle.profile) == token:
-        return explicit_bundle
-    if token not in bundles:
-        bundles[token] = get_pretrained_bundle(profile)
-    return bundles[token]
+class BundleCache:
+    """Pre-trained bundles by profile token, least recently used out first.
+
+    Unbounded (``max_models=None``) for one serial run or one drain; a
+    worker process bounds it by ``max_models``.  An evicted bundle also
+    leaves the execution context's cache
+    (:func:`~repro.experiments.common.evict_bundle`), so its memory is
+    released.  ``builder`` replaces
+    :func:`~repro.experiments.common.get_pretrained_bundle` in tests.
+    """
+
+    def __init__(self, max_models: Optional[int] = None, builder: Optional[Callable] = None):
+        if max_models is not None and max_models < 1:
+            raise ValueError(f"max_models must be positive, got {max_models}")
+        self.max_models = max_models
+        self._builder = builder
+        self._bundles: "OrderedDict[str, Any]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._bundles)
+
+    def values(self) -> List[Any]:
+        return list(self._bundles.values())
+
+    def bundle_for(self, spec: ScenarioSpec, explicit_bundle=None):
+        """The pre-trained bundle ``spec`` runs against (``None`` if it needs none)."""
+        if not needs_bundle(spec.experiment):
+            return None
+        profile = spec.resolved_profile()
+        token = profile_token(profile)
+        if explicit_bundle is not None and profile_token(explicit_bundle.profile) == token:
+            return explicit_bundle
+        if token in self._bundles:
+            self._bundles.move_to_end(token)
+            return self._bundles[token]
+        bundle = self._bundles[token] = (self._builder or get_pretrained_bundle)(profile)
+        while self.max_models is not None and len(self._bundles) > self.max_models:
+            evicted, _ = self._bundles.popitem(last=False)
+            evict_bundle(evicted)
+            LOGGER.info("evicted pre-trained bundle %s", evicted)
+        return bundle
 
 
 def execute_pending(
     spec: ScenarioSpec,
     stage_store,
-    bundles: Optional[Dict[str, Any]] = None,
+    bundles: Optional[BundleCache] = None,
     explicit_bundle=None,
 ) -> Tuple[Dict[str, Any], float, Any]:
     """The one scenario-execution core every execution path calls.
 
-    Resolves the spec's pre-trained bundle (memoised in ``bundles`` per
-    profile token, so a caller draining many scenarios builds each bundle
-    once), executes the scenario through
+    Resolves the spec's pre-trained bundle (through ``bundles``, so a
+    caller draining many scenarios builds each bundle once), executes the scenario through
     :func:`~repro.experiments.runner.scenarios.execute_scenario` (which owns
     the determinism contract: per-spec derived seed, snapshot restore,
     fresh loaders) and returns ``(result, elapsed_s, bundle)``.
@@ -120,11 +152,11 @@ def execute_pending(
     Callers: the serial loop of :func:`run_grid`,
     :class:`repro.distributed.worker.GridWorker` (behind both
     ``run_grid(workers > 1)`` and ``python -m repro.distributed``) and
-    serve's :func:`_worker_run` — one execution semantics, which keeps
+    serve's :func:`execute_spec` — one execution semantics, which keeps
     serial == parallel == distributed bit-identical.  The returned bundle
     (``None`` for bundle-free experiments) is for :func:`restore_bundles`.
     """
-    bundle = _bundle_for(spec, bundles if bundles is not None else {}, explicit_bundle)
+    bundle = (bundles if bundles is not None else BundleCache()).bundle_for(spec, explicit_bundle)
     start = time.perf_counter()
     result = execute_scenario(spec, bundle=bundle, stage_store=stage_store)
     return result, time.perf_counter() - start, bundle
@@ -140,90 +172,158 @@ def restore_bundles(bundles: Iterable[Any]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool plumbing (module level so the spawn pickler can find it)
+# Worker processes (module level so the spawn pickler can find them)
 # ---------------------------------------------------------------------------
-def _worker_init(cache_dir: Optional[str], store_root: Optional[str]) -> None:
-    """Bootstrap one spawned worker: activate the worker's own context.
+class WorkerError(RuntimeError):
+    """A call failed in a worker process, or the process died before replying."""
 
-    Every worker process owns a fresh :class:`repro.context.ExecutionContext`
-    (dtype policy, default RNG, grad flag, bundle cache), so nothing a
-    scenario mutates can leak into the parent or a sibling.  Its stage
-    store, for :func:`_worker_run`, is the store at ``store_root`` if given,
-    else a process-local MemoryStore.
+
+@dataclass
+class WorkerState:
+    """What one worker process keeps between calls: the store its scenarios
+    share derived stages through, and its own bundle cache."""
+
+    store: Any
+    bundles: BundleCache
+
+
+def _worker_main(conn, store_root: Optional[str], max_models: Optional[int]) -> None:
+    """The loop of one worker process: receive a call, run it, send back its
+    plain-data result or an error string, until the parent closes the pipe.
+
+    The process owns a fresh :class:`repro.context.ExecutionContext` (dtype
+    policy, default RNG, grad flag, bundle cache), so nothing a scenario
+    mutates leaks into the parent or a sibling.  It ignores SIGINT: a
+    Ctrl-C reaches the whole process group, and the parent stops its
+    workers itself.
     """
     from repro.context import ExecutionContext, activate_context
 
-    if cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = cache_dir
-    activate_context(
-        ExecutionContext(
-            stage_store=ResultStore(store_root) if store_root else MemoryStore(),
-            name="runner-worker",
-        )
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    activate_context(ExecutionContext(name="runner-worker"))
+    state = WorkerState(
+        store=ResultStore(store_root) if store_root else MemoryStore(),
+        bundles=BundleCache(max_models),
     )
+    while True:
+        try:
+            function, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, function(state, *args))
+        except Exception as error:  # noqa: BLE001 - reported to the caller
+            reply = (False, f"{type(error).__name__}: {error}")
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
 
 
-def _worker_run(payload: Dict[str, Any]) -> Tuple[str, Dict[str, Any], float]:
-    from repro.context import current_context
-
-    spec = ScenarioSpec.from_dict(payload)
-    stage_store = current_context().stage_store
-    if stage_store is None:
-        stage_store = MemoryStore()
-    result, elapsed, _ = execute_pending(spec, stage_store)
-    return spec.hash, result, elapsed
+def execute_spec(state: WorkerState, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Serve's call: run one scenario in a worker process, return its result."""
+    result, _, _ = execute_pending(
+        ScenarioSpec.from_dict(payload), state.store, bundles=state.bundles
+    )
+    return result
 
 
-def _worker_ping() -> int:
-    """No-op task used to force eager worker spawn (see spawn_worker_pool)."""
-    return os.getpid()
+class WorkerProcess:
+    """The parent's handle on one worker process: its pipe and its process."""
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+
+    def send(self, function: Callable, *args: Any) -> None:
+        """Start ``function(state, *args)`` in the worker."""
+        self.conn.send((function, args))
+
+    def ready(self) -> bool:
+        """Whether :meth:`reply` would return or raise without waiting."""
+        return self.conn.poll() or not self.process.is_alive()
+
+    def reply(self) -> Any:
+        """The result of the call in flight; raises :class:`WorkerError` if it
+        failed or the process died first."""
+        wait([self.conn, self.process.sentinel])
+        try:
+            ok, value = self.conn.recv()
+        except (EOFError, OSError):
+            self.process.join(timeout=1.0)
+            raise WorkerError(
+                f"worker process {self.process.pid} died "
+                f"(exit code {self.process.exitcode})"
+            ) from None
+        if not ok:
+            raise WorkerError(value)
+        return value
+
+    def call(self, function: Callable, *args: Any) -> Any:
+        self.send(function, *args)
+        return self.reply()
+
+    def stop(self) -> None:
+        """Terminate and join the process, whatever it is running."""
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5.0)
+            if self.process.is_alive():
+                self.process.kill()
+        self.process.join()
+        self.conn.close()
+
+
+#: Serialises :func:`spawn_worker_pool`: the BLAS pin is a change to the
+#: process environment, so two threads pinning and restoring it at once
+#: could leave the parent pinned.
+_SPAWN_LOCK = threading.Lock()
 
 
 def spawn_worker_pool(
     workers: int,
     store_root: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-) -> ProcessPoolExecutor:
-    """A long-lived spawn pool whose workers each own an execution context.
+    max_models: Optional[int] = None,
+) -> List[WorkerProcess]:
+    """Start ``workers`` spawned worker processes, each with its own pipe.
 
     The processes behind :func:`run_grid`'s local drains and
-    ``repro.serve``'s request dispatch, each bootstrapped through
-    :func:`_worker_init` with BLAS pools pinned to one thread
-    (:func:`repro.worker_env.worker_threads_pinned`).
-
-    The pool spawns all its processes before returning, by submitting one
-    ping per worker: ``ProcessPoolExecutor`` otherwise spawns lazily at
-    submit time, after this function restored the parent's BLAS
-    environment — the pinning must be inherited at process creation.
-    Callers own the returned executor and must ``shutdown()`` it.
+    ``repro.serve``'s request dispatch.  All start inside one
+    :func:`repro.worker_env.worker_threads_pinned` block, so each inherits
+    BLAS pinned to one thread, and the environment it was started with
+    (``REPRO_CACHE_DIR`` among it).  Each runs :func:`_worker_main`: its
+    scenarios share derived stages through the store at ``store_root`` (a
+    process-local memory store without one), and it keeps at most
+    ``max_models`` pre-trained bundles (unbounded for ``None``).  Callers
+    own the handles and must :meth:`~WorkerProcess.stop` them.
     """
-    with worker_threads_pinned():
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_worker_init,
-            initargs=(cache_dir, store_root),
-        )
-        # Each submit spawns a new process while the pool is below
-        # max_workers, so N pings guarantee N workers exist — created while
-        # the BLAS pinning above is still in the environment.
-        for future in [pool.submit(_worker_ping) for _ in range(workers)]:
-            future.result()
-    return pool
+    context = multiprocessing.get_context("spawn")
+    handles: List[WorkerProcess] = []
+    with _SPAWN_LOCK, worker_threads_pinned():
+        for _ in range(workers):
+            parent_end, child_end = context.Pipe()
+            process = context.Process(
+                target=_worker_main,
+                args=(child_end, store_root, max_models),
+                name="repro-worker",
+                daemon=True,
+            )
+            process.start()
+            child_end.close()
+            handles.append(WorkerProcess(process, parent_end))
+    return handles
 
 
 def _run_workers(
     pending: Sequence[ScenarioSpec], workers: int, store, resume: bool, outcome: GridRunResult
 ) -> None:
-    """Drain ``pending`` with one local GridWorker per pool process."""
+    """Drain ``pending`` with one local GridWorker per worker process."""
     from repro.distributed.worker import drain_shard
 
     # Every needed checkpoint goes to disk first, so no worker pre-trains.
-    bundles: Dict[str, Any] = {}
     for spec in pending:
-        bundle = _bundle_for(spec, bundles)
-        if bundle is not None:
-            ensure_checkpoint_on_disk(bundle)
+        if needs_bundle(spec.experiment):
+            prepare_checkpoint(spec.resolved_profile())
 
     # Workers write into the caller's store when its results may be reused,
     # else into a temporary one, copied over and removed afterwards.
@@ -231,18 +331,28 @@ def _run_workers(
     target = store if reuse else ResultStore(tempfile.mkdtemp(prefix="repro-grid-"))
     grid = ScenarioGrid(name=outcome.grid.name, specs=tuple(pending))
     failures: Dict[str, str] = {}
+    lost: List[str] = []
+    pool = spawn_worker_pool(workers, store_root=target.root)
     try:
-        with spawn_worker_pool(workers, cache_dir=os.environ.get("REPRO_CACHE_DIR")) as pool:
-            futures = [
-                pool.submit(drain_shard, grid, target.root, index, workers)
-                for index in range(workers)
-            ]
-            for future in futures:
-                seconds, failed = future.result()
+        for index, worker in enumerate(pool):
+            worker.send(drain_shard, grid, index, workers)
+        busy = list(pool)
+        while busy:
+            wait([worker.conn for worker in busy] + [worker.process.sentinel for worker in busy])
+            for worker in [worker for worker in busy if worker.ready()]:
+                busy.remove(worker)
+                try:
+                    seconds, failed = worker.reply()
+                except WorkerError as error:
+                    # Its claim expires and a survivor steals it.
+                    LOGGER.warning("grid worker lost: %s", error)
+                    lost.append(str(error))
+                    continue
                 outcome.per_scenario_s.update(seconds)
                 failures.update(failed)
     finally:
-        # Runs on a broken pool too, so finished work reaches the caller.
+        for worker in pool:
+            worker.stop()
         for spec in pending:
             result = target.get(spec)
             if result is None:
@@ -252,7 +362,10 @@ def _run_workers(
             outcome.results[spec.hash] = result
         if target is not store:
             shutil.rmtree(target.root, ignore_errors=True)
-    outcome.executed = len(outcome.per_scenario_s)
+    outcome.executed = sum(spec.hash in outcome.results for spec in pending)
+    for spec in pending:
+        if spec.hash not in outcome.results and spec.hash not in failures:
+            failures[spec.hash] = "no worker left to run it (" + "; ".join(lost) + ")"
     if failures:
         raise GridExecutionError(
             {spec: failures[spec.hash] for spec in pending if spec.hash in failures},
@@ -300,8 +413,10 @@ def run_grid(
     workers:
         ``<= 1`` runs the serial in-process oracle; ``> 1`` drains pending
         scenarios with that many local lease-based workers, one per spawned
-        process (see the module docstring).  A scenario failing there
-        raises :class:`GridExecutionError` once the rest are stored.
+        process (see the module docstring).  A worker process that dies
+        leaves its claim to the survivors.  A scenario that failed, or that
+        no worker was left to run, raises :class:`GridExecutionError` once
+        the rest are stored.
     store:
         Persistent result store.  With ``resume=True`` (default), scenarios
         already present in the store are returned from cache instead of
@@ -340,7 +455,7 @@ def run_grid(
         _run_workers(pending, workers, store, resume, outcome)
     else:
         groups = _stack_groups(pending) if batch else {}
-        bundles: Dict[str, Any] = {}
+        bundles = BundleCache()
         touched: Dict[int, Any] = {}
 
         def _record(spec, result, elapsed):
@@ -359,7 +474,7 @@ def run_grid(
             if members is not None:
                 from repro.api import execute_api_eval_batch
 
-                spec_bundle = _bundle_for(spec, bundles, explicit_bundle=bundle)
+                spec_bundle = bundles.bundle_for(spec, explicit_bundle=bundle)
                 if spec_bundle is not None:
                     touched[id(spec_bundle)] = spec_bundle
                 scenario_start = time.perf_counter()

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.experiments.profiles import ExperimentProfile, get_profile
+from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.runner.spec import ScenarioSpec, stable_seed
 from repro.sim import SimConfig, apply_config, resolve_engine_name
 from repro.utils.seed import seed_everything
@@ -118,9 +118,7 @@ class ScenarioContext:
         # identically whether the scenario runs against a shared in-process
         # bundle or a worker's freshly built one.
         if self.spec.profile:
-            return get_profile(self.spec.profile).with_overrides(
-                **self.spec.override_dict()
-            )
+            return self.spec.resolved_profile()
         if self.bundle is not None:
             return self.bundle.profile
         return None

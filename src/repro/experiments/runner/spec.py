@@ -84,9 +84,7 @@ def grid_profile(grid: "ScenarioGrid", fallback: Any = None):
     """
     first = next(iter(grid), None)
     if first is not None and first.profile:
-        from repro.experiments.profiles import get_profile
-
-        return get_profile(first.profile).with_overrides(**first.override_dict())
+        return first.resolved_profile()
     return fallback.profile if fallback is not None else None
 
 
@@ -192,6 +190,12 @@ class ScenarioSpec:
     def override_dict(self) -> Dict[str, Any]:
         """Profile overrides as a plain dict."""
         return {key: value for key, value in self.overrides}
+
+    def resolved_profile(self):
+        """The experiment profile this scenario runs under, overrides applied."""
+        from repro.experiments.profiles import get_profile
+
+        return get_profile(self.profile).with_overrides(**self.override_dict())
 
     def as_dict(self) -> Dict[str, Any]:
         """Canonical JSON-serialisable form (used for hashing and storage).

@@ -14,29 +14,30 @@ recognisable *before* it runs:
 * a request whose result is already stored is answered from disk without
   touching any model (:class:`~repro.serve.server.EvalService`);
 * distinct requests against the same profile share one resident
-  pre-trained model copy, LRU-bounded (:class:`~repro.serve.pool.ModelPool`).
+  pre-trained model copy in each worker process, LRU-bounded by
+  ``max_models`` (``--max-models``).
 
 Concurrency model: the asyncio front end (:class:`~repro.serve.server.EvalServer`)
 accepts any number of clients.  **Scaling out means processes, not
-threads** — and with ``workers > 1`` the server actually does it: the
-:class:`~repro.serve.pool.ExecutionEngine` dispatches each scenario to a
-spawn pool of worker processes, each owning its own
-:class:`repro.context.ExecutionContext` (compute-dtype policy, RNG
-stream, bundle cache), so K distinct requests execute ``min(K, workers)``
-wide with no global execution lock.  Threads would not work here even
-with the context machinery: a simulation saturates its process (NumPy
-compute holds the GIL for real work) and the pooled model object itself
-is mutated during configuration, so in-process threading buys
-interleaving, not speedup.  With ``workers == 1`` (default) execution is
-inline and serialised behind the engine's lock — the single parent
-context is shared state, and overlapping conflicting sessions on one
-context is forbidden (:class:`repro.sim.ConcurrentDtypeError`).
+threads.**  There is one execution path: queue thread ``i`` runs every
+scenario it takes in worker process ``i``
+(:class:`~repro.serve.pool.ExecutionEngine`, on the runner's worker core
+that ``run_grid(workers=N)`` also uses), at every ``workers`` count.  Each
+process owns its own :class:`repro.context.ExecutionContext`
+(compute-dtype policy, RNG stream, bundle cache), so K distinct requests
+execute ``min(K, workers)`` wide with no global execution lock, and the
+server's own process runs no simulation.  A process that dies fails only
+the request it was running; the thread's next request spawns a new one.
+Threads would not work here even with the context machinery: a simulation
+saturates its process (NumPy compute holds the GIL for real work) and a
+model object is mutated during configuration, so in-process threading
+buys interleaving, not speedup.
 
 Run it: ``python -m repro.serve --help``.
 """
 
 from repro.serve.coalescer import RequestTable
-from repro.serve.pool import ExecutionEngine, ModelPool
+from repro.serve.pool import ExecutionEngine
 from repro.serve.request import (
     DONE,
     FAILED,
@@ -64,7 +65,6 @@ __all__ = [
     "EvalService",
     "ExecutionEngine",
     "LatencyStat",
-    "ModelPool",
     "RequestRecord",
     "RequestTable",
     "ServeConfig",

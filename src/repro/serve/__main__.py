@@ -9,7 +9,7 @@ Example::
 stdout as ``serving on HOST:PORT`` (and flushed immediately) so wrapping
 harnesses — the serve benchmark, shell scripts — can parse it.  The server
 runs until interrupted (Ctrl-C) or terminated (SIGTERM); either way it stops
-the service and shuts its worker pool down before exiting.
+the service and terminates and joins its worker processes before exiting.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers", type=int, default=defaults.workers,
-        help="1 executes inline (serialised); >1 dispatches to that many "
-        "worker processes, each with its own execution context",
+        help="worker processes, each with its own execution context; "
+        "N distinct requests run min(N, workers) at a time",
     )
     parser.add_argument(
         "--max-models", type=int, default=defaults.max_models,
-        help="LRU bound on resident pre-trained models (one per profile)",
+        help="LRU bound on resident pre-trained models (one per profile) "
+        "in each worker process",
     )
     parser.add_argument(
         "--queue-size", type=int, default=defaults.queue_size,
@@ -63,7 +64,7 @@ async def _run(config: ServeConfig) -> None:
     server = EvalServer(EvalService(config))
     await server.start()
     # SIGTERM cancels serving the way Ctrl-C does, so the finally below
-    # still stops the service and joins its worker pool.
+    # still stops the service and joins its worker processes.
     asyncio.get_running_loop().add_signal_handler(
         signal.SIGTERM, asyncio.current_task().cancel
     )

@@ -4,8 +4,8 @@ Layering (front to back)::
 
     EvalServer          asyncio JSON-lines TCP protocol (submit/status/...)
       -> EvalService    coalescing, store cache hits, backpressure, counters
-        -> ExecutionEngine   inline (serialised) or spawn-pool (parallel)
-          -> ModelPool       LRU-bounded shared pre-trained bundles
+        -> ExecutionEngine   queue thread i -> worker process i
+          -> worker process  own execution context, LRU-bounded bundles
 
 Request lifecycle inside :meth:`EvalService.submit` (one table-lock pass,
 so concurrent identical submits cannot double-execute):
@@ -20,10 +20,11 @@ so concurrent identical submits cannot double-execute):
    rejected on the spot when the queue is full (backpressure: the client
    sees ``state="rejected"`` instead of the server buffering unboundedly).
 
-Worker threads drain the queue through the
-:class:`~repro.serve.pool.ExecutionEngine`; every successful execution is
-persisted to the store before the record resolves, so the next identical
-request — this process or any later one — is a cache hit.
+Queue threads drain the queue through the
+:class:`~repro.serve.pool.ExecutionEngine`, each into its own worker
+process; every successful execution is persisted to the store before the
+record resolves, so the next identical request — this process or any later
+one — is a cache hit.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Set
 
+from repro.experiments.runner.executor import WorkerError
 from repro.experiments.runner.store import ResultStore, default_store
 from repro.serve.coalescer import RequestTable
-from repro.serve.pool import ExecutionEngine, ModelPool
+from repro.serve.pool import ExecutionEngine
 from repro.serve.request import (
     ORIGIN_CACHE,
     ORIGIN_EXECUTED,
@@ -58,14 +60,13 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8642
-    #: Workers.  ``1`` (default) runs scenarios inline, serialised by the
-    #: engine's execution lock.  ``> 1`` turns on parallel dispatch: that
-    #: many queue-draining threads each ship their scenario to the engine's
-    #: spawn pool of equally many worker *processes* — one
+    #: Workers: that many queue-draining threads, each running its
+    #: scenarios in a worker *process* of its own — one
     #: :class:`repro.context.ExecutionContext` per process, so K distinct
     #: requests run ``min(K, workers)``-wide with no global lock.
     workers: int = 1
-    #: LRU bound on resident pre-trained bundles (one per profile token).
+    #: LRU bound on the pre-trained bundles (one per profile token) each
+    #: worker process keeps resident.
     max_models: int = 2
     #: Bounded execution queue — submits beyond this are rejected, not
     #: buffered (backpressure).
@@ -83,14 +84,10 @@ class EvalService:
         self,
         config: ServeConfig = ServeConfig(),
         store: Optional[ResultStore] = None,
-        pool: Optional[ModelPool] = None,
     ):
         self.config = config
         self.store = store if store is not None else default_store()
-        self.pool = pool if pool is not None else ModelPool(max_models=config.max_models)
-        self.engine = ExecutionEngine(
-            self.pool, stage_store=self.store, workers=config.workers
-        )
+        self.engine: Optional[ExecutionEngine] = None
         self.table = RequestTable(max_history=config.max_history)
         self._queue: "queue.Queue[RequestRecord]" = queue.Queue(maxsize=config.queue_size)
         self._workers: list = []
@@ -119,23 +116,27 @@ class EvalService:
         if self._workers:
             return
         self._stop.clear()
+        self.engine = ExecutionEngine(
+            self.config.workers, store_root=self.store.root, max_models=self.config.max_models
+        )
         for index in range(max(1, self.config.workers)):
             worker = threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-{index}", daemon=True
+                target=self._worker_loop, args=(index,), name=f"repro-serve-{index}", daemon=True
             )
             worker.start()
             self._workers.append(worker)
 
     def stop(self) -> None:
         self._stop.set()
-        # An idle worker sees the flag within one 0.2 s queue poll.  A busy
-        # one is a daemon thread mid-scenario; waiting for it would hold
-        # shutdown for the rest of that scenario, so it ends with the process.
+        # Terminating the worker processes fails whatever they were running,
+        # so a busy thread wakes at once; an idle one sees the flag within
+        # one 0.2 s queue poll.
+        if self.engine is not None:
+            self.engine.shutdown()
         deadline = time.monotonic() + 1.0
         for worker in self._workers:
             worker.join(timeout=max(0.0, deadline - time.monotonic()))
         self._workers.clear()
-        self.engine.shutdown()
 
     # ------------------------------------------------------------------
     # Submission
@@ -178,27 +179,32 @@ class EvalService:
     # ------------------------------------------------------------------
     # Workers
     # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, slot: int) -> None:
         while not self._stop.is_set():
             try:
                 record = self._queue.get(timeout=0.2)
             except queue.Empty:
                 continue
             try:
-                self._execute_record(record)
+                self._execute_record(record, slot)
             finally:
                 self._queue.task_done()
 
-    def _execute_record(self, record: RequestRecord) -> None:
+    def _execute_record(self, record: RequestRecord, slot: int) -> None:
         record.mark_running()
         request = record.request
         try:
-            result = self.engine.execute(request.spec, request.needs_model)
+            result = self.engine.execute(slot, request.spec, request.needs_model)
             clean = self.store.put(request.spec, result)
         except Exception as error:  # noqa: BLE001 — server must not die
-            LOGGER.warning("request %s failed: %s", request.label(), error)
+            # A worker error already reads "<type>: <message>".
+            message = (
+                str(error) if isinstance(error, WorkerError)
+                else f"{type(error).__name__}: {error}"
+            )
+            LOGGER.warning("request %s failed: %s", request.label(), message)
             self._bump("failed")
-            record.fail(f"{type(error).__name__}: {error}")
+            record.fail(message)
             return
         # Count the execution before the record wakes its waiters, so a
         # client that holds its answer reads stats that already include it.
@@ -230,14 +236,12 @@ class EvalService:
             executed_per_worker = dict(self._executed_per_worker)
         return {
             "counters": counters,
-            "pool": self.pool.stats(),
             "queue_depth": self._queue.qsize(),
             "in_flight": self.table.in_flight(),
             "history": len(self.table),
             "workers": {
                 "count": len(self._workers),
                 "configured": self.config.workers,
-                "dispatch": "spawn-pool" if self.engine.parallel else "inline",
                 "executed_per_worker": executed_per_worker,
             },
             "latency": {
@@ -279,7 +283,7 @@ class EvalServer:
     ``{"op": "result", "key": ..., "timeout_s": ...}``
         Wait for and return the full record, result included.
     ``{"op": "stats"}``
-        Counters, pool stats, queue depth and per-origin latency.
+        Counters, queue depth, workers and per-origin latency.
     ``{"op": "gc", "dry_run": true}``
         Run store garbage collection with live-request protection.
 

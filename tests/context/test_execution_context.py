@@ -72,7 +72,6 @@ class TestExecutionContext:
         assert context.dtype_name == "float64"
         assert context.grad_enabled is True
         assert context.bundles == {}
-        assert context.stage_store is None
 
     def test_set_dtype_returns_previous(self):
         context = ExecutionContext()

@@ -106,6 +106,29 @@ class TestBuilders:
         again = get_pretrained_bundle(get_profile("smoke"), use_disk_cache=False)
         assert again is smoke_bundle
 
+    def test_prepare_checkpoint_builds_only_while_the_metadata_is_missing(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.context import ExecutionContext, use_context
+        from repro.experiments import common
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        profile = get_profile("smoke")
+        built = []
+        build = common.get_pretrained_bundle
+        monkeypatch.setattr(
+            common, "get_pretrained_bundle", lambda p: built.append(p.name) or build(p)
+        )
+        with use_context(ExecutionContext()) as context:
+            path = common.prepare_checkpoint(profile)
+            assert os.path.exists(path)
+            assert common.cached_clean_accuracy(profile) is not None
+            assert context.bundles == {}  # the caller is left holding no model
+            assert common.prepare_checkpoint(profile) == path
+        assert built == ["smoke"]
+
     def test_bundle_state_restore(self, smoke_bundle):
         state = smoke_bundle.pretrained_state()
         layer = smoke_bundle.model.encoded_layers()[0]

@@ -142,11 +142,9 @@ class TestProtocol:
             stats = call(stream, {"op": "stats"})
             assert stats["ok"]
             assert stats["stats"]["counters"]["executed"] == 1
-            assert "pool" in stats["stats"]
             workers = stats["stats"]["workers"]
             assert workers["count"] == 1
             assert workers["configured"] == 1
-            assert workers["dispatch"] == "inline"
             assert sum(workers["executed_per_worker"].values()) == 1
             report = call(stream, {"op": "gc", "dry_run": True})
             assert report["ok"]
@@ -214,9 +212,15 @@ class TestParallelDispatch:
                 finally:
                     sock.close()
 
-            # Warm the spawn pool outside the measured window (process
-            # startup is paid once per server lifetime, not per request).
-            client(selftest_spec(value=99, sleep_s=0.0))
+            # Warm both worker processes outside the measured window
+            # (process startup is paid once per thread, not per request):
+            # two overlapping requests, one per queue thread.
+            warm = [selftest_spec(value=98 + index, sleep_s=0.5) for index in range(2)]
+            threads = [threading.Thread(target=client, args=(s,)) for s in warm]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
             responses.clear()
 
             start = time.perf_counter()
@@ -238,10 +242,9 @@ class TestParallelDispatch:
 
             stats = harness.service.stats()
             workers = stats["workers"]
-            assert workers["dispatch"] == "spawn-pool"
             assert workers["count"] == 2
-            assert stats["counters"]["executed"] == 3  # warm-up + the pair
-            assert sum(workers["executed_per_worker"].values()) == 3
+            assert stats["counters"]["executed"] == 4  # warm-up pair + the pair
+            assert sum(workers["executed_per_worker"].values()) == 4
 
 
 def _cli_env():
@@ -323,7 +326,7 @@ class TestCLI:
             sock = socket.create_connection((host, int(port)), timeout=60.0)
             stream = sock.makefile("rw", encoding="utf-8")
             try:
-                # The pool spawns with the first dispatched request.
+                # A worker process spawns with its thread's first request.
                 assert call(stream, {"op": "submit", "spec": selftest_spec(value=4)})["ok"]
             finally:
                 sock.close()
@@ -372,17 +375,21 @@ class TestCLI:
                 proc.kill()
                 proc.wait()
 
-    def test_sigint_exits_while_a_blocking_submit_waits(self, tmp_path):
-        """Ctrl-C stops a ``--workers 1`` server at once, not when the
-        scenario a client is blocked on finishes (here 30 s later)."""
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads the process table")
+    @pytest.mark.parametrize("workers", ["1", "2"], ids=["workers1", "workers2"])
+    def test_sigint_exits_while_a_blocking_submit_waits(self, tmp_path, workers):
+        """Ctrl-C stops the server at once, not when the scenario a client is
+        blocked on finishes (here 30 s later), and no worker process of the
+        server is left running."""
         import time
 
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.serve", "--port", "0", "--workers", "1",
+            [sys.executable, "-m", "repro.serve", "--port", "0", "--workers", workers,
              "--cache-dir", str(tmp_path / "cache")],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env(),
         )
         spec = selftest_spec(value=30, sleep_s=30.0)
+        children = []
         try:
             host, port = proc.stdout.readline().split()[-1].rsplit(":", 1)
             blocked = socket.create_connection((host, int(port)), timeout=60.0)
@@ -401,6 +408,12 @@ class TestCLI:
                         break
                     time.sleep(0.05)
                 assert twin["state"] == "running"
+                # The record runs from the moment its thread takes it, just
+                # before the thread spawns its worker process.
+                while not children and time.monotonic() < deadline:
+                    children = _child_pids(proc.pid)
+                    time.sleep(0.05)
+                assert children, "the server started no worker process"
                 proc.send_signal(signal.SIGINT)
                 started = time.monotonic()
                 _, stderr = proc.communicate(timeout=60.0)
@@ -411,10 +424,17 @@ class TestCLI:
             assert proc.returncode == 0
             assert elapsed < 5.0, f"exit took {elapsed:.1f} s after SIGINT"
             assert "Traceback" not in stderr, stderr
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in children) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in children if _running(pid)]
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            for pid in children:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
     def test_cli_help_mentions_knobs(self):
         output = subprocess.run(

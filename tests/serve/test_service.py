@@ -1,8 +1,8 @@
-"""Service-level tests: coalescing, cache hits, backpressure, model pool.
+"""Service-level tests: coalescing, cache hits, backpressure, worker bundles.
 
 Everything here uses the bundle-free ``selftest`` scenario (plus stub
-bundles for the pool tests), so no pre-training happens and the whole file
-stays in the fast loop.
+bundles for the bundle-cache tests, and the seconds-fast smoke profile for
+one worker process's bound), so the whole file stays in the fast loop.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.experiments.runner.executor import BundleCache, execute_spec, spawn_worker_pool
 from repro.experiments.runner.spec import ScenarioSpec
 from repro.experiments.runner.store import ResultStore
 from repro.serve import (
@@ -24,7 +25,6 @@ from repro.serve import (
     RUNNING,
     EvalRequest,
     EvalService,
-    ModelPool,
     RequestRecord,
     RequestTable,
     ServeConfig,
@@ -167,7 +167,7 @@ class TestCacheHits:
             assert hit.result["value"] == 9
             assert fresh.counters["cache_hits"] == 1
             assert fresh.counters["executed"] == 0
-            assert fresh.pool.stats()["models_loaded"] == 0
+            assert fresh.engine is None  # no worker process exists
         finally:
             fresh.stop()
 
@@ -227,7 +227,9 @@ class TestStats:
         assert record.wait(10.0)
         stats = service.stats()
         assert stats["counters"]["executed"] == 1
-        assert stats["pool"]["models_loaded"] == 0
+        assert stats["workers"] == {
+            "count": 1, "configured": 1, "executed_per_worker": {"repro-serve-0": 1}
+        }
         executed = stats["latency"][ORIGIN_EXECUTED]
         assert executed["count"] == 1
         assert executed["mean_s"] >= 0.05
@@ -266,64 +268,83 @@ class _StubBundle:
         self.profile = profile
 
 
-class TestModelPool:
-    def _spec(self, profile_name):
-        return ScenarioSpec.create("table1", method="Baseline", profile=profile_name)
+def _resident_bundles(state):
+    """Worker call: how many bundles the worker's cache and its execution
+    context hold."""
+    from repro.context import current_context
 
-    def test_lru_eviction_bounds_resident_models(self):
+    return len(state.bundles), len(current_context().bundles)
+
+
+class TestWorkerBundleCache:
+    """The LRU bound ``--max-models`` puts on each worker process's bundles."""
+
+    def _spec(self, profile_name, **overrides):
+        return ScenarioSpec.create(
+            "table1", method="Baseline", profile=profile_name, sigma=4.0, pulses=8,
+            overrides=overrides,
+        )
+
+    def test_lru_eviction_releases_the_bundle(self):
+        from repro.context import ExecutionContext, use_context
+        from repro.experiments import common
+
+        built = []
+
+        def builder(profile):
+            built.append(profile.name)
+            bundle = _StubBundle(profile)
+            # Memoise as get_pretrained_bundle does, so the test proves
+            # eviction releases the bundle from the execution context too.
+            common._bundle_cache()[common.profile_token(profile)] = bundle
+            return bundle
+
+        with use_context(ExecutionContext()) as context:
+            cache = BundleCache(max_models=1, builder=builder)
+            smoke = cache.bundle_for(self._spec("smoke"))
+            smoke_token = common.profile_token(smoke.profile)
+            assert list(context.bundles) == [smoke_token]
+            fast = cache.bundle_for(self._spec("fast"))  # evicts smoke
+            assert len(cache) == 1
+            assert list(context.bundles) == [common.profile_token(fast.profile)]
+            cache.bundle_for(self._spec("smoke"))  # rebuilt after eviction
+        assert built == ["smoke", "fast", "smoke"]
+
+    def test_hits_do_not_rebuild(self):
         built = []
 
         def builder(profile):
             built.append(profile.name)
             return _StubBundle(profile)
 
-        pool = ModelPool(max_models=1, builder=builder)
-        spec_smoke = self._spec("smoke")
-        spec_fast = self._spec("fast")
-
-        first = pool.bundle_for(spec_smoke)
-        assert pool.bundle_for(spec_smoke) is first  # hit, no rebuild
-        assert built == ["smoke"]
-
-        pool.bundle_for(spec_fast)  # evicts smoke (LRU bound is 1)
-        assert len(pool) == 1
-        assert pool.stats()["model_evictions"] == 1
-
-        pool.bundle_for(spec_smoke)  # rebuild after eviction
+        cache = BundleCache(max_models=2, builder=builder)
+        first = cache.bundle_for(self._spec("smoke"))
+        cache.bundle_for(self._spec("fast"))
+        assert cache.bundle_for(self._spec("smoke")) is first
+        # The hit made smoke the most recently used: a third profile evicts fast.
+        cache.bundle_for(self._spec("smoke", seed=1))
+        assert cache.bundle_for(self._spec("smoke")) is first
         assert built == ["smoke", "fast", "smoke"]
-        assert pool.stats() == {
-            "models_loaded": 3,
-            "model_hits": 1,
-            "model_evictions": 2,
-            "models_resident": 1,
-        }
+        assert cache.bundle_for(ScenarioSpec.create("selftest", value=1)) is None
 
-    def test_eviction_also_drops_context_bundle_cache(self):
-        from repro.context import current_context
-        from repro.experiments import common
-
-        bundles = current_context().bundles
-
-        def builder(profile):
-            bundle = _StubBundle(profile)
-            # Mirror get_pretrained_bundle's memoisation so the test proves
-            # pool eviction actually releases it from the execution context.
-            bundles[common.profile_token(profile)] = bundle
-            return bundle
-
-        pool = ModelPool(max_models=1, builder=builder)
-        try:
-            pool.bundle_for(self._spec("smoke"))
-            smoke_token = pool.tokens()[0]
-            assert smoke_token in bundles
-            pool.bundle_for(self._spec("fast"))
-            assert smoke_token not in bundles
-        finally:
-            pool.clear()
-
-    def test_max_models_must_be_positive(self):
+    def test_max_models_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="max_models"):
-            ModelPool(max_models=0)
+            BundleCache(max_models=0)
+        service = EvalService(ServeConfig(max_models=0), store=ResultStore(str(tmp_path)))
+        with pytest.raises(ValueError, match="max_models"):
+            service.start()
+
+    def test_a_worker_with_max_models_1_holds_one_bundle_after_two_profiles(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        (worker,) = spawn_worker_pool(1, max_models=1)
+        try:
+            for spec in (self._spec("smoke"), self._spec("smoke", seed=1)):
+                assert 0.0 <= worker.call(execute_spec, spec.as_dict())["accuracy"] <= 100.0
+            assert worker.call(_resident_bundles) == (1, 1)
+        finally:
+            worker.stop()
 
 
 @pytest.mark.slow
@@ -354,10 +375,15 @@ class TestApiEvalEndToEnd:
             assert result["num_repeats"] == 2
             assert len(result["per_repeat"]) == 2
             assert 0.0 <= result["accuracy"] <= 100.0
-            assert service.pool.stats()["models_loaded"] == 1
-            # The simulation ran at the spec's concrete dtype; the engine
-            # must leave the process policy as it found it.
+            # The simulation ran in the worker process, at the spec's
+            # concrete dtype; the server's own policy is untouched, and the
+            # server holds no model of its own.
             assert compute_dtype_name() == "float64"
+            from repro.context import current_context
+
+            assert current_context().bundles == {}
+            (worker,) = service.engine._slots
+            assert worker.call(_resident_bundles) == (1, 1)
 
             # Identical request: answered from history/store, no re-run and
             # no second model load — and byte-identical numbers.
@@ -365,7 +391,7 @@ class TestApiEvalEndToEnd:
             assert again.state == DONE
             assert again.result == result
             assert service.counters["executed"] == 1
-            assert service.pool.stats()["models_loaded"] == 1
+            assert worker.call(_resident_bundles) == (1, 1)
         finally:
             service.stop()
             clear_bundle_cache()
@@ -374,8 +400,10 @@ class TestApiEvalEndToEnd:
 class TestWorkerCrashRecovery:
     """A worker process dying mid-request fails that request, not the server.
 
-    The engine drops the broken spawn pool, so the next request runs on a
-    freshly spawned one instead of failing forever.
+    Queue thread ``i`` owns worker process ``i``: the killed process fails
+    only the request it was running, its sibling finishes its own, and the
+    next request is served (the thread spawns a new process when it needs
+    one).
     """
 
     @staticmethod
@@ -385,7 +413,7 @@ class TestWorkerCrashRecovery:
             time.sleep(0.02)
         return record.state == state
 
-    def test_killed_worker_fails_its_request_and_pool_respawns(self, tmp_path):
+    def test_killed_worker_fails_only_its_own_request(self, tmp_path):
         import os
         import signal
 
@@ -394,30 +422,38 @@ class TestWorkerCrashRecovery:
         )
         service.start()
         try:
-            # Spawn the pool before the request that gets its worker killed.
-            warm = service.submit(selftest_payload(value=0))
-            assert warm.wait(60.0) and warm.state == DONE
-            broken_pool = service.engine._executor
-            old_pids = set(broken_pool._processes)
-            assert len(old_pids) == 2
-
             victim = service.submit(selftest_payload(value=1, sleep_s=30.0))
             assert self._wait_for_state(victim, RUNNING)
-            time.sleep(0.5)  # let the worker pick the task up
-            os.kill(next(iter(old_pids)), signal.SIGKILL)
+            # Processes are spawned per thread on demand, just after the
+            # record starts running: the only one so far runs the victim.
+            deadline = time.monotonic() + 30.0
+            pids = []
+            while not pids and time.monotonic() < deadline:
+                pids = [w.process.pid for w in service.engine._slots if w is not None]
+                time.sleep(0.02)
+            (victim_pid,) = pids
+            sibling = service.submit(selftest_payload(value=2, sleep_s=2.0))
+            assert self._wait_for_state(sibling, RUNNING)
+            time.sleep(0.5)  # let the sibling's process pick its call up
+            os.kill(victim_pid, signal.SIGKILL)
 
             assert victim.wait(30.0)
             assert victim.state == FAILED
-            assert "BrokenProcessPool" in victim.error
+            assert f"worker process {victim_pid} died" in victim.error
+            assert sibling.wait(30.0)
+            assert sibling.state == DONE, sibling.error
+            assert sibling.result["value"] == 2
             assert service.counters["failed"] == 1
 
-            after = service.submit(selftest_payload(value=2))
-            assert after.wait(60.0)
-            assert after.state == DONE, after.error
-            assert after.result["value"] == 2
-            fresh_pool = service.engine._executor
-            assert fresh_pool is not None and fresh_pool is not broken_pool
-            assert not old_pids & set(fresh_pool._processes)
+            # Two overlapping requests: each thread takes one, so the
+            # victim's thread spawns a new process.
+            after = [service.submit(selftest_payload(value=v, sleep_s=0.5)) for v in (3, 4)]
+            for record, value in zip(after, (3, 4)):
+                assert record.wait(60.0)
+                assert record.state == DONE, record.error
+                assert record.result["value"] == value
+            live = [w.process.pid for w in service.engine._slots if w is not None]
+            assert victim_pid not in live
         finally:
             service.stop()
 
