@@ -4,13 +4,21 @@
 Reads every ``benchmarks/results/BENCH_*.json`` and fails (exit code 1) if
 any recorded ``speedup`` is below its recorded ``min_required_speedup``:
 
-* ``BENCH_engine.json`` — vectorized vs reference pulsed-MVM (gate >= 10x),
+* ``BENCH_engine.json`` — vectorized vs reference pulsed MVM  (gate >= 10x),
 * ``BENCH_gbo.json``    — vectorized vs reference GBO step    (gate >= 5x),
-* ``BENCH_runner.json`` — scenario-runner suite wall-clock    (gate >= 2x),
-* ``BENCH_serve.json``  — serve cache-hit vs cold latency     (gate >= 50x),
+* ``BENCH_runner.json`` — scenario-runner resume vs serial    (gate >= 2x),
+* ``BENCH_serve.json``  — concurrent vs serial distinct pair  (gate >= 1.4x;
+  an executed request vs a store hit is asserted >= 50x),
 * ``BENCH_batch.json``  — stacked K=8 ``evaluate_multi`` vs
-  sequential sessions, median of 3 pairs                     (gate >= 1.1x),
-* ``BENCH_dist.json``   — distributed drain / lease reclaim   (gate >= 1.5x).
+  sequential sessions                                       (gate >= 1.1x),
+* ``BENCH_dist.json``   — two-worker vs one-worker drain      (gate >= 1.5x).
+
+Every gate is measured one way (``benchmarks/conftest.py``
+``alternating_pairs``): the median of N alternating pairs at a pinned
+1-thread BLAS pool, read back.  So an artifact is refused unless it records
+``samples`` >= ``MIN_SAMPLES``, both legs' sample lists of that length, the
+per-pair ratios, ``speedup_iqr`` and ``blas_threads`` equal to 1, the pool
+size read back from OpenBLAS.
 
 The gates travel inside the artifacts themselves (each benchmark records
 the bar it asserted), so this script never drifts from the benchmarks; it
@@ -45,6 +53,9 @@ REQUIRED_ARTIFACTS = (
     "BENCH_batch.json",
     "BENCH_dist.json",
 )
+
+#: Fewest alternating pairs a gated median may come from.
+MIN_SAMPLES = 3
 
 #: Valid values for a recorded compute dtype (the process dtype policy).
 VALID_COMPUTE_DTYPES = ("float32", "float64")
@@ -90,6 +101,7 @@ def check_gates(results_dir: str = DEFAULT_RESULTS_DIR) -> Tuple[List[str], List
         if not isinstance(speedup, (int, float)) or not isinstance(gate, (int, float)):
             failures.append(f"{name}: missing speedup/min_required_speedup fields")
             continue
+        failures.extend(f"{name}: {problem}" for problem in _measurement_problems(record))
         status = "OK " if speedup >= gate else "FAIL"
         detail = ""
         if "gated_on" in record:
@@ -109,6 +121,24 @@ def check_gates(results_dir: str = DEFAULT_RESULTS_DIR) -> Tuple[List[str], List
             failures.append(f"{name}: recorded speedup {speedup:.2f}x below gate {gate:.2f}x")
 
     return lines, failures
+
+
+def _measurement_problems(record: Dict) -> List[str]:
+    """What ``record`` lacks of an ``alternating_pairs`` measurement."""
+    samples = record.get("samples")
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < MIN_SAMPLES:
+        return [f"samples is {samples!r}, expected an integer >= {MIN_SAMPLES}"]
+    problems = []
+    for key in ("a_s_samples", "b_s_samples", "speedup_samples"):
+        values = record.get(key)
+        if not isinstance(values, list) or len(values) != samples:
+            problems.append(f"{key} is not a list of {samples} samples")
+    if not isinstance(record.get("speedup_iqr"), (int, float)):
+        problems.append("speedup_iqr missing")
+    threads = record.get("blas_threads")
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads != 1:
+        problems.append(f"blas_threads is {threads!r}, expected the pinned pool's 1")
+    return problems
 
 
 def main(argv: List[str]) -> int:

@@ -16,40 +16,35 @@ groups.  Every scenario's accuracy is asserted equal to its sequential run
 in every sample (the bit-identity contract of :mod:`repro.sim.multi`).
 
 Gate: the median of ``SAMPLES`` alternating (sequential, stacked) pairs
-must reach ``MIN_SPEEDUP``.  Even pairs time the sequential leg first, odd
-pairs the stacked leg, so a drift of the host's speed hits both legs
-alike.  Both legs run in-process with BLAS threads as the environment sets
-them, and the artifact records those variables.  ``benchmarks/results/BENCH_batch.json`` records every sample, the
-ratios' IQR and the runs the bar was set from.
+at a pinned 1-thread BLAS pool read back (``alternating_pairs``) must reach
+``MIN_SPEEDUP``.  On that pool ``evaluate_multi`` runs its two lanes, as in
+every worker process and in e2ebench.
+``benchmarks/results/BENCH_batch.json`` records every sample, the ratios'
+IQR and the runs the bar was set from.
 """
-
-import os
-import time
 
 import numpy as np
 
-from benchmarks.conftest import emit_report, usable_cpus, write_bench_artifact
+from benchmarks.conftest import alternating_pairs, emit_report, usable_cpus, write_bench_artifact
 from repro.sim import Session, SimConfig
 from repro.tensor.dtype import compute_dtype_name
 from repro.tensor.random import RandomState
 from repro.training.evaluate import evaluate_accuracy, evaluate_multi
-from repro.worker_env import WORKER_THREAD_ENV
 
 #: A sigma sweep of the paper's fig1b shape, K = 8 scenarios.
 SIGMAS = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 SEEDS = tuple(1000 + index for index in range(len(SIGMAS)))
-#: Alternating (sequential, stacked) pairs; the gate takes their median.
 SAMPLES = 3
 MIN_SPEEDUP = 1.1
 #: Median-of-3 ratios of the standalone runs on the 2-CPU host that the bar
-#: was set from (the same runs are in ``history.jsonl``).  The lowest, 1.11,
-#: ran beside other work on the host.
+#: was set from (the same runs are in ``history.jsonl``), when the legs ran
+#: on the unpinned pool in one lane.  The lowest, 1.11, ran beside other
+#: work on the host.
 BAR_EVIDENCE = {
     "host": "2 CPUs, one pytest process per run",
     "median_speedups_blas_unpinned": [
         1.37, 1.11, 1.26, 1.36, 1.32, 1.25, 1.32, 1.25, 1.31, 1.25,
     ],
-    "median_speedups_blas_1_thread": [1.34, 1.17],
 }
 
 
@@ -86,12 +81,6 @@ def _run_stacked(model, loader, sims):
     return [scenario[0] for scenario in stacked]
 
 
-def _timed(run, model, loader, sims):
-    start = time.perf_counter()
-    accuracies = run(model, loader, sims)
-    return time.perf_counter() - start, accuracies
-
-
 def test_batched_multi_scenario_speedup(capsys, results_dir, bundle):
     model = bundle.model
     loader = bundle.test_loader
@@ -104,26 +93,19 @@ def test_batched_multi_scenario_speedup(capsys, results_dir, bundle):
         model, first_batch, sims
     )
 
-    sequential_samples, stacked_samples = [], []
-    legs = [
-        ("sequential", _run_sequential, sequential_samples),
-        ("stacked", _run_stacked, stacked_samples),
-    ]
-    for pair in range(SAMPLES):
-        accuracies = {}
-        for name, run, samples in legs if pair % 2 == 0 else legs[::-1]:
-            elapsed, accuracies[name] = _timed(run, model, loader, sims)
-            samples.append(elapsed)
-        assert accuracies["stacked"] == accuracies["sequential"], (
-            "stacked evaluation must be bit-identical to sequential sessions"
-        )
-
-    ratios = [seq / stacked for seq, stacked in zip(sequential_samples, stacked_samples)]
-    speedup = float(np.median(ratios))
-    low, high = np.percentile(ratios, [25, 75])
-    speedup_iqr = float(high - low)
-    sequential_s = float(np.median(sequential_samples))
-    stacked_s = float(np.median(stacked_samples))
+    accuracies = {"sequential": [], "stacked": []}
+    pairs = alternating_pairs(
+        lambda: accuracies["sequential"].append(_run_sequential(model, loader, sims)),
+        lambda: accuracies["stacked"].append(_run_stacked(model, loader, sims)),
+        SAMPLES,
+    )
+    runs = accuracies["sequential"] + accuracies["stacked"]
+    assert all(run == runs[0] for run in runs), (
+        "stacked evaluation must be bit-identical to sequential sessions"
+    )
+    speedup = pairs["speedup"]
+    sequential_s = float(np.median(pairs["a_s_samples"]))
+    stacked_s = float(np.median(pairs["b_s_samples"]))
 
     record = {
         "workload": {
@@ -134,20 +116,15 @@ def test_batched_multi_scenario_speedup(capsys, results_dir, bundle):
             "engine": "vectorized",
             "test_batches": len(loader),
             "compute_dtype": compute_dtype_name(),
-            "samples": SAMPLES,
-            "blas_threads": {var: os.environ.get(var) for var in WORKER_THREAD_ENV},
+            "legs": ["sequential", "stacked"],
         },
         "sequential_s": sequential_s,
         "stacked_s": stacked_s,
-        "sequential_s_samples": sequential_samples,
-        "stacked_s_samples": stacked_samples,
-        "speedup_samples": ratios,
-        "speedup_iqr": speedup_iqr,
+        **pairs,
         "bit_identical": True,
         "usable_cpus": usable_cpus(),
         "gated_on": "evaluate_multi",
         "bar_evidence": BAR_EVIDENCE,
-        "speedup": speedup,
         "min_required_speedup": MIN_SPEEDUP,
     }
     write_bench_artifact(results_dir, "batch", record)
@@ -160,7 +137,7 @@ def test_batched_multi_scenario_speedup(capsys, results_dir, bundle):
             f"[{compute_dtype_name()}]",
             f"  sequential: {sequential_s:8.2f} s  (median of {SAMPLES})",
             f"  stacked   : {stacked_s:8.2f} s  (median of {SAMPLES}, evaluate_multi)",
-            f"  speedup   : {speedup:8.2f}x  (median, IQR {speedup_iqr:.2f}; "
+            f"  speedup   : {speedup:8.2f}x  (median, IQR {pairs['speedup_iqr']:.2f}; "
             f"required >= {MIN_SPEEDUP:g}x)",
             "  bit-identical accuracies: True",
             "  artifact  : benchmarks/results/BENCH_batch.json",

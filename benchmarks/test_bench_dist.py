@@ -3,31 +3,30 @@
 Runs the fast-profile evaluation suite (the same grid as benchmark E8)
 several ways and the crash-recovery path once:
 
-* serial oracle (fresh result store, in-process, BLAS unpinned),
-* ``SAMPLES`` alternating pairs of a pinned serial drain and a two-worker
-  drain, each into a fresh store.  The serial leg is one
-  ``python -m repro.distributed`` worker subprocess owning the whole suite;
-  the distributed leg is two of them sharing one store directory,
-  shard-affine (shard 0 / shard 1).  Every worker pins its BLAS pools to
-  one thread through :mod:`repro.worker_env` and pays interpreter and
-  bundle start-up, so the two legs differ only in the worker count.
-  Bit-identity of every store is asserted against the serial oracle,
+* serial oracle (fresh result store, in-process),
+* ``SAMPLES`` alternating pairs of a serial drain and a two-worker drain,
+  each into a fresh store.  The serial leg is one ``python -m
+  repro.distributed`` worker subprocess owning the whole suite; the
+  distributed leg is two of them sharing one store directory, shard-affine
+  (shard 0 / shard 1).  Every worker pins its BLAS pools to one thread
+  through :mod:`repro.worker_env` and pays interpreter and bundle start-up,
+  so the two legs differ only in the worker count.  Bit-identity of every
+  store is asserted against the serial oracle,
 * lease reclaim: a store one scenario short of complete plus an expired
   lease left by a "crashed" worker — a fresh worker must steal the
   orphaned claim and finish, at resume-like cost.
 
-The wall-clock gate is honest about the hardware: with >= 2 usable cores
-the median of the per-pair ratios (pinned serial / two workers) must clear
->= 1.5x; on a single-core container (where two CPU-bound processes cannot
-beat one by construction) the gate rides the reclaim path instead, which
-must clear the same bar.  ``benchmarks/results/BENCH_dist.json`` records
-every sample, the ratios' IQR, the core count, which path was gated, and
-the ungated ratio of the unpinned in-process oracle to the median
-two-worker drain (the gated number until the serial leg was pinned: it
-ran in the pytest process with both cores' BLAS threads and the bundle
-already loaded, so every speed-up of the scenarios lowered it).
+Gate: the median of the alternating pairs' ratios (serial / two workers),
+at a pinned 1-thread BLAS pool read back in this process
+(``alternating_pairs``), must clear >= 1.5x with >= 2 usable cores.  On a
+single-core container, where two CPU-bound processes cannot beat one by
+construction, the pairs are the in-process serial drain against the lease
+reclaim instead, gated at the same bar.  ``benchmarks/results/BENCH_dist.json``
+records every sample, the ratios' IQR, the core count and which path was
+gated.
 """
 
+import itertools
 import json
 import os
 import shutil
@@ -37,7 +36,7 @@ import time
 
 import numpy as np
 
-from benchmarks.conftest import emit_report, usable_cpus, write_bench_artifact
+from benchmarks.conftest import alternating_pairs, emit_report, usable_cpus, write_bench_artifact
 from benchmarks.test_bench_runner import _eval_suite
 from repro.distributed.lease import LeaseManager
 from repro.distributed.worker import GridWorker
@@ -45,7 +44,6 @@ from repro.experiments.runner import ResultStore, run_grid
 
 MIN_SPEEDUP = 1.5
 NUM_WORKERS = 2
-#: Alternating (pinned serial, two-worker) pairs; the gate takes their median.
 SAMPLES = 3
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,18 +74,31 @@ def _spawn_worker(specs_file, store_dir, shard_index, num_shards):
     )
 
 
-def _timed_drain(specs_file, store_dir, num_workers):
-    """Wall time of ``num_workers`` worker subprocesses draining the suite
-    into ``store_dir``, start-up included."""
-    start = time.perf_counter()
+def _drain(specs_file, store_dir, num_workers):
+    """``num_workers`` worker subprocesses drain the suite into ``store_dir``."""
     workers = [
         _spawn_worker(specs_file, store_dir, index, num_workers) for index in range(num_workers)
     ]
     outputs = [worker.communicate(timeout=1200)[0] for worker in workers]
-    elapsed = time.perf_counter() - start
     assert [worker.returncode for worker in workers] == [0] * num_workers, outputs
-    return elapsed
 
+
+def _reclaim(complete_store_dir, reclaim_store_dir, grid):
+    """Finish a clone of a complete store missing one result whose claim a
+    "crashed" worker left behind; returns the drain report and the victim.
+
+    A fresh worker must steal the claim and finish at resume-like cost
+    (everything else is cached), never re-run the suite.
+    """
+    shutil.copytree(complete_store_dir, reclaim_store_dir)
+    store = ResultStore(str(reclaim_store_dir))
+    victim = min(grid, key=lambda spec: spec.hash)
+    os.remove(store.result_path(victim))
+    dead = LeaseManager(store.root, owner="crashed-worker", ttl=60.0)
+    assert dead.acquire(victim.hash)
+    stale = time.time() - 3600
+    os.utime(dead.lease_path(victim.hash), (stale, stale))
+    return GridWorker(grid, store).drain(), victim
 
 
 def test_distributed_drain_and_reclaim(bundle, capsys, results_dir, tmp_path):
@@ -95,75 +106,53 @@ def test_distributed_drain_and_reclaim(bundle, capsys, results_dir, tmp_path):
     grid = _eval_suite(profile)
     assert len(grid) >= 20, "the eval suite should be a real grid, not a toy"
 
-    # ---- serial oracle (in-process, BLAS unpinned) ----------------------
-    serial_store = ResultStore(str(tmp_path / "serial_store"))
+    oracle_dir = tmp_path / "serial_store"
     start = time.perf_counter()
-    serial = run_grid(grid, store=serial_store, bundle=bundle)
-    unpinned_serial_s = time.perf_counter() - start
+    serial = run_grid(grid, store=ResultStore(str(oracle_dir)), bundle=bundle)
+    oracle_s = time.perf_counter() - start
     assert serial.executed == len(grid)
 
-    # ---- alternating pinned serial / two-worker drains ------------------
-    # Even pairs run the serial leg first, odd pairs the two workers, so a
-    # drift of the host's speed across the test hits both legs alike.
-    specs_file = tmp_path / "suite.json"
-    specs_file.write_text(json.dumps([spec.as_dict() for spec in grid]))
-    serial_samples, dist_samples, store_dirs = [], [], []
-    for pair in range(SAMPLES):
-        legs = [("serial", 1), ("dist", NUM_WORKERS)]
-        for leg, num_workers in legs if pair % 2 == 0 else legs[::-1]:
-            store_dir = tmp_path / f"{leg}_store_{pair}"
-            elapsed = _timed_drain(specs_file, store_dir, num_workers)
-            (serial_samples if leg == "serial" else dist_samples).append(elapsed)
-            store_dirs.append(store_dir)
+    # ---- crash recovery: reclaim an orphaned claim ----------------------
+    start = time.perf_counter()
+    reclaim_report, victim = _reclaim(oracle_dir, tmp_path / "reclaim_store", grid)
+    reclaim_s = time.perf_counter() - start
+    assert reclaim_report.reclaimed == [victim.hash]
+    assert reclaim_report.executed == [victim.hash]
+    assert reclaim_report.cached == len(grid) - 1
 
+    # ---- the gated pairs, each leg into a fresh store --------------------
+    fresh = (tmp_path / f"store_{index}" for index in itertools.count())
+    cpus = usable_cpus()
+    if cpus >= NUM_WORKERS:
+        gated_on = "two_workers"
+        specs_file = tmp_path / "suite.json"
+        specs_file.write_text(json.dumps([spec.as_dict() for spec in grid]))
+        pairs = alternating_pairs(
+            lambda: _drain(specs_file, next(fresh), 1),
+            lambda: _drain(specs_file, next(fresh), NUM_WORKERS),
+            SAMPLES,
+        )
+    else:
+        # Two CPU-bound worker processes need two cores to beat one serial
+        # process; on one, recovering a crashed worker's scenario must cost
+        # a single scenario, not a suite.
+        gated_on = "reclaim"
+        pairs = alternating_pairs(
+            lambda: run_grid(grid, store=ResultStore(str(next(fresh))), bundle=bundle),
+            lambda: _reclaim(oracle_dir, next(fresh), grid),
+            SAMPLES,
+        )
+    stores = [tmp_path / "reclaim_store", *tmp_path.glob("store_*")]
     bit_identical = all(
-        ResultStore(str(store_dir)).get(spec) == serial.results[spec.hash]
-        for store_dir in store_dirs
+        ResultStore(str(store)).get(spec) == serial.results[spec.hash]
+        for store in stores
         for spec in grid
     )
     assert bit_identical, "worker results must be bit-identical to the serial oracle"
-    dist_store_dir = tmp_path / "dist_store_0"
 
-    # ---- crash recovery: reclaim an orphaned claim ----------------------
-    # Clone the finished store, delete one result, and leave behind the
-    # expired lease of a worker that "died" holding it.  A fresh worker
-    # must steal the claim and finish at resume-like cost (everything else
-    # is cached), never re-run the suite.
-    reclaim_store_dir = tmp_path / "reclaim_store"
-    shutil.copytree(dist_store_dir, reclaim_store_dir)
-    reclaim_store = ResultStore(str(reclaim_store_dir))
-    victim_spec = min(grid, key=lambda spec: spec.hash)
-    os.remove(reclaim_store.result_path(victim_spec))
-    dead = LeaseManager(reclaim_store.root, owner="crashed-worker", ttl=60.0)
-    assert dead.acquire(victim_spec.hash)
-    stale = time.time() - 3600
-    os.utime(dead.lease_path(victim_spec.hash), (stale, stale))
-
-    start = time.perf_counter()
-    reclaim_report = GridWorker(grid, reclaim_store).drain()
-    reclaim_s = time.perf_counter() - start
-    assert reclaim_report.reclaimed == [victim_spec.hash]
-    assert reclaim_report.executed == [victim_spec.hash]
-    assert reclaim_report.cached == len(grid) - 1
-    assert reclaim_store.get(victim_spec) == serial.results[victim_spec.hash]
-
-    # ---- the honest gate ------------------------------------------------
-    ratios = [serial / dist for serial, dist in zip(serial_samples, dist_samples)]
-    dist_speedup = float(np.median(ratios))
-    low, high = np.percentile(ratios, [25, 75])
-    dist_speedup_iqr = float(high - low)
-    serial_s = float(np.median(serial_samples))
-    dist_s = float(np.median(dist_samples))
-    unpinned_speedup = unpinned_serial_s / dist_s
-    # The reclaim drain runs in-process, like the unpinned oracle.
-    reclaim_speedup = unpinned_serial_s / reclaim_s
-    cpus = usable_cpus()
-    # Two CPU-bound worker processes need two cores to beat one serial
-    # process; on fewer the theoretical ceiling is < 1x once interpreter
-    # startup is paid, so the gate falls to the reclaim path: recovering a
-    # crashed worker's scenario must cost a single scenario, not a suite.
-    gated_on = "two_workers" if cpus >= NUM_WORKERS else "reclaim"
-    gated_speedup = dist_speedup if gated_on == "two_workers" else reclaim_speedup
+    serial_s = float(np.median(pairs["a_s_samples"]))
+    dist_s = float(np.median(pairs["b_s_samples"]))
+    speedup = pairs["speedup"]
     # Even ungated, the two-worker path must stay sane: the slack term
     # absorbs two interpreter/bundle-load startups on tiny suites.
     dist_ceiling_s = 3.0 * serial_s + 30.0
@@ -180,26 +169,17 @@ def test_distributed_drain_and_reclaim(bundle, capsys, results_dir, tmp_path):
             "experiments": list(grid.experiments()),
             "num_workers": NUM_WORKERS,
             "workers_include_interpreter_startup": True,
-            "serial_leg": "one python -m repro.distributed worker, BLAS pinned "
-            "to 1 thread by repro.worker_env",
-            "samples": SAMPLES,
+            "legs": ["serial", gated_on],
         },
+        "oracle_s": oracle_s,
         "serial_s": serial_s,
         "dist_s": dist_s,
-        "serial_s_samples": serial_samples,
-        "dist_s_samples": dist_samples,
-        "dist_speedup_samples": ratios,
-        "dist_speedup_iqr": dist_speedup_iqr,
-        "unpinned_serial_s": unpinned_serial_s,
-        "unpinned_dist_speedup_ungated": unpinned_speedup,
         "reclaim_s": reclaim_s,
-        "dist_speedup_workers2": dist_speedup,
-        "reclaim_speedup": reclaim_speedup,
+        **pairs,
         "usable_cpus": cpus,
         "bit_identical": bit_identical,
         "dist_ceiling_s": dist_ceiling_s,
         "gated_on": gated_on,
-        "speedup": gated_speedup,
         "min_required_speedup": MIN_SPEEDUP,
     }
     write_bench_artifact(results_dir, "dist", record)
@@ -209,19 +189,17 @@ def test_distributed_drain_and_reclaim(bundle, capsys, results_dir, tmp_path):
             "Distributed workers, fast-profile evaluation suite",
             f"  grid            : {len(grid)} scenarios "
             f"({', '.join(grid.experiments())})",
-            f"  serial oracle   : {unpinned_serial_s:8.2f} s  (in-process, BLAS unpinned; "
-            f"{unpinned_speedup:.2f}x, ungated)",
-            f"  pinned serial   : {serial_s:8.2f} s  (median of {SAMPLES}, 1 worker)",
-            f"  {NUM_WORKERS} workers       : {dist_s:8.2f} s  "
-            f"({dist_speedup:.2f}x median, IQR {dist_speedup_iqr:.2f}, "
+            f"  serial oracle   : {oracle_s:8.2f} s  (in-process)",
+            f"  serial leg      : {serial_s:8.2f} s  (median of {SAMPLES})",
+            f"  {gated_on:<16}: {dist_s:8.2f} s  (median of {SAMPLES}, "
             f"{cpus} usable cpu(s), incl. startup)",
-            f"  lease reclaim   : {reclaim_s:8.2f} s  ({reclaim_speedup:.1f}x)",
+            f"  lease reclaim   : {reclaim_s:8.2f} s",
             f"  bit-identical   : {bit_identical}",
-            f"  gate            : {gated_on} >= {MIN_SPEEDUP:.1f}x "
-            f"-> {gated_speedup:.2f}x",
+            f"  gate            : {gated_on} >= {MIN_SPEEDUP:.1f}x -> {speedup:.2f}x "
+            f"(median of {SAMPLES} pairs, IQR {pairs['speedup_iqr']:.2f})",
             "  artifact        : benchmarks/results/BENCH_dist.json",
         ]
     )
     emit_report(capsys, results_dir, "dist_throughput", report)
 
-    assert gated_speedup >= MIN_SPEEDUP
+    assert speedup >= MIN_SPEEDUP

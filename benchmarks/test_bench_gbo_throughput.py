@@ -19,29 +19,24 @@ network.  At 32x32 / 0.25 width the per-candidate
 read is the dominant term, as it is on the paper's full-width VGG9, while a
 reference run still completes in seconds.
 
-The vectorized engine is additionally timed under the float32 compute
-policy (``repro.tensor.dtype``) — the raw-speed configuration this whole
-fold exists for: the candidate fold plus single-precision arithmetic.
-The reference engine stays at float64 so the denominator remains the
-literal paper-faithful oracle; the
-float64 vectorized time is also recorded so the artifact separates what
-single precision buys from what the fold buys.
+The vectorized engine is timed under the float32 compute policy
+(``repro.tensor.dtype``) — the raw-speed configuration this whole fold
+exists for: the candidate fold plus single-precision arithmetic.  The
+reference engine stays at float64 so the denominator remains the literal
+paper-faithful oracle.
 
-The acceptance bar is a >= 5x step-throughput speedup; the measured numbers
-are persisted to ``benchmarks/results/BENCH_gbo.json`` alongside the pulsed
-MVM tracking in ``BENCH_engine.json``.  Timing is best-of-``REPEATS`` full
-training runs per engine (the GBO analogue of BENCH_engine's "best of 5";
-each repeat here is a seconds-long measurement, so three repeats give a
-stable floor) so a single noisy run on a loaded machine cannot fail the
-gate or ship a misleading artifact.
+Gate: the median of ``SAMPLES`` alternating (reference, vectorized) pairs
+at a pinned 1-thread BLAS pool read back (``alternating_pairs``) must reach
+a >= 5x step-throughput speedup.  Each leg builds a fresh model and trains
+``NUM_BATCHES`` steps; the numbers are persisted to
+``benchmarks/results/BENCH_gbo.json``.
 """
 
 import contextlib
-import time
 
-import pytest
+import numpy as np
 
-from benchmarks.conftest import emit_report, write_bench_artifact
+from benchmarks.conftest import alternating_pairs, emit_report, write_bench_artifact
 from repro.core.gbo import GBOConfig, GBOTrainer
 from repro.core.search_space import PulseScalingSpace
 from repro.data import DataLoader, SyntheticImageConfig, SyntheticImageDataset
@@ -55,7 +50,7 @@ from repro.utils.seed import seed_everything
 #: Number of GBO optimisation steps timed per engine (1 epoch x NUM_BATCHES).
 NUM_BATCHES = 2
 BATCH_SIZE = 64
-REPEATS = 3
+SAMPLES = 3
 MIN_SPEEDUP = 5.0
 #: Paper-shaped workload: the paper's 32x32 images at quarter network width.
 IMAGE_SIZE = 32
@@ -73,8 +68,8 @@ def _gbo_loader(profile):
     return DataLoader(dataset, batch_size=BATCH_SIZE, shuffle=True, rng=RandomState(1))
 
 
-def _run_gbo_once(profile, engine_name, dtype=None) -> float:
-    """Wall-clock seconds for ``NUM_BATCHES`` GBO steps on a fresh model.
+def _run_gbo_once(profile, engine_name, dtype=None) -> None:
+    """``NUM_BATCHES`` GBO steps on a fresh model.
 
     ``dtype`` scopes the process compute-dtype policy around the whole run
     (model build included), so every array the step touches is materialised
@@ -91,7 +86,6 @@ def _run_gbo_once(profile, engine_name, dtype=None) -> float:
                 sigma_relative_to_fan_in=profile.noise_relative_to_fan_in,
             ),
         )
-        loader = _gbo_loader(profile)
         trainer = GBOTrainer(
             model,
             GBOConfig(
@@ -102,16 +96,8 @@ def _run_gbo_once(profile, engine_name, dtype=None) -> float:
             ),
             sim=SimConfig(engine=engine_name),
         )
-        start = time.perf_counter()
-        result = trainer.train(loader)
-        elapsed = time.perf_counter() - start
+        result = trainer.train(_gbo_loader(profile))
     assert len(result.history) == NUM_BATCHES
-    return elapsed
-
-
-def _time_gbo_steps(profile, engine_name, dtype=None) -> float:
-    """Best-of-``REPEATS`` wall-clock seconds for ``NUM_BATCHES`` GBO steps."""
-    return min(_run_gbo_once(profile, engine_name, dtype) for _ in range(REPEATS))
 
 
 def test_gbo_step_throughput_speedup(capsys, results_dir):
@@ -120,12 +106,16 @@ def test_gbo_step_throughput_speedup(capsys, results_dir):
     )
     assert profile.model == "vgg9"
 
-    reference_s = _time_gbo_steps(profile, "reference")
-    vectorized_f64_s = _time_gbo_steps(profile, "vectorized")
-    vectorized_s = _time_gbo_steps(profile, "vectorized", dtype="float32")
+    pairs = alternating_pairs(
+        lambda: _run_gbo_once(profile, "reference"),
+        lambda: _run_gbo_once(profile, "vectorized", dtype="float32"),
+        SAMPLES,
+    )
+    reference_s = float(np.median(pairs["a_s_samples"]))
+    vectorized_s = float(np.median(pairs["b_s_samples"]))
     reference_sps = NUM_BATCHES / reference_s
     vectorized_sps = NUM_BATCHES / vectorized_s
-    speedup = reference_s / vectorized_s
+    speedup = pairs["speedup"]
 
     record = {
         "workload": {
@@ -141,16 +131,14 @@ def test_gbo_step_throughput_speedup(capsys, results_dir):
             # oracle is always timed at float64.
             "compute_dtype": "float32",
             "reference_compute_dtype": "float64",
+            "legs": ["reference", "vectorized"],
         },
         "reference_steps_per_sec": reference_sps,
         "vectorized_steps_per_sec": vectorized_sps,
         "reference_s_per_step": reference_s / NUM_BATCHES,
         "vectorized_s_per_step": vectorized_s / NUM_BATCHES,
-        "vectorized_float64_s_per_step": vectorized_f64_s / NUM_BATCHES,
-        "speedup": speedup,
-        "speedup_float64": reference_s / vectorized_f64_s,
+        **pairs,
         "min_required_speedup": MIN_SPEEDUP,
-        "timing": f"best of {REPEATS}",
     }
     write_bench_artifact(results_dir, "gbo", record)
 
@@ -162,12 +150,11 @@ def test_gbo_step_throughput_speedup(capsys, results_dir):
             f"candidate encodings, 7 encoded layers",
             f"  ReferenceEngine (float64) : {reference_sps:8.3f} steps/s "
             f"({reference_s / NUM_BATCHES * 1e3:8.1f} ms / step)",
-            f"  VectorizedEngine (float64): {NUM_BATCHES / vectorized_f64_s:8.3f} steps/s "
-            f"({vectorized_f64_s / NUM_BATCHES * 1e3:8.1f} ms / step)",
             f"  VectorizedEngine (float32): {vectorized_sps:8.3f} steps/s "
             f"({vectorized_s / NUM_BATCHES * 1e3:8.1f} ms / step)",
             f"  speedup         : {speedup:8.1f}x  (required >= {MIN_SPEEDUP:.0f}x, "
-            f"best of {REPEATS}, float32 vectorized vs float64 reference)",
+            f"median of {SAMPLES} pairs, IQR {pairs['speedup_iqr']:.1f}; float32 vectorized "
+            "vs float64 reference)",
             "  artifact        : benchmarks/results/BENCH_gbo.json",
         ]
     )

@@ -12,7 +12,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.tensor import Tensor
 from repro.tensor.dtype import resolve_dtype
 from repro.tensor.random import RandomState, default_rng
 
@@ -55,8 +54,3 @@ def zeros(shape: Tuple[int, ...]) -> np.ndarray:
 def ones(shape: Tuple[int, ...]) -> np.ndarray:
     """All-one initialisation (used for BN scale)."""
     return np.ones(shape, dtype=resolve_dtype())
-
-
-def fill_(param: Tensor, values: np.ndarray) -> None:
-    """Copy ``values`` into an existing parameter in place."""
-    np.copyto(param.data, values)

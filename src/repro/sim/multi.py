@@ -22,9 +22,10 @@ per batch:
 Every op thus works on a cache-sized batch of ``N`` rows, never on a
 ``K*N``-row stack.
 
-**Two lanes.**  With two or more configs, and BLAS pinned to one thread
-(:func:`repro.worker_env.blas_pinned`, as in every worker process), the
-bodies run in two lanes at once.  The calling thread runs the first
+**Two lanes.**  With two or more configs, and a one-thread BLAS pool
+(:func:`repro.worker_env.blas_pinned` reads the pool itself: every worker
+process, e2ebench, or a :func:`~repro.worker_env.blas_pool_pinned` block),
+the bodies run in two lanes at once.  The calling thread runs the first
 ``ceil(K/2)`` scenarios on the model itself; one helper thread (a
 :class:`~repro.utils.step_ahead.StepAheadThread` named ``eval-lane``) runs
 the rest on a replica: a :func:`copy.deepcopy` of the model made on

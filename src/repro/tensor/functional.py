@@ -12,7 +12,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.tensor.dtype import resolve_dtype
 from repro.tensor.tensor import Tensor
 
 
@@ -51,14 +50,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     batch = logits.shape[0]
     picked = log_probs[np.arange(batch), targets]
     return -(picked.mean())
-
-
-def one_hot(targets: np.ndarray, num_classes: int) -> np.ndarray:
-    """Integer class indices to a one-hot float matrix."""
-    targets = np.asarray(targets, dtype=np.int64)
-    out = np.zeros((targets.shape[0], num_classes), dtype=resolve_dtype())
-    out[np.arange(targets.shape[0]), targets] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------

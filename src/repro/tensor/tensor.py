@@ -127,24 +127,6 @@ class Tensor:
             self._backward_fn_store = fn
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def zeros(*shape: int, requires_grad: bool = False) -> "Tensor":
-        """Return a tensor of zeros with the given shape."""
-        return Tensor(np.zeros(shape, dtype=resolve_dtype()), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
-        """Return a tensor of ones with the given shape."""
-        return Tensor(np.ones(shape, dtype=resolve_dtype()), requires_grad=requires_grad)
-
-    @staticmethod
-    def from_numpy(array: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        """Wrap an existing numpy array (coerced to the policy compute dtype)."""
-        return Tensor(np.asarray(array, dtype=resolve_dtype()), requires_grad=requires_grad)
-
-    # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------
     @property

@@ -2,7 +2,7 @@
 
 from repro.training.trainer import Trainer, TrainingConfig
 from repro.training.pretrain import PretrainConfig, pretrain_model
-from repro.training.evaluate import evaluate_accuracy, evaluate_loss, noisy_accuracy
+from repro.training.evaluate import evaluate_accuracy, noisy_accuracy
 from repro.training.metrics import accuracy_from_logits, AverageMeter
 from repro.training.checkpoint import save_checkpoint, load_checkpoint
 
@@ -12,7 +12,6 @@ __all__ = [
     "PretrainConfig",
     "pretrain_model",
     "evaluate_accuracy",
-    "evaluate_loss",
     "noisy_accuracy",
     "accuracy_from_logits",
     "AverageMeter",

@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.sim import MultiSession, SimConfig, Session
 from repro.tensor import Tensor, no_grad
-from repro.tensor import functional as F
 from repro.training.metrics import AverageMeter, accuracy_from_logits
 
 
@@ -84,23 +83,6 @@ def evaluate_multi(
         if was_training:
             model.train()
     return accuracies
-
-
-def evaluate_loss(model, loader) -> float:
-    """Mean cross-entropy of ``model`` over ``loader``."""
-    was_training = model.training
-    model.eval()
-    meter = AverageMeter("loss")
-    try:
-        with no_grad():
-            for inputs, targets in loader:
-                logits = model(Tensor(inputs))
-                loss = F.cross_entropy(logits, targets)
-                meter.update(float(loss.data), weight=len(targets))
-    finally:
-        if was_training:
-            model.train()
-    return meter.average
 
 
 def noisy_accuracy(model, loader, sim: SimConfig, num_repeats: int = 1) -> float:

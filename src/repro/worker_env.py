@@ -7,6 +7,16 @@ must be set before ``numpy`` is imported: in the parent, for spawned
 children, or first thing in a worker's own entry point.  That is also why
 this module imports nothing outside the standard library.
 
+A process whose numpy is already loaded resizes its pool directly:
+:func:`blas_threads` reads the effective size of numpy's bundled OpenBLAS
+pool through :mod:`ctypes`, and :func:`blas_pool_pinned` sets it for a block
+and restores it on exit.  The library is located from numpy's install path
+without importing numpy.  :func:`blas_pinned` answers from that pool, and
+from the variables only where no bundled OpenBLAS is found.  The gated
+benchmarks measure inside :func:`blas_pool_pinned` and record the size read
+back: each gate is the median of N alternating pairs at a pinned 1-thread
+pool (``benchmarks/conftest.py``).
+
 **Allocator.** :func:`keep_heap_resident` fixes glibc's two heap thresholds
 for the process.  Once a second thread allocates (GBO training's helper
 thread, see :mod:`repro.core.gbo`), glibc keeps handing the freed top of the
@@ -25,8 +35,11 @@ applied any number of times, and does nothing where the C library has no
 from __future__ import annotations
 
 import ctypes
+import glob
+import importlib.util
 import os
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Dict, Iterator, Optional
 
 #: BLAS/OpenMP thread-count variables pinned in worker processes.
@@ -45,13 +58,72 @@ def pin_worker_threads() -> Dict[str, Optional[str]]:
     return previous
 
 
-def blas_pinned() -> bool:
-    """Whether the BLAS thread variables pin BLAS to one thread, as
-    :func:`pin_worker_threads` does.
+@lru_cache(maxsize=None)
+def _openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas64_*.so``),
+    or ``None`` where there is none (no numpy, or another BLAS).
 
-    BLAS reads them when numpy loads it, so the answer describes its pool
-    as long as they have not changed since.
+    Loading it before numpy does is harmless: numpy's extension then links
+    against the very same library, which reads the thread variables once,
+    whoever loads it first.
     """
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    site = os.path.dirname(list(spec.submodule_search_locations)[0])
+    for path in sorted(glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*.so"))):
+        try:
+            library = ctypes.CDLL(path)
+            get, set_ = (
+                library.scipy_openblas_get_num_threads64_,
+                library.scipy_openblas_set_num_threads64_,
+            )
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return library
+    return None
+
+
+def blas_threads() -> Optional[int]:
+    """The effective thread count of numpy's OpenBLAS pool, read from the
+    library itself; ``None`` where it is not found."""
+    library = _openblas()
+    return None if library is None else int(library.scipy_openblas_get_num_threads64_())
+
+
+@contextmanager
+def blas_pool_pinned(threads: int = 1) -> Iterator[Optional[int]]:
+    """Resize this process's OpenBLAS pool to ``threads`` for the block.
+
+    Yields the size read back (``None`` where the library is not found, in
+    which case nothing changes) and restores the previous size on exit, also
+    when the block raises.  Resize only while no other thread of the process
+    is inside a BLAS call.
+    """
+    library = _openblas()
+    if library is None:
+        yield None
+        return
+    previous = blas_threads()
+    library.scipy_openblas_set_num_threads64_(threads)
+    try:
+        yield blas_threads()
+    finally:
+        library.scipy_openblas_set_num_threads64_(previous)
+
+
+def blas_pinned() -> bool:
+    """Whether this process's BLAS runs one thread.
+
+    Reads numpy's OpenBLAS pool (:func:`blas_threads`); where that library
+    is not found, whether the thread variables pin BLAS to one thread, as
+    :func:`pin_worker_threads` does.
+    """
+    threads = blas_threads()
+    if threads is not None:
+        return threads == 1
     return all(os.environ.get(name) == "1" for name in WORKER_THREAD_ENV)
 
 

@@ -14,9 +14,9 @@ produce, because
 Layers: config compatibility (``compat_key``), the model-level
 ``MultiSession`` / ``evaluate_multi``, and the runner's scenario stacking.
 
-Every test runs twice: with BLAS unpinned, where ``MultiSession`` runs one
-lane, and with the three BLAS thread variables at 1, where two or more
-configs run in two lanes (the second on a model replica in a helper
+Every test runs twice: on a 2-thread BLAS pool, where ``MultiSession`` runs
+one lane, and on a 1-thread pool, where two or more configs run in two
+lanes (the second on a model replica in a helper
 thread).  Probes patch classes, not instances, so they see the replica's
 layers too.
 """
@@ -34,23 +34,18 @@ from repro.sim import MultiSession, Session, SimConfig
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 from repro.training.evaluate import evaluate_accuracy, evaluate_multi
-from repro.worker_env import WORKER_THREAD_ENV, blas_pinned
+from repro.worker_env import blas_pinned, blas_pool_pinned
 
 SEED = 20220
 
 
 @pytest.fixture(autouse=True, params=["one_lane", "two_lanes"])
-def lane_mode(request, monkeypatch):
-    """Set the BLAS thread variables that pick the lane count.
-
-    ``blas_pinned()`` reads only the variables; the BLAS pool numpy already
-    loaded keeps its size, so results are the same in both modes.
-    """
-    for name in WORKER_THREAD_ENV:
-        if request.param == "two_lanes":
-            monkeypatch.setenv(name, "1")
-        else:
-            monkeypatch.delenv(name, raising=False)
+def lane_mode(request):
+    """Size the BLAS pool that picks the lane count: 2 threads or 1."""
+    with blas_pool_pinned(1 if request.param == "two_lanes" else 2) as threads:
+        if threads is None:
+            pytest.skip("numpy's bundled OpenBLAS was not found")
+        yield request.param
 
 
 class TestConfigStacking:

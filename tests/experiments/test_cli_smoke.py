@@ -48,8 +48,15 @@ def _gate_artifacts(directory, below_gate=None):
     from benchmarks.check_bench_gates import REQUIRED_ARTIFACTS
 
     for name in REQUIRED_ARTIFACTS:
+        speedup = 2.0 if name == below_gate else 4.0
         record = {
-            "speedup": 2.0 if name == below_gate else 4.0,
+            "samples": 3,
+            "a_s_samples": [speedup] * 3,
+            "b_s_samples": [1.0] * 3,
+            "speedup_samples": [speedup] * 3,
+            "speedup": speedup,
+            "speedup_iqr": 0.0,
+            "blas_threads": 1,
             "min_required_speedup": 3.0,
             "workload": {"compute_dtype": "float64"},
         }

@@ -162,8 +162,3 @@ class TestInit:
     def test_constants(self):
         assert np.all(init.zeros((3,)) == 0)
         assert np.all(init.ones((3,)) == 1)
-
-    def test_fill_(self):
-        layer = Linear(2, 2)
-        init.fill_(layer.weight, np.zeros((2, 2)))
-        assert np.allclose(layer.weight.data, 0.0)

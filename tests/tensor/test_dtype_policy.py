@@ -24,7 +24,6 @@ from repro.tensor import (
     set_compute_dtype,
 )
 from repro.tensor.dtype import canonical_dtype_name
-from repro.tensor.functional import one_hot
 from repro.tensor.random import RandomState
 
 
@@ -78,26 +77,13 @@ class TestMaterialisation:
     def test_tensor_storage_follows_policy(self):
         with compute_dtype_scope("float32"):
             assert Tensor([1.0, 2.0]).data.dtype == np.float32
-            assert Tensor.zeros(3).data.dtype == np.float32
-            assert Tensor.ones(2, 2).data.dtype == np.float32
         assert Tensor([1.0]).data.dtype == np.float64
-
-    def test_from_numpy_coerces_to_policy(self):
-        source = np.arange(4, dtype=np.float64)
-        with compute_dtype_scope("float32"):
-            assert Tensor.from_numpy(source).data.dtype == np.float32
-        assert Tensor.from_numpy(np.float32(1.0) * source).data.dtype == np.float64
 
     def test_gradients_match_storage_dtype(self):
         with compute_dtype_scope("float32"):
             x = Tensor([1.0, 2.0], requires_grad=True)
             (x * x).sum().backward()
             assert x.grad.dtype == np.float32
-
-    def test_one_hot_follows_policy(self):
-        with compute_dtype_scope("float32"):
-            assert one_hot(np.array([0, 2]), 3).dtype == np.float32
-        assert one_hot(np.array([0, 2]), 3).dtype == np.float64
 
     def test_init_schemes_follow_policy(self):
         with compute_dtype_scope("float32"):

@@ -76,10 +76,6 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             F.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))
 
-    def test_one_hot(self):
-        encoded = F.one_hot(np.array([0, 2]), num_classes=3)
-        assert np.allclose(encoded, [[1, 0, 0], [0, 0, 1]])
-
 
 class TestIm2col:
     def test_output_size_formula(self):

@@ -7,17 +7,6 @@ from repro.tensor import Tensor
 
 
 class TestConstruction:
-    def test_zeros_and_ones(self):
-        assert np.all(Tensor.zeros(2, 3).data == 0)
-        assert np.all(Tensor.ones(4).data == 1)
-        assert Tensor.zeros(2, 3).shape == (2, 3)
-
-    def test_from_numpy_copies_as_float(self):
-        source = np.array([1, 2, 3], dtype=np.int32)
-        tensor = Tensor.from_numpy(source)
-        assert tensor.dtype == np.float64
-        assert np.allclose(tensor.data, [1.0, 2.0, 3.0])
-
     def test_properties(self):
         t = Tensor(np.arange(6.0).reshape(2, 3))
         assert t.shape == (2, 3)

@@ -1,10 +1,10 @@
 """Stacked noisy evaluation in two lanes (:func:`evaluate_multi`).
 
-With two or more configs under pinned BLAS, :class:`repro.sim.MultiSession`
-runs the first half of each batch's scenarios on the calling thread and the
-rest on one helper thread, on a replica of the model.  (Every test here pins
-the BLAS thread variables; the pool numpy already loaded keeps its size,
-which changes no result.)  That must change nothing the
+With two or more configs on a one-thread BLAS pool,
+:class:`repro.sim.MultiSession` runs the first half of each batch's
+scenarios on the calling thread and the rest on one helper thread, on a
+replica of the model.  (Every test here pins this process's pool to one
+thread for its duration.)  That must change nothing the
 step-by-step loop produces — one ``MultiSession.forward`` loop per
 scenario, which starts no thread:
 
@@ -18,7 +18,7 @@ scenario, which starts no thread:
   once per distinct encoding per batch, on the calling thread, and every
   layer past the stem runs at batch N in both lanes; the helper lane
   records no graph and resolves the caller's execution context; one
-  config, or unpinned BLAS, starts no thread and builds no replica;
+  config, or a 2-thread BLAS pool, starts no thread and builds no replica;
 * an error on either lane reaches the caller with the helper joined and
   the layers' streams and memo restored; no thread outlives the call.
 """
@@ -41,7 +41,7 @@ from repro.training import evaluate
 from repro.training.evaluate import evaluate_multi
 from repro.training.metrics import AverageMeter, accuracy_from_logits
 from repro.utils.step_ahead import StepAheadThread
-from repro.worker_env import WORKER_THREAD_ENV
+from repro.worker_env import blas_pool_pinned
 
 SEED = 4410
 
@@ -73,9 +73,11 @@ CASES = {
 
 
 @pytest.fixture(autouse=True)
-def _blas_pinned(monkeypatch):
-    for name in WORKER_THREAD_ENV:
-        monkeypatch.setenv(name, "1")
+def _blas_pinned():
+    with blas_pool_pinned(1) as threads:
+        if threads is None:
+            pytest.skip("numpy's bundled OpenBLAS was not found")
+        yield
 
 
 def _model(name):
@@ -269,18 +271,14 @@ def test_helper_lane_runs_on_a_replica_and_records_no_graph(monkeypatch):
 def test_one_lane_starts_no_thread_and_builds_no_replica(monkeypatch, case):
     from repro.sim import multi
 
-    configs = NOISY
-    if case == "one_config":
-        configs = NOISY[:1]
-    else:
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    configs = _configs(NOISY[:1] if case == "one_config" else NOISY, "vectorized")
     model = _model("vgg9")
     calls = _recording_bodies(monkeypatch, model)
     lanes = []
     monkeypatch.setattr(multi, "_HelperLane", lambda *args, **kwargs: lanes.append(args))
     threads = threading.active_count()
-    configs = _configs(configs, "vectorized")
-    evaluate_multi(model, _loader(15), configs, rngs=_streams(len(configs)))
+    with blas_pool_pinned(1 if case == "one_config" else 2):
+        evaluate_multi(model, _loader(15), configs, rngs=_streams(len(configs)))
     caller = threading.current_thread().name
     assert [(thread, body_of) for thread, body_of, _ in calls] == [(caller, model)] * (
         3 * len(configs)
