@@ -24,6 +24,7 @@ import json
 import os
 import subprocess
 import time
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,6 +65,54 @@ def bundle(profile):
     """Shared pre-trained model + loaders (pre-trains once, cached on disk)."""
     seed_everything(profile.seed)
     return get_pretrained_bundle(profile)
+
+
+def eval_suite(profile):
+    """The eval-only scenarios of the paper grid (no GBO/NIA training):
+    Table I's uniform rows at every noise level, Fig. 2's per-layer sweep
+    and the A1 encoding ablation."""
+    from repro.experiments.ablations import encoding_ablation_grid
+    from repro.experiments.fig2 import fig2_grid
+    from repro.experiments.runner import ScenarioGrid
+    from repro.experiments.table1 import table1_grid
+
+    return ScenarioGrid.concat(
+        "fast_eval_suite",
+        [
+            table1_grid(profile, include_gbo=False),
+            fig2_grid(profile),
+            encoding_ablation_grid(profile),
+        ],
+    )
+
+
+@dataclass(frozen=True)
+class SuiteOracle:
+    """One serial run of :func:`eval_suite` into a result store."""
+
+    grid: object
+    store_dir: str
+    outcome: object
+    seconds: float
+
+
+@pytest.fixture(scope="session")
+def eval_suite_oracle(bundle, tmp_path_factory) -> SuiteOracle:
+    """The serial oracle of :func:`eval_suite`, run once per session.
+
+    The runner (E8) and distributed (E9) benchmarks both compare their legs
+    against it and read its store (resume legs, lease reclaim); neither
+    writes into it.
+    """
+    from repro.experiments.runner import ResultStore, run_grid
+
+    grid = eval_suite(bundle.profile)
+    store_dir = str(tmp_path_factory.mktemp("eval_suite_oracle"))
+    start = time.perf_counter()
+    outcome = run_grid(grid, store=ResultStore(store_dir), bundle=bundle)
+    seconds = time.perf_counter() - start
+    assert outcome.executed == len(grid)
+    return SuiteOracle(grid=grid, store_dir=store_dir, outcome=outcome, seconds=seconds)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 Runs the fast-profile evaluation suite (the same grid as benchmark E8)
 several ways and the crash-recovery path once:
 
-* serial oracle (fresh result store, in-process),
+* serial oracle (fresh result store, in-process): the session's
+  ``eval_suite_oracle`` (``benchmarks/conftest.py``), shared with E8,
 * ``SAMPLES`` alternating pairs of a serial drain and a two-worker drain,
   each into a fresh store.  The serial leg is one ``python -m
   repro.distributed`` worker subprocess owning the whole suite; the
@@ -37,7 +38,6 @@ import time
 import numpy as np
 
 from benchmarks.conftest import alternating_pairs, emit_report, usable_cpus, write_bench_artifact
-from benchmarks.test_bench_runner import _eval_suite
 from repro.distributed.lease import LeaseManager
 from repro.distributed.worker import GridWorker
 from repro.experiments.runner import ResultStore, run_grid
@@ -101,16 +101,16 @@ def _reclaim(complete_store_dir, reclaim_store_dir, grid):
     return GridWorker(grid, store).drain(), victim
 
 
-def test_distributed_drain_and_reclaim(bundle, capsys, results_dir, tmp_path):
+def test_distributed_drain_and_reclaim(
+    bundle, eval_suite_oracle, capsys, results_dir, tmp_path
+):
     profile = bundle.profile
-    grid = _eval_suite(profile)
+    grid = eval_suite_oracle.grid
     assert len(grid) >= 20, "the eval suite should be a real grid, not a toy"
 
-    oracle_dir = tmp_path / "serial_store"
-    start = time.perf_counter()
-    serial = run_grid(grid, store=ResultStore(str(oracle_dir)), bundle=bundle)
-    oracle_s = time.perf_counter() - start
-    assert serial.executed == len(grid)
+    oracle_dir = eval_suite_oracle.store_dir
+    serial = eval_suite_oracle.outcome
+    oracle_s = eval_suite_oracle.seconds
 
     # ---- crash recovery: reclaim an orphaned claim ----------------------
     start = time.perf_counter()

@@ -5,9 +5,10 @@ paper grid (Table I's uniform rows at all three noise levels, Fig. 2's
 per-layer sensitivity sweep and the A1 encoding ablation) — two ways:
 
 * serial: ``run_grid`` into a fresh result store (everything executes),
-* cached resume: ``run_grid`` over a store that one serial run filled
-  before the pairs (nothing recomputes), so neither leg needs the other's
-  output.
+* cached resume: ``run_grid`` over the store of the session's serial
+  oracle (``eval_suite_oracle`` in ``benchmarks/conftest.py``, shared with
+  benchmark E9), filled before the pairs (nothing recomputes), so neither
+  leg needs the other's output.
 
 Gate: the median of ``SAMPLES`` alternating (serial, resume) pairs at a
 pinned 1-thread BLAS pool read back (``alternating_pairs``): a completed
@@ -23,35 +24,21 @@ import itertools
 import numpy as np
 
 from benchmarks.conftest import alternating_pairs, emit_report, usable_cpus, write_bench_artifact
-from repro.experiments.fig2 import fig2_grid
-from repro.experiments.ablations import encoding_ablation_grid
-from repro.experiments.runner import ResultStore, ScenarioGrid, run_grid
-from repro.experiments.table1 import table1_grid
+from repro.experiments.runner import ResultStore, run_grid
 
 MIN_SPEEDUP = 2.0
 SAMPLES = 3
 
 
-def _eval_suite(profile) -> ScenarioGrid:
-    """The eval-only scenarios of the paper grid (no GBO/NIA training)."""
-    return ScenarioGrid.concat(
-        "fast_eval_suite",
-        [
-            table1_grid(profile, include_gbo=False),
-            fig2_grid(profile),
-            encoding_ablation_grid(profile),
-        ],
-    )
-
-
-def test_runner_throughput_and_bit_identity(bundle, capsys, results_dir, tmp_path):
+def test_runner_throughput_and_bit_identity(
+    bundle, eval_suite_oracle, capsys, results_dir, tmp_path
+):
     profile = bundle.profile
-    grid = _eval_suite(profile)
+    grid = eval_suite_oracle.grid
     assert len(grid) >= 20, "the eval suite should be a real grid, not a toy"
 
-    prepared = ResultStore(str(tmp_path / "prepared_store"))
-    oracle = run_grid(grid, store=prepared, bundle=bundle)
-    assert oracle.executed == len(grid)
+    prepared = ResultStore(eval_suite_oracle.store_dir)
+    oracle = eval_suite_oracle.outcome
 
     runs = []
     fresh = (ResultStore(str(tmp_path / f"store_{index}")) for index in itertools.count())

@@ -16,7 +16,7 @@ The package is organised bottom-up:
 * :mod:`repro.sim` — simulation state as an immutable value: the frozen,
   content-hashable :class:`~repro.sim.SimConfig` (engine, forward mode,
   pulses, noise, PLA rounding, seed policy), applied atomically and
-  reversibly through :class:`~repro.sim.Session` / ``configure``, with one
+  reversibly through :class:`~repro.sim.Session`, with one
   documented engine-resolution precedence rule;
 * :mod:`repro.core` — the paper's contribution: PLA, encoded crossbar
   layers, GBO and the NIA baseline;
@@ -50,7 +50,7 @@ from repro.version import __version__
 #: Names resolved lazily (PEP 562) from :mod:`repro.sim` and :mod:`repro.api`,
 #: so ``import repro`` loads no numpy: worker entry points run it before they
 #: pin BLAS threads (:mod:`repro.worker_env`).
-_SIM_EXPORTS = ("SimConfig", "Session", "apply_config", "configure", "resolve_engine_name")
+_SIM_EXPORTS = ("SimConfig", "Session", "apply_config", "resolve_engine_name")
 _API_EXPORTS = (
     "PipelineState",
     "EvaluationResult",

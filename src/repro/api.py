@@ -24,6 +24,19 @@ Configuration flows exclusively through :class:`repro.sim.SimConfig`
 (engine, mode, pulses, noise level and convention, PLA rounding, seed
 policy); hyper-parameters not covered by a config (epochs, learning rates,
 gamma) default to the state's profile.
+
+Every stage draws its data from loaders built for that call
+(:func:`~repro.experiments.common.build_loaders`, whose shuffle streams
+start from the profile seed), so a stage's result depends only on its
+arguments and the seed: two identical ``run_gbo`` calls on one state,
+each after the same ``seed_everything``, return the same schedule.
+
+These stages are the pipeline's one implementation.  The scenario
+executors behind Tables I and II, ablations A1 and A3 and ``api_eval``
+(the request type of ``repro.serve``) run their cells through
+:func:`evaluate`, :func:`run_gbo` and :func:`run_nia` on the
+:class:`PipelineState` their :class:`~repro.experiments.runner.scenarios.ScenarioContext`
+hands them.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from repro.core.gbo import GBOConfig, GBOResult, GBOTrainer
 from repro.core.nia import NIAConfig, NIATrainer
 from repro.core.pla import activation_grid_error
 from repro.core.search_space import PulseScalingSpace
-from repro.experiments.common import ExperimentBundle, get_pretrained_bundle
+from repro.experiments.common import ExperimentBundle, build_loaders, get_pretrained_bundle
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.sim import SimConfig, Session, apply_config
 from repro.training.evaluate import evaluate_accuracy
@@ -51,17 +64,20 @@ class PipelineState:
     """Everything the pipeline stages operate on.
 
     Wraps the pre-trained :class:`~repro.experiments.common.ExperimentBundle`
-    (model + loaders + clean accuracy) together with the state's base
+    (model + clean accuracy) together with the state's base
     :class:`SimConfig` — the config stages fall back to when called with
-    ``sim=None``.
+    ``sim=None`` — and the profile the stages read their hyper-parameters
+    and data from.  The profile may differ from the bundle's in fields the
+    pre-trained weights do not depend on (epochs, learning rates, test-set
+    size), as a scenario spec's overrides do.
+
+    Each loader property builds a fresh loader on every access, so no
+    shuffle stream carries over from one stage to the next.
     """
 
     bundle: ExperimentBundle
     sim: SimConfig
-
-    @property
-    def profile(self) -> ExperimentProfile:
-        return self.bundle.profile
+    profile: ExperimentProfile
 
     @property
     def model(self):
@@ -73,15 +89,15 @@ class PipelineState:
 
     @property
     def train_loader(self):
-        return self.bundle.train_loader
+        return build_loaders(self.profile)[0]
 
     @property
     def test_loader(self):
-        return self.bundle.test_loader
+        return build_loaders(self.profile)[1]
 
     @property
     def gbo_loader(self):
-        return self.bundle.gbo_loader
+        return build_loaders(self.profile)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +206,7 @@ def pretrain(
         sim = SimConfig.for_profile(profile)
     elif sim.engine is not None:
         apply_config(bundle.model, SimConfig(engine=sim.engine), profile)
-    return PipelineState(bundle=bundle, sim=sim)
+    return PipelineState(bundle=bundle, sim=sim, profile=profile)
 
 
 def _stage_model(state: PipelineState, weights: Optional[Dict[str, np.ndarray]]):
@@ -226,10 +242,9 @@ def evaluate(
         raise ValueError(f"num_repeats must be positive, got {num_repeats}")
     sim = sim if sim is not None else state.sim
     model = _stage_model(state, weights)
+    loader = state.test_loader
     with Session(model, sim, state.profile):
-        per_repeat = tuple(
-            evaluate_accuracy(model, state.test_loader) for _ in range(num_repeats)
-        )
+        per_repeat = tuple(evaluate_accuracy(model, loader) for _ in range(num_repeats))
     _reset(state)
     return EvaluationResult(
         accuracy=float(np.mean(per_repeat)), per_repeat=per_repeat, sim=sim
@@ -367,26 +382,11 @@ def eval_scenario_spec(
 
 
 def execute_api_eval_scenario(ctx) -> Dict[str, Any]:
-    """Scenario executor for ``api_eval`` specs (see :func:`eval_scenario_spec`).
-
-    Mirrors :func:`evaluate`'s semantics on the runner's determinism
-    contract: the bundle's shared model is reset to the pre-trained
-    snapshot, the spec's attached config is applied inside a
-    :class:`~repro.sim.Session` (restored afterwards, including the
-    compute-dtype policy), and the accuracy of ``num_repeats`` evaluation
-    passes is returned.
-    """
-    spec = ctx.spec
-    num_repeats = int(spec.param("num_repeats", 1))
+    """Scenario executor for ``api_eval`` specs (see :func:`eval_scenario_spec`):
+    one :func:`evaluate` stage under the spec's attached config."""
     sim = ctx.sim_config()
-    bundle = ctx.bundle
-    model = bundle.model
-    bundle.restore_pretrained()
-    model.requires_grad_(True)
-    with Session(model, sim, ctx.profile):
-        per_repeat = [evaluate_accuracy(model, ctx.test_loader) for _ in range(num_repeats)]
-    apply_config(model, SimConfig(mode="clean"))
-    return _api_eval_result(spec, sim, per_repeat, bundle)
+    evaluation = evaluate(ctx.pipeline(), sim, num_repeats=int(ctx.spec.param("num_repeats", 1)))
+    return _api_eval_result(ctx.spec, sim, evaluation.per_repeat, ctx.bundle)
 
 
 def _api_eval_result(spec, sim: SimConfig, per_repeat, bundle) -> Dict[str, Any]:
@@ -470,7 +470,7 @@ def execute_api_eval_batch(specs, bundle, stage_store=None) -> List[Dict[str, An
     model.requires_grad_(True)
     per_scenario = evaluate_multi(
         model,
-        contexts[0].test_loader,
+        build_loaders(profile)[1],
         sims,
         rngs=rngs,
         profile=profile,

@@ -86,23 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recompute scenarios even when the result store already has them",
     )
     run_parser.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=True,
-        help=(
-            "stack compatible sibling eval scenarios into one batched "
-            "multi-scenario forward on the serial path (default; results "
-            "are bit-identical to --no-batch)"
-        ),
-    )
-    run_parser.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="evaluate every scenario with its own sequential forward passes",
-    )
-    run_parser.add_argument(
         "--no-store",
         action="store_true",
         help="do not read or write the persistent result store",
@@ -251,7 +234,6 @@ def _command_run(args: argparse.Namespace) -> int:
             store=store,
             engine=args.engine,
             resume=not args.no_resume,
-            batch=args.batch,
         )
         elapsed = time.perf_counter() - start
         results[identifier] = assembled

@@ -24,15 +24,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro import api
 from repro.core.pla import pla_approximation_error
-from repro.core.schedule import PulseSchedule
 from repro.crossbar.analysis import bit_slicing_noise_variance, thermometer_noise_variance
 from repro.experiments.common import ExperimentBundle
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.runner.spec import stable_seed
-from repro.experiments.table1 import run_gbo_stage
 from repro.tensor.random import RandomState
-from repro.training.evaluate import noisy_accuracy
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("repro.ablations")
@@ -110,20 +108,16 @@ def execute_encoding_scenario(ctx) -> Dict[str, Any]:
         slicing_bits = max(1, math.ceil(math.log2(levels)))
         accumulated_std = math.sqrt(bit_slicing_noise_variance(slicing_bits, sigma=sigma))
 
-    model = ctx.model()
-    num_layers = model.num_encoded_layers()
     # The encoded layers divide sigma by sqrt(num_pulses); choose the
     # per-pulse sigma that lands exactly on the target accumulated std.
     per_pulse_sigma = accumulated_std * math.sqrt(base_pulses)
-    accuracy = noisy_accuracy(
-        model,
-        ctx.test_loader,
-        sim=ctx.noisy_sim(
-            pulses=PulseSchedule.uniform(num_layers, base_pulses),
-            sigma=per_pulse_sigma,
-        ).with_changes(sigma_relative_to_fan_in=False),
+    accuracy = api.evaluate(
+        ctx.pipeline(),
+        ctx.noisy_sim(pulses=base_pulses, sigma=per_pulse_sigma).with_changes(
+            sigma_relative_to_fan_in=False
+        ),
         num_repeats=profile.eval_repeats,
-    )
+    ).accuracy
     LOGGER.info(
         "ablation A1 sigma=%.2f %s: accumulated_std=%.3f acc=%.2f%%",
         sigma,
@@ -308,16 +302,12 @@ def gamma_tradeoff_grid(
 def execute_gamma_scenario(ctx) -> Dict[str, Any]:
     """A3 cell: one GBO training + evaluation at one gamma."""
     spec = ctx.spec
-    profile = ctx.profile
-    model = ctx.model()
-    gbo_result = run_gbo_stage(ctx, model, spec.gamma, gbo_engine=spec.param("gbo_engine"))
-    schedule = gbo_result.schedule
-    accuracy = noisy_accuracy(
-        model,
-        ctx.test_loader,
-        sim=ctx.noisy_sim(pulses=schedule),
-        num_repeats=profile.eval_repeats,
-    )
+    state = ctx.pipeline()
+    gbo = api.run_gbo(state, ctx.gbo_sim(), gamma=spec.gamma)
+    schedule = gbo.result.schedule
+    accuracy = api.evaluate(
+        state, ctx.noisy_sim(pulses=schedule), num_repeats=state.profile.eval_repeats
+    ).accuracy
     LOGGER.info(
         "ablation A3 gamma=%.4g: avg_pulses=%.2f acc=%.2f%%",
         spec.gamma,
@@ -329,7 +319,7 @@ def execute_gamma_scenario(ctx) -> Dict[str, Any]:
         "schedule": schedule.as_list(),
         "average_pulses": schedule.average_pulses,
         "accuracy": accuracy,
-        "pla_errors": [float(e) for e in gbo_result.pla_errors],
+        "pla_errors": [float(e) for e in gbo.pla_errors],
     }
 
 

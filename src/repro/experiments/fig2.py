@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro.core.noise_sensitivity import LayerSensitivity
 from repro.experiments.common import ExperimentBundle
 from repro.experiments.profiles import ExperimentProfile
-from repro.sim import configure
+from repro.sim import Session
 from repro.training.evaluate import evaluate_accuracy
 
 
@@ -112,7 +112,8 @@ def execute_fig2_scenario(ctx) -> Dict[str, Any]:
     spec = ctx.spec
     profile = ctx.profile
     target_index = int(spec.param("layer_index"))
-    model = ctx.model()
+    state = ctx.pipeline()
+    model = state.model
     layers = list(model.encoded_layers())
     names = (
         list(model.encoded_layer_names())
@@ -122,8 +123,8 @@ def execute_fig2_scenario(ctx) -> Dict[str, Any]:
     target = layers[target_index]
     # Only the target layer is made noisy; the session restores it to the
     # model-wide clean baseline when the evaluation completes.
-    with configure(target, ctx.noisy_sim(pulses=profile.base_pulses)):
-        accuracy = evaluate_accuracy(model, ctx.test_loader)
+    with Session(target, ctx.noisy_sim(pulses=profile.base_pulses)):
+        accuracy = evaluate_accuracy(model, state.test_loader)
     return {
         "layer_index": target_index,
         "layer_name": names[target_index],

@@ -250,16 +250,13 @@ def run_experiment(
     engine: Optional[str] = None,
     resume: bool = True,
     bundle: Optional[ExperimentBundle] = None,
-    batch: bool = True,
 ):
     """Run one registered experiment through the scenario runner.
 
     Returns ``(assembled result, GridRunResult)``.  This is the entry point
     of the CLI, the examples and the reproduction benchmarks: grid construction, execution (serial,
     parallel or resumed) and assembly all flow through the registry so every
-    consumer sees the same scenarios.  ``batch`` (default on) lets the
-    serial path stack compatible sibling ``api_eval`` scenarios into one
-    multi-scenario forward; results are bit-identical either way.
+    consumer sees the same scenarios.
     """
     from repro.experiments.runner.executor import run_grid
 
@@ -276,9 +273,7 @@ def run_experiment(
         profile = bundle.profile
 
     grid = pin_grid_engine(spec.grid(profile), engine)
-    outcome = run_grid(
-        grid, workers=workers, store=store, bundle=bundle, resume=resume, batch=batch
-    )
+    outcome = run_grid(grid, workers=workers, store=store, bundle=bundle, resume=resume)
     assembled = spec.assemble(grid, outcome.results, bundle)
     return assembled, outcome
 

@@ -15,16 +15,23 @@ bit-identical):
 1. the executor calls :func:`repro.utils.seed.seed_everything` with the
    spec's :meth:`~repro.experiments.runner.spec.ScenarioSpec.derived_seed`
    before handing control to the experiment code;
-2. :meth:`ScenarioContext.model` restores the bundle's pre-trained snapshot,
-   re-enables gradients and re-pins the engine, erasing whatever a previous
-   scenario did to the shared model;
-3. :meth:`ScenarioContext.loaders` builds *fresh* data loaders whose shuffle
-   RNGs start from the profile seed — iteration order cannot depend on how
-   many scenarios ran before;
+2. :meth:`ScenarioContext.pipeline` restores the bundle's pre-trained
+   snapshot, re-enables gradients and re-pins the engine, erasing whatever
+   a previous scenario did to the shared model;
+3. executors run the paper's pipeline through :mod:`repro.api`'s stages on
+   the :class:`~repro.api.PipelineState` that
+   :meth:`ScenarioContext.pipeline` returns (the bundle after the reset of
+   2., under the spec's profile); every stage builds *fresh* data loaders
+   whose shuffle RNGs start from the profile seed, so iteration order
+   cannot depend on how many scenarios or stages ran before;
 4. shared intermediate stages (:meth:`ScenarioContext.stage_state`) seed
    from their own key and reseed the scenario stream afterwards, so a stage
    loaded from cache and a stage computed in place leave the scenario in
-   exactly the same RNG state.
+   exactly the same RNG state;
+5. :func:`execute_scenario` restores the execution context's compute dtype
+   after the executor, so a scenario's dtype cannot leak into the next one
+   (a bundle-free executor such as Fig. 1(b) computes in the context's
+   dtype).
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.context import current_context
 from repro.experiments.profiles import ExperimentProfile
 from repro.experiments.runner.spec import ScenarioSpec, stable_seed
 from repro.sim import SimConfig, apply_config, resolve_engine_name
@@ -106,7 +114,6 @@ class ScenarioContext:
         self.spec = spec
         self.bundle = bundle
         self.stage_store = stage_store
-        self._loaders = None
 
     # ------------------------------------------------------------------
     # Profile / seeds
@@ -140,24 +147,30 @@ class ScenarioContext:
     # ------------------------------------------------------------------
     # Model / data
     # ------------------------------------------------------------------
-    def model(self):
-        """The bundle's model, reset to a scenario-independent state.
+    def pipeline(self):
+        """The :class:`repro.api.PipelineState` the executor's stages run on.
 
-        Restores the pre-trained snapshot (weights, BN buffers), re-enables
-        gradients (a previous GBO scenario froze them) and applies the
-        scenario's base :class:`~repro.sim.SimConfig` — clean mode, zero
-        noise, the spec's resolved engine — erasing whatever a previous
-        scenario configured on the shared model.
+        First resets the bundle's shared model to a scenario-independent
+        state: restores the pre-trained snapshot (weights, BN buffers),
+        re-enables gradients (a previous GBO scenario froze them) and
+        applies the scenario's base :class:`~repro.sim.SimConfig` — clean
+        mode, zero noise, the spec's resolved engine — erasing whatever a
+        previous scenario configured on the model.  The state carries that
+        base config and the spec's profile (overrides included), so the
+        stages read their hyper-parameters and build their loaders from
+        the spec.
         """
+        from repro.api import PipelineState
+
         if self.bundle is None:
             raise ValueError(
                 f"scenario {self.spec.label()} needs a pre-trained bundle"
             )
-        model = self.bundle.model
+        sim = self.sim_config()
         self.bundle.restore_pretrained()
-        model.requires_grad_(True)
-        apply_config(model, self.sim_config(), self.profile)
-        return model
+        self.bundle.model.requires_grad_(True)
+        apply_config(self.bundle.model, sim, self.profile)
+        return PipelineState(bundle=self.bundle, sim=sim, profile=self.profile)
 
     def sim_config(self) -> SimConfig:
         """The scenario's base simulation config (see ScenarioSpec.sim_config)."""
@@ -180,6 +193,13 @@ class ScenarioContext:
             ),
         )
 
+    def gbo_sim(self) -> SimConfig:
+        """The config a GBO stage trains under: :meth:`noisy_sim`, with the
+        spec's ``gbo_engine`` pin (when set) in place of its engine."""
+        engine = self.spec.param("gbo_engine")
+        sim = self.noisy_sim()
+        return sim if engine is None else sim.with_changes(engine=engine)
+
     def engine_name(self) -> str:
         """The scenario's engine under the one precedence rule.
 
@@ -187,30 +207,6 @@ class ScenarioContext:
         see :func:`repro.sim.resolve_engine_name`.
         """
         return resolve_engine_name(self.spec.engine, self.profile)
-
-    def loaders(self):
-        """Fresh (train, test, gbo) loaders for the scenario's profile."""
-        if self._loaders is None:
-            from repro.experiments.common import build_loaders
-
-            self._loaders = build_loaders(self.profile)
-        return self._loaders
-
-    @property
-    def train_loader(self):
-        return self.loaders()[0]
-
-    @property
-    def test_loader(self):
-        return self.loaders()[1]
-
-    @property
-    def gbo_loader(self):
-        return self.loaders()[2]
-
-    @property
-    def clean_accuracy(self) -> float:
-        return self.bundle.clean_accuracy
 
     # ------------------------------------------------------------------
     # Shared stages
@@ -274,5 +270,10 @@ def execute_scenario(
     """Run one scenario in the current process and return its result dict."""
     executor = _resolve_executor(spec.experiment)
     ctx = ScenarioContext(spec, bundle=bundle, stage_store=stage_store)
+    context = current_context()
+    dtype = context.dtype_name
     ctx.reseed()
-    return executor(ctx)
+    try:
+        return executor(ctx)
+    finally:
+        context.set_dtype(dtype)

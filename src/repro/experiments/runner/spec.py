@@ -257,7 +257,7 @@ class ScenarioSpec:
 
         The derived baseline is deliberately *concrete* (baseline pulse
         count, paper PLA rounding, explicit float64 compute dtype) rather
-        than "keep current": applying it in :meth:`ScenarioContext.model`
+        than "keep current": applying it in :meth:`ScenarioContext.pipeline`
         must erase whatever a previous scenario — possibly one with an
         explicitly attached non-default config — left on the shared model
         or the process dtype policy, or results would depend on execution

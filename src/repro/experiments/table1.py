@@ -25,13 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.gbo import GBOConfig, GBOTrainer
+from repro import api
 from repro.core.schedule import PulseSchedule
-from repro.core.search_space import PulseScalingSpace
 from repro.experiments.common import ExperimentBundle
 from repro.experiments.profiles import ExperimentProfile
-from repro.sim import SimConfig, apply_config
-from repro.training.evaluate import noisy_accuracy
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("repro.table1")
@@ -202,64 +199,22 @@ def table1_grid(
     return ScenarioGrid(name="table1", specs=tuple(specs))
 
 
-def _evaluate_schedule(ctx, model, schedule: PulseSchedule) -> float:
-    return noisy_accuracy(
-        model,
-        ctx.test_loader,
-        sim=ctx.noisy_sim(pulses=schedule),
-        num_repeats=ctx.profile.eval_repeats,
-    )
-
-
-def run_gbo_stage(ctx, model, gamma: float, gbo_engine=None):
-    """One GBO training on the current model state (shared with Table II).
-
-    The scenario's noise level travels to the model as a :class:`SimConfig`
-    (clean mode — the trainer switches the layers to ``gbo`` itself);
-    ``gbo_engine`` optionally pins a different engine for the training stage
-    only.  Returns the full :class:`~repro.core.gbo.GBOResult` (schedule,
-    logits, per-layer PLA representation errors of the selection).
-    """
-    profile = ctx.profile
-    apply_config(
-        model,
-        ctx.sim_config().with_changes(
-            noise_sigma=float(ctx.spec.sigma),
-            sigma_relative_to_fan_in=profile.noise_relative_to_fan_in,
-        ),
-        profile,
-    )
-    trainer = GBOTrainer(
-        model,
-        GBOConfig(
-            space=PulseScalingSpace(base_pulses=profile.base_pulses),
-            gamma=float(gamma),
-            learning_rate=profile.gbo_lr,
-            epochs=profile.gbo_epochs,
-        ),
-        sim=SimConfig(engine=gbo_engine) if gbo_engine is not None else None,
-    )
-    gbo_result = trainer.train(ctx.gbo_loader)
-    # GBO froze the weights for its logit-only optimisation; undo so later
-    # stages (e.g. NIA) can fine-tune again.
-    model.requires_grad_(True)
-    return gbo_result
-
-
 def execute_table1_scenario(ctx) -> Dict[str, Any]:
     """One Table I cell: evaluate a uniform schedule or train + evaluate GBO."""
     spec = ctx.spec
-    model = ctx.model()
+    state = ctx.pipeline()
     pla_errors = None
     if spec.method.startswith("GBO"):
-        gbo_result = run_gbo_stage(ctx, model, spec.gamma, gbo_engine=spec.param("gbo_engine"))
-        schedule = gbo_result.schedule
-        pla_errors = gbo_result.pla_errors
+        gbo = api.run_gbo(state, ctx.gbo_sim(), gamma=spec.gamma)
+        schedule = gbo.result.schedule
+        pla_errors = gbo.pla_errors
     else:
         schedule = PulseSchedule.uniform(
-            model.num_encoded_layers(), int(spec.param("pulses"))
+            state.model.num_encoded_layers(), int(spec.param("pulses"))
         )
-    accuracy = _evaluate_schedule(ctx, model, schedule)
+    accuracy = api.evaluate(
+        state, ctx.noisy_sim(pulses=schedule), num_repeats=state.profile.eval_repeats
+    ).accuracy
     LOGGER.info(
         "table1 sigma=%.2f %s: acc=%.2f%% avg_pulses=%.2f",
         spec.sigma,

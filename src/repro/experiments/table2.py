@@ -25,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.nia import NIAConfig, NIATrainer
+from repro import api
 from repro.core.schedule import PulseSchedule
-from repro.experiments.common import ExperimentBundle, build_loaders, profile_token
+from repro.experiments.common import ExperimentBundle, profile_token
 from repro.experiments.profiles import ExperimentProfile
-from repro.experiments.table1 import _paper_sigma_for, grid_sigma_rank, run_gbo_stage
-from repro.sim import SimConfig, apply_config
-from repro.training.evaluate import noisy_accuracy
+from repro.experiments.table1 import _paper_sigma_for, grid_sigma_rank
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("repro.table2")
@@ -163,85 +161,55 @@ def table2_grid(
     return ScenarioGrid(name="table2", specs=tuple(specs))
 
 
-def _nia_stage_state(ctx, model) -> Dict[str, Any]:
+def _nia_weights(ctx, state) -> Dict[str, Any]:
     """The NIA-fine-tuned weights for this scenario's noise level (cached).
 
-    The stage runs in its own RNG stream, on its own fresh loaders and from
-    the pre-trained snapshot, so every scenario that needs it computes the
-    identical state regardless of order or process.  The captured state is
-    limited to the pre-trained snapshot's keys so a model carrying leftover
-    ``gbo_logits`` produces the same stage bytes as a fresh one.
+    The :func:`repro.api.run_nia` stage runs in its own RNG stream, on its
+    own fresh loaders and from the pre-trained snapshot, so every scenario
+    that needs it computes the identical weights regardless of order or
+    process.  The engine is part of the stage identity and pinned during
+    training: the two engines consume the RNG stream differently for noisy
+    reads, so NIA weights trained under one engine are not the other's.
     """
-    profile = ctx.profile
-    sigma = ctx.spec.sigma
-    snapshot_keys = set(ctx.bundle.pretrained_snapshot)
-    # The engine is part of the stage identity AND pinned during training:
-    # the two engines consume the RNG stream differently for noisy reads, so
-    # NIA weights trained under one engine are not the other's — and the
-    # shared model's current pin is whatever the previous scenario left
-    # (worker processes start from the profile default), which must never
-    # leak into the stage.
-    engine = ctx.engine_name()
+    profile = state.profile
     key = {
         "kind": "nia_state",
         "profile": profile_token(profile),
-        "sigma": float(sigma),
+        "sigma": float(ctx.spec.sigma),
         "epochs": profile.nia_epochs,
         "learning_rate": profile.nia_lr,
         "pulses": profile.base_pulses,
         "relative": profile.noise_relative_to_fan_in,
-        "engine": engine,
+        "engine": ctx.engine_name(),
     }
-
-    def compute():
-        ctx.bundle.restore_pretrained()
-        model.requires_grad_(True)
-        apply_config(model, SimConfig(engine=engine), profile)
-        train_loader, _, _ = build_loaders(profile)
-        nia_config = NIAConfig(
-            sigma=sigma,
-            epochs=profile.nia_epochs,
-            learning_rate=profile.nia_lr,
-            pulses=profile.base_pulses,
-            sigma_relative_to_fan_in=profile.noise_relative_to_fan_in,
-        )
-        NIATrainer(model, nia_config).train(train_loader)
-        return {
-            name: value
-            for name, value in model.state_dict().items()
-            if name in snapshot_keys
-        }
-
-    return ctx.stage_state(key, compute)
+    sim = ctx.noisy_sim(pulses=profile.base_pulses)
+    return ctx.stage_state(key, lambda: api.run_nia(state, sim).weights)
 
 
 def execute_table2_scenario(ctx) -> Dict[str, Any]:
     """One Table II cell: (starting weights, schedule source) per method."""
     spec = ctx.spec
-    profile = ctx.profile
-    nia_state = _nia_stage_state(ctx, ctx.bundle.model) if "NIA" in spec.method else None
+    state = ctx.pipeline()
+    profile = state.profile
+    weights = _nia_weights(ctx, state) if "NIA" in spec.method else None
 
-    model = ctx.model()
-    if nia_state is not None:
-        model.load_state_dict(nia_state, strict=False)
-
-    num_layers = model.num_encoded_layers()
+    num_layers = state.model.num_encoded_layers()
     pla_errors = None
     if spec.method in ("GBO", "NIA+GBO"):
-        gbo_result = run_gbo_stage(ctx, model, spec.gamma, gbo_engine=spec.param("gbo_engine"))
-        schedule = gbo_result.schedule
-        pla_errors = gbo_result.pla_errors
+        gbo = api.run_gbo(state, ctx.gbo_sim(), gamma=spec.gamma, weights=weights)
+        schedule = gbo.result.schedule
+        pla_errors = gbo.pla_errors
     elif spec.method == "NIA+PLA":
         schedule = PulseSchedule.uniform(num_layers, int(spec.param("nia_pla_pulses", 10)))
     else:  # Baseline / NIA: the 8-pulse baseline encoding
         schedule = PulseSchedule.uniform(num_layers, profile.base_pulses)
 
-    accuracy = noisy_accuracy(
-        model,
-        ctx.test_loader,
-        sim=ctx.noisy_sim(pulses=schedule),
+    accuracy = api.evaluate(
+        state,
+        ctx.noisy_sim(pulses=schedule),
+        weights=weights,
         num_repeats=profile.eval_repeats,
-    )
+    ).accuracy
     LOGGER.info(
         "table2 sigma=%.2f %s: acc=%.2f%% avg_pulses=%.2f",
         spec.sigma,

@@ -5,7 +5,7 @@ The public surface is three names plus the engine-resolution rule:
 * :class:`SimConfig` — a frozen, content-hashable description of how a model
   simulates the crossbar (engine, forward mode, pulses, noise level and
   convention, PLA rounding, seed policy);
-* :class:`Session` / :func:`configure` — apply a config to a model (or a
+* :class:`Session` — apply a config to a model (or a
   single encoded layer) atomically for the duration of a ``with`` block,
   restoring the previous state on exit;
 * :func:`apply_config` — the one-way variant used where state is
@@ -35,7 +35,6 @@ from repro.sim.session import (
     Session,
     apply_config,
     capture_sim_state,
-    configure,
     restore_sim_state,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "Session",
     "apply_config",
     "capture_sim_state",
-    "configure",
     "engine_name",
     "resolve_engine_name",
     "restore_sim_state",

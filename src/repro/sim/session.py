@@ -272,11 +272,3 @@ class Session:
             self._exit_scope()
         return False
 
-
-def configure(target: Any, config: SimConfig, profile: Any = None) -> Session:
-    """A :class:`Session` applying ``config`` to ``target`` — the public verb.
-
-    ``with configure(model, config): ...`` reads as the intent: configure
-    the model for the block, put it back afterwards.
-    """
-    return Session(target, config, profile)

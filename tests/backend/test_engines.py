@@ -32,7 +32,7 @@ from repro.crossbar import (
     pulsed_mvm,
 )
 from repro.models import CrossbarMLP
-from repro.sim import SimConfig, apply_config, configure, resolve_engine_name
+from repro.sim import SimConfig, Session, apply_config, resolve_engine_name
 from repro.tensor import Tensor
 from repro.tensor.functional import softmax
 from repro.tensor.random import RandomState
@@ -256,7 +256,7 @@ class TestLayerNoisePaths:
     def test_layer_engine_selection(self):
         layer = EncodedLinear(8, 4, rng=RandomState(0), weight_rng=RandomState(1))
         assert layer.engine.name == resolve_engine_name()
-        with configure(layer, SimConfig(engine="reference")):
+        with Session(layer, SimConfig(engine="reference")):
             assert isinstance(layer.engine, ReferenceEngine)
         assert layer.engine.name == resolve_engine_name()
 

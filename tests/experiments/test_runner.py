@@ -220,6 +220,19 @@ class TestRunnerEndToEnd:
         assert resumed.results == fresh.results
         assert populated.results == fresh.results
 
+    def test_scenario_dtype_does_not_reach_the_next_scenario(self, isolated_cache):
+        """A float32 ``api_eval`` scenario leaves the context's dtype as it found it."""
+        from repro.api import eval_scenario_spec
+        from repro.context import current_context
+        from repro.sim import SimConfig
+
+        spec = eval_scenario_spec(
+            "smoke", SimConfig(mode="noisy", noise_sigma=4.0, dtype="float32")
+        )
+        before = current_context().dtype_name
+        run_grid(ScenarioGrid(name="float32", specs=(spec,)), batch=False)
+        assert current_context().dtype_name == before == "float64"
+
     def test_partial_store_resumes_only_missing(self, isolated_cache):
         """An interrupted suite picks up exactly where it left off."""
         grid = self._grid()

@@ -15,7 +15,7 @@ import pytest
 import repro.backend.engine as engine_registry
 from repro.backend import VectorizedEngine
 from repro.models import CrossbarMLP
-from repro.sim import SimConfig, Session, apply_config, configure
+from repro.sim import SimConfig, Session, apply_config
 from repro.tensor import Tensor
 from repro.tensor.random import RandomState
 from repro.training.evaluate import noisy_accuracy
@@ -63,7 +63,7 @@ class TestSessionMechanics:
     def test_restores_on_exception(self):
         model = _model()
         with pytest.raises(RuntimeError):
-            with configure(model, SimConfig(mode="noisy", noise_sigma=1.0)):
+            with Session(model, SimConfig(mode="noisy", noise_sigma=1.0)):
                 raise RuntimeError("boom")
         assert all(l.mode == "clean" and l.noise_sigma == 0.0 for l in model.encoded_layers())
 
@@ -90,7 +90,7 @@ class TestSessionMechanics:
     def test_single_layer_target(self):
         model = _model()
         target = model.encoded_layers()[1]
-        with configure(target, SimConfig(mode="noisy", pulses=10, noise_sigma=1.5)):
+        with Session(target, SimConfig(mode="noisy", pulses=10, noise_sigma=1.5)):
             assert target.mode == "noisy" and target.num_pulses == 10
             others = [l for l in model.encoded_layers() if l is not target]
             assert all(l.mode == "clean" for l in others)
