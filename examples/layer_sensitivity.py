@@ -32,7 +32,7 @@ def main() -> None:
 
     sigma = 8.0
     print(f"injecting Gaussian crossbar noise (sigma={sigma}, 8 pulses) into ONE layer at a time:")
-    results = layer_noise_sensitivity(model, test_loader, sigma=sigma, pulses=8, include_clean=False)
+    results = layer_noise_sensitivity(model, test_loader, sigma=sigma, pulses=8)
 
     print(f"{'target layer':>12} | {'accuracy %':>10} | {'drop vs clean':>13}")
     for entry in results:

@@ -268,11 +268,7 @@ def calibrate_pla(
     sim = sim if sim is not None else state.sim
     model = state.model
     layers = list(model.encoded_layers())
-    names = (
-        list(model.encoded_layer_names())
-        if hasattr(model, "encoded_layer_names")
-        else [f"layer{i}" for i in range(len(layers))]
-    )
+    names = model.encoded_layer_names()
     counts = tuple(int(p) for p in pulse_counts)
     rows = []
     for index, layer in enumerate(layers):
@@ -351,7 +347,9 @@ def eval_scenario_spec(
     keep-current field (pulses, noise convention, PLA rounding, dtype)
     filled from the profile's baseline — because a ``None`` field means
     "keep the layer's current state", which would make the result depend
-    on whatever ran before it on the shared model.  Executed by
+    on whatever ran before it on the shared model.  The spec's ``sigma``
+    is a uniform sigma, or ``None`` for zero or per-layer noise (the
+    attached config carries the per-layer tuple).  Executed by
     :func:`execute_api_eval_scenario`.
     """
     from repro.experiments.runner.spec import ScenarioSpec
@@ -370,11 +368,12 @@ def eval_scenario_spec(
         pla_mode=sim.pla_mode if sim.pla_mode is not None else "toward_extremes",
         dtype=sim.dtype if sim.dtype is not None else "float64",
     )
+    sigma = resolved.noise_sigma
     return ScenarioSpec.create(
         "api_eval",
         method=method,
         profile=profile.name,
-        sigma=resolved.noise_sigma if resolved.noise_sigma else None,
+        sigma=sigma if sigma and not isinstance(sigma, tuple) else None,
         seed=seed,
         sim=resolved,
         num_repeats=int(num_repeats),
@@ -492,18 +491,21 @@ def run_nia(
 ) -> NIAArtifact:
     """Stage 4: fine-tune the weights under injected crossbar noise (NIA).
 
-    The config supplies the injected noise level/convention, the training
-    pulse count (``sim.pulses``, a uniform int; the profile's baseline when
-    unset) and the engine.  Returns the adapted weights as an artifact —
-    the shared model itself is reset to the pre-trained baseline.
+    The config supplies the injected noise level/convention (one uniform
+    sigma, a float), the training pulse count (``sim.pulses``, a uniform
+    int; the profile's baseline when unset) and the engine.  Returns the
+    adapted weights as an artifact — the shared model itself is reset to
+    the pre-trained baseline.
     """
     profile = state.profile
     sim = sim if sim is not None else state.sim
+    if isinstance(sim.pulses, tuple):
+        raise ValueError("NIA fine-tunes under one uniform pulse count; pass an int")
+    if isinstance(sim.noise_sigma, tuple):
+        raise ValueError("NIA fine-tunes under one uniform noise sigma; pass a float")
     model = _stage_model(state, weights)
     if sim.engine is not None:
         apply_config(model, SimConfig(engine=sim.engine), profile)
-    if isinstance(sim.pulses, tuple):
-        raise ValueError("NIA fine-tunes under one uniform pulse count; pass an int")
     relative = sim.sigma_relative_to_fan_in
     config = NIAConfig(
         sigma=sim.noise_sigma,

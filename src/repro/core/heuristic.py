@@ -81,7 +81,6 @@ def sensitivity_guided_schedule(
             sigma=sigma,
             pulses=space.base_pulses,
             sigma_relative_to_fan_in=sigma_relative_to_fan_in,
-            include_clean=False,
         )
     sensitivities = list(sensitivities)
     if len(sensitivities) != len(layers):

@@ -5,15 +5,20 @@ a time, evaluates the classification accuracy, and thereby ranks the layers
 by how much their noise hurts the network.  The heterogeneous sensitivities
 it reveals are the motivation for optimising a different pulse length per
 layer instead of lengthening every layer uniformly.
+
+Each target layer is one whole-model :class:`~repro.sim.SimConfig`: every
+layer noisy, sigma at the target and zero elsewhere (a zero-sigma layer
+draws no noise), and pulses at the target with every other layer at its
+``base_pulses`` (where no PLA re-encoding happens).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.sim import SimConfig, apply_config
-from repro.training.evaluate import evaluate_accuracy
+from repro.sim import SimConfig
+from repro.training.evaluate import noisy_accuracy
 
 
 @dataclass
@@ -31,61 +36,46 @@ def layer_noise_sensitivity(
     sigma: float,
     pulses: int = 8,
     sigma_relative_to_fan_in: bool = False,
-    include_clean: bool = True,
 ) -> List[LayerSensitivity]:
     """Evaluate accuracy with noise injected into each encoded layer in turn.
+
+    The targets run one after the other on the current context's stream,
+    each through :func:`~repro.training.evaluate.noisy_accuracy`, so the
+    model keeps the simulation state it had before the call.
 
     Parameters
     ----------
     model:
-        Model exposing ``encoded_layers()`` (and optionally
-        ``encoded_layer_names()``) in forward order.
+        Model exposing ``encoded_layers()`` and ``encoded_layer_names()``
+        in forward order.
     loader:
         Evaluation data loader.
     sigma:
         Per-pulse noise standard deviation injected into the target layer.
     pulses:
         Pulse count of the target layer during the noisy evaluation.
-    include_clean:
-        Prepend a ``layer_index = -1`` entry holding the noise-free accuracy,
-        which is the reference line of Fig. 2.
     """
     layers = list(model.encoded_layers())
     if not layers:
         raise ValueError("model has no encoded layers to analyse")
-    names = (
-        list(model.encoded_layer_names())
-        if hasattr(model, "encoded_layer_names")
-        else [f"layer{i}" for i in range(len(layers))]
-    )
-
     results: List[LayerSensitivity] = []
-
-    noisy_config = SimConfig(
-        mode="noisy",
-        pulses=pulses,
-        noise_sigma=sigma,
-        sigma_relative_to_fan_in=sigma_relative_to_fan_in,
-    )
-
-    def _set_all_clean() -> None:
-        for layer in layers:
-            layer._apply_mode("clean")
-
-    if include_clean:
-        _set_all_clean()
-        accuracy = evaluate_accuracy(model, loader)
-        results.append(LayerSensitivity(layer_index=-1, layer_name="clean", accuracy=accuracy))
-
-    for target_index, target_layer in enumerate(layers):
-        _set_all_clean()
-        apply_config(target_layer, noisy_config)
-        accuracy = evaluate_accuracy(model, loader)
+    for target, name in enumerate(model.encoded_layer_names()):
+        config = SimConfig(
+            mode="noisy",
+            pulses=tuple(
+                pulses if index == target else layer.base_pulses
+                for index, layer in enumerate(layers)
+            ),
+            noise_sigma=tuple(
+                sigma if index == target else 0.0 for index in range(len(layers))
+            ),
+            sigma_relative_to_fan_in=sigma_relative_to_fan_in,
+        )
         results.append(
             LayerSensitivity(
-                layer_index=target_index, layer_name=names[target_index], accuracy=accuracy
+                layer_index=target,
+                layer_name=name,
+                accuracy=noisy_accuracy(model, loader, config),
             )
         )
-
-    _set_all_clean()
     return results

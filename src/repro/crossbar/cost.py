@@ -152,8 +152,7 @@ class CrossbarCostModel:
         Parameters
         ----------
         model:
-            Model exposing ``encoded_layers()`` (and optionally
-            ``encoded_layer_names()``).
+            Model exposing ``encoded_layers()`` and ``encoded_layer_names()``.
         schedule:
             Per-layer pulse counts; defaults to the pulse counts currently
             configured on the model.
@@ -166,13 +165,8 @@ class CrossbarCostModel:
                 f"schedule has {len(schedule)} entries but the model exposes {len(layers)} "
                 "encoded layers"
             )
-        names = (
-            list(model.encoded_layer_names())
-            if hasattr(model, "encoded_layer_names")
-            else [f"layer{i}" for i in range(len(layers))]
-        )
         report = ScheduleCostReport()
-        for name, layer, pulses in zip(names, layers, schedule):
+        for name, layer, pulses in zip(model.encoded_layer_names(), layers, schedule):
             fan_in = layer.fan_in
             fan_out = getattr(layer, "out_channels", None) or getattr(layer, "out_features")
             report.layers.append(

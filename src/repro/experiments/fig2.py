@@ -5,7 +5,9 @@ pre-trained network and records the resulting accuracy, reproducing the
 heterogeneous sensitivity profile that motivates per-layer pulse lengths.
 
 Expressed as a grid on the scenario runner: one scenario per target layer,
-each evaluating the network with only that layer noisy.
+each one :func:`repro.api.evaluate` of the whole network under a per-layer
+``noise_sigma`` that is the scenario's sigma at the target and zero
+elsewhere.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro import api
 from repro.core.noise_sensitivity import LayerSensitivity
 from repro.experiments.common import ExperimentBundle
 from repro.experiments.profiles import ExperimentProfile
-from repro.sim import Session
-from repro.training.evaluate import evaluate_accuracy
 
 
 @dataclass
@@ -29,21 +30,18 @@ class Fig2Result:
     sensitivities: List[LayerSensitivity]
 
     def accuracy_by_layer(self) -> List[float]:
-        """Accuracies in layer order (excluding the clean reference entry)."""
-        return [entry.accuracy for entry in self.sensitivities if entry.layer_index >= 0]
+        """Accuracies in layer order."""
+        return [entry.accuracy for entry in self.sensitivities]
 
     def most_sensitive_layer(self) -> LayerSensitivity:
         """The layer whose noise hurts accuracy the most."""
-        noisy_entries = [entry for entry in self.sensitivities if entry.layer_index >= 0]
-        return min(noisy_entries, key=lambda entry: entry.accuracy)
+        return min(self.sensitivities, key=lambda entry: entry.accuracy)
 
     def format_table(self) -> str:
         """Human-readable rendering of the figure's series."""
         lines = [f"clean accuracy: {self.clean_accuracy:.2f}%  (sigma={self.sigma})"]
         lines.append("target layer | accuracy (%)")
         for entry in self.sensitivities:
-            if entry.layer_index < 0:
-                continue
             lines.append(f"{entry.layer_name:>12} | {entry.accuracy:10.2f}")
         return "\n".join(lines)
 
@@ -109,26 +107,18 @@ def fig2_grid(
 
 def execute_fig2_scenario(ctx) -> Dict[str, Any]:
     """Accuracy of the pre-trained model with one layer made noisy."""
-    spec = ctx.spec
-    profile = ctx.profile
-    target_index = int(spec.param("layer_index"))
+    target_index = int(ctx.spec.param("layer_index"))
     state = ctx.pipeline()
-    model = state.model
-    layers = list(model.encoded_layers())
-    names = (
-        list(model.encoded_layer_names())
-        if hasattr(model, "encoded_layer_names")
-        else [f"layer{i}" for i in range(len(layers))]
+    names = state.model.encoded_layer_names()
+    noisy = ctx.noisy_sim(pulses=ctx.profile.base_pulses)
+    sigmas = tuple(
+        noisy.noise_sigma if index == target_index else 0.0 for index in range(len(names))
     )
-    target = layers[target_index]
-    # Only the target layer is made noisy; the session restores it to the
-    # model-wide clean baseline when the evaluation completes.
-    with Session(target, ctx.noisy_sim(pulses=profile.base_pulses)):
-        accuracy = evaluate_accuracy(model, state.test_loader)
+    evaluation = api.evaluate(state, noisy.with_changes(noise_sigma=sigmas))
     return {
         "layer_index": target_index,
         "layer_name": names[target_index],
-        "accuracy": accuracy,
+        "accuracy": evaluation.accuracy,
     }
 
 

@@ -48,11 +48,7 @@ def fig1b_markdown(result: Fig1bResult) -> str:
 
 def fig2_markdown(result: Fig2Result) -> str:
     """Markdown table of the layer-wise sensitivity analysis."""
-    rows = [
-        (entry.layer_name, _fmt(entry.accuracy))
-        for entry in result.sensitivities
-        if entry.layer_index >= 0
-    ]
+    rows = [(entry.layer_name, _fmt(entry.accuracy)) for entry in result.sensitivities]
     table = _markdown_table(["target layer", "accuracy %"], rows)
     return (
         f"Clean accuracy: {result.clean_accuracy:.2f} % — noise sigma {result.sigma} "

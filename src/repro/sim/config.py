@@ -41,6 +41,7 @@ FORWARD_MODES = ("clean", "noisy", "gbo")
 PLA_MODES = ("toward_extremes", "nearest")
 
 PulsesLike = Union[int, Tuple[int, ...], None]
+SigmaLike = Union[float, Tuple[float, ...]]
 
 
 def engine_name(engine: Any) -> Optional[str]:
@@ -94,6 +95,24 @@ def _canonical_pulses(pulses: Any) -> PulsesLike:
     return count
 
 
+def _canonical_sigma(sigma: Any) -> SigmaLike:
+    """Coerce a noise_sigma field into a non-negative float or a float tuple."""
+    if isinstance(sigma, (list, tuple)):
+        sigmas = tuple(float(s) for s in sigma)
+        if not sigmas or any(s < 0 for s in sigmas):
+            raise ValueError(f"noise_sigma entries must be non-negative, got {sigmas}")
+        return sigmas
+    value = float(sigma)
+    if value < 0:
+        raise ValueError(f"noise_sigma must be non-negative, got {value}")
+    return value
+
+
+def _jsonable(value: Any) -> Any:
+    """A per-layer tuple as a JSON list; anything else unchanged."""
+    return list(value) if isinstance(value, tuple) else value
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One immutable description of how a model simulates the crossbar.
@@ -113,7 +132,10 @@ class SimConfig:
         uniform count; a tuple (or :class:`~repro.core.schedule.PulseSchedule`)
         applies a per-layer schedule and must match the layer count.
     noise_sigma:
-        Per-pulse crossbar read-noise standard deviation.
+        Per-pulse crossbar read-noise standard deviation: a float applies to
+        every layer; a tuple gives one per layer and must match the layer
+        count (``(0.0, 6.0, 0.0)`` makes only the second layer noisy, the
+        configuration of Fig. 2).  A zero-sigma layer draws no noise.
     sigma_relative_to_fan_in:
         Interpret sigma per crossbar row rather than as absolute output
         deviation; ``None`` keeps each layer's current setting.
@@ -139,7 +161,7 @@ class SimConfig:
     engine: Optional[str] = None
     mode: str = "clean"
     pulses: PulsesLike = None
-    noise_sigma: float = 0.0
+    noise_sigma: SigmaLike = 0.0
     sigma_relative_to_fan_in: Optional[bool] = None
     pla_mode: Optional[str] = None
     seed: Optional[int] = None
@@ -150,10 +172,7 @@ class SimConfig:
         if self.mode not in FORWARD_MODES:
             raise ValueError(f"unknown forward mode {self.mode!r}; expected one of {FORWARD_MODES}")
         object.__setattr__(self, "pulses", _canonical_pulses(self.pulses))
-        sigma = float(self.noise_sigma)
-        if sigma < 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {sigma}")
-        object.__setattr__(self, "noise_sigma", sigma)
+        object.__setattr__(self, "noise_sigma", _canonical_sigma(self.noise_sigma))
         if self.sigma_relative_to_fan_in is not None:
             object.__setattr__(self, "sigma_relative_to_fan_in", bool(self.sigma_relative_to_fan_in))
         if self.pla_mode is not None and self.pla_mode not in PLA_MODES:
@@ -172,14 +191,15 @@ class SimConfig:
         The ``dtype`` key joins the payload only when the policy is set:
         the float64 default is the historical behaviour, and omitting it
         keeps every pre-existing config hash (and thus store key and
-        scenario identity) bit-identical.
+        scenario identity) bit-identical.  Per-layer pulses and sigmas are
+        lists; a uniform one stays a scalar.
         """
         payload = {
             "version": CONFIG_VERSION,
             "engine": self.engine,
             "mode": self.mode,
-            "pulses": list(self.pulses) if isinstance(self.pulses, tuple) else self.pulses,
-            "noise_sigma": self.noise_sigma,
+            "pulses": _jsonable(self.pulses),
+            "noise_sigma": _jsonable(self.noise_sigma),
             "sigma_relative_to_fan_in": self.sigma_relative_to_fan_in,
             "pla_mode": self.pla_mode,
             "seed": self.seed,

@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 from repro.sim.config import SimConfig
-from repro.sim.session import Session, _schedule_for, encoded_layers_of
+from repro.sim.session import Session, encoded_layers_of, per_layer
 from repro.tensor.random import RandomState
 from repro.utils.step_ahead import StepAhead
 from repro.worker_env import blas_pinned
@@ -233,7 +233,8 @@ class MultiSession:
             captured = session._saved  # pre-apply snapshot: "keep current" base
             self._scenarios = []
             for config in self.configs:
-                schedule = _schedule_for(config, len(layers))
+                schedule = per_layer(config.pulses, len(layers), "pulses")
+                sigmas = per_layer(config.noise_sigma, len(layers), "noise_sigma")
                 self._scenarios.append(
                     [
                         _ScenarioPack(
@@ -241,7 +242,7 @@ class MultiSession:
                             num_pulses=(
                                 schedule[index] if schedule is not None else state.num_pulses
                             ),
-                            sigma=config.noise_sigma,
+                            sigma=sigmas[index],
                             relative=(
                                 config.sigma_relative_to_fan_in
                                 if config.sigma_relative_to_fan_in is not None

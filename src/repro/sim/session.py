@@ -17,9 +17,9 @@ duration of a block:
   restored on) that context, never to process-wide state.
 
 Targets are duck-typed: anything exposing ``encoded_layers()`` (models) or
-looking like a single encoded layer works, so per-layer experiments (e.g.
-Fig. 2's single-noisy-layer sweep) use the same machinery as whole-model
-configuration.
+looking like a single encoded layer works.  Per-layer settings are config
+values, not targets: a tuple ``pulses`` or ``noise_sigma`` gives each layer
+its own, so Fig. 2's "only layer i is noisy" is one whole-model config.
 
 Concurrency: because the dtype policy is context-local, two sessions
 running concurrently in *different* contexts may hold different dtypes —
@@ -104,18 +104,22 @@ def restore_sim_state(target: Any, states: Sequence[_LayerSimState]) -> None:
         layer._apply_mode(state.mode)
 
 
-def _schedule_for(config: SimConfig, num_layers: int) -> Optional[List[int]]:
-    """Per-layer pulse counts implied by the config, or ``None`` (keep)."""
-    if config.pulses is None:
+def per_layer(value: Any, num_layers: int, field: str) -> Optional[List[Any]]:
+    """A config field's value at each of ``num_layers`` layers.
+
+    A tuple holds one entry per layer and must match the layer count; a
+    scalar applies to every layer; ``None`` (keep current) stays ``None``.
+    """
+    if value is None:
         return None
-    if isinstance(config.pulses, tuple):
-        if len(config.pulses) != num_layers:
+    if isinstance(value, tuple):
+        if len(value) != num_layers:
             raise ValueError(
-                f"config schedule has {len(config.pulses)} entries but the "
+                f"config {field} has {len(value)} entries but the "
                 f"target exposes {num_layers} encoded layers"
             )
-        return [int(p) for p in config.pulses]
-    return [int(config.pulses)] * num_layers
+        return list(value)
+    return [value] * num_layers
 
 
 def apply_config(target: Any, config: SimConfig, profile: Any = None) -> None:
@@ -137,7 +141,8 @@ def apply_config(target: Any, config: SimConfig, profile: Any = None) -> None:
         from repro.backend import get_engine
 
         engine = get_engine(config.resolved_engine(profile))
-    schedule = _schedule_for(config, len(layers))
+    schedule = per_layer(config.pulses, len(layers), "pulses")
+    sigmas = per_layer(config.noise_sigma, len(layers), "noise_sigma")
     if config.mode == "gbo":
         for index, layer in enumerate(layers):
             if getattr(layer, "gbo_logits", None) is None:
@@ -150,7 +155,7 @@ def apply_config(target: Any, config: SimConfig, profile: Any = None) -> None:
     for index, layer in enumerate(layers):
         if engine is not None:
             layer._apply_engine(engine)
-        layer._apply_noise(config.noise_sigma, config.sigma_relative_to_fan_in)
+        layer._apply_noise(sigmas[index], config.sigma_relative_to_fan_in)
         if schedule is not None:
             layer._apply_pulses(schedule[index])
         if config.pla_mode is not None:

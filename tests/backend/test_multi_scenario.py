@@ -182,22 +182,42 @@ MIXED_CONFIGS = [
     SimConfig(mode="noisy", noise_sigma=0.5, sigma_relative_to_fan_in=True),
 ]
 
-#: Distinct first-layer encodings among MIXED_CONFIGS: the base 8-pulse
-#: encoding (clean, sigma 0, sigma 2, fan-in-relative) and PLA at 4 pulses.
+
+
+def _per_layer_sigma_configs(num_layers):
+    """Per-layer sigma at the base encoding: only layer 1 noisy (Fig. 2's
+    configuration), and a sigma growing with depth."""
+    return [
+        SimConfig(
+            mode="noisy",
+            noise_sigma=tuple(3.0 if index == 1 else 0.0 for index in range(num_layers)),
+        ),
+        SimConfig(
+            mode="noisy",
+            noise_sigma=tuple(0.5 * (index + 1) for index in range(num_layers)),
+        ),
+    ]
+
+
+#: Distinct first-layer encodings among MIXED_CONFIGS and the per-layer
+#: sigma configs: the base 8-pulse encoding (clean, sigma 0, sigma 2,
+#: fan-in-relative, per-layer sigma) and PLA at 4 pulses.
 MIXED_ENCODINGS = 2
 
 
 class TestMultiSession:
     @pytest.mark.parametrize("engine_name", ["reference", "vectorized"])
     def test_bit_identical_to_sequential_sessions(self, engine_name):
-        configs = [
-            config.with_changes(engine=engine_name) for config in MIXED_CONFIGS
-        ]
-        seeds = [SEED + 20 + k for k in range(len(configs))]
         batches = [_batch(seed=SEED + 50), _batch(seed=SEED + 51)]
         num_repeats = 2
         for model_name, make_model in sorted(MODELS.items()):
             model = make_model()
+            configs = [
+                config.with_changes(engine=engine_name)
+                for config in MIXED_CONFIGS
+                + _per_layer_sigma_configs(model.num_encoded_layers())
+            ]
+            seeds = [SEED + 20 + k for k in range(len(configs))]
             sequential_logits, sequential_acc = [], []
             for config, seed in zip(configs, seeds):
                 with Session(model, config):

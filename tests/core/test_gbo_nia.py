@@ -14,10 +14,11 @@ from repro.core import (
 )
 from repro.core.gbo import apply_schedule
 from repro.data import DataLoader, TensorDataset
-from repro.models import CrossbarMLP
-from repro.sim import SimConfig, apply_config
+from repro.models import CrossbarLeNet, CrossbarMLP
+from repro.sim import SimConfig, apply_config, capture_sim_state
 from repro.tensor.random import RandomState
 from repro.training import evaluate_accuracy
+from repro.utils.seed import seed_everything
 
 
 @pytest.fixture
@@ -164,18 +165,48 @@ class TestNIA:
         assert history
 
 
+#: ``layer_noise_sensitivity`` accuracies (sigma 2, seed 0) per target layer
+#: on the untrained toys below, recorded when the sweep still made one layer
+#: noisy by hand.  A change that moves the number of correct predictions
+#: fails here.
+PINNED_SENSITIVITIES = {
+    ("mlp", 6): [32.5, 25.625],
+    ("mlp", 8): [28.75, 23.125],
+    ("mlp", 12): [27.5, 25.0],
+    ("lenet", 6): [10.9375, 7.8125, 4.6875],
+    ("lenet", 8): [10.9375, 7.8125, 6.25],
+    ("lenet", 12): [9.375, 7.8125, 6.25],
+}
+
+
 class TestNoiseSensitivity:
-    def test_returns_entry_per_layer_plus_clean(self, toy_problem):
+    def test_returns_one_entry_per_layer(self, toy_problem):
         model, _, eval_loader = toy_problem
-        results = layer_noise_sensitivity(model, eval_loader, sigma=2.0, include_clean=True)
-        assert len(results) == model.num_encoded_layers() + 1
-        assert results[0].layer_index == -1
+        results = layer_noise_sensitivity(model, eval_loader, sigma=2.0)
+        assert [r.layer_index for r in results] == list(range(model.num_encoded_layers()))
+        assert [r.layer_name for r in results] == model.encoded_layer_names()
         assert all(0.0 <= r.accuracy <= 100.0 for r in results)
 
-    def test_layers_restored_to_clean_after_analysis(self, toy_problem):
+    @pytest.mark.parametrize("arch, pulses", sorted(PINNED_SENSITIVITIES))
+    def test_accuracies_are_pinned(self, toy_problem, tiny_image_dataset, arch, pulses):
+        if arch == "mlp":
+            model, _, loader = toy_problem
+        else:
+            model = CrossbarLeNet(image_size=8, base_channels=4, rng=RandomState(6))
+            loader = DataLoader(tiny_image_dataset, batch_size=16, shuffle=False)
+        seed_everything(0)
+        results = layer_noise_sensitivity(model, loader, sigma=2.0, pulses=pulses)
+        assert [r.accuracy for r in results] == PINNED_SENSITIVITIES[(arch, pulses)]
+
+    @pytest.mark.parametrize(
+        "prior", [SimConfig(), SimConfig(mode="noisy", pulses=(10, 12), noise_sigma=0.5)]
+    )
+    def test_model_state_restored_after_analysis(self, toy_problem, prior):
         model, _, eval_loader = toy_problem
-        layer_noise_sensitivity(model, eval_loader, sigma=2.0, include_clean=False)
-        assert all(layer.mode == "clean" for layer in model.encoded_layers())
+        apply_config(model, prior)
+        before = capture_sim_state(model)
+        layer_noise_sensitivity(model, eval_loader, sigma=2.0, pulses=6)
+        assert capture_sim_state(model) == before
 
     def test_noise_injection_hurts_at_high_sigma(self, toy_problem, rng):
         """With enormous noise in one layer the accuracy must drop below the
@@ -185,7 +216,7 @@ class TestNoiseSensitivity:
         NIATrainer(model, NIAConfig(sigma=0.0, epochs=5, learning_rate=1e-2)).train(loader)
         apply_config(model, SimConfig())
         clean = evaluate_accuracy(model, eval_loader)
-        results = layer_noise_sensitivity(model, eval_loader, sigma=50.0, include_clean=False)
+        results = layer_noise_sensitivity(model, eval_loader, sigma=50.0)
         assert min(r.accuracy for r in results) < clean
 
     def test_requires_encoded_layers(self, toy_problem):

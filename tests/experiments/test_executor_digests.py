@@ -1,11 +1,12 @@
 """Digest pins on the stored results of the executors that run ``repro.api``.
 
-Table I, Table II, ablations A1 and A3 and ``api_eval`` execute their cells
-through the facade's stages (:func:`repro.api.evaluate`,
+Table I, Table II, ablations A1 and A3, Fig. 2 and ``api_eval`` execute
+their cells through the facade's stages (:func:`repro.api.evaluate`,
 :func:`repro.api.run_gbo`, :func:`repro.api.run_nia`).  Each digest below is
 the SHA-256 of one smoke-profile cell's stored result (sorted-key JSON),
 recorded when the executors still wired GBO, NIA and noisy evaluation by
-hand.  A change that moves a single stored bit of these cells fails here.
+hand (Fig. 2's when it still made one layer noisy through a single-layer
+session).  A change that moves a single stored bit of these cells fails here.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ REGISTERED_CELL_DIGESTS = {
     ("table2", "NIA+GBO"): "3c4bb0ca7a7cf53b69cc425e7c0733c970e111429bb3b14380d3c4b2ab5dc253",
     ("ablation_encoding", "thermometer"): "3d9699f4f8cc25a026f0c74cf71303b9a97e8c468ed81b5c4b36bd15edbf1a81",
     ("ablation_gamma", "gamma0.0005"): "e56a745d74fd2a7937b6baaa77eb4a8ea3a9e8bba25d936f080c0441bb568740",
+    ("fig2", "layer1"): "a73b285f9b9f9a087421e365f662ae4e39dd50a78bc2a54af022f2c3c0bea9c7",
 }
 
 #: SHA-256 of the stored result of one served ``api_eval`` request.

@@ -67,13 +67,20 @@ class TestSessionMechanics:
                 raise RuntimeError("boom")
         assert all(l.mode == "clean" and l.noise_sigma == 0.0 for l in model.encoded_layers())
 
-    def test_apply_is_atomic_on_bad_schedule(self):
+    @pytest.mark.parametrize(
+        "changes", [{"pulses": (8, 8, 8)}, {"pulses": 10, "noise_sigma": (3.0, 0.0, 1.0)}]
+    )
+    def test_apply_is_atomic_on_bad_schedule(self, changes):
         """A config that fails validation must not leave partial state."""
         model = _model()
-        bad = SimConfig(mode="noisy", pulses=(8, 8, 8), noise_sigma=3.0)  # model has 2 layers
-        with pytest.raises(ValueError):
+        # the model has 2 layers
+        bad = SimConfig(mode="noisy", noise_sigma=3.0).with_changes(**changes)
+        with pytest.raises(ValueError, match="entries but the target exposes 2"):
             apply_config(model, bad)
-        assert all(l.mode == "clean" and l.noise_sigma == 0.0 for l in model.encoded_layers())
+        assert all(
+            l.mode == "clean" and l.noise_sigma == 0.0 and l.num_pulses == 8
+            for l in model.encoded_layers()
+        )
 
     def test_apply_is_atomic_on_gbo_without_logits(self):
         model = _model()

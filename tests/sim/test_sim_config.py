@@ -81,9 +81,19 @@ class TestIdentity:
         assert clone.hash == config.hash
         assert clone.to_json() == config.to_json()
 
-    def test_dict_round_trip(self):
-        config = SimConfig(mode="noisy", pulses=(8, 6, 4), noise_sigma=1.0)
+    @pytest.mark.parametrize("noise_sigma", [1.0, (0.0, 6.0, 0.5)])
+    def test_dict_round_trip(self, noise_sigma):
+        config = SimConfig(mode="noisy", pulses=(8, 6, 4), noise_sigma=noise_sigma)
         assert SimConfig.from_dict(config.as_dict()) == config
+        clone = SimConfig.from_json(config.to_json())
+        assert clone == config and clone.hash == config.hash
+
+    def test_per_layer_sigma_is_a_list_on_the_wire(self):
+        config = SimConfig(noise_sigma=[0, 6, 0.5])
+        assert config.noise_sigma == (0.0, 6.0, 0.5)
+        assert config.as_dict()["noise_sigma"] == [0.0, 6.0, 0.5]
+        assert SimConfig(noise_sigma=6).as_dict()["noise_sigma"] == 6.0
+        assert config.hash != config.with_changes(noise_sigma=(0.0, 6.0, 0.25)).hash
 
 
 class TestCanonicalisation:
@@ -106,6 +116,10 @@ class TestCanonicalisation:
             SimConfig(pulses=(8, 0))
         with pytest.raises(ValueError):
             SimConfig(noise_sigma=-1.0)
+        with pytest.raises(ValueError):
+            SimConfig(noise_sigma=(2.0, -1.0))
+        with pytest.raises(ValueError):
+            SimConfig(noise_sigma=())
         with pytest.raises(ValueError):
             SimConfig(pla_mode="sideways")
         with pytest.raises(TypeError):

@@ -3,6 +3,8 @@
 Every stage draws its batches from loaders built for that call, so two
 identical calls on one :class:`~repro.api.PipelineState` agree exactly:
 no loader's shuffle stream carries over from the first call to the second.
+The same holds for a per-layer ``noise_sigma`` arriving as a served
+request: its stored accuracy is :func:`repro.api.evaluate`'s.
 """
 
 from __future__ import annotations
@@ -51,3 +53,26 @@ def test_run_nia_twice_on_one_state_agrees(smoke_state):
     assert first.weights.keys() == second.weights.keys()
     for name in first.weights:
         np.testing.assert_array_equal(first.weights[name], second.weights[name])
+
+
+@pytest.mark.slow
+def test_served_per_layer_sigma_request_equals_evaluate(smoke_state):
+    from repro.experiments.runner import ScenarioGrid, run_grid
+    from repro.serve import EvalRequest
+
+    state, _ = smoke_state
+    request = EvalRequest.from_payload(
+        {"profile": "smoke", "sim": {"mode": "noisy", "noise_sigma": [0, 6, 0], "seed": 3}}
+    )
+    spec = request.spec
+    assert spec.sigma is None
+    assert spec.sim_config().noise_sigma == (0.0, 6.0, 0.0)
+    served = run_grid(ScenarioGrid(name="served", specs=(spec,))).results[spec.hash]
+    assert served["accuracy"] == api.evaluate(state, spec.sim_config()).accuracy
+
+
+@pytest.mark.slow
+def test_run_nia_rejects_per_layer_sigma(smoke_state):
+    state, sim = smoke_state
+    with pytest.raises(ValueError, match="uniform noise sigma"):
+        api.run_nia(state, sim.with_changes(noise_sigma=(0.0, 6.0, 0.0)))
