@@ -349,8 +349,8 @@ def eval_scenario_spec(
     "keep the layer's current state", which would make the result depend
     on whatever ran before it on the shared model.  The spec's ``sigma``
     is a uniform sigma, or ``None`` for zero or per-layer noise (the
-    attached config carries the per-layer tuple).  Executed by
-    :func:`execute_api_eval_scenario`.
+    attached config carries the per-layer tuple).  Executed as one
+    :func:`evaluate` under that config (:func:`api_eval_evaluation`).
     """
     from repro.experiments.runner.spec import ScenarioSpec
 
@@ -380,105 +380,95 @@ def eval_scenario_spec(
     )
 
 
-def execute_api_eval_scenario(ctx) -> Dict[str, Any]:
-    """Scenario executor for ``api_eval`` specs (see :func:`eval_scenario_spec`):
-    one :func:`evaluate` stage under the spec's attached config."""
-    sim = ctx.sim_config()
-    evaluation = evaluate(ctx.pipeline(), sim, num_repeats=int(ctx.spec.param("num_repeats", 1)))
-    return _api_eval_result(ctx.spec, sim, evaluation.per_repeat, ctx.bundle)
+def api_eval_evaluation(ctx):
+    """An ``api_eval`` spec's evaluation (see :func:`eval_scenario_spec`):
+    the spec's attached config, at its repeat count."""
+    from repro.experiments.runner.scenarios import Evaluation
+
+    return Evaluation(ctx.sim_config(), int(ctx.spec.param("num_repeats", 1)))
 
 
-def _api_eval_result(spec, sim: SimConfig, per_repeat, bundle) -> Dict[str, Any]:
-    """The stored ``api_eval`` result of one spec's per-repeat accuracies."""
-    per_repeat = [float(value) for value in per_repeat]
+def api_eval_result(ctx, evaluation: EvaluationResult) -> Dict[str, Any]:
+    """The stored ``api_eval`` result of one spec's evaluation."""
+    per_repeat = [float(value) for value in evaluation.per_repeat]
     return {
         "experiment": "api_eval",
-        "method": spec.method,
+        "method": ctx.spec.method,
         "accuracy": float(np.mean(per_repeat)),
         "per_repeat": per_repeat,
         "num_repeats": len(per_repeat),
-        "clean_accuracy": float(bundle.clean_accuracy),
-        "sim": sim.as_dict(),
+        "clean_accuracy": float(ctx.bundle.clean_accuracy),
+        "sim": evaluation.sim.as_dict(),
     }
 
 
-def api_eval_batch_key(spec) -> Optional[tuple]:
-    """Stacking-group key of an ``api_eval`` spec, or ``None`` (unbatchable).
+def execute_api_eval_batch(
+    specs, bundle, stage_store=None, lanes: int = 2
+) -> List[Dict[str, Any]]:
+    """Execute K compatible evaluation-only specs in one stacked evaluation.
 
-    Two specs may share one batched evaluation when they agree on the model
-    weights and input pipeline (profile name + overrides), the repeat count,
-    and their configs' :meth:`~repro.sim.SimConfig.compat_key`.  The free
-    axes — sigma, pulses/schedule, relative flag, seed — stay per-scenario;
-    ``gbo``-mode specs never stack.  Used by the serial grid runner
-    (:func:`repro.experiments.runner.executor.run_grid` with ``batch=True``)
-    to group pending work.
-    """
-    if spec.experiment != "api_eval" or not spec.sim:
-        return None
-    sim = SimConfig.from_dict(dict(spec.sim))
-    if sim.mode not in ("clean", "noisy"):
-        return None
-    return (
-        spec.profile,
-        spec.overrides,
-        int(spec.param("num_repeats", 1)),
-        sim.compat_key(),
-    )
-
-
-def execute_api_eval_batch(specs, bundle, stage_store=None) -> List[Dict[str, Any]]:
-    """Execute K compatible ``api_eval`` specs in one batched evaluation.
-
-    Returns one result dict per spec, in order, each bit-identical to what
-    :func:`execute_api_eval_scenario` produces for that spec alone: the
+    The specs may be of any eval-only kind (Table I uniform cells, Fig. 2,
+    ablation A1, ``api_eval``) as long as they share one
+    :func:`~repro.experiments.runner.scenarios.stack_key`.  Returns one
+    result dict per spec, in order, each bit-identical to the spec's own
+    run, ``shape(ctx, evaluate(ctx.pipeline(), sim, num_repeats))``: the
     specs share only the deterministic work (data pipeline, the model stem,
     and the first encoded layer's quantisation and ideal read per distinct
     encoding — see :func:`repro.training.evaluate.evaluate_multi`), every
     scenario runs the rest of the model at the sequential batch size, and
-    scenario ``k`` draws its noise from ``RandomState(derived_seed_k)`` —
-    the very stream ``ctx.reseed()`` would install for its sequential run.
-    Results are still keyed and persisted individually by the caller.
+    scenario ``k`` draws its noise from ``RandomState(sim.seed)``, else
+    ``RandomState(derived_seed_k)`` — the very stream its own run would
+    use.  ``lanes`` is :func:`~repro.training.evaluate.evaluate_multi`'s
+    (grid drains run one).  Results are still keyed and persisted
+    individually by the caller.
     """
-    from repro.experiments.runner.scenarios import ScenarioContext
+    from repro.experiments.runner.scenarios import (
+        ScenarioContext,
+        evaluation_of,
+        restored_dtype,
+        shape_result,
+        stack_key,
+    )
     from repro.tensor.random import RandomState
     from repro.training.evaluate import evaluate_multi
 
     if not specs:
         return []
-    keys = {api_eval_batch_key(spec) for spec in specs}
+    keys = {stack_key(spec, bundle) for spec in specs}
     if len(keys) != 1 or None in keys:
-        raise ValueError(
-            f"specs are not stackable into one api_eval batch (keys: {keys})"
-        )
+        raise ValueError(f"specs are not stackable into one evaluation (keys: {keys})")
     contexts = [
-        ScenarioContext(spec, bundle=bundle, stage_store=stage_store)
-        for spec in specs
+        ScenarioContext(spec, bundle=bundle, stage_store=stage_store) for spec in specs
     ]
-    num_repeats = int(specs[0].param("num_repeats", 1))
-    sims = [ctx.sim_config() for ctx in contexts]
-    # Scenario k's stream: a seeded config reseeds at Session enter in the
-    # sequential path, otherwise the runner's ctx.reseed() stream applies.
+    evaluations = [evaluation_of(ctx) for ctx in contexts]
+    sims = [evaluation.sim for evaluation in evaluations]
+    # Scenario k's stream: a seeded config reseeds at Session enter in its
+    # own run, otherwise the runner's ctx.reseed() stream applies.
     # RandomState(seed) IS that stream (both are numpy default_rng(seed)).
     rngs = [
         RandomState(sim.seed if sim.seed is not None else ctx.scenario_seed())
         for sim, ctx in zip(sims, contexts)
     ]
-    profile = contexts[0].profile
-    model = bundle.model
-    bundle.restore_pretrained()
-    model.requires_grad_(True)
-    per_scenario = evaluate_multi(
-        model,
-        build_loaders(profile)[1],
-        sims,
-        rngs=rngs,
-        profile=profile,
-        num_repeats=num_repeats,
-    )
-    apply_config(model, SimConfig(mode="clean"))
+    with restored_dtype():
+        state = contexts[0].pipeline()
+        per_scenario = evaluate_multi(
+            state.model,
+            state.test_loader,
+            sims,
+            rngs=rngs,
+            profile=state.profile,
+            num_repeats=evaluations[0].repeats,
+            lanes=lanes,
+        )
+        _reset(state)
     return [
-        _api_eval_result(spec, sim, per_repeat, bundle)
-        for spec, sim, per_repeat in zip(specs, sims, per_scenario)
+        shape_result(
+            ctx,
+            EvaluationResult(
+                accuracy=float(np.mean(per_repeat)), per_repeat=tuple(per_repeat), sim=sim
+            ),
+        )
+        for ctx, sim, per_repeat in zip(contexts, sims, per_scenario)
     ]
 
 

@@ -56,23 +56,27 @@ ForwardMode = Literal["clean", "noisy", "gbo"]
 class ReadMemo:
     """One input batch's encoded-layer work, made once and reused.
 
-    Keyed by the input object: ``clipped`` and ``index`` are its clipped
-    activation and level index (see
-    :func:`~repro.quant.activation.level_index`), and ``reads`` maps each
-    encoding key (see :meth:`EncodedLayerMixin._encoding_key`) to its ideal
-    crossbar read.  A new input object resets all three.  The reads are
-    shared by every user, so nothing may write into them.  A
+    Keyed by the input object: ``index`` is its level index (see
+    :func:`~repro.quant.activation.level_index`; one byte per element for
+    up to 255 levels), and ``reads`` maps each encoding key (see
+    :meth:`EncodedLayerMixin._encoding_key`) to its ideal crossbar read.  A
+    new input object resets both.  With gradients enabled the memo also
+    keeps the clipped activation, whose straight-through estimator the
+    encoded input carries; under ``no_grad`` it keeps only the dtype.  The
+    reads are shared by every user, so nothing may write into them.  A
     :class:`repro.sim.MultiSession` fills one per batch and shares it,
-    ``sealed``, across scenarios and both its lanes; GBO training fills one
-    per step ahead of the forward (see :mod:`repro.core.gbo`).  A sealed
-    memo is read-only: a read it does not hold raises.
+    ``sealed``, across scenarios and both its lanes (with one lane it holds
+    one encoding's read at a time); GBO training
+    fills one per step ahead of the forward (see :mod:`repro.core.gbo`).  A
+    sealed memo is read-only: a read it does not hold raises.
     """
 
-    __slots__ = ("inputs", "clipped", "index", "reads", "sealed")
+    __slots__ = ("inputs", "clipped", "dtype", "index", "reads", "sealed")
 
     def __init__(self) -> None:
         self.inputs: Optional[Tensor] = None
         self.clipped: Optional[Tensor] = None
+        self.dtype: Optional[np.dtype] = None
         self.index: Optional[np.ndarray] = None
         self.reads: dict = {}
         self.sealed = False
@@ -85,12 +89,20 @@ class ReadMemo:
                 f"a sealed read memo holds no read of this input in encoding {key}"
             )
         if self.inputs is not x:
-            self.clipped, self.index = level_index(x, layer.act_quantizer.levels)
-            self.inputs, self.reads = x, {}
+            levels = layer.act_quantizer.levels
+            clipped, self.index = level_index(
+                x, levels, dtype=np.uint8 if levels <= 255 else np.intp
+            )
+            self.clipped = clipped if is_grad_enabled() else None
+            self.inputs, self.dtype, self.reads = x, clipped.data.dtype, {}
         if key not in self.reads:
-            encoded = layer._encode_levels(self.clipped, self.index, key)
-            self.reads[key] = layer._ideal_read(encoded)
+            self.reads[key] = layer._ideal_read(self.encoded(layer, key))
         return self.reads[key]
+
+    def encoded(self, layer: "EncodedLayerMixin", key) -> Tensor:
+        """The memoised input in encoding ``key``, as ``layer`` encodes it."""
+        values = layer._level_values(self.index, key, self.dtype)
+        return Tensor(values) if self.clipped is None else self.clipped.with_data(values)
 
 
 class EncodedLayerMixin:
@@ -244,7 +256,9 @@ class EncodedLayerMixin:
         the original levels exactly.
         """
         clipped, index = level_index(x, self.act_quantizer.levels)
-        return self._encode_levels(clipped, index, self._encoding_key())
+        return clipped.with_data(
+            self._level_values(index, self._encoding_key(), clipped.data.dtype)
+        )
 
     def _encoding_key(self) -> Optional[Tuple[int, RoundingMode]]:
         """PLA re-encoding of the current configuration, ``None`` for the base."""
@@ -252,20 +266,20 @@ class EncodedLayerMixin:
             return (self.num_pulses, self.pla_mode)
         return None
 
-    def _encode_levels(
-        self, clipped: Tensor, index: np.ndarray, key: Optional[Tuple[int, RoundingMode]]
-    ) -> Tensor:
-        """The encoded activation of each level index, with ``clipped``'s STE.
+    def _level_values(
+        self, index: np.ndarray, key: Optional[Tuple[int, RoundingMode]], dtype: np.dtype
+    ) -> np.ndarray:
+        """The encoded activation value of each level index, in ``dtype``.
 
         ``key`` ``None`` keeps the quantised value; ``(pulses, mode)`` takes
         its PLA re-encoding.  Both are one lookup in a cached per-level table.
         """
-        levels, dtype = self.act_quantizer.levels, clipped.data.dtype
+        levels = self.act_quantizer.levels
         if key is None:
             table, pulses = level_grid(levels, dtype), self.base_pulses
         else:
             table, pulses = pla_table(levels, key[0], key[1], dtype), key[0]
-        return clipped.with_data(take_levels(table, index, levels, pulses))
+        return take_levels(table, index, levels, pulses)
 
     def _encoded_forward(self, x: Tensor) -> Tensor:
         """The layer forward in the current configuration.
@@ -451,7 +465,7 @@ class EncodedLinear(QuantLinear, EncodedLayerMixin):
         if self.num_pulses != self.base_pulses:
             key = (self.num_pulses, self.pla_mode)
         clipped, index = level_index(Tensor(x), self.act_quantizer.levels)
-        values = self._encode_levels(clipped, index, key).data
+        values = self._level_values(index, key, clipped.data.dtype)
         crossbar = self.as_crossbar(crossbar_config)
         encoder = ThermometerEncoder(self.num_pulses)
         engine = self.engine if engine is None else resolve_engine(engine)

@@ -38,10 +38,13 @@ import socket
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 #: Subdirectory of a result-store root that holds the lease files.
 LEASE_DIRNAME = "leases"
+
+#: Suffix of a failure marker beside a lease (``<spec-hash>.failed``).
+FAILURE_SUFFIX = ".failed"
 
 #: Default lease TTL: a worker missing heartbeats for this long is presumed
 #: dead and its claims become stealable.  Generous relative to the default
@@ -217,6 +220,46 @@ class LeaseManager:
         return True
 
     # ------------------------------------------------------------------
+    # Failure markers
+    # ------------------------------------------------------------------
+    def failure_path(self, spec_hash: str) -> str:
+        return os.path.join(self.lease_dir, f"{spec_hash}{FAILURE_SUFFIX}")
+
+    def mark_failed(self, spec_hash: str, run: str, message: str) -> None:
+        """Record, beside the lease, that the scenario failed in ``run``.
+
+        Every worker of the same run skips a marked scenario (see
+        :meth:`failure`), so a failing scenario is tried once per run, not
+        once per worker.  Written atomically (temporary file, then rename).
+        """
+        os.makedirs(self.lease_dir, exist_ok=True)
+        path = self.failure_path(spec_hash)
+        scratch = f"{path}.tmp-{self.owner}"
+        with open(scratch, "w", encoding="utf-8") as handle:
+            json.dump({"run": run, "owner": self.owner, "message": message}, handle)
+        os.replace(scratch, path)
+
+    def failure(self, spec_hash: str, run: str) -> Optional[Dict[str, Any]]:
+        """The failure marker of the scenario in ``run`` (``message`` and
+        ``owner``), or ``None``; a marker of another run does not count."""
+        payload = self._read(self.failure_path(spec_hash))
+        if payload is None or payload.get("run") != run:
+            return None
+        return payload
+
+    def clear_failures(self, run: str) -> None:
+        """Remove the failure markers ``run`` left."""
+        if not os.path.isdir(self.lease_dir):
+            return
+        for entry in os.listdir(self.lease_dir):
+            spec_hash = entry[: -len(FAILURE_SUFFIX)]
+            if entry.endswith(FAILURE_SUFFIX) and self.failure(spec_hash, run) is not None:
+                try:
+                    os.unlink(self.failure_path(spec_hash))
+                except OSError:
+                    pass
+
+    # ------------------------------------------------------------------
     # Introspection (used by gc, status banners and tests)
     # ------------------------------------------------------------------
     def owner_of(self, spec_hash: str) -> Optional[str]:
@@ -241,30 +284,36 @@ class LeaseManager:
 
 
 class Heartbeat:
-    """Context manager keeping one claim's lease fresh from a daemon thread.
+    """Context manager keeping claims' leases fresh from one daemon thread.
 
-    The interval defaults to a quarter of the manager's TTL so three
-    consecutive missed beats still leave the lease live.  Exiting stops the
-    thread; it does *not* release the lease (the worker does that after the
-    result is safely in the store).
+    ``spec_hashes`` is one hash or a sequence of them (a stacked claim
+    beats every member's lease for the whole stack).  The interval defaults
+    to a quarter of the manager's TTL so three consecutive missed beats
+    still leave a lease live.  Exiting stops the thread; it does *not*
+    release the leases (the worker does that after the results are safely
+    in the store).
     """
 
-    def __init__(self, manager: LeaseManager, spec_hash: str, interval: Optional[float] = None):
+    def __init__(
+        self, manager: LeaseManager, spec_hashes: Union[str, Sequence[str]],
+        interval: Optional[float] = None,
+    ):
         self.manager = manager
-        self.spec_hash = spec_hash
+        self.spec_hashes = [spec_hashes] if isinstance(spec_hashes, str) else list(spec_hashes)
         self.interval = float(interval) if interval is not None else manager.ttl / 4.0
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            if not self.manager.heartbeat(self.spec_hash):
-                return  # lease stolen or gone: nothing left to keep alive
+        beating = list(self.spec_hashes)
+        while beating and not self._stop.wait(self.interval):
+            # A lease stolen or gone has nothing left to keep alive.
+            beating = [spec_hash for spec_hash in beating if self.manager.heartbeat(spec_hash)]
 
     def __enter__(self) -> "Heartbeat":
         self._thread = threading.Thread(
             target=self._run,
-            name=f"lease-heartbeat-{self.spec_hash[:8]}",
+            name=f"lease-heartbeat-{self.spec_hashes[0][:8]}",
             daemon=True,  # a SIGKILLed worker must not be kept alive by us
         )
         self._thread.start()

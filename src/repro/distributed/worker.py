@@ -13,10 +13,24 @@ coordinator:
   its own shard (:func:`shard_of` over the spec hash) first, everyone
   else's after — claiming available scenarios via atomic lease creation
   and executing them through the runner's shared execution core;
+* a sharded worker stacks: the eval-only scenarios of each stack group
+  (one :func:`~repro.experiments.runner.scenarios.stack_key`) are cut in
+  hash order into one near-equal chunk per shard (:func:`stack_chunks`);
+  the worker claims a chunk by taking every pending member's lease (or
+  else runs its members on their own), heartbeats all of them while one
+  stacked evaluation runs in one lane, stores each member on its own, and
+  retries a stack that raises member by member;
 * when only other workers' live leases remain, the worker polls: either
   the owners finish (results appear, leases vanish) or they crash (leases
   expire) and the poller *steals* the scenarios.  Stragglers therefore
-  never stall a suite, and a SIGKILLed worker's claims are re-executed.
+  never stall a suite, and a SIGKILLed worker's claims are re-executed;
+* a worker given a run token marks a scenario that fails beside its
+  lease, so the other workers of that run skip it: one attempt per run.
+
+Drain workers stack in one lane.  On the 2-CPU host, two concurrent pinned
+processes stacking 14 configs each took 3.36 s with a second lane and
+3.16-3.66 s without; a lane's model replica costs about 30 MB; and a lone
+worker with lanes would beat its two-worker siblings by the lane alone.
 
 Results are bit-identical to a serial :func:`~repro...executor.run_grid`
 run no matter how many workers participate, which worker executes what, or
@@ -28,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.distributed.lease import DEFAULT_TTL_S, Heartbeat, LeaseManager
 from repro.experiments.runner.executor import (
@@ -36,8 +50,10 @@ from repro.experiments.runner.executor import (
     GridExecutionError,
     WorkerState,
     execute_pending,
+    execute_stack,
     restore_bundles,
 )
+from repro.experiments.runner.scenarios import evaluation_kind, stack_key
 from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import ResultStore
 from repro.utils.logging import get_logger
@@ -61,10 +77,38 @@ def shard_of(spec_hash: str, num_shards: int) -> int:
     return int(spec_hash, 16) % num_shards
 
 
+def stack_chunks(
+    groups: Iterable[Sequence[ScenarioSpec]], num_shards: int
+) -> Dict[str, Tuple[int, Tuple[ScenarioSpec, ...]]]:
+    """Split every stack group into ``num_shards`` near-equal chunks.
+
+    Each group is taken in hash order and cut into contiguous chunks whose
+    sizes differ by at most one; chunk ``i`` belongs to shard ``i``.
+    Returns spec hash -> (shard, its chunk).  Hash-mod sharding would split
+    a group unevenly, and a stacked claim leaves a worker nothing to steal
+    from a sibling that drew the larger half.
+    """
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+    chunks: Dict[str, Tuple[int, Tuple[ScenarioSpec, ...]]] = {}
+    for group in groups:
+        ordered = sorted(group, key=lambda spec: spec.hash)
+        size, extra = divmod(len(ordered), num_shards)
+        start = 0
+        for shard in range(num_shards):
+            end = start + size + (shard < extra)
+            chunk = tuple(ordered[start:end])
+            for spec in chunk:
+                chunks[spec.hash] = (shard, chunk)
+            start = end
+    return chunks
+
+
 def worker_order(
     specs: Sequence[ScenarioSpec],
     shard_index: Optional[int] = None,
     num_shards: Optional[int] = None,
+    shards: Optional[Mapping[str, int]] = None,
 ) -> List[ScenarioSpec]:
     """The order one worker visits a grid: own shard first, then stealing.
 
@@ -73,8 +117,10 @@ def worker_order(
     on leases), followed by every other shard's scenarios (the stealing
     path: whatever the affine owners have not finished or claimed).  Both
     halves are hash-ordered so all workers agree on the sequence within a
-    shard.  Without a shard assignment all scenarios are one hash-ordered
-    stealing pool.
+    shard.  A scenario's shard is :func:`shard_of` its hash, or its entry
+    in ``shards`` (the chunk of a stack group, see :func:`stack_chunks`).
+    Without a shard assignment all scenarios are one hash-ordered stealing
+    pool.
     """
     if (shard_index is None) != (num_shards is None):
         raise ValueError("shard_index and num_shards must be given together")
@@ -83,8 +129,13 @@ def worker_order(
         return ordered
     if not 0 <= shard_index < num_shards:
         raise ValueError(f"shard_index {shard_index} outside 0..{num_shards - 1}")
-    mine = [spec for spec in ordered if shard_of(spec.hash, num_shards) == shard_index]
-    theirs = [spec for spec in ordered if shard_of(spec.hash, num_shards) != shard_index]
+    shards = shards or {}
+
+    def shard(spec: ScenarioSpec) -> int:
+        return shards.get(spec.hash, shard_of(spec.hash, num_shards))
+
+    mine = [spec for spec in ordered if shard(spec) == shard_index]
+    theirs = [spec for spec in ordered if shard(spec) != shard_index]
     return mine + theirs
 
 
@@ -94,6 +145,8 @@ class WorkReport:
 
     owner: str
     seconds: Dict[str, float] = field(default_factory=dict)  # hash run here -> seconds
+    failed: Dict[str, str] = field(default_factory=dict)  # hash that raised here -> message
+    stacks: List[Tuple[str, ...]] = field(default_factory=list)  # hashes of each stack run here
     stolen: List[str] = field(default_factory=list)  # executed hashes outside our shard
     reclaimed: List[str] = field(default_factory=list)  # claims taken from expired leases
     cached: int = 0  # already in the store when first visited
@@ -109,7 +162,8 @@ class WorkReport:
     def summary(self) -> str:
         return (
             f"{self.owner}: executed {len(self.executed)} "
-            f"(stolen {len(self.stolen)}, reclaimed {len(self.reclaimed)}), "
+            f"(stacked {sum(map(len, self.stacks))} in {len(self.stacks)} stack(s), "
+            f"stolen {len(self.stolen)}, reclaimed {len(self.reclaimed)}), "
             f"cached {self.cached}, lost {self.lease_lost} claim race(s), "
             f"polled {self.polls}x, {self.duration_s:.2f}s"
         )
@@ -138,6 +192,16 @@ class GridWorker:
         remaining scenarios.
     shard_index / num_shards:
         Optional deterministic shard affinity (see :func:`worker_order`).
+        A sharded worker also stacks: the eval-only scenarios of each
+        stack group (:func:`~repro.experiments.runner.scenarios.stack_key`)
+        are cut into one chunk per shard (:func:`stack_chunks`), and the
+        worker runs a chunk as one stacked evaluation, in one lane.  An
+        unsharded worker runs every scenario on its own.
+    run:
+        Token of the run this worker drains for.  With one, a scenario that
+        fails here leaves a failure marker beside its lease, and every
+        worker of the same run skips it (one attempt per run); without,
+        each worker tries a failing scenario once.
     """
 
     def __init__(
@@ -149,6 +213,7 @@ class GridWorker:
         poll_s: float = 0.5,
         shard_index: Optional[int] = None,
         num_shards: Optional[int] = None,
+        run: Optional[str] = None,
     ):
         self.grid = grid
         self.store = store
@@ -156,7 +221,10 @@ class GridWorker:
         self.poll_s = float(poll_s)
         self.shard_index = shard_index
         self.num_shards = num_shards
+        self.run = run
+        self.report: Optional[WorkReport] = None
         self._order = worker_order(list(grid), shard_index, num_shards)
+        self._chunks: Dict[str, Tuple[int, Tuple[ScenarioSpec, ...]]] = {}
 
     @property
     def owner(self) -> str:
@@ -165,19 +233,154 @@ class GridWorker:
     def _is_mine(self, spec: ScenarioSpec) -> bool:
         if self.shard_index is None:
             return True
+        if spec.hash in self._chunks:
+            return self._chunks[spec.hash][0] == self.shard_index
         return shard_of(spec.hash, self.num_shards) == self.shard_index
+
+    def _plan_stacks(self, bundles: BundleCache) -> None:
+        """Cut the grid's stack groups into this run's chunks and put this
+        worker's chunks first in its order."""
+        groups: Dict[Any, List[ScenarioSpec]] = {}
+        for spec in self.grid:
+            if not evaluation_kind(spec.experiment):
+                continue
+            try:
+                key = stack_key(spec, bundles.bundle_for(spec))
+            except Exception:  # noqa: BLE001 - it fails as a scenario of its own
+                key = None
+            if key is not None:
+                groups.setdefault(key, []).append(spec)
+        self._chunks = stack_chunks(
+            [group for group in groups.values() if len(group) >= 2], self.num_shards
+        )
+        shards = {spec_hash: shard for spec_hash, (shard, _) in self._chunks.items()}
+        self._order = worker_order(list(self.grid), self.shard_index, self.num_shards, shards)
+
+    def _failed_in_run(self, spec: ScenarioSpec, failures: Dict[ScenarioSpec, str]) -> bool:
+        """Whether a worker of this run has marked ``spec`` failed (and
+        remember it among ``failures`` if so)."""
+        if self.run is None:
+            return False
+        marker = self.leases.failure(spec.hash, self.run)
+        if marker is None:
+            return False
+        failures.setdefault(spec, marker["message"])
+        return True
+
+    def _claim(
+        self, spec: ScenarioSpec, report: WorkReport, failures: Dict[ScenarioSpec, str]
+    ) -> bool:
+        """Take ``spec``'s lease, unless it is stored, marked failed or
+        claimed by another live worker."""
+        was_expired = (
+            self.leases.owner_of(spec.hash) is not None and not self.leases.is_live(spec.hash)
+        )
+        if not self.leases.acquire(spec.hash, label=spec.label()):
+            return False
+        if self.store.get(spec) is not None or self._failed_in_run(spec, failures):
+            # Another worker stored (or failed) it and released its lease
+            # between our check and our claim (owners store or mark before
+            # they release), so the race is lost.
+            self.leases.release(spec.hash)
+            return False
+        if was_expired:
+            report.reclaimed.append(spec.hash)
+            LOGGER.info("%s reclaimed expired lease for %s", self.owner, spec.label())
+        return True
+
+    def _claim_chunk(
+        self,
+        chunk: Sequence[ScenarioSpec],
+        report: WorkReport,
+        failures: Dict[ScenarioSpec, str],
+    ) -> List[ScenarioSpec]:
+        """Take the lease of every pending member of ``chunk``, or of none.
+
+        Returns the claimed members; fewer than two means the caller runs
+        the chunk's members on their own.
+        """
+        members = [
+            spec for spec in chunk
+            if spec not in failures and self.store.get(spec) is None
+        ]
+        if len(members) < 2:
+            return []
+        claimed: List[ScenarioSpec] = []
+        for spec in members:
+            if not self._claim(spec, report, failures):
+                for taken in claimed:
+                    self.leases.release(taken.hash)
+                return []
+            claimed.append(spec)
+        return claimed
+
+    def _execute(
+        self,
+        spec: ScenarioSpec,
+        bundles: BundleCache,
+        report: WorkReport,
+        failures: Dict[ScenarioSpec, str],
+    ) -> bool:
+        """Run and store one claimed scenario; on failure record it (and
+        mark it failed for the run)."""
+        try:
+            result, elapsed, _ = execute_pending(spec, self.store, bundles=bundles)
+            self.store.put(spec, result)
+        except Exception as error:
+            message = f"{type(error).__name__}: {error}"
+            failures[spec] = report.failed[spec.hash] = message
+            if self.run is not None:
+                self.leases.mark_failed(spec.hash, self.run, message)
+            LOGGER.warning("%s: scenario %s failed: %s", self.owner, spec.label(), error)
+            return False
+        self._record(spec, elapsed, report)
+        LOGGER.info("%s: scenario %s done in %.2fs", self.owner, spec.label(), elapsed)
+        return True
+
+    def _execute_chunk(
+        self,
+        members: Sequence[ScenarioSpec],
+        bundles: BundleCache,
+        report: WorkReport,
+        failures: Dict[ScenarioSpec, str],
+    ) -> None:
+        """Run claimed ``members`` as one stacked evaluation in one lane and
+        store each result on its own; a stack that raises is retried member
+        by member."""
+        try:
+            results, elapsed, _ = execute_stack(members, self.store, bundles, lanes=1)
+        except Exception as error:
+            LOGGER.warning(
+                "%s: stack of %d failed (%s); running its members one by one",
+                self.owner, len(members), error,
+            )
+            for spec in members:
+                self._execute(spec, bundles, report, failures)
+            return
+        for spec, result in zip(members, results):
+            self.store.put(spec, result)
+            self._record(spec, elapsed / len(members), report)
+        report.stacks.append(tuple(spec.hash for spec in members))
+        LOGGER.info("%s: stacked %d scenarios in %.2fs", self.owner, len(members), elapsed)
+
+    def _record(self, spec: ScenarioSpec, elapsed: float, report: WorkReport) -> None:
+        report.seconds[spec.hash] = elapsed
+        if not self._is_mine(spec):
+            report.stolen.append(spec.hash)
 
     def drain(self, max_scenarios: Optional[int] = None) -> WorkReport:
         """Work until the grid is complete (or this worker's budget is spent).
 
         Returns once every scenario of the grid has a store result —
         whoever produced it — or, with ``max_scenarios``, once this worker
-        has executed that many.  Raises
+        has executed that many (a budget turns stacking off).  Raises
         :class:`~repro.experiments.runner.executor.GridExecutionError` when
-        the remaining scenarios have all failed here and no other worker
-        holds a live claim on them.
+        the remaining scenarios have all failed (here, or in this run) and
+        no other worker holds a live claim on them.  The report is also
+        left in :attr:`report`, so a caller catching the error still sees
+        what was done.
         """
-        report = WorkReport(owner=self.owner)
+        report = self.report = WorkReport(owner=self.owner)
         failures: Dict[ScenarioSpec, str] = {}
         bundles = BundleCache()
         first_pass = True
@@ -190,62 +393,46 @@ class GridWorker:
                 if first_pass:
                     report.cached = len(self.grid) - len(pending)
                     first_pass = False
+                    if pending and self.shard_index is not None and max_scenarios is None:
+                        self._plan_stacks(bundles)
+                        pending = [spec for spec in self._order if self.store.get(spec) is None]
                 if not pending:
                     break
                 progress = False
                 for spec in pending:
                     if max_scenarios is not None and len(report.executed) >= max_scenarios:
                         break
-                    if spec in failures:
-                        continue  # one attempt per worker; others may still succeed
+                    if spec in failures or spec.hash in report.seconds:
+                        continue  # one attempt per worker; or run in a stack this pass
+                    if self._failed_in_run(spec, failures):
+                        continue  # another worker of this run tried it
+                    if spec.hash in self._chunks:
+                        members = self._claim_chunk(self._chunks[spec.hash][1], report, failures)
+                        if members:
+                            try:
+                                with Heartbeat(self.leases, [m.hash for m in members]):
+                                    self._execute_chunk(members, bundles, report, failures)
+                            finally:
+                                for member in members:
+                                    self.leases.release(member.hash)
+                            progress = True
+                            continue
                     if self.store.get(spec) is not None:
                         continue  # another worker finished it this pass
-                    was_expired = (
-                        self.leases.owner_of(spec.hash) is not None
-                        and not self.leases.is_live(spec.hash)
-                    )
-                    if not self.leases.acquire(spec.hash, label=spec.label()):
+                    if not self._claim(spec, report, failures):
                         report.lease_lost += 1
                         continue
-                    if self.store.get(spec) is not None:
-                        # Another worker stored it and released its lease
-                        # between our store check and our claim (owners store
-                        # before they release), so the race is lost.
-                        self.leases.release(spec.hash)
-                        report.lease_lost += 1
-                        continue
-                    if was_expired:
-                        report.reclaimed.append(spec.hash)
-                        LOGGER.info(
-                            "%s reclaimed expired lease for %s", self.owner, spec.label()
-                        )
                     try:
                         with Heartbeat(self.leases, spec.hash):
-                            result, elapsed, _ = execute_pending(
-                                spec, self.store, bundles=bundles
-                            )
-                            self.store.put(spec, result)
-                    except Exception as error:
-                        failures[spec] = f"{type(error).__name__}: {error}"
-                        LOGGER.warning(
-                            "%s: scenario %s failed: %s", self.owner, spec.label(), error
-                        )
-                        continue
+                            progress = self._execute(spec, bundles, report, failures) or progress
                     finally:
                         self.leases.release(spec.hash)
-                    report.seconds[spec.hash] = elapsed
-                    if not self._is_mine(spec):
-                        report.stolen.append(spec.hash)
-                    progress = True
-                    LOGGER.info(
-                        "%s: scenario %s done in %.2fs", self.owner, spec.label(), elapsed
-                    )
                 if progress:
                     continue
                 # No claimable work this pass.  Scenarios behind other
                 # workers' live leases are worth waiting for (the owner
                 # either finishes them or crashes and we steal); scenarios
-                # that failed here with no live claimant are not.
+                # that failed in this run with no live claimant are not.
                 remaining = [spec for spec in pending if self.store.get(spec) is None]
                 if not remaining:
                     break
@@ -267,15 +454,18 @@ class GridWorker:
 
 
 def drain_shard(
-    state: WorkerState, grid: ScenarioGrid, shard_index: int, num_shards: int
-) -> Tuple[Dict[str, float], Dict[str, str]]:
+    state: WorkerState, grid: ScenarioGrid, shard_index: int, num_shards: int,
+    run: Optional[str] = None,
+) -> Tuple[WorkReport, Dict[str, str]]:
     """One local drain, run in a ``run_grid(workers > 1)`` worker process
-    over its store: (hash -> seconds run here, hash -> failure message)."""
+    over its store: (its report, hash -> failure message)."""
     worker = GridWorker(
         grid, state.store, ttl=LOCAL_LEASE_TTL_S, poll_s=LOCAL_POLL_S,
-        shard_index=shard_index, num_shards=num_shards,
+        shard_index=shard_index, num_shards=num_shards, run=run,
     )
     try:
-        return worker.drain().seconds, {}
+        worker.drain()
+        failures: Dict[str, str] = {}
     except GridExecutionError as error:
-        return error.completed, {spec.hash: message for spec, message in error.failures.items()}
+        failures = {spec.hash: message for spec, message in error.failures.items()}
+    return worker.report, failures

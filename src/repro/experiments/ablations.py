@@ -87,48 +87,53 @@ def encoding_ablation_grid(
     return ScenarioGrid(name="ablation_encoding", specs=specs)
 
 
-def execute_encoding_scenario(ctx) -> Dict[str, Any]:
-    """A1 cell: end-to-end accuracy with one encoding's folded noise model.
+def _accumulated_std(ctx) -> float:
+    """An A1 cell's accumulated read-noise std under its encoding's closed form.
 
     Both encodings carry the same information (the layer's 9 activation
     levels need ``ceil(log2(9)) = 4`` bit-slicing pulses or 8 thermometer
-    pulses).  The folded noise model is used: the per-layer accumulated
-    noise standard deviation is set according to each scheme's closed-form
-    variance, so the comparison isolates the encoding effect the paper's
-    Section II-B analyses.
+    pulses).
     """
-    spec = ctx.spec
-    profile = ctx.profile
-    levels = profile.activation_levels
-    base_pulses = profile.base_pulses
-    sigma = spec.sigma
-    if spec.method == "thermometer":
-        accumulated_std = math.sqrt(thermometer_noise_variance(base_pulses, sigma=sigma))
-    else:
-        slicing_bits = max(1, math.ceil(math.log2(levels)))
-        accumulated_std = math.sqrt(bit_slicing_noise_variance(slicing_bits, sigma=sigma))
+    profile, sigma = ctx.profile, ctx.spec.sigma
+    if ctx.spec.method == "thermometer":
+        return math.sqrt(thermometer_noise_variance(profile.base_pulses, sigma=sigma))
+    slicing_bits = max(1, math.ceil(math.log2(profile.activation_levels)))
+    return math.sqrt(bit_slicing_noise_variance(slicing_bits, sigma=sigma))
 
-    # The encoded layers divide sigma by sqrt(num_pulses); choose the
-    # per-pulse sigma that lands exactly on the target accumulated std.
-    per_pulse_sigma = accumulated_std * math.sqrt(base_pulses)
-    accuracy = api.evaluate(
-        ctx.pipeline(),
-        ctx.noisy_sim(pulses=base_pulses, sigma=per_pulse_sigma).with_changes(
-            sigma_relative_to_fan_in=False
-        ),
-        num_repeats=profile.eval_repeats,
-    ).accuracy
+
+def encoding_evaluation(ctx):
+    """A1 cell: end-to-end accuracy with one encoding's folded noise model.
+
+    The per-layer accumulated noise standard deviation is set according to
+    each scheme's closed-form variance, so the comparison isolates the
+    encoding effect the paper's Section II-B analyses.  The encoded layers
+    divide sigma by ``sqrt(num_pulses)``, so the per-pulse sigma is the one
+    that lands exactly on the target accumulated std.
+    """
+    from repro.experiments.runner.scenarios import Evaluation
+
+    base_pulses = ctx.profile.base_pulses
+    per_pulse_sigma = _accumulated_std(ctx) * math.sqrt(base_pulses)
+    sim = ctx.noisy_sim(pulses=base_pulses, sigma=per_pulse_sigma).with_changes(
+        sigma_relative_to_fan_in=False
+    )
+    return Evaluation(sim, ctx.profile.eval_repeats)
+
+
+def encoding_result(ctx, evaluation) -> Dict[str, Any]:
+    """The stored A1 cell: levels, accumulated noise std and accuracy."""
+    accumulated_std = _accumulated_std(ctx)
     LOGGER.info(
         "ablation A1 sigma=%.2f %s: accumulated_std=%.3f acc=%.2f%%",
-        sigma,
-        spec.method,
+        ctx.spec.sigma,
+        ctx.spec.method,
         accumulated_std,
-        accuracy,
+        evaluation.accuracy,
     )
     return {
-        "levels": levels,
+        "levels": ctx.profile.activation_levels,
         "effective_noise_std": accumulated_std,
-        "accuracy": accuracy,
+        "accuracy": evaluation.accuracy,
     }
 
 

@@ -7,7 +7,8 @@ heterogeneous sensitivity profile that motivates per-layer pulse lengths.
 Expressed as a grid on the scenario runner: one scenario per target layer,
 each one :func:`repro.api.evaluate` of the whole network under a per-layer
 ``noise_sigma`` that is the scenario's sigma at the target and zero
-elsewhere.
+elsewhere (:func:`fig2_evaluation`), so the cells stack like any other
+evaluation-only scenario.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro import api
 from repro.core.noise_sensitivity import LayerSensitivity
 from repro.experiments.common import ExperimentBundle
 from repro.experiments.profiles import ExperimentProfile
@@ -105,19 +105,26 @@ def fig2_grid(
     return ScenarioGrid(name="fig2", specs=specs)
 
 
-def execute_fig2_scenario(ctx) -> Dict[str, Any]:
-    """Accuracy of the pre-trained model with one layer made noisy."""
+def fig2_evaluation(ctx):
+    """A Fig. 2 cell's evaluation: the whole model at the base pulse count,
+    with the scenario's sigma at the target layer and zero elsewhere."""
+    from repro.experiments.runner.scenarios import Evaluation
+
     target_index = int(ctx.spec.param("layer_index"))
-    state = ctx.pipeline()
-    names = state.model.encoded_layer_names()
     noisy = ctx.noisy_sim(pulses=ctx.profile.base_pulses)
     sigmas = tuple(
-        noisy.noise_sigma if index == target_index else 0.0 for index in range(len(names))
+        noisy.noise_sigma if index == target_index else 0.0
+        for index in range(len(ctx.encoded_layer_names()))
     )
-    evaluation = api.evaluate(state, noisy.with_changes(noise_sigma=sigmas))
+    return Evaluation(noisy.with_changes(noise_sigma=sigmas), 1)
+
+
+def fig2_result(ctx, evaluation) -> Dict[str, Any]:
+    """The stored Fig. 2 cell: the target layer and the model's accuracy."""
+    target_index = int(ctx.spec.param("layer_index"))
     return {
         "layer_index": target_index,
-        "layer_name": names[target_index],
+        "layer_name": ctx.encoded_layer_names()[target_index],
         "accuracy": evaluation.accuracy,
     }
 

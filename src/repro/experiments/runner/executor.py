@@ -16,13 +16,18 @@ Execution modes
     pinned to one thread) runs one :class:`~repro.distributed.worker.GridWorker`
     drain over the pending scenarios, shard ``i`` first: the lease protocol
     of ``python -m repro.distributed``, so workers store each result as it
-    finishes.  A worker that dies orphans only the scenario it had claimed;
-    the survivors steal it after
-    :data:`repro.distributed.worker.LOCAL_LEASE_TTL_S` and the same call
-    completes.  The parent reads the results back from the store.  Workers
-    load their bundles from the on-disk pre-train cache (the parent puts
-    the checkpoints there first) and reseed every scenario from its spec,
-    so results are bit-identical to the serial oracle.
+    finishes.  The eval-only scenarios of each stack group are cut into N
+    near-equal chunks, and worker ``i`` runs chunk ``i`` as one stacked
+    evaluation in one lane (:func:`execute_stack`).  A worker that dies
+    orphans only the scenarios it had claimed; the survivors steal them
+    after :data:`repro.distributed.worker.LOCAL_LEASE_TTL_S` and the same
+    call completes.  A scenario that fails is tried once per call: its
+    failure marker (beside its lease, tagged with the call's run token)
+    makes the other workers skip it.  The parent reads the results back
+    from the store.  Workers load their bundles from the on-disk pre-train
+    cache (the parent puts the checkpoints there first) and reseed every
+    scenario from its spec, so results are bit-identical to the serial
+    oracle.
 
 With a persistent :class:`~repro.experiments.runner.store.ResultStore`,
 completed scenarios are skipped on re-run (resume); without one, a
@@ -38,6 +43,7 @@ import signal
 import tempfile
 import threading
 import time
+import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
@@ -49,12 +55,13 @@ from repro.experiments.common import (
     prepare_checkpoint,
     profile_token,
 )
-from repro.experiments.runner.scenarios import execute_scenario, needs_bundle
+from repro.distributed.lease import LeaseManager
+from repro.experiments.runner.scenarios import execute_scenario, needs_bundle, stack_key
 from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import MemoryStore, ResultStore, jsonify_result
 from repro.sim import SimConfig, apply_config
 from repro.utils.logging import get_logger
-from repro.worker_env import worker_threads_pinned
+from repro.worker_env import blas_pool_pinned, worker_threads_pinned
 
 LOGGER = get_logger("repro.runner")
 
@@ -66,12 +73,19 @@ class GridExecutionError(RuntimeError):
     *after* every completed sibling's result is in the store, so a resumed
     run re-executes only the failures.  ``failures`` maps each failed spec
     to its error message; ``completed`` maps each completed spec hash to
-    its execution seconds.
+    its execution seconds; ``executions`` (from :func:`run_grid`'s drains)
+    counts how many times each spec was executed, failed attempts included.
     """
 
-    def __init__(self, failures: Dict[ScenarioSpec, str], completed: Dict[str, float]):
+    def __init__(
+        self,
+        failures: Dict[ScenarioSpec, str],
+        completed: Dict[str, float],
+        executions: Optional[Dict[str, int]] = None,
+    ):
         self.failures = failures
         self.completed = completed
+        self.executions = executions if executions is not None else {}
         detail = "; ".join(f"{spec.label()}: {message}" for spec, message in failures.items())
         super().__init__(
             f"{len(failures)} scenario(s) failed with no live claimant ({detail}); "
@@ -90,6 +104,11 @@ class GridRunResult:
     workers: int = 0
     duration_s: float = 0.0
     per_scenario_s: Dict[str, float] = field(default_factory=dict)  # spec hash -> seconds
+    #: Spec hashes of each stacked evaluation, one tuple per stack.
+    stacks: List[Tuple[str, ...]] = field(default_factory=list)
+    #: Spec hash -> how many times it was executed (a worker's failed
+    #: attempts included).
+    executions: Dict[str, int] = field(default_factory=dict)
 
 
 class BundleCache:
@@ -160,6 +179,26 @@ def execute_pending(
     start = time.perf_counter()
     result = execute_scenario(spec, bundle=bundle, stage_store=stage_store)
     return result, time.perf_counter() - start, bundle
+
+
+def execute_stack(
+    specs: Sequence[ScenarioSpec],
+    stage_store,
+    bundles: BundleCache,
+    explicit_bundle=None,
+    lanes: int = 2,
+) -> Tuple[List[Dict[str, Any]], float, Any]:
+    """:func:`execute_pending` for a group of specs sharing one
+    :func:`~repro.experiments.runner.scenarios.stack_key`: one stacked
+    evaluation (:func:`repro.api.execute_api_eval_batch`, looked up at call
+    time, so a wrapper installed there sees every stack) returning
+    ``(results in spec order, elapsed_s, bundle)``."""
+    from repro.api import execute_api_eval_batch
+
+    bundle = bundles.bundle_for(specs[0], explicit_bundle)
+    start = time.perf_counter()
+    results = execute_api_eval_batch(specs, bundle=bundle, stage_store=stage_store, lanes=lanes)
+    return results, time.perf_counter() - start, bundle
 
 
 def restore_bundles(bundles: Iterable[Any]) -> None:
@@ -332,27 +371,33 @@ def _run_workers(
     grid = ScenarioGrid(name=outcome.grid.name, specs=tuple(pending))
     failures: Dict[str, str] = {}
     lost: List[str] = []
+    # A fresh run token: failure markers of earlier runs do not apply.
+    run = uuid.uuid4().hex
     pool = spawn_worker_pool(workers, store_root=target.root)
     try:
         for index, worker in enumerate(pool):
-            worker.send(drain_shard, grid, index, workers)
+            worker.send(drain_shard, grid, index, workers, run)
         busy = list(pool)
         while busy:
             wait([worker.conn for worker in busy] + [worker.process.sentinel for worker in busy])
             for worker in [worker for worker in busy if worker.ready()]:
                 busy.remove(worker)
                 try:
-                    seconds, failed = worker.reply()
+                    report, failed = worker.reply()
                 except WorkerError as error:
                     # Its claim expires and a survivor steals it.
                     LOGGER.warning("grid worker lost: %s", error)
                     lost.append(str(error))
                     continue
-                outcome.per_scenario_s.update(seconds)
+                outcome.per_scenario_s.update(report.seconds)
+                outcome.stacks.extend(report.stacks)
+                for spec_hash in [*report.seconds, *report.failed]:
+                    outcome.executions[spec_hash] = outcome.executions.get(spec_hash, 0) + 1
                 failures.update(failed)
     finally:
         for worker in pool:
             worker.stop()
+        LeaseManager(target.root).clear_failures(run)
         for spec in pending:
             result = target.get(spec)
             if result is None:
@@ -370,24 +415,24 @@ def _run_workers(
         raise GridExecutionError(
             {spec: failures[spec.hash] for spec in pending if spec.hash in failures},
             completed=outcome.per_scenario_s,
+            executions=outcome.executions,
         )
 
 
 def _stack_groups(pending: Sequence[ScenarioSpec]) -> Dict[str, List[ScenarioSpec]]:
     """Map spec hash -> its stackable sibling group (only groups of >= 2).
 
-    Groups compatible ``api_eval`` scenarios (same profile+overrides, repeat
-    count and :meth:`SimConfig.compat_key`; see
-    :func:`repro.api.api_eval_batch_key`) so the serial path can evaluate
-    each group in one batched evaluation, sharing each batch's stem and
-    first-layer reads (:func:`repro.api.execute_api_eval_batch`).  Results stay keyed per spec and
-    bit-identical to sequential execution, so resume/caching is unaffected.
+    Groups compatible ``api_eval`` scenarios (one
+    :func:`~repro.experiments.runner.scenarios.stack_key`) so the serial
+    path can evaluate each group in one stacked evaluation, sharing each
+    batch's stem and first-layer reads (:func:`execute_stack`).  Results
+    stay keyed per spec and bit-identical to sequential execution, so
+    resume/caching is unaffected.  The other eval-only kinds stack in grid
+    drains only (:mod:`repro.distributed.worker`).
     """
-    from repro.api import api_eval_batch_key
-
     by_key: Dict[Any, List[ScenarioSpec]] = {}
     for spec in pending:
-        key = api_eval_batch_key(spec)
+        key = stack_key(spec) if spec.experiment == "api_eval" else None
         if key is not None:
             by_key.setdefault(key, []).append(spec)
     groups: Dict[str, List[ScenarioSpec]] = {}
@@ -434,9 +479,12 @@ def run_grid(
         results over).
     batch:
         Stack compatible sibling ``api_eval`` scenarios into one batched
-        multi-scenario forward on the serial path (default on; results are
+        multi-scenario forward on the serial path, on a one-thread BLAS
+        pool so the stack gets its second lane (default on; results are
         bit-identical per scenario and still persisted individually).
-        ``workers > 1`` ignores this flag.
+        ``workers > 1`` stack in their drains whatever this flag says:
+        each worker runs its chunk of every eval-only stack group (Table I
+        uniform cells, Fig. 2, A1, ``api_eval``) in one lane.
     """
     start = time.perf_counter()
     outcome = GridRunResult(grid=grid, results={}, workers=max(workers, 0))
@@ -465,6 +513,7 @@ def run_grid(
                 result = jsonify_result(result)
             outcome.results[spec.hash] = result
             outcome.per_scenario_s[spec.hash] = elapsed
+            outcome.executions[spec.hash] = 1
             outcome.executed += 1
 
         for spec in pending:
@@ -472,16 +521,14 @@ def run_grid(
                 continue  # run as a member of an earlier stacked group
             members = groups.get(spec.hash)
             if members is not None:
-                from repro.api import execute_api_eval_batch
-
-                spec_bundle = bundles.bundle_for(spec, explicit_bundle=bundle)
+                # A one-thread pool gives the stack its second lane.
+                with blas_pool_pinned(1):
+                    results, elapsed, spec_bundle = execute_stack(
+                        members, stage_store, bundles, explicit_bundle=bundle
+                    )
                 if spec_bundle is not None:
                     touched[id(spec_bundle)] = spec_bundle
-                scenario_start = time.perf_counter()
-                results = execute_api_eval_batch(
-                    members, bundle=spec_bundle, stage_store=stage_store
-                )
-                elapsed = time.perf_counter() - scenario_start
+                outcome.stacks.append(tuple(member.hash for member in members))
                 for member, result in zip(members, results):
                     _record(member, result, elapsed / len(members))
                 LOGGER.info(

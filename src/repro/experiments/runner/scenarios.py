@@ -3,8 +3,11 @@
 Every experiment module contributes one *scenario executor* — a function
 ``execute(ctx: ScenarioContext) -> dict`` that runs a single
 :class:`~repro.experiments.runner.spec.ScenarioSpec` end to end and returns
-a plain JSON-serialisable dict.  The dispatch table below maps experiment
-identifiers to those executors via lazy imports, so worker processes only
+a plain JSON-serialisable dict — or, for scenarios that are one
+:func:`repro.api.evaluate` call, declares that evaluation and the shape of
+its result instead (see :class:`ExecutorKind`), which lets the runner stack
+them (:func:`stack_key`).  The dispatch table below maps experiment
+identifiers to those functions via lazy imports, so worker processes only
 import what they run and no circular imports arise (the experiment modules
 import the executor's :func:`~repro.experiments.runner.executor.run_grid`,
 not this module).
@@ -38,7 +41,8 @@ from __future__ import annotations
 
 import importlib
 import time
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,58 +52,129 @@ from repro.experiments.runner.spec import ScenarioSpec, stable_seed
 from repro.sim import SimConfig, apply_config, resolve_engine_name
 from repro.utils.seed import seed_everything
 
-#: experiment identifier -> (module, executor function, needs a pre-trained bundle)
-_EXECUTORS: Dict[str, Tuple[str, str, bool]] = {
-    "fig1b": ("repro.experiments.fig1b", "execute_fig1b_scenario", False),
-    "fig2": ("repro.experiments.fig2", "execute_fig2_scenario", True),
-    "table1": ("repro.experiments.table1", "execute_table1_scenario", True),
-    "table2": ("repro.experiments.table2", "execute_table2_scenario", True),
-    "ablation_encoding": (
-        "repro.experiments.ablations",
-        "execute_encoding_scenario",
-        True,
+class ExecutorKind(NamedTuple):
+    """How the scenarios of one experiment execute.
+
+    ``execute`` names the executor ``execute(ctx) -> dict``.  An eval-only
+    kind also names ``evaluation(ctx) -> Evaluation | None`` (the one
+    :func:`repro.api.evaluate` call a scenario is, or ``None`` for a
+    scenario of the kind that does more, such as a GBO cell) and
+    ``shape(ctx, EvaluationResult) -> dict`` (its stored result); a kind
+    whose every scenario is one evaluation needs no ``execute``.  Such
+    scenarios stack (see :func:`stack_key`).
+    """
+
+    module: str
+    execute: Optional[str]
+    needs_bundle: bool
+    evaluation: Optional[str] = None
+    shape: Optional[str] = None
+
+
+class Evaluation(NamedTuple):
+    """The one evaluation of an eval-only scenario: config and repeat count."""
+
+    sim: SimConfig
+    repeats: int
+
+
+#: experiment identifier -> how its scenarios execute
+_EXECUTORS: Dict[str, ExecutorKind] = {
+    "fig1b": ExecutorKind("repro.experiments.fig1b", "execute_fig1b_scenario", False),
+    "fig2": ExecutorKind(
+        "repro.experiments.fig2", None, True, "fig2_evaluation", "fig2_result"
     ),
-    "ablation_pla_error": (
-        "repro.experiments.ablations",
-        "execute_pla_error_scenario",
-        False,
-    ),
-    "ablation_gamma": (
-        "repro.experiments.ablations",
-        "execute_gamma_scenario",
+    "table1": ExecutorKind(
+        "repro.experiments.table1",
+        "execute_table1_scenario",
         True,
+        "table1_evaluation",
+        "table1_result",
+    ),
+    "table2": ExecutorKind("repro.experiments.table2", "execute_table2_scenario", True),
+    "ablation_encoding": ExecutorKind(
+        "repro.experiments.ablations", None, True, "encoding_evaluation", "encoding_result"
+    ),
+    "ablation_pla_error": ExecutorKind(
+        "repro.experiments.ablations", "execute_pla_error_scenario", False
+    ),
+    "ablation_gamma": ExecutorKind(
+        "repro.experiments.ablations", "execute_gamma_scenario", True
     ),
     # Facade evaluation as a scenario: the request type behind repro.serve.
-    "api_eval": ("repro.api", "execute_api_eval_scenario", True),
+    "api_eval": ExecutorKind(
+        "repro.api", None, True, "api_eval_evaluation", "api_eval_result"
+    ),
     # Bundle-free diagnostic scenario (latency/failure injection); used by
     # the serve layer's health probes and the executor's failure tests.
-    "selftest": (
-        "repro.experiments.runner.scenarios",
-        "execute_selftest_scenario",
-        False,
+    "selftest": ExecutorKind(
+        "repro.experiments.runner.scenarios", "execute_selftest_scenario", False
     ),
 }
 
 
+def _kind(experiment: str) -> ExecutorKind:
+    try:
+        return _EXECUTORS[experiment]
+    except KeyError as error:
+        raise KeyError(
+            f"unknown experiment {experiment!r}; known: {sorted(_EXECUTORS)}"
+        ) from error
+
+
 def needs_bundle(experiment: str) -> bool:
     """Whether scenarios of this experiment require a pre-trained bundle."""
-    try:
-        return _EXECUTORS[experiment][2]
-    except KeyError as error:
-        raise KeyError(
-            f"unknown experiment {experiment!r}; known: {sorted(_EXECUTORS)}"
-        ) from error
+    return _kind(experiment).needs_bundle
 
 
-def _resolve_executor(experiment: str) -> Callable[["ScenarioContext"], Dict[str, Any]]:
-    try:
-        module_name, function_name, _ = _EXECUTORS[experiment]
-    except KeyError as error:
-        raise KeyError(
-            f"unknown experiment {experiment!r}; known: {sorted(_EXECUTORS)}"
-        ) from error
-    module = importlib.import_module(module_name)
-    return getattr(module, function_name)
+def evaluation_kind(experiment: str) -> bool:
+    """Whether scenarios of this experiment may be one evaluation (and stack)."""
+    return _kind(experiment).evaluation is not None
+
+
+def _function(kind: ExecutorKind, name: str) -> Callable:
+    return getattr(importlib.import_module(kind.module), name)
+
+
+def evaluation_of(ctx: "ScenarioContext") -> Optional[Evaluation]:
+    """The one evaluation ``ctx``'s scenario is, or ``None`` if it does more."""
+    kind = _kind(ctx.spec.experiment)
+    if kind.evaluation is None:
+        return None
+    return _function(kind, kind.evaluation)(ctx)
+
+
+def shape_result(ctx: "ScenarioContext", evaluation) -> Dict[str, Any]:
+    """The stored result of an eval-only scenario, from its
+    :class:`repro.api.EvaluationResult`."""
+    kind = _kind(ctx.spec.experiment)
+    return _function(kind, kind.shape)(ctx, evaluation)
+
+
+def stack_key(spec: ScenarioSpec, bundle=None) -> Optional[tuple]:
+    """The stacking-group key of an eval-only scenario, or ``None``.
+
+    Two scenarios may share one stacked evaluation
+    (:func:`repro.api.execute_api_eval_batch`) when they agree on the model
+    weights and input pipeline (profile name and overrides), the repeat
+    count and their configs' :meth:`~repro.sim.SimConfig.compat_key`, of
+    whatever eval-only kind they are.  Sigma, pulses, the relative flag and
+    the seed stay per scenario; ``gbo``-mode configs and scenarios that do
+    more than one evaluation never stack.  ``bundle`` is the scenario's
+    pre-trained bundle (Fig. 2 reads its layer count from it).
+    """
+    if not evaluation_kind(spec.experiment):
+        return None
+    ctx = ScenarioContext(spec, bundle=bundle)
+    evaluation = evaluation_of(ctx)
+    if evaluation is None or evaluation.sim.mode not in ("clean", "noisy"):
+        return None
+    return (
+        spec.profile,
+        spec.overrides,
+        evaluation.repeats,
+        evaluation.sim.compat_key(ctx.profile),
+    )
 
 
 class ScenarioContext:
@@ -162,15 +237,23 @@ class ScenarioContext:
         """
         from repro.api import PipelineState
 
+        bundle = self._bundle()
+        sim = self.sim_config()
+        bundle.restore_pretrained()
+        bundle.model.requires_grad_(True)
+        apply_config(bundle.model, sim, self.profile)
+        return PipelineState(bundle=bundle, sim=sim, profile=self.profile)
+
+    def _bundle(self):
         if self.bundle is None:
             raise ValueError(
                 f"scenario {self.spec.label()} needs a pre-trained bundle"
             )
-        sim = self.sim_config()
-        self.bundle.restore_pretrained()
-        self.bundle.model.requires_grad_(True)
-        apply_config(self.bundle.model, sim, self.profile)
-        return PipelineState(bundle=self.bundle, sim=sim, profile=self.profile)
+        return self.bundle
+
+    def encoded_layer_names(self) -> List[str]:
+        """The names of the pre-trained model's encoded layers, in order."""
+        return self._bundle().model.encoded_layer_names()
 
     def sim_config(self) -> SimConfig:
         """The scenario's base simulation config (see ScenarioSpec.sim_config)."""
@@ -264,16 +347,37 @@ def execute_selftest_scenario(ctx: "ScenarioContext") -> Dict[str, Any]:
     }
 
 
+@contextmanager
+def restored_dtype() -> Iterator[None]:
+    """Restore the execution context's compute dtype on leaving (rule 5 of
+    the determinism contract)."""
+    context = current_context()
+    dtype = context.dtype_name
+    try:
+        yield
+    finally:
+        context.set_dtype(dtype)
+
+
 def execute_scenario(
     spec: ScenarioSpec, bundle=None, stage_store=None
 ) -> Dict[str, Any]:
-    """Run one scenario in the current process and return its result dict."""
-    executor = _resolve_executor(spec.experiment)
+    """Run one scenario in the current process and return its result dict.
+
+    An eval-only scenario (:func:`evaluation_of`) is
+    ``shape(ctx, api.evaluate(ctx.pipeline(), sim, num_repeats=repeats))``;
+    any other runs its kind's executor.
+    """
+    kind = _kind(spec.experiment)
     ctx = ScenarioContext(spec, bundle=bundle, stage_store=stage_store)
-    context = current_context()
-    dtype = context.dtype_name
-    ctx.reseed()
-    try:
-        return executor(ctx)
-    finally:
-        context.set_dtype(dtype)
+    with restored_dtype():
+        ctx.reseed()
+        evaluation = evaluation_of(ctx)
+        if evaluation is None:
+            return _function(kind, kind.execute)(ctx)
+        from repro import api
+
+        return shape_result(
+            ctx,
+            api.evaluate(ctx.pipeline(), evaluation.sim, num_repeats=evaluation.repeats),
+        )

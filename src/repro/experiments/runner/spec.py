@@ -302,6 +302,10 @@ class ScenarioSpec:
             bits.append(self.method)
         if self.sigma is not None:
             bits.append(f"sigma={self.sigma:g}")
+        elif isinstance(dict(self.sim).get("noise_sigma"), tuple):
+            # A per-layer sigma lives on the attached config only.
+            sigmas = ",".join(f"{sigma:g}" for sigma in dict(self.sim)["noise_sigma"])
+            bits.append(f"sigma=[{sigmas}]")
         if self.gamma is not None:
             bits.append(f"gamma={self.gamma:g}")
         return " ".join(bits)

@@ -199,22 +199,42 @@ def table1_grid(
     return ScenarioGrid(name="table1", specs=tuple(specs))
 
 
+def _uniform_schedule(ctx) -> PulseSchedule:
+    return PulseSchedule.uniform(len(ctx.encoded_layer_names()), int(ctx.spec.param("pulses")))
+
+
+def table1_evaluation(ctx):
+    """A uniform (Baseline/PLA) cell is one evaluation at its pulse count;
+    a GBO cell trains first (``None``: :func:`execute_table1_scenario`)."""
+    from repro.experiments.runner.scenarios import Evaluation
+
+    if ctx.spec.method.startswith("GBO"):
+        return None
+    return Evaluation(ctx.noisy_sim(pulses=_uniform_schedule(ctx)), ctx.profile.eval_repeats)
+
+
+def table1_result(ctx, evaluation) -> Dict[str, Any]:
+    """The stored uniform cell."""
+    return _cell(ctx.spec, _uniform_schedule(ctx), evaluation.accuracy)
+
+
 def execute_table1_scenario(ctx) -> Dict[str, Any]:
-    """One Table I cell: evaluate a uniform schedule or train + evaluate GBO."""
+    """One GBO cell of Table I: train a schedule, then evaluate under it."""
     spec = ctx.spec
     state = ctx.pipeline()
-    pla_errors = None
-    if spec.method.startswith("GBO"):
-        gbo = api.run_gbo(state, ctx.gbo_sim(), gamma=spec.gamma)
-        schedule = gbo.result.schedule
-        pla_errors = gbo.pla_errors
-    else:
-        schedule = PulseSchedule.uniform(
-            state.model.num_encoded_layers(), int(spec.param("pulses"))
-        )
+    gbo = api.run_gbo(state, ctx.gbo_sim(), gamma=spec.gamma)
+    schedule = gbo.result.schedule
     accuracy = api.evaluate(
         state, ctx.noisy_sim(pulses=schedule), num_repeats=state.profile.eval_repeats
     ).accuracy
+    result = _cell(spec, schedule, accuracy)
+    # Surface the selection's unmodelled PLA representation error (the
+    # "GBO is blind to PLA error" finding) in the stored run output.
+    result["pla_errors"] = [float(e) for e in gbo.pla_errors]
+    return result
+
+
+def _cell(spec, schedule: PulseSchedule, accuracy: float) -> Dict[str, Any]:
     LOGGER.info(
         "table1 sigma=%.2f %s: acc=%.2f%% avg_pulses=%.2f",
         spec.sigma,
@@ -222,16 +242,11 @@ def execute_table1_scenario(ctx) -> Dict[str, Any]:
         accuracy,
         schedule.average_pulses,
     )
-    result = {
+    return {
         "schedule": schedule.as_list(),
         "average_pulses": schedule.average_pulses,
         "accuracy": accuracy,
     }
-    if pla_errors is not None:
-        # Surface the selection's unmodelled PLA representation error (the
-        # "GBO is blind to PLA error" finding) in the stored run output.
-        result["pla_errors"] = [float(e) for e in pla_errors]
-    return result
 
 
 def assemble_table1(

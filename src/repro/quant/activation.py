@@ -46,22 +46,22 @@ def level_grid(levels: int, dtype: np.dtype) -> np.ndarray:
     return grid
 
 
-def level_index(x: Tensor, levels: int) -> Tuple[Tensor, np.ndarray]:
+def level_index(x: Tensor, levels: int, dtype=np.intp) -> Tuple[Tensor, np.ndarray]:
     """Clip ``x`` to ``[-1, 1]`` and round it to its level index.
 
     Returns ``(clipped, index)``: ``clipped`` carries the STE (gradients
     pass through unchanged but respect the clip) and ``index`` holds
-    ``round((clipped + 1.0) * 0.5 * steps)`` as ``intp``, computed in one
-    scratch buffer with the quantiser's operation order.  A NaN has no
-    level; its index points one past the last level, so :func:`take_levels`
-    rejects it.
+    ``round((clipped + 1.0) * 0.5 * steps)`` as ``dtype`` (an integer type
+    that holds ``levels``), computed in one scratch buffer with the
+    quantiser's operation order.  A NaN has no level; its index points one
+    past the last level, so :func:`take_levels` rejects it.
     """
     _check_levels(levels)
     clipped = x.clip(-1.0, 1.0)
     scaled = clipped.data + 1.0
     scaled *= 0.5
     scaled *= levels - 1
-    index = np.empty(scaled.shape, dtype=np.intp)
+    index = np.empty(scaled.shape, dtype=dtype)
     with np.errstate(invalid="raise"):
         try:
             np.rint(scaled, out=index, casting="unsafe")

@@ -22,8 +22,17 @@ per batch:
 Every op thus works on a cache-sized batch of ``N`` rows, never on a
 ``K*N``-row stack.
 
-**Two lanes.**  With two or more configs, and a one-thread BLAS pool
-(:func:`repro.worker_env.blas_pinned` reads the pool itself: every worker
+**One lane.**  The calling thread runs every scenario, grouped by the
+first encoded layer's encoding (in order of first appearance; the logits
+still come back in config order).  The memo holds one encoding's read at
+a time: it is dropped before the next encoding's is computed, so one lane
+holds the stem, its one-byte level index and one read, whatever K is.
+Reordering scenarios within a batch reorders no stream.  Grid drains run
+one lane (``lanes=1``; see :mod:`repro.distributed.worker`).
+
+**Two lanes.**  With two or more configs, ``lanes=2`` (the default), and
+a one-thread BLAS pool (:func:`repro.worker_env.blas_pinned` reads the
+pool itself: every worker
 process, e2ebench, or a :func:`~repro.worker_env.blas_pool_pinned` block),
 the bodies run in two lanes at once.  The calling thread runs the first
 ``ceil(K/2)`` scenarios on the model itself; one helper thread (a
@@ -31,8 +40,9 @@ the bodies run in two lanes at once.  The calling thread runs the first
 the rest on a replica: a :func:`copy.deepcopy` of the model made on
 entering, pinned to the model's own engine instances, sharing the first
 layer's memo, and dropped on exit.  Each batch, the calling thread runs the
-stem and fills the memo before it hands the batch to the helper, and
-:meth:`MultiSession.forward` returns only once both lanes are done, so the
+stem and fills the memo with every encoding's read before it hands the
+batch to the helper, and :meth:`MultiSession.forward` returns only once
+both lanes are done, so the
 memo is never filled while a lane reads it.  The helper runs each batch in
 a copy of the calling thread's :mod:`contextvars` context, so it resolves
 the same grad state and execution context (dtype policy).  Both lanes
@@ -131,7 +141,7 @@ class MultiSession:
     mixed group), snapshots and pins the model through an inner
     :class:`Session` (engine pin, dtype claim, state restore on exit),
     attaches the read memo to the first encoded layer and, for two or more
-    configs under pinned BLAS, starts the helper lane.  Exiting joins the
+    configs with ``lanes=2`` under pinned BLAS, starts the helper lane.  Exiting joins the
     helper, drops the replica and restores every layer's simulation state,
     noise stream and memo, even when the body raises.
     """
@@ -142,7 +152,10 @@ class MultiSession:
         configs: Sequence[SimConfig],
         rngs: Sequence[RandomState],
         profile: Any = None,
+        lanes: int = 2,
     ):
+        if lanes not in (1, 2):
+            raise ValueError(f"MultiSession runs one or two lanes, got {lanes}")
         configs = list(configs)
         if not configs:
             raise ValueError("MultiSession needs at least one SimConfig")
@@ -173,10 +186,12 @@ class MultiSession:
         self.rngs = rngs
         self.profile = profile
         self.target = target
+        self.lanes = lanes
         self._session: Optional[Session] = None
         self._layers: List[Any] = []
         self._saved_rngs: List[RandomState] = []
         self._scenarios: List[List[_ScenarioPack]] = []
+        self._by_encoding: List[List[int]] = []
         self._lane: Optional[_HelperLane] = None
 
     def forward(self, inputs) -> List[Any]:
@@ -187,10 +202,16 @@ class MultiSession:
         the helper lane is raised here.
         """
         stem = self.target.forward_stem(inputs)
-        self._fill_memo(stem)
         lane = self._lane
         if lane is None:
-            return self._run_lane(self.target, self._layers, range(len(self.configs)), stem)
+            logits: List[Any] = [None] * len(self.configs)
+            for scenarios in self._by_encoding:
+                self._fill_memo(stem, scenarios)
+                runs = self._run_lane(self.target, self._layers, scenarios, stem)
+                for k, scenario_logits in zip(scenarios, runs):
+                    logits[k] = scenario_logits
+            return logits
+        self._fill_memo(stem, range(len(self.configs)))
         lane.start(stem)
         try:
             logits = self._run_lane(self.target, self._layers, range(lane.first), stem)
@@ -198,13 +219,15 @@ class MultiSession:
             rest = lane.result()
         return logits + rest
 
-    def _fill_memo(self, stem) -> None:
-        """The first layer's read of ``stem`` in every scenario's encoding."""
+    def _fill_memo(self, stem, scenarios) -> None:
+        """The first layer's read of ``stem`` in each of ``scenarios``'
+        encodings, and no other."""
         first = self._layers[0]
         memo = first._read_memo
         memo.sealed = False
-        for packs in self._scenarios:
-            packs[0].select(first)
+        memo.reads = {}
+        for k in scenarios:
+            self._scenarios[k][0].select(first)
             memo.read(first, stem)
         memo.sealed = True
 
@@ -266,7 +289,12 @@ class MultiSession:
         self._saved_rngs = [layer.noise_rng for layer in layers]
         layers[0]._read_memo = ReadMemo()
         self._session = session
-        if len(self.configs) > 1 and blas_pinned():
+        by_encoding: dict = {}
+        for k, packs in enumerate(self._scenarios):
+            packs[0].select(layers[0])
+            by_encoding.setdefault(layers[0]._encoding_key(), []).append(k)
+        self._by_encoding = list(by_encoding.values())
+        if self.lanes == 2 and len(self.configs) > 1 and blas_pinned():
             try:
                 self._lane = _HelperLane(self, first=(len(self.configs) + 1) // 2)
             except BaseException:

@@ -39,6 +39,7 @@ def evaluate_multi(
     rngs: Sequence[Any],
     profile: Any = None,
     num_repeats: int = 1,
+    lanes: int = 2,
 ) -> List[List[float]]:
     """Top-1 accuracy of K compatible configs, sharing the work per batch.
 
@@ -52,10 +53,12 @@ def evaluate_multi(
     Each batch is loaded and run through the model's stem once, and the
     first encoded layer quantises it once and reads it once per distinct
     encoding; the rest of the model runs once per scenario at the batch
-    size.  With two or more configs and BLAS pinned to one thread, the
-    scenarios run in two lanes: this thread runs the first half on
-    ``model``, and one helper thread the rest on a replica, each lane
-    drawing its own scenarios' noise.  See
+    size.  With two or more configs, ``lanes=2`` and BLAS pinned to one
+    thread, the scenarios run in two lanes: this thread runs the first half
+    on ``model``, and one helper thread the rest on a replica, each lane
+    drawing its own scenarios' noise.  In one lane the scenarios of each
+    batch run grouped by first-layer encoding, and the memo holds one
+    encoding's read at a time.  See
     :class:`repro.sim.MultiSession` for the lanes and the bit-identity
     argument.  Repeats continue each scenario's stream inside one session,
     matching the sequential ``num_repeats`` loop.  The helper is joined,
@@ -69,7 +72,9 @@ def evaluate_multi(
     num_scenarios = len(sims)
     accuracies: List[List[float]] = [[] for _ in range(num_scenarios)]
     try:
-        with MultiSession(model, sims, rngs=rngs, profile=profile) as session, no_grad():
+        with MultiSession(
+            model, sims, rngs=rngs, profile=profile, lanes=lanes
+        ) as session, no_grad():
             for _ in range(num_repeats):
                 meters = [AverageMeter("accuracy") for _ in range(num_scenarios)]
                 for inputs, targets in loader:

@@ -528,8 +528,9 @@ class TestEvaluateMulti:
 
 class TestRunnerStacking:
     def test_batch_keys_group_only_compatible_api_eval_specs(self):
-        from repro.api import api_eval_batch_key, eval_scenario_spec
+        from repro.api import eval_scenario_spec
         from repro.experiments.runner.executor import _stack_groups
+        from repro.experiments.runner.scenarios import stack_key
         from repro.experiments.runner.spec import ScenarioSpec
 
         specs = [
@@ -544,12 +545,12 @@ class TestRunnerStacking:
             eval_scenario_spec(
                 "smoke", SimConfig(mode="noisy", noise_sigma=2.0, dtype="float32")
             ),
-            # non-api_eval experiments are never batchable
+            # experiments that are not one evaluation are never batchable
             ScenarioSpec.create("selftest", method="probe", params={"value": 1}),
             # gbo mode forwards train logits in place and never stacks
             eval_scenario_spec("smoke", SimConfig(mode="gbo")),
         ]
-        keys = [api_eval_batch_key(spec) for spec in specs]
+        keys = [stack_key(spec) for spec in specs]
         assert keys[0] == keys[1] == keys[2]
         assert keys[3] not in (None, keys[0])
         assert keys[4] not in (None, keys[0])

@@ -21,6 +21,7 @@ from repro.quant.activation import level_grid, level_index, quantize_uniform, ta
 from repro.sim import MultiSession, SimConfig, apply_config
 from repro.tensor import Tensor, compute_dtype_scope, no_grad
 from repro.tensor.random import RandomState
+from repro.worker_env import blas_pool_pinned
 
 LEVELS = (2, 3, 5, 9, 17)
 PULSES = range(1, 17)
@@ -141,7 +142,12 @@ class TestBufferReuse:
         noise = RandomState(3).normal(0.0, 2.0 / np.sqrt(12.0), size=read.shape)
         np.testing.assert_array_equal(out, read + noise)
 
-    def test_multi_session_leaves_the_memoised_reads_intact(self):
+    @pytest.mark.parametrize(
+        "lanes, held",
+        [(1, {(12, "toward_extremes")}), (2, {None, (12, "toward_extremes")})],
+        ids=["one_lane", "two_lanes"],
+    )
+    def test_multi_session_leaves_the_memoised_reads_intact(self, lanes, held):
         model = VGG9(
             VGGConfig(num_classes=4, in_channels=1, image_size=16, width_multiplier=1 / 16),
             rng=RandomState(6),
@@ -153,14 +159,17 @@ class TestBufferReuse:
         ]
         inputs = Tensor(_activations((4, 1, 16, 16)))
         first = model.encoded_layers()[0]
-        with no_grad(), MultiSession(
-            model, configs, rngs=[RandomState(k) for k in range(len(configs))]
+        # A one-thread pool, so lanes=2 does start its second lane.
+        with blas_pool_pinned(1), no_grad(), MultiSession(
+            model, configs, rngs=[RandomState(k) for k in range(len(configs))], lanes=lanes
         ) as session:
             session.forward(inputs)
             memo = first._read_memo
-            assert set(memo.reads) == {None, (12, "toward_extremes")}
+            # One lane holds only the last encoding's read, two lanes all.
+            assert set(memo.reads) == held
+            assert memo.clipped is None and memo.index.dtype == np.uint8
             for key, read in memo.reads.items():
-                fresh = first._ideal_read(first._encode_levels(memo.clipped, memo.index, key))
+                fresh = first._ideal_read(memo.encoded(first, key))
                 np.testing.assert_array_equal(read.data, fresh.data)
 
     def test_noisy_forward_with_grad_keeps_the_graph(self):

@@ -83,14 +83,16 @@ class TestExpiryAndSteal:
         assert not b.acquire("h1")
         assert b.is_live("h1")
 
-    def test_heartbeat_keeps_lease_alive_past_ttl(self, root):
+    @pytest.mark.parametrize("claims", ["h1", ["h1", "h2", "h3"]], ids=["one", "stack"])
+    def test_heartbeat_keeps_lease_alive_past_ttl(self, root, claims):
         a = LeaseManager(root, owner="a", ttl=0.4)
         b = LeaseManager(root, owner="b", ttl=0.4)
-        assert a.acquire("h1")
-        with Heartbeat(a, "h1", interval=0.05):
+        hashes = [claims] if isinstance(claims, str) else claims
+        assert all(a.acquire(spec_hash) for spec_hash in hashes)
+        with Heartbeat(a, claims, interval=0.05):
             time.sleep(0.6)  # > ttl, but heartbeats refresh the mtime
-            assert not b.acquire("h1")
-        assert a.owner_of("h1") == "a"
+            assert not any(b.acquire(spec_hash) for spec_hash in hashes)
+        assert all(a.owner_of(spec_hash) == "a" for spec_hash in hashes)
 
     def test_backdated_mtime_expires_immediately(self, root):
         # The crash simulation the worker tests build on: a lease whose
@@ -155,6 +157,23 @@ class TestIntrospection:
             handle.write('{"owner": "a", "tt')  # truncated mid-write
         assert manager.is_live("h1")
         assert "h1" in manager.live_hashes()
+
+    def test_failure_marker_counts_only_in_its_run(self, root):
+        a = LeaseManager(root, owner="a")
+        b = LeaseManager(root, owner="b")
+        assert a.failure("h1", "run-1") is None
+        a.mark_failed("h1", "run-1", "RuntimeError: boom")
+        a.mark_failed("h2", "run-2", "RuntimeError: other")
+        assert b.failure("h1", "run-1") == {
+            "run": "run-1", "owner": "a", "message": "RuntimeError: boom"
+        }
+        assert b.failure("h1", "run-2") is None
+        assert b.live_hashes() == []  # a marker is no claim
+        assert b.acquire("h1")
+        b.clear_failures("run-1")
+        assert a.failure("h1", "run-1") is None
+        assert a.failure("h2", "run-2") is not None
+        assert sorted(os.listdir(a.lease_dir)) == ["h1.json", "h2.failed"]
 
     def test_default_owner_is_process_unique(self):
         assert default_owner() != default_owner()

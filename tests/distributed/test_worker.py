@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.distributed.lease import LEASE_DIRNAME, LeaseManager
-from repro.distributed.worker import GridWorker, shard_of, worker_order
+from repro.distributed.worker import GridWorker, shard_of, stack_chunks, worker_order
 from repro.experiments.runner import (
     GridExecutionError,
     ResultStore,
@@ -86,6 +86,22 @@ class TestSharding:
             prefixes.append({s.hash for s in order[: len(own)]})
         assert prefixes[0] | prefixes[1] | prefixes[2] == {s.hash for s in specs}
         assert not (prefixes[0] & prefixes[1] or prefixes[1] & prefixes[2])
+
+    @pytest.mark.parametrize("size, shards", [(28, 2), (5, 2), (7, 3), (2, 3)])
+    def test_stack_chunks_are_contiguous_and_near_equal(self, size, shards):
+        group = list(_selftest_grid(size))
+        chunks = stack_chunks([group], shards)
+        ordered = sorted(group, key=lambda spec: spec.hash)
+        owners = [chunks[spec.hash][0] for spec in ordered]
+        assert owners == sorted(owners)  # contiguous in hash order, chunk i is shard i's
+        sizes = [owners.count(index) for index in range(shards)]
+        assert max(sizes) - min(sizes) <= 1
+        assert all(spec in chunks[spec.hash][1] for spec in group)
+        order = worker_order(
+            group, shard_index=1, num_shards=shards,
+            shards={spec_hash: shard for spec_hash, (shard, _) in chunks.items()},
+        )
+        assert list(order[: sizes[1]]) == [s for s in ordered if chunks[s.hash][0] == 1]
 
     def test_worker_order_requires_both_shard_arguments(self):
         specs = list(_selftest_grid(3))

@@ -6,7 +6,8 @@ their cells through the facade's stages (:func:`repro.api.evaluate`,
 the SHA-256 of one smoke-profile cell's stored result (sorted-key JSON),
 recorded when the executors still wired GBO, NIA and noisy evaluation by
 hand (Fig. 2's when it still made one layer noisy through a single-layer
-session).  A change that moves a single stored bit of these cells fails here.
+session; Table I's ``PLA12`` and A1's ``bit_slicing`` when every cell still ran
+alone).  A change that moves a single stored bit of these cells fails here.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from repro.experiments.runner.store import jsonify_result
 #: (registered experiment, method) -> SHA-256 of the stored smoke result.
 REGISTERED_CELL_DIGESTS = {
     ("table1", "GBO-short"): "24d880d4ba2788f922f120dc7169440856ca64af4c1326657f5b95f99143a052",
+    ("table1", "PLA12"): "5a05841386d1aef16f6e7676d83e8dea712c7fe88fda74cc0117f7834dd1c052",
     ("table2", "NIA+GBO"): "3c4bb0ca7a7cf53b69cc425e7c0733c970e111429bb3b14380d3c4b2ab5dc253",
     ("ablation_encoding", "thermometer"): "3d9699f4f8cc25a026f0c74cf71303b9a97e8c468ed81b5c4b36bd15edbf1a81",
+    ("ablation_encoding", "bit_slicing"): "ceae23507f0b8098c2ee53b2b50620481a9e83e4132dd49f38f9c67ff745a2b5",
     ("ablation_gamma", "gamma0.0005"): "e56a745d74fd2a7937b6baaa77eb4a8ea3a9e8bba25d936f080c0441bb568740",
     ("fig2", "layer1"): "a73b285f9b9f9a087421e365f662ae4e39dd50a78bc2a54af022f2c3c0bea9c7",
 }

@@ -65,6 +65,19 @@ class TestScenarioSpec:
         assert a.derived_seed(2022) != b.derived_seed(2022)
         assert a.derived_seed(2022) == a.derived_seed(2022)
 
+    def test_label_shows_a_per_layer_sigma(self):
+        """A served per-layer sigma logs apart from a sigma-0 request: the
+        spec carries no scalar sigma, so the label reads the attached config."""
+        from repro.serve import EvalRequest
+
+        def label(sigma):
+            payload = {"profile": "smoke", "sim": {"mode": "noisy", "noise_sigma": sigma}}
+            return EvalRequest.from_payload(payload).label()
+
+        assert label([0, 6, 0]) == "api_eval evaluate sigma=[0,6,0]"
+        assert label(0) == "api_eval evaluate"
+        assert label(6) == "api_eval evaluate sigma=6"
+
     def test_grid_rejects_duplicates(self):
         spec = ScenarioSpec.create("fig1b", bits=2)
         with pytest.raises(ValueError):
@@ -251,6 +264,38 @@ class TestRunnerEndToEnd:
         assert parallel.executed == len(grid)
         assert parallel.results == serial.results
 
+    def test_stacked_drain_matches_serial_and_unstacked(self, isolated_cache):
+        """The smoke eval suite (Table I uniform rows, Fig. 2, A1) drained at
+        ``workers=2`` equals the serial run and the unstacked serial run
+        result for result.  Each worker stacks its chunk of the one stack
+        group: the two chunks cover the suite, differ in size by at most
+        one, and no scenario runs twice."""
+        from repro.experiments.ablations import encoding_ablation_grid
+        from repro.experiments.fig2 import fig2_grid
+        from repro.experiments.table1 import table1_grid
+
+        profile = get_profile("smoke")
+        grid = ScenarioGrid.concat(
+            "smoke_eval_suite",
+            [
+                table1_grid(profile, include_gbo=False),
+                fig2_grid(profile),
+                encoding_ablation_grid(profile),
+            ],
+        )
+        serial = run_grid(grid)
+        unstacked = run_grid(grid, batch=False)
+        drained = run_grid(grid, workers=2, store=isolated_cache)
+        assert drained.executed == len(grid)
+        assert drained.results == serial.results
+        assert drained.results == unstacked.results
+        sizes = sorted(len(stack) for stack in drained.stacks)
+        assert len(sizes) == 2 and sizes[1] - sizes[0] <= 1
+        assert sorted(h for stack in drained.stacks for h in stack) == sorted(
+            spec.hash for spec in grid
+        )
+        assert drained.executions == {spec.hash: 1 for spec in grid}
+
     def test_parallel_without_store_drains_a_temporary_store(self, tmp_path, monkeypatch):
         """``store=None`` drains into a temporary store: the results equal
         the serial oracle, and the temporary directory is removed."""
@@ -435,7 +480,8 @@ class TestRunnerEndToEnd:
     def test_failing_scenario_persists_completed_siblings(self, isolated_cache):
         """Regression: _run_parallel used to abort at the first failed
         future, so scenarios that *finished* in other workers were never
-        persisted and their work was lost on resume."""
+        persisted and their work was lost on resume.  The failing scenario
+        executes once per run, not once per worker."""
         ok = tuple(
             ScenarioSpec.create("selftest", method=f"ok{i}", sleep_s=2.0, value=i)
             for i in range(2)
@@ -448,6 +494,10 @@ class TestRunnerEndToEnd:
             run_grid(grid, workers=2, store=isolated_cache)
         assert "boom" in str(excinfo.value)
         assert bad in excinfo.value.failures
+        # The failure marker beside its lease kept the second worker from
+        # trying it again, and the run cleared its markers on the way out.
+        assert excinfo.value.executions[bad.hash] == 1
+        assert not list(Path(isolated_cache.root).glob("leases/*.failed"))
         for spec in ok:
             assert isolated_cache.get(spec) is not None, (
                 f"completed sibling {spec.label()} was not persisted"
