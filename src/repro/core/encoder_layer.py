@@ -26,11 +26,40 @@ crossbar.  They support three forward modes:
     engine folds Omega into a single read plus one Gaussian draw of deviation
     ``sqrt(sum_k (alpha_k s_k)^2)`` — the exact distribution of the mixture,
     though not the reference's samples.
+
+**The fused read.**  Every mode's ideal read is one op, ``_ideal_read``, on
+an :class:`EncodedInput`: the activation's level index and its encoding key,
+never a materialised encoded tensor.  The crossbar adds +-1 weights against
+thermometer pulses, so an ideal read is a count of pulses scaled by ``1/n``.
+When every entry of the encoding's per-level table is a multiple of
+``2^-k`` in ``[-1, 1]`` (the 9-level base grid, and PLA at 4, 8 and 16
+pulses), the weights are +-1 (``scale_mode="none"``) and
+``fan_in * 2^k <= 2^24``, every partial sum of the read is an integer
+multiple of ``2^-k`` no larger than ``fan_in`` in magnitude, so it is exact
+in single precision as in double, whatever order the BLAS kernel sums in.
+For such an encoding a read that records a graph (GBO, NIA, pre-training)
+looks the levels up in float32, lowers them (``im2col`` for a convolution)
+in float32, runs one sgemm and casts the result to the compute dtype: the
+very bits of the compute-dtype product.  Whether an encoding qualifies is
+decided once per table (:func:`_table_bits`, cached like
+:func:`~repro.core.pla.pla_table`) and by the layer's shape, never from
+the data or the layer's current forward state.  Every other encoding (PLA
+at 6, 10, 12 and 14 pulses), and every read under ``no_grad``, reads in the
+compute dtype inside the same op: an evaluation process that serves mixed
+pulse counts would otherwise interleave float32 and float64 columns of
+different sizes, and glibc's heap then grows (e2ebench ``serve_mixed``
+peak RSS rose from 72.6 to 78.9 MB on a 2-CPU host).  The backward needs only the binary weights and the input shape: the
+input gradient is ``col2im(W^T g)`` (``g W`` for a linear layer), in the
+operand order of the unfused matmul, and only when the weights learn
+(pre-training, NIA) are the compute-dtype columns rebuilt from the level
+index for the weight gradient.  No graph therefore keeps an ``im2col``
+matrix or an encoded copy of its input.
 """
 
 from __future__ import annotations
 
-from typing import List, Literal, Optional, Tuple
+import functools
+from typing import List, Literal, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +76,7 @@ from repro.quant.activation import ActivationQuantizer, level_grid, level_index,
 from repro.quant.qat import QuantConv2d, QuantLinear
 from repro.tensor import Tensor, is_grad_enabled
 from repro.tensor.dtype import resolve_dtype
-from repro.tensor.functional import softmax
+from repro.tensor.functional import col2im, conv_output_size, im2col, softmax
 from repro.tensor.random import RandomState, default_rng
 
 ForwardMode = Literal["clean", "noisy", "gbo"]
@@ -59,8 +88,13 @@ class ReadMemo:
     Keyed by the input object: ``index`` is its level index (see
     :func:`~repro.quant.activation.level_index`; one byte per element for
     up to 255 levels), and ``reads`` maps each encoding key (see
-    :meth:`EncodedLayerMixin._encoding_key`) to its ideal crossbar read.  A
-    new input object resets both.  With gradients enabled the memo also
+    :meth:`EncodedLayerMixin._encoding_key`) to its ideal crossbar read, made
+    by the layer's fused read of :meth:`encoded` of that key.  An entry
+    depends on its key alone, not on the encoding the layer is configured
+    for when it is read: the fused read may sum in float32 only where the
+    key's table is dyadic and the layer's sums fit 24 bits, so every partial
+    sum is exact (see the module docstring), and each entry holds the bits
+    of the compute-dtype read.  A new input object resets both.  With gradients enabled the memo also
     keeps the clipped activation, whose straight-through estimator the
     encoded input carries; under ``no_grad`` it keeps only the dtype.  The
     reads are shared by every user, so nothing may write into them.  A
@@ -90,19 +124,61 @@ class ReadMemo:
             )
         if self.inputs is not x:
             levels = layer.act_quantizer.levels
-            clipped, self.index = level_index(
-                x, levels, dtype=np.uint8 if levels <= 255 else np.intp
-            )
+            clipped, self.index = level_index(x, levels, dtype=_index_dtype(levels))
             self.clipped = clipped if is_grad_enabled() else None
             self.inputs, self.dtype, self.reads = x, clipped.data.dtype, {}
         if key not in self.reads:
-            self.reads[key] = layer._ideal_read(self.encoded(layer, key))
+            self.reads[key] = layer._ideal_read(self.encoded(key))
         return self.reads[key]
 
-    def encoded(self, layer: "EncodedLayerMixin", key) -> Tensor:
-        """The memoised input in encoding ``key``, as ``layer`` encodes it."""
-        values = layer._level_values(self.index, key, self.dtype)
-        return Tensor(values) if self.clipped is None else self.clipped.with_data(values)
+    def encoded(self, key) -> "EncodedInput":
+        """The memoised input in encoding ``key``."""
+        return EncodedInput(self.index, key, self.dtype, self.clipped)
+
+
+class EncodedInput(NamedTuple):
+    """An activation as a crossbar reads it: level index and encoding key.
+
+    ``index`` holds each element's level (see
+    :func:`~repro.quant.activation.level_index`), ``key`` the encoding
+    (``None`` for the base, ``(pulses, mode)`` for a PLA re-encoding),
+    ``dtype`` the compute dtype, and ``clipped`` the clipped activation whose
+    straight-through estimator the read's input gradient takes (``None``
+    when no graph is recorded).  Nothing is materialised: the fused read
+    looks the values up in the precision it reads in.
+    """
+
+    index: np.ndarray
+    key: Optional[Tuple[int, RoundingMode]]
+    dtype: np.dtype
+    clipped: Optional[Tensor]
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        return self.index.shape
+
+
+def _index_dtype(levels: int):
+    """The narrowest integer type :func:`level_index` stores ``levels`` in."""
+    return np.uint8 if levels <= 255 else np.intp
+
+
+@functools.lru_cache(maxsize=None)
+def _table_bits(levels: int, key) -> Optional[int]:
+    """The least ``k`` for which every entry of the encoding ``key``'s
+    per-level table is a multiple of ``2^-k`` in ``[-1, 1]``; ``None`` if no
+    ``k <= 24`` is (a table of thirds, fifths or sevenths)."""
+    if key is None:
+        table = level_grid(levels, np.dtype(np.float64))
+    else:
+        table = pla_table(levels, key[0], key[1], np.dtype(np.float64))
+    if np.any(np.abs(table) > 1.0):
+        return None
+    for bits in range(25):
+        scaled = table * float(2**bits)
+        if np.array_equal(scaled, np.rint(scaled)):
+            return bits
+    return None
 
 
 class EncodedLayerMixin:
@@ -246,8 +322,8 @@ class EncodedLayerMixin:
     # ------------------------------------------------------------------
     # Input encoding
     # ------------------------------------------------------------------
-    def _encode_input(self, x: Tensor) -> Tensor:
-        """Quantise the activation and apply PLA for the current pulse count.
+    def _encode_input(self, x: Tensor) -> EncodedInput:
+        """Quantise the activation and key it to the current encoding.
 
         In ``clean`` and ``gbo`` modes the input keeps its exact 9-level
         representation (the baseline 8-pulse encoding); in ``noisy`` mode the
@@ -255,9 +331,13 @@ class EncodedLayerMixin:
         the PLA approximation error whenever the pulse count cannot represent
         the original levels exactly.
         """
-        clipped, index = level_index(x, self.act_quantizer.levels)
-        return clipped.with_data(
-            self._level_values(index, self._encoding_key(), clipped.data.dtype)
+        levels = self.act_quantizer.levels
+        clipped, index = level_index(x, levels, dtype=_index_dtype(levels))
+        return EncodedInput(
+            index,
+            self._encoding_key(),
+            clipped.data.dtype,
+            clipped if clipped.requires_grad else None,
         )
 
     def _encoding_key(self) -> Optional[Tuple[int, RoundingMode]]:
@@ -307,9 +387,32 @@ class EncodedLayerMixin:
             return self._gbo_mixture_forward(read_op)
         return self._apply_output_noise(read_op())
 
-    def _ideal_read(self, encoded: Tensor) -> Tensor:
-        """One ideal (noise-free) crossbar read of the encoded activation."""
+    def _ideal_read(self, encoded: EncodedInput) -> Tensor:
+        """One ideal (noise-free) crossbar read of the encoded activation:
+        the fused read op of the module docstring."""
         raise NotImplementedError
+
+    def _read_operands(self, encoded: EncodedInput):
+        """The binary weight, its ``(out, fan_in)`` matrix in the compute
+        dtype and in the read's precision, and the encoded values in it.
+
+        The read is float32 when it records a graph, ``encoded``'s table
+        is dyadic (see :func:`_table_bits`), the weights are +-1 and
+        ``fan_in * 2^k`` fits float32's 24-bit significand; else it is the
+        compute dtype.
+        """
+        weight = self.binary_weight()
+        matrix = weight.data.reshape(weight.shape[0], -1)
+        bits = _table_bits(self.act_quantizer.levels, encoded.key)
+        exact = (
+            bits is not None
+            and self.quantizer.scale_mode == "none"
+            and self.fan_in << bits <= 1 << 24
+            and is_grad_enabled()
+        )
+        dtype = np.dtype(np.float32) if exact else encoded.dtype
+        values = self._level_values(encoded.index, encoded.key, dtype)
+        return weight, matrix, matrix.astype(dtype, copy=False), values
 
     def _apply_output_noise(self, output: Tensor) -> Tensor:
         """Add the crossbar read noise appropriate for the current mode.
@@ -392,8 +495,39 @@ class EncodedConv2d(QuantConv2d, EncodedLayerMixin):
 
         return binary_sign(self.weight.data).reshape(self.out_channels, -1)
 
-    def _ideal_read(self, encoded: Tensor) -> Tensor:
-        return self.convolve(encoded, self.binary_weight())
+    def _ideal_read(self, encoded: EncodedInput) -> Tensor:
+        weight, matrix, read_matrix, values = self._read_operands(encoded)
+        kernel, stride, padding = self.kernel_size, self.stride, self.padding
+        batch, _, height, width = encoded.shape
+        out_h = conv_output_size(height, kernel, stride, padding)
+        out_w = conv_output_size(width, kernel, stride, padding)
+        product = read_matrix @ im2col(values, kernel, stride, padding)
+        product = product.astype(encoded.dtype, copy=False)
+        clipped = encoded.clipped
+        # The unfused matmul's parent order, so the backward visits alike.
+        parents = (weight,) if clipped is None else (weight, clipped)
+        # im2col orders columns spatial-major (out_h, out_w, batch); undo that.
+        out = weight._make_output(
+            product.reshape(self.out_channels, out_h, out_w, batch).transpose(3, 0, 1, 2),
+            parents,
+        )
+        if not out.requires_grad:
+            return out
+        shape, key, dtype = encoded.shape, encoded.key, encoded.dtype
+        index = encoded.index if weight.requires_grad else None
+
+        # The unfused graph's chain, operand for operand, so the bits hold:
+        # transpose and reshape back, then the matmul's weight product first.
+        def _backward(grad: np.ndarray) -> None:
+            grad = grad.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
+            if weight.requires_grad:
+                cols = im2col(self._level_values(index, key, dtype), kernel, stride, padding)
+                weight._accumulate((grad @ cols.T).reshape(weight.shape))
+            if clipped is not None and clipped.requires_grad:
+                clipped._accumulate(col2im(matrix.T @ grad, shape, kernel, stride, padding))
+
+        out._backward_fn = _backward
+        return out
 
     def forward(self, x: Tensor) -> Tensor:
         return self._encoded_forward(x)
@@ -440,8 +574,29 @@ class EncodedLinear(QuantLinear, EncodedLayerMixin):
 
         return binary_sign(self.weight.data)
 
-    def _ideal_read(self, encoded: Tensor) -> Tensor:
-        return encoded.matmul(self.binary_weight().transpose())
+    def _ideal_read(self, encoded: EncodedInput) -> Tensor:
+        weight, matrix, read_matrix, values = self._read_operands(encoded)
+        product = (values @ read_matrix.T).astype(encoded.dtype, copy=False)
+        clipped = encoded.clipped
+        # The unfused matmul's parent order, so the backward visits alike.
+        parents = (weight,) if clipped is None else (clipped, weight)
+        out = weight._make_output(product, parents)
+        if not out.requires_grad:
+            return out
+        key, dtype = encoded.key, encoded.dtype
+        index = encoded.index if weight.requires_grad else None
+
+        # The unfused ``x @ W^T``'s products: the input's first, then the
+        # weight's as the transposed view its transpose node handed on.
+        def _backward(grad: np.ndarray) -> None:
+            if clipped is not None and clipped.requires_grad:
+                clipped._accumulate(grad @ matrix)
+            if weight.requires_grad:
+                inputs = self._level_values(index, key, dtype)
+                weight._accumulate((inputs.T @ grad).T)
+
+        out._backward_fn = _backward
+        return out
 
     def forward(self, x: Tensor) -> Tensor:
         return self._encoded_forward(x)

@@ -73,8 +73,9 @@ class Conv2d(Module):
 
     def convolve(self, x: Tensor, weight: Tensor) -> Tensor:
         """``x`` convolved with ``weight`` (no bias): one matmul over im2col
-        columns.  The quantised and encoded subclasses pass their binarised
-        weight through this same lowering."""
+        columns.  The quantised subclass passes its binarised weight through
+        this same lowering; the encoded one reads through its fused op (see
+        :mod:`repro.core.encoder_layer`), which equals it bit for bit."""
         batch, _, height, width = x.shape
         out_h = F.conv_output_size(height, self.kernel_size, self.stride, self.padding)
         out_w = F.conv_output_size(width, self.kernel_size, self.stride, self.padding)

@@ -26,7 +26,9 @@ Two wire forms are accepted by :meth:`EvalRequest.from_payload`:
 
 from __future__ import annotations
 
+import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from threading import Event, Lock
 from typing import Any, Callable, Dict, List, Mapping, Optional
@@ -225,13 +227,24 @@ class RequestRecord:
         return payload
 
 
+#: How many of the latest latencies a :class:`LatencyStat` keeps for its
+#: percentiles.
+LATENCY_WINDOW = 1024
+
+
 @dataclass
 class LatencyStat:
-    """Streaming latency aggregate for one origin class."""
+    """Streaming latency aggregate for one origin class.
+
+    ``count``, ``mean_s`` and ``max_s`` cover every recorded latency; the
+    percentiles cover the last :data:`LATENCY_WINDOW`, so a long-lived
+    server holds bounded memory and reports its recent tail.
+    """
 
     count: int = 0
     total_s: float = 0.0
     max_s: float = 0.0
+    recent: deque = field(default_factory=lambda: deque(maxlen=LATENCY_WINDOW), repr=False)
     _lock: Lock = field(default_factory=Lock, repr=False)
 
     def record(self, latency_s: float) -> None:
@@ -239,8 +252,16 @@ class LatencyStat:
             self.count += 1
             self.total_s += latency_s
             self.max_s = max(self.max_s, latency_s)
+            self.recent.append(latency_s)
 
     def as_dict(self) -> Dict[str, float]:
+        """Count, mean and max, and the nearest-rank p50, p95 and p99 of the
+        window (0.0 before the first latency)."""
         with self._lock:
             mean = self.total_s / self.count if self.count else 0.0
-            return {"count": self.count, "mean_s": mean, "max_s": self.max_s}
+            window = sorted(self.recent)
+            stats = {"count": self.count, "mean_s": mean, "max_s": self.max_s}
+        for percent in (50, 95, 99):
+            rank = math.ceil(percent / 100 * len(window))
+            stats[f"p{percent}_s"] = window[rank - 1] if window else 0.0
+        return stats

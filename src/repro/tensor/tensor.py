@@ -211,6 +211,11 @@ class Tensor:
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode accumulation from this tensor.
 
+        The pass consumes the graph: each node that propagates drops its
+        backward function and parents, and every node but this one its
+        ``.grad``, so only leaves (parameters, tensors built with
+        ``requires_grad=True``) and this tensor keep a gradient.
+
         Parameters
         ----------
         grad:
@@ -242,6 +247,14 @@ class Tensor:
             for parent in node._parents:
                 if parent.requires_grad and parent.grad is not None:
                     grads[id(parent)] = parent.grad
+            # The node has propagated: release its gradient, closure and
+            # parents so each interior array is freed as soon as the pass
+            # is done with it.  Leaves have no backward function and keep
+            # their .grad; so does the root.
+            node._backward_fn_store = None
+            node._parents = ()
+            if node is not self:
+                node.grad = None
 
     def _topological_order(self) -> List["Tensor"]:
         order: List[Tensor] = []

@@ -169,7 +169,7 @@ class TestBufferReuse:
             assert set(memo.reads) == held
             assert memo.clipped is None and memo.index.dtype == np.uint8
             for key, read in memo.reads.items():
-                fresh = first._ideal_read(memo.encoded(first, key))
+                fresh = first._ideal_read(memo.encoded(key))
                 np.testing.assert_array_equal(read.data, fresh.data)
 
     def test_noisy_forward_with_grad_keeps_the_graph(self):

@@ -16,8 +16,10 @@ import pytest
 from repro.experiments.runner.executor import BundleCache, execute_spec, spawn_worker_pool
 from repro.experiments.runner.spec import ScenarioSpec
 from repro.experiments.runner.store import ResultStore
+from repro.serve.request import LATENCY_WINDOW
 from repro.serve import (
     DONE,
+    LatencyStat,
     FAILED,
     ORIGIN_CACHE,
     ORIGIN_EXECUTED,
@@ -233,7 +235,34 @@ class TestStats:
         executed = stats["latency"][ORIGIN_EXECUTED]
         assert executed["count"] == 1
         assert executed["mean_s"] >= 0.05
+        assert executed["p50_s"] == executed["p99_s"] == executed["max_s"]
         assert stats["latency"][ORIGIN_CACHE]["count"] == 0
+
+    def test_latency_percentiles_of_known_latencies(self):
+        stat = LatencyStat()
+        assert stat.as_dict() == {
+            "count": 0, "mean_s": 0.0, "max_s": 0.0, "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0
+        }
+        for ms in range(100, 0, -1):  # 100 ms down to 1 ms
+            stat.record(ms / 1000)
+        stats = stat.as_dict()
+        assert stats["count"] == 100 and stats["max_s"] == 0.1
+        assert stats["mean_s"] == pytest.approx(0.0505)
+        # Nearest rank: the p-th percentile of 1..100 ms is p ms.
+        assert (stats["p50_s"], stats["p95_s"], stats["p99_s"]) == (0.05, 0.095, 0.099)
+
+    def test_latency_percentiles_cover_the_latest_window(self):
+        stat = LatencyStat()
+        for _ in range(LATENCY_WINDOW):
+            stat.record(1.0)
+        for _ in range(LATENCY_WINDOW // 2 + 1):
+            stat.record(0.001)
+        stats = stat.as_dict()
+        # Count, mean and max cover every latency; the percentiles only the
+        # window, whose latest half-plus-one are the fast requests.
+        assert stats["count"] == LATENCY_WINDOW * 3 // 2 + 1
+        assert stats["max_s"] == 1.0
+        assert stats["p50_s"] == 0.001 and stats["p95_s"] == 1.0
 
     @pytest.mark.parametrize("fail", [False, True], ids=["done", "failed"])
     def test_stats_count_a_request_before_its_waiters_wake(self, service, fail):

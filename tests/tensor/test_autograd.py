@@ -182,6 +182,47 @@ class TestGraphMechanics:
         assert not out.requires_grad
         assert out._backward_fn is None
 
+    def test_backward_releases_interior_nodes_and_keeps_leaf_grads(self):
+        a = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        frozen = Tensor([0.5, 0.5, 0.5])
+        b = a * 2.0  # two children below
+        c = b * b + b * frozen
+        loss = c.sum()
+        loss.backward()
+        # d/da sum(4a^2 + a) = 8a + 1, exact in binary.
+        np.testing.assert_array_equal(a.grad, [9.0, -15.0, 25.0])
+        assert frozen.grad is None
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        for node in (b, c):
+            assert node.grad is None
+        for node in (b, c, loss):
+            assert node._backward_fn is None and node._parents == ()
+
+    def test_backward_release_leaves_conv_network_grads_bit_equal(self):
+        # A 1/16-width VGG9 in noisy mode at 12 pulses, training BatchNorm:
+        # the input's and every parameter's gradient, by SHA-256 digest,
+        # as recorded before backward released interior nodes.
+        import hashlib
+
+        from repro.models import VGG9, VGGConfig
+        from repro.sim import SimConfig, apply_config
+        from repro.tensor import functional as F
+
+        model = VGG9(
+            VGGConfig(num_classes=4, image_size=16, width_multiplier=1 / 16), rng=RandomState(41)
+        )
+        apply_config(model, SimConfig(mode="noisy", noise_sigma=1.0, pulses=12))
+        for index, layer in enumerate(model.encoded_layers()):
+            layer.noise_rng = RandomState(43 + index)
+        x = Tensor(np.tanh(RandomState(47).normal(size=(4, 3, 16, 16))), requires_grad=True)
+        loss = F.cross_entropy(model.train()(x), np.array([0, 1, 2, 3]))
+        loss.backward()
+        grads = [x.grad] + [p.grad for p in model.parameters()]
+        digest = hashlib.sha256(
+            b"".join(np.ascontiguousarray(g).tobytes() for g in grads)
+        ).hexdigest()
+        assert digest == "df09334c3db03dee92620ae7ffb07f4a4356e6a93b15a9bde84f4b66577f3ce6"
+
     def test_no_grad_restores_state(self):
         assert is_grad_enabled()
         with no_grad():
