@@ -26,8 +26,9 @@ seeds) and store writes are atomic, so in the worst clock-skew case two
 workers execute the same scenario and write semantically identical
 results — wasted work, never a wrong store.
 
-This module deliberately imports nothing from the rest of the package so
-low-level store code (:meth:`ResultStore.gc`) can use it without cycles.
+This module imports nothing from the rest of the package but
+:mod:`repro.utils`, so low-level store code (:meth:`ResultStore.gc`) can
+use it without cycles.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ import socket
 import threading
 import time
 import uuid
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
+
+from repro.utils.serialization import atomic_write
 
 #: Subdirectory of a result-store root that holds the lease files.
 LEASE_DIRNAME = "leases"
@@ -230,14 +234,12 @@ class LeaseManager:
 
         Every worker of the same run skips a marked scenario (see
         :meth:`failure`), so a failing scenario is tried once per run, not
-        once per worker.  Written atomically (temporary file, then rename).
+        once per worker.  Written through :func:`atomic_write`, whose
+        ``*.tmp`` file neither :meth:`live_hashes` nor :meth:`clear_failures`
+        reads.
         """
-        os.makedirs(self.lease_dir, exist_ok=True)
-        path = self.failure_path(spec_hash)
-        scratch = f"{path}.tmp-{self.owner}"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump({"run": run, "owner": self.owner, "message": message}, handle)
-        os.replace(scratch, path)
+        payload = json.dumps({"run": run, "owner": self.owner, "message": message})
+        atomic_write(self.failure_path(spec_hash), lambda tmp: Path(tmp).write_text(payload))
 
     def failure(self, spec_hash: str, run: str) -> Optional[Dict[str, Any]]:
         """The failure marker of the scenario in ``run`` (``message`` and

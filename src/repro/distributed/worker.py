@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.distributed.lease import DEFAULT_TTL_S, Heartbeat, LeaseManager
 from repro.experiments.runner.executor import (
@@ -51,9 +51,8 @@ from repro.experiments.runner.executor import (
     WorkerState,
     execute_pending,
     execute_stack,
-    restore_bundles,
 )
-from repro.experiments.runner.scenarios import evaluation_kind, stack_key
+from repro.experiments.runner.scenarios import stack_groups
 from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import ResultStore
 from repro.utils.logging import get_logger
@@ -240,18 +239,8 @@ class GridWorker:
     def _plan_stacks(self, bundles: BundleCache) -> None:
         """Cut the grid's stack groups into this run's chunks and put this
         worker's chunks first in its order."""
-        groups: Dict[Any, List[ScenarioSpec]] = {}
-        for spec in self.grid:
-            if not evaluation_kind(spec.experiment):
-                continue
-            try:
-                key = stack_key(spec, bundles.bundle_for(spec))
-            except Exception:  # noqa: BLE001 - it fails as a scenario of its own
-                key = None
-            if key is not None:
-                groups.setdefault(key, []).append(spec)
         self._chunks = stack_chunks(
-            [group for group in groups.values() if len(group) >= 2], self.num_shards
+            stack_groups(self.grid, bundles.bundle_for), self.num_shards
         )
         shards = {spec_hash: shard for spec_hash, (shard, _) in self._chunks.items()}
         self._order = worker_order(list(self.grid), self.shard_index, self.num_shards, shards)
@@ -448,7 +437,8 @@ class GridWorker:
                 report.polls += 1
                 time.sleep(self.poll_s)
         finally:
-            restore_bundles(bundles.values())
+            for bundle in bundles.values():
+                bundle.reset()
             report.duration_s = time.perf_counter() - start
         return report
 

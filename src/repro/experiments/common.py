@@ -97,9 +97,15 @@ class ExperimentBundle:
         """
         self.model.load_state_dict(state, strict=False)
 
-    def restore_pretrained(self) -> None:
-        """Reset the model to the snapshot captured right after pre-training."""
+    def reset(
+        self, sim: Optional[SimConfig] = None, profile: Optional[ExperimentProfile] = None
+    ) -> None:
+        """Restore the pre-trained snapshot, re-enable gradients (a GBO stage
+        freezes them) and apply ``sim`` (resolved under ``profile``), else
+        the clean baseline config: no earlier user of the model leaks in."""
         self.restore(self.pretrained_snapshot)
+        self.model.requires_grad_(True)
+        apply_config(self.model, sim if sim is not None else SimConfig(mode="clean"), profile)
 
 
 # ---------------------------------------------------------------------------

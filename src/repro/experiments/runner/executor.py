@@ -47,7 +47,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import (
     evict_bundle,
@@ -56,10 +56,14 @@ from repro.experiments.common import (
     profile_token,
 )
 from repro.distributed.lease import LeaseManager
-from repro.experiments.runner.scenarios import execute_scenario, needs_bundle, stack_key
+from repro.experiments.runner.scenarios import (
+    execute_api_eval_batch,
+    execute_scenario,
+    needs_bundle,
+    stack_groups,
+)
 from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import MemoryStore, ResultStore, jsonify_result
-from repro.sim import SimConfig, apply_config
 from repro.utils.logging import get_logger
 from repro.worker_env import blas_pool_pinned, worker_threads_pinned
 
@@ -173,7 +177,8 @@ def execute_pending(
     ``run_grid(workers > 1)`` and ``python -m repro.distributed``) and
     serve's :func:`execute_spec` — one execution semantics, which keeps
     serial == parallel == distributed bit-identical.  The returned bundle
-    (``None`` for bundle-free experiments) is for :func:`restore_bundles`.
+    (``None`` for bundle-free experiments) is for the caller's final
+    :meth:`~repro.experiments.common.ExperimentBundle.reset`.
     """
     bundle = (bundles if bundles is not None else BundleCache()).bundle_for(spec, explicit_bundle)
     start = time.perf_counter()
@@ -190,24 +195,12 @@ def execute_stack(
 ) -> Tuple[List[Dict[str, Any]], float, Any]:
     """:func:`execute_pending` for a group of specs sharing one
     :func:`~repro.experiments.runner.scenarios.stack_key`: one stacked
-    evaluation (:func:`repro.api.execute_api_eval_batch`, looked up at call
-    time, so a wrapper installed there sees every stack) returning
-    ``(results in spec order, elapsed_s, bundle)``."""
-    from repro.api import execute_api_eval_batch
-
+    evaluation (:func:`~repro.experiments.runner.scenarios.execute_api_eval_batch`)
+    returning ``(results in spec order, elapsed_s, bundle)``."""
     bundle = bundles.bundle_for(specs[0], explicit_bundle)
     start = time.perf_counter()
     results = execute_api_eval_batch(specs, bundle=bundle, stage_store=stage_store, lanes=lanes)
     return results, time.perf_counter() - start, bundle
-
-
-def restore_bundles(bundles: Iterable[Any]) -> None:
-    """Leave shared models at the pre-trained snapshot, trainable, in the
-    clean baseline config."""
-    for bundle in bundles:
-        bundle.restore_pretrained()
-        bundle.model.requires_grad_(True)
-        apply_config(bundle.model, SimConfig(mode="clean"))
 
 
 # ---------------------------------------------------------------------------
@@ -419,30 +412,6 @@ def _run_workers(
         )
 
 
-def _stack_groups(pending: Sequence[ScenarioSpec]) -> Dict[str, List[ScenarioSpec]]:
-    """Map spec hash -> its stackable sibling group (only groups of >= 2).
-
-    Groups compatible ``api_eval`` scenarios (one
-    :func:`~repro.experiments.runner.scenarios.stack_key`) so the serial
-    path can evaluate each group in one stacked evaluation, sharing each
-    batch's stem and first-layer reads (:func:`execute_stack`).  Results
-    stay keyed per spec and bit-identical to sequential execution, so
-    resume/caching is unaffected.  The other eval-only kinds stack in grid
-    drains only (:mod:`repro.distributed.worker`).
-    """
-    by_key: Dict[Any, List[ScenarioSpec]] = {}
-    for spec in pending:
-        key = stack_key(spec) if spec.experiment == "api_eval" else None
-        if key is not None:
-            by_key.setdefault(key, []).append(spec)
-    groups: Dict[str, List[ScenarioSpec]] = {}
-    for members in by_key.values():
-        if len(members) >= 2:
-            for member in members:
-                groups[member.hash] = members
-    return groups
-
-
 def run_grid(
     grid: ScenarioGrid,
     workers: int = 0,
@@ -502,9 +471,16 @@ def run_grid(
     if pending and workers > 1:
         _run_workers(pending, workers, store, resume, outcome)
     else:
-        groups = _stack_groups(pending) if batch else {}
         bundles = BundleCache()
         touched: Dict[int, Any] = {}
+        # Only api_eval scenarios stack on this path; the other eval-only
+        # kinds stack in grid drains (repro.distributed.worker).
+        api_evals = [spec for spec in pending if batch and spec.experiment == "api_eval"]
+        groups = {
+            member.hash: members
+            for members in stack_groups(api_evals, lambda spec: bundles.bundle_for(spec, bundle))
+            for member in members
+        }
 
         def _record(spec, result, elapsed):
             if store is not None:
@@ -552,7 +528,8 @@ def run_grid(
                 outcome.executed + outcome.cached,
                 len(grid),
             )
-        restore_bundles(touched.values())
+        for touched_bundle in touched.values():
+            touched_bundle.reset()
 
     outcome.duration_s = time.perf_counter() - start
     return outcome

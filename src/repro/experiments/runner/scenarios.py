@@ -1,4 +1,4 @@
-"""Scenario execution: context object and per-experiment dispatch.
+"""Scenario execution: context object, per-experiment dispatch, stacking.
 
 Every experiment module contributes one *scenario executor* — a function
 ``execute(ctx: ScenarioContext) -> dict`` that runs a single
@@ -6,11 +6,13 @@ Every experiment module contributes one *scenario executor* — a function
 a plain JSON-serialisable dict — or, for scenarios that are one
 :func:`repro.api.evaluate` call, declares that evaluation and the shape of
 its result instead (see :class:`ExecutorKind`), which lets the runner stack
-them (:func:`stack_key`).  The dispatch table below maps experiment
-identifiers to those functions via lazy imports, so worker processes only
-import what they run and no circular imports arise (the experiment modules
-import the executor's :func:`~repro.experiments.runner.executor.run_grid`,
-not this module).
+them (:func:`stack_groups`, :func:`execute_api_eval_batch`).  The
+``api_eval`` kind, one facade evaluation as a scenario, is defined here.
+The dispatch table below names the experiment modules as strings, imported
+on first use, only to break an import cycle: ``repro.experiments`` imports
+them, and they import :func:`~repro.experiments.runner.executor.run_grid`,
+hence this module.  (It saves no imports: importing the runner already
+loads every experiment module and :mod:`repro.api`.)
 
 Determinism contract (what makes serial, parallel and resumed runs
 bit-identical):
@@ -18,9 +20,10 @@ bit-identical):
 1. the executor calls :func:`repro.utils.seed.seed_everything` with the
    spec's :meth:`~repro.experiments.runner.spec.ScenarioSpec.derived_seed`
    before handing control to the experiment code;
-2. :meth:`ScenarioContext.pipeline` restores the bundle's pre-trained
-   snapshot, re-enables gradients and re-pins the engine, erasing whatever
-   a previous scenario did to the shared model;
+2. :meth:`ScenarioContext.pipeline` resets the shared model
+   (:meth:`~repro.experiments.common.ExperimentBundle.reset`: pre-trained
+   snapshot, gradients on, the scenario's base config with its engine pin),
+   erasing whatever a previous scenario did to it;
 3. executors run the paper's pipeline through :mod:`repro.api`'s stages on
    the :class:`~repro.api.PipelineState` that
    :meth:`ScenarioContext.pipeline` returns (the bundle after the reset of
@@ -42,15 +45,19 @@ from __future__ import annotations
 import importlib
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from repro import api
 from repro.context import current_context
-from repro.experiments.profiles import ExperimentProfile
+from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.runner.spec import ScenarioSpec, stable_seed
-from repro.sim import SimConfig, apply_config, resolve_engine_name
+from repro.sim import SimConfig, resolve_engine_name
+from repro.tensor.random import RandomState
+from repro.training.evaluate import evaluate_multi
 from repro.utils.seed import seed_everything
+
 
 class ExecutorKind(NamedTuple):
     """How the scenarios of one experiment execute.
@@ -103,7 +110,7 @@ _EXECUTORS: Dict[str, ExecutorKind] = {
     ),
     # Facade evaluation as a scenario: the request type behind repro.serve.
     "api_eval": ExecutorKind(
-        "repro.api", None, True, "api_eval_evaluation", "api_eval_result"
+        "repro.experiments.runner.scenarios", None, True, "api_eval_evaluation", "api_eval_result"
     ),
     # Bundle-free diagnostic scenario (latency/failure injection); used by
     # the serve layer's health probes and the executor's failure tests.
@@ -155,7 +162,7 @@ def stack_key(spec: ScenarioSpec, bundle=None) -> Optional[tuple]:
     """The stacking-group key of an eval-only scenario, or ``None``.
 
     Two scenarios may share one stacked evaluation
-    (:func:`repro.api.execute_api_eval_batch`) when they agree on the model
+    (:func:`execute_api_eval_batch`) when they agree on the model
     weights and input pipeline (profile name and overrides), the repeat
     count and their configs' :meth:`~repro.sim.SimConfig.compat_key`, of
     whatever eval-only kind they are.  Sigma, pulses, the relative flag and
@@ -175,6 +182,29 @@ def stack_key(spec: ScenarioSpec, bundle=None) -> Optional[tuple]:
         evaluation.repeats,
         evaluation.sim.compat_key(ctx.profile),
     )
+
+
+def stack_groups(
+    specs: Iterable[ScenarioSpec], bundle_for: Callable[[ScenarioSpec], Any]
+) -> List[List[ScenarioSpec]]:
+    """The stackable groups among ``specs``: every group of two or more
+    specs sharing one :func:`stack_key`, members in ``specs`` order.
+
+    ``bundle_for(spec)`` is the spec's pre-trained bundle.  A spec whose
+    bundle or key cannot be had joins no group: it fails as a scenario of
+    its own when it runs, and does not abort the plan of the others.
+    """
+    groups: Dict[Any, List[ScenarioSpec]] = {}
+    for spec in specs:
+        if not evaluation_kind(spec.experiment):
+            continue
+        try:
+            key = stack_key(spec, bundle_for(spec))
+        except Exception:  # noqa: BLE001 - it fails as a scenario of its own
+            key = None
+        if key is not None:
+            groups.setdefault(key, []).append(spec)
+    return [group for group in groups.values() if len(group) >= 2]
 
 
 class ScenarioContext:
@@ -235,14 +265,10 @@ class ScenarioContext:
         stages read their hyper-parameters and build their loaders from
         the spec.
         """
-        from repro.api import PipelineState
-
         bundle = self._bundle()
         sim = self.sim_config()
-        bundle.restore_pretrained()
-        bundle.model.requires_grad_(True)
-        apply_config(bundle.model, sim, self.profile)
-        return PipelineState(bundle=bundle, sim=sim, profile=self.profile)
+        bundle.reset(sim, self.profile)
+        return api.PipelineState(bundle=bundle, sim=sim, profile=self.profile)
 
     def _bundle(self):
         if self.bundle is None:
@@ -375,9 +401,139 @@ def execute_scenario(
         evaluation = evaluation_of(ctx)
         if evaluation is None:
             return _function(kind, kind.execute)(ctx)
-        from repro import api
-
         return shape_result(
             ctx,
             api.evaluate(ctx.pipeline(), evaluation.sim, num_repeats=evaluation.repeats),
         )
+
+
+# ---------------------------------------------------------------------------
+# api_eval: one repro.api.evaluate call as a scenario, and stacked evaluation
+# ---------------------------------------------------------------------------
+def eval_scenario_spec(
+    profile: Any,
+    sim: SimConfig,
+    num_repeats: int = 1,
+    seed: Optional[int] = None,
+    method: str = "evaluate",
+):
+    """The :class:`ScenarioSpec` equivalent of one :func:`repro.api.evaluate` call.
+
+    This is how ``repro.serve`` turns an evaluation request into a
+    content-addressed identity: the profile, the *fully resolved* config
+    and the repeat count all join the spec hash, so identical requests
+    share one store entry and one execution.  The config is made concrete
+    before hashing — the engine pin through the one precedence rule (the
+    engines agree only statistically on noisy reads), and every
+    keep-current field (pulses, noise convention, PLA rounding, dtype)
+    filled from the profile's baseline — because a ``None`` field means
+    "keep the layer's current state", which would make the result depend
+    on whatever ran before it on the shared model.  The spec's ``sigma``
+    is a uniform sigma, or ``None`` for zero or per-layer noise (the
+    attached config carries the per-layer tuple).  Executed as one
+    :func:`repro.api.evaluate` under that config (:func:`api_eval_evaluation`).
+    """
+    if not isinstance(profile, ExperimentProfile):
+        profile = get_profile(profile)
+    if num_repeats < 1:
+        raise ValueError(f"num_repeats must be positive, got {num_repeats}")
+    relative = sim.sigma_relative_to_fan_in
+    resolved = sim.with_changes(
+        engine=sim.resolved_engine(profile),
+        pulses=sim.pulses if sim.pulses is not None else profile.base_pulses,
+        sigma_relative_to_fan_in=(
+            relative if relative is not None else profile.noise_relative_to_fan_in
+        ),
+        pla_mode=sim.pla_mode if sim.pla_mode is not None else "toward_extremes",
+        dtype=sim.dtype if sim.dtype is not None else "float64",
+    )
+    sigma = resolved.noise_sigma
+    return ScenarioSpec.create(
+        "api_eval",
+        method=method,
+        profile=profile.name,
+        sigma=sigma if sigma and not isinstance(sigma, tuple) else None,
+        seed=seed,
+        sim=resolved,
+        num_repeats=int(num_repeats),
+    )
+
+
+def api_eval_evaluation(ctx):
+    """An ``api_eval`` spec's evaluation (see :func:`eval_scenario_spec`):
+    the spec's attached config, at its repeat count."""
+    return Evaluation(ctx.sim_config(), int(ctx.spec.param("num_repeats", 1)))
+
+
+def api_eval_result(ctx, evaluation: "api.EvaluationResult") -> Dict[str, Any]:
+    """The stored ``api_eval`` result of one spec's evaluation."""
+    per_repeat = [float(value) for value in evaluation.per_repeat]
+    return {
+        "experiment": "api_eval",
+        "method": ctx.spec.method,
+        "accuracy": float(np.mean(per_repeat)),
+        "per_repeat": per_repeat,
+        "num_repeats": len(per_repeat),
+        "clean_accuracy": float(ctx.bundle.clean_accuracy),
+        "sim": evaluation.sim.as_dict(),
+    }
+
+
+def execute_api_eval_batch(
+    specs, bundle, stage_store=None, lanes: int = 2
+) -> List[Dict[str, Any]]:
+    """Execute K compatible evaluation-only specs in one stacked evaluation.
+
+    The specs may be of any eval-only kind (Table I uniform cells, Fig. 2,
+    ablation A1, ``api_eval``) as long as they share one :func:`stack_key`.
+    Returns one result dict per spec, in order, each bit-identical to the
+    spec's own run, ``shape(ctx, evaluate(ctx.pipeline(), sim, num_repeats))``: the
+    specs share only the deterministic work (data pipeline, the model stem,
+    and the first encoded layer's quantisation and ideal read per distinct
+    encoding — see :func:`repro.training.evaluate.evaluate_multi`), every
+    scenario runs the rest of the model at the sequential batch size, and
+    scenario ``k`` draws its noise from ``RandomState(sim.seed)``, else
+    ``RandomState(derived_seed_k)`` — the very stream its own run would
+    use.  ``lanes`` is :func:`~repro.training.evaluate.evaluate_multi`'s
+    (grid drains run one).  Results are still keyed and persisted
+    individually by the caller.
+    """
+    if not specs:
+        return []
+    keys = {stack_key(spec, bundle) for spec in specs}
+    if len(keys) != 1 or None in keys:
+        raise ValueError(f"specs are not stackable into one evaluation (keys: {keys})")
+    contexts = [
+        ScenarioContext(spec, bundle=bundle, stage_store=stage_store) for spec in specs
+    ]
+    evaluations = [evaluation_of(ctx) for ctx in contexts]
+    sims = [evaluation.sim for evaluation in evaluations]
+    # Scenario k's stream: a seeded config reseeds at Session enter in its
+    # own run, otherwise the runner's ctx.reseed() stream applies.
+    # RandomState(seed) IS that stream (both are numpy default_rng(seed)).
+    rngs = [
+        RandomState(sim.seed if sim.seed is not None else ctx.scenario_seed())
+        for sim, ctx in zip(sims, contexts)
+    ]
+    with restored_dtype():
+        state = contexts[0].pipeline()
+        per_scenario = evaluate_multi(
+            state.model,
+            state.test_loader,
+            sims,
+            rngs=rngs,
+            profile=state.profile,
+            num_repeats=evaluations[0].repeats,
+            lanes=lanes,
+        )
+        state.bundle.reset()
+    return [
+        shape_result(
+            ctx,
+            api.EvaluationResult(
+                accuracy=float(np.mean(per_repeat)), per_repeat=tuple(per_repeat), sim=sim
+            ),
+        )
+        for ctx, sim, per_repeat in zip(contexts, sims, per_scenario)
+    ]
+

@@ -18,10 +18,10 @@ Two wire forms are accepted by :meth:`EvalRequest.from_payload`:
 
 ``{"profile": "fast", "sim": {...}, "num_repeats": 1}``
     The facade form: evaluate a :class:`~repro.sim.SimConfig` on a profile's
-    pre-trained network.  Canonicalised through
-    :func:`repro.api.eval_scenario_spec`, which makes every keep-current
-    field concrete before hashing — so the identity (and therefore the
-    cache key) never depends on server-side residue.
+    pre-trained network.  Canonicalised through the runner's
+    :func:`~repro.experiments.runner.scenarios.eval_scenario_spec`, which
+    makes every keep-current field concrete before hashing, so the cache
+    key never depends on server-side residue.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 from threading import Event, Lock
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.experiments.runner.scenarios import needs_bundle
+from repro.experiments.runner.scenarios import eval_scenario_spec, needs_bundle
 from repro.experiments.runner.spec import ScenarioSpec
+from repro.sim import SimConfig
 
 #: Request lifecycle states (``REJECTED`` only under backpressure).
 QUEUED = "queued"
@@ -98,9 +99,6 @@ class EvalRequest:
             needs_bundle(spec.experiment)  # raises KeyError on unknown ids
             return cls(spec=spec)
         if "sim" in payload or "profile" in payload:
-            from repro.api import eval_scenario_spec
-            from repro.sim import SimConfig
-
             sim = SimConfig.from_dict(payload.get("sim") or {})
             seed = payload.get("seed")
             return cls(

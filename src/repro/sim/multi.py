@@ -81,8 +81,9 @@ The streams are therefore part of the contract, and ``rngs`` is required:
 one :class:`~repro.tensor.random.RandomState` per config, in config order.
 The caller chooses the stream each sequential run would use — the scenario
 runner derives ``RandomState(seed)`` from the config's seed or the spec
-hash (see :func:`repro.api.execute_api_eval_batch`).  There is no default,
-because a stream not derived that way would not match any sequential run.
+hash (see :func:`repro.experiments.runner.scenarios.execute_api_eval_batch`).
+There is no default, because a stream not derived that way would not match
+any sequential run.
 
 Compatibility is decided by :meth:`SimConfig.compat_key` (same resolved
 engine, PLA rounding mode and dtype; clean/noisy mode, sigma, pulses,

@@ -528,9 +528,11 @@ class TestEvaluateMulti:
 
 class TestRunnerStacking:
     def test_batch_keys_group_only_compatible_api_eval_specs(self):
-        from repro.api import eval_scenario_spec
-        from repro.experiments.runner.executor import _stack_groups
-        from repro.experiments.runner.scenarios import stack_key
+        from repro.experiments.runner.scenarios import (
+            eval_scenario_spec,
+            stack_groups,
+            stack_key,
+        )
         from repro.experiments.runner.spec import ScenarioSpec
 
         specs = [
@@ -557,17 +559,33 @@ class TestRunnerStacking:
         assert keys[5] is None
         assert keys[6] is None
 
-        groups = _stack_groups(specs)
-        assert set(groups) == {specs[0].hash, specs[1].hash, specs[2].hash}
-        assert len(groups[specs[0].hash]) == 3
+        # A spec whose bundle or key cannot be had joins no group, and the
+        # others are still planned: a compatible spec whose bundle fails to
+        # load, and a Fig. 2 cell, whose key reads its layer count from a
+        # bundle it is not given.
+        unloadable = eval_scenario_spec("smoke", SimConfig(mode="noisy", noise_sigma=6.0))
+        fig2_cell = ScenarioSpec.create(
+            "fig2", method="layer0", profile="smoke", sigma=2.0, layer_index=0
+        )
+
+        def bundle_for(spec):
+            if spec is unloadable:
+                raise RuntimeError("no checkpoint")
+            return None
+
+        groups = stack_groups(specs + [unloadable, fig2_cell], bundle_for)
+        assert groups == [specs[:3]]
 
     @pytest.mark.slow
     def test_run_grid_batched_matches_sequential_and_resume(
         self, tmp_path, monkeypatch
     ):
-        from repro.api import eval_scenario_spec, execute_api_eval_batch
         from repro.experiments.common import clear_bundle_cache
         from repro.experiments.runner.executor import run_grid
+        from repro.experiments.runner.scenarios import (
+            eval_scenario_spec,
+            execute_api_eval_batch,
+        )
         from repro.experiments.runner.spec import ScenarioGrid
         from repro.experiments.runner.store import ResultStore
 
@@ -593,7 +611,7 @@ class TestRunnerStacking:
                 stacks = []
                 with monkeypatch.context() as patch:
                     patch.setattr(
-                        "repro.api.execute_api_eval_batch",
+                        "repro.experiments.runner.executor.execute_api_eval_batch",
                         _recording(stacks, execute_api_eval_batch),
                     )
                     sequential = run_grid(grid, batch=False)

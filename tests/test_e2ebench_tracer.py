@@ -16,7 +16,15 @@ def test_tracer_installs_and_uninstalls():
 
     import repro.api
     import repro.experiments.runner.executor as executor
+    import repro.experiments.runner.scenarios as scenarios
     from repro.experiments.runner.store import ResultStore
+
+    # The benchmark reaches two runner functions through repro.api's old
+    # names; they are the runner's own objects, and no other name resolves.
+    assert repro.api.eval_scenario_spec is scenarios.eval_scenario_spec
+    assert repro.api.execute_api_eval_batch is scenarios.execute_api_eval_batch
+    with pytest.raises(AttributeError):
+        repro.api.stack_groups
 
     spawn, put = executor.spawn_worker_pool, ResultStore.put
     stack = repro.api.execute_api_eval_batch
@@ -25,11 +33,14 @@ def test_tracer_installs_and_uninstalls():
         assert executor.spawn_worker_pool is not spawn
         assert ResultStore.put is not put
         assert repro.api.execute_api_eval_batch is not stack
+        # The binding execute_stack calls is the one wrapped.
+        assert executor.execute_api_eval_batch is not stack
     finally:
         tracer.uninstall()
     assert executor.spawn_worker_pool is spawn
     assert ResultStore.put is put
     assert repro.api.execute_api_eval_batch is stack
+    assert executor.execute_api_eval_batch is stack
 
 
 @pytest.mark.slow
