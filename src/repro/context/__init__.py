@@ -246,24 +246,6 @@ class ExecutionContext:
         with self._dtype_lock:
             return dict(self._dtype_sessions)
 
-    # ------------------------------------------------------------------
-    # Derivation
-    # ------------------------------------------------------------------
-    def derive(self, **overrides: Any) -> "ExecutionContext":
-        """A fresh context inheriting this one's policies (not its state).
-
-        The child starts with the parent's dtype and grad flag, its own RNG
-        (seeded by ``seed``, default 0), an empty bundle cache and empty
-        derived caches — isolation by construction, so nothing the child
-        does can leak back into the parent.
-        """
-        kwargs: Dict[str, Any] = {
-            "dtype": self._dtype,
-            "grad_enabled": self.grad_enabled,
-        }
-        kwargs.update(overrides)
-        return ExecutionContext(**kwargs)
-
 
 #: The per-thread/task binding.  ``None`` means "use the process default".
 _CURRENT: "ContextVar[Optional[ExecutionContext]]" = ContextVar(
@@ -313,11 +295,6 @@ def use_context(context: ExecutionContext) -> Iterator[ExecutionContext]:
         _CURRENT.reset(token)
 
 
-def fresh_context(**kwargs: Any) -> ExecutionContext:
-    """A new isolated :class:`ExecutionContext` (convenience constructor)."""
-    return ExecutionContext(**kwargs)
-
-
 __all__ = [
     "COMPUTE_DTYPES",
     "DEFAULT_COMPUTE_DTYPE",
@@ -327,6 +304,5 @@ __all__ = [
     "canonical_dtype_name",
     "current_context",
     "default_context",
-    "fresh_context",
     "use_context",
 ]

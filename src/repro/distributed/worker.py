@@ -11,15 +11,17 @@ coordinator:
   and *available* otherwise;
 * each worker walks the grid in a deterministic order — the scenarios of
   its own shard (:func:`shard_of` over the spec hash) first, everyone
-  else's after — claiming available scenarios via atomic lease creation
-  and executing them through the runner's shared execution core;
-* a sharded worker stacks: the eval-only scenarios of each stack group
-  (one :func:`~repro.experiments.runner.scenarios.stack_key`) are cut in
-  hash order into one near-equal chunk per shard (:func:`stack_chunks`);
-  the worker claims a chunk by taking every pending member's lease (or
-  else runs its members on their own), heartbeats all of them while one
-  stacked evaluation runs in one lane, stores each member on its own, and
-  retries a stack that raises member by member;
+  else's after — claiming available scenarios via atomic lease creation;
+* a worker claims and runs one *unit* at a time, through the runner's
+  :func:`~repro.experiments.runner.executor.execute_unit`, which stores
+  each result where it ran: one scenario, or a sharded worker's chunk of a
+  stack group (the eval-only scenarios of one
+  :func:`~repro.experiments.runner.scenarios.stack_key`, cut in hash order
+  into one near-equal chunk per shard by :func:`stack_chunks`).  It takes
+  the lease of every pending member of the chunk or of none (then runs the
+  scenario on its own), heartbeats all of them while one stacked
+  evaluation runs in one lane, and retries a stack that raises member by
+  member;
 * when only other workers' live leases remain, the worker polls: either
   the owners finish (results appear, leases vanish) or they crash (leases
   expire) and the poller *steals* the scenarios.  Stragglers therefore
@@ -42,17 +44,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.distributed.lease import DEFAULT_TTL_S, Heartbeat, LeaseManager
 from repro.experiments.runner.executor import (
     BundleCache,
     GridExecutionError,
     WorkerState,
-    execute_pending,
-    execute_stack,
+    execute_unit,
 )
-from repro.experiments.runner.scenarios import stack_groups
+from repro.experiments.runner.scenarios import stack_chunks, stack_groups
 from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
 from repro.experiments.runner.store import ResultStore
 from repro.utils.logging import get_logger
@@ -74,33 +75,6 @@ def shard_of(spec_hash: str, num_shards: int) -> int:
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     return int(spec_hash, 16) % num_shards
-
-
-def stack_chunks(
-    groups: Iterable[Sequence[ScenarioSpec]], num_shards: int
-) -> Dict[str, Tuple[int, Tuple[ScenarioSpec, ...]]]:
-    """Split every stack group into ``num_shards`` near-equal chunks.
-
-    Each group is taken in hash order and cut into contiguous chunks whose
-    sizes differ by at most one; chunk ``i`` belongs to shard ``i``.
-    Returns spec hash -> (shard, its chunk).  Hash-mod sharding would split
-    a group unevenly, and a stacked claim leaves a worker nothing to steal
-    from a sibling that drew the larger half.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    chunks: Dict[str, Tuple[int, Tuple[ScenarioSpec, ...]]] = {}
-    for group in groups:
-        ordered = sorted(group, key=lambda spec: spec.hash)
-        size, extra = divmod(len(ordered), num_shards)
-        start = 0
-        for shard in range(num_shards):
-            end = start + size + (shard < extra)
-            chunk = tuple(ordered[start:end])
-            for spec in chunk:
-                chunks[spec.hash] = (shard, chunk)
-            start = end
-    return chunks
 
 
 def worker_order(
@@ -256,7 +230,7 @@ class GridWorker:
         failures.setdefault(spec, marker["message"])
         return True
 
-    def _claim(
+    def _lease(
         self, spec: ScenarioSpec, report: WorkReport, failures: Dict[ScenarioSpec, str]
     ) -> bool:
         """Take ``spec``'s lease, unless it is stored, marked failed or
@@ -277,80 +251,68 @@ class GridWorker:
             LOGGER.info("%s reclaimed expired lease for %s", self.owner, spec.label())
         return True
 
-    def _claim_chunk(
-        self,
-        chunk: Sequence[ScenarioSpec],
-        report: WorkReport,
-        failures: Dict[ScenarioSpec, str],
+    def _claim(
+        self, spec: ScenarioSpec, report: WorkReport, failures: Dict[ScenarioSpec, str]
     ) -> List[ScenarioSpec]:
-        """Take the lease of every pending member of ``chunk``, or of none.
-
-        Returns the claimed members; fewer than two means the caller runs
-        the chunk's members on their own.
-        """
-        members = [
-            spec for spec in chunk
-            if spec not in failures and self.store.get(spec) is None
+        """Take the leases of ``spec``'s unit: of every pending member of its
+        stack chunk (two or more) or of none; else of ``spec`` alone.
+        Returns the claimed members, empty when not even ``spec``'s lease
+        could be had."""
+        chunk = self._chunks[spec.hash][1] if spec.hash in self._chunks else ()
+        pending = [
+            member for member in chunk
+            if member not in failures and self.store.get(member) is None
         ]
-        if len(members) < 2:
-            return []
-        claimed: List[ScenarioSpec] = []
-        for spec in members:
-            if not self._claim(spec, report, failures):
-                for taken in claimed:
-                    self.leases.release(taken.hash)
-                return []
-            claimed.append(spec)
-        return claimed
+        for members in ([pending] if len(pending) >= 2 else []) + [[spec]]:
+            claimed: List[ScenarioSpec] = []
+            for member in members:
+                if not self._lease(member, report, failures):
+                    break
+                claimed.append(member)
+            else:
+                return claimed
+            for taken in claimed:
+                self.leases.release(taken.hash)
+        return []
 
     def _execute(
         self,
-        spec: ScenarioSpec,
+        members: Sequence[ScenarioSpec],
         bundles: BundleCache,
         report: WorkReport,
         failures: Dict[ScenarioSpec, str],
     ) -> bool:
-        """Run and store one claimed scenario; on failure record it (and
-        mark it failed for the run)."""
+        """Run and store claimed ``members`` through
+        :func:`~repro.experiments.runner.executor.execute_unit` (a stack in
+        one lane).  A stack that raises is retried member by member; a
+        scenario that raises is recorded (and marked failed for the run).
+        Returns whether anything was stored."""
         try:
-            result, elapsed, _ = execute_pending(spec, self.store, bundles=bundles)
-            self.store.put(spec, result)
+            results, elapsed = execute_unit(members, self.store, bundles)
         except Exception as error:
+            if len(members) > 1:
+                LOGGER.warning(
+                    "%s: stack of %d failed (%s); running its members one by one",
+                    self.owner, len(members), error,
+                )
+                # A list, not a generator: every member gets its attempt.
+                return any([self._execute([spec], bundles, report, failures) for spec in members])
+            (spec,) = members
             message = f"{type(error).__name__}: {error}"
             failures[spec] = report.failed[spec.hash] = message
             if self.run is not None:
                 self.leases.mark_failed(spec.hash, self.run, message)
             LOGGER.warning("%s: scenario %s failed: %s", self.owner, spec.label(), error)
             return False
-        self._record(spec, elapsed, report)
-        LOGGER.info("%s: scenario %s done in %.2fs", self.owner, spec.label(), elapsed)
-        return True
-
-    def _execute_chunk(
-        self,
-        members: Sequence[ScenarioSpec],
-        bundles: BundleCache,
-        report: WorkReport,
-        failures: Dict[ScenarioSpec, str],
-    ) -> None:
-        """Run claimed ``members`` as one stacked evaluation in one lane and
-        store each result on its own; a stack that raises is retried member
-        by member."""
-        try:
-            results, elapsed, _ = execute_stack(members, self.store, bundles, lanes=1)
-        except Exception as error:
-            LOGGER.warning(
-                "%s: stack of %d failed (%s); running its members one by one",
-                self.owner, len(members), error,
-            )
-            for spec in members:
-                self._execute(spec, bundles, report, failures)
-            return
-        for spec, result in zip(members, results):
-            self.store.put(spec, result)
+        for spec in members:
             self._record(spec, elapsed / len(members), report)
-        report.stacks.append(tuple(spec.hash for spec in members))
-        LOGGER.info("%s: stacked %d scenarios in %.2fs", self.owner, len(members), elapsed)
+        if len(members) > 1:
+            report.stacks.append(tuple(spec.hash for spec in members))
+        LOGGER.info(
+            "%s: %s (%d scenario(s)) done in %.2fs",
+            self.owner, members[0].label(), len(members), elapsed,
+        )
+        return True
 
     def _record(self, spec: ScenarioSpec, elapsed: float, report: WorkReport) -> None:
         report.seconds[spec.hash] = elapsed
@@ -395,27 +357,18 @@ class GridWorker:
                         continue  # one attempt per worker; or run in a stack this pass
                     if self._failed_in_run(spec, failures):
                         continue  # another worker of this run tried it
-                    if spec.hash in self._chunks:
-                        members = self._claim_chunk(self._chunks[spec.hash][1], report, failures)
-                        if members:
-                            try:
-                                with Heartbeat(self.leases, [m.hash for m in members]):
-                                    self._execute_chunk(members, bundles, report, failures)
-                            finally:
-                                for member in members:
-                                    self.leases.release(member.hash)
-                            progress = True
-                            continue
                     if self.store.get(spec) is not None:
                         continue  # another worker finished it this pass
-                    if not self._claim(spec, report, failures):
+                    members = self._claim(spec, report, failures)
+                    if not members:
                         report.lease_lost += 1
                         continue
                     try:
-                        with Heartbeat(self.leases, spec.hash):
-                            progress = self._execute(spec, bundles, report, failures) or progress
+                        with Heartbeat(self.leases, [member.hash for member in members]):
+                            progress = self._execute(members, bundles, report, failures) or progress
                     finally:
-                        self.leases.release(spec.hash)
+                        for member in members:
+                            self.leases.release(member.hash)
                 if progress:
                     continue
                 # No claimable work this pass.  Scenarios behind other

@@ -17,8 +17,9 @@ scenarios.  This subsystem turns that grid into data:
   serially in-process (the bit-exact oracle) or with N local lease-based
   worker processes from :mod:`repro.distributed` — the same workers that
   any count of processes on hosts sharing the store directory can run —
-  bit-identically; both paths call the same
-  :func:`~repro.experiments.runner.executor.execute_pending` core.
+  bit-identically; both paths, and serve's worker processes, run and store
+  each scenario or stack through the one
+  :func:`~repro.experiments.runner.executor.execute_unit` step.
 
 Every experiment (``fig1b``, ``fig2``, ``table1``, ``table2`` and the three
 ``ablations``) is a grid on this runner plus an assembler; see
@@ -29,7 +30,7 @@ Every experiment (``fig1b``, ``fig2``, ``table1``, ``table2`` and the three
 from repro.experiments.runner.executor import (
     GridExecutionError,
     GridRunResult,
-    execute_pending,
+    execute_unit,
     run_grid,
 )
 from repro.experiments.runner.scenarios import ScenarioContext, execute_scenario, needs_bundle
@@ -38,7 +39,7 @@ from repro.experiments.runner.store import MemoryStore, ResultStore, default_sto
 
 __all__ = [
     "GridExecutionError",
-    "execute_pending",
+    "execute_unit",
     "ScenarioSpec",
     "ScenarioGrid",
     "ResultStore",

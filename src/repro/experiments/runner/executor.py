@@ -9,7 +9,9 @@ Execution modes
 ``workers <= 1`` (default)
     Scenarios run serially in-process.  This is the bit-exact oracle: every
     scenario reseeds from its spec hash and starts from the pre-trained
-    snapshot, so the serial order is irrelevant to the results.
+    snapshot, so the serial order is irrelevant to the results.  Sibling
+    ``api_eval`` scenarios of one stack group run as one stacked
+    evaluation in two lanes.
 
 ``workers > 1``
     Each of N spawned worker processes (:func:`spawn_worker_pool`, BLAS
@@ -18,16 +20,19 @@ Execution modes
     of ``python -m repro.distributed``, so workers store each result as it
     finishes.  The eval-only scenarios of each stack group are cut into N
     near-equal chunks, and worker ``i`` runs chunk ``i`` as one stacked
-    evaluation in one lane (:func:`execute_stack`).  A worker that dies
-    orphans only the scenarios it had claimed; the survivors steal them
-    after :data:`repro.distributed.worker.LOCAL_LEASE_TTL_S` and the same
-    call completes.  A scenario that fails is tried once per call: its
+    evaluation in one lane.  A worker that dies orphans only the scenarios
+    it had claimed; the survivors steal them after
+    :data:`repro.distributed.worker.LOCAL_LEASE_TTL_S` and the same call
+    completes.  A scenario that fails is tried once per call: its
     failure marker (beside its lease, tagged with the call's run token)
     makes the other workers skip it.  The parent reads the results back
     from the store.  Workers load their bundles from the on-disk pre-train
     cache (the parent puts the checkpoints there first) and reseed every
     scenario from its spec, so results are bit-identical to the serial
     oracle.
+
+Both modes, and serve's worker processes, run each spec or stack through
+:func:`execute_unit`, which stores every result where the work ran.
 
 With a persistent :class:`~repro.experiments.runner.store.ResultStore`,
 completed scenarios are skipped on re-run (resume); without one, a
@@ -60,10 +65,11 @@ from repro.experiments.runner.scenarios import (
     execute_api_eval_batch,
     execute_scenario,
     needs_bundle,
+    stack_chunks,
     stack_groups,
 )
 from repro.experiments.runner.spec import ScenarioGrid, ScenarioSpec
-from repro.experiments.runner.store import MemoryStore, ResultStore, jsonify_result
+from repro.experiments.runner.store import MemoryStore, ResultStore
 from repro.utils.logging import get_logger
 from repro.worker_env import blas_pool_pinned, worker_threads_pinned
 
@@ -139,14 +145,12 @@ class BundleCache:
     def values(self) -> List[Any]:
         return list(self._bundles.values())
 
-    def bundle_for(self, spec: ScenarioSpec, explicit_bundle=None):
+    def bundle_for(self, spec: ScenarioSpec):
         """The pre-trained bundle ``spec`` runs against (``None`` if it needs none)."""
         if not needs_bundle(spec.experiment):
             return None
         profile = spec.resolved_profile()
         token = profile_token(profile)
-        if explicit_bundle is not None and profile_token(explicit_bundle.profile) == token:
-            return explicit_bundle
         if token in self._bundles:
             self._bundles.move_to_end(token)
             return self._bundles[token]
@@ -158,49 +162,42 @@ class BundleCache:
         return bundle
 
 
-def execute_pending(
-    spec: ScenarioSpec,
-    stage_store,
-    bundles: Optional[BundleCache] = None,
-    explicit_bundle=None,
-) -> Tuple[Dict[str, Any], float, Any]:
-    """The one scenario-execution core every execution path calls.
+def execute_unit(
+    members: Sequence[ScenarioSpec], store, bundles: BundleCache, lanes: int = 1
+) -> Tuple[List[Dict[str, Any]], float]:
+    """Run one unit of work and store each of its results: the one
+    execute-and-store step of every execution path.
 
-    Resolves the spec's pre-trained bundle (through ``bundles``, so a
-    caller draining many scenarios builds each bundle once), executes the scenario through
+    A unit is one spec, run through
     :func:`~repro.experiments.runner.scenarios.execute_scenario` (which owns
-    the determinism contract: per-spec derived seed, snapshot restore,
-    fresh loaders) and returns ``(result, elapsed_s, bundle)``.
+    the determinism contract: per-spec derived seed, snapshot restore, fresh
+    loaders), or a stack of specs sharing one
+    :func:`~repro.experiments.runner.scenarios.stack_key`, run as one stacked
+    evaluation (:func:`~repro.experiments.runner.scenarios.execute_api_eval_batch`
+    in ``lanes`` lanes) on a one-thread BLAS pool, which gives a two-lane
+    stack its second lane.  The bundle comes from ``bundles``, so a caller
+    running many units builds each bundle once; ``store`` shares derived
+    stages between the units and receives every member's result, where the
+    work ran.  Returns the stored results, in member order, and the
+    execution seconds (store writes excluded).
 
     Callers: the serial loop of :func:`run_grid`,
     :class:`repro.distributed.worker.GridWorker` (behind both
     ``run_grid(workers > 1)`` and ``python -m repro.distributed``) and
-    serve's :func:`execute_spec` — one execution semantics, which keeps
-    serial == parallel == distributed bit-identical.  The returned bundle
-    (``None`` for bundle-free experiments) is for the caller's final
-    :meth:`~repro.experiments.common.ExperimentBundle.reset`.
+    serve's :func:`execute_spec`: one execution semantics, which keeps
+    serial == parallel == distributed bit-identical.
     """
-    bundle = (bundles if bundles is not None else BundleCache()).bundle_for(spec, explicit_bundle)
+    bundle = bundles.bundle_for(members[0])
     start = time.perf_counter()
-    result = execute_scenario(spec, bundle=bundle, stage_store=stage_store)
-    return result, time.perf_counter() - start, bundle
-
-
-def execute_stack(
-    specs: Sequence[ScenarioSpec],
-    stage_store,
-    bundles: BundleCache,
-    explicit_bundle=None,
-    lanes: int = 2,
-) -> Tuple[List[Dict[str, Any]], float, Any]:
-    """:func:`execute_pending` for a group of specs sharing one
-    :func:`~repro.experiments.runner.scenarios.stack_key`: one stacked
-    evaluation (:func:`~repro.experiments.runner.scenarios.execute_api_eval_batch`)
-    returning ``(results in spec order, elapsed_s, bundle)``."""
-    bundle = bundles.bundle_for(specs[0], explicit_bundle)
-    start = time.perf_counter()
-    results = execute_api_eval_batch(specs, bundle=bundle, stage_store=stage_store, lanes=lanes)
-    return results, time.perf_counter() - start, bundle
+    if len(members) == 1:
+        results = [execute_scenario(members[0], bundle=bundle, stage_store=store)]
+    else:
+        with blas_pool_pinned(1):
+            results = execute_api_eval_batch(
+                members, bundle=bundle, stage_store=store, lanes=lanes
+            )
+    elapsed = time.perf_counter() - start
+    return [store.put(spec, result) for spec, result in zip(members, results)], elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +250,9 @@ def _worker_main(conn, store_root: Optional[str], max_models: Optional[int]) -> 
 
 
 def execute_spec(state: WorkerState, payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Serve's call: run one scenario in a worker process, return its result."""
-    result, _, _ = execute_pending(
-        ScenarioSpec.from_dict(payload), state.store, bundles=state.bundles
-    )
+    """Serve's call: run and store one scenario in a worker process, return
+    its stored result."""
+    (result,), _ = execute_unit([ScenarioSpec.from_dict(payload)], state.store, state.bundles)
     return result
 
 
@@ -441,7 +437,8 @@ def run_grid(
     bundle:
         Optional pre-built bundle to execute against in serial mode (the
         benchmark harness shares one across experiments); only used for
-        specs whose profile matches it.
+        specs whose profile matches it.  The serial run resets every bundle
+        it used on leaving, also when a scenario raises.
     resume:
         Set to ``False`` to recompute every scenario even on store hits
         (``workers > 1`` then drain into a temporary store and copy the
@@ -457,7 +454,6 @@ def run_grid(
     """
     start = time.perf_counter()
     outcome = GridRunResult(grid=grid, results={}, workers=max(workers, 0))
-    stage_store = store if store is not None else MemoryStore()
 
     pending: List[ScenarioSpec] = []
     for spec in grid:
@@ -471,65 +467,44 @@ def run_grid(
     if pending and workers > 1:
         _run_workers(pending, workers, store, resume, outcome)
     else:
-        bundles = BundleCache()
-        touched: Dict[int, Any] = {}
-        # Only api_eval scenarios stack on this path; the other eval-only
-        # kinds stack in grid drains (repro.distributed.worker).
-        api_evals = [spec for spec in pending if batch and spec.experiment == "api_eval"]
-        groups = {
-            member.hash: members
-            for members in stack_groups(api_evals, lambda spec: bundles.bundle_for(spec, bundle))
-            for member in members
-        }
+        store = store if store is not None else MemoryStore()
 
-        def _record(spec, result, elapsed):
-            if store is not None:
-                result = store.put(spec, result)
-            else:
-                result = jsonify_result(result)
-            outcome.results[spec.hash] = result
-            outcome.per_scenario_s[spec.hash] = elapsed
-            outcome.executions[spec.hash] = 1
-            outcome.executed += 1
+        def build(profile):
+            # The caller's bundle serves the specs of its profile.
+            if bundle is not None and profile_token(bundle.profile) == profile_token(profile):
+                return bundle
+            return get_pretrained_bundle(profile)
 
-        for spec in pending:
-            if spec.hash in outcome.results:
-                continue  # run as a member of an earlier stacked group
-            members = groups.get(spec.hash)
-            if members is not None:
-                # A one-thread pool gives the stack its second lane.
-                with blas_pool_pinned(1):
-                    results, elapsed, spec_bundle = execute_stack(
-                        members, stage_store, bundles, explicit_bundle=bundle
-                    )
-                if spec_bundle is not None:
-                    touched[id(spec_bundle)] = spec_bundle
-                outcome.stacks.append(tuple(member.hash for member in members))
+        bundles = BundleCache(builder=build)
+        try:
+            # Only api_eval specs stack here, in two lanes; drains stack
+            # every eval-only kind (repro.distributed.worker), in one.
+            api_evals = [spec for spec in pending if batch and spec.experiment == "api_eval"]
+            units = stack_chunks(stack_groups(api_evals, bundles.bundle_for), 1)
+            for spec in pending:
+                if spec.hash in outcome.results:
+                    continue  # run as a member of an earlier stack
+                members = units[spec.hash][1] if spec.hash in units else (spec,)
+                results, elapsed = execute_unit(members, store, bundles, lanes=2)
                 for member, result in zip(members, results):
-                    _record(member, result, elapsed / len(members))
+                    outcome.results[member.hash] = result
+                    outcome.per_scenario_s[member.hash] = elapsed / len(members)
+                    outcome.executions[member.hash] = 1
+                outcome.executed += len(members)
+                if len(members) > 1:
+                    outcome.stacks.append(tuple(member.hash for member in members))
                 LOGGER.info(
-                    "stacked %d compatible scenarios in %.2fs (%d/%d)",
+                    "%s (%d scenario(s)) done in %.2fs (%d/%d)",
+                    spec.label(),
                     len(members),
                     elapsed,
                     outcome.executed + outcome.cached,
                     len(grid),
                 )
-                continue
-            result, elapsed, spec_bundle = execute_pending(
-                spec, stage_store, bundles=bundles, explicit_bundle=bundle
-            )
-            if spec_bundle is not None:
-                touched[id(spec_bundle)] = spec_bundle
-            _record(spec, result, elapsed)
-            LOGGER.info(
-                "scenario %s done in %.2fs (%d/%d)",
-                spec.label(),
-                elapsed,
-                outcome.executed + outcome.cached,
-                len(grid),
-            )
-        for touched_bundle in touched.values():
-            touched_bundle.reset()
+        finally:
+            # Even after a failure, no run leaves a bundle's model dirty.
+            for used in bundles.values():
+                used.reset()
 
     outcome.duration_s = time.perf_counter() - start
     return outcome

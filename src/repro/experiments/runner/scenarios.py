@@ -45,7 +45,9 @@ from __future__ import annotations
 import importlib
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -205,6 +207,34 @@ def stack_groups(
         if key is not None:
             groups.setdefault(key, []).append(spec)
     return [group for group in groups.values() if len(group) >= 2]
+
+
+def stack_chunks(
+    groups: Iterable[Sequence[ScenarioSpec]], num_shards: int
+) -> Dict[str, Tuple[int, Tuple[ScenarioSpec, ...]]]:
+    """Split every stack group into ``num_shards`` near-equal chunks.
+
+    Each group is taken in hash order and cut into contiguous chunks whose
+    sizes differ by at most one; chunk ``i`` belongs to shard ``i``.
+    Returns spec hash -> (shard, its chunk).  Hash-mod sharding would split
+    a group unevenly, and a stacked claim leaves a worker nothing to steal
+    from a sibling that drew the larger half.  With one shard each group is
+    one chunk: the serial plan.
+    """
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+    chunks: Dict[str, Tuple[int, Tuple[ScenarioSpec, ...]]] = {}
+    for group in groups:
+        ordered = sorted(group, key=lambda spec: spec.hash)
+        size, extra = divmod(len(ordered), num_shards)
+        start = 0
+        for shard in range(num_shards):
+            end = start + size + (shard < extra)
+            chunk = tuple(ordered[start:end])
+            for spec in chunk:
+                chunks[spec.hash] = (shard, chunk)
+            start = end
+    return chunks
 
 
 class ScenarioContext:

@@ -48,11 +48,6 @@ def _atomic_write_text(path: str, text: str) -> None:
     atomic_write(path, write)
 
 
-def jsonify_result(value: Any) -> Any:
-    """Public alias of :func:`_jsonify` for the executor's no-store path."""
-    return _jsonify(value)
-
-
 def _jsonify(value: Any) -> Any:
     """Coerce numpy scalars/arrays into plain JSON-serialisable python."""
     if isinstance(value, np.ndarray):

@@ -8,8 +8,10 @@ spawned with the thread's first request, and again with its next request
 after it died.  Each process owns its own
 :class:`repro.context.ExecutionContext` (dtype policy, RNG stream, bundle
 cache), so K distinct requests run ``min(K, workers)``-wide with no global
-execution lock, and keeps at most ``max_models`` pre-trained bundles.  The
-parent only puts the checkpoint on disk
+execution lock, keeps at most ``max_models`` pre-trained bundles, and
+stores each result in the store at ``store_root`` itself
+(:func:`~repro.experiments.runner.executor.execute_spec`).  The parent
+only puts the checkpoint on disk
 (:func:`repro.experiments.common.prepare_checkpoint`); it builds a model
 only the first time a profile has none.
 """
@@ -55,7 +57,7 @@ class ExecutionEngine:
             return worker
 
     def execute(self, slot: int, spec: ScenarioSpec, needs_model: bool) -> Dict[str, Any]:
-        """Run ``spec`` in process ``slot`` and return its raw result dict.
+        """Run and store ``spec`` in process ``slot``; return its stored result.
 
         Raises :class:`~repro.experiments.runner.executor.WorkerError` when
         the scenario failed, or the process died while running it.

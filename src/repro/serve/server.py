@@ -22,9 +22,11 @@ so concurrent identical submits cannot double-execute):
 
 Queue threads drain the queue through the
 :class:`~repro.serve.pool.ExecutionEngine`, each into its own worker
-process; every successful execution is persisted to the store before the
-record resolves, so the next identical request — this process or any later
-one — is a cache hit.
+process, which stores the result in the service's store
+(:func:`~repro.experiments.runner.executor.execute_unit`) before it replies;
+so by the time the record resolves, the next identical request — this
+process or any later one — is a cache hit.  The service itself never
+writes a result.
 """
 
 from __future__ import annotations
@@ -195,7 +197,6 @@ class EvalService:
         request = record.request
         try:
             result = self.engine.execute(slot, request.spec, request.needs_model)
-            clean = self.store.put(request.spec, result)
         except Exception as error:  # noqa: BLE001 — server must not die
             # A worker error already reads "<type>: <message>".
             message = (
@@ -215,7 +216,7 @@ class EvalService:
                 self._executed_per_worker.get(worker_name, 0) + 1
             )
         self.latency[ORIGIN_EXECUTED].record(time.perf_counter() - record.created_s)
-        record.resolve(clean, origin=ORIGIN_EXECUTED)
+        record.resolve(result, origin=ORIGIN_EXECUTED)
 
     # ------------------------------------------------------------------
     # Stats / GC

@@ -10,11 +10,10 @@ duration of a block:
 * **restore on exit** — entering a session snapshots every encoded layer's
   simulation state (mode, pulses, sigma, relative flag, PLA mode, engine
   pin) and restores it on exit, even when the body raises;
-* **context binding** — a session runs against one
-  :class:`repro.context.ExecutionContext`: the caller's current context by
-  default, or an explicitly passed ``context`` which the session activates
-  for the ``with`` block.  The config's dtype policy is applied to (and
-  restored on) that context, never to process-wide state.
+* **context binding** — a session runs against the caller's current
+  :class:`repro.context.ExecutionContext` (bind another with
+  :func:`repro.context.use_context`).  The config's dtype policy is applied
+  to (and restored on) that context, never to process-wide state.
 
 Targets are duck-typed: anything exposing ``encoded_layers()`` (models) or
 looking like a single encoded layer works.  Per-layer settings are config
@@ -36,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.context import ExecutionContext, current_context, use_context
+from repro.context import ExecutionContext, current_context
 from repro.sim.config import SimConfig
 from repro.tensor.dtype import canonical_dtype_name
 from repro.utils.seed import seed_everything
@@ -181,13 +180,11 @@ class Session:
             accuracy = evaluate_accuracy(model, loader)
         # model is back in whatever state it had before the block
 
-    ``context`` binds the session to an explicit
-    :class:`~repro.context.ExecutionContext`: the context is activated for
-    the duration of the block (so the body's dtype/RNG/grad state resolves
-    there) and the previous binding is restored on exit.  Two threads each
-    binding their *own* context may run sessions with different compute
-    dtypes concurrently — the case the old process-global policy had to
-    forbid.
+    The session binds to the caller's current
+    :class:`~repro.context.ExecutionContext`.  Two threads each bound to
+    their *own* context (:func:`repro.context.use_context`) may run
+    sessions with different compute dtypes concurrently — the case the old
+    process-global policy had to forbid.
     """
 
     def __init__(
@@ -195,13 +192,10 @@ class Session:
         target: Any,
         config: SimConfig,
         profile: Any = None,
-        context: Optional[ExecutionContext] = None,
     ):
         self.target = target
         self.config = config
         self.profile = profile
-        self.context = context
-        self._scope = None
         self._bound: Optional[ExecutionContext] = None
         self._saved: Optional[List[_LayerSimState]] = None
         self._saved_dtype: Optional[str] = None
@@ -224,7 +218,7 @@ class Session:
                 f"session(s) on this execution context already hold "
                 f"{conflicting} — sessions sharing one context must agree "
                 f"on one dtype (run conflicting sessions in their own "
-                f"contexts, e.g. Session(..., context=ExecutionContext()))"
+                f"contexts, e.g. under use_context(ExecutionContext()))"
             )
         self._holds_dtype = True
 
@@ -234,24 +228,17 @@ class Session:
             self._holds_dtype = False
 
     def __enter__(self):
-        if self.context is not None:
-            self._scope = use_context(self.context)
-            self._scope.__enter__()
         self._bound = current_context()
+        saved = capture_sim_state(self.target)
+        saved_dtype = self._bound.dtype_name
+        self._register_dtype()
         try:
-            saved = capture_sim_state(self.target)
-            saved_dtype = self._bound.dtype_name
-            self._register_dtype()
-            try:
-                # apply_config validates before mutating, so a failing enter
-                # leaves the target exactly as it was and nothing needs
-                # restoring.
-                apply_config(self.target, self.config, self.profile)
-            except BaseException:
-                self._unregister_dtype()
-                raise
+            # apply_config validates before mutating, so a failing enter
+            # leaves the target exactly as it was and nothing needs
+            # restoring.
+            apply_config(self.target, self.config, self.profile)
         except BaseException:
-            self._exit_scope()
+            self._unregister_dtype()
             raise
         self._saved = saved
         self._saved_dtype = saved_dtype
@@ -259,21 +246,13 @@ class Session:
             seed_everything(self.config.seed)
         return self.target
 
-    def _exit_scope(self) -> None:
-        if self._scope is not None:
-            self._scope.__exit__(None, None, None)
-            self._scope = None
-
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
-        try:
-            if self._saved is not None:
-                restore_sim_state(self.target, self._saved)
-                self._saved = None
-            if self._saved_dtype is not None:
-                self._bound.set_dtype(self._saved_dtype)
-                self._saved_dtype = None
-            self._unregister_dtype()
-        finally:
-            self._exit_scope()
+        if self._saved is not None:
+            restore_sim_state(self.target, self._saved)
+            self._saved = None
+        if self._saved_dtype is not None:
+            self._bound.set_dtype(self._saved_dtype)
+            self._saved_dtype = None
+        self._unregister_dtype()
         return False
 

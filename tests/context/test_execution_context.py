@@ -26,7 +26,6 @@ from repro.context import (
     ExecutionContext,
     current_context,
     default_context,
-    fresh_context,
     use_context,
 )
 from repro.models import CrossbarMLP
@@ -89,16 +88,6 @@ class TestExecutionContext:
         a, b = ExecutionContext(seed=7), ExecutionContext(seed=7)
         assert np.allclose(a.rng.normal(size=(4,)), b.rng.normal(size=(4,)))
 
-    def test_derive_inherits_policy_not_state(self):
-        parent = ExecutionContext(dtype="float32", grad_enabled=False)
-        parent.bundles["token"] = object()
-        parent.bounded_cache("memo").put("k", "v")
-        child = parent.derive()
-        assert child.dtype_name == "float32"
-        assert child.grad_enabled is False
-        assert child.bundles == {}
-        assert "k" not in child.bounded_cache("memo")
-
     def test_bounded_cache_is_named_and_persistent(self):
         context = ExecutionContext()
         assert context.bounded_cache("memo") is context.bounded_cache("memo")
@@ -117,7 +106,7 @@ class TestContextResolution:
 
     def test_use_context_scopes_and_restores(self):
         outer = current_context()
-        scoped = fresh_context(dtype="float32")
+        scoped = ExecutionContext(dtype="float32")
         with use_context(scoped) as active:
             assert active is scoped
             assert current_context() is scoped
@@ -126,7 +115,7 @@ class TestContextResolution:
         assert compute_dtype_name() == "float64"
 
     def test_facades_resolve_the_current_context(self):
-        scoped = fresh_context()
+        scoped = ExecutionContext()
         with use_context(scoped):
             set_compute_dtype("float32")
             manual_seed(99)
@@ -248,7 +237,7 @@ class TestConcurrentSessionsAcrossContexts:
     def test_two_threads_hold_different_dtypes_concurrently(self):
         """The overlap ConcurrentDtypeError used to forbid now succeeds.
 
-        Each thread binds its *own* context via ``Session(context=...)``;
+        Each thread binds its *own* context with ``use_context``;
         a barrier inside the session bodies proves both dtype policies are
         live at the same instant.
         """
@@ -260,7 +249,7 @@ class TestConcurrentSessionsAcrossContexts:
             model = _tiny_mlp(seed)
             config = SimConfig(mode="noisy", noise_sigma=2.0, dtype=dtype)
             try:
-                with Session(model, config, context=ExecutionContext()):
+                with use_context(ExecutionContext()), Session(model, config):
                     barrier.wait()  # both sessions entered: overlap is real
                     observed[dtype] = compute_dtype_name()
                     barrier.wait()  # neither exits before both observed
@@ -288,9 +277,9 @@ class TestConcurrentSessionsAcrossContexts:
     def test_same_context_overlap_still_conflicts(self):
         """Sharing one explicit context keeps the guard: conflicts raise."""
         shared = ExecutionContext()
-        with Session(_tiny_mlp(3), SimConfig(dtype="float32"), context=shared):
+        with use_context(shared), Session(_tiny_mlp(3), SimConfig(dtype="float32")):
             with pytest.raises(ConcurrentDtypeError, match="sharing one context"):
-                with Session(_tiny_mlp(4), SimConfig(dtype="float64"), context=shared):
+                with Session(_tiny_mlp(4), SimConfig(dtype="float64")):
                     pass  # pragma: no cover - never entered
         assert shared.dtype_name == "float64"
 
@@ -302,7 +291,7 @@ class TestFig2LayerCountCache:
 
         default_memo = default_context().bounded_cache("fig2_layer_counts")
         default_size = len(default_memo)
-        context = fresh_context()
+        context = ExecutionContext()
         with use_context(context):
             counts = [
                 encoded_layer_count(
@@ -325,7 +314,7 @@ class TestFig2LayerCountCache:
         from repro.experiments.profiles import get_profile
 
         profile = get_profile("smoke")
-        with use_context(fresh_context()):
+        with use_context(ExecutionContext()):
             first = fig2.encoded_layer_count(profile)
 
             def explode(_profile):  # pragma: no cover - must not run

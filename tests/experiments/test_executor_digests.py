@@ -21,7 +21,6 @@ from repro.experiments.common import clear_bundle_cache
 from repro.experiments.profiles import get_profile
 from repro.experiments.registry import EXPERIMENTS
 from repro.experiments.runner import ScenarioGrid, run_grid
-from repro.experiments.runner.store import jsonify_result
 
 #: (registered experiment, method) -> SHA-256 of the stored smoke result.
 REGISTERED_CELL_DIGESTS = {
@@ -39,7 +38,7 @@ API_EVAL_DIGEST = "15bf7adc25be478831fa12685691cba7d9bea50e56e00df6055692cf0aa5a
 
 
 def _digest(result) -> str:
-    text = json.dumps(jsonify_result(result), sort_keys=True)
+    text = json.dumps(result, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

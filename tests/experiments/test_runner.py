@@ -246,6 +246,25 @@ class TestRunnerEndToEnd:
         run_grid(ScenarioGrid(name="float32", specs=(spec,)), batch=False)
         assert current_context().dtype_name == before == "float64"
 
+    def test_failing_serial_run_leaves_the_shared_model_clean(self, isolated_cache, monkeypatch):
+        """A GBO step that raises mid-training still leaves the context's
+        cached model reset when serial ``run_grid`` raises: every parameter
+        requires grad and every encoded layer is in ``clean`` mode."""
+        from repro.core.gbo import GBOTrainer
+        from repro.experiments.common import get_pretrained_bundle
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("GBO step failed")
+
+        profile = get_profile("smoke")
+        spec = next(spec for spec in self._grid() if spec.method.startswith("GBO"))
+        monkeypatch.setattr(GBOTrainer, "_step", fail)
+        with pytest.raises(RuntimeError, match="GBO step failed"):
+            run_grid(ScenarioGrid(name="gbo_fails", specs=(spec,)))
+        model = get_pretrained_bundle(profile).model
+        assert all(param.requires_grad for param in model.parameters())
+        assert {layer.mode for layer in model.encoded_layers()} == {"clean"}
+
     def test_partial_store_resumes_only_missing(self, isolated_cache):
         """An interrupted suite picks up exactly where it left off."""
         grid = self._grid()

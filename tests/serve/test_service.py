@@ -173,6 +173,26 @@ class TestCacheHits:
         finally:
             fresh.stop()
 
+    def test_the_worker_stores_the_result_before_the_reply(self, tmp_path, monkeypatch):
+        """When a request's reply arrives its result is already in the
+        store, written by the worker process: the service never writes one
+        (its ``ResultStore.put`` raises here; the spawned worker's does not)."""
+
+        def refuse(self, spec, result):
+            raise AssertionError("the serve parent wrote a result")
+
+        store = ResultStore(str(tmp_path / "store"))
+        monkeypatch.setattr(ResultStore, "put", refuse)
+        service = EvalService(ServeConfig(workers=1), store=store)
+        service.start()
+        try:
+            record = service.submit(selftest_payload(value=5))
+            assert record.wait(10.0)
+            assert (record.state, record.origin) == (DONE, ORIGIN_EXECUTED)
+            assert store.get(record.request.spec) == record.result
+        finally:
+            service.stop()
+
     def test_cached_results_are_isolated_copies(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))
         service = EvalService(ServeConfig(workers=1), store=store)

@@ -33,7 +33,7 @@ def test_tracer_installs_and_uninstalls():
         assert executor.spawn_worker_pool is not spawn
         assert ResultStore.put is not put
         assert repro.api.execute_api_eval_batch is not stack
-        # The binding execute_stack calls is the one wrapped.
+        # The binding execute_unit calls is the one wrapped.
         assert executor.execute_api_eval_batch is not stack
     finally:
         tracer.uninstall()

@@ -1,4 +1,4 @@
-"""Import layering between ``repro.api`` and the scenario runner.
+"""Layering between ``repro.api``, the scenario runner and its callers.
 
 ``repro.api`` holds the pipeline's stages; the scenario runner
 (``repro.experiments.runner``) builds on them, and ``repro.serve`` on the
@@ -6,6 +6,10 @@ runner.  So the facade imports neither — apart from the PEP 562
 ``__getattr__`` that resolves two runner functions under their old names —
 and the runner imports ``repro.api`` at module level, where the dependency
 is visible, never inside a function to dodge an import cycle.
+
+Every scenario or stack runs and is stored through one step, the runner's
+``execute_unit``: nothing else calls the scenario executors, and neither
+serve nor the distributed workers write a result themselves.
 
 The modules are parsed, not imported.
 """
@@ -32,6 +36,26 @@ def _imports(path: Path) -> Iterator[Tuple[int, Optional[str], List[str]]]:
             elif isinstance(child, ast.ImportFrom) and child.level == 0 and child.module:
                 names = [f"{child.module}.{alias.name}" for alias in child.names]
                 yield child.lineno, function, [child.module, *names]
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from visit(child, child.name if is_function else function)
+
+    yield from visit(tree, None)
+
+
+def _calls(path: Path) -> Iterator[Tuple[int, Optional[str], str]]:
+    """``(line, enclosing function or None, called name)`` of every call in
+    ``path`` whose callee is a plain name or an attribute (``a.b(...)``
+    names ``b``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def visit(node: ast.AST, function: Optional[str]):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = child.func
+                if isinstance(callee, ast.Name):
+                    yield child.lineno, function, callee.id
+                elif isinstance(callee, ast.Attribute):
+                    yield child.lineno, function, callee.attr
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             yield from visit(child, child.name if is_function else function)
 
@@ -66,5 +90,26 @@ def test_runner_imports_api_only_at_module_level():
         if function is not None
         for hits in [_hits(names, "repro.api")]
         if hits
+    ]
+    assert not offending, offending
+
+
+def test_scenarios_run_only_through_execute_unit():
+    offending = [
+        f"{path.relative_to(SRC)}:{line} (in {function}): {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, function, name in _calls(path)
+        if name in ("execute_scenario", "execute_api_eval_batch") and function != "execute_unit"
+    ]
+    assert not offending, offending
+
+
+def test_serve_and_distributed_write_no_result():
+    offending = [
+        f"{path.relative_to(SRC)}:{line} (in {function})"
+        for package in ("serve", "distributed")
+        for path in sorted((SRC / package).rglob("*.py"))
+        for line, function, name in _calls(path)
+        if name == "put"
     ]
     assert not offending, offending
